@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 
-from .identities import polarize, term_vars
+from .identities import check_identity, parse_identity, polarize, term_vars
 from .linalg import Subspace, inverse, mat_vec
-from .operators import derivation_space
+from .operators import _nullspace_rows, derivation_space, linear_conditions
 from .scalars import QQ, QT, DomainError, RatFunc, parse_ratfunc
 from .structure import Algebra, StructureTensor
-from .varieties import BINARY_VARIETIES, variety_identities
+from .varieties import BINARY_VARIETIES, VARIETY_ALIASES, variety_identities
 
 
 def certificate_from_json(rows):
@@ -100,7 +100,6 @@ def degeneration_verify(A, B, g):
 
 def invariant_profile(A, op=None):
     """Invariants consumed by the degeneration obstruction rule set."""
-    from .identities import check_identity, parse_identity
     from .invariants import structure_report
     rep = structure_report(A, op=op)
     om = {"*": op or A.op_names()[0]}
@@ -121,7 +120,6 @@ def degeneration_obstruction(A, B, op=None):
     """Violated necessary conditions for A -> B; empty list proves nothing."""
     if A.dim != B.dim:
         raise DomainError("dimension mismatch")
-    from .identities import check_identity, parse_identity
     from .invariants import structure_report
     violations = []
     repA = structure_report(A, op=op)
@@ -222,10 +220,7 @@ def cocycle_space(A, variety, s=1, op=None):
     Z2 is returned per extension coordinate (the s-fold space is the s-th
     power); B2 is spanned by the coboundaries f(xy).
     """
-    variety_n = variety
-    if variety_n not in BINARY_VARIETIES:
-        from .varieties import VARIETY_ALIASES
-        variety_n = VARIETY_ALIASES.get(variety_n, variety_n)
+    variety_n = VARIETY_ALIASES.get(variety, variety)
     if variety_n not in BINARY_VARIETIES:
         raise DomainError(f"unknown variety {variety!r}")
     idents = variety_identities(variety_n)
@@ -234,78 +229,36 @@ def cocycle_space(A, variety, s=1, op=None):
         raise DomainError("variety identities must have degree >= 2")
     opn = op or A.op_names()[0]
     t = A.op(opn)
+    if t.arity != 2:
+        raise DomainError("central extensions need a binary operation")
     dom = A.dom
     n = A.dim
+    for ident in idents:
+        if not check_identity(A, ident, opmap={"*": opn})[0]:
+            raise DomainError(
+                f"base algebra does not satisfy the {variety!r} identities")
+
+    def in_A(term):
+        return term if term[0] == "v" else (opn, tuple(in_A(c) for c in term[1]))
+
+    # the V-part of a term u*v in A_theta is theta(u, v), with u, v taken in A
+    theta = {"<theta>": (1, lambda r, a, b: a * n + b)}
     rows = []
     for ident in idents:
         for lin in polarize(ident, char=dom.char or 0):
-            vs = lin.variables
-            for combo in itertools.product(range(n), repeat=len(vs)):
-                assignment = {v: {i: dom.one()} for v, i in zip(vs, combo)}
-                row = {}
-                consistent_defect = {}
-                for coeff, term in lin.terms:
-                    coeff = dom.coerce(coeff)
-                    top = _top_split(A, term, assignment, opn)
-                    if top is None:
-                        continue
-                    uvec, vvec, avec = top
-                    # theta-component: coeff * theta(u, v); A-component check
-                    for (iu, cu) in uvec.items():
-                        for (iv, cv) in vvec.items():
-                            key = iu * n + iv
-                            row[key] = row.get(key, dom.zero()) + coeff * cu * cv
-                    for k, c in avec.items():
-                        consistent_defect[k] = consistent_defect.get(k, dom.zero()) + coeff * c
-                if any(not dom.is_zero(c) for c in consistent_defect.values()):
-                    raise DomainError(
-                        f"base algebra does not satisfy the {variety!r} identities")
-                row = {k: c for k, c in row.items() if not dom.is_zero(c)}
-                if row:
-                    rows.append(row)
-    from .operators import _nullspace_rows
+            terms = [(c, ("<theta>", tuple(in_A(ch) for ch in term[1])))
+                     for c, term in lin.terms]
+            rows += linear_conditions(A, terms, lin.variables, theta).values()
     z2_vecs = _nullspace_rows(rows, n * n, dom)
     Z2 = Subspace(z2_vecs, n * n, dom)
-    b2_vecs = []
-    for k in range(n):
-        v = [dom.zero()] * (n * n)
-        nonzero = False
-        for i in range(n):
-            for j in range(n):
-                c = t.basis_product((i, j)).get(k, dom.zero())
-                if not dom.is_zero(c):
-                    v[i * n + j] = c
-                    nonzero = True
-        if nonzero:
-            b2_vecs.append(v)
-    B2 = Subspace(b2_vecs, n * n, dom)
+    # coboundaries: theta = f(xy) for the coordinate functionals f
+    B2 = Subspace([[t.basis_product((i, j)).get(k, dom.zero())
+                    for i in range(n) for j in range(n)] for k in range(n)],
+                  n * n, dom)
     if not Z2.contains(B2):
         raise DomainError("coboundaries are not cocycles: inconsistent setup")
     return {"Z2": Z2, "B2": B2, "H2_dim": (Z2.dim - B2.dim) * s,
             "Z2_dim": Z2.dim * s, "B2_dim": B2.dim * s, "s": s}
-
-
-def _top_split(A, term, assignment, opn):
-    """Evaluate a term's top product in A; (left-value, right-value, A-value).
-
-    Returns None when the term is a bare variable (impossible for degree >= 2
-    identities) -- those contribute nothing to the extension's V-part.
-    """
-    if term[0] == "v":
-        return None
-    t = A.op(opn)
-    left = _eval_in_A(A, term[1][0], assignment, opn)
-    right = _eval_in_A(A, term[1][1], assignment, opn)
-    avec = t.apply_sparse([left, right])
-    return left, right, avec
-
-
-def _eval_in_A(A, term, assignment, opn):
-    if term[0] == "v":
-        return assignment[term[1]]
-    t = A.op(opn)
-    return t.apply_sparse([_eval_in_A(A, term[1][0], assignment, opn),
-                           _eval_in_A(A, term[1][1], assignment, opn)])
 
 
 def cocycle_from_vector(vec, n, s=1, dom=QQ):

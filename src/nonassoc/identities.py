@@ -9,6 +9,7 @@ scan over basis tuples, which is exact over domains of characteristic zero
 
 from __future__ import annotations
 
+import copy
 import itertools
 import re
 from fractions import Fraction
@@ -296,11 +297,13 @@ def polarize(identity, char=0):
     variable; valid over characteristic 0 or characteristic > total degree.
     Each returned identity carries ``restitution_scale``: substituting the
     original variable back for its copies multiplies the component by this
-    factor.  Multilinear input is returned unchanged (scale 1).
+    factor.  Multilinear input comes back as a copy with scale 1; the input
+    is never modified.
     """
     if identity.is_multilinear():
-        identity.restitution_scale = Fraction(1)
-        return [identity]
+        lin = copy.copy(identity)
+        lin.restitution_scale = Fraction(1)
+        return [lin]
     total_degree = max((sum(term_vars(t).values()) for _, t in identity.terms),
                        default=0)
     if char and char <= total_degree:

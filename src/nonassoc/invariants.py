@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .linalg import Subspace, mat_mul, mat_sub, nullspace, rank
+from .linalg import Subspace, mat_mul, mat_sub, rank
+from .operators import _nullspace_rows, linear_conditions
 from .scalars import QQ, DomainError, Poly, PolyRing
 from .structure import Algebra, StructureTensor
 
@@ -36,39 +37,33 @@ def _product_subspace(A, U, W, op=None):
     return Subspace(vecs, A.dim, dom)
 
 
-def annihilator_subspace(A, side="two_sided", op=None):
-    """Left/right/two-sided annihilator of a binary algebra."""
-    t = A.op(op)
-    dom = A.dom
+def _element_laws_kernel(A, laws):
+    """{z in A : each law, linear in the unknown element <z>, vanishes at
+    every basis vector x}."""
     n = A.dim
     rows = []
-    for j in range(n):
-        for r in range(n):
-            left_row = [t.basis_product((a, j)).get(r, dom.zero())
-                        for a in range(n)]
-            right_row = [t.basis_product((j, a)).get(r, dom.zero())
-                         for a in range(n)]
-            if side in ("left", "two_sided") and any(not dom.is_zero(x) for x in left_row):
-                rows.append(left_row)
-            if side in ("right", "two_sided") and any(not dom.is_zero(x) for x in right_row):
-                rows.append(right_row)
-    return Subspace(nullspace(rows, n, dom), n, dom)
+    for terms in laws:
+        rows += linear_conditions(A, terms, ("x",), {"<z>": (n, lambda r: r)}).values()
+    return Subspace(_nullspace_rows(rows, n, A.dom), n, A.dom)
+
+
+def annihilator_subspace(A, side="two_sided", op=None):
+    """Left/right/two-sided annihilator of a binary algebra."""
+    opn = op or A.op_names()[0]
+    z, x = ("<z>", ()), ("v", "x")
+    laws = []
+    if side in ("left", "two_sided"):
+        laws.append([(1, (opn, (z, x)))])
+    if side in ("right", "two_sided"):
+        laws.append([(1, (opn, (x, z)))])
+    return _element_laws_kernel(A, laws)
 
 
 def commutative_center_subspace(A, op=None):
     """{z : zx = xz for all x}."""
-    t = A.op(op)
-    dom = A.dom
-    n = A.dim
-    rows = []
-    for j in range(n):
-        for r in range(n):
-            row = [t.basis_product((a, j)).get(r, dom.zero())
-                   - t.basis_product((j, a)).get(r, dom.zero())
-                   for a in range(n)]
-            if any(not dom.is_zero(x) for x in row):
-                rows.append(row)
-    return Subspace(nullspace(rows, n, dom), n, dom)
+    opn = op or A.op_names()[0]
+    z, x = ("<z>", ()), ("v", "x")
+    return _element_laws_kernel(A, [[(1, (opn, (z, x))), (-1, (opn, (x, z)))]])
 
 
 def structure_report(A, op=None, grading=None, grading_modulus=None):
@@ -132,10 +127,6 @@ def structure_report(A, op=None, grading=None, grading_modulus=None):
         report["grading_ok"], report["grading_witness"] = \
             verify_grading(A, grading, op, modulus=grading_modulus)
     return report
-
-
-def center_subspace(A, op=None):
-    return annihilator_subspace(A, "two_sided", op)
 
 
 def verify_grading(A, grading, op=None, modulus=None):

@@ -8,9 +8,11 @@ space, made into an algebra by the Kantor product itself.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .linalg import Subspace, inverse, nullspace, solve
+from .operators import linear_conditions
 from .scalars import QQ, DomainError
 from .structure import Algebra, StructureTensor, change_basis
 
@@ -224,72 +226,42 @@ class ConservativityReport:
                 f"terminal={self.terminal})")
 
 
+def _bracket_terms(opn, c, u, v):
+    """[L_c, M](u, v) = c(uv) - (cu)v - u(cv) as (coefficient, term) pairs."""
+    return [(1, (opn, (c, (opn, (u, v))))), (-1, (opn, ((opn, (c, u)), v))),
+            (-1, (opn, (u, (opn, (c, v)))))]
+
+
 def _k_operator_matrix(A, op=None):
     """Rows of the map c -> [L_c, M]: K[(x,y,r), k] = [L_{e_k}, M](e_x,e_y)_r."""
-    t = A.op(op)
-    dom = A.dom
+    opn = op or A.op_names()[0]
     n = A.dim
-    rows = []
-    for x in range(n):
-        for y in range(n):
-            prod = t.basis_product((x, y))
-            for r in range(n):
-                row = []
-                for k in range(n):
-                    # [L_c,M](x,y) = c(xy) - (cx)y - x(cy) at c = e_k
-                    val = dom.zero()
-                    for m, c in prod.items():
-                        for kk, cc in t.basis_product((k, m)).items():
-                            if kk == r:
-                                val = val + c * cc
-                    for m, c in t.basis_product((k, x)).items():
-                        for kk, cc in t.basis_product((m, y)).items():
-                            if kk == r:
-                                val = val - c * cc
-                    for m, c in t.basis_product((k, y)).items():
-                        for kk, cc in t.basis_product((x, m)).items():
-                            if kk == r:
-                                val = val - c * cc
-                    row.append(val)
-                rows.append(row)
-    return rows
+    zero = A.dom.zero()
+    terms = _bracket_terms(opn, ("<c>", ()), ("v", "x"), ("v", "y"))
+    conds = linear_conditions(A, terms, ("x", "y"), {"<c>": (n, lambda r: r)})
+    return [[conds.get((xy, r), {}).get(k, zero) for k in range(n)]
+            for xy in itertools.product(range(n), repeat=2) for r in range(n)]
 
 
-def _double_bracket_value(A, a, b, op=None):
-    """[L_a, [L_b, M]] on basis pairs, as a dense (x, y) -> vector map."""
-    t = A.op(op)
-    dom = A.dom
-    n = A.dim
+def _double_brackets(A, op=None):
+    """[L_a,[L_b,M]](e_x, e_y)_r for all a, as {((b, x, y), r): {a: value}}.
 
-    def L(c_idx, vec):
-        return t.apply_sparse([{c_idx: dom.one()}, vec])
+    The value is linear in a: [L_a, N](x,y) = a N(x,y) - N(ax, y) - N(x, ay)
+    for N = [L_b, M].
+    """
+    opn = op or A.op_names()[0]
+    a, b, x, y = ("<a>", ()), ("v", "b"), ("v", "x"), ("v", "y")
+    terms = [(c, (opn, (a, t))) for c, t in _bracket_terms(opn, b, x, y)]
+    terms += [(-c, t) for c, t in _bracket_terms(opn, b, (opn, (a, x)), y)
+              + _bracket_terms(opn, b, x, (opn, (a, y)))]
+    return linear_conditions(A, terms, ("b", "x", "y"), {"<a>": (A.dim, lambda r: r)})
 
-    out = {}
-    for x in range(n):
-        for y in range(n):
-            ex = {x: dom.one()}
-            ey = {y: dom.one()}
-            # K_b(x,y) = b(xy) - (bx)y - x(by)
-            def K_b(vx, vy):
-                acc = {}
-                for k, c in L(b, t.apply_sparse([vx, vy])).items():
-                    acc[k] = acc.get(k, dom.zero()) + c
-                for k, c in t.apply_sparse([L(b, vx), vy]).items():
-                    acc[k] = acc.get(k, dom.zero()) - c
-                for k, c in t.apply_sparse([vx, L(b, vy)]).items():
-                    acc[k] = acc.get(k, dom.zero()) - c
-                return acc
-            acc = {}
-            for k, c in L(a, K_b(ex, ey)).items():
-                acc[k] = acc.get(k, dom.zero()) + c
-            for k, c in K_b(L(a, ex), ey).items():
-                acc[k] = acc.get(k, dom.zero()) - c
-            for k, c in K_b(ex, L(a, ey)).items():
-                acc[k] = acc.get(k, dom.zero()) - c
-            acc = {k: c for k, c in acc.items() if not dom.is_zero(c)}
-            if acc:
-                out[(x, y)] = acc
-    return out
+
+def _double_bracket_rhs(D, A, a, b):
+    """-[L_a,[L_b,M]] flattened over basis pairs (x, y) and coordinates r."""
+    zero = A.dom.zero()
+    return [-D.get(((b, x, y), r), {}).get(a, zero)
+            for x, y in itertools.product(range(A.dim), repeat=2) for r in range(A.dim)]
 
 
 def conservativity_test(A, op=None):
@@ -306,14 +278,13 @@ def conservativity_test(A, op=None):
     dom = A.dom
     n = A.dim
     K = _k_operator_matrix(A, op)
+    D = _double_brackets(A, op)
     kernel = Subspace(nullspace(K, n, dom), n, dom)
     feasible = True
     particular_table = {}
     for a in range(n):
         for b in range(n):
-            val = _double_bracket_value_pair(A, a, b, op)
-            rhs = [-c for c in val]
-            s = solve(K, rhs, dom)
+            s = solve(K, _double_bracket_rhs(D, A, a, b), dom)
             if s is None:
                 feasible = False
                 particular_table = None
@@ -325,26 +296,11 @@ def conservativity_test(A, op=None):
             break
     particular = (StructureTensor(n, 2, particular_table, dom)
                   if feasible else None)
-    terminal = _terminal_candidate_works(A, K, op)
+    terminal = _terminal_candidate_works(A, K, D, op)
     return ConservativityReport(feasible, particular, kernel, terminal)
 
 
-def _double_bracket_value_pair(A, a, b, op=None):
-    """Flattened [L_a,[L_b,M]] over all basis pairs (x,y) and coords r."""
-    t = A.op(op)
-    dom = A.dom
-    n = A.dim
-    vals = _double_bracket_value(A, a, b, op)
-    flat = []
-    for x in range(n):
-        for y in range(n):
-            acc = vals.get((x, y), {})
-            for r in range(n):
-                flat.append(acc.get(r, dom.zero()))
-    return flat
-
-
-def _terminal_candidate_works(A, K, op=None):
+def _terminal_candidate_works(A, K, D, op=None):
     """Check the associated product M*(x,y) = 2/3 xy + 1/3 yx.
 
     The pairing is [L_a,[L_b,.]] = -[L_{M*(b,a)},.]; this orientation is the
@@ -352,28 +308,10 @@ def _terminal_candidate_works(A, K, op=None):
     printed degree-4 terminal identity) come out terminal.
     """
     t = A.op(op)
-    dom = A.dom
-    n = A.dim
-    two3 = dom.coerce(Fraction(2, 3))
-    one3 = dom.coerce(Fraction(1, 3))
-    for a in range(n):
-        for b in range(n):
-            rhs = [-c for c in _double_bracket_value_pair(A, a, b, op)]
-            star = {}
-            for k, c in t.basis_product((b, a)).items():
-                star[k] = star.get(k, dom.zero()) + two3 * c
-            for k, c in t.basis_product((a, b)).items():
-                star[k] = star.get(k, dom.zero()) + one3 * c
-            lhs = [dom.zero()] * len(rhs)
-            for k, c in star.items():
-                if dom.is_zero(c):
-                    continue
-                for r, row in enumerate(K):
-                    if not dom.is_zero(row[k]):
-                        lhs[r] = lhs[r] + c * row[k]
-            if any(not dom.is_zero(u - v) for u, v in zip(lhs, rhs)):
-                return False
-    return True
+    swapped = StructureTensor(A.dim, 2, {(j, i): row for (i, j), row in t.table.items()},
+                              A.dom)
+    star = t.scale(Fraction(2, 3)).add(swapped.scale(Fraction(1, 3)))
+    return _solves_conservativity(A, K, D, star)
 
 
 def associated_product_check(A, star, op=None):
@@ -383,15 +321,18 @@ def associated_product_check(A, star, op=None):
     and -B(u, A(x,y)) on U(2)): the products as printed satisfy
     [L_a,[L_b,M]] = -[L_{star(b,a)},M].
     """
+    return _solves_conservativity(A, _k_operator_matrix(A, op), _double_brackets(A, op), star)
+
+
+def _solves_conservativity(A, K, D, star):
+    """[L_a,[L_b,M]] = -[L_{star(b,a)},M] for every basis pair (a, b)."""
     dom = A.dom
     n = A.dim
-    K = _k_operator_matrix(A, op)
     for a in range(n):
         for b in range(n):
-            rhs = [-c for c in _double_bracket_value_pair(A, a, b, op)]
-            sab = star.basis_product((b, a))
+            rhs = _double_bracket_rhs(D, A, a, b)
             lhs = [dom.zero()] * len(rhs)
-            for k, c in sab.items():
+            for k, c in star.basis_product((b, a)).items():
                 for r, row in enumerate(K):
                     if not dom.is_zero(row[k]):
                         lhs[r] = lhs[r] + c * row[k]

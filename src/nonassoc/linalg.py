@@ -27,11 +27,6 @@ def identity_matrix(n, dom=QQ):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(r, c, dom=QQ):
-    zero = dom.zero()
-    return [[zero for _ in range(c)] for _ in range(r)]
-
-
 def mat_mul(a, b, dom=QQ):
     rb = len(b)
     cb = len(b[0]) if rb else 0
@@ -64,14 +59,6 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
 def mat_eq(a, b, dom=QQ):
     if len(a) != len(b):
         return False
@@ -82,10 +69,6 @@ def mat_eq(a, b, dom=QQ):
             if not dom.is_zero(x - y):
                 return False
     return True
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def rref(rows, dom=QQ):
@@ -221,34 +204,6 @@ def _exact_div_int(a, b):
     if rem:
         raise DomainError("inexact integer division in Bareiss")
     return q
-
-
-def det(mat, dom=QQ):
-    """Determinant by fraction-free style elimination over a field domain."""
-    n = len(mat)
-    m = [list(r) for r in mat]
-    sign = dom.one()
-    acc = dom.one()
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not dom.is_zero(m[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return dom.zero()
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        piv = m[c][c]
-        acc = acc * piv
-        inv = dom.one() / piv
-        for i in range(c + 1, n):
-            if dom.is_zero(m[i][c]):
-                continue
-            f = m[i][c] * inv
-            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * acc
 
 
 # ---------------------------------------------------------------------------

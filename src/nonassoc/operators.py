@@ -1,8 +1,27 @@
 """Linear operator-space solvers: derivations and their many relatives.
 
-Each solver assembles an exact linear system over the algebra's scalar
-domain and returns a canonical basis of the solution space.  Over Q, large
-systems go through the verified mod-p fast path in ``linalg``.
+Each solver writes its defining law as term trees, turns the law into an
+exact linear system with ``linear_conditions`` and returns a canonical basis
+of the solution space.  Over Q, large systems go through the verified mod-p
+fast path in ``linalg``.
+
+``linear_conditions(A, terms, variables, unknowns)`` contract:
+
+* ``terms`` is a list of (coefficient, term) pairs in the ``identities``
+  term format: ("v", name) or (symbol, (child, ...)).  A symbol is either a
+  key of ``unknowns`` or the name of one of A's operations.
+* Every term contains exactly one unknown, and the children of an unknown
+  contain none, so the law is linear in the unknowns.
+* ``unknowns`` maps each unknown symbol of arity k to (output dimension,
+  column function).  The column function takes (output coordinate, basis
+  index of argument 1, ..., basis index of argument k) and returns the
+  column of that unknown coefficient.  A map D is unary into A, a bilinear
+  form theta is binary into F (output dimension 1), an unknown element c
+  is nullary.
+* The law is evaluated at every basis tuple of ``variables`` (in
+  ``itertools.product`` order).  The result maps (basis tuple, output
+  coordinate) to a sparse row {column: coefficient}; zero rows are left
+  out, and keys run tuple-major, coordinate-ascending.
 """
 
 from __future__ import annotations
@@ -12,9 +31,9 @@ import random
 from fractions import Fraction
 
 from .linalg import (Subspace, mat_mul, mat_sub, mat_vec, nullspace,
-                     nullspace_sparse_q, rank, rref)
+                     nullspace_sparse_q, rank)
 from .scalars import QQ, DomainError, Poly, PolyRing
-from .structure import StructureTensor
+from .varieties import check_variety, minus_algebra
 
 SAMPLE_SEED = 20240801
 
@@ -106,71 +125,162 @@ def _nullspace_rows(rows, ncols, dom):
     return nullspace(dense, ncols, dom)
 
 
+def linear_conditions(A, terms, variables, unknowns):
+    """Rows of a law linear in its unknowns, at every basis tuple.
+
+    See the module docstring for the contract.  Each term is compiled once:
+    subterms without the unknown become functions returning sparse vectors
+    of A, the path to the unknown a function that adds scale * value, a
+    vector of linear forms {coordinate: {column: coefficient}}, into a sum.
+    """
+    dom = A.dom
+    one = dom.one()
+    minus = -one
+
+    def count(term):
+        if term[0] == "v":
+            return 0
+        return (term[0] in unknowns) + sum(count(c) for c in term[1])
+
+    if any(count(t) != 1 for _, t in terms):
+        raise DomainError("every term needs exactly one unknown")
+
+    def add(form, key, x):
+        y = form.get(key)
+        form[key] = x if y is None else y + x
+
+    def times(a, b):
+        # most factors are the shared one or minus one
+        if a is one:
+            return b
+        if b is one:
+            return a
+        return -b if a is minus else a * b
+
+    def supports(vecs):
+        # (basis indices, coefficient product) over the product of supports
+        out = [((), one)]
+        for v in vecs:
+            out = [(idx + (i,), times(coef, c)) for idx, coef in out for i, c in v.items()]
+        return out
+
+    def constant(term):
+        if term[0] == "v":
+            name = term[1]
+            return lambda env: env[name]
+        table = A.op(term[0]).table
+        kids = [constant(k) for k in term[1]]
+
+        def product(env):
+            out = {}
+            for idx, coef in supports([k(env) for k in kids]):
+                for r, c in table.get(idx, {}).items():
+                    add(out, r, times(coef, c))
+            return out
+        return product
+
+    def linear(term):
+        sym, kids = term
+        if sym in unknowns:
+            dim, col = unknowns[sym]
+            args = [constant(k) for k in kids]
+
+            def unknown(env, scale, out):
+                for idx, coef in supports([f(env) for f in args]):
+                    f = times(scale, coef)
+                    for r in range(dim):
+                        add(out.setdefault(r, {}), col(r, *idx), f)
+            return unknown
+        s = next(i for i, k in enumerate(kids) if count(k))
+        inner = linear(kids[s])
+        others = [constant(k) for i, k in enumerate(kids) if i != s]
+        # (arguments other than slot s) -> [(slot-s argument, output row)]
+        index = {}
+        for idx, row in A.op(sym).table.items():
+            index.setdefault(idx[:s] + idx[s + 1:], []).append((idx[s], row))
+
+        def node(env, scale, out):
+            val = {}
+            inner(env, one, val)
+            for idx, coef in supports([f(env) for f in others]):
+                f0 = times(scale, coef)
+                for a, row in index.get(idx, ()):
+                    form = val.get(a)
+                    if form:
+                        for r, c in row.items():
+                            f = times(f0, c)
+                            tgt = out.setdefault(r, {})
+                            for key, x in form.items():
+                                x = f if x is one else x if f is one else f * x
+                                y = tgt.get(key)
+                                tgt[key] = x if y is None else y + x
+        return node
+
+    compiled = []
+    for c, t in terms:
+        c = dom.coerce(c)
+        compiled.append((one if c == one else minus if c == minus else c, linear(t)))
+    rows = {}
+    for combo in itertools.product(range(A.dim), repeat=len(variables)):
+        env = {v: {i: one} for v, i in zip(variables, combo)}
+        total = {}
+        for c, fn in compiled:
+            fn(env, c, total)
+        for r in sorted(total):
+            row = {k: x for k, x in total[r].items() if not dom.is_zero(x)}
+            if row:
+                rows[(combo, r)] = row
+    return rows
+
+
+def _map_columns(n, offset=0):
+    """Column function of an unknown n x n matrix D: entry D[r][a]."""
+    return lambda r, a: offset + r * n + a
+
+
+def _product(opn, m, slot=None, sym="<D>"):
+    """The term opn(x0, ..., sym(x_slot), ..., x_{m-1})."""
+    return (opn, tuple(("v", f"x{i}") if i != slot else (sym, (("v", f"x{i}"),))
+                       for i in range(m)))
+
+
+def _variables(m):
+    return tuple(f"x{i}" for i in range(m))
+
+
 def derivation_space(A, delta=1, op=None):
     """delta-derivations: phi(x1..xm) = delta * sum_i (x1.. phi(x_i) ..xm).
 
     delta=1 is the usual derivation space; delta=1/2 the half-derivations
     governing transposed Poisson structures.  For arity > 2, delta must be 1.
     """
-    t = A.op(op)
+    opn = op or A.op_names()[0]
+    m = A.op(opn).arity
     dom = A.dom
     delta = dom.coerce(delta)
-    if t.arity > 2 and not dom.is_zero(delta - dom.one()):
+    if m > 2 and not dom.is_zero(delta - dom.one()):
         raise DomainError("delta-derivations with arity > 2 require delta = 1")
     n = A.dim
-    rows = []
-    for args in itertools.product(range(n), repeat=t.arity):
-        # phi applied to the product: coefficient phi_{r,k} * c_k at coord r
-        prod = t.basis_product(args)
-        per_r = {}
-        for k, c in prod.items():
-            for r_ in range(n):
-                per_r.setdefault(r_, {})[r_ * n + k] = \
-                    per_r.get(r_, {}).get(r_ * n + k, dom.zero()) + c
-        # minus delta * sum over slots of products with phi in slot s
-        for s in range(t.arity):
-            for a in range(n):
-                newargs = args[:s] + (a,) + args[s + 1:]
-                for r_, c in t.basis_product(newargs).items():
-                    row = per_r.setdefault(r_, {})
-                    key = a * n + args[s]
-                    row[key] = row.get(key, dom.zero()) - delta * c
-        for r_, row in per_r.items():
-            row = {k: c for k, c in row.items() if not dom.is_zero(c)}
-            if row:
-                rows.append(row)
-    vecs = _nullspace_rows(rows, n * n, dom)
+    terms = [(1, ("<D>", (_product(opn, m),)))]
+    terms += [(-delta, _product(opn, m, s)) for s in range(m)]
+    rows = linear_conditions(A, terms, _variables(m), {"<D>": (n, _map_columns(n))})
+    vecs = _nullspace_rows(list(rows.values()), n * n, dom)
     tag = "der" if delta == dom.one() else f"delta-der({delta})"
     return OperatorSpace(n, vecs, tag, dom)
 
 
 def centroid(A, op=None):
     """Maps commuting with the multiplication in every slot."""
-    t = A.op(op)
-    dom = A.dom
+    opn = op or A.op_names()[0]
+    m = A.op(opn).arity
     n = A.dim
     rows = []
-    for args in itertools.product(range(n), repeat=t.arity):
-        prod = t.basis_product(args)
-        for s in range(t.arity):
-            per_r = {}
-            for k, c in prod.items():
-                for r_ in range(n):
-                    row = per_r.setdefault(r_, {})
-                    key = r_ * n + k
-                    row[key] = row.get(key, dom.zero()) + c
-            for a in range(n):
-                newargs = args[:s] + (a,) + args[s + 1:]
-                for r_, c in t.basis_product(newargs).items():
-                    row = per_r.setdefault(r_, {})
-                    key = a * n + args[s]
-                    row[key] = row.get(key, dom.zero()) - c
-            for r_, row in per_r.items():
-                row = {k: c for k, c in row.items() if not dom.is_zero(c)}
-                if row:
-                    rows.append(row)
-    vecs = _nullspace_rows(rows, n * n, dom)
-    return OperatorSpace(n, vecs, "centroid", dom)
+    for s in range(m):
+        terms = [(1, ("<D>", (_product(opn, m),))), (-1, _product(opn, m, s))]
+        rows += linear_conditions(A, terms, _variables(m),
+                                  {"<D>": (n, _map_columns(n))}).values()
+    vecs = _nullspace_rows(rows, n * n, A.dom)
+    return OperatorSpace(n, vecs, "centroid", A.dom)
 
 
 def multiplication_operator(A, fixed, op=None):
@@ -202,34 +312,18 @@ def generalized_derivation_space(A, mode="full", op=None):
     quasi: pairs (d, f) with every slot carrying the same d.
     The report includes the trivial subspace and the quotient dimension.
     """
-    t = A.op(op)
+    opn = op or A.op_names()[0]
     dom = A.dom
     n = A.dim
-    m = t.arity
+    m = A.op(opn).arity
     n2 = n * n
     nslots = m + 1 if mode == "full" else 2
-    rows = []
-    for args in itertools.product(range(n), repeat=m):
-        per_r = {}
-        for s in range(m):
-            comp = s if mode == "full" else 0
-            for a in range(n):
-                newargs = args[:s] + (a,) + args[s + 1:]
-                for r_, c in t.basis_product(newargs).items():
-                    row = per_r.setdefault(r_, {})
-                    key = comp * n2 + a * n + args[s]
-                    row[key] = row.get(key, dom.zero()) + c
-        last = (m if mode == "full" else 1) * n2
-        for k, c in t.basis_product(args).items():
-            for r_ in range(n):
-                row = per_r.setdefault(r_, {})
-                key = last + r_ * n + k
-                row[key] = row.get(key, dom.zero()) - c
-        for r_, row in per_r.items():
-            row = {k: c for k, c in row.items() if not dom.is_zero(c)}
-            if row:
-                rows.append(row)
-    vecs = _nullspace_rows(rows, nslots * n2, dom)
+    unknowns = {f"<D{i}>": (n, _map_columns(n, i * n2)) for i in range(nslots)}
+    terms = [(1, _product(opn, m, s, f"<D{s if mode == 'full' else 0}>"))
+             for s in range(m)]
+    terms.append((-1, (f"<D{nslots - 1}>", (_product(opn, m),))))
+    rows = linear_conditions(A, terms, _variables(m), unknowns)
+    vecs = _nullspace_rows(list(rows.values()), nslots * n2, dom)
     tag = f"{m + 1}-ary-der" if mode == "full" else "qder"
     space = TupleOperatorSpace(n, nslots, vecs, tag, dom)
 
@@ -464,21 +558,16 @@ def _monomials(n, deg):
 
 
 def _independent_kernel(kernel, n, rng):
-    if not kernel:
-        return kernel
-    pts = [[Fraction(rng.randint(-7, 7)) for _ in range(n)] for _ in range(3)]
-    rows = []
+    """A maximal subset of kernel vectors independent over Q(x).
+
+    A vector is kept when it raises the rank of the kept vectors evaluated
+    at one random point; rank at a point is a lower bound of the rank over
+    Q(x), so the kept vectors are independent.
+    """
+    x = [Fraction(rng.randint(-7, 7)) for _ in range(n)]
+    keep, acc = [], []
     for w in kernel:
-        row = []
-        for x in pts:
-            row.extend(p.eval(x) for p in w)
-        rows.append(row)
-    red, pivots = rref(rows, QQ)
-    keep = []
-    # pick a maximal independent subset greedily
-    acc = []
-    for i, w in enumerate(kernel):
-        trial = acc + [rows[i]]
+        trial = acc + [[p.eval(x) for p in w]]
         if rank(trial, QQ) == len(trial):
             acc = trial
             keep.append(w)
@@ -538,29 +627,6 @@ def right_bracketing(k):
     return b
 
 
-def composed_tensor(A, bracketing, k, op=None):
-    """The k-ary operation obtained by composing the binary product."""
-    t = A.op(op)
-    dom = A.dom
-    n = A.dim
-
-    def ev(b, svecs):
-        if isinstance(b, int):
-            return svecs[b]
-        lv = ev(b[0], svecs)
-        rv = ev(b[1], svecs)
-        return t.apply_sparse([lv, rv])
-
-    table = {}
-    one = dom.one()
-    for args in itertools.product(range(n), repeat=k):
-        svecs = [{i: one} for i in args]
-        out = ev(bracketing, svecs)
-        if out:
-            table[args] = out
-    return StructureTensor(n, k, table, dom)
-
-
 def leibniz_derivation_space(A, k, arrangement="all", op=None, max_order=5):
     """f-Leibniz derivations of order k for the chosen arrangement(s).
 
@@ -583,32 +649,23 @@ def leibniz_derivation_space(A, k, arrangement="all", op=None, max_order=5):
         brs = bracketings(k)
     else:
         raise DomainError(f"unknown arrangement {arrangement!r}")
-    dom = A.dom
+    opn = op or A.op_names()[0]
     n = A.dim
+
+    def tree(b, slot):
+        if isinstance(b, int):
+            x = ("v", f"x{b}")
+            return ("<D>", (x,)) if b == slot else x
+        return (opn, (tree(b[0], slot), tree(b[1], slot)))
+
     rows = []
     for br in brs:
-        ct = composed_tensor(A, br, k, op)
-        for args in itertools.product(range(n), repeat=k):
-            per_r = {}
-            prod = ct.basis_product(args)
-            for kk, c in prod.items():
-                for r_ in range(n):
-                    row = per_r.setdefault(r_, {})
-                    key = r_ * n + kk
-                    row[key] = row.get(key, dom.zero()) + c
-            for s in range(k):
-                for a in range(n):
-                    newargs = args[:s] + (a,) + args[s + 1:]
-                    for r_, c in ct.basis_product(newargs).items():
-                        row = per_r.setdefault(r_, {})
-                        key = a * n + args[s]
-                        row[key] = row.get(key, dom.zero()) - c
-            for r_, row in per_r.items():
-                row = {kk: c for kk, c in row.items() if not dom.is_zero(c)}
-                if row:
-                    rows.append(row)
-    vecs = _nullspace_rows(rows, n * n, dom)
-    space = OperatorSpace(n, vecs, f"leibder({k},{arrangement})", dom)
+        terms = [(1, ("<D>", (tree(br, None),)))]
+        terms += [(-1, tree(br, s)) for s in range(k)]
+        rows += linear_conditions(A, terms, _variables(k),
+                                  {"<D>": (n, _map_columns(n))}).values()
+    vecs = _nullspace_rows(rows, n * n, A.dom)
+    space = OperatorSpace(n, vecs, f"leibder({k},{arrangement})", A.dom)
     space.meta["invertible_exists"], space.meta["invertible_witness"] = \
         _generic_invertibility(space)
     return space
@@ -683,30 +740,12 @@ def commuting_map_space(A, op=None):
     if t.arity != 2:
         raise DomainError("commuting maps need a binary operation")
     n = A.dim
-
-    def comm(a, b):
-        out = dict(t.basis_product((a, b)))
-        for kk, c in t.basis_product((b, a)).items():
-            out[kk] = out.get(kk, dom.zero()) - c
-        return {kk: c for kk, c in out.items() if not dom.is_zero(c)}
-
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            per_r = {}
-            for a in range(n):
-                for kk, c in comm(a, j).items():
-                    row = per_r.setdefault(kk, {})
-                    key = a * n + i
-                    row[key] = row.get(key, dom.zero()) + c
-                for kk, c in comm(a, i).items():
-                    row = per_r.setdefault(kk, {})
-                    key = a * n + j
-                    row[key] = row.get(key, dom.zero()) + c
-            for r_, row in per_r.items():
-                row = {kk: c for kk, c in row.items() if not dom.is_zero(c)}
-                if row:
-                    rows.append(row)
+    # the law in the commutator algebra: [D(x0), x1] + [D(x1), x0]
+    terms = [(1, _product("mul", 2, 0)), (1, ("mul", (("<D>", (("v", "x1"),)), ("v", "x0"))))]
+    conds = linear_conditions(minus_algebra(A, op), terms, _variables(2),
+                              {"<D>": (n, _map_columns(n))})
+    # the law is symmetric in (x, y): one row set per unordered pair
+    rows = [row for ((i, j), _), row in conds.items() if i <= j]
     vecs = _nullspace_rows(rows, n * n, dom)
     return OperatorSpace(n, vecs, "commuting", dom)
 
@@ -717,7 +756,6 @@ def peirce_decompose(A, e, op=None):
     Requires an idempotent e in an alternative algebra; raises if the four
     components fail to span.
     """
-    from .varieties import check_variety
     dom = A.dom
     t = A.op(op)
     n = A.dim

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from .identities import check_identity, parse_identity
 from .linalg import mat_vec
-from .operators import derivation_space, multiplication_operator
+from .operators import (_nullspace_rows, derivation_space, linear_conditions,
+                        multiplication_operator)
 from .scalars import QQ, DomainError, Poly, PolyRing
 from .structure import Algebra, StructureTensor
 from .varieties import check_variety
@@ -205,43 +206,18 @@ def transposed_compatible_space(L, op="bracket"):
         raise DomainError("transposed compatibility requires a Lie algebra")
     dom = L.dom
     n = L.dim
-    br = L.ops[op]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     pidx = {p: a for a, p in enumerate(pairs)}
     nunk = len(pairs) * n
-
-    def unk(i, j, k):
-        return pidx[(i, j) if i <= j else (j, i)] * n + k
-
-    rows = []
-    one = dom.one()
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if x > y:
-            continue  # bracket antisymmetry makes (x,y) and (y,x) equivalent
-        per_r = {}
-        # 2 z.(k-th comp of [x,y])
-        for k, c in br.basis_product((x, y)).items():
-            for r in range(n):
-                row = per_r.setdefault(r, {})
-                key = unk(z, k, r)
-                row[key] = row.get(key, dom.zero()) + (one + one) * c
-        # -[z.x, y]
-        for k in range(n):
-            for r, c in br.basis_product((k, y)).items():
-                row = per_r.setdefault(r, {})
-                key = unk(z, x, k)
-                row[key] = row.get(key, dom.zero()) - c
-        # -[x, z.y]
-        for k in range(n):
-            for r, c in br.basis_product((x, k)).items():
-                row = per_r.setdefault(r, {})
-                key = unk(z, y, k)
-                row[key] = row.get(key, dom.zero()) - c
-        for row in per_r.values():
-            row = {k: c for k, c in row.items() if not dom.is_zero(c)}
-            if row:
-                rows.append(row)
-    from .operators import _nullspace_rows
+    # the unknown commutative product x.y, stored once per pair i <= j
+    dot = {"<dot>": (n, lambda r, i, j: pidx[(i, j) if i <= j else (j, i)] * n + r)}
+    x, y, z = ("v", "x"), ("v", "y"), ("v", "z")
+    terms = [(2, ("<dot>", (z, (op, (x, y))))),
+             (-1, (op, (("<dot>", (z, x)), y))),
+             (-1, (op, (x, ("<dot>", (z, y)))))]
+    conds = linear_conditions(L, terms, ("x", "y", "z"), dot)
+    # bracket antisymmetry makes (x,y) and (y,x) equivalent
+    rows = [row for ((i, j, _), _), row in conds.items() if i <= j]
     vecs = _nullspace_rows(rows, nunk, dom)
     basis_tensors = []
     for v in vecs:

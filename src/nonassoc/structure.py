@@ -182,15 +182,6 @@ class Algebra:
         v[i] = self.dom.one()
         return v
 
-    def unit_vector(self):
-        if self.unit is None:
-            return None
-        return self.basis_vector(self.unit)
-
-    def with_ops(self, name, ops):
-        return Algebra(name, self.dim, ops, self.dom,
-                       unit=self.unit, u=self.u, form=self.form)
-
     def __repr__(self):
         ops = ", ".join(f"{k}/{t.arity}" for k, t in self.ops.items())
         return f"Algebra({self.name!r}, dim={self.dim}, ops=[{ops}])"
@@ -284,15 +275,3 @@ def load_algebra(path):
     with open(path) as fh:
         return algebra_from_json(json.load(fh))
 
-
-def tensor_from_dense(dense, dom=QQ):
-    """Build a binary tensor from dense n x n coefficient-vector nesting."""
-    n = len(dense)
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            row = {k: dom.coerce(c) for k, c in enumerate(dense[i][j])
-                   if not dom.is_zero(dom.coerce(c))}
-            if row:
-                table[(i, j)] = row
-    return StructureTensor(n, 2, table, dom)

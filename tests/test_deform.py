@@ -150,6 +150,8 @@ def test_split_extension_fails_annihilator_check():
 def test_base_not_in_variety_rejected():
     with pytest.raises(DomainError):
         cocycle_space(catalog_get("sl2"), "associative", 1)
+    with pytest.raises(DomainError, match="binary"):
+        cocycle_space(catalog_get("ternaryJordan", {"n": 3}), "lie", 1)
 
 
 def test_random_cocycles_give_variety_members():
@@ -158,6 +160,8 @@ def test_random_cocycles_give_variety_members():
     rng = random.Random(77)
     cases = [(catalog_get("abelian", {"n": 2}), "lie"),
              (catalog_get("NF", {"n": 2}), "leibniz"),
+             (catalog_get("NF", {"n": 3}), "leibniz"),
+             (catalog_get("heis3"), "leibniz"),
              (catalog_get("abelian", {"n": 2}), "commutative-associative")]
     for A, variety in cases:
         res = cocycle_space(A, variety, 1)

@@ -68,6 +68,14 @@ def test_polarize_multilinear_passthrough():
     assert out[0].restitution_scale == 1
 
 
+def test_polarize_leaves_its_input_alone():
+    ident = parse_identity("x*y - y*x")
+    out = polarize(ident)
+    assert out[0].restitution_scale == 1
+    assert out[0] is not ident
+    assert not hasattr(ident, "restitution_scale")
+
+
 def test_polarize_jordan_shape():
     jordan = parse_identity("((x*x)*y)*x - (x*x)*(y*x)")
     out = polarize(jordan)

@@ -131,6 +131,28 @@ def test_local_derivation_sl2():
     assert space.dim == 3
 
 
+def test_local_derivations_of_simple_associative_are_derivations():
+    """Local derivations of M_n and of the quaternions are derivations, in
+    any basis: the generic space must not keep kernel vectors that are
+    dependent over Q(x), such as x1*w next to w."""
+    rng = random.Random(11)
+    for name, params in [("matrix", {"n": 2}), ("matrix", {"n": 3}),
+                         ("quaternions", None)]:
+        A = catalog_get(name, params)
+        der = derivation_space(A)
+        loc = local_derivation_generic_space(A, der=der)
+        assert loc.meta["certified"], name
+        assert loc.subspace == der.subspace, name
+        if A.dim > 4:
+            continue  # a rebased M_3 takes minutes in the dense fallback
+        while True:
+            P = [[Fraction(rng.randint(-3, 3)) for _ in range(A.dim)]
+                 for _ in range(A.dim)]
+            if is_invertible(P):
+                break
+        assert local_derivation_generic_space(change_basis(A, P)).dim == der.dim, name
+
+
 def test_local_derivation_membership_chain():
     """Der <= QDer_KS <= LocDer-generic on small catalog entries."""
     for name, params in [("sl2", {}), ("heis3", {}), ("NF", {"n": 3}),

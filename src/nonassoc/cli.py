@@ -17,7 +17,7 @@ from .catalog import CATALOG_NAMES, catalog_get
 from .deform import (Cocycle, central_extension, certificate_from_json,
                      cocycle_space, degeneration_obstruction,
                      degeneration_verify)
-from .identities import check_identity, parse_identity
+from .identities import ParseError, check_identity, parse_identity
 from .incidence import (HigherDerivationSeq, Poset, SigmaMap,
                         exhaustive_sigma_equiv, hd_compose,
                         higher_derivation_check, incidence_algebra,
@@ -74,7 +74,7 @@ def _load(path):
         raise UsageError(f"no such file: {path}")
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed JSON in {path}: line {e.lineno} col {e.colno}")
-    except (KeyError, DomainError) as e:
+    except DomainError as e:
         raise UsageError(f"bad algebra file {path}: {e}")
 
 
@@ -103,15 +103,18 @@ def _parse_params(pairs):
         if "=" not in item:
             raise UsageError(f"--param expects key=value, got {item!r}")
         k, _, v = item.partition("=")
-        if k == "seq":
-            params[k] = tuple(int(x) for x in v.split(","))
-        elif k == "form":
-            params[k] = json.loads(v)
-        else:
-            try:
-                params[k] = int(v)
-            except ValueError:
-                params[k] = Fraction(v)
+        try:
+            if k == "seq":
+                params[k] = tuple(int(x) for x in v.split(","))
+            elif k == "form":
+                params[k] = json.loads(v)
+            else:
+                try:
+                    params[k] = int(v)
+                except ValueError:
+                    params[k] = Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--param {k}: bad value {v!r}")
     return params
 
 
@@ -159,7 +162,7 @@ def cmd_identity(args):
     _emit(args, {"command": "identity eval", "algebra": A.name,
                  "identity": args.identity, "holds": ok, "witness": wit},
           [f"identity holds on {A.name}: {ok}"]
-          + ([f"  witness: {wit}"] if wit else []))
+          + ([f"  witness: {json.dumps(_jsonify(wit))}"] if wit else []))
     return _verdict_exit(ok)
 
 
@@ -533,10 +536,7 @@ def run(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return _HANDLERS[args.command](args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DomainError as e:
+    except (UsageError, DomainError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -9,13 +9,11 @@ identities, B2 by coboundaries f(xy).
 
 from __future__ import annotations
 
-import itertools
-
 from .identities import check_identity, parse_identity, polarize, term_vars
-from .linalg import Subspace, inverse, mat_vec
+from .linalg import Subspace, is_invertible
 from .operators import _nullspace_rows, derivation_space, linear_conditions
 from .scalars import QQ, QT, DomainError, RatFunc, parse_ratfunc
-from .structure import Algebra, StructureTensor
+from .structure import Algebra, StructureTensor, change_basis
 from .varieties import BINARY_VARIETIES, VARIETY_ALIASES, variety_identities
 
 
@@ -40,58 +38,24 @@ def degeneration_verify(A, B, g):
     """
     if A.dim != B.dim:
         raise DomainError("dimension mismatch")
-    n = A.dim
     g = [[QT.coerce(x) for x in row] for row in g]
-    try:
-        ginv = inverse(g, QT)
-    except DomainError:
+    if not is_invertible(g, QT):
         raise DomainError("certificate matrix is singular over Q(t)")
-    At = _to_qt(A)
-    cols = [[ginv[i][j] for i in range(n)] for j in range(n)]
-    transformed = {}
-    limit_exists = True
-    limit_tables = {}
-    for name, t in At.ops.items():
-        table = {}
-        limit_table = {}
-        for args in itertools.product(range(n), repeat=t.arity):
-            val = t.apply([cols[i] for i in args])
-            out = mat_vec(g, val, QT)
-            row = {}
-            lrow = {}
-            for k, c in enumerate(out):
-                if QT.is_zero(c):
-                    continue
-                row[k] = c
-                if c.has_pole_at_zero():
-                    limit_exists = False
-                else:
-                    v0 = c.eval_at_zero()
-                    if v0:
-                        lrow[k] = v0
-            if row:
-                table[args] = row
-            if lrow:
-                limit_table[args] = lrow
-        transformed[name] = StructureTensor(n, t.arity, table, QT)
-        limit_tables[name] = limit_table
+    transformed = change_basis(_to_qt(A), g).ops
+    limit_exists = not any(c.has_pole_at_zero() for t in transformed.values()
+                           for row in t.table.values() for c in row.values())
+    limit = None
     equals_b = False
     if limit_exists:
-        equals_b = True
-        for name, t in B.ops.items():
-            if name not in limit_tables:
-                equals_b = False
-                break
-            lim = StructureTensor(n, t.arity, limit_tables[name], QQ)
-            if lim != t:
-                equals_b = False
-                break
-        if set(limit_tables) != set(B.ops):
-            equals_b = False
+        limit = {name: StructureTensor(
+                     A.dim, t.arity,
+                     {args: {k: c.eval_at_zero() for k, c in row.items()}
+                      for args, row in t.table.items()}, QQ)
+                 for name, t in transformed.items()}
+        equals_b = (set(limit) == set(B.ops)
+                    and all(limit[name] == t for name, t in B.ops.items()))
     return {"transformed": transformed, "limit_exists": limit_exists,
-            "equals_B": equals_b,
-            "limit": {name: StructureTensor(n, A.ops[name].arity, tab, QQ)
-                      for name, tab in limit_tables.items()} if limit_exists else None}
+            "equals_B": equals_b, "limit": limit}
 
 
 # ---------------------------------------------------------------------------

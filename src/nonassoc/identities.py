@@ -5,6 +5,15 @@ Terms are trees; identities are stored fully expanded as lists of
 Non-multilinear identities are decided by full polarization followed by a
 scan over basis tuples, which is exact over domains of characteristic zero
 (or larger than the degree).
+
+Every law the library checks on basis tuples is evaluated by
+``eval_term_sparse`` and checked by ``check_identity``: varieties, the
+Poisson-type axioms (D(a) = {a,1} is the unary map D), customary
+identities, higher derivations and the hom-Leibniz automorphism condition.
+The Kantor product evaluates its law with ``eval_identity_sparse`` on each
+basis pair.  Laws linear in an unknown map become rows through
+``operators.linear_conditions`` instead.  ``symbolic_check`` is the slow
+oracle for laws without unary maps.
 """
 
 from __future__ import annotations

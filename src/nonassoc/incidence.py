@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import identity_matrix, mat_eq, mat_mul, mat_vec
+from .identities import Identity, check_identity
+from .linalg import identity_matrix, mat_eq, mat_mul
+from .operators import multiplication_operator
 from .poisson import check_poisson_family
 from .scalars import GF, QQ, DomainError
 from .structure import Algebra, StructureTensor
@@ -456,26 +458,24 @@ def hd_identity(A, N):
     return HigherDerivationSeq(A, [identity_matrix(A.dim, dom)] + [zero] * N)
 
 
+def _hd_law(n):
+    """d_n(xy) - sum_{i+j=n} d_i(x) d_j(y) as an Identity in d0..dn."""
+    x, y = ("v", "x"), ("v", "y")
+    terms = [(1, (f"d{n}", (("*", (x, y)),)))]
+    terms += [(-1, ("*", ((f"d{i}", (x,)), (f"d{n - i}", (y,)))))
+              for i in range(n + 1)]
+    return Identity(terms, {"*": 2, **{f"d{i}": 1 for i in range(n + 1)}})
+
+
 def higher_derivation_check(A, seq, op="mul"):
     """d_n(rs) = sum_{i+j=n} d_i(r) d_j(s) for 1 <= n <= N on basis pairs."""
-    t = A.op(op)
-    dom = A.dom
-    n_dim = A.dim
+    A.op(op)  # DomainError when A lacks the operation
+    maps = {f"d{i}": m for i, m in enumerate(seq.mats)}
     for n in range(1, seq.order + 1):
-        for a in range(n_dim):
-            for b in range(n_dim):
-                prod = [dom.zero()] * n_dim
-                for k, c in t.basis_product((a, b)).items():
-                    prod[k] = c
-                lhs = mat_vec(seq.mats[n], prod, dom)
-                rhs = [dom.zero()] * n_dim
-                for i in range(n + 1):
-                    da = [seq.mats[i][r][a] for r in range(n_dim)]
-                    db = [seq.mats[n - i][r][b] for r in range(n_dim)]
-                    val = t.apply([da, db])
-                    rhs = [x + y for x, y in zip(rhs, val)]
-                if any(not dom.is_zero(x - y) for x, y in zip(lhs, rhs)):
-                    return False, {"n": n, "pair": (a, b)}
+        ok, wit = check_identity(A, _hd_law(n), opmap={"*": op},
+                                 unary_maps=maps)
+        if not ok:
+            return False, {"n": n, "pair": tuple(wit["tuple"])}
     return True, None
 
 
@@ -509,34 +509,6 @@ def hd_inverse(d):
     return HigherDerivationSeq(A, inv)
 
 
-def _left_mult(A, vec, op="mul"):
-    t = A.op(op)
-    dom = A.dom
-    sv = {i: c for i, c in enumerate(vec) if not dom.is_zero(c)}
-    cols = []
-    for j in range(A.dim):
-        out = t.apply_sparse([sv, {j: dom.one()}])
-        col = [dom.zero()] * A.dim
-        for k, c in out.items():
-            col[k] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(A.dim)] for i in range(A.dim)]
-
-
-def _right_mult(A, vec, op="mul"):
-    t = A.op(op)
-    dom = A.dom
-    sv = {i: c for i, c in enumerate(vec) if not dom.is_zero(c)}
-    cols = []
-    for j in range(A.dim):
-        out = t.apply_sparse([{j: dom.one()}, sv])
-        col = [dom.zero()] * A.dim
-        for k, c in out.items():
-            col[k] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(A.dim)] for i in range(A.dim)]
-
-
 def hd_basic_inner(A, r, k, N, op="mul"):
     """[r,k]: zero off multiples of k; at n = k*l the map x -> r^l x - r^{l-1} x r.
 
@@ -547,9 +519,9 @@ def hd_basic_inner(A, r, k, N, op="mul"):
     left_pows = [identity_matrix(A.dim, dom)]
     cur = list(r)
     for _ in range(N):
-        left_pows.append(_left_mult(A, cur, op))
+        left_pows.append(multiplication_operator(A, (cur,), op, slot=1))
         cur = t.apply([cur, r])
-    R_r = _right_mult(A, r, op)
+    R_r = multiplication_operator(A, (r,), op)
     zero = [[dom.zero()] * A.dim for _ in range(A.dim)]
     mats = [identity_matrix(A.dim, dom)]
     for n in range(1, N + 1):

@@ -14,7 +14,7 @@ import itertools
 import random
 
 from .linalg import Subspace, mat_mul, mat_sub, rank
-from .operators import _nullspace_rows, linear_conditions
+from .operators import _nullspace_rows, linear_conditions, multiplication_operator
 from .scalars import QQ, DomainError, Poly, PolyRing
 from .structure import Algebra, StructureTensor
 
@@ -170,23 +170,6 @@ def verify_grading(A, grading, op=None, modulus=None):
 # characteristic sequence
 # ---------------------------------------------------------------------------
 
-def right_multiplication_matrix(A, x, op=None):
-    """Matrix of y -> y x."""
-    t = A.op(op)
-    dom = A.dom
-    n = A.dim
-    sx = {i: dom.coerce(c) for i, c in enumerate(x)
-          if not dom.is_zero(dom.coerce(c))}
-    cols = []
-    for j in range(n):
-        out = t.apply_sparse([{j: dom.one()}, sx])
-        col = [dom.zero()] * n
-        for k, c in out.items():
-            col[k] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def _jordan_type_nilpotent(M, dom, n):
     """Block-size multiset of a nilpotent matrix from ranks of powers."""
     ranks = [n]
@@ -235,7 +218,7 @@ def characteristic_sequence(A, op=None, extra_samples=40, seed=20240803):
     for x in candidates:
         if sq.contains_vector(x):
             continue
-        M = right_multiplication_matrix(A, x, op)
+        M = multiplication_operator(A, (x,), op)
         jt = _jordan_type_nilpotent(M, dom, n)
         if best is None or jt > best:
             best = jt

@@ -11,10 +11,19 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .identities import Identity, eval_identity_sparse
 from .linalg import Subspace, inverse, nullspace, solve
 from .operators import linear_conditions
 from .scalars import QQ, DomainError
 from .structure import Algebra, StructureTensor, change_basis
+
+
+# [[A,B]](x,y) with the fixed vector bound to u
+_KANTOR_LAW = Identity(
+    [(1, ("A", (("v", "u"), ("B", (("v", "x"), ("v", "y")))))),
+     (-1, ("B", (("A", (("v", "u"), ("v", "x"))), ("v", "y")))),
+     (-1, ("B", (("v", "x"), ("A", (("v", "u"), ("v", "y"))))))],
+    {"A": 2, "B": 2})
 
 
 def kantor_product(A, B, u, dom=None):
@@ -29,29 +38,22 @@ def kantor_product(A, B, u, dom=None):
         raise DomainError("dimension mismatch")
     dom = dom or A.dom
     n = A.dim
+    one = dom.one()
     if isinstance(u, int):
-        uv = {u: dom.one()}
+        uv = {u: one}
     else:
         uv = {i: dom.coerce(c) for i, c in enumerate(u)
               if not dom.is_zero(dom.coerce(c))}
     if not uv:
         raise DomainError("u must be nonzero")
+    pair = Algebra("kantor", n, {"A": A, "B": B}, dom)
+    opmap = {"A": "A", "B": "B"}
     table = {}
-    for i in range(n):
-        for j in range(n):
-            acc = {}
-            mid = B.basis_product((i, j))
-            for k, c in A.apply_sparse([uv, mid]).items():
-                acc[k] = acc.get(k, dom.zero()) + c
-            left = A.apply_sparse([uv, {i: dom.one()}])
-            for k, c in B.apply_sparse([left, {j: dom.one()}]).items():
-                acc[k] = acc.get(k, dom.zero()) - c
-            right = A.apply_sparse([uv, {j: dom.one()}])
-            for k, c in B.apply_sparse([{i: dom.one()}, right]).items():
-                acc[k] = acc.get(k, dom.zero()) - c
-            acc = {k: c for k, c in acc.items() if not dom.is_zero(c)}
-            if acc:
-                table[(i, j)] = acc
+    for i, j in itertools.product(range(n), repeat=2):
+        val = eval_identity_sparse(pair, _KANTOR_LAW,
+                                   {"u": uv, "x": {i: one}, "y": {j: one}}, opmap)
+        if val:
+            table[(i, j)] = val
     return StructureTensor(n, 2, table, dom)
 
 

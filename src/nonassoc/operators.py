@@ -283,8 +283,13 @@ def centroid(A, op=None):
     return OperatorSpace(n, vecs, "centroid", A.dom)
 
 
-def multiplication_operator(A, fixed, op=None):
-    """Matrix of a -> t(a, x_2, ..., x_m) for fixed x_i (basis indices or vectors)."""
+def multiplication_operator(A, fixed, op=None, slot=0):
+    """Matrix of a -> t(x_1, ..., a, ..., x_m), a in argument ``slot``.
+
+    The fixed arguments fill the other slots in order; each is a basis
+    index or a vector.  slot 0 gives right multiplication a -> a x for a
+    binary t, slot 1 left multiplication a -> x a.
+    """
     t = A.op(op)
     dom = A.dom
     n = A.dim
@@ -293,16 +298,15 @@ def multiplication_operator(A, fixed, op=None):
         if isinstance(f, int):
             v = {f: dom.one()}
         else:
-            v = {i: c for i, c in enumerate(f) if not dom.is_zero(c)}
+            v = {i: dom.coerce(c) for i, c in enumerate(f)
+                 if not dom.is_zero(dom.coerce(c))}
         fixed_vecs.append(v)
-    cols = []
+    M = [[dom.zero()] * n for _ in range(n)]
     for a in range(n):
-        out = t.apply_sparse([{a: dom.one()}] + fixed_vecs)
-        col = [dom.zero()] * n
-        for k, c in out.items():
-            col[k] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+        args = fixed_vecs[:slot] + [{a: dom.one()}] + fixed_vecs[slot:]
+        for k, c in t.apply_sparse(args).items():
+            M[k][a] = c
+    return M
 
 
 def generalized_derivation_space(A, mode="full", op=None):
@@ -770,16 +774,8 @@ def peirce_decompose(A, e, op=None):
         raise DomainError("e is not idempotent")
     if not check_variety(A, "alternative", op=op)["holds"]:
         raise DomainError("Peirce decomposition requires an alternative algebra")
-    sv = {i: c for i, c in enumerate(ev) if not dom.is_zero(c)}
-    L = [[dom.zero()] * n for _ in range(n)]
-    R = [[dom.zero()] * n for _ in range(n)]
-    for j in range(n):
-        out = t.apply_sparse([sv, {j: dom.one()}])
-        for i, c in out.items():
-            L[i][j] = c
-        out = t.apply_sparse([{j: dom.one()}, sv])
-        for i, c in out.items():
-            R[i][j] = c
+    L = multiplication_operator(A, (ev,), op, slot=1)
+    R = multiplication_operator(A, (ev,), op)
     comps = {}
     for i_lab, lam in ((1, dom.one()), (2, dom.zero())):
         for j_lab, mu in ((1, dom.one()), (2, dom.zero())):

@@ -10,8 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .identities import check_identity, parse_identity
-from .linalg import mat_vec
+from .identities import Identity, check_identity, parse_identity
 from .operators import (_nullspace_rows, derivation_space, linear_conditions,
                         multiplication_operator)
 from .scalars import QQ, DomainError, Poly, PolyRing
@@ -19,10 +18,15 @@ from .structure import Algebra, StructureTensor
 from .varieties import check_variety
 
 _AXIOMS = {
-    # evaluated with opmap {"*": mul, "[]": bracket}
+    # evaluated with _OPMAP
     "leibniz-rule": "[x, y*z] - [x,y]*z - y*[x,z]",
     "transposed-rule": "2 z*[x,y] - [z*x, y] - [x, z*y]",
+    # generalized Poisson, even case, with the unary D(a) = {a,1}
+    "leibniz-with-D": "[x, y*z] - [x,y]*z - y*[x,z] + (D(x)*y)*z",
+    "jacobi-with-D": "[x,[y,z]] - [[x,y],z] - [y,[x,z]]"
+                     " - D(x)*[y,z] - D(y)*[z,x] - D(z)*[x,y]",
 }
+_OPMAP = {"*": "mul", "[]": "bracket"}
 
 
 def _require_ops(P):
@@ -35,19 +39,13 @@ def _require_ops(P):
 def derived_map_d(P):
     """D(a) = {a, 1} as a matrix; the zero map when no unit is designated."""
     _require_ops(P)
-    dom = P.dom
-    n = P.dim
     if P.unit is None:
-        return [[dom.zero()] * n for _ in range(n)]
-    b = P.ops["bracket"]
-    cols = []
-    for a in range(n):
-        out = b.basis_product((a, P.unit))
-        col = [dom.zero()] * n
-        for k, c in out.items():
-            col[k] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+        return [[P.dom.zero()] * P.dim for _ in range(P.dim)]
+    return multiplication_operator(P, (P.unit,), op="bracket")
+
+
+def _sparse_defect(dom, vec):
+    return {k: c for k, c in enumerate(vec) if not dom.is_zero(c)}
 
 
 def check_poisson_family(P, kind):
@@ -86,18 +84,19 @@ def check_poisson_family(P, kind):
         report["precondition_failure"] = True
         return report
 
-    opmap = {"*": "mul", "[]": "bracket"}
-    if kind in ("poisson", "generic", "poisson-structure"):
-        ok, wit = check_identity(P, parse_identity(_AXIOMS["leibniz-rule"]),
-                                 opmap=opmap)
-        report["axioms"]["leibniz-rule"] = {"holds": ok, "witness": wit}
-    elif kind == "transposed":
-        ok, wit = check_identity(P, parse_identity(_AXIOMS["transposed-rule"]),
-                                 opmap=opmap)
-        report["axioms"]["transposed-rule"] = {"holds": ok, "witness": wit}
+    if kind == "generalized":
+        D = derived_map_d(P)
+        for name in ("leibniz-with-D", "jacobi-with-D"):
+            ok, wit = check_identity(P, parse_identity(_AXIOMS[name]),
+                                     opmap=_OPMAP, unary_maps={"D": D})
+            if wit is not None:
+                wit = {"tuple": wit["tuple"],
+                       "defect": _sparse_defect(P.dom, wit["defect"])}
+            report["axioms"][name] = {"holds": ok, "witness": wit}
     else:
-        for name, res in _generalized_axioms(P).items():
-            report["axioms"][name] = res
+        name = "transposed-rule" if kind == "transposed" else "leibniz-rule"
+        ok, wit = check_identity(P, parse_identity(_AXIOMS[name]), opmap=_OPMAP)
+        report["axioms"][name] = {"holds": ok, "witness": wit}
     report["holds"] = all(a["holds"] for a in report["axioms"].values())
     return report
 
@@ -112,62 +111,6 @@ def _unit_is_identity(P):
         if t.basis_product((j, e)) != {j: dom.one()}:
             return False
     return True
-
-
-def _generalized_axioms(P):
-    """Even-case generalized Poisson identities with D(a) = {a,1}:
-
-    {a,bc} = {a,b}c + b{a,c} - D(a)bc
-    {a,{b,c}} = {{a,b},c} + {b,{a,c}} + D(a){b,c} + D(b){c,a} + D(c){a,b}
-    """
-    dom = P.dom
-    n = P.dim
-    mul = P.ops["mul"]
-    br = P.ops["bracket"]
-    D = derived_map_d(P)
-    one = dom.one()
-
-    def dvec(sv):
-        dense = [dom.zero()] * n
-        for k, c in sv.items():
-            dense[k] = c
-        out = mat_vec(D, dense, dom)
-        return {i: c for i, c in enumerate(out) if not dom.is_zero(c)}
-
-    def add(acc, sv, sign=1):
-        for k, c in sv.items():
-            s = acc.get(k, dom.zero()) + (c if sign > 0 else -c)
-            if dom.is_zero(s):
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-
-    results = {"leibniz-with-D": {"holds": True, "witness": None},
-               "jacobi-with-D": {"holds": True, "witness": None}}
-    for a, b, c in itertools.product(range(n), repeat=3):
-        ea, eb, ec = {a: one}, {b: one}, {c: one}
-        acc = {}
-        add(acc, br.apply_sparse([ea, mul.apply_sparse([eb, ec])]))
-        add(acc, mul.apply_sparse([br.apply_sparse([ea, eb]), ec]), -1)
-        add(acc, mul.apply_sparse([eb, br.apply_sparse([ea, ec])]), -1)
-        add(acc, mul.apply_sparse([mul.apply_sparse([dvec(ea), eb]), ec]))
-        if acc and results["leibniz-with-D"]["holds"]:
-            results["leibniz-with-D"] = {
-                "holds": False, "witness": {"tuple": [a, b, c], "defect": acc}}
-        acc = {}
-        add(acc, br.apply_sparse([ea, br.apply_sparse([eb, ec])]))
-        add(acc, br.apply_sparse([br.apply_sparse([ea, eb]), ec]), -1)
-        add(acc, br.apply_sparse([eb, br.apply_sparse([ea, ec])]), -1)
-        add(acc, mul.apply_sparse([dvec(ea), br.apply_sparse([eb, ec])]), -1)
-        add(acc, mul.apply_sparse([dvec(eb), br.apply_sparse([ec, ea])]), -1)
-        add(acc, mul.apply_sparse([dvec(ec), br.apply_sparse([ea, eb])]), -1)
-        if acc and results["jacobi-with-D"]["holds"]:
-            results["jacobi-with-D"] = {
-                "holds": False, "witness": {"tuple": [a, b, c], "defect": acc}}
-        if not results["leibniz-with-D"]["holds"] and \
-           not results["jacobi-with-D"]["holds"]:
-            break
-    return results
 
 
 def half_derivation_link_test(P):
@@ -301,57 +244,48 @@ class CustomaryIdentity:
             [(Fraction(t.get("c", 1)), t.get("pairs", []), t.get("D", []))
              for t in doc["terms"]])
 
+    def as_identity(self):
+        """The expansion as an Identity in x1..xm, zero-padded so that sorted
+        order is numeric order; the factors of a term multiply left-nested."""
+        width = len(str(self.m))
+        var = [None] + [("v", f"x{k:0{width}d}") for k in range(1, self.m + 1)]
+
+        def angle(p, q):
+            x, y = var[p], var[q]
+            return [(1, ("[]", (x, y))), (-1, ("*", (("D", (x,)), y))),
+                    (1, ("*", (x, ("D", (y,)))))]
+
+        terms = []
+        for coeff, pairs, dargs in self.terms:
+            factors = [angle(p, q) for p, q in pairs]
+            factors += [[(1, ("D", (var[q],)))] for q in dargs]
+            if not factors:
+                continue
+            acc = factors[0]
+            for f in factors[1:]:
+                acc = [(c1 * c2, ("*", (t1, t2)))
+                       for c1, t1 in acc for c2, t2 in f]
+            terms += [(coeff * c, t) for c, t in acc]
+        return Identity(terms, {"*": 2, "[]": 2, "D": 1})
+
 
 def customary_check(P, g):
     """Evaluate a customary identity on all basis tuples.
 
     <x,y> := {x,y} - (D(x)y - x D(y)); products use "mul".  P must pass
     "generalized", or "poisson" when no unit is designated (then D = 0).
+    A variable that occurs in no term is 0 in the witness tuple.
     """
     _require_ops(P)
     kind = "generalized" if P.unit is not None else "poisson"
     rep = check_poisson_family(P, kind)
     if not rep["holds"]:
         raise DomainError(f"customary check requires a {kind} pair")
-    dom = P.dom
-    n = P.dim
-    mul = P.ops["mul"]
-    br = P.ops["bracket"]
-    D = derived_map_d(P)
-    one = dom.one()
-
-    def dvec(sv):
-        dense = [dom.zero()] * n
-        for k, c in sv.items():
-            dense[k] = c
-        out = mat_vec(D, dense, dom)
-        return {i: c for i, c in enumerate(out) if not dom.is_zero(c)}
-
-    def angle(u, v):
-        acc = dict(br.apply_sparse([u, v]))
-        for k, c in mul.apply_sparse([dvec(u), v]).items():
-            acc[k] = acc.get(k, dom.zero()) - c
-        for k, c in mul.apply_sparse([u, dvec(v)]).items():
-            acc[k] = acc.get(k, dom.zero()) + c
-        return {k: c for k, c in acc.items() if not dom.is_zero(c)}
-
-    for combo in itertools.product(range(n), repeat=g.m):
-        vecs = {v + 1: {combo[v]: one} for v in range(g.m)}
-        total = {}
-        for coeff, pairs, dargs in g.terms:
-            factors = [angle(vecs[p1], vecs[p2]) for p1, p2 in pairs]
-            factors += [dvec(vecs[q]) for q in dargs]
-            if not factors:
-                continue
-            acc = factors[0]
-            for f in factors[1:]:
-                acc = mul.apply_sparse([acc, f])
-            for k, c in acc.items():
-                s = total.get(k, dom.zero()) + coeff * c
-                if dom.is_zero(s):
-                    total.pop(k, None)
-                else:
-                    total[k] = s
-        if total:
-            return False, {"tuple": list(combo), "defect": total}
-    return True, None
+    ok, wit = check_identity(P, g.as_identity(), opmap=_OPMAP,
+                             unary_maps={"D": derived_map_d(P)})
+    if ok:
+        return True, None
+    tup = [0] * g.m
+    for name, i in zip(wit["variables"], wit["tuple"]):
+        tup[int(name[1:]) - 1] = i
+    return False, {"tuple": tup, "defect": _sparse_defect(P.dom, wit["defect"])}

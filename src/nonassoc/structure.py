@@ -8,6 +8,7 @@ and every function here is pure.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .linalg import inverse, mat_vec
@@ -48,39 +49,30 @@ class StructureTensor:
         return self.table.get(tuple(args), {})
 
     def apply_sparse(self, svecs):
-        """Evaluate on sparse vectors ({index: coeff} each); sparse result."""
+        """Evaluate on sparse vectors ({index: coeff} each); sparse result.
+
+        One pass over the product of the input supports, each index tuple
+        looked up in the table; the result holds no zero entries.
+        """
         dom = self.dom
+        one = dom.one()
+        table = self.table
         out = {}
-        if all(len(v) == 1 for v in svecs):
-            idx = tuple(next(iter(v)) for v in svecs)
-            coef = dom.one()
-            for v in svecs:
-                coef = coef * next(iter(v.values()))
-            for k, c in self.table.get(idx, {}).items():
-                s = out.get(k, dom.zero()) + coef * c
-                if dom.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-            return out
-        for args, coeffs in self.table.items():
-            prod = dom.one()
-            dead = False
-            for v, i in zip(svecs, args):
-                c = v.get(i)
-                if c is None:
-                    dead = True
-                    break
-                prod = prod * c
-            if dead:
+        for idx in itertools.product(*svecs):
+            row = table.get(idx)
+            if row is None:
                 continue
-            for k, c in coeffs.items():
-                s = out.get(k, dom.zero()) + prod * c
-                if dom.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return out
+            coef = one
+            for v, i in zip(svecs, idx):
+                c = v[i]
+                if c != one:
+                    coef = c if coef is one else coef * c
+            for k, c in row.items():
+                if coef is not one:
+                    c = coef * c
+                prev = out.get(k)
+                out[k] = c if prev is None else prev + c
+        return {k: c for k, c in out.items() if not dom.is_zero(c)}
 
     def apply(self, vectors):
         """Evaluate on dense vectors; dense result of length dim."""
@@ -201,7 +193,6 @@ def change_basis(A, P):
     new_ops = {}
     for name, t in A.ops.items():
         table = {}
-        import itertools
         for args in itertools.product(range(A.dim), repeat=t.arity):
             val = t.apply([cols[i] for i in args])
             out = mat_vec(P, val, dom)
@@ -248,19 +239,61 @@ def algebra_to_json(A):
     return doc
 
 
+def _need(ok, what):
+    if not ok:
+        raise DomainError(what)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def algebra_from_json(doc):
+    """Inverse of algebra_to_json; a malformed document raises DomainError."""
+    _need(isinstance(doc, dict), "expected a JSON object")
+    _need(all(k in doc for k in ("name", "field", "dim", "ops")),
+          'needs "name", "field", "dim" and "ops"')
+    _need(isinstance(doc["field"], str), "field must be a string")
     dom = domain_from_name(doc["field"])
     dim = doc["dim"]
+    _need(_is_int(dim) and dim >= 1, "dim must be a positive integer")
+
+    def index(x):
+        return _is_int(x) and 0 <= x < dim
+
+    def coeff(c):
+        try:
+            return dom.parse(c)
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise DomainError(f"bad coefficient {c!r}: {e}")
+
+    _need(isinstance(doc["ops"], list) and doc["ops"],
+          "ops must be a nonempty list")
     ops = {}
     for op in doc["ops"]:
+        _need(isinstance(op, dict) and isinstance(op.get("name"), str)
+              and _is_int(op.get("arity")) and op["arity"] >= 1
+              and isinstance(op.get("table"), list),
+              "each op needs a name, a positive arity and a table list")
         table = {}
         for entry in op["table"]:
-            args = tuple(entry["args"])
-            table[args] = {int(k): dom.parse(c) for k, c in entry["out"]}
+            _need(isinstance(entry, dict)
+                  and isinstance(entry.get("args"), list)
+                  and all(index(i) for i in entry["args"])
+                  and isinstance(entry.get("out"), list)
+                  and all(isinstance(kc, list) and len(kc) == 2 and index(kc[0])
+                          for kc in entry["out"]),
+                  "a table entry needs basis indices args and out [[k, c], ...]")
+            table[tuple(entry["args"])] = {k: coeff(c) for k, c in entry["out"]}
         ops[op["name"]] = StructureTensor(dim, op["arity"], table, dom)
-    form = None
-    if "form" in doc and doc["form"] is not None:
-        form = [[dom.parse(c) for c in row] for row in doc["form"]]
+    for key in ("unit", "u"):
+        _need(doc.get(key) is None or index(doc[key]), f"{key} must be a basis index")
+    form = doc.get("form")
+    if form is not None:
+        _need(isinstance(form, list) and len(form) == dim
+              and all(isinstance(r, list) and len(r) == dim for r in form),
+              "form must be a dim x dim matrix")
+        form = [[coeff(c) for c in row] for row in form]
     return Algebra(doc["name"], dim, ops, dom,
                    unit=doc.get("unit"), u=doc.get("u"), form=form)
 

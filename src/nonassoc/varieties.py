@@ -309,18 +309,12 @@ def check_variety(A, name, op=None, phi=None):
 
 
 def _is_automorphism(A, phi, op=None):
-    from .linalg import is_invertible, mat_vec
-    dom = A.dom
-    if not is_invertible(phi, dom):
+    from .linalg import is_invertible
+    if not is_invertible(phi, A.dom):
         return False
-    t = A.op(op)
-    cols = [[phi[i][j] for i in range(A.dim)] for j in range(A.dim)]
-    for args in itertools.product(range(A.dim), repeat=t.arity):
-        lhs = t.apply([cols[i] for i in args])
-        prod = [dom.zero()] * A.dim
-        for k, c in t.basis_product(args).items():
-            prod[k] = c
-        rhs = mat_vec(phi, prod, dom)
-        if any(not dom.is_zero(a - b) for a, b in zip(lhs, rhs)):
-            return False
-    return True
+    xs = tuple(("v", f"x{i}") for i in range(A.op(op).arity))
+    law = Identity([(1, ("phi", (("[]", xs),))),
+                    (-1, ("[]", tuple(("phi", (x,)) for x in xs)))],
+                   {"[]": len(xs), "phi": 1})
+    return check_identity(A, law, opmap={"[]": op or A.op_names()[0]},
+                          unary_maps={"phi": phi})[0]

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from nonassoc.catalog import catalog_get
 from nonassoc.cli import run
 from nonassoc.structure import save_algebra
@@ -53,6 +55,44 @@ def test_invalid_algebra_structure(tmp_path, capsys):
         {"name": "x", "field": "GF(4)", "dim": 1, "ops": []}))
     assert run(["variety", "check", str(bad), "--variety", "lie"]) == 2
     capsys.readouterr()
+
+
+_GOOD_DOC = {"name": "x", "field": "Q", "dim": 2,
+             "ops": [{"name": "mul", "arity": 2,
+                      "table": [{"args": [0, 1], "out": [[0, "1"]]}]}]}
+
+
+def _bad_doc(**changes):
+    doc = json.loads(json.dumps(_GOOD_DOC))
+    entry = doc["ops"][0]["table"][0]
+    for key, val in changes.items():
+        if key in entry:
+            entry[key] = val
+        else:
+            doc[key] = val
+    return doc
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (_bad_doc(out=[[0, "abc"]]), ["variety", "check", "{file}", "--variety", "lie"]),
+    (_bad_doc(out=[[0, "1/0"]]), ["variety", "check", "{file}", "--variety", "lie"]),
+    ([_GOOD_DOC], ["variety", "check", "{file}", "--variety", "lie"]),
+    (dict(_GOOD_DOC, dim=-1, ops=[{"name": "mul", "arity": 2, "table": []}]),
+     ["der", "space", "{file}"]),
+    (_bad_doc(args="01"), ["variety", "check", "{file}", "--variety", "lie"]),
+    (_bad_doc(unit=5), ["variety", "check", "{file}", "--variety", "lie"]),
+    (None, ["catalog", "get", "NF", "-p", "n=abc"]),
+    (_GOOD_DOC, ["identity", "eval", "{file}", "--identity", "(x*y"]),
+])
+def test_bad_input_exits_2_without_traceback(tmp_path, doc, argv):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    argv = [a.replace("{file}", str(path)) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "nonassoc.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_json_flag_after_subcommand(tmp_path, capsys):
@@ -169,7 +209,9 @@ def test_identity_cli(tmp_path, capsys):
                 "(x*y)*z - (x*z)*y - x*(y*z)"]) == 0
     capsys.readouterr()
     assert run(["identity", "eval", nf3, "--identity", "x*y - y*x"]) == 1
-    capsys.readouterr()
+    witness = capsys.readouterr().out.splitlines()[1]
+    assert witness.startswith("  witness: ")
+    assert json.loads(witness[len("  witness: "):])["tuple"]
 
 
 def test_hd_cli(tmp_path, capsys):
@@ -177,12 +219,13 @@ def test_hd_cli(tmp_path, capsys):
     eye = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     zero = [["0"] * 3 for _ in range(3)]
     # d = (id, ad(e12), 0) is a higher derivation of T_2 since ad(e12)^2 = 0
-    from nonassoc.incidence import _left_mult, _right_mult
+    from nonassoc.operators import multiplication_operator
     from nonassoc.catalog import catalog_get as _cg
     from fractions import Fraction as F
     A = _cg("uppertri", {"n": 2})
     r = [F(0), F(1), F(0)]
-    admat = [[str(_left_mult(A, r)[i][j] - _right_mult(A, r)[i][j])
+    L, R = (multiplication_operator(A, (r,), slot=s) for s in (1, 0))
+    admat = [[str(L[i][j] - R[i][j])
               for j in range(3)] for i in range(3)]
     seq_path = tmp_path / "seq.json"
     seq_path.write_text(json.dumps([eye, admat, zero]))

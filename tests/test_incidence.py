@@ -284,7 +284,22 @@ def test_hd_check_rejects_non_derivation():
     zero = [[Fraction(0)] * 3 for _ in range(3)]
     seq = HigherDerivationSeq(A, [identity_matrix(3, QQ), E11, zero])
     ok, wit = higher_derivation_check(A, seq)
-    assert not ok and wit["n"] == 1
+    assert not ok and wit == {"n": 1, "pair": (0, 0)}
+    # factorial sequences of a derivation with one entry of d_k bumped by
+    # +-1; the witnesses were recorded with the hand-written loop this check
+    # replaced (None: the bump happens to keep a higher derivation)
+    rng = random.Random(5)
+    for name, want in [("sl2", (2, (0, 1))), ("heis3", None),
+                       ("sl2", (2, (0, 2))), ("heis3", None),
+                       ("sl2", (1, (0, 1))), ("heis3", (1, (0, 1)))]:
+        B = catalog_get(name)
+        ders = derivation_space(B).matrices()
+        seq = _factorial_sequence(B, ders[rng.randrange(len(ders))], 3)
+        k, i, j = rng.randint(1, 3), rng.randrange(B.dim), rng.randrange(B.dim)
+        seq.mats[k][i][j] += rng.choice([-1, 1])
+        ok, wit = higher_derivation_check(B, seq)
+        assert (ok, wit) == ((True, None) if want is None else
+                             (False, {"n": want[0], "pair": want[1]})), name
 
 
 def test_inner_first_component_is_ad():
@@ -292,8 +307,9 @@ def test_inner_first_component_is_ad():
     r = [Fraction(0), Fraction(1), Fraction(0)]  # e12
     seq = hd_inner(A, [r, [Fraction(0)] * 3, [Fraction(0)] * 3,
                        [Fraction(0)] * 3], 4)
-    from nonassoc.incidence import _left_mult, _right_mult
-    ad = [[_left_mult(A, r)[i][j] - _right_mult(A, r)[i][j]
+    from nonassoc.operators import multiplication_operator
+    L, R = (multiplication_operator(A, (r,), slot=s) for s in (1, 0))
+    ad = [[L[i][j] - R[i][j]
            for j in range(3)] for i in range(3)]
     assert mat_eq(seq.mats[1], ad, QQ)
     assert higher_derivation_check(A, seq)[0]

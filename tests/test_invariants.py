@@ -81,9 +81,9 @@ def test_characteristic_sequence_invariants():
         assert all(a >= b for a, b in zip(seq, seq[1:])), name
         if res["witness"] is not None:
             # the witness attains the sequence and sits outside A^2
-            from nonassoc.invariants import (_jordan_type_nilpotent,
-                                             right_multiplication_matrix)
-            M = right_multiplication_matrix(A, res["witness"])
+            from nonassoc.invariants import _jordan_type_nilpotent
+            from nonassoc.operators import multiplication_operator
+            M = multiplication_operator(A, (res["witness"],))
             assert list(_jordan_type_nilpotent(M, QQ, A.dim)) == seq
 
 

@@ -217,6 +217,75 @@ def _random_poisson_pairs(rng, count):
     return out
 
 
+# unital commutative associative products on span{e0 = 1, e1, ...}:
+# F[x]/(x^3), F[x,y]/(x,y)^2, F[x]/(x^4), F[x,y]/(x^2,y^2)
+_UNITAL_MULS = [
+    (3, {(1, 1): {2: 1}}),
+    (3, {}),
+    (4, {(1, 1): {2: 1}, (1, 2): {3: 1}, (2, 1): {3: 1}}),
+    (4, {(1, 2): {3: 1}, (2, 1): {3: 1}}),
+]
+
+
+def _random_unital_pair(rng, unit=True):
+    """A unital commutative associative product with a random
+    anticommutative bracket; the unit is designated only if ``unit``."""
+    n, nil = rng.choice(_UNITAL_MULS)
+    mul = {(0, 0): {0: 1}}
+    for j in range(1, n):
+        mul[(0, j)] = {j: 1}
+        mul[(j, 0)] = {j: 1}
+    mul.update(nil)
+    br = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = {k: Fraction(rng.randint(-1, 1)) for k in range(n)
+                   if rng.random() < 0.4}
+            row = {k: c for k, c in row.items() if c}
+            if row:
+                br[(i, j)] = row
+                br[(j, i)] = {k: -c for k, c in row.items()}
+    return poisson_pair_from_parts(
+        "rnd", StructureTensor(n, 2, mul, QQ), StructureTensor(n, 2, br, QQ),
+        unit=0 if unit else None)
+
+
+# first failing (tuple, defect) of each generalized axiom, recorded with the
+# hand-written evaluator this check replaced; None = no precondition passed
+_GENERALIZED_WITNESSES = [
+    {"leibniz-with-D": ((0, 1, 1), {0: 1, 1: -1, 2: 2, 3: -3}),
+     "jacobi-with-D": ((0, 1, 2), {0: -2, 2: 2, 3: 3})},
+    {"leibniz-with-D": ((1, 1, 1), {1: -1}), "jacobi-with-D": None},
+    {"leibniz-with-D": None, "jacobi-with-D": None},
+    {"leibniz-with-D": ((0, 1, 1), {0: 1}), "jacobi-with-D": None},
+    None,
+    {"leibniz-with-D": ((0, 1, 1), {1: 2}), "jacobi-with-D": ((0, 1, 2), {0: 1})},
+    {"leibniz-with-D": ((1, 1, 1), {0: 1, 2: -1}), "jacobi-with-D": None},
+    {"leibniz-with-D": ((0, 1, 1), {3: -2}),
+     "jacobi-with-D": ((0, 1, 2), {2: -1, 3: -1})},
+    {"leibniz-with-D": ((0, 1, 1), {2: -2}), "jacobi-with-D": ((0, 1, 2), {0: 1})},
+    None,
+]
+
+
+def test_generalized_witnesses_on_random_unital_pairs():
+    rng = random.Random(7)
+    for s, want in enumerate(_GENERALIZED_WITNESSES):
+        P = _random_unital_pair(rng, unit=(s % 5 != 4))
+        rep = check_poisson_family(P, "generalized")
+        if want is None:
+            assert rep.get("precondition_failure") and not rep["axioms"]
+            continue
+        got = {}
+        for name, res in rep["axioms"].items():
+            wit = res["witness"]
+            assert res["holds"] is (wit is None)
+            got[name] = None if wit is None else (tuple(wit["tuple"]),
+                                                  wit["defect"])
+        assert got == want, s
+        assert rep["holds"] is all(w is None for w in want.values())
+
+
 def test_poisson_implies_generic_on_randoms():
     rng = random.Random(53)
     for P in _random_poisson_pairs(rng, 20):
@@ -251,6 +320,24 @@ def test_customary_examples():
     g = CustomaryIdentity(2, [(1, [(1, 2)], [])])
     ok, wit = customary_check(tp4, g)
     assert not ok and wit["tuple"] == [1, 2]
+    # witnesses recorded with the hand-written evaluator this check replaced;
+    # x2 and x3 occur in no term of the first, so their slots stay 0
+    gp2 = catalog_get("gp2")
+    for P, m, terms, want in [
+            (gp2, 4, [(1, [(4, 1)], [])], None),
+            (tp4, 4, [(1, [(4, 1)], [])], ([1, 0, 0, 2], {0: -1})),
+            (tp4, 4, [(-1, [(1, 4)], []), (1, [(1, 4)], [3, 2]), (-1, [], [])],
+             ([1, 0, 0, 2], {0: -1})),
+            (gp2, 4, [(2, [], [3]), (1, [], []), (1, [(4, 2)], [3, 1])],
+             ([0, 0, 1, 0], {1: -2})),
+            (gp2, 2, [(2, [], [2]), (1, [], [1, 2]), (1, [], [])],
+             ([0, 1], {1: -2})),
+            (gp2, 3, [(1, [], [2])], ([0, 1, 0], {1: -1})),
+            (tp4, 12, [(1, [(11, 3)], [])],
+             ([0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0], {0: -1}))]:
+        ok, wit = customary_check(P, CustomaryIdentity(m, terms))
+        assert (ok, wit) == ((True, None) if want is None else
+                             (False, {"tuple": want[0], "defect": want[1]}))
 
 
 def test_customary_validation():

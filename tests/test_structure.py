@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonassoc.catalog import catalog_get
-from nonassoc.scalars import GF, QQ, DomainError
+from nonassoc.scalars import GF, QQ, QT, DomainError, RatFunc
 from nonassoc.structure import (Algebra, StructureTensor, algebra_from_json,
                                 algebra_to_json, change_basis)
 
@@ -36,6 +36,54 @@ def test_apply_matches_table():
     y = [Fraction(1), Fraction(0), Fraction(0)]
     # (e0 + 2 e1) * e0 = e1 + 2 e2
     assert t.apply([x, y]) == [0, 1, 2]
+
+
+def _whole_table_apply(t, svecs):
+    """Reference for apply_sparse: scan the whole table (the former path)."""
+    dom = t.dom
+    out = {}
+    for args, coeffs in t.table.items():
+        prod = dom.one()
+        dead = False
+        for v, i in zip(svecs, args):
+            c = v.get(i)
+            if c is None:
+                dead = True
+                break
+            prod = prod * c
+        if dead:
+            continue
+        for k, c in coeffs.items():
+            s = out.get(k, dom.zero()) + prod * c
+            if dom.is_zero(s):
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_apply_sparse_matches_whole_table_scan(data):
+    dom = data.draw(st.sampled_from([QQ, GF(7), QT]))
+    dim = data.draw(st.integers(1, 4))
+    arity = data.draw(st.integers(1, 3))
+    # small coefficients, t-multiples over Q(t), so that sums often cancel
+    scalar = st.builds(
+        lambda a, k: dom.from_int(a) * (RatFunc.t_power(k) if dom is QT else 1),
+        st.integers(-2, 2), st.integers(0, 1))
+    index = st.integers(0, dim - 1)
+    table = data.draw(st.dictionaries(
+        st.tuples(*[index] * arity), st.dictionaries(index, scalar, max_size=3),
+        max_size=dim ** arity))
+    t = StructureTensor(dim, arity, table, dom)
+    svecs = [data.draw(st.dictionaries(index, scalar.filter(lambda c: c)))
+             for _ in range(arity)]
+    got = t.apply_sparse(svecs)
+    want = _whole_table_apply(t, svecs)
+    assert set(got) == set(want)
+    assert all(not dom.is_zero(c) and dom.is_zero(c - want[k])
+               for k, c in got.items())
 
 
 def test_change_basis_identity():

@@ -88,6 +88,81 @@ def _load_json(path):
         raise UsageError(f"malformed JSON in {path}: line {e.lineno} col {e.colno}")
 
 
+def _rational(x, path):
+    try:
+        return QQ.coerce(x)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"{path}: {x!r} is not a rational number")
+
+
+def _matrix(doc, n, path):
+    if not (isinstance(doc, list) and len(doc) == n
+            and all(isinstance(row, list) and len(row) == n for row in doc)):
+        raise DomainError(f"{path}: expected a {n} x {n} matrix")
+    return [[_rational(x, path) for x in row] for row in doc]
+
+
+def _load_matrices(path, n):
+    """A JSON list of n x n rational matrices."""
+    doc = _load_json(path)
+    if not isinstance(doc, list):
+        raise DomainError(f"{path}: expected a list of {n} x {n} matrices")
+    return [_matrix(m, n, path) for m in doc]
+
+
+def _load_poset(path):
+    doc = _load_json(path)
+    names = (str, int)
+    if not (isinstance(doc, dict) and isinstance(doc.get("elements"), list)
+            and all(isinstance(e, names) for e in doc["elements"])
+            and isinstance(doc.get("covers", []), list)
+            and all(isinstance(c, list) and len(c) == 2
+                    and all(isinstance(e, names) for e in c)
+                    for c in doc.get("covers", []))):
+        raise DomainError(f'{path}: expected {{"elements": [...], '
+                          f'"covers": [[a, b], ...]}}')
+    return Poset.from_json(doc)
+
+
+def _load_sigma(path, P):
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise DomainError(f'{path}: expected an object keyed by strict pairs '
+                          f'such as "1<2"')
+    return SigmaMap.from_json(P, {k: _rational(v, path) for k, v in doc.items()})
+
+
+def _load_customary(path):
+    doc = _load_json(path)
+
+    def indices(x):
+        return isinstance(x, list) and all(isinstance(v, int) for v in x)
+
+    def term_ok(t):
+        return (isinstance(t, dict) and indices(t.get("D", []))
+                and isinstance(t.get("pairs", []), list)
+                and all(indices(q) and len(q) == 2 for q in t.get("pairs", [])))
+
+    if not (isinstance(doc, dict) and isinstance(doc.get("m"), int)
+            and isinstance(doc.get("terms"), list)
+            and all(term_ok(t) for t in doc["terms"])):
+        raise DomainError(f'{path}: expected {{"m": int, "terms": '
+                          f'[{{"c": ..., "pairs": [[i, j], ...], "D": [...]}}]}}')
+    return CustomaryIdentity.from_json(
+        {"m": doc["m"], "terms": [dict(t, c=_rational(t.get("c", 1), path))
+                                  for t in doc["terms"]]})
+
+
+def _load_certificate(path):
+    doc = _load_json(path)
+    if not (isinstance(doc, list)
+            and all(isinstance(row, list) and len(row) == len(doc)
+                    and all(isinstance(x, (str, int)) for x in row) for row in doc)):
+        raise DomainError(f"{path}: expected a square matrix of Q(t) "
+                          f"expression strings")
+    return certificate_from_json(doc)
+
+
 def _emit(args, report, human_lines):
     report = {"schema": "1", **report}
     if args.json:
@@ -179,7 +254,7 @@ def cmd_der(args):
               [f"{space.tag} of {A.name}: dim {space.dim}"])
         return 0
     if args.der_action == "local":
-        phi = [[QQ.coerce(x) for x in row] for row in _load_json(args.phi)]
+        phi = _matrix(_load_json(args.phi), A.dim, args.phi)
         res = local_derivation_test(A, phi, op=op)
         _emit(args, {"command": "der local", "algebra": A.name, **res},
               [f"local derivation verdict: {res['verdict']}"])
@@ -265,7 +340,7 @@ def cmd_poisson(args):
         return 0
     if args.poisson_action == "customary":
         P = _load(args.algebra)
-        g = CustomaryIdentity.from_json(_load_json(args.g))
+        g = _load_customary(args.g)
         ok, wit = customary_check(P, g)
         _emit(args, {"command": "poisson customary", "algebra": P.name,
                      "holds": ok, "witness": wit},
@@ -276,7 +351,7 @@ def cmd_poisson(args):
 
 def cmd_incidence(args):
     if args.incidence_action == "build":
-        P = Poset.from_json(_load_json(args.poset))
+        P = _load_poset(args.poset)
         A = incidence_algebra(P)
         doc = algebra_to_json(A)
         if args.out:
@@ -285,14 +360,14 @@ def cmd_incidence(args):
             print(json.dumps(doc, sort_keys=True))
         return 0
     if args.incidence_action == "poisson-equiv":
-        P = Poset.from_json(_load_json(args.poset))
+        P = _load_poset(args.poset)
         if args.exhaustive_gf:
             rep = exhaustive_sigma_equiv(P, args.exhaustive_gf)
             _emit(args, {"command": "incidence poisson-equiv", **rep},
                   [f"exhaustive over GF({args.exhaustive_gf}): "
                    f"{rep['total']} sigmas, agree = {rep['agree']}"])
             return _verdict_exit(rep["agree"])
-        sigma = SigmaMap.from_json(P, _load_json(args.sigma))
+        sigma = _load_sigma(args.sigma, P)
         rep = poisson_sigma_equiv_test(P, sigma)
         _emit(args, {"command": "incidence poisson-equiv",
                      "chain_constant": rep["chain_constant"],
@@ -302,9 +377,7 @@ def cmd_incidence(args):
         return _verdict_exit(rep["agree"])
     if args.incidence_action == "hd-check":
         A = _load(args.algebra)
-        mats = _load_json(args.sequence)
-        seq = HigherDerivationSeq(A, [[[QQ.coerce(x) for x in row]
-                                       for row in m] for m in mats])
+        seq = HigherDerivationSeq(A, _load_matrices(args.sequence, A.dim))
         ok, wit = higher_derivation_check(A, seq)
         _emit(args, {"command": "incidence hd-check", "holds": ok,
                      "witness": wit},
@@ -312,12 +385,8 @@ def cmd_incidence(args):
         return _verdict_exit(ok)
     if args.incidence_action == "hd-compose":
         A = _load(args.algebra)
-        m1 = _load_json(args.d1)
-        m2 = _load_json(args.d2)
-        s1 = HigherDerivationSeq(A, [[[QQ.coerce(x) for x in row]
-                                      for row in m] for m in m1])
-        s2 = HigherDerivationSeq(A, [[[QQ.coerce(x) for x in row]
-                                      for row in m] for m in m2])
+        s1 = HigherDerivationSeq(A, _load_matrices(args.d1, A.dim))
+        s2 = HigherDerivationSeq(A, _load_matrices(args.d2, A.dim))
         out = hd_compose(s1, s2)
         doc = [_jsonify(m) for m in out.mats]
         print(json.dumps({"schema": "1", "command": "incidence hd-compose",
@@ -330,7 +399,7 @@ def cmd_degen(args):
     A = _load(getattr(args, "from"))
     B = _load(args.to)
     if args.degen_action == "verify":
-        cert = certificate_from_json(_load_json(args.cert))
+        cert = _load_certificate(args.cert)
         rep = degeneration_verify(A, B, cert)
         _emit(args, {"command": "degen verify", "from": A.name, "to": B.name,
                      "limit_exists": rep["limit_exists"],
@@ -360,9 +429,7 @@ def cmd_ext(args):
                f"H2 = {res['H2_dim']}"])
         return 0
     if args.ext_action == "build":
-        comps = _load_json(args.theta)
-        theta = Cocycle([[[QQ.coerce(x) for x in row] for row in m]
-                         for m in comps])
+        theta = Cocycle(_load_matrices(args.theta, A.dim))
         ext, rep = central_extension(A, theta)
         doc = {"schema": "1", "command": "ext build",
                "algebra": algebra_to_json(ext), "report": _jsonify(rep)}

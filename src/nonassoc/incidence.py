@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-import numpy as np
-
 from .identities import Identity, check_identity
 from .linalg import identity_matrix, mat_eq, mat_mul
 from .operators import multiplication_operator
@@ -344,6 +342,8 @@ def exhaustive_sigma_equiv(P, p=3):
                 "chain_constant_count": int(rep["chain_constant"]),
                 "poisson_count": int(rep["poisson"]),
                 "agree": rep["agree"], "counterexample": None}
+    import numpy as np   # only this sweep needs it; keeps `import nonassoc` light
+
     digits = np.zeros((total, s), dtype=np.int64)
     r = np.arange(total)
     for k in range(s):

@@ -1,21 +1,19 @@
 """Exact linear algebra kernel.
 
 Matrices are plain lists of rows over a scalar domain (see ``scalars``).
-Everything is computed exactly; the only shortcut is a mod-p pivot search
-(numpy) used to accelerate large rational nullspace computations, whose
-result is always verified exactly before being returned.
+Everything is computed exactly.  The one shortcut is
+``nullspace_sparse_q``: sparse Gauss-Jordan elimination modulo a Mersenne
+prime followed by rational reconstruction (Wang, Guy & Davenport, SIGSAM
+Bull. 1982); its result is verified exactly against every row before it is
+returned, and a larger prime is tried when the lift or the check fails.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-import numpy as np
+from math import gcd, isqrt
 
 from .scalars import QQ, DomainError, Poly
-
-_PRIMES = (2147483647, 2147483629, 2147483563, 2147483549)
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +70,13 @@ def mat_eq(a, b, dom=QQ):
 
 
 def rref(rows, dom=QQ):
-    """Reduced row echelon form (in place on a copy); returns (rows, pivots)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form (in place on a copy); returns (rows, pivots).
+
+    Every entry that is or becomes zero is the one shared ``dom.zero()``
+    (scalars are immutable, so sharing is safe).
+    """
+    zero, one, is_zero = dom.zero(), dom.one(), dom.is_zero
+    m = [[zero if is_zero(x) else x for x in r] for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -81,19 +84,25 @@ def rref(rows, dom=QQ):
     for c in range(ncols):
         pr = None
         for i in range(r, nrows):
-            if not dom.is_zero(m[i][c]):
+            if m[i][c] is not zero:
                 pr = i
                 break
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if pv != dom.one():
-            m[r] = [x / pv for x in m[r]]
+        prow = m[r]
+        pv = prow[c]
+        if pv != one:
+            prow = m[r] = [x if x is zero else x / pv for x in prow]
+        support = [j for j, y in enumerate(prow) if y is not zero]
         for i in range(nrows):
-            if i != r and not dom.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if i == r or f is zero:
+                continue
+            for j in support:
+                x = row[j] - f * prow[j]
+                row[j] = zero if is_zero(x) else x
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -277,8 +286,16 @@ class Subspace:
 
 
 # ---------------------------------------------------------------------------
-# fast rational nullspace (mod-p pivot search + exact verification)
+# fast rational nullspace (modular elimination + exact verification)
 # ---------------------------------------------------------------------------
+
+# Exponents k of the known Mersenne primes 2^k - 1, tried in increasing order.
+# Python ints make one large prime as cheap as several small ones, so a failed
+# prime is replaced by a larger one rather than combined with it by CRT.
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                       4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209,
+                       44497)
+
 
 def _rows_to_int(sparse_rows):
     out = []
@@ -304,41 +321,59 @@ def _rows_to_int(sparse_rows):
     return out
 
 
-def _modp_rref(dense, p):
-    """RREF of an int64 array mod p; returns (reduced, pivot_cols, pivot_src_rows)."""
-    m = dense % p
-    nrows, ncols = m.shape
-    order = np.arange(nrows)
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+def _rref_mod(introws, p):
+    """Reduced row echelon form mod p of sparse integer rows.
+
+    Returns {pivot column: row dict with 1 at the pivot}, all entries in
+    [1, p).  Each pivot is the lowest column of its row and occurs in no other
+    row, so this is the unique RREF of the row space mod p, whatever the row
+    order; short rows go first because that keeps the fill-in low.
+    """
+    red = {}
+    holders = {}   # non-pivot column -> pivot columns whose rows hold it
+    for introw in sorted(introws, key=len):
+        row = {}
+        for j, v in introw.items():
+            v %= p
+            if v:
+                row[j] = v
+        # pivot rows hold no other pivot column, so one pass reduces the row
+        for c in [c for c in row if c in red]:
+            f = row.pop(c)
+            for j, v in red[c].items():
+                if j != c:
+                    x = (row.get(j, 0) - f * v) % p
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        if not row:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-            order[[r, i]] = order[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            m[mask] = (m[mask] - col[mask, None] * m[r][None, :]) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots, order[:len(pivots)]
+        c = min(row)
+        inv = pow(row[c], -1, p)
+        new = {j: v * inv % p for j, v in row.items()}
+        for pc in holders.pop(c, ()):
+            prow = red[pc]
+            f = prow.pop(c)
+            for j, v in new.items():
+                if j == c:
+                    continue
+                x = (prow.get(j, 0) - f * v) % p
+                if x:
+                    prow[j] = x
+                    holders.setdefault(j, set()).add(pc)
+                else:
+                    del prow[j]
+                    holders[j].discard(pc)
+        red[c] = new
+        for j in new:
+            if j != c:
+                holders.setdefault(j, set()).add(c)
+    return red
 
 
-def _rat_reconstruct(a, p):
-    """Lift a mod-p residue to n/d with |n|, d <= sqrt(p/2); None if impossible."""
-    if a == 0:
-        return Fraction(0)
-    bound = int((p // 2) ** 0.5)
+def _rat_reconstruct(a, p, bound):
+    """Lift a mod-p residue to n/d with |n|, d <= bound; None if impossible."""
     r0, r1 = p, a % p
     s0, s1 = 0, 1
     while r1 > bound:
@@ -352,12 +387,44 @@ def _rat_reconstruct(a, p):
     return Fraction(r1, s1)
 
 
-def nullspace_sparse_q(sparse_rows, ncols):
-    """Exact rational nullspace of a sparse integer/rational system.
+def _lift_kernel(red, ncols, p):
+    """Kernel basis of an RREF mod p, one vector per free column, lifted to Q
+    by rational reconstruction; None if an entry does not lift."""
+    bound = isqrt(p // 2)
+    at_free = {}   # free column -> [(pivot column, residue)]
+    for c, row in red.items():
+        for f, v in row.items():
+            if f != c:
+                at_free.setdefault(f, []).append((c, v))
+    zero, one = Fraction(0), Fraction(1)
+    cand = []
+    for f in range(ncols):
+        if f in red:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for c, a in at_free.get(f, ()):
+            lifted = _rat_reconstruct(-a, p, bound)
+            if lifted is None:
+                return None
+            v[c] = lifted
+        cand.append(v)
+    return cand
 
-    Pivot structure is found mod p with numpy, the candidate basis is lifted
-    by rational reconstruction, then verified exactly against every row.
-    Falls back to dense exact elimination if any step fails.
+
+def nullspace_sparse_q(sparse_rows, ncols):
+    """Exact rational nullspace of a sparse integer/rational system, as the
+    canonical RREF basis.
+
+    The rows are reduced mod a Mersenne prime p, the kernel of that RREF is
+    lifted by rational reconstruction and verified exactly against every
+    row.  A verified candidate is the nullspace: its vectors are independent
+    (each has a 1 in its own free column), so dim ker >= ncols - rank_p >=
+    ncols - rank_Q = dim ker, whatever the prime.  A failed lift or
+    verification moves on to the next prime.  Once sqrt(p/2) exceeds the
+    Hadamard bound H of the integer rows, every RREF entry (a ratio of
+    minors) lifts and the candidate is right, so the dense exact elimination
+    after the last prime is reached only when H > 2^22247.
     """
     introws = _rows_to_int(sparse_rows)
     if not introws:
@@ -365,34 +432,11 @@ def nullspace_sparse_q(sparse_rows, ncols):
         return eye
     if ncols == 0:
         return []
-    for p in _PRIMES:
-        dense = np.zeros((len(introws), ncols), dtype=np.int64)
-        for i, row in enumerate(introws):
-            for j, v in row.items():
-                dense[i, j] = v % p
-        red, pivots, _ = _modp_rref(dense, p)
-        pivset = set(pivots)
-        free = [c for c in range(ncols) if c not in pivset]
-        cand = []
-        ok = True
-        for f in free:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            for i, piv in enumerate(pivots):
-                lifted = _rat_reconstruct(int((-red[i, f]) % p), p)
-                if lifted is None:
-                    ok = False
-                    break
-                v[piv] = lifted
-            if not ok:
-                break
-            cand.append(v)
-        if not ok:
-            continue
-        if _verify_nullspace(introws, cand):
-            red2, _ = rref(cand, QQ) if cand else ([], [])
-            return [r for r in red2 if any(x != 0 for x in r)]
-    # exact fallback
+    for k in _MERSENNE_EXPONENTS:
+        p = (1 << k) - 1
+        cand = _lift_kernel(_rref_mod(introws, p), ncols, p)
+        if cand is not None and _verify_nullspace(introws, cand):
+            return rref(cand, QQ)[0]
     dense_rows = []
     for row in introws:
         r = [Fraction(0)] * ncols
@@ -403,21 +447,22 @@ def nullspace_sparse_q(sparse_rows, ncols):
 
 
 def _verify_nullspace(introws, cand):
-    scaled = []
-    for v in cand:
+    """Whether every candidate vector annihilates every integer row."""
+    at_col = {}   # column -> [(candidate index, scaled integer entry)]
+    for i, v in enumerate(cand):
         denom = 1
         for c in v:
             denom = denom * c.denominator // gcd(denom, c.denominator)
-        scaled.append([int(c * denom) for c in v])
+        for j, c in enumerate(v):
+            if c:
+                at_col.setdefault(j, []).append((i, int(c * denom)))
     for row in introws:
-        items = list(row.items())
-        for v in scaled:
-            s = 0
-            for j, a in items:
-                if v[j]:
-                    s += a * v[j]
-            if s != 0:
-                return False
+        sums = {}
+        for j, a in row.items():
+            for i, x in at_col.get(j, ()):
+                sums[i] = sums.get(i, 0) + a * x
+        if any(sums.values()):
+            return False
     return True
 
 

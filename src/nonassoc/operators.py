@@ -358,7 +358,6 @@ def generalized_derivation_space(A, mode="full", op=None):
         "quotient_dim": space.dim - trivial.dim,
         "projection_dims": [space.projection_dim(s) for s in range(nslots)],
     })
-    space.trivial = trivial
     if mode == "quasi":
         space.meta["QDer_KS_dim"] = space.projection_dim(0)
         space.meta["QDer_LL_dim"] = space.projection_dim(1)
@@ -370,7 +369,6 @@ def generalized_derivation_space(A, mode="full", op=None):
         space.meta["derived_projection_dims"] = [
             rank([v[s * n2:(s + 1) * n2] for v in derived.basis], dom)
             for s in range(nslots)]
-        space.derived = derived
     return space
 
 

@@ -184,6 +184,8 @@ def _associativity_obstructions(basis_tensors, n):
     if s == 0:
         return []
     ring = PolyRing(s)
+    exps = [[tuple((a == i) + (b == i) for i in range(s)) for b in range(s)]
+            for a in range(s)]
     out = []
     seen = set()
     for x, y, z in itertools.product(range(n), repeat=3):
@@ -197,10 +199,7 @@ def _associativity_obstructions(basis_tensors, n):
                     for m, c in Sa.basis_product((y, z)).items():
                         coeff -= c * Sb.basis_product((x, m)).get(r, Fraction(0))
                     if coeff:
-                        e = [0] * s
-                        e[a] += 1
-                        e[b] += 1
-                        poly = poly + Poly(s, {tuple(e): coeff})
+                        poly = poly + Poly(s, {exps[a][b]: coeff})
             if poly.terms:
                 key = tuple(sorted(poly.terms.items()))
                 if key not in seen:

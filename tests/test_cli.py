@@ -73,6 +73,9 @@ def _bad_doc(**changes):
     return doc
 
 
+_EYE3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
 @pytest.mark.parametrize("doc, argv", [
     (_bad_doc(out=[[0, "abc"]]), ["variety", "check", "{file}", "--variety", "lie"]),
     (_bad_doc(out=[[0, "1/0"]]), ["variety", "check", "{file}", "--variety", "lie"]),
@@ -83,11 +86,29 @@ def _bad_doc(**changes):
     (_bad_doc(unit=5), ["variety", "check", "{file}", "--variety", "lie"]),
     (None, ["catalog", "get", "NF", "-p", "n=abc"]),
     (_GOOD_DOC, ["identity", "eval", "{file}", "--identity", "(x*y"]),
+    # the other JSON loaders; {sl2}, {tp4} and {poset} are valid inputs
+    ([_EYE3, [["a", "0", "0"]] * 3],
+     ["incidence", "hd-check", "--algebra", "{sl2}", "--sequence", "{file}"]),
+    ([_EYE3, [["0", "0"], ["0", "0", "0"], ["0", "0", "0"]]],
+     ["incidence", "hd-check", "--algebra", "{sl2}", "--sequence", "{file}"]),
+    ({"m": 2}, ["poisson", "customary", "{tp4}", "--g", "{file}"]),
+    ([["1"], ["0", "1"], ["0", "0", "1"]], ["der", "local", "{sl2}", "--phi", "{file}"]),
+    ([[["0", "1", "0"], ["1"], ["0", "0", "0"]]],
+     ["ext", "build", "--algebra", "{sl2}", "--theta", "{file}"]),
+    ({"elements": [["1"], "2"]}, ["incidence", "build", "--poset", "{file}"]),
+    ({"1<2": "1/0"},
+     ["incidence", "poisson-equiv", "--poset", "{poset}", "--sigma", "{file}"]),
+    ([["t", "0"], [{}, "t"]],
+     ["degen", "verify", "--from", "{sl2}", "--to", "{sl2}", "--cert", "{file}"]),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, doc, argv):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
-    argv = [a.replace("{file}", str(path)) for a in argv]
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps({"elements": ["1", "2"], "covers": [["1", "2"]]}))
+    files = {"{file}": str(path), "{poset}": str(poset),
+             "{sl2}": _write(tmp_path, "sl2"), "{tp4}": _write(tmp_path, "tp4")}
+    argv = [files.get(a, a) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "nonassoc.cli"] + argv,
                           capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
@@ -301,3 +322,12 @@ def test_console_script_installed():
                            "list"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "octonions" in proc.stdout
+
+
+def test_import_does_not_load_numpy():
+    """numpy is imported on first use by the GF(p) sigma sweep only."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nonassoc.cli; sys.exit('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

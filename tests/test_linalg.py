@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonassoc.linalg import (Subspace, inverse, mat_mul, nullspace,
-                             nullspace_sparse_q, rank, solve_linear)
+from nonassoc import linalg
+from nonassoc.catalog import catalog_get
+from nonassoc.identities import check_identity, parse_identity
+from nonassoc.linalg import (Subspace, inverse, is_invertible, mat_mul,
+                             nullspace, nullspace_sparse_q, rank, solve_linear)
+from nonassoc.operators import derivation_space
 from nonassoc.scalars import GF, QQ, QT, DomainError, RatFunc
+from nonassoc.structure import change_basis
 
 
 def test_nullspace_zero_matrix():
@@ -95,6 +100,16 @@ def _random_sparse_system(rng, nrows, ncols, density=0.3):
     return rows
 
 
+def _dense(rows, ncols):
+    out = []
+    for row in rows:
+        r = [Fraction(0)] * ncols
+        for j, c in row.items():
+            r[j] = Fraction(c)
+        out.append(r)
+    return out
+
+
 def test_fast_nullspace_matches_dense():
     rng = random.Random(11)
     for trial in range(25):
@@ -102,19 +117,13 @@ def test_fast_nullspace_matches_dense():
         nrows = rng.randint(0, 18)
         rows = _random_sparse_system(rng, nrows, ncols)
         fast = nullspace_sparse_q(rows, ncols)
-        dense_rows = []
-        for row in rows:
-            r = [Fraction(0)] * ncols
-            for j, c in row.items():
-                r[j] = c
-            dense_rows.append(r)
-        slow = nullspace(dense_rows, ncols, QQ)
+        slow = nullspace(_dense(rows, ncols), ncols, QQ)
         assert fast == slow, f"trial {trial}"
 
 
 def test_fast_nullspace_huge_coefficients():
-    """Solutions too large for single-prime rational reconstruction must
-    still come out exactly (the dense fallback path)."""
+    """Solutions too large for rational reconstruction at the first primes
+    must still come out exactly."""
     big = 2 ** 45
     rows = [{0: big, 1: -1}, {1: big + 1, 2: -1}]
     fast = nullspace_sparse_q(rows, 3)
@@ -136,3 +145,84 @@ def test_fast_nullspace_over_gf():
     m = [[F.from_int(1), F.from_int(2)], [F.from_int(2), F.from_int(4)]]
     ns = nullspace(m, 2, F)
     assert len(ns) == 1
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Records the primes the modular solver tries and its dense fallbacks."""
+    calls = {"primes": [], "dense": 0}
+    rref_mod, dense = linalg._rref_mod, linalg.nullspace
+
+    def recording_rref_mod(rows, p):
+        calls["primes"].append(p)
+        return rref_mod(rows, p)
+
+    def recording_nullspace(*args, **kwargs):
+        calls["dense"] += 1
+        return dense(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_rref_mod", recording_rref_mod)
+    monkeypatch.setattr(linalg, "nullspace", recording_nullspace)
+    return calls
+
+
+def test_unlucky_prime_is_rejected(solver_calls):
+    """Mod 2^61 - 1 the row reads x1 = 0, a wrong pivot: exact verification
+    rejects that candidate and a larger prime gives the kernel."""
+    p = 2 ** 61 - 1
+    assert nullspace_sparse_q([{0: p, 1: 1}], 2) == [[Fraction(1), Fraction(-p)]]
+    assert solver_calls["primes"][0] == p and len(solver_calls["primes"]) > 1
+    assert solver_calls["dense"] == 0
+
+
+# kernel (1, b/c, b/c) with numerator and denominator above 2^60
+_BIG_B, _BIG_C = 2 ** 65 + 1, 2 ** 64 + 3
+_BIG_ROWS = [{0: _BIG_B, 1: -_BIG_C}, {1: 1, 2: -1}]
+_BIG_KERNEL = [[Fraction(1), Fraction(_BIG_B, _BIG_C), Fraction(_BIG_B, _BIG_C)]]
+
+
+def test_large_kernel_entries_move_to_larger_primes(solver_calls):
+    assert nullspace_sparse_q(_BIG_ROWS, 3) == _BIG_KERNEL
+    # sqrt(p/2) < 2^65 for k = 61, 89, 107, 127; 2^521 - 1 lifts
+    assert solver_calls["primes"] == [2 ** k - 1 for k in (61, 89, 107, 127, 521)]
+    assert solver_calls["dense"] == 0
+
+
+def test_dense_path_after_the_last_prime(monkeypatch, solver_calls):
+    monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (61,))
+    assert nullspace_sparse_q(_BIG_ROWS, 3) == _BIG_KERNEL
+    assert solver_calls["dense"] == 1
+
+
+_ENTRY = st.integers(-2 ** 40, 2 ** 40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda ncols: st.tuples(
+    st.just(ncols),
+    st.lists(st.dictionaries(
+        st.integers(0, ncols - 1),
+        st.one_of(_ENTRY, st.builds(Fraction, _ENTRY, st.integers(1, 2 ** 40)))),
+        max_size=ncols + 2))))
+def test_modular_nullspace_matches_dense(system):
+    ncols, rows = system
+    assert nullspace_sparse_q(rows, ncols) == nullspace(_dense(rows, ncols), ncols, QQ)
+
+
+def test_derivations_of_rebased_m3(solver_calls):
+    """Der of M_3(Q) after a seeded change of basis: the kernel entries do
+    not lift at the first primes, and the answer is still exact."""
+    rng = random.Random(7)
+    M3 = catalog_get("matrix", {"n": 3})
+    while True:
+        P = [[Fraction(rng.randint(-9, 9)) for _ in range(9)] for _ in range(9)]
+        if is_invertible(P):
+            break
+    A = change_basis(M3, P)
+    space = derivation_space(A)
+    assert space.dim == 8
+    law = parse_identity("D(x*y) - D(x)*y - x*D(y)")
+    for M in space.matrices():
+        holds, witness = check_identity(A, law, unary_maps={"D": M})
+        assert holds, witness
+    assert len(solver_calls["primes"]) > 1 and solver_calls["dense"] == 0

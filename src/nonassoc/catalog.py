@@ -379,7 +379,13 @@ def catalog_get(name, params=None):
         if form is None:
             form = [[Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)]
         else:
-            form = [[QQ.coerce(c) for c in row] for row in form]
+            if not (isinstance(form, list) and len(form) == n
+                    and all(isinstance(row, list) and len(row) == n for row in form)):
+                raise DomainError(f"ternaryJordan form must be an {n} x {n} matrix")
+            try:
+                form = [[QQ.coerce(c) for c in row] for row in form]
+            except (ValueError, ZeroDivisionError) as e:
+                raise DomainError(f"ternaryJordan form: bad entry: {e}")
             if any(form[a][b] != form[b][a] for a in range(n) for b in range(n)):
                 raise DomainError("ternaryJordan requires a symmetric form")
         return _ternary_jordan(n, form)

@@ -9,6 +9,7 @@ output (all sampling seeds are fixed and echoed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -445,7 +446,10 @@ def cmd_ext(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves no state
+    in it, and building the subcommand tree dominates a short request."""
     p = argparse.ArgumentParser(
         prog="workbench",
         description="Exact-arithmetic workbench for non-associative algebras")

@@ -2,29 +2,38 @@
 
 Terms are trees; identities are stored fully expanded as lists of
 (coefficient, term) pairs with the associator macro already eliminated.
-Non-multilinear identities are decided by full polarization followed by a
-scan over basis tuples, which is exact over domains of characteristic zero
-(or larger than the degree).
+Identities are split into multihomogeneous components and fully polarized,
+then each component is scanned over basis tuples; this is exact over
+domains of characteristic zero (or larger than the degree).
 
-Every law the library checks on basis tuples is evaluated by
-``eval_term_sparse`` and checked by ``check_identity``: varieties, the
-Poisson-type axioms (D(a) = {a,1} is the unary map D), customary
-identities, higher derivations and the hom-Leibniz automorphism condition.
-The Kantor product evaluates its law with ``eval_identity_sparse`` on each
-basis pair.  Laws linear in an unknown map become rows through
-``operators.linear_conditions`` instead.  ``symbolic_check`` is the slow
-oracle for laws without unary maps.
+``check_identity`` checks every law the library checks on basis tuples:
+varieties, the Poisson-type axioms (D(a) = {a,1} is the unary map D),
+customary identities, higher derivations and the hom-Leibniz automorphism
+condition.  It compiles each component once into a DAG of its distinct
+subterms; a subterm missing some of the k variables is cached per basis
+tuple of its own variables (at most #nodes x dim^(k-1) entries, freed when
+the scan returns), so only the products holding every variable are formed
+per tuple.  Over Q the scan runs in Python ints: tables and unary maps are
+scaled by the lcm of their denominators and terms weighted to match, a
+nonzero rescaling of the defect.  ``eval_term_sparse`` and
+``eval_identity_sparse`` are the reference evaluator: they compute the
+witness defect, the Kantor product's law on each basis pair and
+``symbolic_check``, the slow oracle for laws without unary maps.  Laws
+linear in an unknown map become rows through ``operators.linear_conditions``
+instead.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
+import math
+import operator
 import re
 from fractions import Fraction
 
-from .scalars import DomainError, Poly, PolyRing
-from .structure import Algebra
+from .scalars import DomainError, Poly, PolyRing, PrimeField, RationalDomain
+from .structure import Algebra, add_products
 
 
 class ParseError(ValueError):
@@ -40,6 +49,14 @@ def term_vars(term, acc=None):
         for ch in term[1]:
             term_vars(ch, acc)
     return acc
+
+
+def _op_nodes(term):
+    """(opsym, number of arguments) of each operation node, depth first."""
+    if term[0] != "v":
+        yield term[0], len(term[1])
+        for c in term[1]:
+            yield from _op_nodes(c)
 
 
 def term_key(term):
@@ -70,32 +87,16 @@ class Identity:
         self._validate()
 
     def _validate(self):
-        def walk(t):
-            if t[0] == "v":
-                return
-            ar = self.signature.get(t[0])
-            if ar is None:
-                raise ParseError(f"unknown operation {t[0]!r}")
-            if len(t[1]) != ar:
-                raise ParseError(f"operation {t[0]!r} expects {ar} arguments")
-            for c in t[1]:
-                walk(c)
         for _, t in self.terms:
-            walk(t)
+            for sym, n in _op_nodes(t):
+                ar = self.signature.get(sym)
+                if ar is None:
+                    raise ParseError(f"unknown operation {sym!r}")
+                if n != ar:
+                    raise ParseError(f"operation {sym!r} expects {ar} arguments")
 
     def used_symbols(self):
-        out = {}
-
-        def walk(t):
-            if t[0] == "v":
-                return
-            out[t[0]] = len(t[1])
-            for c in t[1]:
-                walk(c)
-
-        for _, t in self.terms:
-            walk(t)
-        return out
+        return {sym: n for _, t in self.terms for sym, n in _op_nodes(t)}
 
     def is_multilinear(self):
         for _, t in self.terms:
@@ -243,6 +244,8 @@ def parse_identity(text, signature=None):
     def monomial():
         coeff = Fraction(1)
         if is_number(peek()):
+            if re.fullmatch(r"\d+/0+", peek()):
+                fail(f"zero denominator in {peek()!r}")
             coeff = Fraction(take())
             if peek() == "*":
                 take()
@@ -306,22 +309,25 @@ def polarize(identity, char=0):
     variable; valid over characteristic 0 or characteristic > total degree.
     Each returned identity carries ``restitution_scale``: substituting the
     original variable back for its copies multiplies the component by this
-    factor.  Multilinear input comes back as a copy with scale 1; the input
-    is never modified.
+    factor.  Multilinear input is only split (a basis-tuple scan is exact
+    on each multihomogeneous component, not on a sum of them), and comes
+    back as a copy with scale 1 when it has one component; the input is
+    never modified.
     """
-    if identity.is_multilinear():
+    groups = {}
+    for c, t in identity.terms:
+        prof = _term_degree_profile(t, identity.variables)
+        groups.setdefault(prof, []).append((c, t))
+    multilinear = identity.is_multilinear()
+    if multilinear and len(groups) <= 1:
         lin = copy.copy(identity)
         lin.restitution_scale = Fraction(1)
         return [lin]
     total_degree = max((sum(term_vars(t).values()) for _, t in identity.terms),
                        default=0)
-    if char and char <= total_degree:
+    if char and char <= total_degree and not multilinear:
         raise DomainError(
             f"polarization needs characteristic 0 or > {total_degree}, got {char}")
-    groups = {}
-    for c, t in identity.terms:
-        prof = _term_degree_profile(t, identity.variables)
-        groups.setdefault(prof, []).append((c, t))
     out = []
     for prof, terms in sorted(groups.items()):
         comp = Identity(terms, identity.signature)
@@ -419,7 +425,9 @@ def check_identity(A, identity, opmap=None, unary_maps=None):
     """Exact identity check by polarization + basis-tuple scan.
 
     Returns (holds, witness); witness is None or a dict with the violating
-    basis tuple, the variable order, and the nonzero defect vector.
+    basis tuple (the first in lexicographic order), the variable order, and
+    the nonzero defect vector computed by ``eval_identity_sparse``.  The
+    scan itself runs on the compiled form of each component (``_scan``).
     """
     used = identity.used_symbols()
     opmap = opmap or default_opmap(A, used)
@@ -432,18 +440,176 @@ def check_identity(A, identity, opmap=None, unary_maps=None):
             raise DomainError(f"arity mismatch binding {sym!r} to {opmap[sym]!r}")
     dom = A.dom
     for lin in polarize(identity, char=dom.char or 0):
+        combo = _scan(A, lin, opmap, unary_maps)
+        if combo is None:
+            continue
         vs = lin.variables
         one = dom.one()
-        for combo in itertools.product(range(A.dim), repeat=len(vs)):
-            assignment = {v: {i: one} for v, i in zip(vs, combo)}
-            defect = eval_identity_sparse(A, lin, assignment, opmap, unary_maps)
-            if defect:
-                vec = [dom.zero()] * A.dim
-                for k, c in defect.items():
-                    vec[k] = c
-                return False, {"variables": list(vs), "tuple": list(combo),
-                               "defect": vec}
+        assignment = {v: {i: one} for v, i in zip(vs, combo)}
+        defect = eval_identity_sparse(A, lin, assignment, opmap, unary_maps)
+        if not defect:
+            raise AssertionError(f"compiled scan and eval_identity_sparse "
+                                 f"disagree at {combo}")
+        vec = [dom.zero()] * A.dim
+        for k, c in defect.items():
+            vec[k] = c
+        return False, {"variables": list(vs), "tuple": list(combo),
+                       "defect": vec}
     return True, None
+
+
+def _scan_domain(dom):
+    """The per-domain part of the scan: (lcm, convert, prune, one).
+
+    ``lcm(values)`` is the factor that makes a table, a unary map or a list
+    of coefficients integral, ``convert(c, m)`` the scan form of ``c`` times
+    ``m``, ``prune(vec)`` the sparse vector without its zero entries and
+    ``one`` the scan form of 1.  Over Q values are scaled to Python ints;
+    over GF(p) they are ints reduced mod p by ``prune``; other domains keep
+    their own elements.
+    """
+    if isinstance(dom, RationalDomain):
+        return (lambda cs: math.lcm(*{c.denominator for c in cs}),
+                lambda c, m: c.numerator * (m // c.denominator),
+                lambda vec: {k: c for k, c in vec.items() if c}, 1)
+    if isinstance(dom, PrimeField):
+        p = dom.p
+        return (lambda cs: 1, lambda c, m: dom.coerce(c).v,
+                lambda vec: {k: r for k, c in vec.items() if (r := c % p)}, 1)
+    return (lambda cs: 1, lambda c, m: dom.coerce(c),
+            lambda vec: {k: c for k, c in vec.items() if not dom.is_zero(c)},
+            dom.one())
+
+
+def _scan_table(A, sym, opmap, unary_maps, lcm, convert):
+    """(table, factor): the operation or unary map bound to sym in scan form,
+    scaled by factor.  A unary map becomes the arity-1 table of its columns."""
+    if unary_maps and sym in unary_maps:
+        mat = unary_maps[sym]
+        table = {(j,): {i: mat[i][j] for i in range(A.dim)
+                        if not A.dom.is_zero(mat[i][j])}
+                 for j in range(A.dim)}
+    else:
+        table = A.op(opmap[sym]).table
+    m = lcm([c for row in table.values() for c in row.values()])
+    return {args: {k: convert(c, m) for k, c in row.items()}
+            for args, row in table.items() if row}, m
+
+
+def _compile_term(term, nodes, ids, positions):
+    """Add term and its subterms to the DAG ``nodes``; return its node id.
+
+    A node is (opsym or None for a variable, child ids, sorted positions of
+    the variables it contains); ``ids`` maps term_key to node id, so equal
+    subterms share one node and children precede their parents.
+    """
+    key = term_key(term)
+    nid = ids.get(key)
+    if nid is None:
+        if term[0] == "v":
+            node = (None, (), (positions[term[1]],))
+        else:
+            kids = tuple(_compile_term(c, nodes, ids, positions) for c in term[1])
+            pos = tuple(sorted({p for k in kids for p in nodes[k][2]}))
+            node = (term[0], kids, pos)
+        nid = ids[key] = len(nodes)
+        nodes.append(node)
+    return nid
+
+
+def _value(nid, combo, specs, vals, prune, one):
+    """Value of node nid at the basis tuple combo: computed this tuple when
+    it contains every variable, else looked up in (or added to) its cache."""
+    table, kids, cache, key = specs[nid]
+    if cache is None:
+        return vals[nid]
+    k = key(combo)
+    v = cache.get(k)
+    if v is None:
+        out = {}
+        add_products(table, [_value(c, combo, specs, vals, prune, one)
+                             for c in kids], out, one, one)
+        v = cache[k] = prune(out)
+    return v
+
+
+def _scan(A, lin, opmap, unary_maps):
+    """First basis tuple (lexicographic) where the multilinear identity lin
+    fails, or None.
+
+    lin is compiled once into a DAG of its distinct subterms.  A node
+    missing some of the k variables caches its value keyed by the basis
+    indices at its variables' positions, so the caches hold at most
+    #nodes x dim^(k-1) entries, and only the nodes holding every variable
+    are multiplied out per tuple (12 products instead of 36 for the
+    polarized Jordan identity).  Over Q every table and unary map is scaled
+    by the lcm of its denominators, each term weighted by the matching
+    product of those factors, and the identity's coefficients cleared of
+    denominators: the defect computed in Python ints is a nonzero multiple
+    of the exact one.  The caches are freed on return.
+    """
+    dom = A.dom
+    lcm, convert, prune, one = _scan_domain(dom)
+    positions = {v: p for p, v in enumerate(lin.variables)}
+    nodes, ids = [], {}
+    tops = [(c, _compile_term(t, nodes, ids, positions)) for c, t in lin.terms]
+    tables, factors = {None: None}, {None: 1}
+    for sym in {node[0] for node in nodes} - {None}:
+        tables[sym], factors[sym] = _scan_table(A, sym, opmap, unary_maps,
+                                                lcm, convert)
+    weights = []
+    for sym, kids, _ in nodes:
+        w = factors[sym]
+        for k in kids:
+            w *= weights[k]
+        weights.append(w)
+    coeffs = [Fraction(c) / weights[nid] for c, nid in tops]
+    m = lcm(coeffs)
+    top_coef = {nid: convert(c, m) for c, (_, nid) in zip(coeffs, tops)}
+
+    k = len(lin.variables)
+    units = {i: {i: one} for i in range(A.dim)}
+    inner = {c for node in nodes for c in node[1]}
+    specs, steps, looked_up = [], [], []
+    for nid, (sym, kids, pos) in enumerate(nodes):
+        full = sym is not None and len(pos) == k
+        cache = None if full else units if sym is None else {}
+        specs.append((tables[sym], kids, cache, operator.itemgetter(*pos)))
+        # a top-level product no other node uses is added to the defect
+        # as it is formed; every other term's value is looked up
+        fused = full and nid not in inner
+        coef = top_coef.get(nid)
+        if full:
+            steps.append((nid, tables[sym],
+                          [(specs[c][2], specs[c][3], c) for c in kids],
+                          coef if fused else None))
+        if coef is not None and not fused:
+            looked_up.append((nid, coef))
+    vals = [None] * len(nodes)
+    for combo in itertools.product(range(A.dim), repeat=k):
+        defect = {}
+        for nid, table, kids, coef in steps:
+            args = []
+            for cache, key, c in kids:
+                if cache is None:
+                    args.append(vals[c])
+                else:
+                    v = cache.get(key(combo))
+                    args.append(_value(c, combo, specs, vals, prune, one)
+                                if v is None else v)
+            if coef is None:
+                out = {}
+                add_products(table, args, out, one, one)
+                vals[nid] = prune(out)
+            else:
+                add_products(table, args, defect, coef, one)
+        for nid, coef in looked_up:
+            for i, c in _value(nid, combo, specs, vals, prune, one).items():
+                prev = defect.get(i)
+                defect[i] = coef * c if prev is None else prev + coef * c
+        if prune(defect):
+            return combo
+    return None
 
 
 def symbolic_check(A, identity, opmap=None):

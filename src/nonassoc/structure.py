@@ -15,6 +15,31 @@ from .linalg import inverse, mat_vec
 from .scalars import QQ, DomainError, domain_from_name
 
 
+def add_products(table, svecs, out, coef, one):
+    """Add coef * T(svecs) to the sparse vector ``out``, T given by ``table``.
+
+    The support-product loop: one pass over the product of the input
+    supports, each index tuple looked up in the table; multiplications by
+    ``one`` are skipped.  Entries of ``out`` may cancel to zero.  Both
+    ``apply_sparse`` and the compiled identity scan (which calls it on
+    integer tables) evaluate products here.
+    """
+    for idx in itertools.product(*svecs):
+        row = table.get(idx)
+        if row is None:
+            continue
+        c = coef
+        for v, i in zip(svecs, idx):
+            x = v[i]
+            if x != one:
+                c = x if c is one else c * x
+        for k, x in row.items():
+            if c is not one:
+                x = c * x
+            prev = out.get(k)
+            out[k] = x if prev is None else prev + x
+
+
 class StructureTensor:
     """Sparse arity-m multiplication table on an n-dimensional space."""
 
@@ -49,29 +74,12 @@ class StructureTensor:
         return self.table.get(tuple(args), {})
 
     def apply_sparse(self, svecs):
-        """Evaluate on sparse vectors ({index: coeff} each); sparse result.
-
-        One pass over the product of the input supports, each index tuple
-        looked up in the table; the result holds no zero entries.
-        """
+        """Evaluate on sparse vectors ({index: coeff} each); sparse result
+        holding no zero entries."""
         dom = self.dom
         one = dom.one()
-        table = self.table
         out = {}
-        for idx in itertools.product(*svecs):
-            row = table.get(idx)
-            if row is None:
-                continue
-            coef = one
-            for v, i in zip(svecs, idx):
-                c = v[i]
-                if c != one:
-                    coef = c if coef is one else coef * c
-            for k, c in row.items():
-                if coef is not one:
-                    c = coef * c
-                prev = out.get(k)
-                out[k] = c if prev is None else prev + c
+        add_products(self.table, svecs, out, one, one)
         return {k: c for k, c in out.items() if not dom.is_zero(c)}
 
     def apply(self, vectors):

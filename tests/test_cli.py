@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nonassoc.catalog import catalog_get
+from nonassoc.catalog import CATALOG_NAMES, catalog_get
 from nonassoc.cli import run
-from nonassoc.structure import save_algebra
+from nonassoc.structure import algebra_to_json, save_algebra
 
 
 def _write(tmp_path, name, params=None):
@@ -121,6 +125,39 @@ def test_json_flag_after_subcommand(tmp_path, capsys):
     assert run(["der", "space", sl2, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == "1"
+
+
+def test_consecutive_runs_share_no_state(tmp_path, capsys):
+    """The parser is built once per process; no request may see another's
+    flags or -p values, in either order, and a usage error leaves nothing
+    behind."""
+    sl2 = _write(tmp_path, "sl2")
+    requests = [
+        ["variety", "check", sl2, "--variety", "lie", "--json"],
+        ["variety", "check", sl2, "--variety", "lie"],
+        ["catalog", "get", "matrix", "-p", "n=2", "-p", "n=3"],
+        ["catalog", "get", "matrix"],
+        ["frobnicate"],
+        ["identity", "eval", sl2, "--identity", "x*y - y*x"],
+        ["catalog", "get", "NF", "-p", "n=2", "--json"],
+        ["variety", "check", str(tmp_path / "missing.json"), "--variety", "lie"],
+        ["variety", "check", sl2, "--variety", "commutative"],
+    ]
+
+    def once(argv):
+        code = run(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    forward = [once(argv) for argv in requests]
+    backward = [once(argv) for argv in reversed(requests)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [0, 0, 0, 2, 2, 1, 0, 2, 1]
+    assert json.loads(forward[0][1])["holds"] is True
+    assert forward[1][1].startswith("sl2 in variety lie: True")
+    assert json.loads(forward[2][1])["dim"] == 9     # the last -p wins
+    assert forward[3][1] == "" and forward[3][2].startswith("error:")
+    assert json.loads(forward[6][1])["dim"] == 2
 
 
 def test_catalog_get_pipe(tmp_path, capsys):
@@ -331,3 +368,128 @@ def test_import_does_not_load_numpy():
          "import sys, nonassoc.cli; sys.exit('numpy' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# input-contract fuzz: any algebra file, DSL string or -p value gives exit
+# 0, 1 or 2 and no exception.  Sizes are bounded (dims come from small
+# integers, at most five variable occurrences in an identity, -p numbers in
+# [-2, 4]) because the contract is about input errors, not resource limits.
+# ---------------------------------------------------------------------------
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 4)
+            | st.sampled_from(["1", "-1/2", "1/0", "abc", "", "0", "2"]))
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(
+                       ["name", "field", "dim", "ops", "arity", "table", "args",
+                        "out", "unit", "u", "form", "x"]), inner, max_size=4)),
+    max_leaves=10)
+_BASE_DOCS = [("sl2", {}), ("NF", {"n": 2}), ("tp4", {}), ("abelian", {"n": 1})]
+
+
+def _mutated(data, doc):
+    """doc with one to three random subtrees replaced, deleted or added, or
+    with one to three scalar leaves replaced by scalars."""
+    doc = json.loads(json.dumps(doc))
+    leaves_only = data.draw(st.booleans())
+    for _ in range(data.draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = doc
+        while (isinstance(node, (list, dict)) and node
+               and (leaves_only or data.draw(st.booleans()))):
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            parent, key = node, data.draw(st.sampled_from(keys))
+            node = node[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if leaves_only:
+            if parent is not None:
+                parent[key] = data.draw(_SCALARS)
+        elif parent is None:
+            doc = data.draw(_JSON_VALUES)
+        elif action == "delete":
+            del parent[key]
+        elif action == "add" and isinstance(parent, list):
+            parent.append(data.draw(_JSON_VALUES))
+        else:
+            parent[key] = data.draw(_JSON_VALUES)
+    return doc
+
+
+def _run_contained(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+_DSL = (st.text(alphabet="xyz*+-,()[]=D2/ ", max_size=16)
+        | st.lists(st.sampled_from(["x", "y", "z", "*", "+", "-", "(", ")", "[", "]",
+                                    ",", "=", "D(", "2", "1/2", "1/0", " ", "x*y",
+                                    "(x*y)", "(x,y,z)", "[x,y]"]),
+                   max_size=10).map("".join)).filter(
+    lambda s: sum(s.count(v) for v in "xyz") <= 5)
+_FILE_COMMANDS = [
+    ["variety", "check", "{file}", "--variety", "lie"],
+    ["variety", "check", "{file}", "--variety", "jordan"],
+    ["variety", "check", "{file}", "--variety", "nope"],
+    ["der", "space", "{file}"],
+    ["poisson", "check", "{file}", "--kind", "poisson"],
+    ["identity", "eval", "{file}", "--identity", "(x*y)*z - x*(y*z)"],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_contract_fuzz_algebra_files(tmp_path_factory, data):
+    name, params = data.draw(st.sampled_from(_BASE_DOCS))
+    doc = _mutated(data, algebra_to_json(catalog_get(name, params)))
+    path = tmp_path_factory.mktemp("fuzz") / "a.json"
+    text = json.dumps(doc)
+    if data.draw(st.booleans()):
+        text = text[:data.draw(st.integers(0, len(text)))]   # truncated JSON
+    path.write_text(text)
+    argv = [str(path) if a == "{file}" else a
+            for a in data.draw(st.sampled_from(_FILE_COMMANDS))]
+    code, err = _run_contained(argv + data.draw(st.sampled_from([[], ["--json"]])))
+    assert code in (0, 1, 2)
+    assert code != 2 or err.startswith("error: ") or err.startswith("usage: ")
+
+
+@settings(max_examples=200, deadline=None)
+@example("21/0", "NF")
+@example("D(x) - 1/0 x", "NF")
+@given(_DSL, st.sampled_from(["sl2", "tp4", "NF"]))
+def test_cli_contract_fuzz_identity_dsl(tmp_path_factory, text, name):
+    path = tmp_path_factory.mktemp("fuzz") / "a.json"
+    save_algebra(catalog_get(name, {"n": 2} if name == "NF" else {}), path)
+    code, err = _run_contained(["identity", "eval", str(path), "--identity", text])
+    assert code in (0, 1, 2)
+    assert code != 2 or err.startswith("error: ") or err.startswith("usage: ")
+
+
+_PARAM_VALUES = (st.integers(-2, 4).map(str)
+                 | st.sampled_from(["", "1/2", "3/0", "2,1", "1,-1", "0,0,0", "a",
+                                    "[[1,0],[0,1]]", "[[1]]", "[]", "{}", "null",
+                                    "[[1,0],[0,a]]", "2.5", "-"]))
+
+
+@settings(max_examples=200, deadline=None)
+@example("ternaryJordan", [("form", "3", "="), ("n", "4", "=")])
+@example("ternaryJordan", [("n", "2", "="), ("form", "[[1]]", "=")])
+@example("ternaryJordan", [("n", "1", "="), ("form", '[["a"]]', "=")])
+@example("ternaryJordan", [("n", "1", "="), ("form", '[["1/0"]]', "=")])
+@example("ternaryJordan", [("n", "1", "="), ("form", "[[null]]", "=")])
+@given(st.sampled_from(CATALOG_NAMES + ["nope"]),
+       st.lists(st.tuples(st.sampled_from(["n", "seq", "form", "theta", "alpha",
+                                           "arity", "dim", "k", ""]),
+                          _PARAM_VALUES, st.sampled_from(["=", ":", "=="])),
+                max_size=3))
+def test_cli_contract_fuzz_params(name, params):
+    argv = ["catalog", "get", name]
+    for key, value, sep in params:
+        argv += ["-p", f"{key}{sep}{value}"]
+    code, err = _run_contained(argv)
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("error: ") or err.startswith("usage: ")

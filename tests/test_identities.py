@@ -1,15 +1,19 @@
+import gc
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nonassoc.catalog import catalog_get
-from nonassoc.identities import (ParseError, check_identity, parse_identity,
-                                 polarize, symbolic_check, eval_identity_sparse,
-                                 default_opmap)
-from nonassoc.scalars import GF, QQ, DomainError
+from nonassoc.identities import (Identity, ParseError, check_identity,
+                                 parse_identity, polarize, symbolic_check,
+                                 eval_identity_sparse, default_opmap)
+from nonassoc.scalars import GF, QQ, QT, DomainError, RatFunc
 from nonassoc.structure import Algebra, StructureTensor
-from nonassoc.varieties import BINARY_VARIETIES, variety_identities
+from nonassoc.varieties import BINARY_VARIETIES, plus_algebra, variety_identities
 
 
 def test_parse_basic():
@@ -74,6 +78,18 @@ def test_polarize_leaves_its_input_alone():
     assert out[0].restitution_scale == 1
     assert out[0] is not ident
     assert not hasattr(ident, "restitution_scale")
+
+
+def test_multilinear_identity_is_split_by_variable_set():
+    """x*y - x is multilinear but not multihomogeneous: on the field Q it
+    vanishes on the basis tuple (e0, e0) yet fails at (e0, 2 e0), so each
+    multihomogeneous component is scanned on its own."""
+    field = Algebra("Q", 1, {"mul": StructureTensor(1, 2, {(0, 0): {0: 1}})})
+    ident = parse_identity("x*y - x")
+    assert [c.variables for c in polarize(ident)] == [("x",), ("x", "y")]
+    assert not symbolic_check(field, ident)
+    assert check_identity(field, ident) == (
+        False, {"variables": ["x"], "tuple": [0], "defect": [Fraction(-1)]})
 
 
 def test_polarize_jordan_shape():
@@ -204,3 +220,216 @@ def test_restitution_scale_law():
         orig = eval_identity_sparse(A, jordan, {"x": x, "y": y}, om)
         pol = eval_identity_sparse(A, lin, {"x1": x, "x2": x, "x3": x, "y": y}, om)
         assert pol == {k: lin.restitution_scale * c for k, c in orig.items()}
+
+
+# ---------------------------------------------------------------------------
+# the compiled scan against the former per-tuple scan and against
+# symbolic_check
+# ---------------------------------------------------------------------------
+
+def _per_tuple_check(A, identity, opmap, unary_maps=None):
+    """check_identity before the compiled scan: every term re-evaluated from
+    scratch by eval_identity_sparse at every basis tuple."""
+    dom = A.dom
+    for lin in polarize(identity, char=dom.char or 0):
+        vs = lin.variables
+        one = dom.one()
+        for combo in itertools.product(range(A.dim), repeat=len(vs)):
+            assignment = {v: {i: one} for v, i in zip(vs, combo)}
+            defect = eval_identity_sparse(A, lin, assignment, opmap, unary_maps)
+            if defect:
+                vec = [dom.zero()] * A.dim
+                for k, c in defect.items():
+                    vec[k] = c
+                return False, {"variables": list(vs), "tuple": list(combo),
+                               "defect": vec}
+    return True, None
+
+
+_COEFFS = ["1", "-1", "2", "1/2", "-1/3", "3/2"]
+
+
+def _scalar(rng, dom):
+    c = Fraction(rng.choice(_COEFFS))
+    if dom is QT:
+        return QT.coerce(c) * rng.choice(
+            [1, RatFunc.t_power(1), RatFunc.t_power(-1) + 1])
+    return dom.coerce(c)
+
+
+def _random_tensor(rng, dom, dim, arity, density):
+    table = {}
+    for args in itertools.product(range(dim), repeat=arity):
+        if rng.random() < density:
+            table[args] = {k: _scalar(rng, dom) for k in
+                           rng.sample(range(dim), rng.randint(1, dim))}
+    return StructureTensor(dim, arity, table, dom)
+
+
+def _random_tree(rng, leaves, ternary, unary):
+    """A random term whose leaves are the given variables, in random order."""
+    parts = [("v", v) for v in leaves]
+    rng.shuffle(parts)
+    while True:
+        if unary and rng.random() < 0.25:
+            i = rng.randrange(len(parts))
+            parts[i] = ("D", (parts[i],))
+        if len(parts) == 1:
+            return parts[0]
+        arity = 3 if ternary and len(parts) >= 3 and rng.random() < 0.5 else 2
+        i = rng.randrange(len(parts) - arity + 1)
+        sym = "[]" if arity == 3 else "*"
+        parts[i:i + arity] = [(sym, tuple(parts[i:i + arity]))]
+
+
+def _variant(rng, term, counts):
+    """term with D wrapped around random subterms and random (a*b)*c
+    replaced by [a,b,c]; counts[0] and counts[1] count the two changes."""
+    if term[0] == "v":
+        out = term
+    else:
+        kids = tuple(_variant(rng, c, counts) for c in term[1])
+        out = (term[0], kids)
+        if term[0] == "*" and kids[0][0] == "*" and rng.random() < 0.5:
+            out = ("[]", (kids[0][1][0], kids[0][1][1], kids[1]))
+            counts[1] += 1
+    if rng.random() < 0.3:
+        out = ("D", (out,))
+        counts[0] += 1
+    return out
+
+
+def _planted_case(rng, dom, dim, density):
+    """An identity that holds by cancellation between terms of different
+    weights: D = c * identity and [a,b,c] = s * (a*b)*c on a random mul with
+    denominators, and two variants of one term weighted to cancel; the
+    second coefficient is sometimes perturbed so that it fails instead."""
+    mul = _random_tensor(rng, dom, dim, 2, density)
+    c, s = (Fraction(rng.choice(["1/3", "2", "-1/2"])),
+            Fraction(rng.choice(["1/2", "3"])))
+    unit = [{i: dom.one()} for i in range(dim)]
+    tern = StructureTensor(dim, 3, {
+        args: {k: dom.coerce(s) * v for k, v in mul.apply_sparse(
+            [mul.apply_sparse([unit[args[0]], unit[args[1]]]),
+             unit[args[2]]]).items()}
+        for args in itertools.product(range(dim), repeat=3)}, dom)
+    maps = {"D": [[dom.coerce(c) if i == j else dom.zero() for j in range(dim)]
+                  for i in range(dim)]}
+    leaves = [rng.choice("xyz") for _ in range(rng.randint(2, 4))]
+    base = _random_tree(rng, leaves, False, False)
+    terms = []
+    for sign in (1, -1):
+        counts = [0, 0]
+        t = _variant(rng, base, counts)
+        terms.append((sign / (c ** counts[0] * s ** counts[1]), t))
+    if rng.random() < 0.3:
+        terms[1] = (terms[1][0] * Fraction(rng.choice(["2", "-1", "1/2"])),
+                    terms[1][1])
+    A = Algebra("planted", dim, {"mul": mul, "t": tern}, dom)
+    return A, Identity(terms, {"*": 2, "[]": 3, "D": 1}), maps
+
+
+def _random_case(seed, dom):
+    """A small random algebra over dom (binary mul, maybe a ternary op and a
+    unary map D, sparse tables with denominators) and a random identity:
+    up to four terms over sub-multisets of one leaf multiset, so variables
+    may repeat (the scan then sees polarized components) or be missing from
+    some terms.  A third of the cases are planted (``_planted_case``)."""
+    rng = random.Random(seed)
+    dim = rng.choice([1, 2, 2, 3, 3])
+    density = rng.choice([0.15, 0.35, 0.7])
+    if rng.random() < 0.35:
+        return _planted_case(rng, dom, dim, density)
+    density = rng.choice([0.15, 0.35, 0.7])
+    ternary = rng.random() < 0.35
+    unary = rng.random() < 0.5
+    ops = {"mul": _random_tensor(rng, dom, dim, 2, density)}
+    signature = {"*": 2}
+    if ternary:
+        ops["t"] = _random_tensor(rng, dom, dim, 3, density)
+        signature["[]"] = 3
+    maps = None
+    if unary:
+        maps = {"D": [[_scalar(rng, dom) if rng.random() < 0.4 else dom.zero()
+                       for _ in range(dim)] for _ in range(dim)]}
+        signature["D"] = 1
+    A = Algebra("rnd", dim, ops, dom)
+    nleaves = rng.randint(2, 4)
+    base = [rng.choice("xyz"[:rng.randint(1, 3)]) for _ in range(nleaves)]
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        leaves = [v for v in base if rng.random() < 0.85] or base[:1]
+        terms.append((Fraction(rng.choice(_COEFFS)),
+                      _random_tree(rng, leaves, ternary, unary)))
+    return A, Identity(terms, signature), maps
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from([QQ, GF(7), QT]), st.integers(0, 2**32))
+def test_compiled_scan_matches_per_tuple_scan(dom, seed):
+    A, ident, maps = _random_case(seed, dom)
+    opmap = {"*": "mul", "[]": "t"}
+    assert (check_identity(A, ident, opmap=opmap, unary_maps=maps)
+            == _per_tuple_check(A, ident, opmap, maps))
+
+
+def test_compiled_scan_cases_cover_both_verdicts():
+    """The random cases above reach true verdicts and late witnesses, so the
+    caches and the integer scaling are exercised beyond the first tuple."""
+    verdicts, late = set(), 0
+    for seed in range(120):
+        A, ident, maps = _random_case(seed, QQ)
+        holds, wit = check_identity(A, ident, opmap={"*": "mul", "[]": "t"},
+                                    unary_maps=maps)
+        verdicts.add(holds)
+        late += bool(wit and any(wit["tuple"]))
+    assert verdicts == {True, False} and late >= 10
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=11969)   # -1/3 x*y - 1/2 x + 1/2 y: components of different degree
+@given(st.integers(0, 2**32))
+def test_compiled_scan_matches_symbolic_check(seed):
+    rng = random.Random(seed)
+    A, ident, _ = _random_case(rng.randrange(2**32), QQ)
+    while ident.used_symbols().get("D") or A.dim ** len(ident.variables) > 27:
+        A, ident, _ = _random_case(rng.randrange(2**32), QQ)
+    opmap = {"*": "mul", "[]": "t"}
+    assert check_identity(A, ident, opmap=opmap)[0] == symbolic_check(A, ident, opmap)
+
+
+def test_integer_scan_weights_terms_with_different_scales():
+    """Terms carrying different numbers of scaled tables and maps: the mul
+    table has denominators 2 and D has denominators 3, so each term is
+    weighted differently in the integer scan."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    mul = StructureTensor(2, 2, {(0, 0): {0: half}, (0, 1): {1: half},
+                                 (1, 0): {1: half}}, QQ)
+    A = Algebra("a", 2, {"mul": mul}, QQ)
+    D = [[third, 0], [0, 2 * third]]
+    sig = {"*": 2, "D": 1}
+    x, y = ("v", "x"), ("v", "y")
+    # D(x*y) = 1/3 x*y on e0*e0 and 2/3 on the rest: a derivation test
+    # against the exact answer of the per-tuple scan
+    for terms in ([(1, ("D", (("*", (x, y)),))), (-1, ("*", (("D", (x,)), y))),
+                   (-1, ("*", (x, ("D", (y,)))))],
+                  [(1, ("D", (("D", (x,)),))), (Fraction(-1, 9), x)],
+                  [(3, ("D", (x,))), (-1, x)],
+                  [(1, ("*", (("D", (x,)), ("D", (y,))))),
+                   (Fraction(-1, 3), ("D", (("*", (x, y)),)))]):
+        ident = Identity(terms, sig)
+        got = check_identity(A, ident, opmap={"*": "mul"}, unary_maps={"D": D})
+        assert got == _per_tuple_check(A, ident, {"*": "mul"}, {"D": D})
+
+
+def test_scan_leaves_no_reference_cycles():
+    """The scan's caches are freed by reference counting when it returns."""
+    A = plus_algebra(catalog_get("matrix", {"n": 2}))
+    jordan = parse_identity("((x*x)*y)*x - (x*x)*(y*x)")
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_identity(A, jordan)[0]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

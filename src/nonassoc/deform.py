@@ -212,7 +212,7 @@ def cocycle_space(A, variety, s=1, op=None):
         for lin in polarize(ident, char=dom.char or 0):
             terms = [(c, ("<theta>", tuple(in_A(ch) for ch in term[1])))
                      for c, term in lin.terms]
-            rows += linear_conditions(A, terms, lin.variables, theta).values()
+            rows += linear_conditions(A, terms, lin.variables, theta)[0].values()
     z2_vecs = _nullspace_rows(rows, n * n, dom)
     Z2 = Subspace(z2_vecs, n * n, dom)
     # coboundaries: theta = f(xy) for the coordinate functionals f

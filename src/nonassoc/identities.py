@@ -18,9 +18,9 @@ scaled by the lcm of their denominators and terms weighted to match, a
 nonzero rescaling of the defect.  ``eval_term_sparse`` and
 ``eval_identity_sparse`` are the reference evaluator: they compute the
 witness defect, the Kantor product's law on each basis pair and
-``symbolic_check``, the slow oracle for laws without unary maps.  Laws
-linear in an unknown map become rows through ``operators.linear_conditions``
-instead.
+``symbolic_check``, the slow oracle for laws without unary maps.  The same
+compiler (``_compile``) serves ``operators.linear_conditions``, which turns
+laws linear in an unknown map into integer rows of a linear system.
 """
 
 from __future__ import annotations
@@ -134,6 +134,126 @@ def _tokenize(text):
     return toks
 
 
+def _combo_mul(a, b):
+    """Product of two linear combinations of terms, lists of (coeff, term)."""
+    return [(ca * cb, ("*", (ta, tb))) for ca, ta in a for cb, tb in b]
+
+
+class _Parser:
+    """Recursive descent over the tokens of one text; see ``parse_identity``.
+
+    Each rule returns a linear combination, a list of (coeff, term).  The
+    signature is extended in place as brackets and unary calls are met.
+    """
+
+    def __init__(self, text, signature):
+        self.text = text
+        self.signature = signature
+        self.toks = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.toks[self.i][0] if self.i < len(self.toks) else None
+
+    def take(self):
+        self.i += 1
+        return self.toks[self.i - 1][0]
+
+    def fail(self, msg):
+        col = self.toks[self.i][1] + 1 if self.i < len(self.toks) else len(self.text) + 1
+        raise ParseError(f"parse error at column {col}: {msg}")
+
+    def expect(self, tok):
+        if self.peek() != tok:
+            self.fail(f"expected {tok!r}")
+        self.take()
+
+    def atom(self):
+        tok = self.peek()
+        signature = self.signature
+        if tok == "(":
+            self.take()
+            first = self.expr_sum()
+            if self.peek() == ",":
+                self.take()
+                second = self.expr_sum()
+                if self.peek() != ",":
+                    self.fail("associator macro needs three arguments")
+                self.take()
+                third = self.expr_sum()
+                self.expect(")")
+                # (a,b,c) = (ab)c - a(bc)
+                left = _combo_mul(_combo_mul(first, second), third)
+                right = _combo_mul(first, _combo_mul(second, third))
+                return left + [(-c, t) for c, t in right]
+            self.expect(")")
+            return first
+        if tok == "[":
+            self.take()
+            args = [self.expr_sum()]
+            while self.peek() == ",":
+                self.take()
+                args.append(self.expr_sum())
+            self.expect("]")
+            ar = len(args)
+            sym = "[]"
+            if sym in signature and signature[sym] != ar:
+                self.fail(f"bracket arity {ar} does not match signature {signature[sym]}")
+            signature.setdefault(sym, ar)
+            combos = [(Fraction(1), [])]
+            for a in args:
+                combos = [(c1 * c2, ts + [t]) for c1, ts in combos for c2, t in a]
+            return [(c, (sym, tuple(ts))) for c, ts in combos]
+        if tok is not None and tok[0].isalpha():
+            name = self.take()
+            if self.peek() == "(":
+                self.take()
+                inner = self.expr_sum()
+                self.expect(")")
+                if name in signature and signature[name] != 1:
+                    self.fail(f"operation {name!r} is not unary")
+                signature.setdefault(name, 1)
+                return [(c, (name, (t,))) for c, t in inner]
+            if not re.fullmatch(r"[a-z][a-z0-9]*", name):
+                self.fail(f"bad variable name {name!r}")
+            return [(Fraction(1), ("v", name))]
+        self.fail(f"unexpected token {tok!r}")
+
+    def product(self):
+        v = self.atom()
+        while self.peek() == "*":
+            self.take()
+            v = _combo_mul(v, self.atom())
+        return v
+
+    def monomial(self):
+        coeff, tok = Fraction(1), self.peek()
+        if tok is not None and tok[0].isdigit():
+            if re.fullmatch(r"\d+/0+", tok):
+                self.fail(f"zero denominator in {tok!r}")
+            coeff = Fraction(self.take())
+            if self.peek() == "*":
+                self.take()
+            if self.peek() in (None, "+", "-", ")", "]", ",", "="):
+                self.fail("coefficient must multiply a term")
+        return [(coeff * c, t) for c, t in self.product()]
+
+    def expr_sum(self):
+        neg = False
+        if self.peek() in ("+", "-"):
+            neg = self.take() == "-"
+        v = self.monomial()
+        if neg:
+            v = [(-c, t) for c, t in v]
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            w = self.monomial()
+            if op == "-":
+                w = [(-c, t) for c, t in w]
+            v = v + w
+        return v
+
+
 def parse_identity(text, signature=None):
     """Parse the identity DSL into a normalized Identity.
 
@@ -144,140 +264,13 @@ def parse_identity(text, signature=None):
     """
     signature = dict(signature or {"*": 2})
     signature.setdefault("*", 2)
-    toks = _tokenize(text)
-    i = 0
-
-    def peek():
-        return toks[i][0] if i < len(toks) else None
-
-    def pos():
-        return toks[i][1] + 1 if i < len(toks) else len(text) + 1
-
-    def take():
-        nonlocal i
-        i += 1
-        return toks[i - 1][0]
-
-    def fail(msg):
-        raise ParseError(f"parse error at column {pos()}: {msg}")
-
-    def is_number(tok):
-        return tok is not None and tok[0].isdigit()
-
-    def is_name(tok):
-        return tok is not None and tok[0].isalpha()
-
-    # linear combinations are lists of (coeff, term)
-    def combo_mul(a, b):
-        out = []
-        for ca, ta in a:
-            for cb, tb in b:
-                out.append((ca * cb, ("*", (ta, tb))))
-        return out
-
-    def atom():
-        tok = peek()
-        if tok == "(":
-            take()
-            first = expr_sum()
-            if peek() == ",":
-                take()
-                second = expr_sum()
-                if peek() != ",":
-                    fail("associator macro needs three arguments")
-                take()
-                third = expr_sum()
-                if peek() != ")":
-                    fail("expected ')'")
-                take()
-                # (a,b,c) = (ab)c - a(bc)
-                left = combo_mul(combo_mul(first, second), third)
-                right = combo_mul(first, combo_mul(second, third))
-                return left + [(-c, t) for c, t in right]
-            if peek() != ")":
-                fail("expected ')'")
-            take()
-            return first
-        if tok == "[":
-            take()
-            args = [expr_sum()]
-            while peek() == ",":
-                take()
-                args.append(expr_sum())
-            if peek() != "]":
-                fail("expected ']'")
-            take()
-            ar = len(args)
-            sym = "[]"
-            if sym in signature and signature[sym] != ar:
-                fail(f"bracket arity {ar} does not match signature {signature[sym]}")
-            signature.setdefault(sym, ar)
-            out = [(Fraction(1), ())]
-            combos = [(Fraction(1), [])]
-            for a in args:
-                combos = [(c1 * c2, ts + [t]) for c1, ts in combos for c2, t in a]
-            return [(c, (sym, tuple(ts))) for c, ts in combos]
-        if is_name(tok):
-            name = take()
-            if peek() == "(":
-                take()
-                inner = expr_sum()
-                if peek() != ")":
-                    fail("expected ')'")
-                take()
-                if name in signature and signature[name] != 1:
-                    fail(f"operation {name!r} is not unary")
-                signature.setdefault(name, 1)
-                return [(c, (name, (t,))) for c, t in inner]
-            if not re.fullmatch(r"[a-z][a-z0-9]*", name):
-                fail(f"bad variable name {name!r}")
-            return [(Fraction(1), ("v", name))]
-        fail(f"unexpected token {tok!r}")
-
-    def product():
-        v = atom()
-        while peek() == "*":
-            take()
-            v = combo_mul(v, atom())
-        return v
-
-    def monomial():
-        coeff = Fraction(1)
-        if is_number(peek()):
-            if re.fullmatch(r"\d+/0+", peek()):
-                fail(f"zero denominator in {peek()!r}")
-            coeff = Fraction(take())
-            if peek() == "*":
-                take()
-            if peek() in (None, "+", "-", ")", "]", ",", "="):
-                fail("coefficient must multiply a term")
-        v = product()
-        return [(coeff * c, t) for c, t in v]
-
-    def expr_sum():
-        neg = False
-        if peek() in ("+", "-"):
-            neg = take() == "-"
-        v = monomial()
-        if neg:
-            v = [(-c, t) for c, t in v]
-        while peek() in ("+", "-"):
-            op = take()
-            w = monomial()
-            if op == "-":
-                w = [(-c, t) for c, t in w]
-            v = v + w
-        return v
-
-    lhs = expr_sum()
-    if peek() == "=":
-        take()
-        rhs = expr_sum()
-        lhs = lhs + [(-c, t) for c, t in rhs]
-        if peek() is not None:
-            fail("trailing input")
-    elif peek() is not None:
-        fail("trailing input")
+    parser = _Parser(text, signature)
+    lhs = parser.expr_sum()
+    if parser.peek() == "=":
+        parser.take()
+        lhs = lhs + [(-c, t) for c, t in parser.expr_sum()]
+    if parser.peek() is not None:
+        parser.fail("trailing input")
     return Identity(lhs, signature)
 
 
@@ -463,15 +456,16 @@ def _scan_domain(dom):
 
     ``lcm(values)`` is the factor that makes a table, a unary map or a list
     of coefficients integral, ``convert(c, m)`` the scan form of ``c`` times
-    ``m``, ``prune(vec)`` the sparse vector without its zero entries and
-    ``one`` the scan form of 1.  Over Q values are scaled to Python ints;
-    over GF(p) they are ints reduced mod p by ``prune``; other domains keep
-    their own elements.
+    ``m``, ``prune(vec)`` the sparse vector without its zero entries (over
+    Q, vec itself when it has none) and ``one`` the scan form of 1.  Over Q
+    values are scaled to Python ints; over GF(p) they are ints reduced mod
+    p by ``prune``; other domains keep their own elements.
     """
     if isinstance(dom, RationalDomain):
         return (lambda cs: math.lcm(*{c.denominator for c in cs}),
                 lambda c, m: c.numerator * (m // c.denominator),
-                lambda vec: {k: c for k, c in vec.items() if c}, 1)
+                lambda vec: vec if all(vec.values()) else {k: c for k, c in vec.items() if c},
+                1)
     if isinstance(dom, PrimeField):
         p = dom.p
         return (lambda cs: 1, lambda c, m: dom.coerce(c).v,
@@ -520,73 +514,99 @@ def _compile_term(term, nodes, ids, positions):
 def _value(nid, combo, specs, vals, prune, one):
     """Value of node nid at the basis tuple combo: computed this tuple when
     it contains every variable, else looked up in (or added to) its cache."""
-    table, kids, cache, key = specs[nid]
+    (build, data), kids, cache, key = specs[nid]
     if cache is None:
         return vals[nid]
     k = key(combo)
     v = cache.get(k)
     if v is None:
-        out = {}
-        add_products(table, [_value(c, combo, specs, vals, prune, one)
-                             for c in kids], out, one, one)
-        v = cache[k] = prune(out)
+        v = cache[k] = build(data, kids, combo, specs, vals, prune, one, {}, one)
     return v
+
+
+def _product_value(table, kids, combo, specs, vals, prune, one, out, coef):
+    """Add coef times an operation node's product to ``out``; return it
+    without zero entries."""
+    add_products(table, [_value(c, combo, specs, vals, prune, one) for c in kids],
+                 out, coef, one)
+    return prune(out)
+
+
+def _compile(A, terms, variables, tables):
+    """Compile (coefficient, term) pairs into one DAG of distinct subterms.
+
+    ``tables`` maps each operation symbol to (scan-form table, factor) from
+    ``_scan_table``; other symbols (unknowns of ``linear_conditions``) have
+    factor 1.  A node's scan-form value is its exact value times its weight,
+    the product of the factors in its subterm.  Each coefficient is divided
+    by its term's weight and the quotients cleared of denominators by
+    ``scale``, so the scan-form sum is ``scale`` times the exact sum (scale
+    1 outside Q).  Returns (nodes, specs, top_coef, scale): ``specs[nid]``
+    is ((build, data), child ids, cache, key), where ``build`` adds the
+    node's value to a vector and returns it (``_product_value`` with data
+    the table; None for a variable) and cache is None for an operation node
+    holding every variable, else a dict keyed by ``key(combo)``, the basis
+    indices at its variables.  ``top_coef`` maps term nodes to coefficients.
+    """
+    dom = A.dom
+    lcm, convert, _, one = _scan_domain(dom)
+    positions = {v: p for p, v in enumerate(variables)}
+    nodes, ids = [], {}
+    tops = [(c, _compile_term(t, nodes, ids, positions)) for c, t in terms]
+    weights = []
+    for sym, kids, _ in nodes:
+        w = tables[sym][1] if sym in tables else 1
+        for k in kids:
+            w *= weights[k]
+        weights.append(w)
+    coeffs = [dom.coerce(c) if weights[nid] == 1 else dom.coerce(c) / weights[nid]
+              for c, nid in tops]
+    scale = lcm(coeffs)
+    top_coef = {}
+    for c, (_, nid) in zip(coeffs, tops):
+        c = convert(c, scale)
+        top_coef[nid] = c if nid not in top_coef else top_coef[nid] + c
+
+    k = len(variables)
+    units = {i: {i: one} for i in range(A.dim)}
+    specs = []
+    for sym, kids, pos in nodes:
+        full = sym is not None and len(pos) == k
+        build = (_product_value, tables[sym][0]) if sym in tables else (None, None)
+        specs.append((build, kids, None if full else units if sym is None else {},
+                      operator.itemgetter(*pos) if pos else operator.itemgetter(slice(0))))
+    return nodes, specs, top_coef, scale
 
 
 def _scan(A, lin, opmap, unary_maps):
     """First basis tuple (lexicographic) where the multilinear identity lin
     fails, or None.
 
-    lin is compiled once into a DAG of its distinct subterms.  A node
-    missing some of the k variables caches its value keyed by the basis
-    indices at its variables' positions, so the caches hold at most
-    #nodes x dim^(k-1) entries, and only the nodes holding every variable
-    are multiplied out per tuple (12 products instead of 36 for the
-    polarized Jordan identity).  Over Q every table and unary map is scaled
-    by the lcm of its denominators, each term weighted by the matching
-    product of those factors, and the identity's coefficients cleared of
-    denominators: the defect computed in Python ints is a nonzero multiple
-    of the exact one.  The caches are freed on return.
+    lin is compiled once (``_compile``).  Only the nodes holding every
+    variable are multiplied out per tuple (12 products instead of 36 for
+    the polarized Jordan identity); the others are cached, at most
+    #nodes x dim^(k-1) entries for k variables, freed on return.  Over Q
+    the defect is computed in Python ints, a nonzero multiple of the exact
+    one.
     """
-    dom = A.dom
-    lcm, convert, prune, one = _scan_domain(dom)
-    positions = {v: p for p, v in enumerate(lin.variables)}
-    nodes, ids = [], {}
-    tops = [(c, _compile_term(t, nodes, ids, positions)) for c, t in lin.terms]
-    tables, factors = {None: None}, {None: 1}
-    for sym in {node[0] for node in nodes} - {None}:
-        tables[sym], factors[sym] = _scan_table(A, sym, opmap, unary_maps,
-                                                lcm, convert)
-    weights = []
-    for sym, kids, _ in nodes:
-        w = factors[sym]
-        for k in kids:
-            w *= weights[k]
-        weights.append(w)
-    coeffs = [Fraction(c) / weights[nid] for c, nid in tops]
-    m = lcm(coeffs)
-    top_coef = {nid: convert(c, m) for c, (_, nid) in zip(coeffs, tops)}
-
-    k = len(lin.variables)
-    units = {i: {i: one} for i in range(A.dim)}
+    lcm, convert, prune, one = _scan_domain(A.dom)
+    tables = {sym: _scan_table(A, sym, opmap, unary_maps, lcm, convert)
+              for sym in lin.used_symbols()}
+    nodes, specs, top_coef, _ = _compile(A, lin.terms, lin.variables, tables)
     inner = {c for node in nodes for c in node[1]}
-    specs, steps, looked_up = [], [], []
-    for nid, (sym, kids, pos) in enumerate(nodes):
-        full = sym is not None and len(pos) == k
-        cache = None if full else units if sym is None else {}
-        specs.append((tables[sym], kids, cache, operator.itemgetter(*pos)))
+    steps, looked_up = [], []
+    for nid, ((_, table), kids, cache, _) in enumerate(specs):
         # a top-level product no other node uses is added to the defect
         # as it is formed; every other term's value is looked up
-        fused = full and nid not in inner
+        fused = cache is None and nid not in inner
         coef = top_coef.get(nid)
-        if full:
-            steps.append((nid, tables[sym],
-                          [(specs[c][2], specs[c][3], c) for c in kids],
+        if cache is None:
+            steps.append((nid, table, [(specs[c][2], specs[c][3], c) for c in kids],
                           coef if fused else None))
         if coef is not None and not fused:
             looked_up.append((nid, coef))
     vals = [None] * len(nodes)
-    for combo in itertools.product(range(A.dim), repeat=k):
+    for combo in itertools.product(range(A.dim), repeat=len(lin.variables)):
         defect = {}
         for nid, table, kids, coef in steps:
             args = []

@@ -43,7 +43,7 @@ def _element_laws_kernel(A, laws):
     n = A.dim
     rows = []
     for terms in laws:
-        rows += linear_conditions(A, terms, ("x",), {"<z>": (n, lambda r: r)}).values()
+        rows += linear_conditions(A, terms, ("x",), {"<z>": (n, lambda r: r)})[0].values()
     return Subspace(_nullspace_rows(rows, n, A.dom), n, A.dom)
 
 

@@ -240,7 +240,8 @@ def _k_operator_matrix(A, op=None):
     n = A.dim
     zero = A.dom.zero()
     terms = _bracket_terms(opn, ("<c>", ()), ("v", "x"), ("v", "y"))
-    conds = linear_conditions(A, terms, ("x", "y"), {"<c>": (n, lambda r: r)})
+    conds = _exact_rows(A.dom, *linear_conditions(A, terms, ("x", "y"),
+                                                  {"<c>": (n, lambda r: r)}))
     return [[conds.get((xy, r), {}).get(k, zero) for k in range(n)]
             for xy in itertools.product(range(n), repeat=2) for r in range(n)]
 
@@ -256,7 +257,14 @@ def _double_brackets(A, op=None):
     terms = [(c, (opn, (a, t))) for c, t in _bracket_terms(opn, b, x, y)]
     terms += [(-c, t) for c, t in _bracket_terms(opn, b, (opn, (a, x)), y)
               + _bracket_terms(opn, b, x, (opn, (a, y)))]
-    return linear_conditions(A, terms, ("b", "x", "y"), {"<a>": (A.dim, lambda r: r)})
+    return _exact_rows(A.dom, *linear_conditions(A, terms, ("b", "x", "y"),
+                                                 {"<a>": (A.dim, lambda r: r)}))
+
+
+def _exact_rows(dom, rows, scale):
+    """The rows of ``linear_conditions`` divided by their own scale."""
+    exact = dom.coerce if scale == 1 else (lambda v: Fraction(v, scale))
+    return {key: {j: exact(v) for j, v in row.items()} for key, row in rows.items()}
 
 
 def _double_bracket_rhs(D, A, a, b):

@@ -6,12 +6,15 @@ Everything is computed exactly.  The one shortcut is
 prime followed by rational reconstruction (Wang, Guy & Davenport, SIGSAM
 Bull. 1982); its result is verified exactly against every row before it is
 returned, and a larger prime is tried when the lift or the check fails.
+Integer rows enter it as they are.  ``nullspace_sparse_mod`` is the same
+sparse elimination over GF(p) itself, where it is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import chain
+from math import gcd, isqrt, lcm
 
 from .scalars import QQ, DomainError, Poly
 
@@ -298,25 +301,16 @@ _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
 
 
 def _rows_to_int(sparse_rows):
+    """The nonzero rows as integer rows.  Rows of ints (those of
+    ``operators.linear_conditions``) are taken as they are; when any entry
+    is a Fraction, each row is scaled by its lcm of denominators."""
+    if Fraction not in set(map(type, chain.from_iterable(map(dict.values, sparse_rows)))):
+        return [row for row in sparse_rows if row]
     out = []
     for row in sparse_rows:
-        if not row:
-            continue
-        denom = 1
-        for c in row.values():
-            if isinstance(c, Fraction):
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-        introw = {}
-        for j, c in row.items():
-            v = int(c * denom) if isinstance(c, Fraction) else c * denom
-            if v:
-                introw[j] = v
+        m = lcm(*(Fraction(c).denominator for c in row.values()))
+        introw = {j: int(c * m) for j, c in row.items() if c}
         if introw:
-            g = 0
-            for v in introw.values():
-                g = gcd(g, abs(v))
-            if g > 1:
-                introw = {j: v // g for j, v in introw.items()}
             out.append(introw)
     return out
 
@@ -387,56 +381,69 @@ def _rat_reconstruct(a, p, bound):
     return Fraction(r1, s1)
 
 
-def _lift_kernel(red, ncols, p):
-    """Kernel basis of an RREF mod p, one vector per free column, lifted to Q
-    by rational reconstruction; None if an entry does not lift."""
-    bound = isqrt(p // 2)
-    at_free = {}   # free column -> [(pivot column, residue)]
+def _kernel_rref_mod(red, ncols, p):
+    """The canonical basis mod p of the kernel of an RREF mod p, as
+    {pivot column: row}: the RREF of the basis with one vector per free
+    column f (1 at f, minus the row entries at f at the pivot columns)."""
+    at_free = {}   # free column -> {pivot column: residue}
     for c, row in red.items():
         for f, v in row.items():
             if f != c:
-                at_free.setdefault(f, []).append((c, v))
-    zero, one = Fraction(0), Fraction(1)
+                at_free.setdefault(f, {})[c] = -v % p
+    return _rref_mod([{f: 1, **at_free.get(f, {})} for f in range(ncols) if f not in red], p)
+
+
+def _lift_kernel(red, ncols, p):
+    """The canonical kernel basis of an RREF mod p, lifted to Q by rational
+    reconstruction as sparse rows {column: Fraction}; None if an entry does
+    not lift."""
+    bound = isqrt(p // 2)
+    kred = _kernel_rref_mod(red, ncols, p)
     cand = []
-    for f in range(ncols):
-        if f in red:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for c, a in at_free.get(f, ()):
-            lifted = _rat_reconstruct(-a, p, bound)
+    for c in sorted(kred):
+        v = {}
+        for j, a in kred[c].items():
+            lifted = _rat_reconstruct(a, p, bound)
             if lifted is None:
                 return None
-            v[c] = lifted
+            v[j] = lifted
         cand.append(v)
     return cand
+
+
+def nullspace_sparse_mod(sparse_rows, ncols, dom):
+    """Canonical RREF basis of the nullspace over dom = GF(p) of sparse rows
+    with integer entries (residues or any representatives); exact, as the
+    elimination runs mod p itself."""
+    p = dom.p
+    kred = _kernel_rref_mod(_rref_mod(sparse_rows, p), ncols, p)
+    return [[dom.from_int(kred[c].get(j, 0)) for j in range(ncols)] for c in sorted(kred)]
 
 
 def nullspace_sparse_q(sparse_rows, ncols):
     """Exact rational nullspace of a sparse integer/rational system, as the
     canonical RREF basis.
 
-    The rows are reduced mod a Mersenne prime p, the kernel of that RREF is
-    lifted by rational reconstruction and verified exactly against every
-    row.  A verified candidate is the nullspace: its vectors are independent
-    (each has a 1 in its own free column), so dim ker >= ncols - rank_p >=
-    ncols - rank_Q = dim ker, whatever the prime.  A failed lift or
-    verification moves on to the next prime.  Once sqrt(p/2) exceeds the
-    Hadamard bound H of the integer rows, every RREF entry (a ratio of
-    minors) lifts and the candidate is right, so the dense exact elimination
-    after the last prime is reached only when H > 2^22247.
+    The rows are reduced mod a Mersenne prime p, the RREF of the kernel of
+    that RREF is lifted by rational reconstruction and verified exactly
+    against every row.  A verified candidate is the nullspace in canonical
+    form: its vectors are independent and in reduced echelon shape (each
+    has a 1 at its own pivot and 0 at the others), so dim ker >= ncols -
+    rank_p >= ncols - rank_Q = dim ker, whatever the prime.  A failed lift
+    or verification moves on to the next prime.  Once sqrt(p/2) exceeds
+    the Hadamard bound H of the integer rows, every RREF entry (a ratio of
+    minors) lifts and the candidate is right, so the dense exact
+    elimination after the last prime is reached only when H > 2^22247.
     """
     introws = _rows_to_int(sparse_rows)
-    if not introws:
-        eye, _ = rref(identity_matrix(ncols, QQ), QQ)
-        return eye
     if ncols == 0:
         return []
     for k in _MERSENNE_EXPONENTS:
         p = (1 << k) - 1
         cand = _lift_kernel(_rref_mod(introws, p), ncols, p)
         if cand is not None and _verify_nullspace(introws, cand):
-            return rref(cand, QQ)[0]
+            zero = Fraction(0)
+            return [[v.get(j, zero) for j in range(ncols)] for v in cand]
     dense_rows = []
     for row in introws:
         r = [Fraction(0)] * ncols
@@ -447,15 +454,14 @@ def nullspace_sparse_q(sparse_rows, ncols):
 
 
 def _verify_nullspace(introws, cand):
-    """Whether every candidate vector annihilates every integer row."""
+    """Whether every sparse candidate vector annihilates every integer row."""
     at_col = {}   # column -> [(candidate index, scaled integer entry)]
     for i, v in enumerate(cand):
         denom = 1
-        for c in v:
+        for c in v.values():
             denom = denom * c.denominator // gcd(denom, c.denominator)
-        for j, c in enumerate(v):
-            if c:
-                at_col.setdefault(j, []).append((i, int(c * denom)))
+        for j, c in v.items():
+            at_col.setdefault(j, []).append((i, c.numerator * (denom // c.denominator)))
     for row in introws:
         sums = {}
         for j, a in row.items():

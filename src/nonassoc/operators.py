@@ -2,8 +2,9 @@
 
 Each solver writes its defining law as term trees, turns the law into an
 exact linear system with ``linear_conditions`` and returns a canonical basis
-of the solution space.  Over Q, large systems go through the verified mod-p
-fast path in ``linalg``.
+of the solution space.  Over Q the integer rows go straight into the
+verified mod-p fast path in ``linalg``; over GF(p) they are eliminated mod p
+itself.
 
 ``linear_conditions(A, terms, variables, unknowns)`` contract:
 
@@ -19,9 +20,15 @@ fast path in ``linalg``.
   form theta is binary into F (output dimension 1), an unknown element c
   is nullary.
 * The law is evaluated at every basis tuple of ``variables`` (in
-  ``itertools.product`` order).  The result maps (basis tuple, output
-  coordinate) to a sparse row {column: coefficient}; zero rows are left
-  out, and keys run tuple-major, coordinate-ascending.
+  ``itertools.product`` order).  The result is (rows, scale): rows maps
+  (basis tuple, output coordinate) to a sparse row {column: coefficient};
+  zero rows are left out, and keys run tuple-major, coordinate-ascending.
+* Over Q the coefficients are Python ints: every row is one positive
+  ``scale`` per call times the exact row (``scale`` clears the
+  denominators of the tables and of the term coefficients).  Over GF(p)
+  they are residues in [1, p), over other domains elements of the domain,
+  and ``scale`` is 1.  ``_nullspace_rows`` takes the rows as they are;
+  a consumer needing exact values divides by its own call's scale.
 """
 
 from __future__ import annotations
@@ -30,9 +37,10 @@ import itertools
 import random
 from fractions import Fraction
 
+from .identities import _compile, _op_nodes, _scan_domain, _scan_table, _value
 from .linalg import (Subspace, mat_mul, mat_sub, mat_vec, nullspace,
-                     nullspace_sparse_q, rank)
-from .scalars import QQ, DomainError, Poly, PolyRing
+                     nullspace_sparse_mod, nullspace_sparse_q, rank)
+from .scalars import QQ, DomainError, Poly, PolyRing, PrimeField, RationalDomain
 from .varieties import check_variety, minus_algebra
 
 SAMPLE_SEED = 20240801
@@ -99,8 +107,9 @@ class TupleOperatorSpace:
 
     def projection_dim(self, slot):
         n2 = self.ambient_dim ** 2
-        rows = [v[slot * n2:(slot + 1) * n2] for v in self.subspace.basis]
-        return rank(rows, self.dom)
+        rows = _solver_rows([v[slot * n2:(slot + 1) * n2] for v in self.subspace.basis],
+                            self.dom)
+        return _rank(rows, n2, self.dom)
 
     def projection_space(self, slot):
         n2 = self.ambient_dim ** 2
@@ -114,8 +123,11 @@ class TupleOperatorSpace:
 
 
 def _nullspace_rows(rows, ncols, dom):
-    if dom is QQ:
+    """Canonical kernel basis of sparse rows in ``linear_conditions`` form."""
+    if isinstance(dom, RationalDomain):
         return nullspace_sparse_q(rows, ncols)
+    if isinstance(dom, PrimeField):
+        return nullspace_sparse_mod(rows, ncols, dom)
     dense = []
     for row in rows:
         r = [dom.zero()] * ncols
@@ -126,111 +138,105 @@ def _nullspace_rows(rows, ncols, dom):
 
 
 def linear_conditions(A, terms, variables, unknowns):
-    """Rows of a law linear in its unknowns, at every basis tuple.
+    """(rows, scale): the rows of a law linear in its unknowns at every basis
+    tuple, and the factor they carry.  See the module docstring.
 
-    See the module docstring for the contract.  Each term is compiled once:
-    subterms without the unknown become functions returning sparse vectors
-    of A, the path to the unknown a function that adds scale * value, a
-    vector of linear forms {coordinate: {column: coefficient}}, into a sum.
+    The terms are compiled into one DAG of distinct subterms
+    (``identities._compile``), the one the identity scan uses.  A subterm
+    without the unknown has a sparse vector as value; the unknown and the
+    nodes above it have a linear form {coordinate: {column: coefficient}}.
+    Every node missing a variable is cached per basis tuple of its own
+    variables (so the unknown's form, D(x) say, is built once per x): at
+    most #nodes x dim^(k-1) entries for k variables, freed on return.
     """
-    dom = A.dom
-    one = dom.one()
-    minus = -one
-
-    def count(term):
-        if term[0] == "v":
-            return 0
-        return (term[0] in unknowns) + sum(count(c) for c in term[1])
-
-    if any(count(t) != 1 for _, t in terms):
+    lcm, convert, prune, one = _scan_domain(A.dom)
+    if any(sum(sym in unknowns for sym, _ in _op_nodes(t)) != 1 for _, t in terms):
         raise DomainError("every term needs exactly one unknown")
+    syms = {sym for _, t in terms for sym, _ in _op_nodes(t)} - set(unknowns)
+    tables = {sym: _scan_table(A, sym, {sym: sym}, None, lcm, convert) for sym in syms}
+    nodes, specs, top_coef, scale = _compile(A, terms, variables, tables)
 
-    def add(form, key, x):
-        y = form.get(key)
-        form[key] = x if y is None else y + x
-
-    def times(a, b):
-        # most factors are the shared one or minus one
-        if a is one:
-            return b
-        if b is one:
-            return a
-        return -b if a is minus else a * b
-
-    def supports(vecs):
-        # (basis indices, coefficient product) over the product of supports
-        out = [((), one)]
-        for v in vecs:
-            out = [(idx + (i,), times(coef, c)) for idx, coef in out for i, c in v.items()]
-        return out
-
-    def constant(term):
-        if term[0] == "v":
-            name = term[1]
-            return lambda env: env[name]
-        table = A.op(term[0]).table
-        kids = [constant(k) for k in term[1]]
-
-        def product(env):
-            out = {}
-            for idx, coef in supports([k(env) for k in kids]):
-                for r, c in table.get(idx, {}).items():
-                    add(out, r, times(coef, c))
-            return out
-        return product
-
-    def linear(term):
-        sym, kids = term
+    linear = []
+    for nid, (sym, kids, _) in enumerate(nodes):
+        linear.append(sym in unknowns or any(linear[k] for k in kids))
         if sym in unknowns:
-            dim, col = unknowns[sym]
-            args = [constant(k) for k in kids]
+            specs[nid] = ((_add_unknown, unknowns[sym]),) + specs[nid][1:]
+        elif linear[nid]:
+            s = next(i for i, k in enumerate(kids) if linear[k])
+            index = {}   # (arguments other than slot s) -> [(slot-s argument, output row)]
+            for idx, row in tables[sym][0].items():
+                index.setdefault(idx[:s] + idx[s + 1:], []).append((idx[s], row))
+            specs[nid] = ((_add_product, (index, s)),) + specs[nid][1:]
 
-            def unknown(env, scale, out):
-                for idx, coef in supports([f(env) for f in args]):
-                    f = times(scale, coef)
-                    for r in range(dim):
-                        add(out.setdefault(r, {}), col(r, *idx), f)
-            return unknown
-        s = next(i for i, k in enumerate(kids) if count(k))
-        inner = linear(kids[s])
-        others = [constant(k) for i, k in enumerate(kids) if i != s]
-        # (arguments other than slot s) -> [(slot-s argument, output row)]
-        index = {}
-        for idx, row in A.op(sym).table.items():
-            index.setdefault(idx[:s] + idx[s + 1:], []).append((idx[s], row))
-
-        def node(env, scale, out):
-            val = {}
-            inner(env, one, val)
-            for idx, coef in supports([f(env) for f in others]):
-                f0 = times(scale, coef)
-                for a, row in index.get(idx, ()):
-                    form = val.get(a)
-                    if form:
-                        for r, c in row.items():
-                            f = times(f0, c)
-                            tgt = out.setdefault(r, {})
-                            for key, x in form.items():
-                                x = f if x is one else x if f is one else f * x
-                                y = tgt.get(key)
-                                tgt[key] = x if y is None else y + x
-        return node
-
-    compiled = []
-    for c, t in terms:
-        c = dom.coerce(c)
-        compiled.append((one if c == one else minus if c == minus else c, linear(t)))
+    inner = {c for node in nodes for c in node[1]}
+    steps, looked_up = [], []
+    for nid, (_, _, cache, _) in enumerate(specs):
+        # a term no other node uses is added to the rows as it is formed
+        coef = top_coef.get(nid)
+        fused = cache is None and coef is not None and nid not in inner
+        if cache is None:
+            steps.append((nid, coef if fused else None))
+        if coef is not None and not fused:
+            looked_up.append((nid, coef))
+    vals = [None] * len(nodes)
     rows = {}
     for combo in itertools.product(range(A.dim), repeat=len(variables)):
-        env = {v: {i: one} for v, i in zip(variables, combo)}
         total = {}
-        for c, fn in compiled:
-            fn(env, c, total)
+        for nid, coef in steps:
+            (build, data), kids, _, _ = specs[nid]
+            if coef is None:
+                vals[nid] = build(data, kids, combo, specs, vals, prune, one, {}, one)
+            else:
+                build(data, kids, combo, specs, vals, prune, one, total, coef)
+        for nid, coef in looked_up:
+            for r, form in _value(nid, combo, specs, vals, prune, one).items():
+                tgt = total.setdefault(r, {})
+                for j, x in form.items():
+                    tgt[j] = tgt.get(j, 0) + coef * x
         for r in sorted(total):
-            row = {k: x for k, x in total[r].items() if not dom.is_zero(x)}
+            row = prune(total[r])
             if row:
                 rows[(combo, r)] = row
-    return rows
+    return rows, scale
+
+
+def _add_unknown(data, kids, combo, specs, vals, prune, one, out, coef):
+    """Add coef times the form of an unknown at its (constant) arguments to
+    the form ``out`` and return it: one column per coordinate and support
+    index tuple of the arguments."""
+    dim, col = data
+    args = [_value(c, combo, specs, vals, prune, one) for c in kids]
+    for idx in itertools.product(*args):
+        f = coef
+        for v, i in zip(args, idx):
+            f = f * v[i]
+        for r in range(dim):
+            tgt = out.setdefault(r, {})
+            j = col(r, *idx)
+            tgt[j] = tgt.get(j, 0) + f
+    return out
+
+
+def _add_product(data, kids, combo, specs, vals, prune, one, out, coef):
+    """Add coef times an operation at one linear form (slot s) and constant
+    vectors (the other slots) to the form ``out`` and return it."""
+    index, s = data
+    form = _value(kids[s], combo, specs, vals, prune, one)
+    others = [_value(c, combo, specs, vals, prune, one)
+              for i, c in enumerate(kids) if i != s]
+    for idx in itertools.product(*others):
+        f0 = coef
+        for v, i in zip(others, idx):
+            f0 = f0 * v[i]
+        for a, row in index.get(idx, ()):
+            fa = form.get(a)
+            if fa:
+                for r, c in row.items():
+                    f = f0 * c
+                    tgt = out.setdefault(r, {})
+                    for j, x in fa.items():
+                        tgt[j] = tgt.get(j, 0) + f * x
+    return out
 
 
 def _map_columns(n, offset=0):
@@ -263,7 +269,7 @@ def derivation_space(A, delta=1, op=None):
     n = A.dim
     terms = [(1, ("<D>", (_product(opn, m),)))]
     terms += [(-delta, _product(opn, m, s)) for s in range(m)]
-    rows = linear_conditions(A, terms, _variables(m), {"<D>": (n, _map_columns(n))})
+    rows, _ = linear_conditions(A, terms, _variables(m), {"<D>": (n, _map_columns(n))})
     vecs = _nullspace_rows(list(rows.values()), n * n, dom)
     tag = "der" if delta == dom.one() else f"delta-der({delta})"
     return OperatorSpace(n, vecs, tag, dom)
@@ -278,7 +284,7 @@ def centroid(A, op=None):
     for s in range(m):
         terms = [(1, ("<D>", (_product(opn, m),))), (-1, _product(opn, m, s))]
         rows += linear_conditions(A, terms, _variables(m),
-                                  {"<D>": (n, _map_columns(n))}).values()
+                                  {"<D>": (n, _map_columns(n))})[0].values()
     vecs = _nullspace_rows(rows, n * n, A.dom)
     return OperatorSpace(n, vecs, "centroid", A.dom)
 
@@ -326,7 +332,7 @@ def generalized_derivation_space(A, mode="full", op=None):
     terms = [(1, _product(opn, m, s, f"<D{s if mode == 'full' else 0}>"))
              for s in range(m)]
     terms.append((-1, (f"<D{nslots - 1}>", (_product(opn, m),))))
-    rows = linear_conditions(A, terms, _variables(m), unknowns)
+    rows, _ = linear_conditions(A, terms, _variables(m), unknowns)
     vecs = _nullspace_rows(list(rows.values()), nslots * n2, dom)
     tag = f"{m + 1}-ary-der" if mode == "full" else "qder"
     space = TupleOperatorSpace(n, nslots, vecs, tag, dom)
@@ -364,33 +370,56 @@ def generalized_derivation_space(A, mode="full", op=None):
     if mode == "full" and space.dim <= 40:
         # the semisimple part lives in the derived subalgebra of the tuple
         # Lie algebra; its slot projections carry the sl_{n+1} copies
-        derived = _tuple_derived_subalgebra(space)
-        space.meta["derived_dim"] = derived.dim
+        comms = _tuple_commutators(space)
+        space.meta["derived_dim"] = _rank(comms, nslots * n2, dom)
         space.meta["derived_projection_dims"] = [
-            rank([v[s * n2:(s + 1) * n2] for v in derived.basis], dom)
+            _rank([{j - s * n2: c for j, c in row.items() if s * n2 <= j < (s + 1) * n2}
+                   for row in comms], n2, dom)
             for s in range(nslots)]
     return space
 
 
-def _tuple_derived_subalgebra(space):
-    dom = space.dom
-    n = space.ambient_dim
-    n2 = n * n
-    basis = space.subspace.basis
-    def mats(v):
-        return [_unflatten(v[s * n2:(s + 1) * n2], n)
-                for s in range(space.tuple_len)]
+def _solver_rows(vectors, dom):
+    """Dense vectors as sparse rows in ``linear_conditions`` form: over Q
+    each is scaled to integers by the lcm of its denominators, which keeps
+    its span."""
+    lcm, convert, prune, _ = _scan_domain(dom)
     out = []
-    for i in range(len(basis)):
-        mi = mats(basis[i])
-        for j in range(i + 1, len(basis)):
-            mj = mats(basis[j])
-            vec = []
-            for a, b in zip(mi, mj):
-                comm = mat_sub(mat_mul(a, b, dom), mat_mul(b, a, dom))
-                vec.extend(_flatten(comm))
-            out.append(vec)
-    return Subspace(out, space.tuple_len * n2, dom)
+    for v in vectors:
+        m = lcm(v)
+        out.append(prune({j: convert(c, m) for j, c in enumerate(v)}))
+    return out
+
+
+def _rank(rows, ncols, dom):
+    """Rank of sparse rows in ``linear_conditions`` form: ncols minus the
+    dimension of their (verified, exact) kernel."""
+    return ncols - len(_nullspace_rows(rows, ncols, dom))
+
+
+def _tuple_commutators(space):
+    """The slotwise commutators of every pair of basis tuples, which span
+    the derived subalgebra, as sparse rows in ``linear_conditions`` form."""
+    n = space.ambient_dim
+    mats = []   # per basis tuple: {slot * n + row: {column: entry}}
+    for vec in _solver_rows(space.subspace.basis, space.dom):
+        mat = {}
+        for j, c in vec.items():
+            mat.setdefault(j // n, {})[j % n] = c
+        mats.append(mat)
+    prune = _scan_domain(space.dom)[2]
+    out = []
+    for i, a in enumerate(mats):
+        for b in mats[i + 1:]:
+            comm = {}
+            for x, y, sign in ((a, b, 1), (b, a, -1)):
+                for r, xrow in x.items():
+                    slot = r - r % n
+                    for k, u in xrow.items():
+                        for c, v in y.get(slot + k, {}).items():
+                            comm[r * n + c] = comm.get(r * n + c, 0) + sign * u * v
+            out.append(prune(comm))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +694,7 @@ def leibniz_derivation_space(A, k, arrangement="all", op=None, max_order=5):
         terms = [(1, ("<D>", (tree(br, None),)))]
         terms += [(-1, tree(br, s)) for s in range(k)]
         rows += linear_conditions(A, terms, _variables(k),
-                                  {"<D>": (n, _map_columns(n))}).values()
+                                  {"<D>": (n, _map_columns(n))})[0].values()
     vecs = _nullspace_rows(rows, n * n, A.dom)
     space = OperatorSpace(n, vecs, f"leibder({k},{arrangement})", A.dom)
     space.meta["invertible_exists"], space.meta["invertible_witness"] = \
@@ -744,8 +773,8 @@ def commuting_map_space(A, op=None):
     n = A.dim
     # the law in the commutator algebra: [D(x0), x1] + [D(x1), x0]
     terms = [(1, _product("mul", 2, 0)), (1, ("mul", (("<D>", (("v", "x1"),)), ("v", "x0"))))]
-    conds = linear_conditions(minus_algebra(A, op), terms, _variables(2),
-                              {"<D>": (n, _map_columns(n))})
+    conds, _ = linear_conditions(minus_algebra(A, op), terms, _variables(2),
+                                 {"<D>": (n, _map_columns(n))})
     # the law is symmetric in (x, y): one row set per unordered pair
     rows = [row for ((i, j), _), row in conds.items() if i <= j]
     vecs = _nullspace_rows(rows, n * n, dom)

@@ -158,7 +158,7 @@ def transposed_compatible_space(L, op="bracket"):
     terms = [(2, ("<dot>", (z, (op, (x, y))))),
              (-1, (op, (("<dot>", (z, x)), y))),
              (-1, (op, (x, ("<dot>", (z, y)))))]
-    conds = linear_conditions(L, terms, ("x", "y", "z"), dot)
+    conds, _ = linear_conditions(L, terms, ("x", "y", "z"), dot)
     # bracket antisymmetry makes (x,y) and (y,x) equivalent
     rows = [row for ((i, j, _), _), row in conds.items() if i <= j]
     vecs = _nullspace_rows(rows, nunk, dom)

@@ -433,3 +433,22 @@ def test_scan_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_parse_leaves_no_reference_cycles():
+    """The parser is module-level, so a parse (or a parse error) leaves
+    nothing for the cyclic garbage collector."""
+    texts = ["((x1*x2)*y)*x3 + ((x2*x1)*y)*x3 - (x1*x2)*(y*x3) - (x2*x1)*(y*x3)",
+             "2 D([x,y,z]) - 1/2 (x,y,z) = x*D(y*z)"]
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            parse_identity(text)
+        try:
+            parse_identity("[x,y]*[z,w")
+        except ParseError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -6,18 +6,23 @@ code with ``linear_conditions``.  The dimensions were recorded from the
 hand-written row loops the builder replaced.
 """
 
+import gc
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nonassoc import kantor
 from nonassoc.catalog import catalog_get
 from nonassoc.identities import check_identity, parse_identity
 from nonassoc.linalg import is_invertible
 from nonassoc.operators import (centroid, commuting_map_space,
                                 derivation_space, linear_conditions)
-from nonassoc.scalars import DomainError
-from nonassoc.structure import change_basis
+from nonassoc.scalars import GF, QQ, QT, DomainError, PrimeField, RatFunc
+from nonassoc.structure import Algebra, StructureTensor, change_basis
 
 ALGEBRAS = [("sl2", None), ("heis3", None), ("NF", {"n": 3}),
             ("matrix", {"n": 2}), ("quaternions", None), ("uppertri", {"n": 2})]
@@ -70,8 +75,9 @@ def test_rows_are_keyed_tuple_major_coordinate_ascending():
     terms = [(1, ("<D>", (("mul", (x, y)),))),
              (-1, ("mul", (("<D>", (x,)), y))),
              (-1, ("mul", (x, ("<D>", (y,)))))]
-    rows = linear_conditions(A, terms, ("x", "y"),
-                             {"<D>": (n, lambda r, a: r * n + a)})
+    rows, scale = linear_conditions(A, terms, ("x", "y"),
+                                    {"<D>": (n, lambda r, a: r * n + a)})
+    assert scale == 1
     keys = list(rows)
     assert keys == sorted(keys)
     assert all(rows.values())
@@ -87,3 +93,306 @@ def test_every_term_needs_exactly_one_unknown():
     with pytest.raises(DomainError):
         linear_conditions(A, [(1, ("mul", (("<D>", (x,)), ("<D>", (y,)))))],
                           ("x", "y"), unknowns)
+
+
+# ---------------------------------------------------------------------------
+# the compiled builder against the closure builder it replaced
+# ---------------------------------------------------------------------------
+
+def _closure_linear_conditions(A, terms, variables, unknowns):
+    """linear_conditions before the compiled DAG: every term compiled into
+    recursive closures evaluated in the domain's own arithmetic, and each
+    unknown's form rebuilt at every basis tuple.  Returns the rows only
+    (their scale is 1)."""
+    dom = A.dom
+    one = dom.one()
+    minus = -one
+
+    def count(term):
+        if term[0] == "v":
+            return 0
+        return (term[0] in unknowns) + sum(count(c) for c in term[1])
+
+    if any(count(t) != 1 for _, t in terms):
+        raise DomainError("every term needs exactly one unknown")
+
+    def add(form, key, x):
+        y = form.get(key)
+        form[key] = x if y is None else y + x
+
+    def times(a, b):
+        if a is one:
+            return b
+        if b is one:
+            return a
+        return -b if a is minus else a * b
+
+    def supports(vecs):
+        out = [((), one)]
+        for v in vecs:
+            out = [(idx + (i,), times(coef, c)) for idx, coef in out for i, c in v.items()]
+        return out
+
+    def constant(term):
+        if term[0] == "v":
+            name = term[1]
+            return lambda env: env[name]
+        table = A.op(term[0]).table
+        kids = [constant(k) for k in term[1]]
+
+        def product(env):
+            out = {}
+            for idx, coef in supports([k(env) for k in kids]):
+                for r, c in table.get(idx, {}).items():
+                    add(out, r, times(coef, c))
+            return out
+        return product
+
+    def linear(term):
+        sym, kids = term
+        if sym in unknowns:
+            dim, col = unknowns[sym]
+            args = [constant(k) for k in kids]
+
+            def unknown(env, scale, out):
+                for idx, coef in supports([f(env) for f in args]):
+                    f = times(scale, coef)
+                    for r in range(dim):
+                        add(out.setdefault(r, {}), col(r, *idx), f)
+            return unknown
+        s = next(i for i, k in enumerate(kids) if count(k))
+        inner = linear(kids[s])
+        others = [constant(k) for i, k in enumerate(kids) if i != s]
+        index = {}
+        for idx, row in A.op(sym).table.items():
+            index.setdefault(idx[:s] + idx[s + 1:], []).append((idx[s], row))
+
+        def node(env, scale, out):
+            val = {}
+            inner(env, one, val)
+            for idx, coef in supports([f(env) for f in others]):
+                f0 = times(scale, coef)
+                for a, row in index.get(idx, ()):
+                    form = val.get(a)
+                    if form:
+                        for r, c in row.items():
+                            f = times(f0, c)
+                            tgt = out.setdefault(r, {})
+                            for key, x in form.items():
+                                x = f if x is one else x if f is one else f * x
+                                y = tgt.get(key)
+                                tgt[key] = x if y is None else y + x
+        return node
+
+    compiled = []
+    for c, t in terms:
+        c = dom.coerce(c)
+        compiled.append((one if c == one else minus if c == minus else c, linear(t)))
+    rows = {}
+    for combo in itertools.product(range(A.dim), repeat=len(variables)):
+        env = {v: {i: one} for v, i in zip(variables, combo)}
+        total = {}
+        for c, fn in compiled:
+            fn(env, c, total)
+        for r in sorted(total):
+            row = {k: x for k, x in total[r].items() if not dom.is_zero(x)}
+            if row:
+                rows[(combo, r)] = row
+    return rows
+
+
+def _assert_scaled_rows(A, terms, variables, unknowns):
+    """The compiled rows are scale times the closure builder's rows, with
+    the same keys in the same order; over Q and GF(p) they are ints."""
+    dom = A.dom
+    rows, scale = linear_conditions(A, terms, variables, unknowns)
+    old = _closure_linear_conditions(A, terms, variables, unknowns)
+    assert list(rows) == list(old)
+    if dom is QQ:
+        assert isinstance(scale, int) and scale > 0
+        want = {key: {j: scale * c for j, c in row.items()} for key, row in old.items()}
+    elif isinstance(dom, PrimeField):
+        assert scale == 1
+        want = {key: {j: c.v for j, c in row.items()} for key, row in old.items()}
+    else:
+        assert scale == 1
+        want = old
+    if dom is QQ or isinstance(dom, PrimeField):
+        assert all(type(c) is int for row in rows.values() for c in row.values())
+    assert rows == want
+    return rows, scale
+
+
+_COEFFS = ["1", "-1", "2", "1/2", "-1/3", "3/2", "5/4"]
+
+
+def _scalar(rng, dom):
+    c = Fraction(rng.choice(_COEFFS))
+    if dom is QT:
+        return QT.coerce(c) * rng.choice([1, RatFunc.t_power(1), RatFunc.t_power(-1) + 1])
+    return dom.coerce(c)
+
+
+def _random_tensor(rng, dom, dim, arity, density):
+    table = {}
+    for args in itertools.product(range(dim), repeat=arity):
+        if rng.random() < density:
+            table[args] = {k: _scalar(rng, dom)
+                           for k in rng.sample(range(dim), rng.randint(1, dim))}
+    return StructureTensor(dim, arity, table, dom)
+
+
+def _constant_tree(rng, variables, ternary, depth):
+    """A random term without unknowns over the given variables."""
+    if depth == 0 or rng.random() < 0.45:
+        return ("v", rng.choice(variables))
+    if ternary and rng.random() < 0.3:
+        return ("t", tuple(_constant_tree(rng, variables, ternary, depth - 1)
+                           for _ in range(3)))
+    return ("mul", (_constant_tree(rng, variables, ternary, depth - 1),
+                    _constant_tree(rng, variables, ternary, depth - 1)))
+
+
+def _random_law(seed, dom):
+    """A random algebra (binary mul with denominators, maybe a ternary t)
+    and a law linear in one or two unknowns of arity 0, 1 or 2: each term
+    is an unknown applied to constant subterms, put up to three products
+    deep among further constant subterms."""
+    rng = random.Random(seed)
+    # Q(t) arithmetic is slow: keep its cases to dimension 2
+    dim = rng.choice([1, 2] if dom is QT else [1, 2, 2, 3])
+    ternary = rng.random() < 0.3
+    ops = {"mul": _random_tensor(rng, dom, dim, 2, rng.choice([0.3, 0.6, 0.9]))}
+    if ternary:
+        ops["t"] = _random_tensor(rng, dom, dim, 3, 0.4)
+    A = Algebra("rnd", dim, ops, dom)
+    variables = ("x", "y", "z")[:rng.randint(1, 3)]
+    unknowns, offset = {}, 0
+    for name in ("<U>", "<V>")[:rng.randint(1, 2)]:
+        arity = rng.choice([0, 1, 1, 2])
+        out_dim = rng.choice([dim, dim, 1])
+        width = dim ** arity
+        if arity == 2 and rng.random() < 0.5:
+            # a symmetric unknown: columns of (i, j) and (j, i) coincide
+            def col(r, i, j, off=offset, w=width):
+                return off + r * w + min(i, j) * dim + max(i, j)
+        else:
+            def col(r, *idx, off=offset, w=width):
+                return off + r * w + sum(i * dim ** p for p, i in enumerate(idx))
+        unknowns[name] = (out_dim, col, arity)
+        offset += out_dim * width
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        name = rng.choice(list(unknowns))
+        out_dim, _, arity = unknowns[name]
+        term = (name, tuple(_constant_tree(rng, variables, ternary, 2) for _ in range(arity)))
+        if out_dim == dim:
+            for _ in range(rng.choice([0, 1, 2, 3])):
+                other = _constant_tree(rng, variables, ternary, 1)
+                if ternary and rng.random() < 0.3:
+                    kids = [other, _constant_tree(rng, variables, ternary, 1)]
+                    kids.insert(rng.randrange(3), term)
+                    term = ("t", tuple(kids))
+                else:
+                    term = ("mul", (term, other) if rng.random() < 0.5 else (other, term))
+        terms.append((_scalar(rng, dom), term))
+    return A, terms, variables, {k: (d, c) for k, (d, c, _) in unknowns.items()}
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from([QQ, GF(7), QT]), st.integers(0, 2**32))
+def test_compiled_rows_are_scaled_closure_rows(dom, seed):
+    _assert_scaled_rows(*_random_law(seed, dom))
+
+
+def test_random_laws_cover_the_builder():
+    """The random laws reach every shape the builder distinguishes: nullary,
+    unary and binary unknowns, two unknowns in one law, an unknown two
+    products deep, and a scale above 1."""
+    seen = set()
+    for seed in range(200):
+        A, terms, variables, unknowns = _random_law(seed, QQ)
+        _, scale = linear_conditions(A, terms, variables, unknowns)
+        seen.add(f"scale>1:{scale > 1}")
+        seen.add(f"unknowns:{len(unknowns)}")
+        for _, t in terms:
+            depth = 0
+            while t[0] not in unknowns:
+                t = next(k for k in t[1] if k[0] != "v" and _holds_unknown(k, unknowns))
+                depth += 1
+            seen.add(f"arity:{len(t[1])}")
+            seen.add(f"deep:{depth >= 2}")
+    assert seen >= {"scale>1:True", "unknowns:2", "arity:0", "arity:1", "arity:2",
+                    "deep:True"}
+
+
+def _holds_unknown(term, unknowns):
+    return term[0] != "v" and (term[0] in unknowns
+                               or any(_holds_unknown(k, unknowns) for k in term[1]))
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(7), QT])
+def test_compiled_rows_of_the_solver_laws(dom):
+    """The laws the solvers build, on a random algebra with denominators:
+    derivations, the 4-ary derivations (three unknown slots), a form with a
+    symmetric column map, and Kantor's double bracket (the nullary unknown
+    two products deep), all with fractional coefficients."""
+    rng = random.Random(3)
+    n = 3
+    A = Algebra("rnd", n, {"mul": _random_tensor(rng, dom, n, 2, 0.6)}, dom)
+    x, y, z = ("v", "x"), ("v", "y"), ("v", "z")
+    half = Fraction(1, 2)
+    der = [(1, ("<D>", (("mul", (x, y)),))), (-half, ("mul", (("<D>", (x,)), y))),
+           (-half, ("mul", (x, ("<D>", (y,)))))]
+    _assert_scaled_rows(A, der, ("x", "y"), {"<D>": (n, lambda r, a: r * n + a)})
+    four = [(1, ("mul", (("<D0>", (x,)), y))), (1, ("mul", (x, ("<D1>", (y,))))),
+            (Fraction(-3, 2), ("<D2>", (("mul", (x, y)),)))]
+    _assert_scaled_rows(A, four, ("x", "y"),
+                        {f"<D{i}>": (n, lambda r, a, i=i: (i * n + r) * n + a) for i in range(3)})
+    dot = [(2, ("<dot>", (z, ("mul", (x, y))))), (-1, ("mul", (("<dot>", (z, x)), y))),
+           (Fraction(-1, 3), ("mul", (x, ("<dot>", (z, y)))))]
+    _assert_scaled_rows(A, dot, ("x", "y", "z"),
+                        {"<dot>": (n, lambda r, i, j: (min(i, j) * n + max(i, j)) * n + r)})
+    a, b = ("<a>", ()), ("v", "b")
+    terms = [(c, ("mul", (a, t))) for c, t in kantor._bracket_terms("mul", b, x, y)]
+    terms += [(-c, t) for c, t in kantor._bracket_terms("mul", b, ("mul", (a, x)), y)
+              + kantor._bracket_terms("mul", b, x, ("mul", (a, y)))]
+    _assert_scaled_rows(A, terms, ("b", "x", "y"), {"<a>": (n, lambda r: r)})
+
+
+def _random_kantor_algebra(seed):
+    rng = random.Random(seed)
+    dim = rng.choice([2, 2, 3])
+    return Algebra(f"rnd{seed}", dim, {"mul": _random_tensor(rng, QQ, dim, 2, 0.6)}, QQ)
+
+
+def _kantor_results(A):
+    report = kantor.conservativity_test(A)
+    return (kantor._k_operator_matrix(A), kantor._double_brackets(A), report.feasible,
+            report.particular, report.homogeneous, report.terminal)
+
+
+@pytest.mark.parametrize("which", ["U2"] + [f"seed{s}" for s in range(20)])
+def test_kantor_matrices_match_the_closure_builder(which, monkeypatch):
+    """K, the double brackets and the conservativity verdict from the integer
+    rows (each divided by its own scale) equal those of the closure builder:
+    on U(2), and on random algebras with denominators, where K and the
+    double brackets carry different scales."""
+    A = kantor.build_U(2) if which == "U2" else _random_kantor_algebra(int(which[4:]))
+    got = _kantor_results(A)
+    monkeypatch.setattr(kantor, "linear_conditions",
+                        lambda *args: (_closure_linear_conditions(*args), 1))
+    assert got == _kantor_results(A)
+
+
+def test_linear_conditions_leave_no_reference_cycles():
+    """The compiled builder's caches and forms are freed by reference
+    counting when it returns."""
+    A = _rebased(catalog_get("sl2"), 1)
+    gc.collect()
+    gc.disable()
+    try:
+        assert derivation_space(A).dim == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

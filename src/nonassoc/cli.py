@@ -362,12 +362,14 @@ def cmd_incidence(args):
         return 0
     if args.incidence_action == "poisson-equiv":
         P = _load_poset(args.poset)
-        if args.exhaustive_gf:
+        if args.exhaustive_gf is not None:
             rep = exhaustive_sigma_equiv(P, args.exhaustive_gf)
             _emit(args, {"command": "incidence poisson-equiv", **rep},
                   [f"exhaustive over GF({args.exhaustive_gf}): "
                    f"{rep['total']} sigmas, agree = {rep['agree']}"])
             return _verdict_exit(rep["agree"])
+        if args.sigma is None:
+            raise UsageError("poisson-equiv needs --sigma or --exhaustive-gf")
         sigma = _load_sigma(args.sigma, P)
         rep = poisson_sigma_equiv_test(P, sigma)
         _emit(args, {"command": "incidence poisson-equiv",

@@ -3,8 +3,9 @@
 Only finite posets are supported, so the incidence algebra and the finitary
 incidence algebra coincide.  Preorders that are not partial orders are
 rejected.  The Poisson/sigma correspondence is checked two ways: a direct
-per-sigma test, and an exhaustive GF(p) sweep that prefilters with a
-vectorized Leibniz system before running the full axiom check on survivors.
+per-sigma test, and an exhaustive GF(p) sweep that solves the Leibniz rule
+(linear in sigma) exactly mod p and checks Jacobi (quadratic) on its kernel
+only; both sets of forms come from the composable triples of the poset.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .identities import Identity, check_identity
-from .linalg import identity_matrix, mat_eq, mat_mul
+from .linalg import identity_matrix, mat_eq, mat_mul, nullspace_sparse_mod
 from .operators import multiplication_operator
 from .poisson import check_poisson_family
 from .scalars import GF, QQ, DomainError
@@ -152,16 +153,39 @@ class SigmaMap:
                 for (a, b), c in sorted(self.values.items())}
 
 
+def _sigma_tables(P):
+    """The incidence product and the symbolic sigma-bracket on basis indices.
+
+    ``mul[(i, j)] = k`` for e_i e_j = e_k and ``br[(i, j)] = (k, s, sign)``
+    for B(e_i, e_j) = sign * sigma_s * e_k, s indexing strict pairs; absent
+    keys are zero products.  [e_xy, e_uv] = delta_yu e_xv - delta_vx e_uy,
+    and both deltas hold only on the diagonal, where sigma is zero, so each
+    composable pair e_xy e_yv = e_xv with x < v gives the two ordered
+    bracket entries and nothing else does.
+    """
+    pairs = P.pairs()
+    idx = {q: a for a, q in enumerate(pairs)}
+    sidx = {q: a for a, q in enumerate(P.strict_pairs())}
+    starting = {}
+    for (x, y) in pairs:
+        starting.setdefault(x, []).append((x, y))
+    mul, br = {}, {}
+    for (x, y) in pairs:
+        for (_, v) in starting[y]:
+            i, j, k = idx[(x, y)], idx[(y, v)], idx[(x, v)]
+            mul[(i, j)] = k
+            if x != v:
+                br[(i, j)] = (k, sidx[(x, v)], 1)
+                br[(j, i)] = (k, sidx[(x, v)], -1)
+    return mul, br
+
+
 def incidence_algebra(P, dom=QQ):
     """I(P, F): basis e_xy for x <= y, convolution product."""
     pairs = P.pairs()
-    idx = {p: a for a, p in enumerate(pairs)}
-    table = {}
+    mul, _ = _sigma_tables(P)
     one = dom.one()
-    for (x, y) in pairs:
-        for (u, v) in pairs:
-            if y == u:
-                table[(idx[(x, y)], idx[(u, v)])] = {idx[(x, v)]: one}
+    table = {key: {k: one} for key, k in mul.items()}
     A = Algebra(f"I({','.join(P.elements)})", len(pairs),
                 {"mul": StructureTensor(len(pairs), 2, table, dom)}, dom)
     A.incidence_pairs = pairs
@@ -181,31 +205,15 @@ def incidence_unit_vector(A):
 
 def sigma_bracket(P, sigma, dom=QQ):
     """B(f,g)(x,y) = sigma(x,y) [f,g](x,y) for x<y, zero on the diagonal."""
-    pairs = P.pairs()
-    idx = {p: a for a, p in enumerate(pairs)}
+    strict = P.strict_pairs()
+    _, br = _sigma_tables(P)
     table = {}
-
-    def sig(x, y):
-        if x == y:
-            return dom.zero()
-        return sigma.values[(x, y)]
-
-    for (x, y) in pairs:
-        for (u, v) in pairs:
-            row = {}
-            # [e_xy, e_uv] = delta_{yu} e_xv - delta_{vx} e_uy
-            if y == u:
-                c = sig(x, v)
-                if not dom.is_zero(c):
-                    row[idx[(x, v)]] = row.get(idx[(x, v)], dom.zero()) + c
-            if v == x:
-                c = sig(u, y)
-                if not dom.is_zero(c):
-                    row[idx[(u, y)]] = row.get(idx[(u, y)], dom.zero()) - c
-            row = {k: c for k, c in row.items() if not dom.is_zero(c)}
-            if row:
-                table[(idx[(x, y)], idx[(u, v)])] = row
-    return StructureTensor(len(pairs), 2, table, dom)
+    for key in sorted(br):
+        k, s, sign = br[key]
+        c = sigma.values[strict[s]]
+        if not dom.is_zero(c):
+            table[key] = {k: dom.zero() + c if sign > 0 else dom.zero() - c}
+    return StructureTensor(len(P.pairs()), 2, table, dom)
 
 
 def chain_constant_check(P, sigma):
@@ -247,82 +255,84 @@ def poisson_sigma_equiv_test(P, sigma, dom=None):
 # exhaustive GF(p) sweep
 # ---------------------------------------------------------------------------
 
+def _by_factor(table, slot):
+    """{index: [(other factor, value)]} keyed by the factor in ``slot``."""
+    out = {}
+    for key, val in table.items():
+        out.setdefault(key[slot], []).append((key[1 - slot], val))
+    return out
+
+
+def _rows_by_output(acc):
+    """Distinct rows {unknown: coefficient}, one per triple and output basis
+    index, from {triple: {(output, unknown): coefficient}}."""
+    found = set()
+    for terms in acc.values():
+        rows = {}
+        for (out, u), c in terms.items():
+            if c:
+                rows.setdefault(out, {})[u] = c
+        found.update(tuple(sorted(row.items())) for row in rows.values())
+    return [dict(r) for r in found]
+
+
 def _leibniz_jacobi_forms(P):
     """Symbolic axiom defects as forms in the sigma values.
 
     Returns (linear_rows, quadratic_rows): linear rows are {s: int} maps
-    from the Leibniz rule, quadratic rows {(s1,s2): int} from Jacobi, with
-    s indexing strict pairs.
+    from the Leibniz rule B(f, gh) - B(f, g)h - gB(f, h), quadratic rows
+    {(s1, s2): int} from Jacobi, with s indexing strict pairs.  Only the
+    triples with a nonzero term are visited: each term is a composable
+    product or bracket entry followed by an entry of the adjacency list of
+    its output.
     """
-    pairs = P.pairs()
-    idx = {p: a for a, p in enumerate(pairs)}
-    strict = P.strict_pairs()
-    sidx = {p: a for a, p in enumerate(strict)}
+    mul, br = _sigma_tables(P)
+    mul_first, mul_second = _by_factor(mul, 0), _by_factor(mul, 1)
+    br_first, br_second = _by_factor(br, 0), _by_factor(br, 1)
 
-    def br(p, q):
-        # [e_p, e_q] with symbolic sigma: list of (basis_index, sigma_index, sign)
-        (x, y), (u, v) = p, q
-        out = []
-        if y == u and x != v:
-            out.append((idx[(x, v)], sidx[(x, v)], 1))
-        if v == x and u != y:
-            out.append((idx[(u, y)], sidx[(u, y)], -1))
-        return out
+    def add(acc, triple, key, c):
+        terms = acc.setdefault(triple, {})
+        terms[key] = terms.get(key, 0) + c
 
-    def mulp(p, q):
-        (x, y), (u, v) = p, q
-        if y == u:
-            return idx[(x, v)]
-        return None
+    leib = {}
+    for (g, h), m in mul.items():
+        for f, (out, s, sign) in br_second.get(m, ()):
+            add(leib, (f, g, h), (out, s), sign)          # B(f, gh)
+    for (f, a), (m, s, sign) in br.items():
+        for h, out in mul_first.get(m, ()):
+            add(leib, (f, a, h), (out, s), -sign)         # B(f, g)h, g = a
+        for g, out in mul_second.get(m, ()):
+            add(leib, (f, g, a), (out, s), -sign)         # gB(f, h), h = a
+    # Jacobi sums over the rotations of a triple, so its row is kept under
+    # the least rotation; B(f, f) = 0, so (f, f, f) has no term to count thrice
+    jac = {}
+    for (a, b), (m, s1, sign1) in br.items():
+        for c, (out, s2, sign2) in br_first.get(m, ()):
+            add(jac, min((a, b, c), (b, c, a), (c, a, b)),
+                (out, (min(s1, s2), max(s1, s2))), sign1 * sign2)
+    return _rows_by_output(leib), _rows_by_output(jac)
 
-    linear = set()
-    quadratic = set()
-    nb = len(pairs)
-    for f in pairs:
-        for g in pairs:
-            for h in pairs:
-                # Leibniz: B(f, g h) - B(f,g) h - g B(f,h)
-                acc = {}
-                gh = mulp(g, h)
-                if gh is not None:
-                    for out, s, sign in br(f, pairs[gh]):
-                        acc[(out, s)] = acc.get((out, s), 0) + sign
-                for mid, s, sign in br(f, g):
-                    prod = mulp(pairs[mid], h)
-                    if prod is not None:
-                        acc[(prod, s)] = acc.get((prod, s), 0) - sign
-                for mid, s, sign in br(f, h):
-                    prod = mulp(g, pairs[mid])
-                    if prod is not None:
-                        acc[(prod, s)] = acc.get((prod, s), 0) - sign
-                rows = {}
-                for (out, s), c in acc.items():
-                    if c:
-                        rows.setdefault(out, {})[s] = c
-                for row in rows.values():
-                    linear.add(tuple(sorted(row.items())))
-                # Jacobi: B(B(f,g),h) + B(B(g,h),f) + B(B(h,f),g)
-                acc = {}
-                for (a, b, c) in ((f, g, h), (g, h, f), (h, f, g)):
-                    for mid, s1, sign1 in br(a, b):
-                        for out, s2, sign2 in br(pairs[mid], c):
-                            key = (out, (min(s1, s2), max(s1, s2)))
-                            acc[key] = acc.get(key, 0) + sign1 * sign2
-                rows = {}
-                for (out, ss), c in acc.items():
-                    if c:
-                        rows.setdefault(out, {})[ss] = c
-                for row in rows.values():
-                    quadratic.add(tuple(sorted(row.items())))
-    return [dict(r) for r in linear], [dict(r) for r in quadratic]
+
+def _span_indices(rows, s, dom):
+    """The kernel over dom = GF(p) of sparse integer rows in s unknowns, as
+    the indices t = sum_k d_k p^k of its vectors d, mapped to the digits d."""
+    p = dom.p
+    vecs = [[0] * s]
+    for b in nullspace_sparse_mod(rows, s, dom):
+        vecs = [[(x + c * y.v) % p for x, y in zip(v, b)]
+                for v in vecs for c in range(p)]
+    return {sum(d * p ** k for k, d in enumerate(v)): v for v in vecs}
 
 
 def exhaustive_sigma_equiv(P, p=3):
     """Test the sigma/Poisson biconditional for every sigma over GF(p).
 
-    The Leibniz system is evaluated for all p^s assignments at once with
-    numpy; assignments passing it get the full exact Poisson check.  Returns
-    counts and the first disagreement, if any.
+    The sigmas satisfying Leibniz are the GF(p) kernel of the linear forms;
+    each of its vectors gets the quadratic Jacobi forms in Python ints.  The
+    chain-constant sigmas are the kernel of the equalities along maximal
+    chains.  Both kernels are exact (eliminated mod p), so no assignment
+    outside them is looked at.  Returns counts and the first disagreement,
+    in the order t = sum_k sigma_k p^k, if any.
     """
     if p == 2:
         raise DomainError("the sweep needs an odd prime (alternating bracket)")
@@ -333,8 +343,6 @@ def exhaustive_sigma_equiv(P, p=3):
             f"sweep size p^s = {p}^{s} exceeds the resource bound; "
             "sample sigmas individually instead")
     dom = GF(p)
-    linear, quadratic = _leibniz_jacobi_forms(P)
-    total = p ** s
     if s == 0:
         sigma = SigmaMap(P, {}, dom)
         rep = poisson_sigma_equiv_test(P, sigma, dom)
@@ -342,50 +350,28 @@ def exhaustive_sigma_equiv(P, p=3):
                 "chain_constant_count": int(rep["chain_constant"]),
                 "poisson_count": int(rep["poisson"]),
                 "agree": rep["agree"], "counterexample": None}
-    import numpy as np   # only this sweep needs it; keeps `import nonassoc` light
-
-    digits = np.zeros((total, s), dtype=np.int64)
-    r = np.arange(total)
-    for k in range(s):
-        digits[:, k] = (r // (p ** k)) % p
-    if linear:
-        L = np.zeros((len(linear), s), dtype=np.int64)
-        for i, row in enumerate(linear):
-            for j, c in row.items():
-                L[i, j] = c % p
-        leib_ok = ((digits @ L.T) % p == 0).all(axis=1)
-    else:
-        leib_ok = np.ones(total, dtype=bool)
-    # chain-constancy mask
-    const_ok = np.ones(total, dtype=bool)
+    linear, quadratic = _leibniz_jacobi_forms(P)
+    quadratic = [[(s1, s2, c) for (s1, s2), c in row.items()]
+                 for row in quadratic]
+    poisson = {t for t, v in _span_indices(linear, s, dom).items()
+               if all(sum(c * v[s1] * v[s2] for s1, s2, c in row) % p == 0
+                      for row in quadratic)}
     sidx = {q: a for a, q in enumerate(strict)}
+    equal = []
     for chain in P.maximal_chains():
         elems = [P.elements[i] for i in chain]
         cpairs = [sidx[(elems[a], elems[b])]
                   for a in range(len(elems)) for b in range(a + 1, len(elems))]
-        for other in cpairs[1:]:
-            const_ok &= digits[:, cpairs[0]] == digits[:, other]
-    poisson_ok = np.zeros(total, dtype=bool)
-    survivors = np.nonzero(leib_ok)[0]
-    for t in survivors:
-        vec = digits[t]
-        ok = True
-        for row in quadratic:
-            val = 0
-            for (s1, s2), c in row.items():
-                val += c * int(vec[s1]) * int(vec[s2])
-            if val % p != 0:
-                ok = False
-                break
-        poisson_ok[t] = ok
-    agree = bool((poisson_ok == const_ok).all())
+        equal += [{cpairs[0]: 1, other: -1} for other in cpairs[1:]]
+    const = set(_span_indices(equal, s, dom))
+    agree = poisson == const
     counterexample = None
     if not agree:
-        t = int(np.nonzero(poisson_ok != const_ok)[0][0])
-        counterexample = {strict[k]: int(digits[t, k]) for k in range(s)}
-    return {"poset": P.to_json(), "p": p, "total": total,
-            "chain_constant_count": int(const_ok.sum()),
-            "poisson_count": int(poisson_ok.sum()),
+        t = min(poisson ^ const)
+        counterexample = {strict[k]: t // p ** k % p for k in range(s)}
+    return {"poset": P.to_json(), "p": p, "total": p ** s,
+            "chain_constant_count": len(const),
+            "poisson_count": len(poisson),
             "agree": agree, "counterexample": counterexample}
 
 

@@ -231,6 +231,14 @@ def test_incidence_cli(tmp_path, capsys):
     assert run(["incidence", "build", "--poset", str(poset)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["dim"] == 8
+    # neither --sigma nor --exhaustive-gf, and a zero modulus: usage errors
+    assert run(["incidence", "poisson-equiv", "--poset", str(poset)]) == 2
+    out = capsys.readouterr()
+    assert "--sigma or --exhaustive-gf" in out.err and "Traceback" not in out.err
+    assert run(["incidence", "poisson-equiv", "--poset", str(poset),
+                "--exhaustive-gf", "0"]) == 2
+    out = capsys.readouterr()
+    assert "0 is not prime" in out.err and "Traceback" not in out.err
 
 
 def test_ext_cli(tmp_path, capsys):
@@ -362,10 +370,13 @@ def test_console_script_installed():
 
 
 def test_import_does_not_load_numpy():
-    """numpy is imported on first use by the GF(p) sigma sweep only."""
+    """The library never imports numpy, not even for the GF(p) sigma sweep."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, nonassoc.cli; sys.exit('numpy' in sys.modules)"],
+         "import sys, nonassoc.cli\n"
+         "from nonassoc.incidence import chain_poset, exhaustive_sigma_equiv\n"
+         "assert exhaustive_sigma_equiv(chain_poset(3), 3)['agree']\n"
+         "sys.exit('numpy' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

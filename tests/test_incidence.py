@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from nonassoc import incidence
 from nonassoc.catalog import catalog_get
 from nonassoc.incidence import (HigherDerivationSeq, Poset, SigmaMap,
                                 all_posets_up_to, antichain_poset,
@@ -215,6 +217,174 @@ def test_sweep_resource_bound():
 def test_sweep_gf5():
     r = exhaustive_sigma_equiv(chain_poset(3), 5)
     assert r["agree"] and r["chain_constant_count"] == 5
+
+
+# ---------------------------------------------------------------------------
+# the GF(p) sweep against slow references
+# ---------------------------------------------------------------------------
+
+_POSETS = all_posets_up_to(5) + [crown_poset()]
+
+
+def _reference_forms(P):
+    """The nb^3 triple loop the composable-triple forms replaced."""
+    pairs = P.pairs()
+    idx = {p: a for a, p in enumerate(pairs)}
+    strict = P.strict_pairs()
+    sidx = {p: a for a, p in enumerate(strict)}
+
+    def br(p, q):
+        (x, y), (u, v) = p, q
+        out = []
+        if y == u and x != v:
+            out.append((idx[(x, v)], sidx[(x, v)], 1))
+        if v == x and u != y:
+            out.append((idx[(u, y)], sidx[(u, y)], -1))
+        return out
+
+    def mulp(p, q):
+        (x, y), (u, v) = p, q
+        if y == u:
+            return idx[(x, v)]
+        return None
+
+    linear = set()
+    quadratic = set()
+    for f in pairs:
+        for g in pairs:
+            for h in pairs:
+                acc = {}
+                gh = mulp(g, h)
+                if gh is not None:
+                    for out, s, sign in br(f, pairs[gh]):
+                        acc[(out, s)] = acc.get((out, s), 0) + sign
+                for mid, s, sign in br(f, g):
+                    prod = mulp(pairs[mid], h)
+                    if prod is not None:
+                        acc[(prod, s)] = acc.get((prod, s), 0) - sign
+                for mid, s, sign in br(f, h):
+                    prod = mulp(g, pairs[mid])
+                    if prod is not None:
+                        acc[(prod, s)] = acc.get((prod, s), 0) - sign
+                rows = {}
+                for (out, s), c in acc.items():
+                    if c:
+                        rows.setdefault(out, {})[s] = c
+                for row in rows.values():
+                    linear.add(tuple(sorted(row.items())))
+                acc = {}
+                for (a, b, c) in ((f, g, h), (g, h, f), (h, f, g)):
+                    for mid, s1, sign1 in br(a, b):
+                        for out, s2, sign2 in br(pairs[mid], c):
+                            key = (out, (min(s1, s2), max(s1, s2)))
+                            acc[key] = acc.get(key, 0) + sign1 * sign2
+                rows = {}
+                for (out, ss), c in acc.items():
+                    if c:
+                        rows.setdefault(out, {})[ss] = c
+                for row in rows.values():
+                    quadratic.add(tuple(sorted(row.items())))
+    return [dict(r) for r in linear], [dict(r) for r in quadratic]
+
+
+def _row_set(rows):
+    return {tuple(sorted(r.items())) for r in rows}
+
+
+def _brute_force_sets(P, p, forms=_reference_forms):
+    """Indices t = sum_k sigma_k p^k of the Poisson and of the
+    chain-constant sigmas, every assignment evaluated on its own."""
+    strict = P.strict_pairs()
+    sidx = {q: a for a, q in enumerate(strict)}
+    linear, quadratic = forms(P)
+    equal = []
+    for chain in P.maximal_chains():
+        elems = [P.elements[i] for i in chain]
+        cp = [sidx[(elems[a], elems[b])]
+              for a in range(len(elems)) for b in range(a + 1, len(elems))]
+        equal += [(cp[0], other) for other in cp[1:]]
+    poisson, const = set(), set()
+    for t, rev in enumerate(itertools.product(range(p), repeat=len(strict))):
+        d = rev[::-1]
+        if all(d[a] == d[b] for a, b in equal):
+            const.add(t)
+        if (all(sum(c * d[j] for j, c in row.items()) % p == 0
+                for row in linear)
+                and all(sum(c * d[a] * d[b] for (a, b), c in row.items()) % p == 0
+                        for row in quadratic)):
+            poisson.add(t)
+    return poisson, const
+
+
+def _brute_force_sweep(P, p, forms=_reference_forms):
+    """The report of ``exhaustive_sigma_equiv`` from ``_brute_force_sets``."""
+    strict = P.strict_pairs()
+    poisson, const = _brute_force_sets(P, p, forms)
+    counterexample = None
+    if poisson != const:
+        t = min(poisson ^ const)
+        counterexample = {q: t // p ** k % p for k, q in enumerate(strict)}
+    return {"poset": P.to_json(), "p": p, "total": p ** len(strict),
+            "chain_constant_count": len(const), "poisson_count": len(poisson),
+            "agree": poisson == const, "counterexample": counterexample}
+
+
+def test_forms_match_the_triple_loop():
+    for P in _POSETS:
+        linear, quadratic = incidence._leibniz_jacobi_forms(P)
+        ref_linear, ref_quadratic = _reference_forms(P)
+        assert _row_set(linear) == _row_set(ref_linear), P
+        assert _row_set(quadratic) == _row_set(ref_quadratic), P
+        assert len(linear) == len(ref_linear)
+        assert len(quadratic) == len(ref_quadratic)
+
+
+def test_sweep_matches_brute_force():
+    for p, cap in ((3, 3 ** 10), (5, 20_000), (7, 20_000)):
+        for P in _POSETS:
+            if p ** len(P.strict_pairs()) <= cap:
+                assert exhaustive_sigma_equiv(P, p) == _brute_force_sweep(P, p), (P, p)
+
+
+def test_brute_force_matches_direct_route():
+    """Every assignment on the posets with at most three strict pairs: the
+    forms' verdicts against the Poisson check of the sigma-bracket itself."""
+    g3 = GF(3)
+    for P in _POSETS:
+        strict = P.strict_pairs()
+        if len(strict) > 3:
+            continue
+        poisson, const = _brute_force_sets(P, 3)
+        for t, rev in enumerate(itertools.product(range(3), repeat=len(strict))):
+            sig = SigmaMap(P, {q: g3.from_int(d) for q, d in zip(strict, rev[::-1])}, g3)
+            rep = poisson_sigma_equiv_test(P, sig, g3)
+            assert (rep["poisson"], rep["chain_constant"]) == (t in poisson, t in const)
+
+
+def test_sweep_reports_the_lowest_counterexample(monkeypatch):
+    """Without the Leibniz rows in one sigma value the biconditional can
+    fail (no single row matters: the rows are redundant); the sweep and the
+    brute force then give the same counts and the same lowest-index sigma.
+    Dropping the Jacobi rows as well changes some counts, so the quadratic
+    forms are evaluated on this path too."""
+    real = incidence._leibniz_jacobi_forms
+    disagree = jacobi_cuts = 0
+    for P in (chain_poset(3), chain_poset(4),
+              Poset(["a", "b", "c", "d"], [["a", "b"], ["b", "c"], ["a", "d"]])):
+        for u in range(len(P.strict_pairs())):
+            counts = set()
+            for keep_jacobi in (True, False):
+                def mutilated(P, forms=real, u=u, keep=keep_jacobi):
+                    linear, quadratic = forms(P)
+                    return [r for r in linear if u not in r], quadratic if keep else []
+                monkeypatch.setattr(incidence, "_leibniz_jacobi_forms", mutilated)
+                got = exhaustive_sigma_equiv(P, 3)
+                want = _brute_force_sweep(P, 3, lambda P: mutilated(P, _reference_forms))
+                assert got == want, (P, u, keep_jacobi)
+                disagree += not got["agree"]
+                counts.add(got["poisson_count"])
+            jacobi_cuts += len(counts) > 1
+    assert disagree and jacobi_cuts
 
 
 # ---------------------------------------------------------------------------

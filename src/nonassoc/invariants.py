@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from .linalg import Subspace, mat_mul, mat_sub, rank
+from .linalg import (Subspace, generic_rank, linear_pencil, mat_mul, mat_sub,
+                     rank, seeded_points)
 from .operators import _nullspace_rows, linear_conditions, multiplication_operator
-from .scalars import QQ, DomainError, Poly, PolyRing
+from .scalars import QQ, DomainError, PolyRing
 from .structure import Algebra, StructureTensor
 
 
@@ -170,34 +171,31 @@ def verify_grading(A, grading, op=None, modulus=None):
 # characteristic sequence
 # ---------------------------------------------------------------------------
 
+def _jordan_blocks(ranks):
+    """Block sizes, largest first, of a nilpotent matrix whose powers
+    M^0, M^1, ... have the given ranks, ending at 0."""
+    # ranks[k - 1] - ranks[k] blocks have size >= k
+    geq = [a - b for a, b in zip(ranks, ranks[1:])] + [0]
+    return tuple(k for k in range(len(geq) - 1, 0, -1) for _ in range(geq[k - 1] - geq[k]))
+
+
 def _jordan_type_nilpotent(M, dom, n):
     """Block-size multiset of a nilpotent matrix from ranks of powers."""
-    ranks = [n]
-    cur = [row[:] for row in M]
-    r = rank(cur, dom)
-    ranks.append(r)
-    power = cur
+    ranks, power = [n, rank(M, dom)], M
     while ranks[-1] > 0:
         power = mat_mul(power, M, dom)
         ranks.append(rank(power, dom))
-    blocks = []
-    for k in range(1, len(ranks)):
-        geq_k = ranks[k - 1] - ranks[k]
-        blocks.append(geq_k)
-    sizes = []
-    for k in range(len(blocks), 0, -1):
-        count = blocks[k - 1] - (blocks[k] if k < len(blocks) else 0)
-        sizes.extend([k] * count)
-    return tuple(sorted(sizes, reverse=True))
+    return _jordan_blocks(ranks)
 
 
 def characteristic_sequence(A, op=None, extra_samples=40, seed=20240803):
     """C(A) = lex-max over x in A \\ A^2 of the Jordan type of R_x.
 
-    The generic Jordan type is computed exactly via symbolic ranks over the
-    polynomial ring for moderate dimensions; a rational witness attaining it
-    is then produced by structured + random sampling.  The lex maximum is the
-    generic type (ranks of powers are generically maximal).
+    The generic Jordan type is computed exactly from certified ranks over
+    Q(x) (``linalg.generic_rank``) for moderate dimensions; a rational
+    witness attaining it is then produced by structured + random sampling.
+    The lex maximum is the generic type (ranks of powers are generically
+    maximal).
     """
     rep = structure_report(A, op=op)
     if not rep["nilpotent"]:
@@ -226,8 +224,8 @@ def characteristic_sequence(A, op=None, extra_samples=40, seed=20240803):
     if best is None:
         raise DomainError("no element outside A^2 found")
     if dom is QQ and n <= 7:
-        sym = _symbolic_jordan_type(A, op)
-        if sym is not None and sym > best:
+        sym = _symbolic_jordan_type(A, op, seed)
+        if sym > best:
             # generic type strictly better: the sampler missed it (would be
             # measure-zero bad luck); report the symbolic type without witness
             best = sym
@@ -235,48 +233,17 @@ def characteristic_sequence(A, op=None, extra_samples=40, seed=20240803):
     return {"sequence": list(best), "witness": best_x}
 
 
-def _symbolic_jordan_type(A, op=None):
-    ring = PolyRing(A.dim)
-    gens = ring.gens()
-    t = A.op(op)
+def _symbolic_jordan_type(A, op, seed):
+    """Jordan type of the generic R_x = sum_a x_a R_{e_a}, from the ranks of
+    its powers over Q(x), each certified by ``generic_rank``."""
     n = A.dim
-    M = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for a in range(n):
-            for k, c in t.basis_product((j, a)).items():
-                M[k][j] = M[k][j] + Poly.const(n, c) * gens[a]
-    from .linalg import bareiss_rank
-    ranks = [n]
-    power = M
+    R = linear_pencil([multiplication_operator(A, (a,), op) for a in range(n)])
+    ranks, power = [n], R
     while True:
-        r = bareiss_rank(power)
-        ranks.append(r)
-        if r == 0:
-            break
-        power = _poly_mat_mul(power, M, ring)
-        if len(ranks) > n + 1:
-            return None
-    blocks = []
-    for k in range(1, len(ranks)):
-        blocks.append(ranks[k - 1] - ranks[k])
-    sizes = []
-    for k in range(len(blocks), 0, -1):
-        count = blocks[k - 1] - (blocks[k] if k < len(blocks) else 0)
-        sizes.extend([k] * count)
-    return tuple(sorted(sizes, reverse=True))
-
-
-def _poly_mat_mul(a, b, ring):
-    n = len(a)
-    out = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if not a[i][k].terms:
-                continue
-            for j in range(n):
-                if b[k][j].terms:
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
+        ranks.append(generic_rank(power, seeded_points(seed, n, 9))[0])
+        if ranks[-1] == 0:
+            return _jordan_blocks(ranks)
+        power = mat_mul(power, R, PolyRing(n))
 
 
 # ---------------------------------------------------------------------------

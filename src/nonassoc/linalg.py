@@ -7,14 +7,18 @@ prime followed by rational reconstruction (Wang, Guy & Davenport, SIGSAM
 Bull. 1982); its result is verified exactly against every row before it is
 returned, and a larger prime is tried when the lift or the check fails.
 Integer rows enter it as they are.  ``nullspace_sparse_mod`` is the same
-sparse elimination over GF(p) itself, where it is exact.
+sparse elimination over GF(p) itself, where it is exact.  ``generic_rank``
+decides a rank over Q(x) between two exact bounds: the rank at integer
+points and a polynomial basis of the left kernel.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
+from operator import add
 
 from .scalars import QQ, DomainError, Poly
 
@@ -172,50 +176,6 @@ def is_invertible(mat, dom=QQ):
         return True
     except DomainError:
         return False
-
-
-def bareiss_rank(rows):
-    """Fraction-free rank for matrices over a polynomial ring (or Z).
-
-    Exact on any integral domain whose elements support *, - and divexact.
-    """
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    prev = None
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            for j in range(ncols):
-                if j == c:
-                    continue
-                num = piv * m[i][j] - m[i][c] * m[r][j]
-                if prev is not None:
-                    num = num.divexact(prev) if isinstance(num, Poly) else _exact_div_int(num, prev)
-                m[i][j] = num
-            m[i][c] = m[i][c] - m[i][c]
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _exact_div_int(a, b):
-    q, rem = divmod(a, b)
-    if rem:
-        raise DomainError("inexact integer division in Bareiss")
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +430,145 @@ def _verify_nullspace(introws, cand):
         if any(sums.values()):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# generic rank over Q(x), with a two-sided certificate
+# ---------------------------------------------------------------------------
+
+def linear_pencil(mats):
+    """The matrix sum_k x_k mats[k] over Q[x_0, ..., x_{s-1}], s = len(mats)."""
+    s = len(mats)
+    units = [tuple(int(i == k) for i in range(s)) for k in range(s)]
+    return [[Poly(s, {units[k]: M[i][j] for k, M in enumerate(mats)})
+             for j in range(len(mats[0][0]))] for i in range(len(mats[0]))]
+
+
+def seeded_points(seed, nvars, bound):
+    """200 points with integer coordinates in [-bound, bound], drawn by
+    ``random.Random(seed)`` (as lists of Fractions)."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        yield [Fraction(rng.randint(-bound, bound)) for _ in range(nvars)]
+
+
+def generic_rank(mat, points, full_only=False):
+    """Certified rank over Q(x) of a matrix whose entries are homogeneous
+    ``Poly``s of one degree e; returns (rank, point, kernel).
+
+    Lower bound: the rank at ``point``, the first point of the stream
+    ``points`` with the largest rank seen.  Upper bound: ``kernel``, vectors
+    w of polynomials with w^T mat = 0, independent over Q(x) because their
+    values at one point are, so rank <= rows - len(kernel).  They are
+    searched degree by degree as the kernel of the homogeneous coefficient
+    system (``nullspace_sparse_q``): the kept vectors come first, then the
+    canonical basis of the degree in order, and a vector is kept when it
+    raises the rank of the kept ones at the current point.  Each round draws
+    one point and searches one more degree; the result is returned only
+    when rank + len(kernel) = rows.  A rank r < rows - len(kernel) has a
+    left kernel spanned by vectors of r x r minors (Cramer's rule; minimal
+    polynomial bases, Forney, SIAM J. Control 13, 1975), of degree
+    r * e <= (rows - len(kernel) - 1) * e; past that degree the found
+    vectors span the kernel, so later rounds only draw points.
+
+    With ``full_only`` the search returns at the first kernel vector, which
+    proves the rank is not full: the rank returned is then the point lower
+    bound and the kernel that one vector.  Raises ``DomainError`` on any
+    other input, and when the points run out before the bounds meet.
+    """
+    ent, nvars, e = _integer_entries(mat)
+    rows = len(ent)
+    best, point, kept, cand, d = -1, None, [], [], 0
+    for x in points:
+        r = rank(_values(ent, x), QQ)
+        if r > best:
+            best, point = r, x
+        if best + len(kept) < rows and d <= (rows - len(kept) - 1) * e:
+            basis = _left_kernel_of_degree(ent, nvars, d)
+            if full_only and basis:
+                return best, point, basis[:1]
+            cand, d = kept + basis, d + 1
+        if best + len(kept) < rows:
+            kept = max(kept, _independent_at(cand, x), key=len)
+        if best + len(kept) == rows:
+            return best, point, kept
+    raise DomainError(f"generic rank not certified: rank {best} at the points, "
+                      f"{len(kept)} kernel vectors, {rows} rows")
+
+
+def _integer_entries(mat):
+    """(rows of {exponent: int}, variable count, degree e) of a matrix of
+    homogeneous Polys of one degree, scaled by a common denominator."""
+    if not (mat and mat[0] and all(len(row) == len(mat[0]) for row in mat)
+            and all(isinstance(p, Poly) for row in mat for p in row)):
+        raise DomainError("generic_rank needs a nonempty rectangular matrix of Poly entries")
+    nvars = {p.n for row in mat for p in row}
+    degrees = {sum(ex) for row in mat for p in row for ex in p.terms}
+    if len(nvars) > 1 or len(degrees) > 1:
+        raise DomainError("generic_rank needs homogeneous entries of one degree "
+                          "in one set of variables")
+    den = lcm(*(Fraction(c).denominator for row in mat for p in row for c in p.terms.values()))
+    ent = [[{ex: int(c * den) for ex, c in p.terms.items()} for p in row] for row in mat]
+    return ent, nvars.pop(), max(degrees, default=0)
+
+
+def _values(polys, x):
+    """Rows of the values at x of rows of polynomials {exponent: coefficient}."""
+    power = {}
+    out = []
+    for row in polys:
+        vals = []
+        for p in row:
+            s = Fraction(0)
+            for ex, c in p.items():
+                v = power.get(ex)
+                if v is None:
+                    v = power[ex] = prod(xi ** k for xi, k in zip(x, ex) if k)
+                s += c * v
+            vals.append(s)
+        out.append(vals)
+    return out
+
+
+def _independent_at(cand, x):
+    """The vectors of cand, in order, that raise the rank of the ones kept
+    before them when evaluated at x."""
+    keep, vals = [], []
+    for w, v in zip(cand, _values([[p.terms for p in w] for w in cand], x)):
+        if rank(vals + [v], QQ) == len(vals) + 1:
+            keep.append(w)
+            vals.append(v)
+    return keep
+
+
+def _left_kernel_of_degree(ent, nvars, d):
+    """Canonical basis of the vectors w of degree-d forms with w^T ent = 0,
+    as lists of Polys: one unknown per (row, monomial) and one equation per
+    (column, monomial of degree d + e)."""
+    monos = _monomials(nvars, d)
+    nm = len(monos)
+    eqs = {}
+    for i, row in enumerate(ent):
+        for j, p in enumerate(row):
+            for ex, c in p.items():
+                for mi, m in enumerate(monos):
+                    eqs.setdefault((j, tuple(map(add, m, ex))), {})[i * nm + mi] = c
+    basis = []
+    for v in nullspace_sparse_q(list(eqs.values()), len(ent) * nm):
+        w = [{} for _ in ent]
+        for k, c in enumerate(v):
+            if c:
+                w[k // nm][monos[k % nm]] = c
+        basis.append([Poly(nvars, terms) for terms in w])
+    return basis
+
+
+def _monomials(n, deg):
+    """Exponent tuples of the monomials of degree deg in n variables, in
+    lexicographic order."""
+    if n == 0:
+        return [()] if deg == 0 else []
+    return [(k,) + rest for k in range(deg + 1) for rest in _monomials(n - 1, deg - k)]
 
 
 def solve_linear(mat, mode, dom=QQ):

@@ -38,9 +38,10 @@ import random
 from fractions import Fraction
 
 from .identities import _compile, _op_nodes, _scan_domain, _scan_table, _value
-from .linalg import (Subspace, mat_mul, mat_sub, mat_vec, nullspace,
-                     nullspace_sparse_mod, nullspace_sparse_q, rank)
-from .scalars import QQ, DomainError, Poly, PolyRing, PrimeField, RationalDomain
+from .linalg import (Subspace, generic_rank, linear_pencil, mat_mul, mat_sub,
+                     mat_vec, nullspace, nullspace_sparse_mod, nullspace_sparse_q,
+                     rank, seeded_points)
+from .scalars import QQ, DomainError, PrimeField, RationalDomain
 from .varieties import check_variety, minus_algebra
 
 SAMPLE_SEED = 20240801
@@ -479,81 +480,30 @@ def local_derivation_test(A, phi, op=None, der=None, generic=None):
             "note": "generic membership + structured sampling"}
 
 
-def local_derivation_generic_space(A, op=None, der=None, max_kernel_degree=3):
+def local_derivation_generic_space(A, op=None, der=None):
     """The space {phi : phi(x) in span_{Q(x)} {D_i x}} of constant matrices.
 
-    Computed exactly: the generic rank r of S_x = [D_1 x | ... | D_r x] is
-    certified by a rational sample (lower bound) together with an explicit
-    polynomial basis of the left kernel of S_x (upper bound); membership then
-    reduces to the linear conditions w(x)^T phi x = 0.
+    Computed exactly: ``linalg.generic_rank`` certifies the rank r of
+    S_x = [D_1 x | ... | D_r x] over Q(x) and returns a polynomial basis of
+    the left kernel of S_x; membership then reduces to the linear
+    conditions w(x)^T phi x = 0.
     """
     if A.dom is not QQ:
         raise DomainError("generic local-derivation space requires Q")
     n = A.dim
     der = der or derivation_space(A, delta=1, op=op)
     der_mats = der.matrices()
-    rng = random.Random(SAMPLE_SEED + 1)
     if not der_mats:
         # no derivations: phi must satisfy phi x = 0 generically, so phi = 0
         return OperatorSpace(n, [], "locder-generic", QQ,
                              meta={"generic_rank": 0, "certified": True})
-    generic_rank = 0
-    for _ in range(6):
-        x = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
-        S = _der_images_matrix(der_mats, x, QQ)
-        generic_rank = max(generic_rank, rank(S, QQ))
-    need = n - generic_rank
-    ring = PolyRing(n)
-    gens = ring.gens()
-    # symbolic columns D_i x (entries linear in x)
-    sym_cols = []
-    for D in der_mats:
-        col = []
-        for i in range(n):
-            p = ring.zero()
-            for j in range(n):
-                if D[i][j]:
-                    p = p + Poly.const(n, D[i][j]) * gens[j]
-            col.append(p)
-        sym_cols.append(col)
-    kernel = []
-    if need > 0:
-        for deg in range(0, max_kernel_degree + 1):
-            monos = _monomials(n, deg)
-            nunk = n * len(monos)
-            rows = {}
-            for ci, col in enumerate(sym_cols):
-                # w . col must vanish: collect per output monomial
-                for mi, mono in enumerate(monos):
-                    for i in range(n):
-                        for e, c in col[i].terms.items():
-                            key = tuple(a + b for a, b in zip(mono, e))
-                            rows.setdefault((ci, key), {})
-                            unk = i * len(monos) + mi
-                            row = rows[(ci, key)]
-                            row[unk] = row.get(unk, Fraction(0)) + c
-            vecs = nullspace_sparse_q(list(rows.values()), nunk)
-            for v in vecs:
-                w = []
-                for i in range(n):
-                    terms = {}
-                    for mi, mono in enumerate(monos):
-                        c = v[i * len(monos) + mi]
-                        if c:
-                            terms[mono] = c
-                    w.append(Poly(n, terms))
-                kernel.append(w)
-            kernel = _independent_kernel(kernel, n, rng)
-            if len(kernel) >= need:
-                kernel = kernel[:need]
-                break
-    certified = len(kernel) == need
+    # S_x = sum_j x_j N_j with N_j[i][c] = D_c[i][j]
+    S = linear_pencil([[[D[i][j] for D in der_mats] for i in range(n)] for j in range(n)])
+    r, _, kernel = generic_rank(S, seeded_points(SAMPLE_SEED + 1, n, 9))
     # membership conditions: w(x)^T (phi x) = 0 identically
     rows = {}
     for wi, w in enumerate(kernel):
         for i in range(n):
-            if not w[i].terms:
-                continue
             for j in range(n):
                 # contribution of phi_{i,j} x_j to w(x)^T phi x
                 for e, c in w[i].terms.items():
@@ -561,69 +511,12 @@ def local_derivation_generic_space(A, op=None, der=None, max_kernel_degree=3):
                     row = rows.setdefault((wi, key), {})
                     unk = i * n + j
                     row[unk] = row.get(unk, Fraction(0)) + c
-    if certified:
-        vecs = nullspace_sparse_q(list(rows.values()), n * n)
-    else:
-        # fall back to heavily sampled constraints (still contains LocDer)
-        vecs = _sampled_locder_space(A, der_mats, rng)
+    vecs = nullspace_sparse_q(list(rows.values()), n * n)
     return OperatorSpace(n, vecs, "locder-generic", QQ,
-                         meta={"generic_rank": generic_rank,
-                               "kernel_degrees": [max((sum(e) for p in w for e in p.terms), default=0)
-                                                  for w in kernel],
-                               "certified": certified,
+                         meta={"generic_rank": r,
+                               "kernel_degrees": [max(p.degree() for p in w) for w in kernel],
+                               "certified": True,
                                "seed": SAMPLE_SEED + 1})
-
-
-def _monomials(n, deg):
-    if deg == 0:
-        return [tuple([0] * n)]
-    out = []
-    def rec(prefix, rem, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [rem]))
-            return
-        for k in range(rem + 1):
-            rec(prefix + [k], rem - k, slots - 1)
-    rec([], deg, n)
-    return out
-
-
-def _independent_kernel(kernel, n, rng):
-    """A maximal subset of kernel vectors independent over Q(x).
-
-    A vector is kept when it raises the rank of the kept vectors evaluated
-    at one random point; rank at a point is a lower bound of the rank over
-    Q(x), so the kept vectors are independent.
-    """
-    x = [Fraction(rng.randint(-7, 7)) for _ in range(n)]
-    keep, acc = [], []
-    for w in kernel:
-        trial = acc + [[p.eval(x) for p in w]]
-        if rank(trial, QQ) == len(trial):
-            acc = trial
-            keep.append(w)
-    return keep
-
-
-def _sampled_locder_space(A, der_mats, rng, samples=48):
-    n = A.dim
-    rows = []
-    for _ in range(samples):
-        x = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
-        S = _der_images_matrix(der_mats, x, QQ)
-        # conditions: phi x lies in col-span(S): use left kernel at the point
-        kern = nullspace([list(col) for col in zip(*S)], n, QQ)
-        for w in kern:
-            row = {}
-            for i in range(n):
-                if w[i] == 0:
-                    continue
-                for j in range(n):
-                    if x[j]:
-                        row[i * n + j] = row.get(i * n + j, Fraction(0)) + w[i] * x[j]
-            if row:
-                rows.append(row)
-    return nullspace_sparse_q(rows, n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +556,7 @@ def leibniz_derivation_space(A, k, arrangement="all", op=None, max_order=5):
 
     "all" intersects over every full bracketing of length k (Catalan many).
     The report says whether the space contains an invertible element, decided
-    by the symbolic determinant of a generic combination.
+    by the certified generic rank of a generic combination (``generic_rank``).
     """
     if k < 2:
         raise DomainError("order must be >= 2")
@@ -703,58 +596,16 @@ def leibniz_derivation_space(A, k, arrangement="all", op=None, max_order=5):
 
 
 def _generic_invertibility(space):
+    """(whether the space holds an invertible map, the first point c of the
+    seeded stream where sum_k c_k M_k is invertible): the generic
+    combination has full rank over Q(x), certified by ``generic_rank``."""
     mats = space.matrices()
-    s = len(mats)
-    n = space.ambient_dim
-    if s == 0:
+    if not mats:
         return False, None
-    ring = PolyRing(s)
-    gens = ring.gens()
-    sym = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for idx, M in enumerate(mats):
-        for i in range(n):
-            for j in range(n):
-                if M[i][j]:
-                    sym[i][j] = sym[i][j] + Poly.const(s, M[i][j]) * gens[idx]
-    d = _poly_det(sym, ring)
-    if not d.terms:
-        return False, None
-    rng = random.Random(SAMPLE_SEED + 2)
-    for _ in range(200):
-        c = [Fraction(rng.randint(-5, 5)) for _ in range(s)]
-        if d.eval(c) != 0:
-            return True, c
-    return True, None
-
-
-def _poly_det(mat, ring):
-    """Bareiss fraction-free determinant over a polynomial ring."""
-    n = len(mat)
-    if n == 0:
-        return ring.one()
-    m = [row[:] for row in mat]
-    prev = ring.one()
-    sign = 1
-    for c in range(n - 1):
-        pr = None
-        for i in range(c, n):
-            if m[i][c].terms:
-                pr = i
-                break
-        if pr is None:
-            return ring.zero()
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        piv = m[c][c]
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                num = piv * m[i][j] - m[i][c] * m[c][j]
-                m[i][j] = num.divexact(prev)
-            m[i][c] = ring.zero()
-        prev = piv
-    out = m[n - 1][n - 1]
-    return out if sign == 1 else -out
+    _, point, kernel = generic_rank(linear_pencil(mats),
+                                    seeded_points(SAMPLE_SEED + 2, len(mats), 5),
+                                    full_only=True)
+    return (False, None) if kernel else (True, point)
 
 
 # ---------------------------------------------------------------------------

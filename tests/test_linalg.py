@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from nonassoc import linalg
 from nonassoc.catalog import catalog_get
 from nonassoc.identities import check_identity, parse_identity
-from nonassoc.linalg import (Subspace, inverse, is_invertible, mat_mul,
-                             nullspace, nullspace_sparse_q, rank, solve_linear)
+from nonassoc.linalg import (Subspace, generic_rank, inverse, is_invertible,
+                             linear_pencil, mat_mul, nullspace, nullspace_sparse_q,
+                             rank, seeded_points, solve_linear)
 from nonassoc.operators import _nullspace_rows, derivation_space
-from nonassoc.scalars import GF, QQ, QT, DomainError, RatFunc
+from nonassoc.scalars import GF, QQ, QT, DomainError, Poly, PolyRing, RatFunc
 from nonassoc.structure import change_basis
 
 
@@ -245,3 +247,147 @@ def test_modular_rows_match_dense_nullspace_over_gf(p, system):
         for j, v in row.items():
             r[j] = F.from_int(v)
     assert _nullspace_rows(rows, ncols, F) == nullspace(dense, ncols, F)
+
+
+# ---------------------------------------------------------------------------
+# generic rank over Q(x) against the fraction-free Bareiss references it
+# replaced in the library
+# ---------------------------------------------------------------------------
+
+def bareiss_rank(rows):
+    """Reference: fraction-free rank of a matrix over a polynomial ring."""
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0])
+    prev = None
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        for i in range(r + 1, nrows):
+            for j in range(ncols):
+                if j != c:
+                    num = piv * m[i][j] - m[i][c] * m[r][j]
+                    m[i][j] = num if prev is None else num.divexact(prev)
+            m[i][c] = m[i][c] - m[i][c]
+        prev = piv
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def poly_det(mat, ring):
+    """Reference: Bareiss fraction-free determinant over a polynomial ring."""
+    n = len(mat)
+    m = [row[:] for row in mat]
+    prev = ring.one()
+    sign = 1
+    for c in range(n - 1):
+        pr = next((i for i in range(c, n) if m[i][c].terms), None)
+        if pr is None:
+            return ring.zero()
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            sign = -sign
+        piv = m[c][c]
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                m[i][j] = (piv * m[i][j] - m[i][c] * m[c][j]).divexact(prev)
+            m[i][c] = ring.zero()
+        prev = piv
+    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+
+
+def _at(mat, x):
+    return [[p.eval(x) for p in row] for row in mat]
+
+
+def _constant(data, s, nr, nc):
+    return [[Poly.const(s, data.draw(st.integers(-3, 3))) for _ in range(nc)]
+            for _ in range(nr)]
+
+
+def _pencil(data, s, nr, nc):
+    return linear_pencil([[[Fraction(data.draw(st.integers(-3, 3))) for _ in range(nc)]
+                           for _ in range(nr)] for _ in range(s)])
+
+
+def _band(s, k):
+    """The (k + 1) x k matrix with x0 on the diagonal and x1 below it: its
+    left kernel is spanned by one vector of degree k."""
+    x0, x1 = Poly.var(s, 0), Poly.var(s, 1)
+    zero = Poly(s)
+    return [[x0 if i == j else x1 if i == j + 1 else zero for j in range(k)]
+            for i in range(k + 1)]
+
+
+def _draw_matrix(data):
+    kind = data.draw(st.sampled_from(["thin", "thin2", "power", "zero", "full", "band"]))
+    s = data.draw(st.integers(2, 3))
+    nr, nc = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    ring = PolyRing(s)
+    if kind in ("thin", "thin2"):
+        # a product through k < min(nr, nc) columns: deficient on purpose
+        k = data.draw(st.integers(1, max(1, min(nr, nc) - 1)))
+        right = _pencil(data, s, k, nc) if kind == "thin2" else _constant(data, s, k, nc)
+        return mat_mul(_pencil(data, s, nr, k), right, ring)
+    if kind == "power":
+        P = _pencil(data, s, nr, nr)
+        return mat_mul(P, P, ring) if data.draw(st.booleans()) else \
+            mat_mul(mat_mul(P, P, ring), P, ring)
+    if kind == "zero":
+        return [[Poly(s) for _ in range(nc)] for _ in range(nr)]
+    if kind == "full":
+        # x0 I + (random pencil in the other variables): det has x0^n
+        P = _pencil(data, s, nr, nr)
+        return [[p + Poly.var(s, 0) if i == j else p for j, p in enumerate(row)]
+                for i, row in enumerate(P)]
+    # band, mixed by a random constant matrix on the left
+    k = data.draw(st.integers(2, 3))
+    return mat_mul(_constant(data, s, k + 1, k + 1), _band(s, k), ring)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_generic_rank_matches_bareiss(data):
+    mat = _draw_matrix(data)
+    nrows, ncols, s = len(mat), len(mat[0]), mat[0][0].n
+    r, point, kernel = generic_rank(mat, seeded_points(1, s, 9))
+    assert r == bareiss_rank(mat)
+    assert rank(_at(mat, point), QQ) == r
+    assert len(kernel) == nrows - r
+    zero = Poly(s)
+    for w in kernel:
+        assert all(sum((w[i] * mat[i][j] for i in range(nrows)), zero) == zero
+                   for j in range(ncols))
+    if kernel:
+        assert any(rank([[p.eval(x) for p in w] for w in kernel], QQ) == len(kernel)
+                   for x in islice(seeded_points(2, s, 9), 10))
+    if nrows == ncols:
+        _, _, first = generic_rank(mat, seeded_points(1, s, 9), full_only=True)
+        assert (not first) == bool(poly_det(mat, PolyRing(s)).terms)
+        assert len(first) <= 1
+
+
+def test_generic_rank_searches_past_degree_one():
+    """The band matrix needs a kernel vector of degree k; with a point of
+    full rank first the search runs degree by degree up to k."""
+    for k in (2, 3, 4):
+        r, _, kernel = generic_rank(_band(2, k), seeded_points(3, 2, 9))
+        assert r == k and [max(p.degree() for p in w) for w in kernel] == [k]
+
+
+def test_generic_rank_rejects_other_input():
+    x0, x1 = Poly.var(2, 0), Poly.var(2, 1)
+    for mat in ([[x0, x1 * x1]], [[x0 + x0 * x1]], [[x0, Poly.var(3, 0)]],
+                [[Fraction(1)]], [], [[x0], [x0, x1]]):
+        with pytest.raises(DomainError):
+            generic_rank(mat, seeded_points(1, 2, 9))
+
+
+def test_generic_rank_needs_enough_points():
+    with pytest.raises(DomainError):
+        generic_rank(_band(2, 3), [[Fraction(0), Fraction(0)]] * 3)

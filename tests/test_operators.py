@@ -202,6 +202,45 @@ def test_leibniz_sl2_order3_is_der_without_invertibles():
         assert sp.meta["invertible_exists"] is False
 
 
+@pytest.mark.parametrize("name", ["M7", "octonions"])
+def test_leibniz_order2_has_no_invertible_element(name):
+    """The generic combination of LDer_2 is singular: one polynomial kernel
+    vector of the pencil proves det = 0 (M7 took about 10 s by a symbolic
+    determinant)."""
+    space = leibniz_derivation_space(catalog_get(name), 2)
+    assert space.meta["invertible_exists"] is False
+    assert space.meta["invertible_witness"] is None
+
+
+@pytest.mark.parametrize("name, params, witness", [
+    ("heis3", None, [-3, 0, -1, 1, -5, -5]),
+    ("NF", {"n": 4}, [3, 2, -2, -3]),
+])
+def test_leibniz_invertible_witness(name, params, witness):
+    """The witness is the first point of the seeded stream where the generic
+    combination is invertible (values recorded before the certified rank
+    replaced the determinant)."""
+    space = leibniz_derivation_space(catalog_get(name, params), 2)
+    assert space.meta["invertible_exists"] is True
+    assert space.meta["invertible_witness"] == witness
+    combo = [[sum(c * M[i][j] for c, M in zip(witness, space.matrices()))
+              for j in range(space.ambient_dim)] for i in range(space.ambient_dim)]
+    assert is_invertible(combo)
+
+
+@pytest.mark.parametrize("name, params, generic_rank, kernel_degrees", [
+    ("matrix", {"n": 2}, 2, [0, 1]),
+    ("matrix", {"n": 3}, 6, [0, 1, 2]),
+    ("U2e", None, 2, [0, 0, 1, 1, 1, 1]),
+    ("M7", None, 6, [1]),
+    ("R", {"seq": [1]}, 3, [0, 0]),
+])
+def test_local_derivation_generic_meta(name, params, generic_rank, kernel_degrees):
+    meta = local_derivation_generic_space(catalog_get(name, params)).meta
+    assert (meta["generic_rank"], meta["kernel_degrees"], meta["certified"]) == \
+        (generic_rank, kernel_degrees, True)
+
+
 def test_commuting_maps_refuse_char_two():
     from nonassoc.scalars import GF
     from nonassoc.structure import Algebra, StructureTensor

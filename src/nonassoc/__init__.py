@@ -20,7 +20,7 @@ from .invariants import (characteristic_sequence, multiplicative_basis_check,
 from .kantor import (build_U, conservativity_test, jacobi_element_space,
                      kantor_product, kantor_square, quasi_unit_space,
                      u2_e_basis, u2_subalgebra)
-from .linalg import Subspace, solve_linear
+from .linalg import Subspace
 from .operators import (OperatorSpace, TupleOperatorSpace, centroid,
                         commuting_map_space, derivation_space,
                         generalized_derivation_space,

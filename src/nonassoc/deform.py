@@ -10,8 +10,8 @@ identities, B2 by coboundaries f(xy).
 from __future__ import annotations
 
 from .identities import check_identity, parse_identity, polarize, term_vars
-from .linalg import Subspace, is_invertible
-from .operators import _nullspace_rows, derivation_space, linear_conditions
+from .linalg import Subspace, is_invertible, kernel
+from .operators import derivation_space, linear_conditions
 from .scalars import QQ, QT, DomainError, RatFunc, parse_ratfunc
 from .structure import Algebra, StructureTensor, change_basis
 from .varieties import BINARY_VARIETIES, VARIETY_ALIASES, variety_identities
@@ -161,18 +161,9 @@ def central_extension(A, theta, op=None):
                   {opn: StructureTensor(n + s, 2, table, dom)}, dom)
     from .invariants import annihilator_subspace
     ann = annihilator_subspace(ext, "two_sided", op=opn)
-    v_basis = []
-    for a in range(s):
-        v = [dom.zero()] * (n + s)
-        v[n + a] = dom.one()
-        v_basis.append(v)
-    a_basis = []
-    for a in range(n):
-        v = [dom.zero()] * (n + s)
-        v[a] = dom.one()
-        a_basis.append(v)
-    meet_a = ann.intersect(Subspace(a_basis, n + s, dom))
-    report = {"V_in_annihilator": all(ann.contains_vector(v) for v in v_basis),
+    meet_a = ann.intersect(Subspace([ext.basis_vector(a) for a in range(n)], n + s, dom))
+    report = {"V_in_annihilator": all(ann.contains_vector(ext.basis_vector(n + a))
+                                      for a in range(s)),
               "annihilator_component_trivial": meet_a.dim == 0,
               "ann_dim": ann.dim}
     return ext, report
@@ -213,8 +204,7 @@ def cocycle_space(A, variety, s=1, op=None):
             terms = [(c, ("<theta>", tuple(in_A(ch) for ch in term[1])))
                      for c, term in lin.terms]
             rows += linear_conditions(A, terms, lin.variables, theta)[0].values()
-    z2_vecs = _nullspace_rows(rows, n * n, dom)
-    Z2 = Subspace(z2_vecs, n * n, dom)
+    Z2 = kernel(rows, n * n, dom)
     # coboundaries: theta = f(xy) for the coordinate functionals f
     B2 = Subspace([[t.basis_product((i, j)).get(k, dom.zero())
                     for i in range(n) for j in range(n)] for k in range(n)],

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .identities import Identity, check_identity
-from .linalg import identity_matrix, mat_eq, mat_mul, nullspace_sparse_mod
+from .linalg import identity_matrix, kernel, mat_eq, mat_mul
 from .operators import multiplication_operator
 from .poisson import check_poisson_family
 from .scalars import GF, QQ, DomainError
@@ -318,7 +318,7 @@ def _span_indices(rows, s, dom):
     the indices t = sum_k d_k p^k of its vectors d, mapped to the digits d."""
     p = dom.p
     vecs = [[0] * s]
-    for b in nullspace_sparse_mod(rows, s, dom):
+    for b in kernel(rows, s, dom).basis:
         vecs = [[(x + c * y.v) % p for x, y in zip(v, b)]
                 for v in vecs for c in range(p)]
     return {sum(d * p ** k for k, d in enumerate(v)): v for v in vecs}

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from .linalg import (Subspace, generic_rank, linear_pencil, mat_mul, mat_sub,
+from .linalg import (Subspace, generic_rank, kernel, linear_pencil, mat_mul, mat_sub,
                      rank, seeded_points)
-from .operators import _nullspace_rows, linear_conditions, multiplication_operator
+from .operators import linear_conditions, multiplication_operator
 from .scalars import QQ, DomainError, PolyRing
 from .structure import Algebra, StructureTensor
 
@@ -45,7 +45,7 @@ def _element_laws_kernel(A, laws):
     rows = []
     for terms in laws:
         rows += linear_conditions(A, terms, ("x",), {"<z>": (n, lambda r: r)})[0].values()
-    return Subspace(_nullspace_rows(rows, n, A.dom), n, A.dom)
+    return kernel(rows, n, A.dom)
 
 
 def annihilator_subspace(A, side="two_sided", op=None):
@@ -291,28 +291,13 @@ def standard_embedding(T, op=None):
     Lbasis = [[[v[i * n + j] for j in range(n)] for i in range(n)]
               for v in Lspace.basis]
 
-    def l_coords(M):
-        vec = [x for row in M for x in row]
-        # express vec in the echelon basis of L
-        coords = [dom.zero()] * s
-        w = list(vec)
-        for bi, brow in enumerate(Lspace.basis):
-            lead = next(i for i, x in enumerate(brow) if not dom.is_zero(x))
-            if not dom.is_zero(w[lead]):
-                f = w[lead] / brow[lead]
-                coords[bi] = f
-                w = [x - f * y for x, y in zip(w, brow)]
-        if any(not dom.is_zero(x) for x in w):
-            return None
-        return coords
-
     dim = s + n
     table = {}
     for a in range(s):
         for b in range(s):
             comm = mat_sub(mat_mul(Lbasis[a], Lbasis[b], dom),
                            mat_mul(Lbasis[b], Lbasis[a], dom))
-            coords = l_coords(comm)
+            coords = Lspace.coordinates(x for row in comm for x in row)
             if coords is None:
                 raise DomainError("[L, L] does not close inside L")
             row = {k: c for k, c in enumerate(coords) if not dom.is_zero(c)}
@@ -332,7 +317,7 @@ def standard_embedding(T, op=None):
             M = ad_mats.get((z, w))
             if M is None:
                 continue
-            coords = l_coords(M)
+            coords = Lspace.coordinates(x for row in M for x in row)
             if coords is None:
                 raise DomainError("ad(z,w) escapes L (inconsistent basis)")
             row = {k: c for k, c in enumerate(coords) if not dom.is_zero(c)}
@@ -341,10 +326,6 @@ def standard_embedding(T, op=None):
     emb = Algebra(f"{T.name}-embedding", dim,
                   {"mul": StructureTensor(dim, 2, table, dom)}, dom)
     emb.l_dim = s
-    emb.grading = [(0, Subspace([[dom.one() if i == k else dom.zero()
-                                  for i in range(dim)] for k in range(s)][:s] or [],
-                                dim, dom)),
-                   (1, Subspace([[dom.one() if i == s + k else dom.zero()
-                                  for i in range(dim)] for k in range(n)],
-                                dim, dom))]
+    emb.grading = [(0, Subspace([emb.basis_vector(k) for k in range(s)], dim, dom)),
+                   (1, Subspace([emb.basis_vector(s + k) for k in range(n)], dim, dom))]
     return emb

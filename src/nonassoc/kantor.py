@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 from .identities import Identity, eval_identity_sparse
-from .linalg import Subspace, inverse, nullspace, solve
+from .linalg import Subspace, inverse, kernel, solve
 from .operators import linear_conditions
 from .scalars import QQ, DomainError
 from .structure import Algebra, StructureTensor, change_basis
@@ -40,8 +40,12 @@ def kantor_product(A, B, u, dom=None):
     n = A.dim
     one = dom.one()
     if isinstance(u, int):
+        if not 0 <= u < n:
+            raise DomainError(f"u = {u} is not a basis index of a {n}-dimensional space")
         uv = {u: one}
     else:
+        if len(u) != n:
+            raise DomainError(f"u has {len(u)} coordinates, the space has dimension {n}")
         uv = {i: dom.coerce(c) for i, c in enumerate(u)
               if not dom.is_zero(dom.coerce(c))}
     if not uv:
@@ -234,44 +238,50 @@ def _bracket_terms(opn, c, u, v):
             (-1, (opn, (u, (opn, (c, v)))))]
 
 
-def _k_operator_matrix(A, op=None):
-    """Rows of the map c -> [L_c, M]: K[(x,y,r), k] = [L_{e_k}, M](e_x,e_y)_r."""
+def _k_rows(A, op=None):
+    """Kantor's operator K: c -> [L_c, M] as exact sparse rows
+    {((x, y), r): {k: [L_{e_k}, M](e_x, e_y)_r}}."""
     opn = op or A.op_names()[0]
-    n = A.dim
-    zero = A.dom.zero()
     terms = _bracket_terms(opn, ("<c>", ()), ("v", "x"), ("v", "y"))
-    conds = _exact_rows(A.dom, *linear_conditions(A, terms, ("x", "y"),
-                                                  {"<c>": (n, lambda r: r)}))
-    return [[conds.get((xy, r), {}).get(k, zero) for k in range(n)]
-            for xy in itertools.product(range(n), repeat=2) for r in range(n)]
+    return _exact_rows(*linear_conditions(A, terms, ("x", "y"), {"<c>": (A.dim, lambda r: r)}))
 
 
 def _double_brackets(A, op=None):
-    """[L_a,[L_b,M]](e_x, e_y)_r for all a, as {((b, x, y), r): {a: value}}.
+    """-[L_a,[L_b,M]] for every basis pair (a, b), as the right-hand side
+    {((x, y), r): value} of K s = -[L_a,[L_b,M]].
 
     The value is linear in a: [L_a, N](x,y) = a N(x,y) - N(ax, y) - N(x, ay)
-    for N = [L_b, M].
+    for N = [L_b, M], so one system in the unknown a gives every pair.
     """
     opn = op or A.op_names()[0]
+    n = A.dim
     a, b, x, y = ("<a>", ()), ("v", "b"), ("v", "x"), ("v", "y")
-    terms = [(c, (opn, (a, t))) for c, t in _bracket_terms(opn, b, x, y)]
-    terms += [(-c, t) for c, t in _bracket_terms(opn, b, (opn, (a, x)), y)
+    terms = [(-c, (opn, (a, t))) for c, t in _bracket_terms(opn, b, x, y)]
+    terms += [(c, t) for c, t in _bracket_terms(opn, b, (opn, (a, x)), y)
               + _bracket_terms(opn, b, x, (opn, (a, y)))]
-    return _exact_rows(A.dom, *linear_conditions(A, terms, ("b", "x", "y"),
-                                                 {"<a>": (A.dim, lambda r: r)}))
+    rows = _exact_rows(*linear_conditions(A, terms, ("b", "x", "y"), {"<a>": (n, lambda r: r)}))
+    rhs = {(i, j): {} for i in range(n) for j in range(n)}
+    for ((j, xi, yi), r), row in rows.items():
+        for i, v in row.items():
+            rhs[(i, j)][((xi, yi), r)] = v
+    return rhs
 
 
-def _exact_rows(dom, rows, scale):
-    """The rows of ``linear_conditions`` divided by their own scale."""
-    exact = dom.coerce if scale == 1 else (lambda v: Fraction(v, scale))
-    return {key: {j: exact(v) for j, v in row.items()} for key, row in rows.items()}
+def _exact_rows(rows, scale):
+    """The rows of ``linear_conditions`` divided by their own scale (over Q;
+    elsewhere the scale is 1 and the rows are exact as they are)."""
+    if scale == 1:
+        return rows
+    return {key: {j: Fraction(v, scale) for j, v in row.items()} for key, row in rows.items()}
 
 
-def _double_bracket_rhs(D, A, a, b):
-    """-[L_a,[L_b,M]] flattened over basis pairs (x, y) and coordinates r."""
-    zero = A.dom.zero()
-    return [-D.get(((b, x, y), r), {}).get(a, zero)
-            for x, y in itertools.product(range(A.dim), repeat=2) for r in range(A.dim)]
+def _conservativity(A, op=None):
+    """(null(K), {(a, b): particular solution of K s = -[L_a,[L_b,M]], or
+    None}), with K factorised once by ``linalg.solve`` for all pairs."""
+    K = _k_rows(A, op)
+    rhs = _double_brackets(A, op)
+    return (kernel(list(K.values()), A.dim, A.dom),
+            dict(zip(rhs, solve(K, rhs.values(), A.dim, A.dom))))
 
 
 def conservativity_test(A, op=None):
@@ -280,48 +290,29 @@ def conservativity_test(A, op=None):
     The system decouples: for each basis pair (a,b) the unknown vector a*b
     solves K s = -[L_a,[L_b,M]], with the same coefficient matrix K.  The
     affine solution space is a particular * plus any bilinear map into
-    null(K).  terminal reports whether * = 2/3 xy + 1/3 yx works.
+    null(K).  terminal reports whether * = 2/3 xy + 1/3 yx works, in the
+    pairing [L_a,[L_b,.]] = -[L_{M*(b,a)},.]: the orientation under which
+    the published terminal algebras W2 and S2 (and the printed degree-4
+    terminal identity) come out terminal.
     """
     t = A.op(op)
     if t.arity != 2:
         raise DomainError("conservativity needs a binary operation")
     dom = A.dom
     n = A.dim
-    K = _k_operator_matrix(A, op)
-    D = _double_brackets(A, op)
-    kernel = Subspace(nullspace(K, n, dom), n, dom)
-    feasible = True
-    particular_table = {}
-    for a in range(n):
-        for b in range(n):
-            s = solve(K, _double_bracket_rhs(D, A, a, b), dom)
-            if s is None:
-                feasible = False
-                particular_table = None
-                break
+    null, answers = _conservativity(A, op)
+    particular = None
+    if None not in answers.values():
+        table = {}
+        for ab, s in answers.items():
             row = {k: c for k, c in enumerate(s) if not dom.is_zero(c)}
             if row:
-                particular_table[(a, b)] = row
-        if not feasible:
-            break
-    particular = (StructureTensor(n, 2, particular_table, dom)
-                  if feasible else None)
-    terminal = _terminal_candidate_works(A, K, D, op)
-    return ConservativityReport(feasible, particular, kernel, terminal)
-
-
-def _terminal_candidate_works(A, K, D, op=None):
-    """Check the associated product M*(x,y) = 2/3 xy + 1/3 yx.
-
-    The pairing is [L_a,[L_b,.]] = -[L_{M*(b,a)},.]; this orientation is the
-    one under which the published terminal algebras W2 and S2 (and the
-    printed degree-4 terminal identity) come out terminal.
-    """
-    t = A.op(op)
-    swapped = StructureTensor(A.dim, 2, {(j, i): row for (i, j), row in t.table.items()},
-                              A.dom)
+                table[ab] = row
+        particular = StructureTensor(n, 2, table, dom)
+    swapped = StructureTensor(n, 2, {(j, i): row for (i, j), row in t.table.items()}, dom)
     star = t.scale(Fraction(2, 3)).add(swapped.scale(Fraction(1, 3)))
-    return _solves_conservativity(A, K, D, star)
+    return ConservativityReport(particular is not None, particular, null,
+                                _solves_conservativity(A, null, answers, star))
 
 
 def associated_product_check(A, star, op=None):
@@ -331,23 +322,20 @@ def associated_product_check(A, star, op=None):
     and -B(u, A(x,y)) on U(2)): the products as printed satisfy
     [L_a,[L_b,M]] = -[L_{star(b,a)},M].
     """
-    return _solves_conservativity(A, _k_operator_matrix(A, op), _double_brackets(A, op), star)
+    return _solves_conservativity(A, *_conservativity(A, op), star)
 
 
-def _solves_conservativity(A, K, D, star):
-    """[L_a,[L_b,M]] = -[L_{star(b,a)},M] for every basis pair (a, b)."""
+def _solves_conservativity(A, null, answers, star):
+    """Whether star(b, a) solves K s = -[L_a,[L_b,M]] for every basis pair
+    (a, b): each system is consistent and star(b, a) differs from its
+    particular solution by an element of null(K)."""
     dom = A.dom
-    n = A.dim
-    for a in range(n):
-        for b in range(n):
-            rhs = _double_bracket_rhs(D, A, a, b)
-            lhs = [dom.zero()] * len(rhs)
-            for k, c in star.basis_product((b, a)).items():
-                for r, row in enumerate(K):
-                    if not dom.is_zero(row[k]):
-                        lhs[r] = lhs[r] + c * row[k]
-            if any(not dom.is_zero(u - v) for u, v in zip(lhs, rhs)):
-                return False
+    for (a, b), x in answers.items():
+        if x is None:
+            return False
+        s = star.basis_product((b, a))
+        if not null.contains_vector([s.get(k, dom.zero()) - c for k, c in enumerate(x)]):
+            return False
     return True
 
 
@@ -362,19 +350,13 @@ def quasi_unit_space(A, op=None):
         raise DomainError("quasi-units need a binary operation")
     dom = A.dom
     n = A.dim
-    K = _k_operator_matrix(A, op)
+    K = _k_rows(A, op)
     # e is a quasi-unit iff [L_e, M] = -M, i.e. K e = -vec(M)
-    target = []
-    for x in range(n):
-        for y in range(n):
-            prod = t.basis_product((x, y))
-            for r in range(n):
-                target.append(-prod.get(r, dom.zero()))
-    sol = solve(K, target, dom)
-    kernel = nullspace(K, n, dom)
+    target = {((x, y), r): -c for (x, y), row in t.table.items() for r, c in row.items()}
+    sol = solve(K, [target], n, dom)[0]
     if sol is None:
         return Subspace([], n, dom), None
-    return Subspace(kernel, n, dom), sol
+    return kernel(list(K.values()), n, dom), sol
 
 
 def jacobi_element_space(A, op=None):
@@ -382,7 +364,4 @@ def jacobi_element_space(A, op=None):
     t = A.op(op)
     if t.arity != 2:
         raise DomainError("Jacobi elements need a binary operation")
-    dom = A.dom
-    n = A.dim
-    K = _k_operator_matrix(A, op)
-    return Subspace(nullspace(K, n, dom), n, dom)
+    return kernel(list(_k_rows(A, op).values()), A.dim, A.dom)

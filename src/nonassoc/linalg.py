@@ -20,7 +20,7 @@ from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from operator import add
 
-from .scalars import QQ, DomainError, Poly
+from .scalars import QQ, DomainError, Poly, PrimeField, RationalDomain
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +125,6 @@ def rank(rows, dom=QQ):
 
 def nullspace(rows, ncols, dom=QQ):
     """Canonical (RREF) basis of {x : M x = 0}, rows of the result matrix."""
-    if not rows:
-        rows = []
     red, pivots = rref(rows, dom) if rows else ([], [])
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
@@ -142,23 +140,58 @@ def nullspace(rows, ncols, dom=QQ):
     return [r for r in red2 if any(not dom.is_zero(x) for x in r)]
 
 
-def solve(rows, rhs, dom=QQ):
-    """One solution of M x = rhs, or None if inconsistent."""
-    ncols = len(rows[0]) if rows else len(rhs) * 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, dom)
-    for i, row in enumerate(red):
-        if i < len(pivots):
-            continue
-        if not dom.is_zero(row[-1]) and all(dom.is_zero(x) for x in row[:-1]):
-            return None
-    # a pivot in the rhs column means inconsistency
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [dom.zero()] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][-1]
-    return x
+def solve(rows, rhss, ncols, dom=QQ):
+    """Particular solutions of M x = b for many right-hand sides b.
+
+    M is given by sparse rows {key: {column: coefficient}} (a key without a
+    row is a zero row), each b by {key: value}; entries are anything
+    ``dom.coerce`` takes, so ``linear_conditions`` rows of scale 1 (or
+    divided by their scale) enter as they are.  M is factorised once,
+    exactly: its pivot columns P (those of its RREF), r rows I independent
+    on P, and the inverse of M[I, P].  The answer for b is x with
+    x[P] = M[I, P]^-1 b[I] and zeros at the free columns, the solution the
+    RREF of [M | b] gives, or None when M x = b fails at some row (checked
+    exactly, over the columns of M in the support of x).
+    """
+    zero, is_zero, coerce = dom.zero(), dom.is_zero, dom.coerce
+    mat = {key: {j: c for j, v in row.items() if not is_zero(c := coerce(v))}
+           for key, row in rows.items()}
+    red, source = {}, {}   # pivot column -> reduced row / key of its row
+    cols = {}              # column -> [(key, entry)]
+    for key, row in mat.items():
+        for j, c in row.items():
+            cols.setdefault(j, []).append((key, c))
+        # reduce by the pivot rows, lowest column first: each keeps its
+        # pivot as its lowest column
+        row = dict(row)
+        while row and (c := min(row)) in red:
+            f = row[c] / red[c][c]
+            for j, v in red[c].items():
+                x = row.get(j, zero) - f * v
+                if is_zero(x):
+                    row.pop(j, None)
+                else:
+                    row[j] = x
+        if row:
+            red[c], source[c] = row, key
+    pivots = sorted(red)
+    inv = inverse([[mat[source[i]].get(j, zero) for j in pivots] for i in pivots], dom) \
+        if pivots else []
+    out = []
+    for b in rhss:
+        b = {key: c for key, v in b.items() if not is_zero(c := coerce(v))}
+        x = [zero] * ncols
+        b_rows = [b.get(source[i], zero) for i in pivots]
+        for p, inv_row in zip(pivots, inv):
+            x[p] = sum((u * v for u, v in zip(inv_row, b_rows) if not is_zero(v)), zero)
+        mx = {}
+        for p in pivots:
+            if not is_zero(x[p]):
+                for key, c in cols[p]:
+                    mx[key] = mx.get(key, zero) + c * x[p]
+        ok = all(is_zero(mx.get(key, zero) - b.get(key, zero)) for key in mx.keys() | b.keys())
+        out.append(x if ok else None)
+    return out
 
 
 def inverse(mat, dom=QQ):
@@ -194,19 +227,33 @@ class Subspace:
         red, _ = rref(vectors, dom) if vectors else ([], [])
         self.basis = [r for r in red if any(not dom.is_zero(x) for x in r)]
 
+    @classmethod
+    def _canonical(cls, basis, ambient_dim, dom):
+        """The subspace of a basis already in canonical form (no rref)."""
+        space = cls.__new__(cls)
+        space.dom, space.ambient_dim, space.basis = dom, ambient_dim, basis
+        return space
+
     @property
     def dim(self):
         return len(self.basis)
 
-    def contains_vector(self, v):
+    def coordinates(self, v):
+        """Coordinates of v in the echelon basis; None when v is outside."""
         dom = self.dom
         w = list(v)
+        coords = []
         for row in self.basis:
             lead = next(i for i, x in enumerate(row) if not dom.is_zero(x))
-            if not dom.is_zero(w[lead]):
-                f = w[lead] / row[lead]
+            f = w[lead]
+            if not dom.is_zero(f):
+                f = f / row[lead]
                 w = [x - f * y for x, y in zip(w, row)]
-        return all(dom.is_zero(x) for x in w)
+            coords.append(f)
+        return None if any(not dom.is_zero(x) for x in w) else coords
+
+    def contains_vector(self, v):
+        return self.coordinates(v) is not None
 
     def contains(self, other):
         return all(self.contains_vector(v) for v in other.basis)
@@ -227,16 +274,11 @@ class Subspace:
     def intersect(self, other):
         dom = self.dom
         ka, kb = len(self.basis), len(other.basis)
-        if ka == 0 or kb == 0:
-            return Subspace([], self.ambient_dim, dom)
         # solve u^T A = v^T B; columns of the stacked system are coordinates
-        rows = []
-        for j in range(self.ambient_dim):
-            rows.append([self.basis[i][j] for i in range(ka)]
-                        + [-other.basis[i][j] for i in range(kb)])
-        kern = nullspace(rows, ka + kb, dom)
+        rows = [[self.basis[i][j] for i in range(ka)] + [-other.basis[i][j] for i in range(kb)]
+                for j in range(self.ambient_dim)]
         vecs = []
-        for w in kern:
+        for w in kernel(sparse_rows(rows, dom), ka + kb, dom).basis:
             v = [dom.zero()] * self.ambient_dim
             for i in range(ka):
                 if not dom.is_zero(w[i]):
@@ -382,7 +424,7 @@ def nullspace_sparse_mod(sparse_rows, ncols, dom):
 
 def nullspace_sparse_q(sparse_rows, ncols):
     """Exact rational nullspace of a sparse integer/rational system, as the
-    canonical RREF basis.
+    canonical RREF basis in sparse rows {column: Fraction}.
 
     The rows are reduced mod a Mersenne prime p, the RREF of the kernel of
     that RREF is lifted by rational reconstruction and verified exactly
@@ -402,15 +444,51 @@ def nullspace_sparse_q(sparse_rows, ncols):
         p = (1 << k) - 1
         cand = _lift_kernel(_rref_mod(introws, p), ncols, p)
         if cand is not None and _verify_nullspace(introws, cand):
-            zero = Fraction(0)
-            return [[v.get(j, zero) for j in range(ncols)] for v in cand]
-    dense_rows = []
-    for row in introws:
-        r = [Fraction(0)] * ncols
-        for j, v in row.items():
-            r[j] = Fraction(v)
-        dense_rows.append(r)
-    return nullspace(dense_rows, ncols, QQ)
+            return cand
+    dense = nullspace(_dense(introws, ncols, QQ), ncols, QQ)
+    return [{j: c for j, c in enumerate(v) if c} for v in dense]
+
+
+def _dense(sparse_rows, ncols, dom):
+    """Sparse rows as dense rows of elements of dom."""
+    out = []
+    for row in sparse_rows:
+        r = [dom.zero()] * ncols
+        for j, c in row.items():
+            r[j] = dom.coerce(c)
+        out.append(r)
+    return out
+
+
+def sparse_rows(vectors, dom=QQ):
+    """Dense vectors over dom as sparse rows in ``kernel`` form, each with
+    the span of its vector: over Q scaled to integers by the lcm of its
+    denominators, over GF(p) as residues, elsewhere as they are."""
+    if isinstance(dom, RationalDomain):
+        out = []
+        for v in vectors:
+            m = lcm(*(c.denominator for c in v))
+            out.append({j: c.numerator * (m // c.denominator) for j, c in enumerate(v) if c})
+        return out
+    if isinstance(dom, PrimeField):
+        return [{j: c.v for j, c in enumerate(v) if c.v} for v in vectors]
+    return [{j: c for j, c in enumerate(v) if not dom.is_zero(c)} for v in vectors]
+
+
+def kernel(rows, ncols, dom=QQ):
+    """The kernel of sparse rows in ``operators.linear_conditions`` form, as
+    a ``Subspace`` holding the canonical basis: the one entry point of the
+    library's homogeneous solvers.  Over Q the rows go to
+    ``nullspace_sparse_q``, over GF(p) to ``nullspace_sparse_mod``, over any
+    other domain (Q(t)) to the dense ``nullspace``."""
+    if isinstance(dom, RationalDomain):
+        zero = Fraction(0)
+        basis = [[v.get(j, zero) for j in range(ncols)] for v in nullspace_sparse_q(rows, ncols)]
+    elif isinstance(dom, PrimeField):
+        basis = nullspace_sparse_mod(rows, ncols, dom)
+    else:
+        basis = nullspace(_dense(rows, ncols, dom), ncols, dom)
+    return Subspace._canonical(basis, ncols, dom)
 
 
 def _verify_nullspace(introws, cand):
@@ -533,11 +611,11 @@ def _values(polys, x):
 def _independent_at(cand, x):
     """The vectors of cand, in order, that raise the rank of the ones kept
     before them when evaluated at x."""
-    keep, vals = [], []
+    keep, span = [], Subspace([], len(cand[0]) if cand else 0)
     for w, v in zip(cand, _values([[p.terms for p in w] for w in cand], x)):
-        if rank(vals + [v], QQ) == len(vals) + 1:
+        if not span.contains_vector(v):
             keep.append(w)
-            vals.append(v)
+            span = Subspace(span.basis + [v], len(v))
     return keep
 
 
@@ -556,9 +634,8 @@ def _left_kernel_of_degree(ent, nvars, d):
     basis = []
     for v in nullspace_sparse_q(list(eqs.values()), len(ent) * nm):
         w = [{} for _ in ent]
-        for k, c in enumerate(v):
-            if c:
-                w[k // nm][monos[k % nm]] = c
+        for k, c in v.items():
+            w[k // nm][monos[k % nm]] = c
         basis.append([Poly(nvars, terms) for terms in w])
     return basis
 
@@ -570,24 +647,3 @@ def _monomials(n, deg):
         return [()] if deg == 0 else []
     return [(k,) + rest for k in range(deg + 1) for rest in _monomials(n - 1, deg - k)]
 
-
-def solve_linear(mat, mode, dom=QQ):
-    """Core kernel entry point: mode is 'nullspace', 'solve' or 'rank'.
-
-    For 'solve', ``mat`` is an augmented matrix [M | b]; returns
-    (particular, nullspace_basis) or raises on inconsistency.
-    """
-    if mode == "rank":
-        return rank(mat, dom)
-    if mode == "nullspace":
-        ncols = len(mat[0]) if mat else 0
-        return Subspace(nullspace(mat, ncols, dom), ncols, dom)
-    if mode == "solve":
-        rows = [r[:-1] for r in mat]
-        rhs = [r[-1] for r in mat]
-        x = solve(rows, rhs, dom)
-        if x is None:
-            raise DomainError("inconsistent linear system")
-        ncols = len(rows[0]) if rows else 0
-        return x, Subspace(nullspace(rows, ncols, dom), ncols, dom)
-    raise ValueError(f"unknown mode {mode!r}")

@@ -27,8 +27,9 @@ itself.
   ``scale`` per call times the exact row (``scale`` clears the
   denominators of the tables and of the term coefficients).  Over GF(p)
   they are residues in [1, p), over other domains elements of the domain,
-  and ``scale`` is 1.  ``_nullspace_rows`` takes the rows as they are;
-  a consumer needing exact values divides by its own call's scale.
+  and ``scale`` is 1.  ``linalg.kernel``, the one solver entry point,
+  takes the rows as they are; a consumer needing exact values divides by
+  its own call's scale.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ import random
 from fractions import Fraction
 
 from .identities import _compile, _op_nodes, _scan_domain, _scan_table, _value
-from .linalg import (Subspace, generic_rank, linear_pencil, mat_mul, mat_sub,
-                     mat_vec, nullspace, nullspace_sparse_mod, nullspace_sparse_q,
-                     rank, seeded_points)
-from .scalars import QQ, DomainError, PrimeField, RationalDomain
+from .linalg import (Subspace, generic_rank, kernel, linear_pencil, mat_mul,
+                     mat_sub, mat_vec, seeded_points, sparse_rows)
+from .scalars import QQ, DomainError
 from .varieties import check_variety, minus_algebra
 
 SAMPLE_SEED = 20240801
@@ -56,14 +56,15 @@ def _unflatten(vec, n):
 
 
 class OperatorSpace:
-    """A linear space of n x n matrices with a semantic tag."""
+    """A linear space of n x n matrices (a ``Subspace`` of flattened
+    matrices) with a semantic tag."""
 
-    def __init__(self, ambient_dim, vectors, tag, dom=QQ, meta=None):
+    def __init__(self, ambient_dim, subspace, tag, meta=None):
         self.ambient_dim = ambient_dim
-        self.dom = dom
+        self.dom = subspace.dom
         self.tag = tag
         self.meta = meta or {}
-        self.subspace = Subspace(vectors, ambient_dim * ambient_dim, dom)
+        self.subspace = subspace
 
     @property
     def dim(self):
@@ -92,15 +93,16 @@ class OperatorSpace:
 
 
 class TupleOperatorSpace:
-    """A linear space of m-tuples of n x n matrices."""
+    """A linear space of m-tuples of n x n matrices (a ``Subspace`` of
+    concatenated flattened matrices)."""
 
-    def __init__(self, ambient_dim, tuple_len, vectors, tag, dom=QQ, meta=None):
+    def __init__(self, ambient_dim, tuple_len, subspace, tag, meta=None):
         self.ambient_dim = ambient_dim
         self.tuple_len = tuple_len
-        self.dom = dom
+        self.dom = subspace.dom
         self.tag = tag
         self.meta = meta or {}
-        self.subspace = Subspace(vectors, tuple_len * ambient_dim ** 2, dom)
+        self.subspace = subspace
 
     @property
     def dim(self):
@@ -108,34 +110,19 @@ class TupleOperatorSpace:
 
     def projection_dim(self, slot):
         n2 = self.ambient_dim ** 2
-        rows = _solver_rows([v[slot * n2:(slot + 1) * n2] for v in self.subspace.basis],
-                            self.dom)
-        return _rank(rows, n2, self.dom)
+        rows = sparse_rows([v[slot * n2:(slot + 1) * n2] for v in self.subspace.basis],
+                           self.dom)
+        return n2 - kernel(rows, n2, self.dom).dim
 
     def projection_space(self, slot):
         n2 = self.ambient_dim ** 2
         rows = [v[slot * n2:(slot + 1) * n2] for v in self.subspace.basis]
-        return OperatorSpace(self.ambient_dim, rows,
-                             f"{self.tag}-proj{slot}", self.dom)
+        return OperatorSpace(self.ambient_dim, Subspace(rows, n2, self.dom),
+                             f"{self.tag}-proj{slot}")
 
     def __repr__(self):
         return (f"TupleOperatorSpace({self.tag}, dim={self.dim}, "
                 f"tuples of {self.tuple_len})")
-
-
-def _nullspace_rows(rows, ncols, dom):
-    """Canonical kernel basis of sparse rows in ``linear_conditions`` form."""
-    if isinstance(dom, RationalDomain):
-        return nullspace_sparse_q(rows, ncols)
-    if isinstance(dom, PrimeField):
-        return nullspace_sparse_mod(rows, ncols, dom)
-    dense = []
-    for row in rows:
-        r = [dom.zero()] * ncols
-        for j, c in row.items():
-            r[j] = c
-        dense.append(r)
-    return nullspace(dense, ncols, dom)
 
 
 def linear_conditions(A, terms, variables, unknowns):
@@ -271,9 +258,8 @@ def derivation_space(A, delta=1, op=None):
     terms = [(1, ("<D>", (_product(opn, m),)))]
     terms += [(-delta, _product(opn, m, s)) for s in range(m)]
     rows, _ = linear_conditions(A, terms, _variables(m), {"<D>": (n, _map_columns(n))})
-    vecs = _nullspace_rows(list(rows.values()), n * n, dom)
     tag = "der" if delta == dom.one() else f"delta-der({delta})"
-    return OperatorSpace(n, vecs, tag, dom)
+    return OperatorSpace(n, kernel(list(rows.values()), n * n, dom), tag)
 
 
 def centroid(A, op=None):
@@ -286,8 +272,7 @@ def centroid(A, op=None):
         terms = [(1, ("<D>", (_product(opn, m),))), (-1, _product(opn, m, s))]
         rows += linear_conditions(A, terms, _variables(m),
                                   {"<D>": (n, _map_columns(n))})[0].values()
-    vecs = _nullspace_rows(rows, n * n, A.dom)
-    return OperatorSpace(n, vecs, "centroid", A.dom)
+    return OperatorSpace(n, kernel(rows, n * n, A.dom), "centroid")
 
 
 def multiplication_operator(A, fixed, op=None, slot=0):
@@ -334,9 +319,8 @@ def generalized_derivation_space(A, mode="full", op=None):
              for s in range(m)]
     terms.append((-1, (f"<D{nslots - 1}>", (_product(opn, m),))))
     rows, _ = linear_conditions(A, terms, _variables(m), unknowns)
-    vecs = _nullspace_rows(list(rows.values()), nslots * n2, dom)
     tag = f"{m + 1}-ary-der" if mode == "full" else "qder"
-    space = TupleOperatorSpace(n, nslots, vecs, tag, dom)
+    space = TupleOperatorSpace(n, nslots, kernel(list(rows.values()), nslots * n2, dom), tag)
 
     der = derivation_space(A, delta=1, op=op)
     cen = centroid(A, op=op)
@@ -372,30 +356,12 @@ def generalized_derivation_space(A, mode="full", op=None):
         # the semisimple part lives in the derived subalgebra of the tuple
         # Lie algebra; its slot projections carry the sl_{n+1} copies
         comms = _tuple_commutators(space)
-        space.meta["derived_dim"] = _rank(comms, nslots * n2, dom)
+        space.meta["derived_dim"] = nslots * n2 - kernel(comms, nslots * n2, dom).dim
         space.meta["derived_projection_dims"] = [
-            _rank([{j - s * n2: c for j, c in row.items() if s * n2 <= j < (s + 1) * n2}
-                   for row in comms], n2, dom)
+            n2 - kernel([{j - s * n2: c for j, c in row.items() if s * n2 <= j < (s + 1) * n2}
+                         for row in comms], n2, dom).dim
             for s in range(nslots)]
     return space
-
-
-def _solver_rows(vectors, dom):
-    """Dense vectors as sparse rows in ``linear_conditions`` form: over Q
-    each is scaled to integers by the lcm of its denominators, which keeps
-    its span."""
-    lcm, convert, prune, _ = _scan_domain(dom)
-    out = []
-    for v in vectors:
-        m = lcm(v)
-        out.append(prune({j: convert(c, m) for j, c in enumerate(v)}))
-    return out
-
-
-def _rank(rows, ncols, dom):
-    """Rank of sparse rows in ``linear_conditions`` form: ncols minus the
-    dimension of their (verified, exact) kernel."""
-    return ncols - len(_nullspace_rows(rows, ncols, dom))
 
 
 def _tuple_commutators(space):
@@ -403,7 +369,7 @@ def _tuple_commutators(space):
     the derived subalgebra, as sparse rows in ``linear_conditions`` form."""
     n = space.ambient_dim
     mats = []   # per basis tuple: {slot * n + row: {column: entry}}
-    for vec in _solver_rows(space.subspace.basis, space.dom):
+    for vec in sparse_rows(space.subspace.basis, space.dom):
         mat = {}
         for j, c in vec.items():
             mat.setdefault(j // n, {})[j % n] = c
@@ -440,19 +406,10 @@ def _sample_points(A, rng, count=64):
     return pts
 
 
-def _der_images_matrix(der_mats, x, dom):
-    # columns D_i x
-    cols = [mat_vec(D, x, dom) for D in der_mats]
-    n = len(x)
-    return [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-
-
 def _member_at_point(der_mats, phi, x, dom):
-    S = _der_images_matrix(der_mats, x, dom)
-    target = mat_vec(phi, x, dom)
-    base = rank(S, dom)
-    aug = [row + [t] for row, t in zip(S, target)]
-    return rank(aug, dom) == base
+    """Whether phi x lies in span{D_i x}."""
+    images = Subspace([mat_vec(D, x, dom) for D in der_mats], len(x), dom)
+    return images.contains_vector(mat_vec(phi, x, dom))
 
 
 def local_derivation_test(A, phi, op=None, der=None, generic=None):
@@ -495,14 +452,14 @@ def local_derivation_generic_space(A, op=None, der=None):
     der_mats = der.matrices()
     if not der_mats:
         # no derivations: phi must satisfy phi x = 0 generically, so phi = 0
-        return OperatorSpace(n, [], "locder-generic", QQ,
+        return OperatorSpace(n, Subspace([], n * n), "locder-generic",
                              meta={"generic_rank": 0, "certified": True})
     # S_x = sum_j x_j N_j with N_j[i][c] = D_c[i][j]
     S = linear_pencil([[[D[i][j] for D in der_mats] for i in range(n)] for j in range(n)])
-    r, _, kernel = generic_rank(S, seeded_points(SAMPLE_SEED + 1, n, 9))
+    r, _, left = generic_rank(S, seeded_points(SAMPLE_SEED + 1, n, 9))
     # membership conditions: w(x)^T (phi x) = 0 identically
     rows = {}
-    for wi, w in enumerate(kernel):
+    for wi, w in enumerate(left):
         for i in range(n):
             for j in range(n):
                 # contribution of phi_{i,j} x_j to w(x)^T phi x
@@ -511,10 +468,9 @@ def local_derivation_generic_space(A, op=None, der=None):
                     row = rows.setdefault((wi, key), {})
                     unk = i * n + j
                     row[unk] = row.get(unk, Fraction(0)) + c
-    vecs = nullspace_sparse_q(list(rows.values()), n * n)
-    return OperatorSpace(n, vecs, "locder-generic", QQ,
+    return OperatorSpace(n, kernel(list(rows.values()), n * n), "locder-generic",
                          meta={"generic_rank": r,
-                               "kernel_degrees": [max(p.degree() for p in w) for w in kernel],
+                               "kernel_degrees": [max(p.degree() for p in w) for w in left],
                                "certified": True,
                                "seed": SAMPLE_SEED + 1})
 
@@ -588,8 +544,7 @@ def leibniz_derivation_space(A, k, arrangement="all", op=None, max_order=5):
         terms += [(-1, tree(br, s)) for s in range(k)]
         rows += linear_conditions(A, terms, _variables(k),
                                   {"<D>": (n, _map_columns(n))})[0].values()
-    vecs = _nullspace_rows(rows, n * n, A.dom)
-    space = OperatorSpace(n, vecs, f"leibder({k},{arrangement})", A.dom)
+    space = OperatorSpace(n, kernel(rows, n * n, A.dom), f"leibder({k},{arrangement})")
     space.meta["invertible_exists"], space.meta["invertible_witness"] = \
         _generic_invertibility(space)
     return space
@@ -602,10 +557,10 @@ def _generic_invertibility(space):
     mats = space.matrices()
     if not mats:
         return False, None
-    _, point, kernel = generic_rank(linear_pencil(mats),
-                                    seeded_points(SAMPLE_SEED + 2, len(mats), 5),
-                                    full_only=True)
-    return (False, None) if kernel else (True, point)
+    _, point, left = generic_rank(linear_pencil(mats),
+                                  seeded_points(SAMPLE_SEED + 2, len(mats), 5),
+                                  full_only=True)
+    return (False, None) if left else (True, point)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +583,7 @@ def commuting_map_space(A, op=None):
                                  {"<D>": (n, _map_columns(n))})
     # the law is symmetric in (x, y): one row set per unordered pair
     rows = [row for ((i, j), _), row in conds.items() if i <= j]
-    vecs = _nullspace_rows(rows, n * n, dom)
-    return OperatorSpace(n, vecs, "commuting", dom)
+    return OperatorSpace(n, kernel(rows, n * n, dom), "commuting")
 
 
 def peirce_decompose(A, e, op=None):
@@ -663,7 +617,7 @@ def peirce_decompose(A, e, op=None):
                 rowR = [R[r_][c] - (mu if c == r_ else dom.zero()) for c in range(n)]
                 rows.append(rowL)
                 rows.append(rowR)
-            comps[(i_lab, j_lab)] = Subspace(nullspace(rows, n, dom), n, dom)
+            comps[(i_lab, j_lab)] = kernel(sparse_rows(rows, dom), n, dom)
     total = sum(s.dim for s in comps.values())
     if total != n:
         raise DomainError("Peirce components do not span the algebra")

@@ -11,8 +11,8 @@ import itertools
 from fractions import Fraction
 
 from .identities import Identity, check_identity, parse_identity
-from .operators import (_nullspace_rows, derivation_space, linear_conditions,
-                        multiplication_operator)
+from .linalg import kernel
+from .operators import derivation_space, linear_conditions, multiplication_operator
 from .scalars import QQ, DomainError, Poly, PolyRing
 from .structure import Algebra, StructureTensor
 from .varieties import check_variety
@@ -161,9 +161,8 @@ def transposed_compatible_space(L, op="bracket"):
     conds, _ = linear_conditions(L, terms, ("x", "y", "z"), dot)
     # bracket antisymmetry makes (x,y) and (y,x) equivalent
     rows = [row for ((i, j, _), _), row in conds.items() if i <= j]
-    vecs = _nullspace_rows(rows, nunk, dom)
     basis_tensors = []
-    for v in vecs:
+    for v in kernel(rows, nunk, dom).basis:
         table = {}
         for (i, j), a in pidx.items():
             row = {k: v[a * n + k] for k in range(n) if not dom.is_zero(v[a * n + k])}

@@ -339,6 +339,19 @@ def test_poisson_customary_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_kantor_u_out_of_range_exits_2(tmp_path, capsys):
+    """--u must be a basis index of the algebra: 7 and -1 on a
+    2-dimensional algebra are input errors, not an empty table."""
+    ab = _write(tmp_path, "abelian", {"n": 2})
+    for action, extra in (("square", []), ("product", ["--b", ab])):
+        for u in ("7", "2", "-1"):
+            assert run(["kantor", action, "--a", ab, "--u", u] + extra) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and "Traceback" not in out.err
+        assert run(["kantor", action, "--a", ab, "--u", "1"] + extra) == 0
+        capsys.readouterr()
+
+
 def test_kantor_product_with_op_flags(tmp_path, capsys):
     tp4 = _write(tmp_path, "tp4")
     assert run(["kantor", "product", "--a", tp4, "--b", tp4, "--u", "0",

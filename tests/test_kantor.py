@@ -1,17 +1,21 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from nonassoc import kantor
 from nonassoc.catalog import catalog_get
 from nonassoc.kantor import (U2_E_TABLE, associated_product_check, build_U,
                              conservativity_test, jacobi_element_space,
                              kantor_product, kantor_square, quasi_unit_space,
                              u2_e_basis, u2_subalgebra)
-from nonassoc.linalg import is_invertible, inverse, mat_vec
-from nonassoc.scalars import QQ, DomainError
+from nonassoc.linalg import Subspace, is_invertible, mat_vec, nullspace
+from nonassoc.operators import linear_conditions
+from nonassoc.scalars import GF, QQ, DomainError
 from nonassoc.structure import Algebra, StructureTensor, change_basis
 from nonassoc.varieties import check_variety
+from test_linalg import _dense_solve  # the dense reference solve
 
 
 def test_u2_matches_printed_table():
@@ -69,6 +73,16 @@ def test_kantor_multilinearity():
         assert kantor_product(A1.scale(c), B, u) == kantor_product(A1, B, u).scale(c)
         cu = [c * x for x in u]
         assert kantor_product(A1, B, cu) == kantor_product(A1, B, u).scale(c)
+
+
+def test_kantor_product_rejects_a_u_outside_the_space():
+    """An index u outside 0..n-1, or a vector u of the wrong length, is an
+    input error (it used to give an empty table or drop coordinates)."""
+    t = catalog_get("sl2").op("mul")
+    for u in (3, 7, -1, [1, 0], [1, 0, 0, 0], [0, 0, 0, 1]):
+        with pytest.raises(DomainError):
+            kantor_product(t, t, u)
+    assert kantor_product(t, t, [0, 0, 1]) == kantor_product(t, t, 2)
 
 
 def test_kantor_naturality_under_change_basis():
@@ -340,3 +354,117 @@ def test_u_structures_for_different_u_are_isomorphic():
                 P[dst][src] = Fraction(1)
     moved = change_basis(A0, P)
     assert moved.op("mul") == A1.op("mul")
+
+
+# ---------------------------------------------------------------------------
+# the sparse conservativity route against the dense route it replaced
+# ---------------------------------------------------------------------------
+
+def _dense_kantor(A):
+    """Reference: (conservativity report fields, quasi-unit space, Jacobi
+    element space) by the dense route: K as an n^2 * n x n matrix, the
+    double brackets flattened per basis pair, and one dense solve of K per
+    pair (``_dense_solve``, the solve ``linalg.solve`` replaced)."""
+    dom, n, t = A.dom, A.dim, A.op()
+    zero = dom.zero()
+    pairs = list(itertools.product(range(n), repeat=2))
+
+    def exact(terms, variables):
+        rows, scale = linear_conditions(A, terms, variables, {"<a>": (n, lambda r: r)})
+        return {key: {j: dom.coerce(Fraction(v, scale) if dom is QQ else v) for j, v in row.items()}
+                for key, row in rows.items()}
+
+    # K[(x,y,r), k] = [L_{e_k}, M](e_x, e_y)_r
+    opn = A.op_names()[0]
+    ta, tb, tx, ty = ("<a>", ()), ("v", "b"), ("v", "x"), ("v", "y")
+    K_rows = exact(kantor._bracket_terms(opn, ta, tx, ty), ("x", "y"))
+    K = [[K_rows.get((xy, r), {}).get(k, zero) for k in range(n)] for xy in pairs for r in range(n)]
+    # D[((b,x,y), r)][a] = [L_a,[L_b,M]](e_x, e_y)_r
+    terms = [(c, (opn, (ta, u))) for c, u in kantor._bracket_terms(opn, tb, tx, ty)]
+    terms += [(-c, u) for c, u in kantor._bracket_terms(opn, tb, (opn, (ta, tx)), ty)
+              + kantor._bracket_terms(opn, tb, tx, (opn, (ta, ty)))]
+    D = exact(terms, ("b", "x", "y"))
+
+    def rhs(i, j):
+        return [-D.get(((j, u, v), r), {}).get(i, zero) for u, v in pairs for r in range(n)]
+
+    def solves(star):
+        for a, b in pairs:
+            prod = star.basis_product((b, a))
+            lhs = [sum((c * row[k] for k, c in prod.items()), zero) for row in K]
+            if lhs != rhs(a, b):
+                return False
+        return True
+
+    kern = Subspace(nullspace(K, n, dom), n, dom)
+    table = {}
+    for a, b in pairs:
+        s = _dense_solve(K, rhs(a, b), dom)
+        if s is None:
+            table = None
+            break
+        row = {k: c for k, c in enumerate(s) if not dom.is_zero(c)}
+        if row:
+            table[(a, b)] = row
+    particular = None if table is None else StructureTensor(n, 2, table, dom)
+    swapped = StructureTensor(n, 2, {(j, i): row for (i, j), row in t.table.items()}, dom)
+    star = t.scale(Fraction(2, 3)).add(swapped.scale(Fraction(1, 3)))
+    sol = _dense_solve(K, [-t.basis_product((x, y)).get(r, zero) for x, y in pairs
+                           for r in range(n)], dom)
+    quasi = (Subspace([], n, dom), None) if sol is None else (kern, sol)
+    return (table is not None, particular, kern, solves(star)), quasi, kern
+
+
+def _random_algebra(seed, dom):
+    """A seeded random 2- or 3-dimensional algebra over dom, from nearly
+    empty to dense tables, with denominators over Q."""
+    rng = random.Random(seed)
+    n = rng.choice([2, 2, 3])
+    density = rng.choice([0.1, 0.2, 0.4, 0.7])
+    table = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        row = {k: dom.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+               for k in range(n) if rng.random() < density}
+        row = {k: c for k, c in row.items() if not dom.is_zero(c)}
+        if row:
+            table[(i, j)] = row
+    return Algebra(f"rnd{seed}", n, {"mul": StructureTensor(n, 2, table, dom)}, dom)
+
+
+def _kantor_case(name):
+    named = {"U2": lambda: build_U(2), "U2e": u2_e_basis,
+             "W2": lambda: u2_subalgebra("W2"), "S2": lambda: u2_subalgebra("S2"),
+             "sl2": lambda: catalog_get("sl2"), "NF3": lambda: catalog_get("NF", {"n": 3})}
+    if name in named:
+        return named[name]()
+    field, seed = name.split("-")
+    return _random_algebra(int(seed), QQ if field == "Q" else GF(5))
+
+
+_KANTOR_CASES = (["U2", "U2e", "W2", "S2", "sl2", "NF3"]
+                 + [f"Q-{s}" for s in range(44)] + [f"GF5-{s}" for s in range(12)])
+
+
+@pytest.mark.parametrize("name", _KANTOR_CASES)
+def test_conservativity_matches_the_dense_route(name):
+    """The factor-once sparse route gives the dense route's verdicts,
+    associated product, value space, terminal verdict, quasi-units and
+    Jacobi elements."""
+    A = _kantor_case(name)
+    report, quasi, jacobi = _dense_kantor(A)
+    rep = conservativity_test(A)
+    assert (rep.feasible, rep.particular, rep.homogeneous, rep.terminal) == report
+    assert quasi_unit_space(A) == quasi
+    assert jacobi_element_space(A) == jacobi
+
+
+def test_dense_route_cases_cover_both_verdicts():
+    """The differential cases hold feasible and infeasible systems over Q
+    and over GF(5), and terminal algebras."""
+    seen = set()
+    for name in _KANTOR_CASES:
+        A = _kantor_case(name)
+        rep = conservativity_test(A)
+        seen.add((A.dom.char or 0, rep.feasible))
+        seen.add(("terminal", rep.terminal))
+    assert seen >= {(0, True), (0, False), (5, True), (5, False), ("terminal", True)}

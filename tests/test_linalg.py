@@ -9,18 +9,20 @@ from hypothesis import strategies as st
 from nonassoc import linalg
 from nonassoc.catalog import catalog_get
 from nonassoc.identities import check_identity, parse_identity
-from nonassoc.linalg import (Subspace, generic_rank, inverse, is_invertible,
+from nonassoc.linalg import (Subspace, generic_rank, inverse, is_invertible, kernel,
                              linear_pencil, mat_mul, nullspace, nullspace_sparse_q,
-                             rank, seeded_points, solve_linear)
-from nonassoc.operators import _nullspace_rows, derivation_space
+                             rank, rref, seeded_points, solve)
+from nonassoc.operators import derivation_space
 from nonassoc.scalars import GF, QQ, QT, DomainError, Poly, PolyRing, RatFunc
 from nonassoc.structure import change_basis
 
 
 def test_nullspace_zero_matrix():
-    # nullspace of the zero 2x2 map is the whole plane
-    space = solve_linear([[Fraction(0)] * 2, [Fraction(0)] * 2], "nullspace")
-    assert space.dim == 2
+    # nullspace of the zero 2x2 map is the whole plane, given as zero rows
+    # (empty or holding zeros) or as no rows at all
+    assert kernel([{}, {}], 2).dim == 2
+    assert kernel([{0: Fraction(0)}, {1: Fraction(0)}], 2).dim == 2
+    assert kernel([], 2).basis == [[1, 0], [0, 1]]
 
 
 def test_rank_over_qt():
@@ -39,15 +41,103 @@ def test_nullspace_forced():
 
 
 def test_solve_modes():
-    m = [[Fraction(1), Fraction(1), Fraction(3)],
-         [Fraction(0), Fraction(1), Fraction(1)]]
-    x, ns = solve_linear(m, "solve")
+    # x0 + x1 = 3, x1 = 1: one solution and a zero kernel
+    rows = {0: {0: Fraction(1), 1: Fraction(1)}, 1: {1: Fraction(1)}}
+    [x] = solve(rows, [{0: Fraction(3), 1: Fraction(1)}], 2)
     assert x[0] + x[1] == 3 and x[1] == 1
-    assert ns.dim == 0
-    with pytest.raises(DomainError):
-        solve_linear([[Fraction(0), Fraction(1)]], "solve")
-    assert solve_linear([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
-                        "rank") == 1
+    assert kernel(list(rows.values()), 2).dim == 0
+    # [0 1 | 1] and [0 0 | 1] (a zero row) are inconsistent
+    assert solve({0: {1: Fraction(0)}}, [{0: Fraction(1)}], 2) == [None]
+    assert solve({}, [{0: Fraction(1)}, {}], 2) == [None, [0, 0]]
+    # the rank is the column count less the kernel dimension
+    assert 2 - kernel([{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}], 2).dim == 1
+
+
+def _dense_solve(rows, rhs, dom=QQ):
+    """Reference: the dense solve that ``linalg.solve`` replaced, one
+    right-hand side at a time by the RREF of [M | b]."""
+    ncols = len(rows[0]) if rows else len(rhs) * 0
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    red, pivots = rref(aug, dom)
+    for i, row in enumerate(red):
+        if i < len(pivots):
+            continue
+        if not dom.is_zero(row[-1]) and all(dom.is_zero(x) for x in row[:-1]):
+            return None
+    # a pivot in the rhs column means inconsistency
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [dom.zero()] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = red[i][-1]
+    return x
+
+
+_DOMAINS = {"QQ": QQ, "GF5": GF(5), "GF7": GF(7), "QT": QT}
+
+
+def _entry(dom, a, e):
+    """A scalar from the drawn integers (a, e), in ``kernel`` form: a
+    Fraction over Q, an integer representative over GF(p), an element with
+    a power of t over Q(t)."""
+    if dom is QQ:
+        return Fraction(a, e + 1)
+    if dom is QT:
+        return QT.coerce(a) * RatFunc.t_power(e - 1)
+    return a
+
+
+_SYSTEMS = st.integers(1, 6).flatmap(lambda ncols: st.tuples(
+    st.just(ncols),
+    st.lists(st.dictionaries(st.integers(0, ncols - 1),
+                             st.tuples(st.integers(-4, 4), st.integers(0, 2))),
+             max_size=ncols + 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_DOMAINS)), _SYSTEMS)
+def test_kernel_matches_dense_nullspace(which, system):
+    """``kernel`` (sparse Q and GF(p) solvers, dense Q(t)) is the subspace of
+    the dense nullspace, with the same canonical basis."""
+    dom = _DOMAINS[which]
+    ncols, spec = system
+    rows = [{j: _entry(dom, a, e) for j, (a, e) in row.items()} for row in spec]
+    dense = [[dom.zero()] * ncols for _ in rows]
+    for r, row in zip(dense, rows):
+        for j, c in row.items():
+            r[j] = dom.coerce(c)
+    got = kernel(rows, ncols, dom)
+    assert got == Subspace(nullspace(dense, ncols, dom), ncols, dom)
+    assert got.basis == nullspace(dense, ncols, dom)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_DOMAINS)), _SYSTEMS,
+       st.lists(st.tuples(st.booleans(), st.lists(st.integers(-3, 3), min_size=8, max_size=8)),
+                min_size=1, max_size=3))
+def test_solve_matches_dense_solve(which, system, rhs_specs):
+    """The factor-once ``solve`` gives, for every right-hand side, the
+    answer of the dense reference: None for an inconsistent system (also
+    one with a nonzero value at a zero row), else the same particular
+    solution.  Consistent right-hand sides are drawn as M y."""
+    dom = _DOMAINS[which]
+    ncols, spec = system
+    rows = {i: {j: _entry(dom, a, e) for j, (a, e) in row.items()} for i, row in enumerate(spec)}
+    nkeys = len(rows) + 1   # the last key has no row: a zero row
+    dense = [[dom.zero()] * ncols for _ in range(nkeys)]
+    for i, row in rows.items():
+        for j, c in row.items():
+            dense[i][j] = dom.coerce(c)
+    rhss = []
+    for consistent, ints in rhs_specs:
+        if consistent:
+            y = [dom.from_int(v) for v in ints[:ncols]]
+            b = [sum((x * v for x, v in zip(r, y)), dom.zero()) for r in dense]
+        else:
+            b = [dom.from_int(v) for v in ints[:nkeys]] + [dom.zero()] * (nkeys - len(ints))
+        rhss.append(b)
+    got = solve(rows, [dict(enumerate(b)) for b in rhss], ncols, dom)
+    assert got == [_dense_solve(dense, b, dom) for b in rhss]
 
 
 def test_inverse_and_singular():
@@ -112,6 +202,11 @@ def _dense(rows, ncols):
     return out
 
 
+def _sparse(vectors):
+    """Dense vectors as the sparse rows ``nullspace_sparse_q`` returns."""
+    return [{j: c for j, c in enumerate(v) if c} for v in vectors]
+
+
 def test_fast_nullspace_matches_dense():
     rng = random.Random(11)
     for trial in range(25):
@@ -120,7 +215,7 @@ def test_fast_nullspace_matches_dense():
         rows = _random_sparse_system(rng, nrows, ncols)
         fast = nullspace_sparse_q(rows, ncols)
         slow = nullspace(_dense(rows, ncols), ncols, QQ)
-        assert fast == slow, f"trial {trial}"
+        assert fast == _sparse(slow), f"trial {trial}"
 
 
 def test_fast_nullspace_huge_coefficients():
@@ -174,7 +269,7 @@ def test_unlucky_prime_is_rejected(solver_calls):
     """Mod 2^61 - 1 the row reads x1 = 0, a wrong pivot: exact verification
     rejects that candidate and a larger prime gives the kernel."""
     p = 2 ** 61 - 1
-    assert nullspace_sparse_q([{0: p, 1: 1}], 2) == [[Fraction(1), Fraction(-p)]]
+    assert nullspace_sparse_q([{0: p, 1: 1}], 2) == [{0: Fraction(1), 1: Fraction(-p)}]
     assert solver_calls["primes"][0] == p and len(solver_calls["primes"]) > 1
     assert solver_calls["dense"] == 0
 
@@ -182,7 +277,7 @@ def test_unlucky_prime_is_rejected(solver_calls):
 # kernel (1, b/c, b/c) with numerator and denominator above 2^60
 _BIG_B, _BIG_C = 2 ** 65 + 1, 2 ** 64 + 3
 _BIG_ROWS = [{0: _BIG_B, 1: -_BIG_C}, {1: 1, 2: -1}]
-_BIG_KERNEL = [[Fraction(1), Fraction(_BIG_B, _BIG_C), Fraction(_BIG_B, _BIG_C)]]
+_BIG_KERNEL = [{0: Fraction(1), 1: Fraction(_BIG_B, _BIG_C), 2: Fraction(_BIG_B, _BIG_C)}]
 
 
 def test_large_kernel_entries_move_to_larger_primes(solver_calls):
@@ -210,7 +305,7 @@ _ENTRY = st.integers(-2 ** 40, 2 ** 40)
         max_size=ncols + 2))))
 def test_modular_nullspace_matches_dense(system):
     ncols, rows = system
-    assert nullspace_sparse_q(rows, ncols) == nullspace(_dense(rows, ncols), ncols, QQ)
+    assert nullspace_sparse_q(rows, ncols) == _sparse(nullspace(_dense(rows, ncols), ncols, QQ))
 
 
 def test_derivations_of_rebased_m3(solver_calls):
@@ -246,7 +341,7 @@ def test_modular_rows_match_dense_nullspace_over_gf(p, system):
     for r, row in zip(dense, rows):
         for j, v in row.items():
             r[j] = F.from_int(v)
-    assert _nullspace_rows(rows, ncols, F) == nullspace(dense, ncols, F)
+    assert kernel(rows, ncols, F).basis == nullspace(dense, ncols, F)
 
 
 # ---------------------------------------------------------------------------

@@ -368,16 +368,16 @@ def _random_kantor_algebra(seed):
 
 def _kantor_results(A):
     report = kantor.conservativity_test(A)
-    return (kantor._k_operator_matrix(A), kantor._double_brackets(A), report.feasible,
+    return (kantor._k_rows(A), kantor._double_brackets(A), report.feasible,
             report.particular, report.homogeneous, report.terminal)
 
 
 @pytest.mark.parametrize("which", ["U2"] + [f"seed{s}" for s in range(20)])
 def test_kantor_matrices_match_the_closure_builder(which, monkeypatch):
-    """K, the double brackets and the conservativity verdict from the integer
-    rows (each divided by its own scale) equal those of the closure builder:
-    on U(2), and on random algebras with denominators, where K and the
-    double brackets carry different scales."""
+    """K's sparse rows, the double brackets and the conservativity verdict
+    from the integer rows (each divided by its own scale) equal those of the
+    closure builder: on U(2), and on random algebras with denominators,
+    where K and the double brackets carry different scales."""
     A = kantor.build_U(2) if which == "U2" else _random_kantor_algebra(int(which[4:]))
     got = _kantor_results(A)
     monkeypatch.setattr(kantor, "linear_conditions",

@@ -174,6 +174,15 @@ def test_local_derivation_test_accepts_derivations():
     assert res["verdict"] == "GenericYes"
 
 
+def test_local_derivation_test_refutes_at_a_sampled_point():
+    """The identity of sl2 is not local: at the third basis vector h,
+    h lies outside [sl2, h] = span{e, f}, so the sampled point h is the
+    witness (before the generic-membership check is reached)."""
+    A = catalog_get("sl2")
+    res = local_derivation_test(A, identity_matrix(3))
+    assert res["verdict"] == "No" and res["witness"] == A.basis_vector(2)
+
+
 def test_leibniz_derivation_spaces():
     nf3 = catalog_get("NF", {"n": 3})
     space = leibniz_derivation_space(nf3, 2)

@@ -146,8 +146,8 @@ def test_transposed_space_2dim_lie():
     # solve for coordinates of mul in the basis, then evaluate obstructions
     from nonassoc.linalg import solve
     cols = [flat(b) for b in res["basis"]]
-    rows = [[cols[a][i] for a in range(len(cols))] for i in range(8)]
-    coords = solve(rows, flat(mul), QQ)
+    rows = {i: {a: col[i] for a, col in enumerate(cols)} for i in range(8)}
+    [coords] = solve(rows, [dict(enumerate(flat(mul)))], len(cols), QQ)
     assert coords is not None
     for p in res["obstructions"]:
         assert p.eval(coords) == 0

@@ -13,6 +13,7 @@ from math import comb
 
 from .scalars import QQ, DomainError
 from .structure import Algebra, StructureTensor
+from .varieties import minus_algebra
 
 
 def _perm_sign(perm):
@@ -77,20 +78,10 @@ def octonions():
 
 
 def _m7():
-    # imaginary octonions under the commutator: the simple 7-dim Malcev algebra
-    o = octonions()
-    t = o.op("mul")
-    table = {}
-    for i in range(1, 8):
-        for j in range(1, 8):
-            row = {}
-            for k, c in t.basis_product((i, j)).items():
-                row[k] = row.get(k, Fraction(0)) + c
-            for k, c in t.basis_product((j, i)).items():
-                row[k] = row.get(k, Fraction(0)) - c
-            row = {k - 1: c for k, c in row.items() if c and k >= 1}
-            if row:
-                table[(i - 1, j - 1)] = row
+    # imaginary octonions under the commutator: the simple 7-dim Malcev
+    # algebra (the unit e_0 is central and commutators are imaginary)
+    table = {(i - 1, j - 1): {k - 1: c for k, c in row.items()}
+             for (i, j), row in minus_algebra(octonions()).op().table.items()}
     return Algebra("M7", 7, {"mul": StructureTensor(7, 2, table, QQ)}, QQ)
 
 

@@ -173,6 +173,14 @@ def _emit(args, report, human_lines):
             print(line)
 
 
+def _emit_algebra(args, A):
+    """Save A on --out; print its JSON with --json or when there is no --out."""
+    if args.out:
+        save_algebra(A, args.out)
+    if args.json or not args.out:
+        print(json.dumps(algebra_to_json(A), sort_keys=True))
+
+
 def _parse_params(pairs):
     params = {}
     for item in pairs or []:
@@ -209,12 +217,7 @@ def cmd_catalog(args):
               ["catalog: " + ", ".join(CATALOG_NAMES),
                "varieties: " + ", ".join(list_varieties())])
         return 0
-    A = catalog_get(args.name, _parse_params(args.param))
-    doc = algebra_to_json(A)
-    if args.out:
-        save_algebra(A, args.out)
-    if args.json or not args.out:
-        print(json.dumps(doc, sort_keys=True))
+    _emit_algebra(args, catalog_get(args.name, _parse_params(args.param)))
     return 0
 
 
@@ -296,14 +299,8 @@ def cmd_kantor(args):
     else:
         B = _load(args.b) if args.b else A
         tb = B.op(args.op_b) if args.op_b else B.op()
-    u = args.u
-    prod = kantor_product(ta, tb, u)
-    out = Algebra(f"kantor({A.name},{B.name})", A.dim, {"mul": prod}, A.dom)
-    doc = algebra_to_json(out)
-    if args.out:
-        save_algebra(out, args.out)
-    if args.json or not args.out:
-        print(json.dumps(doc, sort_keys=True))
+    _emit_algebra(args, Algebra(f"kantor({A.name},{B.name})", A.dim,
+                                {"mul": kantor_product(ta, tb, args.u)}, A.dom))
     return 0
 
 
@@ -352,13 +349,7 @@ def cmd_poisson(args):
 
 def cmd_incidence(args):
     if args.incidence_action == "build":
-        P = _load_poset(args.poset)
-        A = incidence_algebra(P)
-        doc = algebra_to_json(A)
-        if args.out:
-            save_algebra(A, args.out)
-        if args.json or not args.out:
-            print(json.dumps(doc, sort_keys=True))
+        _emit_algebra(args, incidence_algebra(_load_poset(args.poset)))
         return 0
     if args.incidence_action == "poisson-equiv":
         P = _load_poset(args.poset)

@@ -6,21 +6,28 @@ Identities are split into multihomogeneous components and fully polarized,
 then each component is scanned over basis tuples; this is exact over
 domains of characteristic zero (or larger than the degree).
 
-``check_identity`` checks every law the library checks on basis tuples:
-varieties, the Poisson-type axioms (D(a) = {a,1} is the unary map D),
-customary identities, higher derivations and the hom-Leibniz automorphism
-condition.  It compiles each component once into a DAG of its distinct
-subterms; a subterm missing some of the k variables is cached per basis
-tuple of its own variables (at most #nodes x dim^(k-1) entries, freed when
-the scan returns), so only the products holding every variable are formed
-per tuple.  Over Q the scan runs in Python ints: tables and unary maps are
-scaled by the lcm of their denominators and terms weighted to match, a
-nonzero rescaling of the defect.  ``eval_term_sparse`` and
-``eval_identity_sparse`` are the reference evaluator: they compute the
-witness defect, the Kantor product's law on each basis pair and
-``symbolic_check``, the slow oracle for laws without unary maps.  The same
-compiler (``_compile``) serves ``operators.linear_conditions``, which turns
-laws linear in an unknown map into integer rows of a linear system.
+Every value of a law at basis tuples comes from one loop, ``_totals``: the
+law is compiled once (``_compile``) into a DAG of its distinct subterms; a
+subterm missing some of the k variables is cached per basis tuple of its
+own variables (at most #nodes x dim^(k-1) entries, freed with the loop), so
+only the products holding every variable are formed per tuple.  Over Q the
+loop runs in Python ints: tables and unary maps are scaled by the lcm of
+their denominators and terms weighted to match, so each total is one fixed
+multiple of the exact value.  Three entry points drive it:
+
+* ``check_identity`` takes the first tuple with a nonzero total; it checks
+  every law the library checks on basis tuples (varieties, the
+  Poisson-type axioms with D(a) = {a,1} as the unary map D, customary
+  identities, higher derivations, the hom-Leibniz automorphism condition);
+* ``operators.linear_conditions`` plugs in linear forms for an unknown map
+  and turns a law linear in it into integer rows of a linear system;
+* ``law_table`` divides by the multiple and returns the exact table of a
+  multilinear law: ``structure.change_basis``, the Kantor product, the
+  plus/minus functors, ``M7`` and the transposed-Poisson obstructions.
+
+``eval_term_sparse`` and ``eval_identity_sparse`` are the reference
+evaluator.  They serve only the witness defect of ``check_identity``,
+``symbolic_check`` (the slow oracle for laws without unary maps) and tests.
 """
 
 from __future__ import annotations
@@ -414,14 +421,9 @@ def eval_identity_sparse(A, identity, assignment, opmap, unary_maps=None):
     return total
 
 
-def check_identity(A, identity, opmap=None, unary_maps=None):
-    """Exact identity check by polarization + basis-tuple scan.
-
-    Returns (holds, witness); witness is None or a dict with the violating
-    basis tuple (the first in lexicographic order), the variable order, and
-    the nonzero defect vector computed by ``eval_identity_sparse``.  The
-    scan itself runs on the compiled form of each component (``_scan``).
-    """
+def _bind(A, identity, opmap, unary_maps):
+    """opmap (``default_opmap`` when None) after checking that it binds every
+    symbol of identity not in unary_maps to an operation of its arity."""
     used = identity.used_symbols()
     opmap = opmap or default_opmap(A, used)
     for sym, ar in used.items():
@@ -431,6 +433,18 @@ def check_identity(A, identity, opmap=None, unary_maps=None):
             raise DomainError(f"no operation bound for symbol {sym!r}")
         if A.ops[opmap[sym]].arity != ar:
             raise DomainError(f"arity mismatch binding {sym!r} to {opmap[sym]!r}")
+    return opmap
+
+
+def check_identity(A, identity, opmap=None, unary_maps=None):
+    """Exact identity check by polarization + basis-tuple scan.
+
+    Returns (holds, witness); witness is None or a dict with the violating
+    basis tuple (the first in lexicographic order), the variable order, and
+    the nonzero defect vector computed by ``eval_identity_sparse``.  The
+    scan itself runs on the compiled form of each component (``_scan``).
+    """
+    opmap = _bind(A, identity, opmap, unary_maps)
     dom = A.dom
     for lin in polarize(identity, char=dom.char or 0):
         combo = _scan(A, lin, opmap, unary_maps)
@@ -452,27 +466,30 @@ def check_identity(A, identity, opmap=None, unary_maps=None):
 
 
 def _scan_domain(dom):
-    """The per-domain part of the scan: (lcm, convert, prune, one).
+    """The per-domain part of the scan: (lcm, convert, prune, one, exact).
 
     ``lcm(values)`` is the factor that makes a table, a unary map or a list
     of coefficients integral, ``convert(c, m)`` the scan form of ``c`` times
     ``m``, ``prune(vec)`` the sparse vector without its zero entries (over
-    Q, vec itself when it has none) and ``one`` the scan form of 1.  Over Q
-    values are scaled to Python ints; over GF(p) they are ints reduced mod
-    p by ``prune``; other domains keep their own elements.
+    Q, vec itself when it has none), ``one`` the scan form of 1 and
+    ``exact(c, scale)`` the domain element that the scan form ``c`` of a
+    value scaled by ``scale`` stands for.  Over Q values are scaled to
+    Python ints; over GF(p) they are ints reduced mod p by ``prune``; other
+    domains keep their own elements.  Outside Q every factor is 1.
     """
     if isinstance(dom, RationalDomain):
         return (lambda cs: math.lcm(*{c.denominator for c in cs}),
                 lambda c, m: c.numerator * (m // c.denominator),
                 lambda vec: vec if all(vec.values()) else {k: c for k, c in vec.items() if c},
-                1)
+                1, Fraction)
     if isinstance(dom, PrimeField):
         p = dom.p
         return (lambda cs: 1, lambda c, m: dom.coerce(c).v,
-                lambda vec: {k: r for k, c in vec.items() if (r := c % p)}, 1)
+                lambda vec: {k: r for k, c in vec.items() if (r := c % p)}, 1,
+                lambda c, scale: dom.from_int(c))
     return (lambda cs: 1, lambda c, m: dom.coerce(c),
             lambda vec: {k: c for k, c in vec.items() if not dom.is_zero(c)},
-            dom.one())
+            dom.one(), lambda c, scale: c)
 
 
 def _scan_table(A, sym, opmap, unary_maps, lcm, convert):
@@ -511,27 +528,6 @@ def _compile_term(term, nodes, ids, positions):
     return nid
 
 
-def _value(nid, combo, specs, vals, prune, one):
-    """Value of node nid at the basis tuple combo: computed this tuple when
-    it contains every variable, else looked up in (or added to) its cache."""
-    (build, data), kids, cache, key = specs[nid]
-    if cache is None:
-        return vals[nid]
-    k = key(combo)
-    v = cache.get(k)
-    if v is None:
-        v = cache[k] = build(data, kids, combo, specs, vals, prune, one, {}, one)
-    return v
-
-
-def _product_value(table, kids, combo, specs, vals, prune, one, out, coef):
-    """Add coef times an operation node's product to ``out``; return it
-    without zero entries."""
-    add_products(table, [_value(c, combo, specs, vals, prune, one) for c in kids],
-                 out, coef, one)
-    return prune(out)
-
-
 def _compile(A, terms, variables, tables):
     """Compile (coefficient, term) pairs into one DAG of distinct subterms.
 
@@ -542,14 +538,16 @@ def _compile(A, terms, variables, tables):
     by its term's weight and the quotients cleared of denominators by
     ``scale``, so the scan-form sum is ``scale`` times the exact sum (scale
     1 outside Q).  Returns (nodes, specs, top_coef, scale): ``specs[nid]``
-    is ((build, data), child ids, cache, key), where ``build`` adds the
-    node's value to a vector and returns it (``_product_value`` with data
-    the table; None for a variable) and cache is None for an operation node
-    holding every variable, else a dict keyed by ``key(combo)``, the basis
-    indices at its variables.  ``top_coef`` maps term nodes to coefficients.
+    is (add, data, finish, child ids, cache, key).  ``add(data, args, out,
+    coef, one)`` adds coef times the node's value at its children's values
+    ``args`` to ``out`` (``structure.add_products`` with data the table;
+    None for a variable) and ``finish`` turns a fresh sum into the stored
+    value (``prune``).  ``cache`` is None for an operation node holding
+    every variable, else a dict keyed by ``key(combo)``, the basis indices
+    at its variables.  ``top_coef`` maps term nodes to coefficients.
     """
     dom = A.dom
-    lcm, convert, _, one = _scan_domain(dom)
+    lcm, convert, prune, one, _ = _scan_domain(dom)
     positions = {v: p for p, v in enumerate(variables)}
     nodes, ids = [], {}
     tops = [(c, _compile_term(t, nodes, ids, positions)) for c, t in terms]
@@ -566,70 +564,120 @@ def _compile(A, terms, variables, tables):
     for c, (_, nid) in zip(coeffs, tops):
         c = convert(c, scale)
         top_coef[nid] = c if nid not in top_coef else top_coef[nid] + c
-
     k = len(variables)
     units = {i: {i: one} for i in range(A.dim)}
     specs = []
     for sym, kids, pos in nodes:
         full = sym is not None and len(pos) == k
-        build = (_product_value, tables[sym][0]) if sym in tables else (None, None)
-        specs.append((build, kids, None if full else units if sym is None else {},
-                      operator.itemgetter(*pos) if pos else operator.itemgetter(slice(0))))
+        add = (add_products, tables[sym][0], prune) if sym in tables else (None, None, None)
+        specs.append(add + (kids, None if full else units if sym is None else {},
+                            operator.itemgetter(*pos) if pos else operator.itemgetter(slice(0))))
     return nodes, specs, top_coef, scale
 
 
-def _scan(A, lin, opmap, unary_maps):
-    """First basis tuple (lexicographic) where the multilinear identity lin
-    fails, or None.
+def _value(nid, combo, specs, vals, one):
+    """Value of node nid at the basis tuple combo: computed this tuple when
+    it contains every variable, else looked up in (or added to) its cache."""
+    add, data, finish, kids, cache, key = specs[nid]
+    if cache is None:
+        return vals[nid]
+    k = key(combo)
+    v = cache.get(k)
+    if v is None:
+        out = {}
+        add(data, [_value(c, combo, specs, vals, one) for c in kids], out, one, one)
+        v = cache[k] = finish(out)
+    return v
 
-    lin is compiled once (``_compile``).  Only the nodes holding every
-    variable are multiplied out per tuple (12 products instead of 36 for
-    the polarized Jordan identity); the others are cached, at most
-    #nodes x dim^(k-1) entries for k variables, freed on return.  Over Q
-    the defect is computed in Python ints, a nonzero multiple of the exact
-    one.
+
+def _merge_vector(total, value, coef):
+    """Add coef times the sparse vector ``value`` to ``total``."""
+    for i, c in value.items():
+        prev = total.get(i)
+        total[i] = coef * c if prev is None else prev + coef * c
+
+
+def _totals(A, k, nodes, specs, top_coef, merge=_merge_vector):
+    """Yield (basis tuple, total) at every basis tuple of the k variables in
+    ``itertools.product`` order; total is the scan-form sum of coef times
+    term value, a fresh dict that may hold zero entries.
+
+    The one loop over a compiled law (``_compile``).  Only the nodes holding
+    every variable are formed per tuple (12 products instead of 36 for the
+    polarized Jordan identity); the others are cached, at most
+    #nodes x dim^(k-1) entries, freed when the generator is.  A term no
+    other node uses is added to the total as it is formed; every other
+    term's value is looked up and added by ``merge(total, value, coef)``.
     """
-    lcm, convert, prune, one = _scan_domain(A.dom)
-    tables = {sym: _scan_table(A, sym, opmap, unary_maps, lcm, convert)
-              for sym in lin.used_symbols()}
-    nodes, specs, top_coef, _ = _compile(A, lin.terms, lin.variables, tables)
+    one = _scan_domain(A.dom)[3]
     inner = {c for node in nodes for c in node[1]}
     steps, looked_up = [], []
-    for nid, ((_, table), kids, cache, _) in enumerate(specs):
-        # a top-level product no other node uses is added to the defect
-        # as it is formed; every other term's value is looked up
-        fused = cache is None and nid not in inner
+    for nid, (add, data, finish, kids, cache, _) in enumerate(specs):
         coef = top_coef.get(nid)
+        fused = cache is None and coef is not None and nid not in inner
         if cache is None:
-            steps.append((nid, table, [(specs[c][2], specs[c][3], c) for c in kids],
+            steps.append((nid, add, data, finish,
+                          [(specs[c][4], specs[c][5], c) for c in kids],
                           coef if fused else None))
         if coef is not None and not fused:
             looked_up.append((nid, coef))
     vals = [None] * len(nodes)
-    for combo in itertools.product(range(A.dim), repeat=len(lin.variables)):
-        defect = {}
-        for nid, table, kids, coef in steps:
+    for combo in itertools.product(range(A.dim), repeat=k):
+        total = {}
+        for nid, add, data, finish, kids, coef in steps:
             args = []
             for cache, key, c in kids:
                 if cache is None:
                     args.append(vals[c])
                 else:
                     v = cache.get(key(combo))
-                    args.append(_value(c, combo, specs, vals, prune, one)
-                                if v is None else v)
+                    args.append(_value(c, combo, specs, vals, one) if v is None else v)
             if coef is None:
                 out = {}
-                add_products(table, args, out, one, one)
-                vals[nid] = prune(out)
+                add(data, args, out, one, one)
+                vals[nid] = finish(out)
             else:
-                add_products(table, args, defect, coef, one)
+                add(data, args, total, coef, one)
         for nid, coef in looked_up:
-            for i, c in _value(nid, combo, specs, vals, prune, one).items():
-                prev = defect.get(i)
-                defect[i] = coef * c if prev is None else prev + coef * c
-        if prune(defect):
+            merge(total, _value(nid, combo, specs, vals, one), coef)
+        yield combo, total
+
+
+def _compile_law(A, identity, opmap, unary_maps):
+    """(prune, exact, compiled law): ``_compile`` of an identity on A with
+    its operations bound by opmap and unary_maps."""
+    lcm, convert, prune, _, exact = _scan_domain(A.dom)
+    tables = {sym: _scan_table(A, sym, opmap, unary_maps, lcm, convert)
+              for sym in identity.used_symbols()}
+    return prune, exact, _compile(A, identity.terms, identity.variables, tables)
+
+
+def _scan(A, lin, opmap, unary_maps):
+    """First basis tuple (lexicographic) where the multilinear identity lin
+    fails, or None.  Over Q the defect is computed in Python ints, a
+    nonzero multiple of the exact one."""
+    prune, _, (nodes, specs, top_coef, _) = _compile_law(A, lin, opmap, unary_maps)
+    for combo, total in _totals(A, len(lin.variables), nodes, specs, top_coef):
+        if prune(total):
             return combo
     return None
+
+
+def law_table(A, identity, opmap, unary_maps=None):
+    """The exact nonzero values of a law at the basis tuples of its
+    variables (sorted by name): {basis tuple: {coordinate: value}}.
+
+    The identity is evaluated as it is, without polarization, so this is
+    the table of a multilinear map such as a product built from A's
+    operations; opmap and unary_maps bind its symbols as in
+    ``check_identity``.
+    """
+    opmap = _bind(A, identity, opmap, unary_maps)
+    prune, exact, (nodes, specs, top_coef, scale) = _compile_law(A, identity, opmap,
+                                                                 unary_maps)
+    return {combo: {i: exact(c, scale) for i, c in row.items()}
+            for combo, total in _totals(A, len(identity.variables), nodes, specs, top_coef)
+            if (row := prune(total))}
 
 
 def symbolic_check(A, identity, opmap=None):

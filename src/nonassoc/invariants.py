@@ -19,6 +19,9 @@ from .operators import linear_conditions, multiplication_operator
 from .scalars import QQ, DomainError, PolyRing
 from .structure import Algebra, StructureTensor
 
+SAMPLE_SEED = 20240803
+EXTRA_SAMPLES = 40   # random candidates for the witness of characteristic_sequence
+
 
 def _product_subspace(A, U, W, op=None):
     """span{ u w : u in U, w in W } for subspaces given by basis rows."""
@@ -188,7 +191,7 @@ def _jordan_type_nilpotent(M, dom, n):
     return _jordan_blocks(ranks)
 
 
-def characteristic_sequence(A, op=None, extra_samples=40, seed=20240803):
+def characteristic_sequence(A, op=None):
     """C(A) = lex-max over x in A \\ A^2 of the Jordan type of R_x.
 
     The generic Jordan type is computed exactly from certified ranks over
@@ -209,9 +212,9 @@ def characteristic_sequence(A, op=None, extra_samples=40, seed=20240803):
         raise DomainError("A \\ A^2 is empty")
     best = None
     best_x = None
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
     candidates = [A.basis_vector(i) for i in range(n)]
-    for _ in range(extra_samples):
+    for _ in range(EXTRA_SAMPLES):
         candidates.append([dom.from_int(rng.randint(-9, 9)) for _ in range(n)])
     for x in candidates:
         if sq.contains_vector(x):
@@ -224,7 +227,7 @@ def characteristic_sequence(A, op=None, extra_samples=40, seed=20240803):
     if best is None:
         raise DomainError("no element outside A^2 found")
     if dom is QQ and n <= 7:
-        sym = _symbolic_jordan_type(A, op, seed)
+        sym = _symbolic_jordan_type(A, op)
         if sym > best:
             # generic type strictly better: the sampler missed it (would be
             # measure-zero bad luck); report the symbolic type without witness
@@ -233,14 +236,14 @@ def characteristic_sequence(A, op=None, extra_samples=40, seed=20240803):
     return {"sequence": list(best), "witness": best_x}
 
 
-def _symbolic_jordan_type(A, op, seed):
+def _symbolic_jordan_type(A, op):
     """Jordan type of the generic R_x = sum_a x_a R_{e_a}, from the ranks of
     its powers over Q(x), each certified by ``generic_rank``."""
     n = A.dim
     R = linear_pencil([multiplication_operator(A, (a,), op) for a in range(n)])
     ranks, power = [n], R
     while True:
-        ranks.append(generic_rank(power, seeded_points(seed, n, 9))[0])
+        ranks.append(generic_rank(power, seeded_points(SAMPLE_SEED, n, 9))[0])
         if ranks[-1] == 0:
             return _jordan_blocks(ranks)
         power = mat_mul(power, R, PolyRing(n))

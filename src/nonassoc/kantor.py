@@ -8,25 +8,24 @@ space, made into an algebra by the Kantor product itself.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .identities import Identity, eval_identity_sparse
+from .identities import Identity, law_table
 from .linalg import Subspace, inverse, kernel, solve
-from .operators import linear_conditions
+from .operators import linear_conditions, multiplication_operator
 from .scalars import QQ, DomainError
 from .structure import Algebra, StructureTensor, change_basis
 
 
-# [[A,B]](x,y) with the fixed vector bound to u
+# [[A,B]](x,y) = L(B(x,y)) - B(Lx, y) - B(x, Ly) with the unary map L = A(u, .)
 _KANTOR_LAW = Identity(
-    [(1, ("A", (("v", "u"), ("B", (("v", "x"), ("v", "y")))))),
-     (-1, ("B", (("A", (("v", "u"), ("v", "x"))), ("v", "y")))),
-     (-1, ("B", (("v", "x"), ("A", (("v", "u"), ("v", "y"))))))],
-    {"A": 2, "B": 2})
+    [(1, ("L", (("*", (("v", "x"), ("v", "y"))),))),
+     (-1, ("*", (("L", (("v", "x"),)), ("v", "y")))),
+     (-1, ("*", (("v", "x"), ("L", (("v", "y"),)))))],
+    {"*": 2, "L": 1})
 
 
-def kantor_product(A, B, u, dom=None):
+def kantor_product(A, B, u):
     """Structure tensor of [[A,B]] w.r.t. u.
 
     A, B are binary StructureTensors on a common space; u is a dense vector
@@ -36,29 +35,18 @@ def kantor_product(A, B, u, dom=None):
         raise DomainError("Kantor product needs binary multiplications")
     if A.dim != B.dim:
         raise DomainError("dimension mismatch")
-    dom = dom or A.dom
+    dom = A.dom
     n = A.dim
-    one = dom.one()
     if isinstance(u, int):
         if not 0 <= u < n:
             raise DomainError(f"u = {u} is not a basis index of a {n}-dimensional space")
-        uv = {u: one}
-    else:
-        if len(u) != n:
-            raise DomainError(f"u has {len(u)} coordinates, the space has dimension {n}")
-        uv = {i: dom.coerce(c) for i, c in enumerate(u)
-              if not dom.is_zero(dom.coerce(c))}
-    if not uv:
+    elif len(u) != n:
+        raise DomainError(f"u has {len(u)} coordinates, the space has dimension {n}")
+    elif all(dom.is_zero(dom.coerce(c)) for c in u):
         raise DomainError("u must be nonzero")
     pair = Algebra("kantor", n, {"A": A, "B": B}, dom)
-    opmap = {"A": "A", "B": "B"}
-    table = {}
-    for i, j in itertools.product(range(n), repeat=2):
-        val = eval_identity_sparse(pair, _KANTOR_LAW,
-                                   {"u": uv, "x": {i: one}, "y": {j: one}}, opmap)
-        if val:
-            table[(i, j)] = val
-    return StructureTensor(n, 2, table, dom)
+    L = multiplication_operator(pair, (u,), "A", slot=1)
+    return StructureTensor(n, 2, law_table(pair, _KANTOR_LAW, {"*": "B"}, {"L": L}), dom)
 
 
 def kantor_square(A, u):

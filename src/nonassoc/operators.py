@@ -38,13 +38,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from .identities import _compile, _op_nodes, _scan_domain, _scan_table, _value
+from .identities import _compile, _op_nodes, _scan_domain, _scan_table, _totals
 from .linalg import (Subspace, generic_rank, kernel, linear_pencil, mat_mul,
                      mat_sub, mat_vec, seeded_points, sparse_rows)
 from .scalars import QQ, DomainError
 from .varieties import check_variety, minus_algebra
 
 SAMPLE_SEED = 20240801
+MAX_LEIBNIZ_ORDER = 5   # Catalan(k - 1) bracketings, each a k-variable scan
 
 
 def _flatten(mat):
@@ -129,15 +130,16 @@ def linear_conditions(A, terms, variables, unknowns):
     """(rows, scale): the rows of a law linear in its unknowns at every basis
     tuple, and the factor they carry.  See the module docstring.
 
-    The terms are compiled into one DAG of distinct subterms
-    (``identities._compile``), the one the identity scan uses.  A subterm
-    without the unknown has a sparse vector as value; the unknown and the
-    nodes above it have a linear form {coordinate: {column: coefficient}}.
-    Every node missing a variable is cached per basis tuple of its own
-    variables (so the unknown's form, D(x) say, is built once per x): at
-    most #nodes x dim^(k-1) entries for k variables, freed on return.
+    The terms are compiled into one DAG of distinct subterms and evaluated
+    by the loop of the identity scan (``identities._compile`` and
+    ``_totals``).  A subterm without the unknown has a sparse vector as
+    value; the unknown and the nodes above it have a linear form
+    {coordinate: {column: coefficient}}.  Every node missing a variable is
+    cached per basis tuple of its own variables (so the unknown's form, D(x)
+    say, is built once per x): at most #nodes x dim^(k-1) entries for k
+    variables, freed on return.
     """
-    lcm, convert, prune, one = _scan_domain(A.dom)
+    lcm, convert, prune, _, _ = _scan_domain(A.dom)
     if any(sum(sym in unknowns for sym, _ in _op_nodes(t)) != 1 for _, t in terms):
         raise DomainError("every term needs exactly one unknown")
     syms = {sym for _, t in terms for sym, _ in _op_nodes(t)} - set(unknowns)
@@ -148,39 +150,16 @@ def linear_conditions(A, terms, variables, unknowns):
     for nid, (sym, kids, _) in enumerate(nodes):
         linear.append(sym in unknowns or any(linear[k] for k in kids))
         if sym in unknowns:
-            specs[nid] = ((_add_unknown, unknowns[sym]),) + specs[nid][1:]
+            specs[nid] = (_add_unknown, unknowns[sym], _as_is) + specs[nid][3:]
         elif linear[nid]:
             s = next(i for i, k in enumerate(kids) if linear[k])
             index = {}   # (arguments other than slot s) -> [(slot-s argument, output row)]
             for idx, row in tables[sym][0].items():
                 index.setdefault(idx[:s] + idx[s + 1:], []).append((idx[s], row))
-            specs[nid] = ((_add_product, (index, s)),) + specs[nid][1:]
+            specs[nid] = (_add_product, (index, s), _as_is) + specs[nid][3:]
 
-    inner = {c for node in nodes for c in node[1]}
-    steps, looked_up = [], []
-    for nid, (_, _, cache, _) in enumerate(specs):
-        # a term no other node uses is added to the rows as it is formed
-        coef = top_coef.get(nid)
-        fused = cache is None and coef is not None and nid not in inner
-        if cache is None:
-            steps.append((nid, coef if fused else None))
-        if coef is not None and not fused:
-            looked_up.append((nid, coef))
-    vals = [None] * len(nodes)
     rows = {}
-    for combo in itertools.product(range(A.dim), repeat=len(variables)):
-        total = {}
-        for nid, coef in steps:
-            (build, data), kids, _, _ = specs[nid]
-            if coef is None:
-                vals[nid] = build(data, kids, combo, specs, vals, prune, one, {}, one)
-            else:
-                build(data, kids, combo, specs, vals, prune, one, total, coef)
-        for nid, coef in looked_up:
-            for r, form in _value(nid, combo, specs, vals, prune, one).items():
-                tgt = total.setdefault(r, {})
-                for j, x in form.items():
-                    tgt[j] = tgt.get(j, 0) + coef * x
+    for combo, total in _totals(A, len(variables), nodes, specs, top_coef, _merge_form):
         for r in sorted(total):
             row = prune(total[r])
             if row:
@@ -188,12 +167,17 @@ def linear_conditions(A, terms, variables, unknowns):
     return rows, scale
 
 
-def _add_unknown(data, kids, combo, specs, vals, prune, one, out, coef):
+def _as_is(form):
+    """The stored value of a linear form: the form itself, zeros and all
+    (rows are pruned once, when they are complete)."""
+    return form
+
+
+def _add_unknown(data, args, out, coef, one):
     """Add coef times the form of an unknown at its (constant) arguments to
-    the form ``out`` and return it: one column per coordinate and support
-    index tuple of the arguments."""
+    the form ``out``: one column per coordinate and support index tuple of
+    the arguments."""
     dim, col = data
-    args = [_value(c, combo, specs, vals, prune, one) for c in kids]
     for idx in itertools.product(*args):
         f = coef
         for v, i in zip(args, idx):
@@ -202,16 +186,14 @@ def _add_unknown(data, kids, combo, specs, vals, prune, one, out, coef):
             tgt = out.setdefault(r, {})
             j = col(r, *idx)
             tgt[j] = tgt.get(j, 0) + f
-    return out
 
 
-def _add_product(data, kids, combo, specs, vals, prune, one, out, coef):
+def _add_product(data, args, out, coef, one):
     """Add coef times an operation at one linear form (slot s) and constant
-    vectors (the other slots) to the form ``out`` and return it."""
+    vectors (the other slots) to the form ``out``."""
     index, s = data
-    form = _value(kids[s], combo, specs, vals, prune, one)
-    others = [_value(c, combo, specs, vals, prune, one)
-              for i, c in enumerate(kids) if i != s]
+    form = args[s]
+    others = args[:s] + args[s + 1:]
     for idx in itertools.product(*others):
         f0 = coef
         for v, i in zip(others, idx):
@@ -224,7 +206,14 @@ def _add_product(data, kids, combo, specs, vals, prune, one, out, coef):
                     tgt = out.setdefault(r, {})
                     for j, x in fa.items():
                         tgt[j] = tgt.get(j, 0) + f * x
-    return out
+
+
+def _merge_form(total, form, coef):
+    """Add coef times the linear form ``form`` to ``total``."""
+    for r, row in form.items():
+        tgt = total.setdefault(r, {})
+        for j, x in row.items():
+            tgt[j] = tgt.get(j, 0) + coef * x
 
 
 def _map_columns(n, offset=0):
@@ -507,7 +496,7 @@ def right_bracketing(k):
     return b
 
 
-def leibniz_derivation_space(A, k, arrangement="all", op=None, max_order=5):
+def leibniz_derivation_space(A, k, arrangement="all", op=None):
     """f-Leibniz derivations of order k for the chosen arrangement(s).
 
     "all" intersects over every full bracketing of length k (Catalan many).
@@ -516,8 +505,8 @@ def leibniz_derivation_space(A, k, arrangement="all", op=None, max_order=5):
     """
     if k < 2:
         raise DomainError("order must be >= 2")
-    if k > max_order:
-        raise DomainError(f"order {k} exceeds the resource bound {max_order}")
+    if k > MAX_LEIBNIZ_ORDER:
+        raise DomainError(f"order {k} exceeds the resource bound {MAX_LEIBNIZ_ORDER}")
     t = A.op(op)
     if t.arity != 2:
         raise DomainError("f-Leibniz derivations need a binary operation")

@@ -7,10 +7,9 @@ D(a) = {a, 1} when a unit is designated, never user-supplied.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .identities import Identity, check_identity, parse_identity
+from .identities import Identity, check_identity, law_table, parse_identity
 from .linalg import kernel
 from .operators import derivation_space, linear_conditions, multiplication_operator
 from .scalars import QQ, DomainError, Poly, PolyRing
@@ -178,32 +177,26 @@ def transposed_compatible_space(L, op="bracket"):
 
 def _associativity_obstructions(basis_tensors, n):
     """Quadratic polynomials in c whose common zeros are the associative
-    points of sum_i c_i S_i; the zero polynomial is dropped."""
-    s = len(basis_tensors)
-    if s == 0:
+    points of sum_i c_i S_i: the distinct nonzero coordinates of the
+    associator of that generic product over Q[c] at basis triples."""
+    if not basis_tensors:
         return []
-    ring = PolyRing(s)
-    exps = [[tuple((a == i) + (b == i) for i in range(s)) for b in range(s)]
-            for a in range(s)]
-    out = []
-    seen = set()
-    for x, y, z in itertools.product(range(n), repeat=3):
-        for r in range(n):
-            poly = ring.zero()
-            for a, Sa in enumerate(basis_tensors):
-                for b, Sb in enumerate(basis_tensors):
-                    coeff = Fraction(0)
-                    for m, c in Sa.basis_product((x, y)).items():
-                        coeff += c * Sb.basis_product((m, z)).get(r, Fraction(0))
-                    for m, c in Sa.basis_product((y, z)).items():
-                        coeff -= c * Sb.basis_product((x, m)).get(r, Fraction(0))
-                    if coeff:
-                        poly = poly + Poly(s, {exps[a][b]: coeff})
-            if poly.terms:
-                key = tuple(sorted(poly.terms.items()))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(poly)
+    ring = PolyRing(len(basis_tensors))
+    table = {}
+    for c, S in zip(ring.gens(), basis_tensors):
+        for args, row in S.table.items():
+            dst = table.setdefault(args, {})
+            for k, v in row.items():
+                dst[k] = dst.get(k, ring.zero()) + c * v
+    generic = Algebra("generic", n, {"mul": StructureTensor(n, 2, table, ring)}, ring)
+    out, seen, monomials = [], set(), {}
+    for row in law_table(generic, parse_identity("(x*y)*z - x*(y*z)"), {"*": "mul"}).values():
+        for r in sorted(row):
+            key = tuple(sorted(row[r].terms.items()))
+            if key not in seen:
+                seen.add(key)
+                # the kept polynomials share one exponent tuple per monomial
+                out.append(Poly(ring.n, {monomials.setdefault(e, e): c for e, c in key}))
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .linalg import inverse, mat_vec
+from .linalg import inverse
 from .scalars import QQ, DomainError, domain_from_name
 
 
@@ -190,24 +190,23 @@ class Algebra:
 def change_basis(A, P):
     """Group action (P * mu)(x1,...,xm) = P mu(P^-1 x1, ..., P^-1 xm).
 
-    P is given over A's scalar domain and must be invertible.
+    P is given over A's scalar domain and must be invertible.  Each new
+    table is the law table (``identities.law_table``) of
+    P(mu(Q x0, ..., Q x_{m-1})) with Q = P^-1.
     """
+    from .identities import Identity, law_table   # identities imports this module
     dom = A.dom
     P = [[dom.coerce(x) for x in row] for row in P]
     if len(P) != A.dim or any(len(r) != A.dim for r in P):
         raise DomainError("basis-change matrix has wrong shape")
-    Pinv = inverse(P, dom)
-    cols = [[Pinv[i][j] for i in range(A.dim)] for j in range(A.dim)]
+    maps = {"P": P, "Q": inverse(P, dom)}
     new_ops = {}
     for name, t in A.ops.items():
-        table = {}
-        for args in itertools.product(range(A.dim), repeat=t.arity):
-            val = t.apply([cols[i] for i in args])
-            out = mat_vec(P, val, dom)
-            row = {k: c for k, c in enumerate(out) if not dom.is_zero(c)}
-            if row:
-                table[args] = row
-        new_ops[name] = StructureTensor(A.dim, t.arity, table, dom)
+        # zero-padded names sort in slot order
+        xs = tuple(("Q", (("v", f"x{i:0{len(str(t.arity - 1))}d}"),)) for i in range(t.arity))
+        law = Identity([(1, ("P", (("mu", xs),)))], {"mu": t.arity, "P": 1, "Q": 1})
+        new_ops[name] = StructureTensor(A.dim, t.arity,
+                                        law_table(A, law, {"mu": name}, maps), dom)
     unit = _transported_index(A, P, A.unit)
     u = _transported_index(A, P, A.u)
     return Algebra(A.name, A.dim, new_ops, dom, unit=unit, u=u, form=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .identities import Identity, check_identity, parse_identity
+from .identities import Identity, check_identity, law_table, parse_identity
 from .scalars import DomainError
 from .structure import Algebra, StructureTensor
 
@@ -154,46 +154,24 @@ def list_varieties():
     return names
 
 
+def _functor_algebra(A, op, sign):
+    """The algebra of the law x*y + y*x (sign "+") or x*y - y*x (sign "-")."""
+    if A.op(op).arity != 2:
+        raise DomainError(f"{'plus' if sign == '+' else 'minus'} functor needs a "
+                          f"binary operation")
+    table = law_table(A, parse_identity(f"x*y {sign} y*x"), {"*": op or A.op_names()[0]})
+    return Algebra(f"{A.name}^{sign}", A.dim,
+                   {"mul": StructureTensor(A.dim, 2, table, A.dom)}, A.dom)
+
+
 def minus_algebra(A, op=None):
     """Commutator algebra: [x,y] = xy - yx."""
-    t = A.op(op)
-    if t.arity != 2:
-        raise DomainError("minus functor needs a binary operation")
-    dom = A.dom
-    table = {}
-    for i in range(A.dim):
-        for j in range(A.dim):
-            row = {}
-            for k, c in t.basis_product((i, j)).items():
-                row[k] = row.get(k, dom.zero()) + c
-            for k, c in t.basis_product((j, i)).items():
-                row[k] = row.get(k, dom.zero()) - c
-            row = {k: c for k, c in row.items() if not dom.is_zero(c)}
-            if row:
-                table[(i, j)] = row
-    return Algebra(f"{A.name}^-", A.dim,
-                   {"mul": StructureTensor(A.dim, 2, table, dom)}, dom)
+    return _functor_algebra(A, op, "-")
 
 
 def plus_algebra(A, op=None):
     """Symmetrized algebra x o y = xy + yx (no 1/2 normalization)."""
-    t = A.op(op)
-    if t.arity != 2:
-        raise DomainError("plus functor needs a binary operation")
-    dom = A.dom
-    table = {}
-    for i in range(A.dim):
-        for j in range(A.dim):
-            row = {}
-            for k, c in t.basis_product((i, j)).items():
-                row[k] = row.get(k, dom.zero()) + c
-            for k, c in t.basis_product((j, i)).items():
-                row[k] = row.get(k, dom.zero()) + c
-            row = {k: c for k, c in row.items() if not dom.is_zero(c)}
-            if row:
-                table[(i, j)] = row
-    return Algebra(f"{A.name}^+", A.dim,
-                   {"mul": StructureTensor(A.dim, 2, table, dom)}, dom)
+    return _functor_algebra(A, op, "+")
 
 
 def check_variety(A, name, op=None, phi=None):
@@ -214,20 +192,27 @@ def check_variety(A, name, op=None, phi=None):
     report = {"variety": name, "holds": None, "failures": [],
               "preconditions": []}
 
+    m = A.op(op).arity
+    opmap = {"[]": op or A.op_names()[0]}
+    idents = None
     if name in BINARY_VARIETIES:
-        tensor = A.op(op)
-        if tensor.arity != 2:
+        if m != 2:
             report["preconditions"].append("binary operation required")
             report["holds"] = False
             return report
-        idents = variety_identities(name)
-        opmap = {"*": op or A.op_names()[0]}
-        holds = True
+        idents, opmap = variety_identities(name), {"*": opmap["[]"]}
+    elif name == "nary-commutative":
+        idents = nary_commutative_identities(m)
+    elif name in ("n-lie", "n-leibniz"):
+        idents = [filippov_identity(m)]
+        if name == "n-lie":
+            idents = nary_alternating_identities(m) + idents
+    if idents is not None:
         for ident in idents:
             ok, wit = check_identity(A, ident, opmap=opmap)
             if not ok:
-                holds = False
                 report["failures"].append(wit)
+        holds = not report["failures"]
         if name == "terminal":
             from .kantor import conservativity_test
             cons = conservativity_test(A, op=op)
@@ -237,25 +222,6 @@ def check_variety(A, name, op=None, phi=None):
                 raise DomainError(
                     "terminal identity route and conservativity route disagree; "
                     "flagged for review")
-        report["holds"] = holds
-        return report
-
-    tensor = A.op(op)
-    m = tensor.arity
-    opmap = {"[]": op or A.op_names()[0]}
-
-    if name in ("n-lie", "n-leibniz", "nary-commutative"):
-        idents = [filippov_identity(m)]
-        if name == "n-lie":
-            idents = nary_alternating_identities(m) + idents
-        if name == "nary-commutative":
-            idents = nary_commutative_identities(m)
-        holds = True
-        for ident in idents:
-            ok, wit = check_identity(A, ident, opmap=opmap)
-            if not ok:
-                holds = False
-                report["failures"].append(wit)
         report["holds"] = holds
         return report
 

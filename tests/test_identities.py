@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from nonassoc.catalog import catalog_get
 from nonassoc.identities import (Identity, ParseError, check_identity,
                                  parse_identity, polarize, symbolic_check,
-                                 eval_identity_sparse, default_opmap)
-from nonassoc.scalars import GF, QQ, QT, DomainError, RatFunc
+                                 eval_identity_sparse, default_opmap, law_table)
+from nonassoc.scalars import GF, QQ, QT, DomainError, Fp, Poly, PolyRing, RatFunc
 from nonassoc.structure import Algebra, StructureTensor
 from nonassoc.varieties import BINARY_VARIETIES, plus_algebra, variety_identities
 
@@ -254,6 +254,9 @@ def _scalar(rng, dom):
     if dom is QT:
         return QT.coerce(c) * rng.choice(
             [1, RatFunc.t_power(1), RatFunc.t_power(-1) + 1])
+    if isinstance(dom, PolyRing):
+        x0, x1 = dom.gens()[:2]
+        return dom.coerce(c) * rng.choice([1, x0, x1 + 1])
     return dom.coerce(c)
 
 
@@ -452,3 +455,71 @@ def test_parse_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# law_table against eval_identity_sparse at every basis tuple
+# ---------------------------------------------------------------------------
+
+_LAW_DOMAINS = [QQ, GF(5), QT, PolyRing(2)]
+_ELEMENT_TYPES = {QQ: Fraction, GF(5): Fp, QT: RatFunc}
+
+
+def _law_table_by_tuples(A, identity, opmap, unary_maps=None):
+    """Reference for law_table: the law evaluated from scratch by
+    eval_identity_sparse at every basis tuple of its variables."""
+    one = A.dom.one()
+    vs = identity.variables
+    out = {}
+    for combo in itertools.product(range(A.dim), repeat=len(vs)):
+        val = eval_identity_sparse(A, identity, {v: {i: one} for v, i in zip(vs, combo)},
+                                   opmap, unary_maps)
+        if val:
+            out[combo] = val
+    return out
+
+
+def _assert_law_table(A, identity, maps):
+    opmap = {"*": "mul", "[]": "t"}
+    got = law_table(A, identity, opmap, maps)
+    want = _law_table_by_tuples(A, identity, opmap, maps)
+    assert list(got) == list(want)
+    assert got == want
+    kind = _ELEMENT_TYPES.get(A.dom, Poly)
+    assert all(type(c) is kind for row in got.values() for c in row.values())
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_LAW_DOMAINS), st.integers(0, 2**32))
+def test_law_table_matches_per_tuple_evaluation(dom, seed):
+    _assert_law_table(*_random_case(seed, dom))
+
+
+@pytest.mark.parametrize("dom", _LAW_DOMAINS, ids=lambda d: d.name)
+def test_law_table_cases_reach_every_node_kind(dom):
+    """Seeded cases with unary maps, ternary operations, repeated and
+    missing variables and planted cancellations, over every domain; the
+    tables are nonzero often enough to compare values, not only zeros."""
+    nonzero = unary = ternary = 0
+    for seed in range(60):
+        A, identity, maps = _random_case(seed, dom)
+        nonzero += bool(_assert_law_table(A, identity, maps))
+        unary += "D" in identity.used_symbols()
+        ternary += "[]" in identity.used_symbols()
+    assert nonzero >= 30 and unary >= 10 and ternary >= 10
+
+
+def test_law_table_divides_by_the_scale():
+    """Denominators in the table, the unary map and the coefficients: the
+    values come back exact, not scaled."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    A = Algebra("a", 2, {"mul": StructureTensor(2, 2, {(0, 1): {1: half}, (1, 1): {0: third}}, QQ)},
+                QQ)
+    x, y = ("v", "x"), ("v", "y")
+    law = Identity([(Fraction(3, 4), ("D", (("*", (x, y)),))), (-1, ("*", (("D", (x,)), y)))],
+                   {"*": 2, "D": 1})
+    D = [[Fraction(2, 5), 0], [0, 1]]
+    assert law_table(A, law, {"*": "mul"}, {"D": D}) == {
+        (0, 1): {1: Fraction(3, 8) - Fraction(1, 5)},
+        (1, 1): {0: Fraction(3, 4) * third * Fraction(2, 5) - third}}

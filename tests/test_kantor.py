@@ -6,6 +6,7 @@ import pytest
 
 from nonassoc import kantor
 from nonassoc.catalog import catalog_get
+from nonassoc.identities import Identity, eval_identity_sparse
 from nonassoc.kantor import (U2_E_TABLE, associated_product_check, build_U,
                              conservativity_test, jacobi_element_space,
                              kantor_product, kantor_square, quasi_unit_space,
@@ -83,6 +84,61 @@ def test_kantor_product_rejects_a_u_outside_the_space():
         with pytest.raises(DomainError):
             kantor_product(t, t, u)
     assert kantor_product(t, t, [0, 0, 1]) == kantor_product(t, t, 2)
+
+
+# [[A,B]](x,y) = A(u, B(x,y)) - B(A(u,x), y) - B(x, A(u,y)) with u a variable
+_PAIR_LAW = Identity(
+    [(1, ("A", (("v", "u"), ("B", (("v", "x"), ("v", "y")))))),
+     (-1, ("B", (("A", (("v", "u"), ("v", "x"))), ("v", "y")))),
+     (-1, ("B", (("v", "x"), ("A", (("v", "u"), ("v", "y"))))))],
+    {"A": 2, "B": 2})
+
+
+def _eval_kantor_product(A, B, u):
+    """kantor_product before law tables: eval_identity_sparse on the pair
+    law with u bound to its vector, once per basis pair."""
+    dom = A.dom
+    n = A.dim
+    one = dom.one()
+    uv = {u: one} if isinstance(u, int) else {
+        i: dom.coerce(c) for i, c in enumerate(u) if not dom.is_zero(dom.coerce(c))}
+    pair = Algebra("kantor", n, {"A": A, "B": B}, dom)
+    table = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        val = eval_identity_sparse(pair, _PAIR_LAW, {"u": uv, "x": {i: one}, "y": {j: one}},
+                                   {"A": "A", "B": "B"})
+        if val:
+            table[(i, j)] = val
+    return StructureTensor(n, 2, table, dom)
+
+
+def test_kantor_product_matches_the_pair_law_on_octonion_squares():
+    """Every basis u and two dense u (one with denominators)."""
+    o = catalog_get("octonions").op("mul")
+    for u in list(range(8)) + [[1, 2, 0, 0, 0, 0, 0, -1], [Fraction(1, 2)] * 8]:
+        got = kantor_product(o, o, u)
+        assert got.table == _eval_kantor_product(o, o, u).table
+        assert all(type(c) is Fraction for row in got.table.values() for c in row.values())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kantor_product_matches_the_pair_law_on_U(n):
+    """U(n) built from the basis multiplications against the reference
+    product, and Kantor squares of U(n) itself over Q and over GF(5)."""
+    U = build_U(n)
+    basis = [StructureTensor(n, 2, {(i, j): {k: Fraction(1)}}, QQ)
+             for i in range(n) for j in range(n) for k in range(n)]
+    table = {}
+    for a, b in itertools.product(range(n ** 3), repeat=2):
+        for (i, j), row in _eval_kantor_product(basis[a], basis[b], 0).table.items():
+            for k, c in row.items():
+                table.setdefault((a, b), {})[kantor.alpha_index(i + 1, j + 1, k + 1, n)] = c
+    assert U.op().table == table
+    t = U.op()
+    gf = t.map_domain(GF(5), GF(5).coerce)
+    for u in range(U.dim) if n == 2 else (0, 13, [1, 0, 2] + [0] * 23 + [4]):
+        for s in (t, gf):
+            assert kantor_product(s, s, u).table == _eval_kantor_product(s, s, u).table
 
 
 def test_kantor_naturality_under_change_basis():

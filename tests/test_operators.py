@@ -5,7 +5,7 @@ import pytest
 
 from nonassoc.catalog import catalog_get
 from nonassoc.linalg import Subspace, identity_matrix, is_invertible, mat_mul
-from nonassoc.operators import (centroid, commuting_map_space,
+from nonassoc.operators import (MAX_LEIBNIZ_ORDER, centroid, commuting_map_space,
                                 derivation_space, generalized_derivation_space,
                                 leibniz_derivation_space,
                                 local_derivation_generic_space,
@@ -195,6 +195,8 @@ def test_leibniz_derivation_spaces():
     assert space.subspace.contains(derivation_space(sl2).subspace)
     with pytest.raises(DomainError):
         leibniz_derivation_space(nf3, 7)
+    with pytest.raises(DomainError, match="^order 6 exceeds the resource bound 5$"):
+        leibniz_derivation_space(nf3, MAX_LEIBNIZ_ORDER + 1)
     with pytest.raises(DomainError):
         leibniz_derivation_space(nf3, 1)
 

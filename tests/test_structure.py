@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonassoc.catalog import catalog_get
+from nonassoc.catalog import CATALOG_NAMES, catalog_get
+from nonassoc.linalg import inverse, is_invertible, mat_vec
 from nonassoc.scalars import GF, QQ, QT, DomainError, RatFunc
 from nonassoc.structure import (Algebra, StructureTensor, algebra_from_json,
                                 algebra_to_json, change_basis)
@@ -109,6 +111,72 @@ def test_change_basis_round_trip(seed):
     from nonassoc.linalg import inverse
     back = change_basis(change_basis(A, P), inverse(P, QQ))
     assert back.op("mul") == A.op("mul")
+
+
+def _dense_change_basis(A, P):
+    """change_basis before law tables: P mu(P^-1 e_i, ...) by a dense apply
+    and mat_vec at every argument tuple."""
+    dom = A.dom
+    P = [[dom.coerce(x) for x in row] for row in P]
+    Pinv = inverse(P, dom)
+    cols = [[Pinv[i][j] for i in range(A.dim)] for j in range(A.dim)]
+    new_ops = {}
+    for name, t in A.ops.items():
+        table = {}
+        for args in itertools.product(range(A.dim), repeat=t.arity):
+            out = mat_vec(P, t.apply([cols[i] for i in args]), dom)
+            row = {k: c for k, c in enumerate(out) if not dom.is_zero(c)}
+            if row:
+                table[args] = row
+        new_ops[name] = StructureTensor(A.dim, t.arity, table, dom)
+    return new_ops
+
+
+_CATALOG_PARAMS = {"abelian": {"n": 3}, "NF": {"n": 4}, "filiform1p": {"n": 5},
+                   "R": {"seq": (2, 1)}, "matrix": {"n": 2}, "uppertri": {"n": 3},
+                   "ternaryJordan": {"n": 3}, "A_n": {"n": 3}, "D": {"dim": 4},
+                   "A_alpha": {"alpha": Fraction(2, 3), "arity": 3}, "zinbiel-free1": {"n": 4}}
+
+
+def _seeded_basis(seed, n, dom=QQ, entries=range(-9, 10)):
+    rng = random.Random(seed)
+    while True:
+        P = [[dom.coerce(rng.choice(entries)) for _ in range(n)] for _ in range(n)]
+        if is_invertible(P, dom):
+            return P
+
+
+def _assert_same_algebra(B, ops):
+    assert list(B.ops) == list(ops)
+    for name, t in ops.items():
+        assert B.ops[name].arity == t.arity and B.ops[name].table == t.table
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_change_basis_matches_dense_reference_on_the_catalog(name):
+    """Every catalog entry (M8 and D3 are ternary on 8 dimensions, U2e has
+    denominators) on seeded dense bases: equal tables, entry for entry."""
+    A = catalog_get(name, _CATALOG_PARAMS.get(name))
+    for seed in (1,) if A.dim ** max(t.arity for t in A.ops.values()) > 100 else (1, 2, 3):
+        P = _seeded_basis(seed, A.dim)
+        _assert_same_algebra(change_basis(A, P), _dense_change_basis(A, P))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([QQ, GF(5), QT]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**32))
+def test_change_basis_matches_dense_reference_over_each_domain(dom, dim, arity, seed):
+    rng = random.Random(seed)
+    scalars = [dom.coerce(Fraction(c)) for c in ("1", "-1", "2", "1/2", "-3/2")]
+    if dom is QT:
+        scalars += [RatFunc.t_power(1), RatFunc.t_power(-1) + 1]
+    table = {args: {k: rng.choice(scalars) for k in rng.sample(range(dim), rng.randint(1, dim))}
+             for args in itertools.product(range(dim), repeat=arity) if rng.random() < 0.6}
+    A = Algebra("rnd", dim, {"mul": StructureTensor(dim, arity, table, dom),
+                             "sq": StructureTensor(dim, 2, {(0, 0): {dim - 1: scalars[3]}}, dom)},
+                dom)
+    P = _seeded_basis(seed, dim, dom, scalars + [dom.zero()])
+    _assert_same_algebra(change_basis(A, P), _dense_change_basis(A, P))
 
 
 def test_json_round_trip_exact():

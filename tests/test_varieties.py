@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from nonassoc.catalog import catalog_get
+from nonassoc.catalog import catalog_get, octonions
 from nonassoc.linalg import identity_matrix
-from nonassoc.scalars import QQ, DomainError
+from nonassoc.scalars import GF, QQ, QT, DomainError, RatFunc
 from nonassoc.structure import Algebra, StructureTensor
 from nonassoc.varieties import (check_variety, list_varieties, minus_algebra,
                                 plus_algebra)
@@ -164,3 +164,69 @@ def test_tortkara_from_zinbiel():
     # Zinbiel algebras under the commutator give Tortkara algebras
     z = catalog_get("zinbiel-free1", {"n": 5})
     assert _holds(minus_algebra(z), "tortkara")
+
+
+# ---------------------------------------------------------------------------
+# the plus/minus functors and M7 against their former loops
+# ---------------------------------------------------------------------------
+
+def _looped_functor(A, op, sign):
+    """plus_algebra (sign 1) or minus_algebra (sign -1) before law tables:
+    xy and sign * yx added row by row at every basis pair."""
+    t = A.op(op)
+    dom = A.dom
+    table = {}
+    for i in range(A.dim):
+        for j in range(A.dim):
+            row = {}
+            for k, c in t.basis_product((i, j)).items():
+                row[k] = row.get(k, dom.zero()) + c
+            for k, c in t.basis_product((j, i)).items():
+                row[k] = row.get(k, dom.zero()) + (c if sign == 1 else -c)
+            row = {k: c for k, c in row.items() if not dom.is_zero(c)}
+            if row:
+                table[(i, j)] = row
+    return table
+
+
+def _looped_m7():
+    """M7 before law tables: the commutator of the imaginary octonion units,
+    looped over basis pairs."""
+    t = octonions().op("mul")
+    table = {}
+    for i in range(1, 8):
+        for j in range(1, 8):
+            row = {}
+            for k, c in t.basis_product((i, j)).items():
+                row[k] = row.get(k, Fraction(0)) + c
+            for k, c in t.basis_product((j, i)).items():
+                row[k] = row.get(k, Fraction(0)) - c
+            row = {k - 1: c for k, c in row.items() if c and k >= 1}
+            if row:
+                table[(i - 1, j - 1)] = row
+    return table
+
+
+def _over(A, dom):
+    return Algebra(A.name, A.dim, {n: t.map_domain(dom, dom.coerce) for n, t in A.ops.items()},
+                   dom)
+
+
+@pytest.mark.parametrize("label,A", CATALOG + [("tp4", catalog_get("tp4"))],
+                         ids=[c[0] for c in CATALOG] + ["tp4"])
+def test_functors_match_the_looped_reference(label, A):
+    """Every operation of the containment catalog (tp4 has two), over Q,
+    GF(5) and Q(t)."""
+    for dom in (QQ, GF(5), QT):
+        B = A if dom is QQ else _over(A, dom)
+        if dom is QT:
+            B.ops["mul"] = B.ops["mul"].scale(RatFunc.t_power(1) + 1)
+        for op in B.op_names():
+            for functor, sign, suffix in ((plus_algebra, 1, "+"), (minus_algebra, -1, "-")):
+                got = functor(B, op)
+                assert got.name == f"{A.name}^{suffix}" and got.dom is dom
+                assert got.op().table == _looped_functor(B, op, sign)
+
+
+def test_m7_matches_the_looped_reference():
+    assert catalog_get("M7").op().table == _looped_m7()

@@ -114,7 +114,8 @@ def _load_matrices(path, n):
 def _load_poset(path):
     doc = _load_json(path)
     names = (str, int)
-    if not (isinstance(doc, dict) and isinstance(doc.get("elements"), list)
+    if not (isinstance(doc, dict) and set(doc) <= {"elements", "covers"}
+            and isinstance(doc.get("elements"), list)
             and all(isinstance(e, names) for e in doc["elements"])
             and isinstance(doc.get("covers", []), list)
             and all(isinstance(c, list) and len(c) == 2

@@ -313,12 +313,12 @@ def _leibniz_jacobi_forms(P):
     return _rows_by_output(leib), _rows_by_output(jac)
 
 
-def _span_indices(rows, s, dom):
-    """The kernel over dom = GF(p) of sparse integer rows in s unknowns, as
-    the indices t = sum_k d_k p^k of its vectors d, mapped to the digits d."""
-    p = dom.p
-    vecs = [[0] * s]
-    for b in kernel(rows, s, dom).basis:
+def _span_indices(space):
+    """The vectors d of a GF(p) ``Subspace`` as the indices t = sum_k d_k p^k,
+    mapped to the digits d."""
+    p = space.dom.p
+    vecs = [[0] * space.ambient_dim]
+    for b in space.basis:
         vecs = [[(x + c * y.v) % p for x, y in zip(v, b)]
                 for v in vecs for c in range(p)]
     return {sum(d * p ** k for k, d in enumerate(v)): v for v in vecs}
@@ -331,8 +331,11 @@ def exhaustive_sigma_equiv(P, p=3):
     each of its vectors gets the quadratic Jacobi forms in Python ints.  The
     chain-constant sigmas are the kernel of the equalities along maximal
     chains.  Both kernels are exact (eliminated mod p), so no assignment
-    outside them is looked at.  Returns counts and the first disagreement,
-    in the order t = sum_k sigma_k p^k, if any.
+    outside them is looked at.  Without Jacobi forms the Poisson sigmas are
+    the Leibniz kernel itself, so equal canonical bases settle agreement and
+    the counts are p^dim; the vectors are enumerated only when the kernels
+    differ or Jacobi forms must be evaluated.  Returns counts and the first
+    disagreement, in the order t = sum_k sigma_k p^k, if any.
     """
     if p == 2:
         raise DomainError("the sweep needs an odd prime (alternating bracket)")
@@ -351,11 +354,7 @@ def exhaustive_sigma_equiv(P, p=3):
                 "poisson_count": int(rep["poisson"]),
                 "agree": rep["agree"], "counterexample": None}
     linear, quadratic = _leibniz_jacobi_forms(P)
-    quadratic = [[(s1, s2, c) for (s1, s2), c in row.items()]
-                 for row in quadratic]
-    poisson = {t for t, v in _span_indices(linear, s, dom).items()
-               if all(sum(c * v[s1] * v[s2] for s1, s2, c in row) % p == 0
-                      for row in quadratic)}
+    leibniz = kernel(linear, s, dom)
     sidx = {q: a for a, q in enumerate(strict)}
     equal = []
     for chain in P.maximal_chains():
@@ -363,16 +362,25 @@ def exhaustive_sigma_equiv(P, p=3):
         cpairs = [sidx[(elems[a], elems[b])]
                   for a in range(len(elems)) for b in range(a + 1, len(elems))]
         equal += [{cpairs[0]: 1, other: -1} for other in cpairs[1:]]
-    const = set(_span_indices(equal, s, dom))
-    agree = poisson == const
-    counterexample = None
-    if not agree:
+    chains = kernel(equal, s, dom)
+    report = {"poset": P.to_json(), "p": p, "total": p ** s,
+              "chain_constant_count": p ** chains.dim,
+              "poisson_count": p ** leibniz.dim,
+              "agree": True, "counterexample": None}
+    if not quadratic and leibniz == chains:
+        return report
+    quadratic = [[(s1, s2, c) for (s1, s2), c in row.items()]
+                 for row in quadratic]
+    poisson = {t for t, v in _span_indices(leibniz).items()
+               if all(sum(c * v[s1] * v[s2] for s1, s2, c in row) % p == 0
+                      for row in quadratic)}
+    const = set(_span_indices(chains))
+    report["poisson_count"] = len(poisson)
+    if poisson != const:
         t = min(poisson ^ const)
-        counterexample = {strict[k]: t // p ** k % p for k in range(s)}
-    return {"poset": P.to_json(), "p": p, "total": p ** s,
-            "chain_constant_count": len(const),
-            "poisson_count": len(poisson),
-            "agree": agree, "counterexample": counterexample}
+        report["agree"] = False
+        report["counterexample"] = {strict[k]: t // p ** k % p for k in range(s)}
+    return report
 
 
 def all_posets_up_to(nmax):

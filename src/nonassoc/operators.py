@@ -144,7 +144,7 @@ def linear_conditions(A, terms, variables, unknowns):
         raise DomainError("every term needs exactly one unknown")
     syms = {sym for _, t in terms for sym, _ in _op_nodes(t)} - set(unknowns)
     tables = {sym: _scan_table(A, sym, {sym: sym}, None, lcm, convert) for sym in syms}
-    nodes, specs, top_coef, scale = _compile(A, terms, variables, tables)
+    nodes, specs, top_coef, scale, _ = _compile(A, terms, variables, tables)
 
     linear = []
     for nid, (sym, kids, _) in enumerate(nodes):
@@ -159,7 +159,8 @@ def linear_conditions(A, terms, variables, unknowns):
             specs[nid] = (_add_product, (index, s), _as_is) + specs[nid][3:]
 
     rows = {}
-    for combo, total in _totals(A, len(variables), nodes, specs, top_coef, _merge_form):
+    combos = itertools.product(range(A.dim), repeat=len(variables))
+    for combo, total in _totals(A, combos, nodes, specs, top_coef, _merge_form):
         for r in sorted(total):
             row = prune(total[r])
             if row:

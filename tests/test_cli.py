@@ -104,6 +104,9 @@ _EYE3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
      ["incidence", "poisson-equiv", "--poset", "{poset}", "--sigma", "{file}"]),
     ([["t", "0"], [{}, "t"]],
      ["degen", "verify", "--from", "{sl2}", "--to", "{sl2}", "--cert", "{file}"]),
+    # an order under a key other than "covers" is not read as an antichain
+    ({"elements": ["a", "b", "c"], "relations": [["a", "b"], ["b", "c"]]},
+     ["incidence", "build", "--poset", "{file}"]),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, doc, argv):
     path = tmp_path / "in.json"
@@ -118,6 +121,15 @@ def test_bad_input_exits_2_without_traceback(tmp_path, doc, argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_identity_with_copy_named_variables(tmp_path, capsys):
+    """The copies of x made by polarization do not take the name of the
+    identity's own x1: (x*x)*(x1*x1) holds on the Lie algebra sl2 (x*x = 0)
+    instead of ending in a traceback."""
+    sl2 = _write(tmp_path, "sl2")
+    assert run(["identity", "eval", sl2, "--identity", "(x*x)*(x1*x1)"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_json_flag_after_subcommand(tmp_path, capsys):

@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonassoc.catalog import catalog_get
-from nonassoc.identities import (Identity, ParseError, check_identity,
-                                 parse_identity, polarize, symbolic_check,
-                                 eval_identity_sparse, default_opmap, law_table)
+from nonassoc.identities import (Identity, ParseError, _bind, _compile_law,
+                                 _symmetric_runs, check_identity, parse_identity,
+                                 polarize, symbolic_check, eval_identity_sparse,
+                                 default_opmap, law_table)
 from nonassoc.scalars import GF, QQ, QT, DomainError, Fp, Poly, PolyRing, RatFunc
 from nonassoc.structure import Algebra, StructureTensor
 from nonassoc.varieties import BINARY_VARIETIES, plus_algebra, variety_identities
@@ -111,6 +112,42 @@ def test_polarize_malcev():
     assert len(out) == 1
     assert sorted(out[0].variables) == ["x1", "x2", "y", "z"]
     assert out[0].restitution_scale == 2
+
+
+def test_polarize_names_copies_apart_from_existing_variables():
+    """The copies of x are not named after the identity's own x1: on the
+    algebra e1*e0 = 2 e0, x*(x*x1) - (x*x)*x1 fails (the old names made the
+    scan report that it holds), and (x*x)*(x1*x1) no longer raises."""
+    A = Algebra("a", 2, {"mul": StructureTensor(2, 2, {(1, 0): {0: Fraction(2)}}, QQ)}, QQ)
+    law = parse_identity("x*(x*x1) - (x*x)*x1")
+    assert [lin.variables for lin in polarize(law)] == [("x01", "x02", "x1")]
+    assert not symbolic_check(A, law)
+    assert check_identity(A, law) == _per_tuple_check(A, law, {"*": "mul"})
+    assert not check_identity(A, law)[0]
+    both = parse_identity("(x*x)*(x1*x1) + x0*x")
+    assert [lin.variables for lin in polarize(both)] == [("x", "x0"),
+                                                         ("x01", "x02", "x11", "x12")]
+    assert check_identity(A, both) == _per_tuple_check(A, both, {"*": "mul"})
+    assert [lin.variables for lin in polarize(parse_identity("(x*x)*(x01*x1)"))] == [
+        ("x001", "x002", "x01", "x1")]
+    # without a clash the copies keep their names
+    assert polarize(parse_identity("(x*x)*y - y*(x*x)"))[0].variables == ("x1", "x2", "y")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32))
+def test_polarize_with_copy_named_variables_matches_symbolic_check(seed):
+    """Identities mixing x with x1 and x2, repeated or not, on small random
+    algebras: the scan verdict equals the symbolic one."""
+    rng = random.Random(seed)
+    dim = rng.choice([1, 2, 2])
+    A = Algebra("rnd", dim, {"mul": _random_tensor(rng, QQ, dim, 2, rng.choice([0.3, 0.7]))},
+                QQ)
+    base = [rng.choice(["x", "x", "x1", "x2"]) for _ in range(rng.randint(2, 4))]
+    terms = [(Fraction(rng.choice(_COEFFS)), _random_tree(rng, list(base), False, False))
+             for _ in range(rng.randint(1, 3))]
+    ident = Identity(terms, {"*": 2})
+    assert check_identity(A, ident)[0] == symbolic_check(A, ident)
 
 
 def test_polarize_char_guard():
@@ -399,6 +436,128 @@ def test_compiled_scan_matches_symbolic_check(seed):
         A, ident, _ = _random_case(rng.randrange(2**32), QQ)
     opmap = {"*": "mul", "[]": "t"}
     assert check_identity(A, ident, opmap=opmap)[0] == symbolic_check(A, ident, opmap)
+
+
+def _rename(term, names):
+    if term[0] == "v":
+        return ("v", names.get(term[1], term[1]))
+    return (term[0], tuple(_rename(c, names) for c in term[1]))
+
+
+def _swap_children(rng, term):
+    """term with the two children of one random product swapped."""
+    products = []
+
+    def walk(t, path):
+        if t[0] != "v":
+            if t[0] == "*":
+                products.append(path)
+            for i, c in enumerate(t[1]):
+                walk(c, path + (i,))
+
+    def swap(t, path):
+        if not path:
+            return (t[0], t[1][::-1])
+        i = path[0]
+        return (t[0], t[1][:i] + (swap(t[1][i], path[1:]),) + t[1][i + 1:])
+
+    walk(term, ())
+    return swap(term, rng.choice(products)) if products else term
+
+
+def _symmetric_case(seed, dom):
+    """A multilinear law summed over every order of a copy group x1..xg,
+    between variables a and y that it is not symmetric in, on an algebra
+    whose products sit only at unsorted argument pairs (i > j), or mirrored
+    so that the table is symmetric.  The kind "coefficient" perturbs one
+    term's coefficient and "order" swaps the children of one product, so
+    that the symmetry may no longer hold."""
+    rng = random.Random(seed)
+    dim = rng.choice([2, 2, 3])
+    symmetric = rng.random() < 0.4
+    table = {}
+    for i, j in itertools.product(range(dim), repeat=2):
+        if (i > j or symmetric and i == j) and rng.random() < 0.6:
+            table[(i, j)] = {k: _scalar(rng, dom)
+                             for k in rng.sample(range(dim), rng.randint(1, dim))}
+            if symmetric:
+                table[(j, i)] = table[(i, j)]
+    unary = rng.random() < 0.3
+    maps = None
+    if unary:
+        maps = {"D": [[_scalar(rng, dom) if rng.random() < 0.5 else dom.zero()
+                       for _ in range(dim)] for _ in range(dim)]}
+    A = Algebra("sym", dim, {"mul": StructureTensor(dim, 2, table, dom)}, dom)
+    group = [f"x{j}" for j in range(1, rng.randint(2, 3) + 1)]
+    others = [v for v in ("a", "y") if rng.random() < 0.4]
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        tree = _random_tree(rng, group + others, False, unary)
+        c = Fraction(rng.choice(_COEFFS))
+        terms += [(c, _rename(tree, dict(zip(group, perm))))
+                  for perm in itertools.permutations(group)]
+    kind = rng.choice(["symmetric", "coefficient", "order"])
+    i = rng.randrange(len(terms))
+    if kind == "coefficient":
+        terms[i] = (terms[i][0] + rng.choice([1, -2]), terms[i][1])
+    elif kind == "order":
+        terms[i] = (terms[i][0], _swap_children(rng, terms[i][1]))
+    return A, Identity(terms, {"*": 2, "D": 1}), maps, kind
+
+
+def _runs(A, ident, maps):
+    lin, = polarize(ident)
+    opmap = _bind(A, lin, {"*": "mul"}, maps)
+    _, _, (nodes, _, top_coef, _, ids) = _compile_law(A, lin, opmap, maps)
+    return _symmetric_runs(nodes, ids, top_coef, len(lin.variables))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from([QQ, GF(7), QT]), st.integers(0, 2**32))
+def test_representative_scan_matches_per_tuple_scan(dom, seed):
+    """The scan of orbit representatives gives the verdict and the first
+    witness of the scan of every tuple, on laws that are symmetric in a copy
+    group and on near-symmetric ones the proof must reject."""
+    A, ident, maps, _ = _symmetric_case(seed, dom)
+    assert (check_identity(A, ident, opmap={"*": "mul"}, unary_maps=maps)
+            == _per_tuple_check(A, ident, {"*": "mul"}, maps))
+
+
+def test_representative_scan_cases_cover_runs_and_verdicts():
+    """The seeded symmetric cases reach proven runs longer than one,
+    failures at late and at repeated-index tuples, true verdicts, and
+    perturbed laws whose symmetry is rejected."""
+    seen = {"run": 0, "late": 0, "repeated": 0, "holds": 0, "rejected": 0}
+    for seed in range(150):
+        A, ident, maps, kind = _symmetric_case(seed, QQ)
+        runs = _runs(A, ident, maps)
+        holds, wit = check_identity(A, ident, opmap={"*": "mul"}, unary_maps=maps)
+        seen["run"] += max(runs) > 1
+        seen["holds"] += holds
+        seen["late"] += bool(wit and wit["tuple"][0])
+        seen["repeated"] += bool(wit and len(set(wit["tuple"])) < len(wit["tuple"]))
+        seen["rejected"] += kind != "symmetric" and max(runs) == 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_symmetric_runs_of_the_polarized_laws():
+    """Jordan is symmetric in its three copies of x, Malcev in its two; a
+    changed coefficient or child order is rejected; the products of a
+    commutative table share one node whichever order they come in."""
+    A = plus_algebra(catalog_get("matrix", {"n": 2}))
+    jordan = parse_identity("((x*x)*y)*x - (x*x)*(y*x)")
+    assert _runs(A, jordan, None) == [3, 1]
+    malcev = variety_identities("malcev")[1]
+    assert _runs(A, malcev, None) == [2, 1, 1]
+    assert _runs(A, parse_identity("x1*(x2*y) + x2*(x1*y)"), None) == [2, 1]
+    assert _runs(A, parse_identity("x1*(x2*y) + 2 x2*(x1*y)"), None) == [1, 1, 1]
+    assert _runs(A, parse_identity("(x1*x2)*(x3*x4)"), None) == [2, 2]
+    B = catalog_get("matrix", {"n": 2})
+    assert _runs(B, parse_identity("(x1*x2)*(x3*x4)"), None) == [1, 1, 1, 1]
+    assert _runs(B, parse_identity("x1*(x2*y) + x2*(y*x1)"), None) == [1, 1, 1]
+    lin, = polarize(jordan)
+    sizes = [len(_compile_law(C, lin, {"*": "mul"}, None)[2][0]) for C in (A, B)]
+    assert sizes[0] < sizes[1]
 
 
 def test_integer_scan_weights_terms_with_different_scales():

@@ -346,6 +346,40 @@ def test_sweep_matches_brute_force():
                 assert exhaustive_sigma_equiv(P, p) == _brute_force_sweep(P, p), (P, p)
 
 
+def test_sweep_without_jacobi_rows_enumerates_nothing(monkeypatch):
+    """On the 33 posets (of 88) with strict pairs but no Jacobi row, the
+    Leibniz and chain-constant kernels are compared as canonical subspaces
+    and the counts come back as p^dim without a vector being enumerated;
+    over GF(7) that includes the two height-one posets with s = 6."""
+    posets = [P for P in all_posets_up_to(5) + [crown_poset()]
+              if P.strict_pairs() and not incidence._leibniz_jacobi_forms(P)[1]]
+    monkeypatch.setattr(incidence, "_span_indices", None)
+    for P in posets:
+        for p in (3, 7):
+            if p ** len(P.strict_pairs()) <= 4_000_000:
+                rep = exhaustive_sigma_equiv(P, p)
+                assert rep["agree"] and rep["poisson_count"] == rep["chain_constant_count"]
+    assert len(posets) == 33 and max(len(P.strict_pairs()) for P in posets) == 6
+
+
+def test_sweep_evaluates_jacobi_rows_when_the_kernels_agree(monkeypatch):
+    """An extra quadratic row sigma_0^2 = 0 on posets whose Leibniz and
+    chain-constant kernels agree: only the quadratic rows cut the Poisson
+    set there, so equal kernels alone must not settle the sweep."""
+    real = incidence._leibniz_jacobi_forms
+
+    def extra(P, forms=real):
+        linear, quadratic = forms(P)
+        return linear, quadratic + [{(0, 0): 1}]
+
+    monkeypatch.setattr(incidence, "_leibniz_jacobi_forms", extra)
+    for P in (Poset(["a", "b"], [["a", "b"]]),
+              Poset(["a", "b", "c"], [["a", "b"], ["a", "c"]]), chain_poset(3)):
+        got = exhaustive_sigma_equiv(P, 3)
+        assert got == _brute_force_sweep(P, 3, lambda P: extra(P, _reference_forms))
+        assert not got["agree"]
+
+
 def test_brute_force_matches_direct_route():
     """Every assignment on the posets with at most three strict pairs: the
     forms' verdicts against the Poisson check of the sigma-bracket itself."""

@@ -325,80 +325,78 @@ def _require_n(params, minimum=1):
     return n
 
 
-CATALOG_NAMES = [
-    "abelian", "NF", "filiform1p", "R", "sl2", "heis3", "matrix", "uppertri",
-    "quaternions", "octonions", "M7", "M8", "D2", "D3", "ternaryJordan",
-    "A_n", "D", "A_alpha", "tp4", "gp2", "U2e", "zinbiel-free1",
-]
+def _ternary_jordan_entry(params):
+    n = _require_n(params, 2)
+    form = params.get("form")
+    if form is None:
+        form = [[Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)]
+    else:
+        if not (isinstance(form, list) and len(form) == n
+                and all(isinstance(row, list) and len(row) == n for row in form)):
+            raise DomainError(f"ternaryJordan form must be an {n} x {n} matrix")
+        form = [[QQ.coerce(c) for c in row] for row in form]
+        if any(form[a][b] != form[b][a] for a in range(n) for b in range(n)):
+            raise DomainError("ternaryJordan requires a symmetric form")
+    return _ternary_jordan(n, form)
+
+
+def _d_entry(params):
+    dim = params.get("dim")
+    if not isinstance(dim, int) or dim < 3:
+        raise DomainError("D requires dim (= n+1) >= 3")
+    return _d_filippov(dim)
+
+
+def _a_alpha_entry(params):
+    arity = params.get("arity", 2)
+    if not isinstance(arity, int) or arity < 2:
+        raise DomainError("A_alpha arity must be >= 2")
+    return _a_alpha(params.get("alpha", 1), arity)
+
+
+def _u2e(params):
+    from .kantor import u2_e_basis
+    return u2_e_basis()
+
+
+# name -> (the parameter names the entry takes, builder of the params dict)
+_ENTRIES = {
+    "abelian": (("n",), lambda p: _abelian(_require_n(p))),
+    "NF": (("n",), lambda p: _nf(_require_n(p, 2))),
+    "filiform1p": (("n", "theta"),
+                   lambda p: _filiform1p(_require_n(p, 3), p.get("theta", 1))),
+    "R": (("seq",), lambda p: _solvable_r(tuple(p.get("seq", ())))),
+    "sl2": ((), lambda p: _sl2()),
+    "heis3": ((), lambda p: _heis3()),
+    "matrix": (("n",), lambda p: _matrix_algebra(_require_n(p))),
+    "uppertri": (("n",), lambda p: _uppertri(_require_n(p))),
+    "quaternions": ((), lambda p: quaternions()),
+    "octonions": ((), lambda p: octonions()),
+    "M7": ((), lambda p: _m7()),
+    "M8": ((), lambda p: _m8()),
+    "D2": ((), lambda p: _ternary_cd("D2", 4)),
+    "D3": ((), lambda p: _ternary_cd("D3", 8)),
+    "ternaryJordan": (("n", "form"), _ternary_jordan_entry),
+    "A_n": (("n",), lambda p: _a_n(_require_n(p, 2))),
+    "D": (("dim",), _d_entry),
+    "A_alpha": (("alpha", "arity"), _a_alpha_entry),
+    "tp4": ((), lambda p: _tp4()),
+    "gp2": ((), lambda p: _gp2()),
+    "U2e": ((), _u2e),
+    "zinbiel-free1": (("n",), lambda p: _zinbiel_free1(_require_n(p, 2))),
+}
+CATALOG_NAMES = list(_ENTRIES)
 
 
 def catalog_get(name, params=None):
-    """Fetch a catalog algebra by name; params is a plain dict."""
+    """Fetch a catalog algebra by name; params is a plain dict, and a name
+    the entry does not take raises DomainError."""
+    if name not in _ENTRIES:
+        raise DomainError(f"unknown catalog algebra {name!r}")
+    takes, build = _ENTRIES[name]
     params = dict(params or {})
-    if name == "abelian":
-        return _abelian(_require_n(params))
-    if name == "NF":
-        return _nf(_require_n(params, 2))
-    if name == "filiform1p":
-        n = _require_n(params, 3)
-        return _filiform1p(n, params.get("theta", 1))
-    if name == "R":
-        return _solvable_r(tuple(params.get("seq", ())))
-    if name == "sl2":
-        return _sl2()
-    if name == "heis3":
-        return _heis3()
-    if name == "matrix":
-        return _matrix_algebra(_require_n(params))
-    if name == "uppertri":
-        return _uppertri(_require_n(params))
-    if name == "quaternions":
-        return quaternions()
-    if name == "octonions":
-        return octonions()
-    if name == "M7":
-        return _m7()
-    if name == "M8":
-        return _m8()
-    if name == "D2":
-        return _ternary_cd("D2", 4)
-    if name == "D3":
-        return _ternary_cd("D3", 8)
-    if name == "ternaryJordan":
-        n = _require_n(params, 2)
-        form = params.get("form")
-        if form is None:
-            form = [[Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)]
-        else:
-            if not (isinstance(form, list) and len(form) == n
-                    and all(isinstance(row, list) and len(row) == n for row in form)):
-                raise DomainError(f"ternaryJordan form must be an {n} x {n} matrix")
-            try:
-                form = [[QQ.coerce(c) for c in row] for row in form]
-            except (ValueError, ZeroDivisionError) as e:
-                raise DomainError(f"ternaryJordan form: bad entry: {e}")
-            if any(form[a][b] != form[b][a] for a in range(n) for b in range(n)):
-                raise DomainError("ternaryJordan requires a symmetric form")
-        return _ternary_jordan(n, form)
-    if name == "A_n":
-        return _a_n(_require_n(params, 2))
-    if name == "D":
-        dim = params.get("dim")
-        if not isinstance(dim, int) or dim < 3:
-            raise DomainError("D requires dim (= n+1) >= 3")
-        return _d_filippov(dim)
-    if name == "A_alpha":
-        arity = params.get("arity", 2)
-        if not isinstance(arity, int) or arity < 2:
-            raise DomainError("A_alpha arity must be >= 2")
-        return _a_alpha(params.get("alpha", 1), arity)
-    if name == "tp4":
-        return _tp4()
-    if name == "gp2":
-        return _gp2()
-    if name == "U2e":
-        from .kantor import u2_e_basis
-        return u2_e_basis()
-    if name == "zinbiel-free1":
-        return _zinbiel_free1(_require_n(params, 2))
-    raise DomainError(f"unknown catalog algebra {name!r}")
+    for key in params:
+        if key not in takes:
+            raise DomainError(f"catalog algebra {name!r} takes no parameter {key!r}"
+                              f" (it takes: {', '.join(takes) or 'none'})")
+    return build(params)

@@ -68,101 +68,55 @@ def _jsonify(x):
     return str(x)
 
 
+def _input_error(path, e):
+    """The UsageError (exit 2) for a failure to read ``path`` or to accept
+    its document."""
+    if isinstance(e, FileNotFoundError):
+        return UsageError(f"no such file: {path}")
+    if isinstance(e, OSError):
+        return UsageError(f"cannot read {path}: {e.strerror or e}")
+    if isinstance(e, json.JSONDecodeError):
+        return UsageError(f"malformed JSON in {path}: line {e.lineno} col {e.colno}")
+    if isinstance(e, DomainError):
+        return UsageError(f"{path}: {e}")
+    # not UTF-8, an integer too long to convert, nesting too deep
+    return UsageError(f"unreadable JSON in {path}: {e}")
+
+
+_INPUT_ERRORS = (OSError, ValueError, RecursionError)
+
+
 def _load(path):
     try:
         return load_algebra(path)
-    except FileNotFoundError:
-        raise UsageError(f"no such file: {path}")
-    except json.JSONDecodeError as e:
-        raise UsageError(f"malformed JSON in {path}: line {e.lineno} col {e.colno}")
-    except DomainError as e:
-        raise UsageError(f"bad algebra file {path}: {e}")
+    except _INPUT_ERRORS as e:
+        raise _input_error(path, e)
 
 
-def _load_json(path):
+def _read(path, parse, *args):
+    """parse(document, *args) on the JSON document in ``path``; the reader
+    that owns the format checks it."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"no such file: {path}")
-    except json.JSONDecodeError as e:
-        raise UsageError(f"malformed JSON in {path}: line {e.lineno} col {e.colno}")
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return parse(doc, *args)
+    except _INPUT_ERRORS as e:
+        raise _input_error(path, e)
 
 
-def _rational(x, path):
-    try:
-        return QQ.coerce(x)
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"{path}: {x!r} is not a rational number")
-
-
-def _matrix(doc, n, path):
+def _matrix(doc, n):
     if not (isinstance(doc, list) and len(doc) == n
             and all(isinstance(row, list) and len(row) == n for row in doc)):
-        raise DomainError(f"{path}: expected a {n} x {n} matrix")
-    return [[_rational(x, path) for x in row] for row in doc]
+        raise DomainError(f"expected a {n} x {n} matrix")
+    return [[QQ.coerce(x) for x in row] for row in doc]
 
 
-def _load_matrices(path, n):
-    """A JSON list of n x n rational matrices."""
-    doc = _load_json(path)
+def _matrices(doc, n):
+    """A JSON list of n x n rational matrices: the one input format that no
+    library reader owns."""
     if not isinstance(doc, list):
-        raise DomainError(f"{path}: expected a list of {n} x {n} matrices")
-    return [_matrix(m, n, path) for m in doc]
-
-
-def _load_poset(path):
-    doc = _load_json(path)
-    names = (str, int)
-    if not (isinstance(doc, dict) and set(doc) <= {"elements", "covers"}
-            and isinstance(doc.get("elements"), list)
-            and all(isinstance(e, names) for e in doc["elements"])
-            and isinstance(doc.get("covers", []), list)
-            and all(isinstance(c, list) and len(c) == 2
-                    and all(isinstance(e, names) for e in c)
-                    for c in doc.get("covers", []))):
-        raise DomainError(f'{path}: expected {{"elements": [...], '
-                          f'"covers": [[a, b], ...]}}')
-    return Poset.from_json(doc)
-
-
-def _load_sigma(path, P):
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise DomainError(f'{path}: expected an object keyed by strict pairs '
-                          f'such as "1<2"')
-    return SigmaMap.from_json(P, {k: _rational(v, path) for k, v in doc.items()})
-
-
-def _load_customary(path):
-    doc = _load_json(path)
-
-    def indices(x):
-        return isinstance(x, list) and all(isinstance(v, int) for v in x)
-
-    def term_ok(t):
-        return (isinstance(t, dict) and indices(t.get("D", []))
-                and isinstance(t.get("pairs", []), list)
-                and all(indices(q) and len(q) == 2 for q in t.get("pairs", [])))
-
-    if not (isinstance(doc, dict) and isinstance(doc.get("m"), int)
-            and isinstance(doc.get("terms"), list)
-            and all(term_ok(t) for t in doc["terms"])):
-        raise DomainError(f'{path}: expected {{"m": int, "terms": '
-                          f'[{{"c": ..., "pairs": [[i, j], ...], "D": [...]}}]}}')
-    return CustomaryIdentity.from_json(
-        {"m": doc["m"], "terms": [dict(t, c=_rational(t.get("c", 1), path))
-                                  for t in doc["terms"]]})
-
-
-def _load_certificate(path):
-    doc = _load_json(path)
-    if not (isinstance(doc, list)
-            and all(isinstance(row, list) and len(row) == len(doc)
-                    and all(isinstance(x, (str, int)) for x in row) for row in doc)):
-        raise DomainError(f"{path}: expected a square matrix of Q(t) "
-                          f"expression strings")
-    return certificate_from_json(doc)
+        raise DomainError(f"expected a list of {n} x {n} matrices")
+    return [_matrix(m, n) for m in doc]
 
 
 def _emit(args, report, human_lines):
@@ -259,7 +213,7 @@ def cmd_der(args):
               [f"{space.tag} of {A.name}: dim {space.dim}"])
         return 0
     if args.der_action == "local":
-        phi = _matrix(_load_json(args.phi), A.dim, args.phi)
+        phi = _read(args.phi, _matrix, A.dim)
         res = local_derivation_test(A, phi, op=op)
         _emit(args, {"command": "der local", "algebra": A.name, **res},
               [f"local derivation verdict: {res['verdict']}"])
@@ -328,7 +282,7 @@ def cmd_poisson(args):
         return _verdict_exit(rep["holds"])
     if args.poisson_action == "tps-space":
         L = _load(args.algebra)
-        res = transposed_compatible_space(L, op=args.op or "bracket")
+        res = transposed_compatible_space(L, op=args.op)
         _emit(args, {"command": "poisson tps-space", "algebra": L.name,
                      "dim": res["dim"], "certified_empty": res["certified_empty"],
                      "obstruction_count": len(res["obstructions"]),
@@ -339,7 +293,7 @@ def cmd_poisson(args):
         return 0
     if args.poisson_action == "customary":
         P = _load(args.algebra)
-        g = _load_customary(args.g)
+        g = _read(args.g, CustomaryIdentity.from_json)
         ok, wit = customary_check(P, g)
         _emit(args, {"command": "poisson customary", "algebra": P.name,
                      "holds": ok, "witness": wit},
@@ -350,10 +304,10 @@ def cmd_poisson(args):
 
 def cmd_incidence(args):
     if args.incidence_action == "build":
-        _emit_algebra(args, incidence_algebra(_load_poset(args.poset)))
+        _emit_algebra(args, incidence_algebra(_read(args.poset, Poset.from_json)))
         return 0
     if args.incidence_action == "poisson-equiv":
-        P = _load_poset(args.poset)
+        P = _read(args.poset, Poset.from_json)
         if args.exhaustive_gf is not None:
             rep = exhaustive_sigma_equiv(P, args.exhaustive_gf)
             _emit(args, {"command": "incidence poisson-equiv", **rep},
@@ -362,7 +316,7 @@ def cmd_incidence(args):
             return _verdict_exit(rep["agree"])
         if args.sigma is None:
             raise UsageError("poisson-equiv needs --sigma or --exhaustive-gf")
-        sigma = _load_sigma(args.sigma, P)
+        sigma = _read(args.sigma, lambda doc: SigmaMap.from_json(P, doc))
         rep = poisson_sigma_equiv_test(P, sigma)
         _emit(args, {"command": "incidence poisson-equiv",
                      "chain_constant": rep["chain_constant"],
@@ -372,7 +326,7 @@ def cmd_incidence(args):
         return _verdict_exit(rep["agree"])
     if args.incidence_action == "hd-check":
         A = _load(args.algebra)
-        seq = HigherDerivationSeq(A, _load_matrices(args.sequence, A.dim))
+        seq = HigherDerivationSeq(A, _read(args.sequence, _matrices, A.dim))
         ok, wit = higher_derivation_check(A, seq)
         _emit(args, {"command": "incidence hd-check", "holds": ok,
                      "witness": wit},
@@ -380,8 +334,8 @@ def cmd_incidence(args):
         return _verdict_exit(ok)
     if args.incidence_action == "hd-compose":
         A = _load(args.algebra)
-        s1 = HigherDerivationSeq(A, _load_matrices(args.d1, A.dim))
-        s2 = HigherDerivationSeq(A, _load_matrices(args.d2, A.dim))
+        s1 = HigherDerivationSeq(A, _read(args.d1, _matrices, A.dim))
+        s2 = HigherDerivationSeq(A, _read(args.d2, _matrices, A.dim))
         out = hd_compose(s1, s2)
         doc = [_jsonify(m) for m in out.mats]
         print(json.dumps({"schema": "1", "command": "incidence hd-compose",
@@ -394,7 +348,7 @@ def cmd_degen(args):
     A = _load(getattr(args, "from"))
     B = _load(args.to)
     if args.degen_action == "verify":
-        cert = _load_certificate(args.cert)
+        cert = _read(args.cert, certificate_from_json)
         rep = degeneration_verify(A, B, cert)
         _emit(args, {"command": "degen verify", "from": A.name, "to": B.name,
                      "limit_exists": rep["limit_exists"],
@@ -424,7 +378,7 @@ def cmd_ext(args):
                f"H2 = {res['H2_dim']}"])
         return 0
     if args.ext_action == "build":
-        theta = Cocycle(_load_matrices(args.theta, A.dim))
+        theta = Cocycle(_read(args.theta, _matrices, A.dim))
         ext, rep = central_extension(A, theta)
         doc = {"schema": "1", "command": "ext build",
                "algebra": algebra_to_json(ext), "report": _jsonify(rep)}

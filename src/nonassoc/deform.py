@@ -12,15 +12,18 @@ from __future__ import annotations
 from .identities import check_identity, parse_identity, polarize, term_vars
 from .linalg import Subspace, is_invertible, kernel
 from .operators import derivation_space, linear_conditions
-from .scalars import QQ, QT, DomainError, RatFunc, parse_ratfunc
-from .structure import Algebra, StructureTensor, change_basis
+from .scalars import QQ, QT, DomainError, RatFunc
+from .structure import Algebra, StructureTensor, change_basis, need
 from .varieties import BINARY_VARIETIES, VARIETY_ALIASES, variety_identities
 
 
 def certificate_from_json(rows):
-    """Parse a matrix of Q(t) expression strings."""
-    return [[parse_ratfunc(x) if isinstance(x, str) else RatFunc.const(x)
-             for x in row] for row in rows]
+    """Parse a nonempty square matrix of Q(t) expression strings (or
+    integers); a malformed document raises DomainError."""
+    need(isinstance(rows, list) and rows
+         and all(isinstance(row, list) and len(row) == len(rows) for row in rows),
+         "a certificate must be a nonempty square matrix")
+    return [[QT.coerce(x) for x in row] for row in rows]
 
 
 def _to_qt(A):
@@ -84,33 +87,22 @@ def degeneration_obstruction(A, B, op=None):
     """Violated necessary conditions for A -> B; empty list proves nothing."""
     if A.dim != B.dim:
         raise DomainError("dimension mismatch")
-    from .invariants import structure_report
+    a, b = invariant_profile(A, op), invariant_profile(B, op)
     violations = []
-    repA = structure_report(A, op=op)
-    repB = structure_report(B, op=op)
-    pa, pb = repA["power_dims"], repB["power_dims"]
+    pa, pb = a["power_dims"], b["power_dims"]
     for k in range(max(len(pa), len(pb))):
         da = pa[k] if k < len(pa) else pa[-1]
         db = pb[k] if k < len(pb) else pb[-1]
         if da < db:
             violations.append(
                 f"dim A^{k + 1} = {da} < dim B^{k + 1} = {db}")
-    if repA["annihilator"]["two_sided"] > repB["annihilator"]["two_sided"]:
-        violations.append(
-            f"dim Ann(A) = {repA['annihilator']['two_sided']} > "
-            f"dim Ann(B) = {repB['annihilator']['two_sided']}")
-    dA = derivation_space(A, 1, op=op or A.op_names()[0]).dim
-    dB = derivation_space(B, 1, op=op or B.op_names()[0]).dim
-    if dA > dB:
-        violations.append(f"dim Der(A) = {dA} > dim Der(B) = {dB}")
-    comm = parse_identity("x*y - y*x")
-    anti = parse_identity("x*x")
-    omA = {"*": op or A.op_names()[0]}
-    omB = {"*": op or B.op_names()[0]}
-    if check_identity(A, comm, opmap=omA)[0] and not check_identity(B, comm, opmap=omB)[0]:
-        violations.append("A is commutative but B is not")
-    if check_identity(A, anti, opmap=omA)[0] and not check_identity(B, anti, opmap=omB)[0]:
-        violations.append("A is anticommutative but B is not")
+    if a["ann_dim"] > b["ann_dim"]:
+        violations.append(f"dim Ann(A) = {a['ann_dim']} > dim Ann(B) = {b['ann_dim']}")
+    if a["der_dim"] > b["der_dim"]:
+        violations.append(f"dim Der(A) = {a['der_dim']} > dim Der(B) = {b['der_dim']}")
+    for key in ("commutative", "anticommutative"):
+        if a[key] and not b[key]:
+            violations.append(f"A is {key} but B is not")
     return violations
 
 
@@ -215,7 +207,7 @@ def cocycle_space(A, variety, s=1, op=None):
             "Z2_dim": Z2.dim * s, "B2_dim": B2.dim * s, "s": s}
 
 
-def cocycle_from_vector(vec, n, s=1, dom=QQ):
-    """One flattened bilinear form -> a Cocycle with s identical slots or s=1."""
+def cocycle_from_vector(vec, n, dom=QQ):
+    """One flattened n x n bilinear form -> a Cocycle with one slot."""
     comp = [[vec[i * n + j] for j in range(n)] for i in range(n)]
     return Cocycle([comp], dom)

@@ -18,7 +18,7 @@ from .linalg import identity_matrix, kernel, mat_eq, mat_mul
 from .operators import multiplication_operator
 from .poisson import check_poisson_family
 from .scalars import GF, QQ, DomainError
-from .structure import Algebra, StructureTensor
+from .structure import Algebra, StructureTensor, check_keys, is_int, need
 
 
 class Poset:
@@ -101,7 +101,16 @@ class Poset:
 
     @staticmethod
     def from_json(doc):
-        return Poset(doc["elements"], doc.get("covers", []))
+        """Inverse of to_json; a malformed document raises DomainError."""
+        check_keys(doc, ("elements",), ("covers",), "poset")
+        elements, covers = doc["elements"], doc.get("covers", [])
+        need(isinstance(elements, list) and all(map(_is_element, elements)),
+             "poset elements must be a list of strings or integers")
+        need(isinstance(covers, list), "poset covers must be a list")
+        for a, c in enumerate(covers):
+            need(isinstance(c, list) and len(c) == 2 and all(map(_is_element, c)),
+                 f"covers[{a}] must be a pair [a, b] of elements")
+        return Poset(elements, covers)
 
     def to_json(self):
         return {"elements": list(self.elements),
@@ -110,6 +119,10 @@ class Poset:
 
     def __repr__(self):
         return f"Poset({self.elements}, covers={sorted(self.covers)})"
+
+
+def _is_element(x):
+    return isinstance(x, str) or is_int(x)
 
 
 def crown_poset():
@@ -142,10 +155,15 @@ class SigmaMap:
 
     @staticmethod
     def from_json(poset, doc, dom=QQ):
+        """Inverse of to_json: one value for each strict pair "a<b" of the
+        poset; a malformed document raises DomainError naming the key."""
+        need(isinstance(doc, dict),
+             'sigma must be a JSON object keyed by strict pairs such as "1<2"')
+        pairs = {f"{a}<{b}": (a, b) for a, b in poset.strict_pairs()}
         values = {}
         for key, v in doc.items():
-            a, _, b = key.partition("<")
-            values[(a, b)] = dom.parse(v)
+            need(key in pairs, f"sigma key {key!r} names no strict pair of the poset")
+            values[pairs[key]] = dom.parse(v)
         return SigmaMap(poset, values, dom)
 
     def to_json(self):
@@ -186,7 +204,7 @@ def incidence_algebra(P, dom=QQ):
     mul, _ = _sigma_tables(P)
     one = dom.one()
     table = {key: {k: one} for key, k in mul.items()}
-    A = Algebra(f"I({','.join(P.elements)})", len(pairs),
+    A = Algebra(f"I({','.join(map(str, P.elements))})", len(pairs),
                 {"mul": StructureTensor(len(pairs), 2, table, dom)}, dom)
     A.incidence_pairs = pairs
     A.poset = P
@@ -346,13 +364,6 @@ def exhaustive_sigma_equiv(P, p=3):
             f"sweep size p^s = {p}^{s} exceeds the resource bound; "
             "sample sigmas individually instead")
     dom = GF(p)
-    if s == 0:
-        sigma = SigmaMap(P, {}, dom)
-        rep = poisson_sigma_equiv_test(P, sigma, dom)
-        return {"poset": P.to_json(), "p": p, "total": 1,
-                "chain_constant_count": int(rep["chain_constant"]),
-                "poisson_count": int(rep["poisson"]),
-                "agree": rep["agree"], "counterexample": None}
     linear, quadratic = _leibniz_jacobi_forms(P)
     leibniz = kernel(linear, s, dom)
     sidx = {q: a for a, q in enumerate(strict)}

@@ -13,7 +13,7 @@ from .identities import Identity, check_identity, law_table, parse_identity
 from .linalg import kernel
 from .operators import derivation_space, linear_conditions, multiplication_operator
 from .scalars import QQ, DomainError, Poly, PolyRing
-from .structure import Algebra, StructureTensor
+from .structure import Algebra, StructureTensor, check_keys, is_int, need
 from .varieties import check_variety
 
 _AXIOMS = {
@@ -134,16 +134,17 @@ def half_derivation_link_test(P):
     return True, certs
 
 
-def transposed_compatible_space(L, op="bracket"):
+def transposed_compatible_space(L, op=None):
     """Commutative products compatible with a Lie bracket, plus obstructions.
 
     Returns a dict with a basis of the space S of commutative bilinear
     products satisfying 2 z.[x,y] = [z.x, y] + [x, z.y], and the quadratic
     associativity obstruction polynomials in the S-coordinates.  S = 0
-    certifies that no nonzero transposed structure exists on L.
+    certifies that no nonzero transposed structure exists on L.  ``op``
+    defaults to "bracket" when L has it, else to L's first operation.
     """
-    if op not in L.ops:
-        op = L.op_names()[0]
+    if op is None:
+        op = "bracket" if "bracket" in L.ops else L.op_names()[0]
     if not check_variety(L, "lie", op=op)["holds"]:
         raise DomainError("transposed compatibility requires a Lie algebra")
     dom = L.dom
@@ -230,10 +231,24 @@ class CustomaryIdentity:
 
     @staticmethod
     def from_json(doc):
-        return CustomaryIdentity(
-            doc["m"],
-            [(Fraction(t.get("c", 1)), t.get("pairs", []), t.get("D", []))
-             for t in doc["terms"]])
+        """{"m": int, "terms": [{"c": ..., "pairs": [[i, j], ...], "D": [...]}]},
+        every term key optional; a malformed document raises DomainError."""
+        check_keys(doc, ("m", "terms"), (), "customary identity")
+        need(is_int(doc["m"]), "m must be an integer")
+        need(isinstance(doc["terms"], list), "terms must be a list")
+        terms = []
+        for a, t in enumerate(doc["terms"]):
+            where = f"terms[{a}]"
+            check_keys(t, (), ("c", "pairs", "D"), where)
+            pairs, dargs = t.get("pairs", []), t.get("D", [])
+            need(isinstance(pairs, list)
+                 and all(isinstance(q, list) and len(q) == 2 and all(map(is_int, q))
+                         for q in pairs),
+                 f"{where}: pairs must be [[i, j], ...]")
+            need(isinstance(dargs, list) and all(map(is_int, dargs)),
+                 f"{where}: D must be a list of variable indices")
+            terms.append((QQ.coerce(t.get("c", 1)), pairs, dargs))
+        return CustomaryIdentity(doc["m"], terms)
 
     def as_identity(self):
         """The expansion as an Identity in x1..xm, zero-padded so that sorted

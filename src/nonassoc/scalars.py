@@ -43,7 +43,10 @@ class RationalDomain:
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(f"{x!r} is not a rational number") from None
         raise DomainError(f"cannot coerce {x!r} into Q")
 
     def is_zero(self, x):
@@ -170,10 +173,10 @@ class PrimeField:
             return Fp(x, self.p)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
-                raise DomainError(f"denominator divisible by {self.p}")
+                raise DomainError(f"{x} has a denominator divisible by {self.p}")
             return Fp(x.numerator, self.p) / Fp(x.denominator, self.p)
         if isinstance(x, str):
-            return self.coerce(Fraction(x))
+            return self.coerce(QQ.coerce(x))
         raise DomainError(f"cannot coerce {x!r} into {self.name}")
 
     def is_zero(self, x):
@@ -423,7 +426,7 @@ def parse_ratfunc(text):
             v = RatFunc.t_power(1)
         elif tok is not None and (tok[0].isdigit()):
             take()
-            v = RatFunc.const(Fraction(tok))
+            v = RatFunc.const(QQ.coerce(tok))
         else:
             raise DomainError(f"bad Q(t) expression: {text!r}")
         if peek() == "^":
@@ -470,7 +473,10 @@ def parse_ratfunc(text):
             v = v + w if op == "+" else v - w
         return v
 
-    out = expr()
+    try:
+        out = expr()
+    except ZeroDivisionError:
+        raise DomainError(f"division by zero in {text!r}") from None
     if i != len(toks):
         raise DomainError(f"trailing tokens in {text!r}")
     return out

@@ -174,9 +174,6 @@ class Algebra:
     def op_names(self):
         return list(self.ops)
 
-    def product(self, vectors, op=None):
-        return self.op(op).apply(vectors)
-
     def basis_vector(self, i):
         v = [self.dom.zero()] * self.dim
         v[i] = self.dom.one()
@@ -246,61 +243,80 @@ def algebra_to_json(A):
     return doc
 
 
-def _need(ok, what):
+def need(ok, what):
+    """Raise DomainError(what) unless ok: the check of every JSON reader."""
     if not ok:
         raise DomainError(what)
 
 
-def _is_int(x):
+def is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_keys(doc, required, optional, where):
+    """``doc`` is a JSON object holding every key of ``required`` and no key
+    outside ``required`` and ``optional``; ``where`` names it in errors."""
+    if not isinstance(doc, dict):
+        raise DomainError(f"{where} must be a JSON object")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise DomainError(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in doc:
+            raise DomainError(f"{where}: missing key {key!r}")
+
+
 def algebra_from_json(doc):
-    """Inverse of algebra_to_json; a malformed document raises DomainError."""
-    _need(isinstance(doc, dict), "expected a JSON object")
-    _need(all(k in doc for k in ("name", "field", "dim", "ops")),
-          'needs "name", "field", "dim" and "ops"')
-    _need(isinstance(doc["field"], str), "field must be a string")
+    """Inverse of algebra_to_json; a malformed document raises DomainError
+    naming the offending key or position."""
+    check_keys(doc, ("name", "field", "dim", "ops"), ("unit", "u", "form"), "algebra")
+    need(isinstance(doc["name"], str), "name must be a string")
+    need(isinstance(doc["field"], str), "field must be a string")
     dom = domain_from_name(doc["field"])
     dim = doc["dim"]
-    _need(_is_int(dim) and dim >= 1, "dim must be a positive integer")
+    need(is_int(dim) and dim >= 1, "dim must be a positive integer")
 
     def index(x):
-        return _is_int(x) and 0 <= x < dim
+        return is_int(x) and 0 <= x < dim
 
-    def coeff(c):
-        try:
-            return dom.parse(c)
-        except (TypeError, ValueError, ZeroDivisionError) as e:
-            raise DomainError(f"bad coefficient {c!r}: {e}")
-
-    _need(isinstance(doc["ops"], list) and doc["ops"],
-          "ops must be a nonempty list")
+    need(isinstance(doc["ops"], list) and doc["ops"], "ops must be a nonempty list")
     ops = {}
-    for op in doc["ops"]:
-        _need(isinstance(op, dict) and isinstance(op.get("name"), str)
-              and _is_int(op.get("arity")) and op["arity"] >= 1
-              and isinstance(op.get("table"), list),
-              "each op needs a name, a positive arity and a table list")
+    for a, op in enumerate(doc["ops"]):
+        where = f"ops[{a}]"
+        check_keys(op, ("name", "arity", "table"), (), where)
+        name, arity = op["name"], op["arity"]
+        need(isinstance(name, str) and name not in ops,
+             f"{where}: name must be a string naming no earlier op")
+        need(is_int(arity) and arity >= 1, f"{where}: arity must be a positive integer")
+        need(isinstance(op["table"], list), f"{where}: table must be a list")
         table = {}
-        for entry in op["table"]:
-            _need(isinstance(entry, dict)
-                  and isinstance(entry.get("args"), list)
-                  and all(index(i) for i in entry["args"])
-                  and isinstance(entry.get("out"), list)
-                  and all(isinstance(kc, list) and len(kc) == 2 and index(kc[0])
-                          for kc in entry["out"]),
-                  "a table entry needs basis indices args and out [[k, c], ...]")
-            table[tuple(entry["args"])] = {k: coeff(c) for k, c in entry["out"]}
-        ops[op["name"]] = StructureTensor(dim, op["arity"], table, dom)
+        for b, entry in enumerate(op["table"]):
+            # this loop runs per table entry of every file read, so each
+            # message is formatted only when its check fails
+            if not (isinstance(entry, dict) and entry.keys() == {"args", "out"}):
+                check_keys(entry, ("args", "out"), (), f"{where}.table[{b}]")  # raises
+            args, out = entry["args"], entry["out"]
+            if not (isinstance(args, list) and len(args) == arity
+                    and all(map(index, args)) and tuple(args) not in table):
+                raise DomainError(f"{where}.table[{b}]: args must be {arity} basis "
+                                  f"indices not listed before")
+            if not (isinstance(out, list) and all(
+                    isinstance(kc, list) and len(kc) == 2 and index(kc[0]) for kc in out)):
+                raise DomainError(f"{where}.table[{b}]: out must be [[k, c], ...] "
+                                  f"with basis indices k")
+            row = {k: dom.parse(c) for k, c in out}
+            if len(row) < len(out):
+                raise DomainError(f"{where}.table[{b}]: out lists a basis index twice")
+            table[tuple(args)] = row
+        ops[name] = StructureTensor(dim, arity, table, dom)
     for key in ("unit", "u"):
-        _need(doc.get(key) is None or index(doc[key]), f"{key} must be a basis index")
+        need(doc.get(key) is None or index(doc[key]), f"{key} must be a basis index")
     form = doc.get("form")
     if form is not None:
-        _need(isinstance(form, list) and len(form) == dim
-              and all(isinstance(r, list) and len(r) == dim for r in form),
-              "form must be a dim x dim matrix")
-        form = [[coeff(c) for c in row] for row in form]
+        need(isinstance(form, list) and len(form) == dim
+             and all(isinstance(r, list) and len(r) == dim for r in form),
+             "form must be a dim x dim matrix")
+        form = [[dom.parse(c) for c in row] for row in form]
     return Algebra(doc["name"], dim, ops, dom,
                    unit=doc.get("unit"), u=doc.get("u"), form=form)
 
@@ -312,6 +328,6 @@ def save_algebra(A, path):
 
 
 def load_algebra(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return algebra_from_json(json.load(fh))
 

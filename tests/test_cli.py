@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from nonassoc.catalog import CATALOG_NAMES, catalog_get
 from nonassoc.cli import run
-from nonassoc.structure import algebra_to_json, save_algebra
+from nonassoc.deform import certificate_from_json
+from nonassoc.incidence import Poset, SigmaMap, crown_poset
+from nonassoc.poisson import CustomaryIdentity
+from nonassoc.scalars import DomainError
+from nonassoc.structure import algebra_from_json, algebra_to_json, save_algebra
 
 
 def _write(tmp_path, name, params=None):
@@ -40,6 +44,11 @@ def test_usage_errors(tmp_path, capsys):
     out = capsys.readouterr()
     assert code == 2
     assert "line" in out.err
+    # JSON that the decoder refuses without a position: too deep, too long an int
+    for text in ("[" * 100_000 + "]" * 100_000, '{"dim": ' + "9" * 5000 + "}"):
+        bad.write_text(text)
+        assert run(["variety", "check", str(bad), "--variety", "lie"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_subcommand(capsys):
@@ -107,13 +116,45 @@ _EYE3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     # an order under a key other than "covers" is not read as an antichain
     ({"elements": ["a", "b", "c"], "relations": [["a", "b"], ["b", "c"]]},
      ["incidence", "build", "--poset", "{file}"]),
+    # an unknown key at each level of each keyed format is an input error
+    (dict(_GOOD_DOC, unitt=0), ["variety", "check", "{file}", "--variety", "lie"]),
+    (dict(_GOOD_DOC, ops=[dict(_GOOD_DOC["ops"][0], arityy=2)]),
+     ["variety", "check", "{file}", "--variety", "lie"]),
+    (_bad_doc(outt=[]), ["variety", "check", "{file}", "--variety", "lie"]),
+    ({"m": 2, "terms": [], "mm": 3}, ["poisson", "customary", "{tp4}", "--g", "{file}"]),
+    # a repeated op name, args tuple or output index would drop a value
+    (dict(_GOOD_DOC, ops=_GOOD_DOC["ops"] * 2), ["variety", "check", "{file}", "--variety", "lie"]),
+    (dict(_GOOD_DOC, ops=[dict(_GOOD_DOC["ops"][0], table=_GOOD_DOC["ops"][0]["table"] * 2)]),
+     ["variety", "check", "{file}", "--variety", "lie"]),
+    (_bad_doc(out=[[0, "1"], [0, "2"]]), ["variety", "check", "{file}", "--variety", "lie"]),
+    # a misspelt "pairs" is not read as a term without pairs (the zero identity)
+    ({"m": 2, "terms": [{"c": "1", "pair": [[1, 2]]}]},
+     ["poisson", "customary", "{tp4}", "--g", "{file}"]),
+    ({"1<2": "1", "garbage": "2"},
+     ["incidence", "poisson-equiv", "--poset", "{poset}", "--sigma", "{file}"]),
+    ({"1<2": "1", "a<z": "2"},
+     ["incidence", "poisson-equiv", "--poset", "{poset}", "--sigma", "{file}"]),
+    ([["t", "0"], ["0", "1/0"]],
+     ["degen", "verify", "--from", "{sl2}", "--to", "{sl2}", "--cert", "{file}"]),
+    # a directory, a file that is not UTF-8 text
+    (None, ["variety", "check", "{dir}", "--variety", "lie"]),
+    (None, ["incidence", "build", "--poset", "{dir}"]),
+    (b'{"name": "\xe9"}', ["variety", "check", "{file}", "--variety", "lie"]),
+    (b'{"elements": ["\xe9"]}', ["incidence", "build", "--poset", "{file}"]),
+    # an explicit op or parameter name must exist
+    (None, ["poisson", "tps-space", "{sl2}", "--op", "nosuch"]),
+    (None, ["catalog", "get", "NF", "-p", "n=3", "-p", "nn=4"]),
+    (None, ["catalog", "get", "sl2", "-p", "n=5"]),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, doc, argv):
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     poset = tmp_path / "poset.json"
     poset.write_text(json.dumps({"elements": ["1", "2"], "covers": [["1", "2"]]}))
-    files = {"{file}": str(path), "{poset}": str(poset),
+    files = {"{file}": str(path), "{poset}": str(poset), "{dir}": str(tmp_path),
              "{sl2}": _write(tmp_path, "sl2"), "{tp4}": _write(tmp_path, "tp4")}
     argv = [files.get(a, a) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "nonassoc.cli"] + argv,
@@ -407,7 +448,7 @@ def test_import_does_not_load_numpy():
 
 
 # ---------------------------------------------------------------------------
-# input-contract fuzz: any algebra file, DSL string or -p value gives exit
+# input-contract fuzz: any input file, DSL string or -p value gives exit
 # 0, 1 or 2 and no exception.  Sizes are bounded (dims come from small
 # integers, at most five variable occurrences in an identity, -p numbers in
 # [-2, 4]) because the contract is about input errors, not resource limits.
@@ -420,7 +461,8 @@ _JSON_VALUES = st.recursive(
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.sampled_from(
                        ["name", "field", "dim", "ops", "arity", "table", "args",
-                        "out", "unit", "u", "form", "x"]), inner, max_size=4)),
+                        "out", "unit", "u", "form", "x", "elements", "covers",
+                        "1<2", "m", "terms", "c", "pairs", "D"]), inner, max_size=4)),
     max_leaves=10)
 _BASE_DOCS = [("sl2", {}), ("NF", {"n": 2}), ("tp4", {}), ("abelian", {"n": 1})]
 
@@ -491,6 +533,76 @@ def test_cli_contract_fuzz_algebra_files(tmp_path_factory, data):
     code, err = _run_contained(argv + data.draw(st.sampled_from([[], ["--json"]])))
     assert code in (0, 1, 2)
     assert code != 2 or err.startswith("error: ") or err.startswith("usage: ")
+
+
+_EYE2 = [["1", "0"], ["0", "1"]]
+_CROWN = {"elements": ["1", "2", "3", "4"],
+          "covers": [["1", "3"], ["1", "4"], ["2", "3"], ["2", "4"]]}
+_CROWN_SIGMA = {"1<3": "1", "1<4": "2", "2<3": "3", "2<4": "5/2"}
+_CUSTOMARY = {"m": 3, "terms": [{"c": "1", "pairs": [[1, 2]], "D": [3]},
+                                {"c": "-1/2", "pairs": [[2, 1]]}, {"D": [1]}]}
+_CERTIFICATE = [["t", "0"], ["0", "t^3"]]
+_SEQUENCE = [_EYE2, [["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+_THETA = [[["0", "1"], ["-1", "0"]]]
+# (base document, commands reading it); {ab2}, {nf2}, {tp4} and {crown} are
+# valid inputs
+_OTHER_DOCUMENTS = [
+    (_CROWN, [["incidence", "build", "--poset", "{file}"],
+              ["incidence", "poisson-equiv", "--poset", "{file}", "--exhaustive-gf", "3"]]),
+    (_CROWN_SIGMA, [["incidence", "poisson-equiv", "--poset", "{crown}", "--sigma", "{file}"]]),
+    (_CUSTOMARY, [["poisson", "customary", "{tp4}", "--g", "{file}"]]),
+    (_CERTIFICATE, [["degen", "verify", "--from", "{nf2}", "--to", "{ab2}", "--cert", "{file}"]]),
+    (_SEQUENCE, [["incidence", "hd-check", "--algebra", "{ab2}", "--sequence", "{file}"],
+                 ["incidence", "hd-compose", "--algebra", "{ab2}", "--d1", "{file}",
+                  "--d2", "{file}"]]),
+    (_THETA, [["ext", "build", "--algebra", "{ab2}", "--theta", "{file}"]]),
+    (_EYE2, [["der", "local", "{nf2}", "--phi", "{file}"]]),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_contract_fuzz_other_documents(tmp_path_factory, data):
+    """The poset, sigma, customary-identity, certificate and matrix-list
+    files under the same contract as the algebra files."""
+    base, commands = data.draw(st.sampled_from(_OTHER_DOCUMENTS))
+    tmp = tmp_path_factory.mktemp("fuzz")
+    files = {"{file}": tmp / "in.json", "{crown}": tmp / "crown.json"}
+    files["{crown}"].write_text(json.dumps(_CROWN))
+    for key, name, params in (("{ab2}", "abelian", {"n": 2}), ("{nf2}", "NF", {"n": 2}),
+                              ("{tp4}", "tp4", {})):
+        files[key] = tmp / f"{name}.json"
+        save_algebra(catalog_get(name, params), files[key])
+    text = json.dumps(_mutated(data, base))
+    if data.draw(st.booleans()):
+        text = text[:data.draw(st.integers(0, len(text)))]   # truncated JSON
+    files["{file}"].write_text(text)
+    argv = [str(files.get(a, a)) for a in data.draw(st.sampled_from(commands))]
+    code, err = _run_contained(argv + data.draw(st.sampled_from([[], ["--json"]])))
+    assert code in (0, 1, 2)
+    assert code != 2 or err.startswith("error: ") or err.startswith("usage: ")
+
+
+_READERS = [
+    (algebra_to_json(catalog_get("NF", {"n": 2})), algebra_from_json),
+    (_CROWN, Poset.from_json),
+    (_CROWN_SIGMA, lambda doc: SigmaMap.from_json(crown_poset(), doc)),
+    (_CUSTOMARY, CustomaryIdentity.from_json),
+    (_CERTIFICATE, certificate_from_json),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_readers_raise_only_domain_error(data):
+    """Each library reader accepts a document or raises DomainError: never
+    KeyError, TypeError, AttributeError or IndexError."""
+    base, read = data.draw(st.sampled_from(_READERS))
+    doc = _mutated(data, base)
+    try:
+        read(doc)
+    except DomainError:
+        pass
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,7 @@ from nonassoc.deform import (Cocycle, central_extension, certificate_from_json,
                              cocycle_space, cocycle_from_vector,
                              degeneration_obstruction, degeneration_verify,
                              invariant_profile)
+from nonassoc.identities import check_identity, parse_identity
 from nonassoc.scalars import DomainError, RatFunc
 from nonassoc.structure import Algebra, change_basis
 from nonassoc.varieties import check_variety
@@ -111,6 +112,56 @@ def test_obstruction_rules():
     assert any("dim A^2" in s for s in v)
     assert degeneration_obstruction(sl2, ab3) == []
     assert degeneration_obstruction(catalog_get("NF", {"n": 3}), ab3) == []
+
+
+def _former_obstruction(A, B, op=None):
+    """The rule set as written before it compared two invariant profiles."""
+    from nonassoc.invariants import structure_report
+    from nonassoc.operators import derivation_space
+    violations = []
+    repA = structure_report(A, op=op)
+    repB = structure_report(B, op=op)
+    pa, pb = repA["power_dims"], repB["power_dims"]
+    for k in range(max(len(pa), len(pb))):
+        da = pa[k] if k < len(pa) else pa[-1]
+        db = pb[k] if k < len(pb) else pb[-1]
+        if da < db:
+            violations.append(f"dim A^{k + 1} = {da} < dim B^{k + 1} = {db}")
+    if repA["annihilator"]["two_sided"] > repB["annihilator"]["two_sided"]:
+        violations.append(f"dim Ann(A) = {repA['annihilator']['two_sided']} > "
+                          f"dim Ann(B) = {repB['annihilator']['two_sided']}")
+    dA = derivation_space(A, 1, op=op or A.op_names()[0]).dim
+    dB = derivation_space(B, 1, op=op or B.op_names()[0]).dim
+    if dA > dB:
+        violations.append(f"dim Der(A) = {dA} > dim Der(B) = {dB}")
+    comm, anti = parse_identity("x*y - y*x"), parse_identity("x*x")
+    omA, omB = {"*": op or A.op_names()[0]}, {"*": op or B.op_names()[0]}
+    if check_identity(A, comm, opmap=omA)[0] and not check_identity(B, comm, opmap=omB)[0]:
+        violations.append("A is commutative but B is not")
+    if check_identity(A, anti, opmap=omA)[0] and not check_identity(B, anti, opmap=omB)[0]:
+        violations.append("A is anticommutative but B is not")
+    return violations
+
+
+def test_obstruction_matches_former_rule_set():
+    """Same messages in the same order as the former rule set, on every
+    ordered pair of equal dimension among small binary catalog algebras."""
+    pool = [catalog_get(name, params) for name, params in [
+        ("abelian", {"n": 3}), ("NF", {"n": 3}), ("sl2", {}), ("heis3", {}),
+        ("uppertri", {"n": 2}), ("zinbiel-free1", {"n": 3}), ("abelian", {"n": 4}),
+        ("NF", {"n": 4}), ("filiform1p", {"n": 4}), ("matrix", {"n": 2}),
+        ("quaternions", {}), ("tp4", {})]]
+    messages = []
+    for A in pool:
+        for B in pool:
+            if A is not B and A.dim == B.dim:
+                got = degeneration_obstruction(A, B)
+                assert got == _former_obstruction(A, B), (A.name, B.name)
+                messages += got
+    # every rule fires somewhere in the pool
+    for rule in ("dim A^", "dim Ann(A)", "dim Der(A)", "A is commutative",
+                 "A is anticommutative"):
+        assert any(m.startswith(rule) for m in messages), rule
 
 
 def test_invariant_profile_fields():

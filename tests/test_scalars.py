@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from nonassoc.scalars import (GF, QT, DomainError, PolyRing,
+from nonassoc.scalars import (GF, QQ, QT, DomainError, PolyRing,
                               RatFunc, parse_ratfunc)
 
 
@@ -31,6 +31,18 @@ def test_ratfunc_parse_and_arith():
     assert parse_ratfunc("-t^2 + 1") == -(t * t) + 1
     x = parse_ratfunc("(t^2 - 1)/(t - 1)")
     assert x == t + 1  # reduced
+
+
+@pytest.mark.parametrize("parse, text", [
+    (QQ.coerce, "abc"), (QQ.coerce, "1/0"), (QQ.coerce, ""),
+    (GF(5).coerce, "1/5"), (GF(5).coerce, "x"), (GF(5).coerce, "2/0"),
+    (parse_ratfunc, "1/0"), (parse_ratfunc, "t/0"), (parse_ratfunc, "(t-t)^-1"),
+])
+def test_malformed_scalar_text_is_domain_error(parse, text):
+    """Malformed text and zero denominators raise DomainError, the one
+    error every JSON reader raises, never ValueError or ZeroDivisionError."""
+    with pytest.raises(DomainError):
+        parse(text)
 
 
 def test_ratfunc_limit():

@@ -2,25 +2,29 @@
 
 Matrices are plain lists of rows over a scalar domain (see ``scalars``).
 Everything is computed exactly.  The one shortcut is
-``nullspace_sparse_q``: sparse Gauss-Jordan elimination modulo a Mersenne
-prime followed by rational reconstruction (Wang, Guy & Davenport, SIGSAM
-Bull. 1982); its result is verified exactly against every row before it is
-returned, and a larger prime is tried when the lift or the check fails.
-Integer rows enter it as they are.  ``nullspace_sparse_mod`` is the same
-sparse elimination over GF(p) itself, where it is exact.  ``generic_rank``
-decides a rank over Q(x) between two exact bounds: the rank at integer
-points and a polynomial basis of the left kernel.
+``nullspace_sparse_q``: each distinct integer row is eliminated once modulo
+the 61-bit prime 2^61 - 1, later 61-bit primes eliminate only the rows that
+gave its pivots, and the kernels are combined by CRT and lifted by rational
+reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982).  A prime that
+gives a lower rank or later pivot columns than another is unlucky (the rank
+mod p of any rows is at most their rank over Q), and the lifted kernel is
+verified exactly against every row before it is returned, so no prime can
+make it wrong.  ``nullspace_sparse_mod`` is the same sparse elimination over GF(p)
+itself, where it is exact.  ``generic_rank`` decides a rank over Q(x)
+between two exact bounds: the rank at integer points and a polynomial basis
+of the left kernel.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from operator import add
 
-from .scalars import QQ, DomainError, Poly, PrimeField, RationalDomain
+from .scalars import QQ, DomainError, Poly, PrimeField, RationalDomain, _is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +242,25 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
+    @cached_property
+    def _supports(self):
+        """Each basis row with its nonzero columns, the lowest first."""
+        is_zero = self.dom.is_zero
+        return [(row, [j for j, x in enumerate(row) if not is_zero(x)]) for row in self.basis]
+
     def coordinates(self, v):
         """Coordinates of v in the echelon basis; None when v is outside."""
-        dom = self.dom
+        is_zero = self.dom.is_zero
         w = list(v)
         coords = []
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if not dom.is_zero(x))
-            f = w[lead]
-            if not dom.is_zero(f):
-                f = f / row[lead]
-                w = [x - f * y for x, y in zip(w, row)]
+        for row, support in self._supports:
+            f = w[support[0]]
+            if not is_zero(f):
+                f = f / row[support[0]]
+                for j in support:
+                    w[j] = w[j] - f * row[j]
             coords.append(f)
-        return None if any(not dom.is_zero(x) for x in w) else coords
+        return None if any(not is_zero(x) for x in w) else coords
 
     def contains_vector(self, v):
         return self.coordinates(v) is not None
@@ -291,41 +301,57 @@ class Subspace:
 
 
 # ---------------------------------------------------------------------------
-# fast rational nullspace (modular elimination + exact verification)
+# fast rational nullspace (multi-modular elimination + exact verification)
 # ---------------------------------------------------------------------------
 
-# Exponents k of the known Mersenne primes 2^k - 1, tried in increasing order.
-# Python ints make one large prime as cheap as several small ones, so a failed
-# prime is replaced by a larger one rather than combined with it by CRT.
-_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
-                       4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209,
-                       44497)
-
-
-def _rows_to_int(sparse_rows):
-    """The nonzero rows as integer rows.  Rows of ints (those of
-    ``operators.linear_conditions``) are taken as they are; when any entry
-    is a Fraction, each row is scaled by its lcm of denominators."""
-    if Fraction not in set(map(type, chain.from_iterable(map(dict.values, sparse_rows)))):
-        return [row for row in sparse_rows if row]
+def _distinct_int_rows(sparse_rows):
+    """The distinct nonzero rows as integer rows, in first-seen order.  Rows
+    of ints (those of ``operators.linear_conditions``) are taken as they
+    are; when any entry is a Fraction, each row is scaled by its lcm of
+    denominators.  Two rows are one when their {column: entry} items are."""
+    if Fraction in set(map(type, chain.from_iterable(map(dict.values, sparse_rows)))):
+        scaled = []
+        for row in sparse_rows:
+            m = lcm(*(Fraction(c).denominator for c in row.values()))
+            scaled.append({j: int(c * m) for j, c in row.items() if c})
+        sparse_rows = scaled
+    # hash of a row's items -> the distinct rows with that hash (hashes, not
+    # frozensets of the items, keep the transient small)
+    seen = {}
     out = []
     for row in sparse_rows:
-        m = lcm(*(Fraction(c).denominator for c in row.values()))
-        introw = {j: int(c * m) for j, c in row.items() if c}
-        if introw:
-            out.append(introw)
+        if row:
+            same = seen.setdefault(hash(frozenset(row.items())), [])
+            if row not in same:
+                same.append(row)
+                out.append(row)
     return out
 
 
-def _rref_mod(introws, p):
-    """Reduced row echelon form mod p of sparse integer rows.
+@cache
+def _prime(i):
+    """The i-th of the moduli 2^61 - 1 = p_0 > p_1 > p_2 > ... of
+    ``nullspace_sparse_q``, the primes of 61 bits in decreasing order."""
+    if i == 0:
+        return (1 << 61) - 1
+    p = _prime(i - 1) - 2
+    while not _is_prime(p):
+        p -= 2
+    return p
 
-    Returns {pivot column: row dict with 1 at the pivot}, all entries in
-    [1, p).  Each pivot is the lowest column of its row and occurs in no other
-    row, so this is the unique RREF of the row space mod p, whatever the row
-    order; short rows go first because that keeps the fill-in low.
+
+def _rref_mod(introws, p):
+    """Reduced row echelon form mod p of sparse integer rows, and the rows
+    that gave its pivots.
+
+    Returns ({pivot column: row dict with 1 at the pivot}, [input rows]),
+    all entries in [1, p).  Each pivot is the lowest column of its row and
+    occurs in no other row, so this is the unique RREF of the row space mod
+    p, whatever the row order; short rows go first because that keeps the
+    fill-in low.  The input rows that gave pivots span that row space.
     """
     red = {}
+    pivot_rows = []
     holders = {}   # non-pivot column -> pivot columns whose rows hold it
     for introw in sorted(introws, key=len):
         row = {}
@@ -333,16 +359,32 @@ def _rref_mod(introws, p):
             v %= p
             if v:
                 row[j] = v
-        # pivot rows hold no other pivot column, so one pass reduces the row
-        for c in [c for c in row if c in red]:
-            f = row.pop(c)
-            for j, v in red[c].items():
-                if j != c:
-                    x = (row.get(j, 0) - f * v) % p
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
+        # pivot rows hold no other pivot column, so one pass reduces the row;
+        # past three pivot rows, reducing each entry mod p once at the end
+        # costs less than after every update
+        pivots = [c for c in row if c in red]
+        if len(pivots) > 3:
+            for c in pivots:
+                f = row.pop(c)
+                for j, v in red[c].items():
+                    if j != c:
+                        row[j] = row.get(j, 0) - f * v
+            for j, v in list(row.items()):
+                v %= p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        else:
+            for c in pivots:
+                f = row.pop(c)
+                for j, v in red[c].items():
+                    if j != c:
+                        x = (row.get(j, 0) - f * v) % p
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
         if not row:
             continue
         c = min(row)
@@ -362,15 +404,16 @@ def _rref_mod(introws, p):
                     del prow[j]
                     holders[j].discard(pc)
         red[c] = new
+        pivot_rows.append(introw)
         for j in new:
             if j != c:
                 holders.setdefault(j, set()).add(c)
-    return red
+    return red, pivot_rows
 
 
-def _rat_reconstruct(a, p, bound):
-    """Lift a mod-p residue to n/d with |n|, d <= bound; None if impossible."""
-    r0, r1 = p, a % p
+def _rat_reconstruct(a, m, bound):
+    """Lift a residue mod m to n/d with |n|, d <= bound; None if impossible."""
+    r0, r1 = m, a % m
     s0, s1 = 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -392,20 +435,44 @@ def _kernel_rref_mod(red, ncols, p):
         for f, v in row.items():
             if f != c:
                 at_free.setdefault(f, {})[c] = -v % p
-    return _rref_mod([{f: 1, **at_free.get(f, {})} for f in range(ncols) if f not in red], p)
+    return _rref_mod([{f: 1, **at_free.get(f, {})} for f in range(ncols) if f not in red], p)[0]
 
 
-def _lift_kernel(red, ncols, p):
-    """The canonical kernel basis of an RREF mod p, lifted to Q by rational
-    reconstruction as sparse rows {column: Fraction}; None if an entry does
-    not lift."""
-    bound = isqrt(p // 2)
+def _modular_kernel(introws, ncols, p):
+    """(shape, pivot rows, kernel RREF) of integer rows mod p.  The shape
+    (-rank, pivot columns, kernel pivot columns) is least at the primes
+    where the RREFs of the rows and of their kernel reduce from those over
+    Q; the pivot rows and the kernel RREF are as ``_rref_mod`` and
+    ``_kernel_rref_mod`` give them."""
+    red, pivot_rows = _rref_mod(introws, p)
     kred = _kernel_rref_mod(red, ncols, p)
+    return (-len(red), sorted(red), sorted(kred)), pivot_rows, kred
+
+
+def _crt(kred, m, kq, q):
+    """Kernel RREF entries mod m*q from those mod m (kred) and mod q (kq),
+    two RREFs with the same pivot columns."""
+    u = pow(m, -1, q)
+    out = {}
+    for c, row in kred.items():
+        qrow = kq[c]
+        new = {j: a + m * ((qrow.get(j, 0) - a) * u % q) for j, a in row.items()}
+        for j, b in qrow.items():
+            if j not in new:
+                new[j] = m * (b * u % q)
+        out[c] = new
+    return out
+
+
+def _lift_kernel(kred, m):
+    """A kernel RREF mod m lifted to Q by rational reconstruction, as sparse
+    rows {column: Fraction}; None if an entry does not lift."""
+    bound = isqrt(m // 2)
     cand = []
     for c in sorted(kred):
         v = {}
         for j, a in kred[c].items():
-            lifted = _rat_reconstruct(a, p, bound)
+            lifted = _rat_reconstruct(a, m, bound)
             if lifted is None:
                 return None
             v[j] = lifted
@@ -418,7 +485,7 @@ def nullspace_sparse_mod(sparse_rows, ncols, dom):
     with integer entries (residues or any representatives); exact, as the
     elimination runs mod p itself."""
     p = dom.p
-    kred = _kernel_rref_mod(_rref_mod(sparse_rows, p), ncols, p)
+    kred = _kernel_rref_mod(_rref_mod(sparse_rows, p)[0], ncols, p)
     return [[dom.from_int(kred[c].get(j, 0)) for j in range(ncols)] for c in sorted(kred)]
 
 
@@ -426,27 +493,56 @@ def nullspace_sparse_q(sparse_rows, ncols):
     """Exact rational nullspace of a sparse integer/rational system, as the
     canonical RREF basis in sparse rows {column: Fraction}.
 
-    The rows are reduced mod a Mersenne prime p, the RREF of the kernel of
-    that RREF is lifted by rational reconstruction and verified exactly
-    against every row.  A verified candidate is the nullspace in canonical
-    form: its vectors are independent and in reduced echelon shape (each
-    has a 1 at its own pivot and 0 at the others), so dim ker >= ncols -
-    rank_p >= ncols - rank_Q = dim ker, whatever the prime.  A failed lift
-    or verification moves on to the next prime.  Once sqrt(p/2) exceeds
-    the Hadamard bound H of the integer rows, every RREF entry (a ratio of
-    minors) lifts and the candidate is right, so the dense exact
-    elimination after the last prime is reached only when H > 2^22247.
+    The rows are made integers and each distinct row is kept once.  All of
+    them are eliminated modulo the first prime p_0 = 2^61 - 1, which gives
+    r pivots and the r rows that gave them; each later 61-bit prime
+    eliminates only those r rows.  The kernel RREFs of the primes of one
+    shape (see ``_modular_kernel``) are combined by CRT, and after each
+    prime the combination is lifted to Q by rational reconstruction (Wang,
+    Guy & Davenport, SIGSAM Bull. 1982) and checked exactly against every
+    distinct row, so against every row.
+
+    Soundness: the rank mod any prime of any subset of the rows is at most
+    rank_Q.  A candidate that passes the check has ncols - r vectors in
+    reduced echelon shape (each has a 1 at its own pivot and 0 at the
+    others), so they are independent and dim ker >= ncols - r >= ncols -
+    rank_Q = dim ker: the candidate is the kernel in canonical form,
+    whichever primes produced it.
+
+    Lucky primes: a new prime whose shape is larger (a lower rank, or the
+    same rank with lexicographically later pivots) is unlucky and skipped.
+    One whose shape is smaller shows that the earlier primes were unlucky:
+    all rows are eliminated again at it and its pivot rows replace the r
+    rows.  A lift can fail the check because the modulus is still too
+    small, or because the r rows span less than all rows (a first prime
+    that lowered the rank).  When the lift after the next prime comes out
+    unchanged and still fails, all rows are eliminated again at a fresh
+    prime.  Only finitely many primes are unlucky, and once sqrt(M/2)
+    exceeds the Hadamard bound of the rows for the product M of the
+    combined primes, every entry (a ratio of minors) lifts, so the loop
+    ends without a last prime.
     """
-    introws = _rows_to_int(sparse_rows)
+    introws = _distinct_int_rows(sparse_rows)
     if ncols == 0:
         return []
-    for k in _MERSENNE_EXPONENTS:
-        p = (1 << k) - 1
-        cand = _lift_kernel(_rref_mod(introws, p), ncols, p)
+    m = _prime(0)
+    shape, pivot_rows, kred = _modular_kernel(introws, ncols, m)
+    last, i = None, 0
+    while True:
+        cand = _lift_kernel(kred, m)
         if cand is not None and _verify_nullspace(introws, cand):
             return cand
-    dense = nullspace(_dense(introws, ncols, QQ), ncols, QQ)
-    return [{j: c for j, c in enumerate(v) if c} for v in dense]
+        i += 1
+        p = _prime(i)
+        stale = cand is not None and cand == last
+        last = cand
+        new = _modular_kernel(introws if stale else pivot_rows, ncols, p)
+        if new[0] < shape:
+            if not stale:
+                new = _modular_kernel(introws, ncols, p)
+            (shape, pivot_rows, kred), m, last = new, p, None
+        elif new[0] == shape:
+            kred, m = _crt(kred, m, new[2], p), m * p
 
 
 def _dense(sparse_rows, ncols, dom):

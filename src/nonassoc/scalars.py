@@ -68,14 +68,38 @@ QQ = RationalDomain()
 # prime fields
 # ---------------------------------------------------------------------------
 
+# Miller-Rabin with the prime bases up to 41 is a proof of primality below
+# this bound, the least strong pseudoprime to all of them (Sorenson & Webster,
+# Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Whether p is prime, decided by deterministic Miller-Rabin; raises
+    ``DomainError`` for p at or above ``_MR_LIMIT``, where the bases prove
+    nothing."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    if p >= _MR_LIMIT:
+        raise DomainError(f"cannot decide whether {p} is prime: primality is "
+                          f"proven only below {_MR_LIMIT}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -164,6 +164,21 @@ def test_bad_input_exits_2_without_traceback(tmp_path, doc, argv):
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("k, codes", [(61, (0, 1)), (89, (2,))])
+def test_large_prime_fields(tmp_path, k, codes):
+    """An algebra over GF(2^61 - 1) gets its answer within seconds; over
+    GF(2^89 - 1), beyond the proven range of the primality test, the input
+    is refused with exit 2."""
+    doc = algebra_to_json(catalog_get("sl2", {}))
+    doc["field"] = f"GF({2 ** k - 1})"
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "nonassoc.cli", "variety", "check", str(path),
+                           "--variety", "lie"], capture_output=True, text=True, timeout=30)
+    assert proc.returncode in codes, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_identity_with_copy_named_variables(tmp_path, capsys):
     """The copies of x made by polarization do not take the name of the
     identity's own x1: (x*x)*(x1*x1) holds on the Lie algebra sl2 (x*x = 0)

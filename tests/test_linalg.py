@@ -181,6 +181,42 @@ def test_subspace_ops():
     assert not a.contains_vector(e3)
 
 
+def _dense_coordinates(space, v):
+    """Reference: ``Subspace.coordinates`` as it was, updating the whole
+    vector for every basis row."""
+    dom = space.dom
+    w = list(v)
+    coords = []
+    for row in space.basis:
+        lead = next(i for i, x in enumerate(row) if not dom.is_zero(x))
+        f = w[lead]
+        if not dom.is_zero(f):
+            f = f / row[lead]
+            w = [x - f * y for x, y in zip(w, row)]
+        coords.append(f)
+    return None if any(not dom.is_zero(x) for x in w) else coords
+
+
+_VECTORS = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2)), min_size=6, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["QQ", "GF7", "QT"]), st.integers(1, 6),
+       st.lists(_VECTORS, max_size=5), st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+       _VECTORS)
+def test_coordinates_match_dense_loop(which, ncols, spanning, weights, other):
+    """Sparse ``coordinates`` agrees with the dense loop on vectors inside
+    the space (a combination of its spanning set) and on a drawn vector."""
+    dom = _DOMAINS[which]
+    vecs = [[dom.coerce(_entry(dom, a, e)) for a, e in v[:ncols]] for v in spanning]
+    space = Subspace(vecs, ncols, dom)
+    inside = [sum((dom.from_int(k) * v[j] for k, v in zip(weights, vecs)), dom.zero())
+              for j in range(ncols)]
+    for v in (inside, [dom.coerce(_entry(dom, a, e)) for a, e in other[:ncols]]):
+        assert space.coordinates(v) == _dense_coordinates(space, v)
+    assert space.coordinates(inside) is not None
+
+
 def _random_sparse_system(rng, nrows, ncols, density=0.3):
     rows = []
     for _ in range(nrows):
@@ -246,32 +282,48 @@ def test_fast_nullspace_over_gf():
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Records the primes the modular solver tries and its dense fallbacks."""
-    calls = {"primes": [], "dense": 0}
-    rref_mod, dense = linalg._rref_mod, linalg.nullspace
+    """Records, per prime the modular solver tries, the prime and the number
+    of rows it eliminates, and counts dense fallbacks; a solver still
+    running after 100 primes fails the test instead of running on."""
+    calls = {"eliminations": [], "dense": 0}
+    modular_kernel, dense = linalg._modular_kernel, linalg.nullspace
 
-    def recording_rref_mod(rows, p):
-        # each prime tried eliminates twice: the rows, then their kernel
-        if calls["primes"][-1:] != [p]:
-            calls["primes"].append(p)
-        return rref_mod(rows, p)
+    def recording_modular_kernel(rows, ncols, p):
+        calls["eliminations"].append((p, len(rows)))
+        assert len(calls["eliminations"]) <= 100, "no verified kernel after 100 primes"
+        return modular_kernel(rows, ncols, p)
 
     def recording_nullspace(*args, **kwargs):
         calls["dense"] += 1
         return dense(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_rref_mod", recording_rref_mod)
+    monkeypatch.setattr(linalg, "_modular_kernel", recording_modular_kernel)
     monkeypatch.setattr(linalg, "nullspace", recording_nullspace)
     return calls
 
 
+_P0 = 2 ** 61 - 1
+
+
 def test_unlucky_prime_is_rejected(solver_calls):
     """Mod 2^61 - 1 the row reads x1 = 0, a wrong pivot: exact verification
-    rejects that candidate and a larger prime gives the kernel."""
-    p = 2 ** 61 - 1
-    assert nullspace_sparse_q([{0: p, 1: 1}], 2) == [{0: Fraction(1), 1: Fraction(-p)}]
-    assert solver_calls["primes"][0] == p and len(solver_calls["primes"]) > 1
+    rejects that candidate, and the next prime, whose pivot column is
+    earlier, replaces it."""
+    assert nullspace_sparse_q([{0: _P0, 1: 1}], 2) == [{0: Fraction(1), 1: Fraction(-_P0)}]
+    primes = [p for p, _ in solver_calls["eliminations"]]
+    assert primes[0] == _P0 and len(primes) > 1
     assert solver_calls["dense"] == 0
+
+
+def test_better_prime_replaces_the_pivot_rows(solver_calls):
+    """With a doubled copy of the row, the first prime keeps one pivot row.
+    The second prime finds an earlier pivot in it, so all rows are
+    eliminated again there, and later primes take its one pivot row."""
+    assert nullspace_sparse_q([{0: _P0, 1: 1}, {0: 2 * _P0, 1: 2}], 2) == \
+        [{0: Fraction(1), 1: Fraction(-_P0)}]
+    p1 = linalg._prime(1)
+    elims = solver_calls["eliminations"]
+    assert elims[:3] == [(_P0, 2), (p1, 1), (p1, 2)] and all(n == 1 for _, n in elims[3:])
 
 
 # kernel (1, b/c, b/c) with numerator and denominator above 2^60
@@ -280,17 +332,87 @@ _BIG_ROWS = [{0: _BIG_B, 1: -_BIG_C}, {1: 1, 2: -1}]
 _BIG_KERNEL = [{0: Fraction(1), 1: Fraction(_BIG_B, _BIG_C), 2: Fraction(_BIG_B, _BIG_C)}]
 
 
-def test_large_kernel_entries_move_to_larger_primes(solver_calls):
-    assert nullspace_sparse_q(_BIG_ROWS, 3) == _BIG_KERNEL
-    # sqrt(p/2) < 2^65 for k = 61, 89, 107, 127; 2^521 - 1 lifts
-    assert solver_calls["primes"] == [2 ** k - 1 for k in (61, 89, 107, 127, 521)]
+def test_large_kernel_entries_lift_by_crt(solver_calls):
+    """Entries above 2^65 lift only from a product of several 61-bit
+    primes.  The first prime eliminates every distinct row (a copy, a
+    multiple and a sum of the two rows are redundant); each later prime
+    eliminates only the two rows that gave its pivots."""
+    rows = _BIG_ROWS + [dict(_BIG_ROWS[1]), {0: -3 * _BIG_B, 1: 3 * _BIG_C},
+                        {0: _BIG_B, 1: 1 - _BIG_C, 2: -1}]
+    assert nullspace_sparse_q(rows, 3) == _BIG_KERNEL
+    elims = solver_calls["eliminations"]
+    assert len({p for p, _ in elims}) >= 3
+    assert elims[0] == (_P0, 4) and all(n == 2 for _, n in elims[1:])
     assert solver_calls["dense"] == 0
 
 
-def test_dense_path_after_the_last_prime(monkeypatch, solver_calls):
-    monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (61,))
-    assert nullspace_sparse_q(_BIG_ROWS, 3) == _BIG_KERNEL
-    assert solver_calls["dense"] == 1
+def test_entries_above_2_to_the_600(solver_calls):
+    """A kernel entry b/c with b and c above 2^600 lifts only from about 20
+    primes of 61 bits; it comes out exact, with one row per later prime."""
+    b, c = 3 ** 400 + 2, 2 ** 640 + 1
+    assert b > 2 ** 600
+    rows = [{0: b, 1: -c}, {0: 2 * b, 1: -2 * c}]
+    assert nullspace_sparse_q(rows, 2) == [{0: Fraction(1), 1: Fraction(b, c)}]
+    elims = solver_calls["eliminations"]
+    assert len(elims) >= 20 and elims[0] == (_P0, 2)
+    assert all(n == 1 for _, n in elims[1:])
+
+
+def test_first_prime_that_divides_a_pivot_forces_a_restart(solver_calls):
+    """The second row minus the first is 2^61 - 1 at column 1: the first
+    prime sees rank 1 and keeps one pivot row, whose kernel lifts but fails
+    the check twice in a row, unchanged; all rows are then eliminated again
+    at a fresh prime, which sees rank 2."""
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + _P0}]
+    assert nullspace_sparse_q(rows, 3) == [{2: Fraction(1)}]
+    p1, p2 = linalg._prime(1), linalg._prime(2)
+    assert solver_calls["eliminations"] == [(_P0, 2), (p1, 1), (p2, 2)]
+
+
+def test_later_prime_with_a_rank_drop_is_skipped(solver_calls):
+    """The second prime divides a pivot of the three pivot rows, so it sees
+    rank 2: it is skipped, and the kernel entry b/c lifts from the first,
+    third and fourth primes."""
+    p1 = linalg._prime(1)
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p1}, {2: _BIG_B, 3: -_BIG_C}]
+    assert nullspace_sparse_q(rows, 4) == [{2: Fraction(1), 3: Fraction(_BIG_B, _BIG_C)}]
+    assert solver_calls["eliminations"] == [(linalg._prime(i), 3) for i in range(4)]
+
+
+def test_prime_dividing_a_kernel_denominator_is_skipped(solver_calls):
+    """The kernel (1, 1/p_1) has no reduction mod the second prime p_1,
+    whose kernel RREF has its pivot at column 1 though the row's pivot is
+    right: that prime is skipped, and the others lift 1/p_1."""
+    p1 = linalg._prime(1)
+    assert nullspace_sparse_q([{0: 1, 1: -p1}], 2) == [{0: Fraction(1), 1: Fraction(1, p1)}]
+    assert solver_calls["eliminations"] == [(linalg._prime(i), 1) for i in range(4)]
+
+
+def test_dedup_keeps_rows_that_differ_in_one_value():
+    """Rows with the same columns and different values are two rows."""
+    assert nullspace_sparse_q([{0: 1, 1: 1}, {0: 1, 1: 2}, {0: 1, 1: 1}], 3) == [{2: Fraction(1)}]
+
+
+def _copies(rows, spec):
+    """rows followed by a copy of rows[i] scaled by s, for each (i, s) of
+    spec: exact duplicates (s = 1), negated and scaled rows."""
+    return rows + [{j: s * c for j, c in rows[i % len(rows)].items()} for i, s in spec if rows]
+
+
+_SCALES = st.sampled_from([1, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SYSTEMS, st.lists(st.tuples(st.integers(0, 10), _SCALES), max_size=8),
+       st.randoms(use_true_random=False))
+def test_kernel_of_repeated_rows_matches_dense(system, spec, rng):
+    """Duplicated, negated and scaled copies of the rows, shuffled in, leave
+    ``nullspace_sparse_q`` equal to the dense nullspace of every row."""
+    ncols, raw = system
+    rows = _copies([{j: Fraction(a, e + 1) * 7 ** e for j, (a, e) in row.items()} for row in raw],
+                   spec)
+    rng.shuffle(rows)
+    assert nullspace_sparse_q(rows, ncols) == _sparse(nullspace(_dense(rows, ncols), ncols, QQ))
 
 
 _ENTRY = st.integers(-2 ** 40, 2 ** 40)
@@ -324,7 +446,7 @@ def test_derivations_of_rebased_m3(solver_calls):
     for M in space.matrices():
         holds, witness = check_identity(A, law, unary_maps={"D": M})
         assert holds, witness
-    assert len(solver_calls["primes"]) > 1 and solver_calls["dense"] == 0
+    assert len(solver_calls["eliminations"]) > 1 and solver_calls["dense"] == 0
 
 
 @settings(max_examples=120, deadline=None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nonassoc.scalars import (GF, QQ, QT, DomainError, PolyRing,
-                              RatFunc, parse_ratfunc)
+                              RatFunc, _is_prime, parse_ratfunc)
 
 
 def test_gf_arithmetic():
@@ -21,6 +21,39 @@ def test_gf_arithmetic():
 def test_gf_requires_prime():
     with pytest.raises(DomainError):
         GF(6)
+
+
+def _trial_division_is_prime(n):
+    """Reference: the trial division ``_is_prime`` used before."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(200_000) if _is_prime(n)] == \
+        [n for n in range(200_000) if _trial_division_is_prime(n)]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7, to every prime base up to
+    # 23 and to every prime base up to 37
+    assert not _is_prime(3215031751) and 3215031751 == 151 * 751 * 28351
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 31 - 1) and not _is_prime(2 ** 61 + 1)
+    GF(2 ** 61 - 1)
+    # beyond the proven range the answer would only be probable
+    with pytest.raises(DomainError, match="3317044064679887385961981"):
+        _is_prime(2 ** 89 - 1)
+    with pytest.raises(DomainError):
+        GF(2 ** 89 - 1)
 
 
 def test_ratfunc_parse_and_arith():

@@ -360,31 +360,27 @@ def _rref_mod(introws, p):
             if v:
                 row[j] = v
         # pivot rows hold no other pivot column, so one pass reduces the row;
-        # past three pivot rows, reducing each entry mod p once at the end
-        # costs less than after every update
+        # past three pivot rows, keeping the entries unreduced (zeros too)
+        # and reducing each mod p once at the end costs less than after
+        # every update
         pivots = [c for c in row if c in red]
-        if len(pivots) > 3:
-            for c in pivots:
-                f = row.pop(c)
-                for j, v in red[c].items():
-                    if j != c:
-                        row[j] = row.get(j, 0) - f * v
+        defer = len(pivots) > 3
+        for c in pivots:
+            f = row.pop(c)
+            for j, v in red[c].items():
+                if j != c:
+                    x = row.get(j, 0) - f * v
+                    if defer or (x := x % p):
+                        row[j] = x
+                    else:
+                        del row[j]
+        if defer:
             for j, v in list(row.items()):
                 v %= p
                 if v:
                     row[j] = v
                 else:
                     del row[j]
-        else:
-            for c in pivots:
-                f = row.pop(c)
-                for j, v in red[c].items():
-                    if j != c:
-                        x = (row.get(j, 0) - f * v) % p
-                        if x:
-                            row[j] = x
-                        else:
-                            del row[j]
         if not row:
             continue
         c = min(row)
@@ -513,35 +509,43 @@ def nullspace_sparse_q(sparse_rows, ncols):
     same rank with lexicographically later pivots) is unlucky and skipped.
     One whose shape is smaller shows that the earlier primes were unlucky:
     all rows are eliminated again at it and its pivot rows replace the r
-    rows.  A lift can fail the check because the modulus is still too
-    small, or because the r rows span less than all rows (a first prime
-    that lowered the rank).  When the lift after the next prime comes out
-    unchanged and still fails, all rows are eliminated again at a fresh
-    prime.  Only finitely many primes are unlucky, and once sqrt(M/2)
-    exceeds the Hadamard bound of the rows for the product M of the
-    combined primes, every entry (a ratio of minors) lifts, so the loop
-    ends without a last prime.
+    rows.  A lift that fails the check is tested against the r rows alone.
+    If it annihilates them, the same argument makes it their kernel over Q,
+    so they have rank r and span less than all rows: rank_Q > r, every
+    prime of the current shape is unlucky for the rows, and all rows are
+    eliminated at fresh primes until one shows a smaller shape.  Otherwise
+    the modulus is still too small and the next prime is combined.
+
+    Termination: a restart takes a strictly smaller shape, the shape of
+    all rows at some prime, and there are finitely many of those.  Between
+    restarts, all but finitely many primes reduce the RREFs of the r rows
+    and of their kernel from those over Q; if those are not of the current
+    shape, such a prime restarts, and if they are, the primes of that shape
+    are exactly those, so the combined residues agree with the kernel of
+    the r rows over Q.  Once sqrt(M/2) exceeds the Hadamard bound of the
+    rows for the product M of the combined primes, every entry (a ratio of
+    minors) lifts, and the lift is that kernel: it passes the check, or it
+    annihilates the r rows and the next smaller shape is sought.
     """
     introws = _distinct_int_rows(sparse_rows)
     if ncols == 0:
         return []
     m = _prime(0)
     shape, pivot_rows, kred = _modular_kernel(introws, ncols, m)
-    last, i = None, 0
+    i = 0
     while True:
         cand = _lift_kernel(kred, m)
         if cand is not None and _verify_nullspace(introws, cand):
             return cand
+        spans_less = cand is not None and _verify_nullspace(pivot_rows, cand)
         i += 1
         p = _prime(i)
-        stale = cand is not None and cand == last
-        last = cand
-        new = _modular_kernel(introws if stale else pivot_rows, ncols, p)
+        new = _modular_kernel(introws if spans_less else pivot_rows, ncols, p)
         if new[0] < shape:
-            if not stale:
+            if not spans_less:
                 new = _modular_kernel(introws, ncols, p)
-            (shape, pivot_rows, kred), m, last = new, p, None
-        elif new[0] == shape:
+            (shape, pivot_rows, kred), m = new, p
+        elif new[0] == shape and not spans_less:
             kred, m = _crt(kred, m, new[2], p), m * p
 
 

@@ -360,13 +360,29 @@ def test_entries_above_2_to_the_600(solver_calls):
 
 def test_first_prime_that_divides_a_pivot_forces_a_restart(solver_calls):
     """The second row minus the first is 2^61 - 1 at column 1: the first
-    prime sees rank 1 and keeps one pivot row, whose kernel lifts but fails
-    the check twice in a row, unchanged; all rows are then eliminated again
-    at a fresh prime, which sees rank 2."""
+    prime sees rank 1 and keeps one pivot row, whose kernel lifts and
+    annihilates that row but not the other; all rows are then eliminated
+    again at the next prime, which sees rank 2."""
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + _P0}]
     assert nullspace_sparse_q(rows, 3) == [{2: Fraction(1)}]
-    p1, p2 = linalg._prime(1), linalg._prime(2)
-    assert solver_calls["eliminations"] == [(_P0, 2), (p1, 1), (p2, 2)]
+    assert solver_calls["eliminations"] == [(_P0, 2), (linalg._prime(1), 2)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_prime_that_divides_a_whole_pivot_row_is_not_combined(solver_calls, k):
+    """Mod 2^61 - 1 the rows a = q(1, 1, 0) and b agree, so a alone is the
+    pivot row, whose kernel annihilates a but not b; mod the k-th prime q,
+    a vanishes and b reads (1, 2, 0), of the same shape as a.  A kernel of
+    b mod q combined with kernels of a would never lift.  All rows are
+    eliminated at the primes after the first until one shows rank 2: at
+    k = 1 that skips q, at k = 2 the second prime ends it before q."""
+    q = linalg._prime(k)
+    b0, b1 = (q + _P0 * ((1 - q) * pow(_P0, -1, q) % q),
+              q + _P0 * ((2 - q) * pow(_P0, -1, q) % q))
+    assert (b0 - q) % _P0 == (b1 - q) % _P0 == 0 and (b0 % q, b1 % q) == (1, 2)
+    assert nullspace_sparse_q([{0: q, 1: q}, {0: b0, 1: b1}], 3) == [{2: Fraction(1)}]
+    full = [(linalg._prime(i), 2) for i in range(3)]
+    assert solver_calls["eliminations"] == (full if k == 1 else full[:2])
 
 
 def test_later_prime_with_a_rank_drop_is_skipped(solver_calls):

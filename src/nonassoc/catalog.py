@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb
 
+from .kantor import u2_e_basis
 from .scalars import QQ, DomainError
 from .structure import Algebra, StructureTensor
 from .varieties import minus_algebra
@@ -106,9 +107,7 @@ def _m8():
                     row[j] = row.get(j, Fraction(0)) + 1
                 if i == j:
                     row[k] = row.get(k, Fraction(0)) - 1
-                row = {a: c for a, c in row.items() if c}
-                if row:
-                    table[(i, j, k)] = row
+                table[(i, j, k)] = row
     form = [[Fraction(1 if a == b else 0) for b in range(8)] for a in range(8)]
     return Algebra("M8", 8, {"mul": StructureTensor(8, 3, table, QQ)}, QQ, form=form)
 
@@ -136,9 +135,7 @@ def _ternary_jordan(n, form):
                 row[i] = row.get(i, Fraction(0)) + form[j][k]
                 row[j] = row.get(j, Fraction(0)) + form[i][k]
                 row[k] = row.get(k, Fraction(0)) + form[i][j]
-                row = {a: c for a, c in row.items() if c}
-                if row:
-                    table[(i, j, k)] = row
+                table[(i, j, k)] = row
     return Algebra(f"ternaryJordan({n})", n,
                    {"mul": StructureTensor(n, 3, table, QQ)}, QQ, form=form)
 
@@ -354,11 +351,6 @@ def _a_alpha_entry(params):
     return _a_alpha(params.get("alpha", 1), arity)
 
 
-def _u2e(params):
-    from .kantor import u2_e_basis
-    return u2_e_basis()
-
-
 # name -> (the parameter names the entry takes, builder of the params dict)
 _ENTRIES = {
     "abelian": (("n",), lambda p: _abelian(_require_n(p))),
@@ -382,7 +374,7 @@ _ENTRIES = {
     "A_alpha": (("alpha", "arity"), _a_alpha_entry),
     "tp4": ((), lambda p: _tp4()),
     "gp2": ((), lambda p: _gp2()),
-    "U2e": ((), _u2e),
+    "U2e": ((), lambda p: u2_e_basis()),
     "zinbiel-free1": (("n",), lambda p: _zinbiel_free1(_require_n(p, 2))),
 }
 CATALOG_NAMES = list(_ENTRIES)

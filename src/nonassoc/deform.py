@@ -9,9 +9,11 @@ identities, B2 by coboundaries f(xy).
 
 from __future__ import annotations
 
-from .identities import check_identity, parse_identity, polarize, term_vars
+from .identities import (check_identity, linear_conditions, parse_identity, polarize,
+                         term_vars)
+from .invariants import annihilator_subspace, structure_report
 from .linalg import Subspace, is_invertible, kernel
-from .operators import derivation_space, linear_conditions
+from .operators import derivation_space
 from .scalars import QQ, QT, DomainError, RatFunc
 from .structure import Algebra, StructureTensor, change_basis, need
 from .varieties import BINARY_VARIETIES, VARIETY_ALIASES, variety_identities
@@ -67,7 +69,6 @@ def degeneration_verify(A, B, g):
 
 def invariant_profile(A, op=None):
     """Invariants consumed by the degeneration obstruction rule set."""
-    from .invariants import structure_report
     rep = structure_report(A, op=op)
     om = {"*": op or A.op_names()[0]}
     return {
@@ -140,18 +141,10 @@ def central_extension(A, theta, op=None):
     n, s = A.dim, theta.s
     if theta.n != n:
         raise DomainError("cocycle dimension mismatch")
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            row = {k: c for k, c in t.basis_product((i, j)).items()}
-            for a, c in enumerate(theta.value(i, j)):
-                if not dom.is_zero(c):
-                    row[n + a] = c
-            if row:
-                table[(i, j)] = row
-    ext = Algebra(f"{A.name}+F^{s}", n + s,
-                  {opn: StructureTensor(n + s, 2, table, dom)}, dom)
-    from .invariants import annihilator_subspace
+    cocycle = {(i, j): {n + a: c for a, c in enumerate(theta.value(i, j))}
+               for i in range(n) for j in range(n)}
+    product = StructureTensor(n + s, 2, t.table, dom).add(StructureTensor(n + s, 2, cocycle, dom))
+    ext = Algebra(f"{A.name}+F^{s}", n + s, {opn: product}, dom)
     ann = annihilator_subspace(ext, "two_sided", op=opn)
     meet_a = ann.intersect(Subspace([ext.basis_vector(a) for a in range(n)], n + s, dom))
     report = {"V_in_annihilator": all(ann.contains_vector(ext.basis_vector(n + a))

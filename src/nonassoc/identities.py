@@ -23,8 +23,8 @@ multiple of the exact value.  Three entry points drive it:
   It visits one tuple per orbit of the variable permutations the compiled
   law is proven invariant under (``_scan``), such as the copies of a
   polarized variable: C(n+2, 3)·n tuples instead of n^4 for Jordan;
-* ``operators.linear_conditions`` plugs in linear forms for an unknown map
-  and turns a law linear in it into integer rows of a linear system;
+* ``linear_conditions`` plugs in linear forms for an unknown map and turns
+  a law linear in it into integer rows of a linear system;
 * ``law_table`` divides by the multiple and returns the exact table of a
   multilinear law: ``structure.change_basis``, the Kantor product, the
   plus/minus functors, ``M7`` and the transposed-Poisson obstructions.
@@ -750,6 +750,120 @@ def law_table(A, identity, opmap, unary_maps=None):
     return {combo: {i: exact(c, scale) for i, c in row.items()}
             for combo, total in _totals(A, combos, nodes, specs, top_coef)
             if (row := prune(total))}
+
+
+def linear_conditions(A, terms, variables, unknowns):
+    """(rows, scale): the rows of a law linear in its unknowns at every basis
+    tuple, and the factor they carry.
+
+    * ``terms`` is a list of (coefficient, term) pairs in the term format
+      above: ("v", name) or (symbol, (child, ...)).  A symbol is either a
+      key of ``unknowns`` or the name of one of A's operations.
+    * Every term contains exactly one unknown, and the children of an
+      unknown contain none, so the law is linear in the unknowns.
+    * ``unknowns`` maps each unknown symbol of arity k to (output dimension,
+      column function).  The column function takes (output coordinate, basis
+      index of argument 1, ..., basis index of argument k) and returns the
+      column of that unknown coefficient.  A map D is unary into A, a
+      bilinear form theta is binary into F (output dimension 1), an unknown
+      element c is nullary.
+    * The law is evaluated at every basis tuple of ``variables`` (in
+      ``itertools.product`` order).  The result is (rows, scale): rows maps
+      (basis tuple, output coordinate) to a sparse row {column:
+      coefficient}; zero rows are left out, and keys run tuple-major,
+      coordinate-ascending.
+    * Over Q the coefficients are Python ints: every row is one positive
+      ``scale`` per call times the exact row (``scale`` clears the
+      denominators of the tables and of the term coefficients).  Over GF(p)
+      they are residues in [1, p), over other domains elements of the
+      domain, and ``scale`` is 1.  ``linalg.kernel``, the one solver entry
+      point, takes the rows as they are; a consumer needing exact values
+      divides by its own call's scale.
+
+    The terms are compiled into one DAG of distinct subterms (``_compile``)
+    and evaluated by ``_totals``.  A subterm without the unknown has a
+    sparse vector as value; the unknown and the nodes above it have a
+    linear form {coordinate: {column: coefficient}}.  Every node missing a
+    variable is cached per basis tuple of its own variables (so the
+    unknown's form, D(x) say, is built once per x): at most #nodes x
+    dim^(k-1) entries for k variables, freed on return.
+    """
+    lcm, convert, prune, _, _ = _scan_domain(A.dom)
+    if any(sum(sym in unknowns for sym, _ in _op_nodes(t)) != 1 for _, t in terms):
+        raise DomainError("every term needs exactly one unknown")
+    syms = {sym for _, t in terms for sym, _ in _op_nodes(t)} - set(unknowns)
+    tables = {sym: _scan_table(A, sym, {sym: sym}, None, lcm, convert) for sym in syms}
+    nodes, specs, top_coef, scale, _ = _compile(A, terms, variables, tables)
+
+    linear = []
+    for nid, (sym, kids, _) in enumerate(nodes):
+        linear.append(sym in unknowns or any(linear[k] for k in kids))
+        if sym in unknowns:
+            specs[nid] = (_add_unknown, unknowns[sym], _as_is) + specs[nid][3:]
+        elif linear[nid]:
+            s = next(i for i, k in enumerate(kids) if linear[k])
+            index = {}   # (arguments other than slot s) -> [(slot-s argument, output row)]
+            for idx, row in tables[sym][0].items():
+                index.setdefault(idx[:s] + idx[s + 1:], []).append((idx[s], row))
+            specs[nid] = (_add_product, (index, s), _as_is) + specs[nid][3:]
+
+    rows = {}
+    combos = itertools.product(range(A.dim), repeat=len(variables))
+    for combo, total in _totals(A, combos, nodes, specs, top_coef, _merge_form):
+        for r in sorted(total):
+            row = prune(total[r])
+            if row:
+                rows[(combo, r)] = row
+    return rows, scale
+
+
+def _as_is(form):
+    """The stored value of a linear form: the form itself, zeros and all
+    (rows are pruned once, when they are complete)."""
+    return form
+
+
+def _add_unknown(data, args, out, coef, one):
+    """Add coef times the form of an unknown at its (constant) arguments to
+    the form ``out``: one column per coordinate and support index tuple of
+    the arguments."""
+    dim, col = data
+    for idx in itertools.product(*args):
+        f = coef
+        for v, i in zip(args, idx):
+            f = f * v[i]
+        for r in range(dim):
+            tgt = out.setdefault(r, {})
+            j = col(r, *idx)
+            tgt[j] = tgt.get(j, 0) + f
+
+
+def _add_product(data, args, out, coef, one):
+    """Add coef times an operation at one linear form (slot s) and constant
+    vectors (the other slots) to the form ``out``."""
+    index, s = data
+    form = args[s]
+    others = args[:s] + args[s + 1:]
+    for idx in itertools.product(*others):
+        f0 = coef
+        for v, i in zip(others, idx):
+            f0 = f0 * v[i]
+        for a, row in index.get(idx, ()):
+            fa = form.get(a)
+            if fa:
+                for r, c in row.items():
+                    f = f0 * c
+                    tgt = out.setdefault(r, {})
+                    for j, x in fa.items():
+                        tgt[j] = tgt.get(j, 0) + f * x
+
+
+def _merge_form(total, form, coef):
+    """Add coef times the linear form ``form`` to ``total``."""
+    for r, row in form.items():
+        tgt = total.setdefault(r, {})
+        for j, x in row.items():
+            tgt[j] = tgt.get(j, 0) + coef * x
 
 
 def symbolic_check(A, identity, opmap=None):

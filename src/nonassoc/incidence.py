@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from .identities import Identity, check_identity
 from .linalg import identity_matrix, kernel, mat_eq, mat_mul
-from .operators import multiplication_operator
 from .poisson import check_poisson_family
 from .scalars import GF, QQ, DomainError
-from .structure import Algebra, StructureTensor, check_keys, is_int, need
+from .structure import (Algebra, StructureTensor, check_keys, is_int, multiplication_operator,
+                        need)
 
 
 class Poset:
@@ -225,12 +225,7 @@ def sigma_bracket(P, sigma, dom=QQ):
     """B(f,g)(x,y) = sigma(x,y) [f,g](x,y) for x<y, zero on the diagonal."""
     strict = P.strict_pairs()
     _, br = _sigma_tables(P)
-    table = {}
-    for key in sorted(br):
-        k, s, sign = br[key]
-        c = sigma.values[strict[s]]
-        if not dom.is_zero(c):
-            table[key] = {k: dom.zero() + c if sign > 0 else dom.zero() - c}
+    table = {key: {k: sigma.values[strict[s]] * sign} for key, (k, s, sign) in sorted(br.items())}
     return StructureTensor(len(P.pairs()), 2, table, dom)
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 import random
 
+from .identities import linear_conditions
 from .linalg import (Subspace, generic_rank, kernel, linear_pencil, mat_mul, mat_sub,
                      rank, seeded_points)
-from .operators import linear_conditions, multiplication_operator
 from .scalars import QQ, DomainError, PolyRing
-from .structure import Algebra, StructureTensor
+from .structure import Algebra, StructureTensor, multiplication_operator
 
 SAMPLE_SEED = 20240803
 EXTRA_SAMPLES = 40   # random candidates for the witness of characteristic_sequence
@@ -70,19 +70,14 @@ def commutative_center_subspace(A, op=None):
     return _element_laws_kernel(A, [[(1, (opn, (z, x))), (-1, (opn, (x, z)))]])
 
 
-def structure_report(A, op=None, grading=None, grading_modulus=None):
-    """Power filtration, derived series, annihilators, center, verdicts.
-
-    grading: optional list of (degree, Subspace) parts; the report then says
-    whether products of homogeneous parts land in the sum-degree part.
-    """
-    t = A.op(op)
-    if t.arity != 2:
+def _powers(A, op):
+    """The power filtration [A, A^2, ...], ending at zero when A is
+    nilpotent."""
+    if A.op(op).arity != 2:
         raise DomainError("structure_report needs a binary operation")
     dom = A.dom
     n = A.dim
-    full = Subspace([A.basis_vector(i) for i in range(n)], n, dom)
-    powers = [full]
+    powers = [Subspace([A.basis_vector(i) for i in range(n)], n, dom)]
     # A^k = sum_{i+j=k} A^i A^j; the sequence is weakly decreasing, but a
     # single plateau is not provably stationary, so stop only at zero, at a
     # three-step plateau of equal subspaces, or at a generous depth cap
@@ -97,6 +92,18 @@ def structure_report(A, op=None, grading=None, grading_modulus=None):
             break
         if len(powers) >= 3 and powers[-1] == powers[-2] == powers[-3]:
             break
+    return powers
+
+
+def structure_report(A, op=None, grading=None, grading_modulus=None):
+    """Power filtration, derived series, annihilators, center, verdicts.
+
+    grading: optional list of (degree, Subspace) parts; the report then says
+    whether products of homogeneous parts land in the sum-degree part.
+    """
+    powers = _powers(A, op)
+    n = A.dim
+    full = powers[0]
     power_dims = [p.dim for p in powers]
     nilpotent = power_dims[-1] == 0
     nilpotency_index = len(power_dims) if nilpotent else None
@@ -194,46 +201,30 @@ def _jordan_type_nilpotent(M, dom, n):
 def characteristic_sequence(A, op=None):
     """C(A) = lex-max over x in A \\ A^2 of the Jordan type of R_x.
 
-    The generic Jordan type is computed exactly from certified ranks over
-    Q(x) (``linalg.generic_rank``) for moderate dimensions; a rational
-    witness attaining it is then produced by structured + random sampling.
-    The lex maximum is the generic type (ranks of powers are generically
-    maximal).
+    The lex maximum is the generic Jordan type (ranks of powers are
+    generically maximal).  Over Q it is computed exactly from certified
+    ranks over Q(x) (``linalg.generic_rank``), and the witness is the first
+    of the basis vectors and EXTRA_SAMPLES seeded samples outside A^2 that
+    attains it, or None.  Over GF(p) the sequence is the lex maximum over
+    those candidates, with the first that attains it.
     """
-    rep = structure_report(A, op=op)
-    if not rep["nilpotent"]:
+    powers = _powers(A, op)
+    if powers[-1].dim:
         raise DomainError("characteristic sequence needs a nilpotent algebra")
     dom = A.dom
     n = A.dim
-    t = A.op(op)
-    sq = _product_subspace(A, [A.basis_vector(i) for i in range(n)],
-                           [A.basis_vector(i) for i in range(n)], op)
-    if sq.dim == n:
-        raise DomainError("A \\ A^2 is empty")
-    best = None
-    best_x = None
     rng = random.Random(SAMPLE_SEED)
     candidates = [A.basis_vector(i) for i in range(n)]
     for _ in range(EXTRA_SAMPLES):
         candidates.append([dom.from_int(rng.randint(-9, 9)) for _ in range(n)])
-    for x in candidates:
-        if sq.contains_vector(x):
-            continue
-        M = multiplication_operator(A, (x,), op)
-        jt = _jordan_type_nilpotent(M, dom, n)
-        if best is None or jt > best:
-            best = jt
-            best_x = x
-    if best is None:
-        raise DomainError("no element outside A^2 found")
-    if dom is QQ and n <= 7:
-        sym = _symbolic_jordan_type(A, op)
-        if sym > best:
-            # generic type strictly better: the sampler missed it (would be
-            # measure-zero bad luck); report the symbolic type without witness
-            best = sym
-            best_x = None
-    return {"sequence": list(best), "witness": best_x}
+    types = ((x, _jordan_type_nilpotent(multiplication_operator(A, (x,), op), dom, n))
+             for x in candidates if not powers[1].contains_vector(x))
+    if dom is QQ:
+        best = _symbolic_jordan_type(A, op)
+        witness = next((x for x, jt in types if jt == best), None)
+    else:
+        witness, best = max(types, key=lambda pair: pair[1])
+    return {"sequence": list(best), "witness": witness}
 
 
 def _symbolic_jordan_type(A, op):
@@ -272,60 +263,34 @@ def standard_embedding(T, op=None):
     Closure of [L, L] inside L is verified; it holds whenever T satisfies the
     3-Leibniz identity and is reported as an error otherwise.
     """
-    t = T.op(op)
-    if t.arity != 3:
+    if T.op(op).arity != 3:
         raise DomainError("standard embedding needs a ternary operation")
     dom = T.dom
     n = T.dim
-    ad_mats = {}
-    for x in range(n):
-        for y in range(n):
-            M = [[dom.zero()] * n for _ in range(n)]
-            nz = False
-            for z in range(n):
-                for k, c in t.basis_product((x, y, z)).items():
-                    M[k][z] = c
-                    nz = True
-            if nz:
-                ad_mats[(x, y)] = M
-    flat = [[x for row in M for x in row] for M in ad_mats.values()]
-    Lspace = Subspace(flat, n * n, dom)
+    ad = {(x, y): multiplication_operator(T, (x, y), op, slot=2)
+          for x in range(n) for y in range(n)}
+    Lspace = Subspace([[c for row in M for c in row] for M in ad.values()], n * n, dom)
     s = Lspace.dim
     Lbasis = [[[v[i * n + j] for j in range(n)] for i in range(n)]
               for v in Lspace.basis]
 
+    def coords(M, failure):
+        vec = Lspace.coordinates(c for row in M for c in row)
+        if vec is None:
+            raise DomainError(failure)
+        return dict(enumerate(vec))
+
     dim = s + n
     table = {}
-    for a in range(s):
-        for b in range(s):
-            comm = mat_sub(mat_mul(Lbasis[a], Lbasis[b], dom),
-                           mat_mul(Lbasis[b], Lbasis[a], dom))
-            coords = Lspace.coordinates(x for row in comm for x in row)
-            if coords is None:
-                raise DomainError("[L, L] does not close inside L")
-            row = {k: c for k, c in enumerate(coords) if not dom.is_zero(c)}
-            if row:
-                table[(a, b)] = row
-    for a in range(s):
+    for a, D in enumerate(Lbasis):
+        for b, E in enumerate(Lbasis):
+            table[(a, b)] = coords(mat_sub(mat_mul(D, E, dom), mat_mul(E, D, dom)),
+                                   "[L, L] does not close inside L")
         for w in range(n):
-            col = [Lbasis[a][i][w] for i in range(n)]
-            row = {s + k: c for k, c in enumerate(col) if not dom.is_zero(c)}
-            if row:
-                table[(a, s + w)] = row
-            row = {s + k: -c for k, c in enumerate(col) if not dom.is_zero(c)}
-            if row:
-                table[(s + w, a)] = row
-    for z in range(n):
-        for w in range(n):
-            M = ad_mats.get((z, w))
-            if M is None:
-                continue
-            coords = Lspace.coordinates(x for row in M for x in row)
-            if coords is None:
-                raise DomainError("ad(z,w) escapes L (inconsistent basis)")
-            row = {k: c for k, c in enumerate(coords) if not dom.is_zero(c)}
-            if row:
-                table[(s + z, s + w)] = row
+            table[(a, s + w)] = {s + k: D[k][w] for k in range(n)}
+            table[(s + w, a)] = {s + k: -D[k][w] for k in range(n)}
+    for (z, w), M in ad.items():
+        table[(s + z, s + w)] = coords(M, "ad(z,w) escapes L (inconsistent basis)")
     emb = Algebra(f"{T.name}-embedding", dim,
                   {"mul": StructureTensor(dim, 2, table, dom)}, dom)
     emb.l_dim = s

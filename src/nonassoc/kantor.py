@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .identities import Identity, law_table
+from .identities import Identity, law_table, linear_conditions
 from .linalg import Subspace, inverse, kernel, solve
-from .operators import linear_conditions, multiplication_operator
 from .scalars import QQ, DomainError
-from .structure import Algebra, StructureTensor, change_basis
+from .structure import Algebra, StructureTensor, change_basis, multiplication_operator
 
 
 # [[A,B]](x,y) = L(B(x,y)) - B(Lx, y) - B(x, Ly) with the unary map L = A(u, .)
@@ -58,29 +57,6 @@ def alpha_index(i, j, k, n):
     return ((i - 1) * n + (j - 1)) * n + (k - 1)
 
 
-def _tensor_from_vector(vec, n, dom):
-    """A vector in U(n)-coordinates as a multiplication on V_n."""
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            row = {}
-            for k in range(n):
-                c = vec[alpha_index(i + 1, j + 1, k + 1, n)]
-                if not dom.is_zero(c):
-                    row[k] = c
-            if row:
-                table[(i, j)] = row
-    return StructureTensor(n, 2, table, dom)
-
-
-def _vector_from_tensor(t, n, dom):
-    vec = [dom.zero()] * n ** 3
-    for (i, j), row in t.table.items():
-        for k, c in row.items():
-            vec[alpha_index(i + 1, j + 1, k + 1, n)] = c
-    return vec
-
-
 def build_U(n, u_index=0):
     """The conservative algebra U(n) of all multiplications on V_n.
 
@@ -103,10 +79,8 @@ def build_U(n, u_index=0):
     for a in range(dim):
         for b in range(dim):
             prod = kantor_product(basis_tensors[a], basis_tensors[b], u_index)
-            vec = _vector_from_tensor(prod, n, dom)
-            row = {k: c for k, c in enumerate(vec) if not dom.is_zero(c)}
-            if row:
-                table[(a, b)] = row
+            table[(a, b)] = {alpha_index(i + 1, j + 1, k + 1, n): c
+                             for (i, j), row in prod.table.items() for k, c in row.items()}
     A = Algebra(f"U({n})", dim, {"mul": StructureTensor(dim, 2, table, dom)}, dom)
     A.meta_u_index = u_index
     return A
@@ -291,12 +265,8 @@ def conservativity_test(A, op=None):
     null, answers = _conservativity(A, op)
     particular = None
     if None not in answers.values():
-        table = {}
-        for ab, s in answers.items():
-            row = {k: c for k, c in enumerate(s) if not dom.is_zero(c)}
-            if row:
-                table[ab] = row
-        particular = StructureTensor(n, 2, table, dom)
+        particular = StructureTensor(n, 2, {ab: dict(enumerate(s)) for ab, s in answers.items()},
+                                     dom)
     swapped = StructureTensor(n, 2, {(j, i): row for (i, j), row in t.table.items()}, dom)
     star = t.scale(Fraction(2, 3)).add(swapped.scale(Fraction(1, 3)))
     return ConservativityReport(particular is not None, particular, null,

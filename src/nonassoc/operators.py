@@ -1,47 +1,22 @@
 """Linear operator-space solvers: derivations and their many relatives.
 
 Each solver writes its defining law as term trees, turns the law into an
-exact linear system with ``linear_conditions`` and returns a canonical basis
-of the solution space.  Over Q the integer rows go straight into the
-verified mod-p fast path in ``linalg``; over GF(p) they are eliminated mod p
-itself.
-
-``linear_conditions(A, terms, variables, unknowns)`` contract:
-
-* ``terms`` is a list of (coefficient, term) pairs in the ``identities``
-  term format: ("v", name) or (symbol, (child, ...)).  A symbol is either a
-  key of ``unknowns`` or the name of one of A's operations.
-* Every term contains exactly one unknown, and the children of an unknown
-  contain none, so the law is linear in the unknowns.
-* ``unknowns`` maps each unknown symbol of arity k to (output dimension,
-  column function).  The column function takes (output coordinate, basis
-  index of argument 1, ..., basis index of argument k) and returns the
-  column of that unknown coefficient.  A map D is unary into A, a bilinear
-  form theta is binary into F (output dimension 1), an unknown element c
-  is nullary.
-* The law is evaluated at every basis tuple of ``variables`` (in
-  ``itertools.product`` order).  The result is (rows, scale): rows maps
-  (basis tuple, output coordinate) to a sparse row {column: coefficient};
-  zero rows are left out, and keys run tuple-major, coordinate-ascending.
-* Over Q the coefficients are Python ints: every row is one positive
-  ``scale`` per call times the exact row (``scale`` clears the
-  denominators of the tables and of the term coefficients).  Over GF(p)
-  they are residues in [1, p), over other domains elements of the domain,
-  and ``scale`` is 1.  ``linalg.kernel``, the one solver entry point,
-  takes the rows as they are; a consumer needing exact values divides by
-  its own call's scale.
+exact linear system with ``identities.linear_conditions`` and returns a
+canonical basis of the solution space.  Over Q the integer rows go straight
+into the verified mod-p fast path in ``linalg``; over GF(p) they are
+eliminated mod p itself.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
-from .identities import _compile, _op_nodes, _scan_domain, _scan_table, _totals
+from .identities import linear_conditions
 from .linalg import (Subspace, generic_rank, kernel, linear_pencil, mat_mul,
                      mat_sub, mat_vec, seeded_points, sparse_rows)
 from .scalars import QQ, DomainError
+from .structure import multiplication_operator
 from .varieties import check_variety, minus_algebra
 
 SAMPLE_SEED = 20240801
@@ -126,97 +101,6 @@ class TupleOperatorSpace:
                 f"tuples of {self.tuple_len})")
 
 
-def linear_conditions(A, terms, variables, unknowns):
-    """(rows, scale): the rows of a law linear in its unknowns at every basis
-    tuple, and the factor they carry.  See the module docstring.
-
-    The terms are compiled into one DAG of distinct subterms and evaluated
-    by the loop of the identity scan (``identities._compile`` and
-    ``_totals``).  A subterm without the unknown has a sparse vector as
-    value; the unknown and the nodes above it have a linear form
-    {coordinate: {column: coefficient}}.  Every node missing a variable is
-    cached per basis tuple of its own variables (so the unknown's form, D(x)
-    say, is built once per x): at most #nodes x dim^(k-1) entries for k
-    variables, freed on return.
-    """
-    lcm, convert, prune, _, _ = _scan_domain(A.dom)
-    if any(sum(sym in unknowns for sym, _ in _op_nodes(t)) != 1 for _, t in terms):
-        raise DomainError("every term needs exactly one unknown")
-    syms = {sym for _, t in terms for sym, _ in _op_nodes(t)} - set(unknowns)
-    tables = {sym: _scan_table(A, sym, {sym: sym}, None, lcm, convert) for sym in syms}
-    nodes, specs, top_coef, scale, _ = _compile(A, terms, variables, tables)
-
-    linear = []
-    for nid, (sym, kids, _) in enumerate(nodes):
-        linear.append(sym in unknowns or any(linear[k] for k in kids))
-        if sym in unknowns:
-            specs[nid] = (_add_unknown, unknowns[sym], _as_is) + specs[nid][3:]
-        elif linear[nid]:
-            s = next(i for i, k in enumerate(kids) if linear[k])
-            index = {}   # (arguments other than slot s) -> [(slot-s argument, output row)]
-            for idx, row in tables[sym][0].items():
-                index.setdefault(idx[:s] + idx[s + 1:], []).append((idx[s], row))
-            specs[nid] = (_add_product, (index, s), _as_is) + specs[nid][3:]
-
-    rows = {}
-    combos = itertools.product(range(A.dim), repeat=len(variables))
-    for combo, total in _totals(A, combos, nodes, specs, top_coef, _merge_form):
-        for r in sorted(total):
-            row = prune(total[r])
-            if row:
-                rows[(combo, r)] = row
-    return rows, scale
-
-
-def _as_is(form):
-    """The stored value of a linear form: the form itself, zeros and all
-    (rows are pruned once, when they are complete)."""
-    return form
-
-
-def _add_unknown(data, args, out, coef, one):
-    """Add coef times the form of an unknown at its (constant) arguments to
-    the form ``out``: one column per coordinate and support index tuple of
-    the arguments."""
-    dim, col = data
-    for idx in itertools.product(*args):
-        f = coef
-        for v, i in zip(args, idx):
-            f = f * v[i]
-        for r in range(dim):
-            tgt = out.setdefault(r, {})
-            j = col(r, *idx)
-            tgt[j] = tgt.get(j, 0) + f
-
-
-def _add_product(data, args, out, coef, one):
-    """Add coef times an operation at one linear form (slot s) and constant
-    vectors (the other slots) to the form ``out``."""
-    index, s = data
-    form = args[s]
-    others = args[:s] + args[s + 1:]
-    for idx in itertools.product(*others):
-        f0 = coef
-        for v, i in zip(others, idx):
-            f0 = f0 * v[i]
-        for a, row in index.get(idx, ()):
-            fa = form.get(a)
-            if fa:
-                for r, c in row.items():
-                    f = f0 * c
-                    tgt = out.setdefault(r, {})
-                    for j, x in fa.items():
-                        tgt[j] = tgt.get(j, 0) + f * x
-
-
-def _merge_form(total, form, coef):
-    """Add coef times the linear form ``form`` to ``total``."""
-    for r, row in form.items():
-        tgt = total.setdefault(r, {})
-        for j, x in row.items():
-            tgt[j] = tgt.get(j, 0) + coef * x
-
-
 def _map_columns(n, offset=0):
     """Column function of an unknown n x n matrix D: entry D[r][a]."""
     return lambda r, a: offset + r * n + a
@@ -263,32 +147,6 @@ def centroid(A, op=None):
         rows += linear_conditions(A, terms, _variables(m),
                                   {"<D>": (n, _map_columns(n))})[0].values()
     return OperatorSpace(n, kernel(rows, n * n, A.dom), "centroid")
-
-
-def multiplication_operator(A, fixed, op=None, slot=0):
-    """Matrix of a -> t(x_1, ..., a, ..., x_m), a in argument ``slot``.
-
-    The fixed arguments fill the other slots in order; each is a basis
-    index or a vector.  slot 0 gives right multiplication a -> a x for a
-    binary t, slot 1 left multiplication a -> x a.
-    """
-    t = A.op(op)
-    dom = A.dom
-    n = A.dim
-    fixed_vecs = []
-    for f in fixed:
-        if isinstance(f, int):
-            v = {f: dom.one()}
-        else:
-            v = {i: dom.coerce(c) for i, c in enumerate(f)
-                 if not dom.is_zero(dom.coerce(c))}
-        fixed_vecs.append(v)
-    M = [[dom.zero()] * n for _ in range(n)]
-    for a in range(n):
-        args = fixed_vecs[:slot] + [{a: dom.one()}] + fixed_vecs[slot:]
-        for k, c in t.apply_sparse(args).items():
-            M[k][a] = c
-    return M
 
 
 def generalized_derivation_space(A, mode="full", op=None):
@@ -364,7 +222,6 @@ def _tuple_commutators(space):
         for j, c in vec.items():
             mat.setdefault(j // n, {})[j % n] = c
         mats.append(mat)
-    prune = _scan_domain(space.dom)[2]
     out = []
     for i, a in enumerate(mats):
         for b in mats[i + 1:]:
@@ -375,7 +232,7 @@ def _tuple_commutators(space):
                     for k, u in xrow.items():
                         for c, v in y.get(slot + k, {}).items():
                             comm[r * n + c] = comm.get(r * n + c, 0) + sign * u * v
-            out.append(prune(comm))
+            out.append({j: c for j, c in comm.items() if c})
     return out
 
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .identities import Identity, check_identity, law_table, parse_identity
+from .identities import Identity, check_identity, law_table, linear_conditions, parse_identity
 from .linalg import kernel
-from .operators import derivation_space, linear_conditions, multiplication_operator
+from .operators import derivation_space
 from .scalars import QQ, DomainError, Poly, PolyRing
-from .structure import Algebra, StructureTensor, check_keys, is_int, need
+from .structure import (Algebra, StructureTensor, check_keys, is_int, multiplication_operator,
+                        need)
 from .varieties import check_variety
 
 _AXIOMS = {
@@ -165,10 +166,7 @@ def transposed_compatible_space(L, op=None):
     for v in kernel(rows, nunk, dom).basis:
         table = {}
         for (i, j), a in pidx.items():
-            row = {k: v[a * n + k] for k in range(n) if not dom.is_zero(v[a * n + k])}
-            if row:
-                table[(i, j)] = dict(row)
-                table[(j, i)] = dict(row)
+            table[(i, j)] = table[(j, i)] = {k: v[a * n + k] for k in range(n)}
         basis_tensors.append(StructureTensor(n, 2, table, dom))
     obstructions = _associativity_obstructions(basis_tensors, n)
     return {"basis": basis_tensors, "dim": len(basis_tensors),

@@ -411,6 +411,27 @@ class RatFunc:
         return f"({side(self.num)})/({side(self.den)})"
 
 
+# the largest degree of a power b^k in a Q(t) expression, |k| times the
+# degree of b (a constant counting as degree 1, as its size grows with k too)
+MAX_POWER_DEGREE = 1000
+
+
+def _power(base, k, text):
+    """base^k by repeated squaring; DomainError when |k| times the degree of
+    base exceeds MAX_POWER_DEGREE."""
+    degree = max(len(base.num), len(base.den), 2) - 1
+    if abs(k) * degree > MAX_POWER_DEGREE:
+        raise DomainError(f"a power in {text!r} exceeds degree {MAX_POWER_DEGREE}")
+    out, e = RatFunc.const(1), abs(k)
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out if k >= 0 else RatFunc.const(1) / out
+
+
 _RF_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|t|\^|\*|/|\+|-|\(|\))")
 
 
@@ -463,17 +484,7 @@ def parse_ratfunc(text):
             if etok is None or not etok.isdigit():
                 raise DomainError(f"bad exponent in {text!r}")
             take()
-            k = sign * int(etok)
-            if k >= 0:
-                out = RatFunc.const(1)
-                for _ in range(k):
-                    out = out * v
-                v = out
-            else:
-                out = RatFunc.const(1)
-                for _ in range(-k):
-                    out = out * v
-                v = RatFunc.const(1) / out
+            v = _power(v, sign * int(etok), text)
         return v
 
     def factor():

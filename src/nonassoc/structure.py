@@ -184,6 +184,32 @@ class Algebra:
         return f"Algebra({self.name!r}, dim={self.dim}, ops=[{ops}])"
 
 
+def multiplication_operator(A, fixed, op=None, slot=0):
+    """Matrix of a -> t(x_1, ..., a, ..., x_m), a in argument ``slot``.
+
+    The fixed arguments fill the other slots in order; each is a basis
+    index or a vector.  slot 0 gives right multiplication a -> a x for a
+    binary t, slot 1 left multiplication a -> x a.
+    """
+    t = A.op(op)
+    dom = A.dom
+    n = A.dim
+    fixed_vecs = []
+    for f in fixed:
+        if isinstance(f, int):
+            v = {f: dom.one()}
+        else:
+            v = {i: dom.coerce(c) for i, c in enumerate(f)
+                 if not dom.is_zero(dom.coerce(c))}
+        fixed_vecs.append(v)
+    M = [[dom.zero()] * n for _ in range(n)]
+    for a in range(n):
+        args = fixed_vecs[:slot] + [{a: dom.one()}] + fixed_vecs[slot:]
+        for k, c in t.apply_sparse(args).items():
+            M[k][a] = c
+    return M
+
+
 def change_basis(A, P):
     """Group action (P * mu)(x1,...,xm) = P mu(P^-1 x1, ..., P^-1 xm).
 
@@ -191,7 +217,7 @@ def change_basis(A, P):
     table is the law table (``identities.law_table``) of
     P(mu(Q x0, ..., Q x_{m-1})) with Q = P^-1.
     """
-    from .identities import Identity, law_table   # identities imports this module
+    from .identities import Identity, law_table   # cycle: identities imports this module
     dom = A.dom
     P = [[dom.coerce(x) for x in row] for row in P]
     if len(P) != A.dim or any(len(r) != A.dim for r in P):

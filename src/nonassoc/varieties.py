@@ -10,11 +10,14 @@ cross-checked against the conservativity route.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 from .identities import Identity, check_identity, law_table, parse_identity
+from .kantor import conservativity_test
+from .linalg import is_invertible, mat_mul, mat_sub
 from .scalars import DomainError
-from .structure import Algebra, StructureTensor
+from .structure import Algebra, StructureTensor, multiplication_operator
 
 # identity texts for the binary varieties (meaning: each expression = 0)
 BINARY_VARIETIES = {
@@ -182,7 +185,7 @@ def check_variety(A, name, op=None, phi=None):
     automorphism required by hom-leibniz-3 (a dense matrix).
     """
     name = VARIETY_ALIASES.get(name, name)
-    m_ary = __import__("re").fullmatch(r"(\d+)-(lie|leibniz)", name)
+    m_ary = re.fullmatch(r"(\d+)-(lie|leibniz)", name)
     if m_ary:
         want = int(m_ary.group(1))
         if A.op(op).arity != want:
@@ -214,7 +217,6 @@ def check_variety(A, name, op=None, phi=None):
                 report["failures"].append(wit)
         holds = not report["failures"]
         if name == "terminal":
-            from .kantor import conservativity_test
             cons = conservativity_test(A, op=op)
             report["conservativity_terminal"] = cons.terminal
             if cons.terminal != holds:
@@ -233,14 +235,13 @@ def check_variety(A, name, op=None, phi=None):
                 report["preconditions"].append("not totally commutative")
                 report["holds"] = False
                 return report
-        from .operators import derivation_space, multiplication_operator
+        from .operators import derivation_space   # cycle: operators imports this module
         der = derivation_space(A, delta=1, op=op or A.op_names()[0])
         holds = True
         for left in itertools.product(range(A.dim), repeat=m - 1):
             R1 = multiplication_operator(A, left, op=op)
             for right in itertools.product(range(A.dim), repeat=m - 1):
                 R2 = multiplication_operator(A, right, op=op)
-                from .linalg import mat_mul, mat_sub
                 comm = mat_sub(mat_mul(R1, R2, A.dom), mat_mul(R2, R1, A.dom))
                 if not der.contains_matrix(comm):
                     holds = False
@@ -275,7 +276,6 @@ def check_variety(A, name, op=None, phi=None):
 
 
 def _is_automorphism(A, phi, op=None):
-    from .linalg import is_invertible
     if not is_invertible(phi, A.dom):
         return False
     xs = tuple(("v", f"x{i}") for i in range(A.op(op).arity))

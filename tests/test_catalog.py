@@ -1,9 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from nonassoc.catalog import CATALOG_NAMES, catalog_get
+from nonassoc.catalog import CATALOG_NAMES, _cd_conj_sign, catalog_get, cd_basis_mul
 from nonassoc.scalars import DomainError
 from nonassoc.varieties import check_variety
 
@@ -167,3 +168,54 @@ def test_catalog_names_all_constructible():
     for name in CATALOG_NAMES:
         A = catalog_get(name, params.get(name, {}))
         assert A.dim >= 1
+
+
+def _m8_table_reference():
+    """The M8 table as built before StructureTensor dropped the zeros."""
+    table = {}
+    for i in range(8):
+        for j in range(8):
+            s1, mid = cd_basis_mul(i, j, 8)
+            s1 *= _cd_conj_sign(j)
+            for k in range(8):
+                row = {}
+                s2, out = cd_basis_mul(mid, k, 8)
+                row[out] = row.get(out, Fraction(0)) + s1 * s2
+                if j == k:
+                    row[i] = row.get(i, Fraction(0)) - 1
+                if i == k:
+                    row[j] = row.get(j, Fraction(0)) + 1
+                if i == j:
+                    row[k] = row.get(k, Fraction(0)) - 1
+                row = {a: c for a, c in row.items() if c}
+                if row:
+                    table[(i, j, k)] = row
+    return table
+
+
+def _ternary_jordan_table_reference(n, form):
+    """The ternaryJordan table as built before StructureTensor dropped the
+    zeros."""
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                row = {}
+                row[i] = row.get(i, Fraction(0)) + form[j][k]
+                row[j] = row.get(j, Fraction(0)) + form[i][k]
+                row[k] = row.get(k, Fraction(0)) + form[i][j]
+                row = {a: c for a, c in row.items() if c}
+                if row:
+                    table[(i, j, k)] = row
+    return table
+
+
+def test_m8_and_ternary_jordan_match_reference():
+    assert catalog_get("M8").op().table == _m8_table_reference()
+    rng = random.Random(4)
+    form = [[0] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(a, 4):
+            form[a][b] = form[b][a] = Fraction(rng.randint(-2, 2))
+    A = catalog_get("ternaryJordan", {"n": 4, "form": form})
+    assert A.op().table == _ternary_jordan_table_reference(4, form)

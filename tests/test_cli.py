@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -187,6 +188,23 @@ def test_identity_with_copy_named_variables(tmp_path, capsys):
     assert run(["identity", "eval", sl2, "--identity", "(x*x)*(x1*x1)"]) == 0
     assert capsys.readouterr().err == ""
 
+
+def test_huge_ratfunc_power_in_a_certificate_exits_2_at_once(tmp_path):
+    """A certificate entry t^99999999 is refused by the degree bound on Q(t)
+    powers, so ``degen verify`` answers exit 2 at once instead of
+    multiplying 99999999 times."""
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps([["t^99999999", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]))
+    sl2 = _write(tmp_path, "sl2")
+    argv = ["degen", "verify", "--from", sl2, "--to", sl2, "--cert", str(cert)]
+    proc = subprocess.run([sys.executable, "-m", "nonassoc.cli"] + argv,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "exceeds degree" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) == 2
+    assert time.perf_counter() - start < 1
 
 def test_json_flag_after_subcommand(tmp_path, capsys):
     sl2 = _write(tmp_path, "sl2")

@@ -9,7 +9,7 @@ from nonassoc.deform import (Cocycle, central_extension, certificate_from_json,
                              degeneration_obstruction, degeneration_verify,
                              invariant_profile)
 from nonassoc.identities import check_identity, parse_identity
-from nonassoc.scalars import DomainError, RatFunc
+from nonassoc.scalars import GF, DomainError, RatFunc
 from nonassoc.structure import Algebra, change_basis
 from nonassoc.varieties import check_variety
 
@@ -255,3 +255,37 @@ def test_coboundaries_give_split_extensions():
                 P[n][i] = -f[i]
             moved = change_basis(ext, P)
             assert moved.op("mul") == split.op("mul")
+
+
+def _extension_table_reference(A, theta):
+    """The extension's table as built before it was A's table plus the
+    cocycle's tensor: one loop over basis pairs, zeros filtered by hand."""
+    t = A.op()
+    dom = A.dom
+    n = A.dim
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            row = {k: c for k, c in t.basis_product((i, j)).items()}
+            for a, c in enumerate(theta.value(i, j)):
+                if not dom.is_zero(c):
+                    row[n + a] = c
+            if row:
+                table[(i, j)] = row
+    return table
+
+
+@pytest.mark.parametrize("name, params", [("sl2", {}), ("heis3", {}), ("abelian", {"n": 3})])
+@pytest.mark.parametrize("p", [None, 7])
+def test_central_extension_table_matches_reference(name, params, p):
+    rng = random.Random(f"{name} {p}")
+    A = catalog_get(name, params)
+    if p is not None:
+        dom = GF(p)
+        A = Algebra(A.name, A.dim, {k: t.map_domain(dom, dom.coerce) for k, t in A.ops.items()},
+                    dom)
+    for s in (1, 2):
+        theta = Cocycle([[[rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)]) for _ in range(A.dim)]
+                          for _ in range(A.dim)] for _ in range(s)], A.dom)
+        ext, _ = central_extension(A, theta)
+        assert ext.op().table == _extension_table_reference(A, theta)

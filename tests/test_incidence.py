@@ -607,3 +607,27 @@ def test_sigma_tilde_rejects_non_transitive():
     assert not check_higher_transitive(P, bad)[0]
     with pytest.raises(DomainError):
         sigma_tilde(A, bad)
+
+
+def _sigma_bracket_reference(P, sigma, dom):
+    """sigma_bracket as built before StructureTensor dropped the zeros: each
+    entry filtered by hand and signed through dom.zero()."""
+    strict = P.strict_pairs()
+    _, br = incidence._sigma_tables(P)
+    table = {}
+    for key in sorted(br):
+        k, s, sign = br[key]
+        c = sigma.values[strict[s]]
+        if not dom.is_zero(c):
+            table[key] = {k: dom.zero() + c if sign > 0 else dom.zero() - c}
+    return table
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(5)])
+def test_sigma_bracket_matches_reference(dom):
+    rng = random.Random(dom.name)
+    for P in all_posets_up_to(4):
+        for _ in range(3):
+            sigma = SigmaMap(P, {q: rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)])
+                                 for q in P.strict_pairs()}, dom)
+            assert sigma_bracket(P, sigma, dom).table == _sigma_bracket_reference(P, sigma, dom)

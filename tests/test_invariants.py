@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from nonassoc import invariants
 from nonassoc.catalog import catalog_get
 from nonassoc.invariants import (characteristic_sequence,
                                  multiplicative_basis_check,
                                  standard_embedding, structure_report,
                                  verify_grading)
-from nonassoc.linalg import Subspace, is_invertible
+from nonassoc.linalg import Subspace, is_invertible, mat_mul, mat_sub
 from nonassoc.scalars import QQ, DomainError
-from nonassoc.structure import Algebra, StructureTensor, change_basis
+from nonassoc.structure import Algebra, StructureTensor, change_basis, multiplication_operator
 
 
 def test_structure_report_examples():
@@ -169,3 +170,87 @@ def test_grading_check_ternary():
 def test_embedding_requires_ternary():
     with pytest.raises(DomainError):
         standard_embedding(catalog_get("sl2"))
+
+
+def _embedding_reference(T):
+    """(table, l_dim) of the standard embedding as built before its ad(x, y)
+    came from ``multiplication_operator``: the ad matrices and every row
+    filtered by hand, zero ad matrices left out."""
+    t = T.op()
+    dom = T.dom
+    n = T.dim
+    ad_mats = {}
+    for x in range(n):
+        for y in range(n):
+            M = [[dom.zero()] * n for _ in range(n)]
+            nz = False
+            for z in range(n):
+                for k, c in t.basis_product((x, y, z)).items():
+                    M[k][z] = c
+                    nz = True
+            if nz:
+                ad_mats[(x, y)] = M
+    flat = [[x for row in M for x in row] for M in ad_mats.values()]
+    Lspace = Subspace(flat, n * n, dom)
+    s = Lspace.dim
+    Lbasis = [[[v[i * n + j] for j in range(n)] for i in range(n)]
+              for v in Lspace.basis]
+    table = {}
+    for a in range(s):
+        for b in range(s):
+            comm = mat_sub(mat_mul(Lbasis[a], Lbasis[b], dom),
+                           mat_mul(Lbasis[b], Lbasis[a], dom))
+            coords = Lspace.coordinates(x for row in comm for x in row)
+            row = {k: c for k, c in enumerate(coords) if not dom.is_zero(c)}
+            if row:
+                table[(a, b)] = row
+    for a in range(s):
+        for w in range(n):
+            col = [Lbasis[a][i][w] for i in range(n)]
+            row = {s + k: c for k, c in enumerate(col) if not dom.is_zero(c)}
+            if row:
+                table[(a, s + w)] = row
+            row = {s + k: -c for k, c in enumerate(col) if not dom.is_zero(c)}
+            if row:
+                table[(s + w, a)] = row
+    for z in range(n):
+        for w in range(n):
+            M = ad_mats.get((z, w))
+            if M is None:
+                continue
+            coords = Lspace.coordinates(x for row in M for x in row)
+            row = {k: c for k, c in enumerate(coords) if not dom.is_zero(c)}
+            if row:
+                table[(s + z, s + w)] = row
+    return table, s
+
+
+@pytest.mark.parametrize("name, params", [("A_n", {"n": 3}), ("D", {"dim": 4}),
+                                          ("D2", {}), ("M8", {})])
+def test_standard_embedding_matches_reference(name, params):
+    T = catalog_get(name, params)
+    emb = standard_embedding(T)
+    table, s = _embedding_reference(T)
+    assert emb.op("mul").table == table
+    assert emb.l_dim == s and emb.dim == s + T.dim
+    degrees = [0] * s + [1] * T.dim
+    assert [(d, sub.basis) for d, sub in emb.grading] == [
+        (d, [emb.basis_vector(k) for k in range(emb.dim) if degrees[k] == d]) for d in (0, 1)]
+
+
+def test_characteristic_sequence_is_certified_in_any_dimension(monkeypatch):
+    """NF(4) + NF(4): every basis vector has Jordan type (4, 1, 1, 1, 1), so
+    without samples no candidate reaches the generic type (4, 4).  The
+    certified type is reported, with no witness."""
+    nf4 = catalog_get("NF", {"n": 4}).op().table
+    table = {(i + o, j + o): {k + o: c for k, c in row.items()}
+             for o in (0, 4) for (i, j), row in nf4.items()}
+    A = Algebra("NF4+NF4", 8, {"mul": StructureTensor(8, 2, table, QQ)}, QQ)
+    monkeypatch.setattr(invariants, "EXTRA_SAMPLES", 0)
+    assert characteristic_sequence(A) == {"sequence": [4, 4], "witness": None}
+    # with samples, the first sample outside A^2 of the generic type is the witness
+    monkeypatch.setattr(invariants, "EXTRA_SAMPLES", 40)
+    res = characteristic_sequence(A)
+    assert res["sequence"] == [4, 4]
+    M = multiplication_operator(A, (res["witness"],))
+    assert invariants._jordan_type_nilpotent(M, QQ, 8) == (4, 4)

@@ -7,7 +7,7 @@ import pytest
 from nonassoc import kantor
 from nonassoc.catalog import catalog_get
 from nonassoc.identities import Identity, eval_identity_sparse
-from nonassoc.kantor import (U2_E_TABLE, associated_product_check, build_U,
+from nonassoc.kantor import (U2_E_TABLE, alpha_index, associated_product_check, build_U,
                              conservativity_test, jacobi_element_space,
                              kantor_product, kantor_square, quasi_unit_space,
                              u2_e_basis, u2_subalgebra)
@@ -17,6 +17,30 @@ from nonassoc.scalars import GF, QQ, DomainError
 from nonassoc.structure import Algebra, StructureTensor, change_basis
 from nonassoc.varieties import check_variety
 from test_linalg import _dense_solve  # the dense reference solve
+
+
+def _tensor_from_vector(vec, n, dom):
+    """A vector in U(n)-coordinates as a multiplication on V_n."""
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            row = {}
+            for k in range(n):
+                c = vec[alpha_index(i + 1, j + 1, k + 1, n)]
+                if not dom.is_zero(c):
+                    row[k] = c
+            if row:
+                table[(i, j)] = row
+    return StructureTensor(n, 2, table, dom)
+
+
+def _vector_from_tensor(t, n, dom):
+    """A multiplication on V_n as a vector in U(n)-coordinates."""
+    vec = [dom.zero()] * n ** 3
+    for (i, j), row in t.table.items():
+        for k, c in row.items():
+            vec[alpha_index(i + 1, j + 1, k + 1, n)] = c
+    return vec
 
 
 def test_u2_matches_printed_table():
@@ -242,7 +266,6 @@ def test_u2_conservative_with_published_associated_product():
     rep = conservativity_test(A)
     assert rep.feasible
     # the published associated multiplication: (A * B)(x,y) = -B(u, A(x,y))
-    from nonassoc.kantor import _tensor_from_vector, _vector_from_tensor
     n = 2
     basis_tensors = []
     for a in range(8):
@@ -263,7 +286,6 @@ def test_u2_conservative_with_published_associated_product():
                             out[(i, j, k)] = -c
             vec = [Fraction(0)] * 8
             for (i, j, k), c in out.items():
-                from nonassoc.kantor import alpha_index
                 vec[alpha_index(i + 1, j + 1, k + 1, n)] = c
             row = {k: c for k, c in enumerate(vec) if c}
             if row:
@@ -277,8 +299,6 @@ def test_u2_second_published_associated_product():
     A nabla^2 B = 1/3 (A^sigma Delta_u B + B~ Delta_u A) with
     A^sigma(x,y) = A(x,y) + A(y,x) and B~(x,y) = 2B(y,x) - B(x,y))
     satisfies the conservativity equation under the same orientation."""
-    from nonassoc.kantor import (_tensor_from_vector, _vector_from_tensor,
-                                 kantor_product)
     A = build_U(2, 0)
     n = 2
     basis = []
@@ -524,3 +544,22 @@ def test_dense_route_cases_cover_both_verdicts():
         seen.add((A.dom.char or 0, rep.feasible))
         seen.add(("terminal", rep.terminal))
     assert seen >= {(0, True), (0, False), (5, True), (5, False), ("terminal", True)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_build_u_matches_dense_round_trip(n):
+    """U(n) reads each Kantor product from its table; the former build went
+    through the dense U(n)-coordinate vector and filtered the zeros."""
+    basis = []
+    for a in range(n ** 3):
+        vec = [Fraction(0)] * n ** 3
+        vec[a] = Fraction(1)
+        basis.append(_tensor_from_vector(vec, n, QQ))
+    table = {}
+    for a in range(n ** 3):
+        for b in range(n ** 3):
+            vec = _vector_from_tensor(kantor_product(basis[a], basis[b], 0), n, QQ)
+            row = {k: c for k, c in enumerate(vec) if c}
+            if row:
+                table[(a, b)] = row
+    assert build_U(n).op("mul").table == table

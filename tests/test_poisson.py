@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nonassoc.catalog import catalog_get
+from nonassoc.identities import linear_conditions
 from nonassoc.poisson import (CustomaryIdentity, check_poisson_family,
                               customary_check, derived_map_d,
                               half_derivation_link_test,
@@ -12,7 +13,7 @@ from nonassoc.poisson import (CustomaryIdentity, check_poisson_family,
                               transposed_compatible_space)
 from nonassoc.scalars import QQ, DomainError, Poly, PolyRing
 from nonassoc.structure import Algebra, StructureTensor, change_basis
-from nonassoc.linalg import Subspace, is_invertible
+from nonassoc.linalg import Subspace, is_invertible, kernel
 
 
 def _dim2_transposed():
@@ -442,3 +443,36 @@ def test_half_derivation_link_on_found_instances():
             assert ok
             found += 1
     assert found > 3
+
+
+
+def _compatible_basis_reference(L, op):
+    """The basis products of ``transposed_compatible_space`` as built
+    before StructureTensor dropped the zeros: rows filtered by hand."""
+    n = L.dim
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    pidx = {p: a for a, p in enumerate(pairs)}
+    dot = {"<dot>": (n, lambda r, i, j: pidx[(i, j) if i <= j else (j, i)] * n + r)}
+    x, y, z = ("v", "x"), ("v", "y"), ("v", "z")
+    terms = [(2, ("<dot>", (z, (op, (x, y))))),
+             (-1, (op, (("<dot>", (z, x)), y))),
+             (-1, (op, (x, ("<dot>", (z, y)))))]
+    conds, _ = linear_conditions(L, terms, ("x", "y", "z"), dot)
+    rows = [row for ((i, j, _), _), row in conds.items() if i <= j]
+    tables = []
+    for v in kernel(rows, len(pairs) * n, L.dom).basis:
+        table = {}
+        for (i, j), a in pidx.items():
+            row = {k: v[a * n + k] for k in range(n) if not L.dom.is_zero(v[a * n + k])}
+            if row:
+                table[(i, j)] = dict(row)
+                table[(j, i)] = dict(row)
+        tables.append(table)
+    return tables
+
+
+@pytest.mark.parametrize("name", ["sl2", "heis3"])
+def test_transposed_compatible_basis_matches_reference(name):
+    L = catalog_get(name)
+    basis = transposed_compatible_space(L)["basis"]
+    assert [S.table for S in basis] == _compatible_basis_reference(L, L.op_names()[0])

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from nonassoc.scalars import (GF, QQ, QT, DomainError, PolyRing,
+from nonassoc.scalars import (GF, MAX_POWER_DEGREE, QQ, QT, DomainError, PolyRing,
                               RatFunc, _is_prime, parse_ratfunc)
 
 
@@ -65,6 +65,27 @@ def test_ratfunc_parse_and_arith():
     x = parse_ratfunc("(t^2 - 1)/(t - 1)")
     assert x == t + 1  # reduced
 
+
+
+def test_ratfunc_powers_equal_their_products():
+    t = RatFunc.t_power(1)
+    one = RatFunc.const(1)
+    assert parse_ratfunc("(t+1)^3") == (t + 1) * (t + 1) * (t + 1)
+    assert parse_ratfunc("t^-2") == one / (t * t)
+    assert parse_ratfunc("(2/t)^-3") == one / ((2 / t) * (2 / t) * (2 / t))
+    assert parse_ratfunc("(t^2+1)^0") == one
+    assert parse_ratfunc(f"t^{MAX_POWER_DEGREE}") == RatFunc.t_power(MAX_POWER_DEGREE)
+
+
+@pytest.mark.parametrize("text", [
+    "t^99999999", f"t^{MAX_POWER_DEGREE + 1}", f"t^-{MAX_POWER_DEGREE + 1}",
+    f"(t^2+1)^{MAX_POWER_DEGREE // 2 + 1}", f"(1/(t^3+t))^{MAX_POWER_DEGREE // 3 + 1}",
+    f"2^{MAX_POWER_DEGREE + 1}"])
+def test_ratfunc_power_above_the_degree_bound_is_refused(text):
+    """|k| times the degree of the base (a constant counting as 1) above
+    MAX_POWER_DEGREE is refused before any multiplication."""
+    with pytest.raises(DomainError, match="exceeds degree"):
+        parse_ratfunc(text)
 
 @pytest.mark.parametrize("parse, text", [
     (QQ.coerce, "abc"), (QQ.coerce, "1/0"), (QQ.coerce, ""),

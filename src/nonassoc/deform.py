@@ -9,7 +9,7 @@ identities, B2 by coboundaries f(xy).
 
 from __future__ import annotations
 
-from .identities import (check_identity, linear_conditions, parse_identity, polarize,
+from .identities import (check_identity, law_rows, parse_identity, polarize,
                          term_vars)
 from .invariants import annihilator_subspace, structure_report
 from .linalg import Subspace, is_invertible, kernel
@@ -188,7 +188,7 @@ def cocycle_space(A, variety, s=1, op=None):
         for lin in polarize(ident, char=dom.char or 0):
             terms = [(c, ("<theta>", tuple(in_A(ch) for ch in term[1])))
                      for c, term in lin.terms]
-            rows += linear_conditions(A, terms, lin.variables, theta)[0].values()
+            rows += law_rows(A, terms, lin.variables, theta)[0]
     Z2 = kernel(rows, n * n, dom)
     # coboundaries: theta = f(xy) for the coordinate functionals f
     B2 = Subspace([[t.basis_product((i, j)).get(k, dom.zero())

@@ -2,29 +2,41 @@
 
 Terms are trees; identities are stored fully expanded as lists of
 (coefficient, term) pairs with the associator macro already eliminated.
-Identities are split into multihomogeneous components and fully polarized,
-then each component is scanned over basis tuples; this is exact over
-domains of characteristic zero (or larger than the degree).
+Identities are split into multihomogeneous components and fully polarized
+(at most ``MAX_POLARIZATION_COPIES`` term copies), then each component is
+scanned over basis tuples; this is exact over domains of characteristic
+zero (or larger than the degree).
 
 Every value of a law at basis tuples comes from one loop, ``_totals``: the
-law is compiled once (``_compile``) into a DAG of its distinct subterms,
-with x*y and y*x one node when the operation's table is symmetric; a
+law is compiled once (``_compile``) into a DAG of its distinct subterms.
+An operation whose table is exactly symmetric or antisymmetric, of any
+arity, has its arguments keyed in sorted order, so x*y and y*x are one node
+(with sign -1 on a skew table, folded into the term's coefficient).  A
 subterm missing some of the k variables is cached per basis tuple of its
 own variables (at most #nodes x dim^(k-1) entries, freed with the loop), so
 only the products holding every variable are formed per tuple.  Over Q the
 loop runs in Python ints: tables and unary maps are scaled by the lcm of
 their denominators and terms weighted to match, so each total is one fixed
-multiple of the exact value.  Three entry points drive it:
+multiple of the exact value.  The compiled DAG also proves which runs of
+adjacent variables the law is symmetric or antisymmetric in
+(``_symmetric_runs``), such as the copies of a polarized variable or the
+arguments of a Lie or n-Lie bracket; permuting such a run maps the law's
+value to +-1 times itself.  Four entry points drive the loop:
 
 * ``check_identity`` takes the first tuple with a nonzero total; it checks
   every law the library checks on basis tuples (varieties, the
   Poisson-type axioms with D(a) = {a,1} as the unary map D, customary
   identities, higher derivations, the hom-Leibniz automorphism condition).
-  It visits one tuple per orbit of the variable permutations the compiled
-  law is proven invariant under (``_scan``), such as the copies of a
-  polarized variable: C(n+2, 3)·n tuples instead of n^4 for Jordan;
-* ``linear_conditions`` plugs in linear forms for an unknown map and turns
-  a law linear in it into integer rows of a linear system;
+  It visits one tuple per orbit of the proven runs (``_scan``): C(n+2, 3)·n
+  tuples instead of n^4 for Jordan, and only strictly increasing ones on
+  an antisymmetric run;
+* ``law_rows`` plugs in linear forms for an unknown map and turns a law
+  linear in it into integer rows of a linear system at one tuple per
+  orbit, with the kernel of the rows at every tuple: every operator space,
+  the cocycle, transposed-product and annihilator systems;
+* ``linear_conditions`` gives the same rows at every tuple, keyed by tuple
+  and coordinate, for the systems ``linalg.solve`` solves against
+  right-hand sides built elsewhere (Kantor's K and double brackets);
 * ``law_table`` divides by the multiple and returns the exact table of a
   multilinear law: ``structure.change_basis``, the Kantor product, the
   plus/minus functors, ``M7`` and the transposed-Poisson obstructions.
@@ -37,6 +49,7 @@ evaluator.  They serve only the witness defect of ``check_identity``,
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 import operator
@@ -49,6 +62,11 @@ from .structure import Algebra, add_products
 
 class ParseError(ValueError):
     pass
+
+
+# the most term copies ``polarize`` builds for one identity: 7!, one
+# variable of degree 7 (a Jordan-type check of that size takes seconds)
+MAX_POLARIZATION_COPIES = 5040
 
 
 # a term is ("v", name) or (opsym, (child, child, ...))
@@ -327,7 +345,9 @@ def polarize(identity, char=0):
     input is only split (a basis-tuple scan is exact on each
     multihomogeneous component, not on a sum of them), and comes back as a
     copy with scale 1 when it has one component; the input is never
-    modified.
+    modified.  An identity needing more than ``MAX_POLARIZATION_COPIES``
+    copies (the sum over its terms of the product of d! over the degrees d
+    of its variables) raises ``DomainError`` before any copy is built.
     """
     groups = {}
     for c, t in identity.terms:
@@ -343,6 +363,11 @@ def polarize(identity, char=0):
     if char and char <= total_degree and not multilinear:
         raise DomainError(
             f"polarization needs characteristic 0 or > {total_degree}, got {char}")
+    copies = sum(math.prod(map(math.factorial, prof)) * len(terms)
+                 for prof, terms in groups.items())
+    if not multilinear and copies > MAX_POLARIZATION_COPIES:
+        raise DomainError(f"polarization would build {copies} term copies, above the "
+                          f"bound {MAX_POLARIZATION_COPIES}")
     out = []
     for prof, terms in sorted(groups.items()):
         comp = Identity(terms, identity.signature)
@@ -522,33 +547,72 @@ def _scan_table(A, sym, opmap, unary_maps, lcm, convert):
             for args, row in table.items() if row}, m
 
 
-def _compile_term(term, nodes, ids, positions, commutative):
-    """Add term and its subterms to the DAG ``nodes``; return its node id.
+def _node_key(sym, ids, signs, marks):
+    """(key, sign) of a node of operation sym over children with node ids
+    ``ids`` times ``signs``: the subterm is sign times the node keyed (sym,
+    child ids).  The sign is the product of the children's signs; when sym
+    is marked (``_marks``) the child ids are sorted, and for an
+    antisymmetric sym the sign also takes the sorting permutation's sign
+    (the parity of its inversions)."""
+    sign = math.prod(signs)
+    mark = marks.get(sym)
+    if mark is None:
+        return (sym, ids), sign
+    if mark < 0 and sum(a > b for a, b in itertools.combinations(ids, 2)) % 2:
+        sign = -sign
+    return (sym, tuple(sorted(ids))), sign
+
+
+def _compile_term(term, nodes, ids, positions, marks):
+    """Add term and its subterms to the DAG ``nodes``; return (id, sign): the
+    term is sign times the node.
 
     A node is (opsym or None for a variable, child ids, sorted positions of
     the variables it contains).  ``ids`` maps a node's key, (None, position)
-    or (opsym, child ids), to its id, so equal subterms share one node and
-    children precede their parents.  A node of an operation in
-    ``commutative`` is keyed under both child orders, so x*y and y*x share
-    one node too.
+    or (opsym, child ids) from ``_node_key``, to its id, so equal subterms
+    share one node and children precede their parents.  The children of an
+    operation marked symmetric or antisymmetric are keyed in sorted order,
+    so x*y and y*x share one node too, with sign -1 on a skew table.
     """
     if term[0] == "v":
-        key = (None, positions[term[1]])
+        key, sign = (None, positions[term[1]]), 1
     else:
-        key = (term[0], tuple(_compile_term(c, nodes, ids, positions, commutative)
-                              for c in term[1]))
+        kids = [_compile_term(c, nodes, ids, positions, marks) for c in term[1]]
+        key, sign = _node_key(term[0], tuple([k for k, _ in kids]), [s for _, s in kids], marks)
     nid = ids.get(key)
     if nid is None:
         sym, kids = key
         if sym is None:
-            node = (None, (), (key[1],))
+            node = (None, (), (kids,))
         else:
             node = (sym, kids, tuple(sorted({p for k in kids for p in nodes[k][2]})))
-            if sym in commutative:
-                ids[(sym, kids[::-1])] = len(nodes)
         nid = ids[key] = len(nodes)
         nodes.append(node)
-    return nid
+    return nid, sign
+
+
+def _marks(tables, prune):
+    """{symbol: 1 or -1} for the operations of two or more arguments whose
+    scan-form table is symmetric (1) or antisymmetric (-1): every adjacent
+    transposition of the arguments maps every entry to itself, or to its
+    negation.  Each entry is checked, up to the first mismatch.  Symmetry is
+    tried first, so in characteristic 2, where -c = c, an antisymmetric
+    table is symmetric."""
+    marks = {}
+    for sym, (table, _) in tables.items():
+        arity = len(next(iter(table), ()))
+        if arity < 2:
+            continue
+        swaps = [operator.itemgetter(*range(i), i + 1, i, *range(i + 2, arity))
+                 for i in range(arity - 1)]
+        for sign in (1, -1):
+            if all(table.get(swap(args)) == image
+                   for args, row in table.items()
+                   for image in (row if sign > 0 else prune({k: -c for k, c in row.items()}),)
+                   for swap in swaps):
+                marks[sym] = sign
+                break
+    return marks
 
 
 def _compile(A, terms, variables, tables):
@@ -556,30 +620,31 @@ def _compile(A, terms, variables, tables):
 
     ``tables`` maps each operation symbol to (scan-form table, factor) from
     ``_scan_table``; other symbols (unknowns of ``linear_conditions``) have
-    factor 1.  An operation whose table is exactly symmetric in its two
-    arguments is commutative: its products in either order are one node.  A
-    node's scan-form value is its exact value times its weight, the product
-    of the factors in its subterm.  Each coefficient is divided by its
-    term's weight and the quotients cleared of denominators by ``scale``, so
-    the scan-form sum is ``scale`` times the exact sum (scale 1 outside Q).
-    Returns (nodes, specs, top_coef, scale, ids): ``specs[nid]`` is (add,
-    data, finish, child ids, cache, key).  ``add(data, args, out, coef,
-    one)`` adds coef times the node's value at its children's values
-    ``args`` to ``out`` (``structure.add_products`` with data the table;
-    None for a variable) and ``finish`` turns a fresh sum into the stored
-    value (``prune``).  ``cache`` is None for an operation node holding
-    every variable, else a dict keyed by ``key(combo)``, the basis indices
-    at its variables.  ``top_coef`` maps term nodes to coefficients and
-    ``ids`` node keys to node ids (``_compile_term``).
+    factor 1.  An operation whose table is exactly symmetric or
+    antisymmetric (``_marks``), of any arity, has its arguments keyed in
+    sorted order: its products in any order are one node, and the sign of
+    each term's node folds into the term's coefficient.  Terms that cancel
+    so are dropped, and a law left with no terms holds.  A node's scan-form
+    value is its exact value times its weight, the product of the factors
+    in its subterm.  Each coefficient is divided by its term's weight and
+    the quotients cleared of denominators by ``scale``, so the scan-form sum
+    is ``scale`` times the exact sum (scale 1 outside Q).  Returns (nodes,
+    specs, top_coef, scale, prove): ``specs[nid]`` is (add, data, finish,
+    child ids, cache, key).  ``add(data, args, out, coef, one)`` adds coef
+    times the node's value at its children's values ``args`` to ``out``
+    (``structure.add_products`` with data the table; None for a variable)
+    and ``finish`` turns a fresh sum into the stored value (``prune``).
+    ``cache`` is None for an operation node holding every variable, else a
+    dict keyed by ``key(combo)``, the basis indices at its variables.
+    ``top_coef`` maps term nodes to their nonzero coefficients, and
+    ``prove()`` returns the law's ``_symmetric_runs``.
     """
     dom = A.dom
     lcm, convert, prune, one, _ = _scan_domain(dom)
     positions = {v: p for p, v in enumerate(variables)}
-    commutative = {sym for sym, (table, _) in tables.items()
-                   if all(len(args) == 2 and table.get(args[::-1]) == row
-                          for args, row in table.items())}
+    marks = _marks(tables, prune)
     nodes, ids = [], {}
-    tops = [(c, _compile_term(t, nodes, ids, positions, commutative)) for c, t in terms]
+    tops = [(c, *_compile_term(t, nodes, ids, positions, marks)) for c, t in terms]
     weights = []
     for sym, kids, _ in nodes:
         w = tables[sym][1] if sym in tables else 1
@@ -587,12 +652,13 @@ def _compile(A, terms, variables, tables):
             w *= weights[k]
         weights.append(w)
     coeffs = [dom.coerce(c) if weights[nid] == 1 else dom.coerce(c) / weights[nid]
-              for c, nid in tops]
+              for c, nid, _ in tops]
     scale = lcm(coeffs)
     top_coef = {}
-    for c, (_, nid) in zip(coeffs, tops):
-        c = convert(c, scale)
+    for c, (_, nid, sign) in zip(coeffs, tops):
+        c = convert(c, scale) if sign > 0 else -convert(c, scale)
         top_coef[nid] = c if nid not in top_coef else top_coef[nid] + c
+    top_coef = prune(top_coef)
     k = len(variables)
     units = {i: {i: one} for i in range(A.dim)}
     specs = []
@@ -601,7 +667,8 @@ def _compile(A, terms, variables, tables):
         add = (add_products, tables[sym][0], prune) if sym in tables else (None, None, None)
         specs.append(add + (kids, None if full else units if sym is None else {},
                             operator.itemgetter(*pos) if pos else operator.itemgetter(slice(0))))
-    return nodes, specs, top_coef, scale, ids
+    return nodes, specs, top_coef, scale, functools.partial(
+        _symmetric_runs, nodes, ids, marks, top_coef, k, prune)
 
 
 def _value(nid, combo, specs, vals, one):
@@ -682,29 +749,58 @@ def _compile_law(A, identity, opmap, unary_maps):
     return prune, exact, _compile(A, identity.terms, identity.variables, tables)
 
 
-def _symmetric_runs(nodes, ids, top_coef, k):
-    """Lengths of the runs of adjacent variable positions that the law is
-    proven invariant under permuting, covering positions 0..k-1 in order.
+def _symmetric_runs(nodes, ids, marks, top_coef, k, prune):
+    """The runs of adjacent variable positions that the law is proven
+    symmetric or antisymmetric in, covering positions 0..k-1 in order, as
+    (length, kind) pairs: permuting a run multiplies the law by 1 (kind 1)
+    or by the permutation's sign (kind -1).
 
-    The swap of positions i and i+1 maps each node, bottom up, to the node
-    of its renamed subterm (looked up in ``ids``; None when the law has no
-    such node).  The law is invariant under the swap when every term node
-    goes to a term node of the same coefficient: the map is then a
-    bijection of the terms.  Adjacent transpositions generate every
-    permutation of a run.
+    The swap of positions i and i+1 maps each node, bottom up, to (id, sign)
+    of its renamed subterm, keyed by ``_node_key`` (id -1 when the law has
+    no such node).  So it maps the law sum c_n N_n to sum c_n s_n N_j(n).
+    The swap is symmetric when every term node n goes to a term node j(n)
+    of coefficient c_n s_n, and antisymmetric when that coefficient is
+    -c_n s_n: the map is then a bijection of the terms.  Symmetry is tried
+    first, so an antisymmetric swap has some c != -c: the characteristic is
+    not 2.  A run grows while its swaps are of its kind; adjacent
+    transpositions generate every permutation of a run, and a permutation's
+    sign is the parity of their number.
     """
-    runs = [1] if k else []
+    runs = [(1, 1)] if k else []
+    negated = prune({nid: -c for nid, c in top_coef.items()})
     for i in range(k - 1):
         swap = {i: i + 1, i + 1: i}
-        image = []
+        image, signs = [], []   # per node: the image's id (-1: none) and sign
         for sym, kids, pos in nodes:
-            image.append(ids.get((None, swap.get(pos[0], pos[0])) if sym is None
-                                 else (sym, tuple(image[c] for c in kids))))
-        if all(top_coef.get(image[nid]) == c for nid, c in top_coef.items()):
-            runs[-1] += 1
+            if sym is None:
+                j, sign = ids.get((None, swap.get(pos[0], pos[0])), -1), 1
+            else:
+                key, sign = _node_key(sym, tuple([image[c] for c in kids]),
+                                      [signs[c] for c in kids], marks)
+                j = ids.get(key, -1)
+            image.append(j)
+            signs.append(sign)
+        moved = prune({image[nid]: c if signs[nid] > 0 else -c for nid, c in top_coef.items()})
+        kind = 1 if moved == top_coef else -1 if moved == negated else None
+        length, run_kind = runs[-1]
+        if kind is not None and (length == 1 or kind == run_kind):
+            runs[-1] = (length + 1, kind)
         else:
-            runs.append(1)
+            runs.append((1, 1))
     return runs
+
+
+def _representatives(dim, runs):
+    """One basis tuple per orbit of the permutations of each run of
+    ``_symmetric_runs``, in lexicographic order: the tuples non-decreasing
+    on each symmetric run and strictly increasing on each antisymmetric one
+    (a tuple repeating an index there is its own negation, so its law is
+    0)."""
+    if all(length == 1 for length, _ in runs):
+        return itertools.product(range(dim), repeat=len(runs))
+    return (sum(parts, ()) for parts in itertools.product(
+        *[(itertools.combinations if kind < 0 else itertools.combinations_with_replacement)(
+            range(dim), length) for length, kind in runs]))
 
 
 def _scan(A, lin, opmap, unary_maps):
@@ -712,23 +808,19 @@ def _scan(A, lin, opmap, unary_maps):
     fails, or None.  Over Q the defect is computed in Python ints, a
     nonzero multiple of the exact one.
 
-    Only the tuples non-decreasing on each run of ``_symmetric_runs`` are
-    visited, in lexicographic order, and the answer is that of the scan of
-    every tuple.  Let t be the first failing tuple of that full scan.  The
-    law is invariant under permuting a run, so the failing tuples are closed
-    under sorting t on a run; the sorted tuple is lexicographically at most
-    t, and equal only when t is already sorted.  So t is non-decreasing on
-    every run, and it is the first failing tuple visited here.
+    Only the tuples of ``_representatives`` are visited, in lexicographic
+    order, and the answer is that of the scan of every tuple.  Let t be the
+    first failing tuple of that full scan.  Permuting a run of
+    ``_symmetric_runs`` multiplies the law by +-1, so the failing tuples
+    are closed under sorting t on a run; the sorted tuple is
+    lexicographically at most t, and equal only when t is already sorted.
+    So t is non-decreasing on every run.  On an antisymmetric run t repeats
+    no index: swapping two equal indices would give L(t) = -L(t), so
+    L(t) = 0 outside characteristic 2, where alone such runs are proven.
+    So t is visited, and it is the first failing tuple visited here.
     """
-    prune, _, (nodes, specs, top_coef, _, ids) = _compile_law(A, lin, opmap, unary_maps)
-    k = len(lin.variables)
-    runs = _symmetric_runs(nodes, ids, top_coef, k)
-    if len(runs) == k:
-        combos = itertools.product(range(A.dim), repeat=k)
-    else:
-        combos = (sum(parts, ()) for parts in itertools.product(
-            *[itertools.combinations_with_replacement(range(A.dim), r) for r in runs]))
-    for combo, total in _totals(A, combos, nodes, specs, top_coef):
+    prune, _, (nodes, specs, top_coef, _, prove) = _compile_law(A, lin, opmap, unary_maps)
+    for combo, total in _totals(A, _representatives(A.dim, prove()), nodes, specs, top_coef):
         if prune(total):
             return combo
     return None
@@ -754,7 +846,9 @@ def law_table(A, identity, opmap, unary_maps=None):
 
 def linear_conditions(A, terms, variables, unknowns):
     """(rows, scale): the rows of a law linear in its unknowns at every basis
-    tuple, and the factor they carry.
+    tuple, keyed by tuple and coordinate, and the factor they carry.  This
+    is the form ``linalg.solve`` needs, whose right-hand sides are built
+    elsewhere with the same keys; a kernel needs only ``law_rows``.
 
     * ``terms`` is a list of (coefficient, term) pairs in the term format
       above: ("v", name) or (symbol, (child, ...)).  A symbol is either a
@@ -788,33 +882,64 @@ def linear_conditions(A, terms, variables, unknowns):
     unknown's form, D(x) say, is built once per x): at most #nodes x
     dim^(k-1) entries for k variables, freed on return.
     """
+    rows, scale = _conditions(A, terms, variables, unknowns,
+                              lambda dim, k, prove: itertools.product(range(dim), repeat=k))
+    return dict(rows), scale
+
+
+def law_rows(A, terms, variables, unknowns):
+    """(rows, scale): a list of rows of a law linear in its unknowns whose
+    kernel is that of ``linear_conditions``, and the factor they carry.
+
+    The arguments, the rows and the scale are as in ``linear_conditions``,
+    but the law is evaluated only at one basis tuple per orbit of the
+    variable permutations it is proven symmetric or antisymmetric under
+    (``_representatives`` of its ``_symmetric_runs``; rows in the order of
+    those tuples, coordinate-ascending).  The row at a permuted tuple is
+    +-1 times a kept row, and a tuple repeating an index in an
+    antisymmetric run has zero rows, so the kernel is unchanged: Der of
+    Filippov's 8-dimensional 7-Lie algebra takes its rows at the 8 strictly
+    increasing tuples instead of 8^7.
+    """
+    rows, scale = _conditions(A, terms, variables, unknowns,
+                              lambda dim, k, prove: _representatives(dim, prove()))
+    return [row for _, row in rows], scale
+
+
+def _conditions(A, terms, variables, unknowns, tuples):
+    """(rows, scale): a generator of the keyed rows ((basis tuple,
+    coordinate), row) of ``linear_conditions`` at the basis tuples
+    ``tuples(dim, number of variables, prove)``, with ``prove`` from
+    ``_compile``, and their scale."""
     lcm, convert, prune, _, _ = _scan_domain(A.dom)
     if any(sum(sym in unknowns for sym, _ in _op_nodes(t)) != 1 for _, t in terms):
         raise DomainError("every term needs exactly one unknown")
     syms = {sym for _, t in terms for sym, _ in _op_nodes(t)} - set(unknowns)
     tables = {sym: _scan_table(A, sym, {sym: sym}, None, lcm, convert) for sym in syms}
-    nodes, specs, top_coef, scale, _ = _compile(A, terms, variables, tables)
+    nodes, specs, top_coef, scale, prove = _compile(A, terms, variables, tables)
 
-    linear = []
+    linear, indexes = [], {}
     for nid, (sym, kids, _) in enumerate(nodes):
         linear.append(sym in unknowns or any(linear[k] for k in kids))
         if sym in unknowns:
             specs[nid] = (_add_unknown, unknowns[sym], _as_is) + specs[nid][3:]
         elif linear[nid]:
             s = next(i for i, k in enumerate(kids) if linear[k])
-            index = {}   # (arguments other than slot s) -> [(slot-s argument, output row)]
-            for idx, row in tables[sym][0].items():
-                index.setdefault(idx[:s] + idx[s + 1:], []).append((idx[s], row))
-            specs[nid] = (_add_product, (index, s), _as_is) + specs[nid][3:]
+            if (sym, s) not in indexes:
+                # (arguments other than slot s) -> [(slot-s argument, output row)]
+                index = indexes[(sym, s)] = {}
+                for idx, row in tables[sym][0].items():
+                    index.setdefault(idx[:s] + idx[s + 1:], []).append((idx[s], row))
+            specs[nid] = (_add_product, (indexes[(sym, s)], s), _as_is) + specs[nid][3:]
 
-    rows = {}
-    combos = itertools.product(range(A.dim), repeat=len(variables))
-    for combo, total in _totals(A, combos, nodes, specs, top_coef, _merge_form):
-        for r in sorted(total):
-            row = prune(total[r])
-            if row:
-                rows[(combo, r)] = row
-    return rows, scale
+    def keyed_rows():
+        for combo, total in _totals(A, tuples(A.dim, len(variables), prove), nodes, specs,
+                                    top_coef, _merge_form):
+            for r in sorted(total):
+                row = prune(total[r])
+                if row:
+                    yield (combo, r), row
+    return keyed_rows(), scale
 
 
 def _as_is(form):

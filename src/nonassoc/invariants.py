@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .identities import linear_conditions
+from .identities import law_rows
 from .linalg import (Subspace, generic_rank, kernel, linear_pencil, mat_mul, mat_sub,
                      rank, seeded_points)
 from .scalars import QQ, DomainError, PolyRing
@@ -47,7 +47,7 @@ def _element_laws_kernel(A, laws):
     n = A.dim
     rows = []
     for terms in laws:
-        rows += linear_conditions(A, terms, ("x",), {"<z>": (n, lambda r: r)})[0].values()
+        rows += law_rows(A, terms, ("x",), {"<z>": (n, lambda r: r)})[0]
     return kernel(rows, n, A.dom)
 
 

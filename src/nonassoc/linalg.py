@@ -306,7 +306,7 @@ class Subspace:
 
 def _distinct_int_rows(sparse_rows):
     """The distinct nonzero rows as integer rows, in first-seen order.  Rows
-    of ints (those of ``identities.linear_conditions``) are taken as they
+    of ints (those of ``identities.law_rows``) are taken as they
     are; when any entry is a Fraction, each row is scaled by its lcm of
     denominators.  Two rows are one when their {column: entry} items are."""
     if Fraction in set(map(type, chain.from_iterable(map(dict.values, sparse_rows)))):
@@ -576,7 +576,7 @@ def sparse_rows(vectors, dom=QQ):
 
 
 def kernel(rows, ncols, dom=QQ):
-    """The kernel of sparse rows in ``identities.linear_conditions`` form, as
+    """The kernel of sparse rows in ``identities.law_rows`` form, as
     a ``Subspace`` holding the canonical basis: the one entry point of the
     library's homogeneous solvers.  Over Q the rows go to
     ``nullspace_sparse_q``, over GF(p) to ``nullspace_sparse_mod``, over any

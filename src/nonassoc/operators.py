@@ -1,10 +1,11 @@
 """Linear operator-space solvers: derivations and their many relatives.
 
 Each solver writes its defining law as term trees, turns the law into an
-exact linear system with ``identities.linear_conditions`` and returns a
-canonical basis of the solution space.  Over Q the integer rows go straight
-into the verified mod-p fast path in ``linalg``; over GF(p) they are
-eliminated mod p itself.
+exact linear system with ``identities.law_rows`` (at one basis tuple per
+orbit of the variable permutations the law is proven symmetric or
+antisymmetric under) and returns a canonical basis of the solution space.
+Over Q the integer rows go straight into the verified mod-p fast path in
+``linalg``; over GF(p) they are eliminated mod p itself.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .identities import linear_conditions
+from .identities import law_rows, linear_conditions  # noqa: F401  (re-exported)
 from .linalg import (Subspace, generic_rank, kernel, linear_pencil, mat_mul,
                      mat_sub, mat_vec, seeded_points, sparse_rows)
 from .scalars import QQ, DomainError
@@ -131,9 +132,9 @@ def derivation_space(A, delta=1, op=None):
     n = A.dim
     terms = [(1, ("<D>", (_product(opn, m),)))]
     terms += [(-delta, _product(opn, m, s)) for s in range(m)]
-    rows, _ = linear_conditions(A, terms, _variables(m), {"<D>": (n, _map_columns(n))})
+    rows, _ = law_rows(A, terms, _variables(m), {"<D>": (n, _map_columns(n))})
     tag = "der" if delta == dom.one() else f"delta-der({delta})"
-    return OperatorSpace(n, kernel(list(rows.values()), n * n, dom), tag)
+    return OperatorSpace(n, kernel(rows, n * n, dom), tag)
 
 
 def centroid(A, op=None):
@@ -144,8 +145,10 @@ def centroid(A, op=None):
     rows = []
     for s in range(m):
         terms = [(1, ("<D>", (_product(opn, m),))), (-1, _product(opn, m, s))]
-        rows += linear_conditions(A, terms, _variables(m),
-                                  {"<D>": (n, _map_columns(n))})[0].values()
+        # slot s's variable first, so that the others form one run of
+        # variables the law may be (anti)symmetric in
+        variables = (f"x{s}",) + tuple(v for v in _variables(m) if v != f"x{s}")
+        rows += law_rows(A, terms, variables, {"<D>": (n, _map_columns(n))})[0]
     return OperatorSpace(n, kernel(rows, n * n, A.dom), "centroid")
 
 
@@ -166,9 +169,9 @@ def generalized_derivation_space(A, mode="full", op=None):
     terms = [(1, _product(opn, m, s, f"<D{s if mode == 'full' else 0}>"))
              for s in range(m)]
     terms.append((-1, (f"<D{nslots - 1}>", (_product(opn, m),))))
-    rows, _ = linear_conditions(A, terms, _variables(m), unknowns)
+    rows, _ = law_rows(A, terms, _variables(m), unknowns)
     tag = f"{m + 1}-ary-der" if mode == "full" else "qder"
-    space = TupleOperatorSpace(n, nslots, kernel(list(rows.values()), nslots * n2, dom), tag)
+    space = TupleOperatorSpace(n, nslots, kernel(rows, nslots * n2, dom), tag)
 
     der = derivation_space(A, delta=1, op=op)
     cen = centroid(A, op=op)
@@ -389,8 +392,7 @@ def leibniz_derivation_space(A, k, arrangement="all", op=None):
     for br in brs:
         terms = [(1, ("<D>", (tree(br, None),)))]
         terms += [(-1, tree(br, s)) for s in range(k)]
-        rows += linear_conditions(A, terms, _variables(k),
-                                  {"<D>": (n, _map_columns(n))})[0].values()
+        rows += law_rows(A, terms, _variables(k), {"<D>": (n, _map_columns(n))})[0]
     space = OperatorSpace(n, kernel(rows, n * n, A.dom), f"leibder({k},{arrangement})")
     space.meta["invertible_exists"], space.meta["invertible_witness"] = \
         _generic_invertibility(space)
@@ -426,10 +428,8 @@ def commuting_map_space(A, op=None):
     n = A.dim
     # the law in the commutator algebra: [D(x0), x1] + [D(x1), x0]
     terms = [(1, _product("mul", 2, 0)), (1, ("mul", (("<D>", (("v", "x1"),)), ("v", "x0"))))]
-    conds, _ = linear_conditions(minus_algebra(A, op), terms, _variables(2),
-                                 {"<D>": (n, _map_columns(n))})
-    # the law is symmetric in (x, y): one row set per unordered pair
-    rows = [row for ((i, j), _), row in conds.items() if i <= j]
+    rows, _ = law_rows(minus_algebra(A, op), terms, _variables(2),
+                       {"<D>": (n, _map_columns(n))})
     return OperatorSpace(n, kernel(rows, n * n, dom), "commuting")
 
 

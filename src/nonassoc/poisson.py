@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .identities import Identity, check_identity, law_table, linear_conditions, parse_identity
+from .identities import Identity, check_identity, law_rows, law_table, parse_identity
 from .linalg import kernel
 from .operators import derivation_space
 from .scalars import QQ, DomainError, Poly, PolyRing
@@ -159,9 +159,7 @@ def transposed_compatible_space(L, op=None):
     terms = [(2, ("<dot>", (z, (op, (x, y))))),
              (-1, (op, (("<dot>", (z, x)), y))),
              (-1, (op, (x, ("<dot>", (z, y)))))]
-    conds, _ = linear_conditions(L, terms, ("x", "y", "z"), dot)
-    # bracket antisymmetry makes (x,y) and (y,x) equivalent
-    rows = [row for ((i, j, _), _), row in conds.items() if i <= j]
+    rows, _ = law_rows(L, terms, ("x", "y", "z"), dot)
     basis_tensors = []
     for v in kernel(rows, nunk, dom).basis:
         table = {}

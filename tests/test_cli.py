@@ -674,3 +674,15 @@ def test_cli_contract_fuzz_params(name, params):
     code, err = _run_contained(argv)
     assert code in (0, 2)
     assert code == 0 or err.startswith("error: ") or err.startswith("usage: ")
+
+
+def test_oversized_polarization_exits_2_at_once(tmp_path, capsys):
+    """Degree 10 in one variable would need 10! term copies: the identity is
+    refused before polarization starts; degree 7 still answers."""
+    sl2 = _write(tmp_path, "sl2")
+    start = time.perf_counter()
+    assert run(["identity", "eval", sl2, "--identity", "x*x*x*x*x*x*x*x*x*x"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "5040" in capsys.readouterr().err
+    abelian = _write(tmp_path, "abelian", {"n": 2})
+    assert run(["identity", "eval", abelian, "--identity", "x*x*x*x*x*x*x"]) == 0

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nonassoc import identities
 from nonassoc.catalog import catalog_get
-from nonassoc.identities import (Identity, ParseError, _bind, _compile_law,
-                                 _symmetric_runs, check_identity, parse_identity,
+from nonassoc.identities import (MAX_POLARIZATION_COPIES, Identity, ParseError, _bind,
+                                 _compile_law, check_identity, parse_identity,
                                  polarize, symbolic_check, eval_identity_sparse,
                                  default_opmap, law_table)
 from nonassoc.scalars import GF, QQ, QT, DomainError, Fp, Poly, PolyRing, RatFunc
 from nonassoc.structure import Algebra, StructureTensor
 from nonassoc.varieties import BINARY_VARIETIES, plus_algebra, variety_identities
+from test_linear_conditions import _odd_scalar, _signed_tensor
 
 
 def test_parse_basic():
@@ -156,6 +158,26 @@ def test_polarize_char_guard():
         polarize(jordan, char=3)
     # multilinear identities pass through in any characteristic
     assert polarize(parse_identity("(x*y)*z - x*(y*z)"), char=3)
+
+
+def test_polarization_copies_are_bounded_before_any_is_built(monkeypatch):
+    """One variable of degree 7 makes 7! = MAX_POLARIZATION_COPIES copies
+    and is polarized and checked.  Degree 8 (8! copies), two terms of
+    degrees (6, 3) (2 * 6! * 3!) and degrees (4, 4, 4) ((4!)^3) count their
+    copies first and are refused without building one."""
+    assert MAX_POLARIZATION_COPIES == 5040
+    seven = parse_identity("x*x*x*x*x*x*x")
+    lin, = polarize(seven)
+    assert len(lin.variables) == 7 and lin.restitution_scale == 5040
+    assert check_identity(catalog_get("abelian", {"n": 2}), seven) == (True, None)
+    built = []
+    monkeypatch.setattr(identities, "_substitute_occurrence",
+                        lambda *args: built.append(args))
+    for text in ("x*x*x*x*x*x*x*x", "(x*x*x*x*x*x)*(y*y*y) - (y*y*y)*(x*x*x*x*x*x)",
+                 "(x*x*x*x)*(y*y*y*y)*(z*z*z*z)"):
+        with pytest.raises(DomainError, match="5040"):
+            polarize(parse_identity(text))
+    assert built == []
 
 
 def _random_algebra(rng, n, commutative=False):
@@ -505,11 +527,16 @@ def _symmetric_case(seed, dom):
     return A, Identity(terms, {"*": 2, "D": 1}), maps, kind
 
 
-def _runs(A, ident, maps):
+def _run_kinds(A, ident, maps):
+    """The (length, kind) runs of ``_symmetric_runs`` of ident's one
+    polarized component."""
     lin, = polarize(ident)
     opmap = _bind(A, lin, {"*": "mul"}, maps)
-    _, _, (nodes, _, top_coef, _, ids) = _compile_law(A, lin, opmap, maps)
-    return _symmetric_runs(nodes, ids, top_coef, len(lin.variables))
+    return _compile_law(A, lin, opmap, maps)[2][4]()
+
+
+def _runs(A, ident, maps):
+    return [length for length, _ in _run_kinds(A, ident, maps)]
 
 
 @settings(max_examples=250, deadline=None)
@@ -558,6 +585,150 @@ def test_symmetric_runs_of_the_polarized_laws():
     lin, = polarize(jordan)
     sizes = [len(_compile_law(C, lin, {"*": "mul"}, None)[2][0]) for C in (A, B)]
     assert sizes[0] < sizes[1]
+
+
+def _signed_case(seed, dom):
+    """A multilinear law in a copy group x1..xg and maybe variables a and y:
+    summed over every order of the group with the sign kind ** inversions,
+    so that it is symmetric or antisymmetric in the group whatever the
+    tables, or one or two random terms, (anti)symmetric only through the
+    tables.  The binary * and ternary [] are exactly
+    symmetric or antisymmetric, or (kind "near") antisymmetric but for one
+    entry, or (kind "lower") hold products only at arguments whose first
+    index exceeds the second.  The kind "coefficient" adds 1 to one term's
+    coefficient and
+    "order" swaps the children of one product, so that the law's symmetry
+    may fail and its first failure may sit at a tuple unsorted on the
+    group.  Scalars have odd denominators, so the cases exist over GF(2)."""
+    rng = random.Random(seed)
+    dim = rng.choice([2] if dom is QT else [2, 2, 3])
+    ops = {}
+    for name, arity in (("mul", 2), ("t", 3)):
+        table_kind = rng.choice([1, -1, "near", "lower"])
+        T = _signed_tensor(rng, dom, dim, arity, 1 if table_kind == 1 else -1, 0.7)
+        table = dict(T.table)
+        if table_kind == "near" and table:
+            args = rng.choice(sorted(table))
+            table[args] = {k: c + dom.one() for k, c in table[args].items()}
+        elif table_kind == "lower":
+            table = {args: row for args, row in table.items() if args[0] > args[1]}
+        ops[name] = StructureTensor(dim, arity, table, dom)
+    unary = rng.random() < 0.3
+    maps = None
+    if unary:
+        maps = {"D": [[_odd_scalar(rng, dom) if rng.random() < 0.5 else dom.zero()
+                       for _ in range(dim)] for _ in range(dim)]}
+    A = Algebra("signed", dim, ops, dom)
+    group = [f"x{j}" for j in range(1, rng.randint(2, 3) + 1)]
+    others = [v for v in ("a", "y") if rng.random() < 0.35]
+    # summed over the group's orders, or symmetric only through the tables
+    # (in characteristic 2 a sum over the orders vanishes at repeated indices)
+    signs = [rng.choice([1, -1])] if rng.random() < 0.6 else []
+    orders = list(itertools.permutations(range(len(group)))) if signs else [range(len(group))]
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        tree = _random_tree(rng, group + others, True, unary)
+        c = Fraction(rng.choice(["1", "-1", "2", "-1/3", "3/5"]))
+        for perm in orders:
+            inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(group)), 2))
+            terms.append((c * (signs or [1])[0] ** inversions,
+                          _rename(tree, {group[i]: group[p] for i, p in enumerate(perm)})))
+    kind = rng.choice(["signed", "coefficient", "order"])
+    i = rng.randrange(len(terms))
+    if kind == "coefficient":
+        terms[i] = (terms[i][0] + 1, terms[i][1])
+    elif kind == "order":
+        terms[i] = (terms[i][0], _swap_children(rng, terms[i][1]))
+    return A, Identity(terms, {"*": 2, "[]": 3, "D": 1}), maps, kind
+
+
+_OPMAP = {"*": "mul", "[]": "t"}
+
+
+@settings(max_examples=250, deadline=None)
+# laws a proof that matched coefficients without the image's sign got wrong
+@example(dom=QQ, seed=570)
+@example(dom=GF(7), seed=648)
+@example(dom=QQ, seed=1427)
+@given(st.sampled_from([QQ, GF(7), GF(2), QT]), st.integers(0, 2**32))
+def test_signed_scan_matches_per_tuple_scan(dom, seed):
+    """On (anti)symmetric tables of arity 2 and 3 and laws signed in a copy
+    group, the verdict and first witness of ``check_identity`` are those of
+    the scan of every tuple, and ``law_table`` is the law at every tuple."""
+    A, ident, maps, _ = _signed_case(seed, dom)
+    assert (check_identity(A, ident, opmap=_OPMAP, unary_maps=maps)
+            == _per_tuple_check(A, ident, _OPMAP, maps))
+    assert law_table(A, ident, _OPMAP, maps) == _law_table_by_tuples(A, ident, _OPMAP, maps)
+
+
+def test_signed_cases_cover_runs_witnesses_and_merges():
+    """The seeded signed cases prove symmetric and antisymmetric runs (over
+    GF(2) symmetric only), merge nodes with a sign, and fail first at tuples
+    unsorted on the copy group, at strictly increasing ones and at repeated
+    indices (over GF(2) too)."""
+    seen = {"symmetric": 0, "antisymmetric": 0, "merged": 0, "unsorted": 0,
+            "increasing": 0, "repeated": 0, "gf2 repeated": 0, "holds": 0}
+    for seed in range(150):
+        for dom in (QQ, GF(2)):
+            A, ident, maps, kind = _signed_case(seed, dom)
+            if ident.is_trivial():   # a swapped product cancelled every term
+                continue
+            lin, = polarize(ident)
+            opmap = _bind(A, lin, _OPMAP, maps)
+            nodes, _, top_coef, _, prove = _compile_law(A, lin, opmap, maps)[2]
+            runs = prove()
+            g = sum(v.startswith("x") for v in lin.variables)
+            start = lin.variables.index("x1")
+            holds, wit = check_identity(A, ident, opmap=_OPMAP, unary_maps=maps)
+            seen["symmetric"] += any(r > 1 and k > 0 for r, k in runs)
+            seen["antisymmetric"] += any(r > 1 and k < 0 for r, k in runs)
+            assert dom is QQ or all(k > 0 for _, k in runs)
+            seen["merged"] += len(top_coef) < len({t for _, t in lin.terms})
+            seen["holds"] += holds
+            if wit:
+                part = wit["tuple"][start:start + g]
+                seen["unsorted"] += part != sorted(part)
+                seen["increasing"] += all(a < b for a, b in zip(part, part[1:]))
+                repeated = len(set(part)) < len(part)
+                seen["repeated"] += repeated
+                seen["gf2 repeated"] += repeated and dom is not QQ
+    assert min(seen.values()) >= 10, seen
+
+
+def test_near_antisymmetric_table_is_not_marked():
+    """sl2's bracket is antisymmetric: x1*x2 + x2*x1 is one node whose
+    terms cancel, and polarized Jacobi is one antisymmetric run.  Changed
+    at one entry, the table gets no mark: no node merges and no run is
+    antisymmetric."""
+    sl2 = catalog_get("sl2")
+    table = {args: dict(row) for args, row in sl2.op().table.items()}
+    args = next(iter(table))
+    table[args] = {k: 2 * c for k, c in table[args].items()}
+    near = Algebra("near", 3, {"mul": StructureTensor(3, 2, table, QQ)}, QQ)
+    skew = parse_identity("x1*x2 + x2*x1")
+    jacobi = parse_identity("x*(y*z) + y*(z*x) + z*(x*y)")
+    nodes, _, top_coef, _, prove = _compile_law(sl2, skew, {"*": "mul"}, None)[2]
+    assert len(nodes) == 3 and top_coef == {} and prove() == [(2, 1)]
+    assert check_identity(sl2, skew) == (True, None)
+    nodes, _, top_coef, _, prove = _compile_law(near, skew, {"*": "mul"}, None)[2]
+    assert len(nodes) == 4 and len(top_coef) == 2 and prove() == [(2, 1)]
+    assert _run_kinds(sl2, jacobi, None) == [(3, -1)]
+    assert all(k > 0 for _, k in _run_kinds(near, jacobi, None))
+    # z*x is keyed as x*z (with sign -1) on sl2 only
+    kids = {C.name: [k for sym, k, _ in _compile_law(C, jacobi, {"*": "mul"}, None)[2][0] if sym]
+            for C in (sl2, near)}
+    assert all(list(k) == sorted(k) for k in kids["sl2"])
+    assert any(list(k) != sorted(k) for k in kids["near"])
+    assert check_identity(near, jacobi) == _per_tuple_check(near, jacobi, {"*": "mul"})
+
+
+def test_malcev_is_not_antisymmetric_in_y_and_z():
+    """On sl2, polarized Malcev is symmetric in the two copies of x and no
+    swap of y and z is proven: the law is not antisymmetric in them."""
+    malcev = variety_identities("malcev")[1]
+    lin, = polarize(malcev)
+    assert lin.variables == ("x1", "x2", "y", "z")
+    assert _run_kinds(catalog_get("sl2"), malcev, None) == [(2, 1), (1, 1), (1, 1)]
 
 
 def test_integer_scan_weights_terms_with_different_scales():

@@ -15,14 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonassoc import kantor
+from nonassoc import identities, kantor
 from nonassoc.catalog import catalog_get
-from nonassoc.identities import check_identity, parse_identity
-from nonassoc.linalg import is_invertible
+from nonassoc.identities import check_identity, law_rows, parse_identity
+from nonassoc.linalg import is_invertible, kernel
 from nonassoc.operators import (centroid, commuting_map_space,
                                 derivation_space, linear_conditions)
+from nonassoc.poisson import transposed_compatible_space
 from nonassoc.scalars import GF, QQ, QT, DomainError, PrimeField, RatFunc
 from nonassoc.structure import Algebra, StructureTensor, change_basis
+from nonassoc.varieties import minus_algebra
 
 ALGEBRAS = [("sl2", None), ("heis3", None), ("NF", {"n": 3}),
             ("matrix", {"n": 2}), ("quaternions", None), ("uppertri", {"n": 2})]
@@ -396,3 +398,237 @@ def test_linear_conditions_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# law_rows: one basis tuple per proven orbit, against every tuple
+# ---------------------------------------------------------------------------
+
+def _odd_scalar(rng, dom):
+    """A random scalar whose denominator is odd, so that it exists in GF(2)."""
+    c = Fraction(rng.choice(["1", "-1", "2", "-1/3", "3/5", "7/3"]))
+    if dom is QT:
+        return QT.coerce(c) * rng.choice([1, RatFunc.t_power(1), RatFunc.t_power(-1) + 1])
+    return dom.coerce(c)
+
+
+def _signed_tensor(rng, dom, dim, arity, kind, density):
+    """A random table that is exactly symmetric (kind 1) or antisymmetric
+    (kind -1): an entry at each chosen non-decreasing (strictly increasing
+    for kind -1) tuple, copied to its permutations with the sign."""
+    table = {}
+    base = (itertools.combinations if kind < 0 else itertools.combinations_with_replacement)
+    for args in base(range(dim), arity):
+        if rng.random() < density:
+            row = {k: _odd_scalar(rng, dom) for k in rng.sample(range(dim), rng.randint(1, dim))}
+            for perm in itertools.permutations(range(arity)):
+                inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(arity), 2))
+                sign = kind ** inversions
+                table[tuple(args[p] for p in perm)] = {k: sign * c for k, c in row.items()}
+    return StructureTensor(dim, arity, table, dom)
+
+
+def _signed_law(seed, dom):
+    """A law linear in the unknown D, on an algebra whose binary mul and
+    ternary t are exactly symmetric or antisymmetric: summed over every
+    order of a group x1..xg of variables with the sign kind ** inversions
+    (so it is symmetric or antisymmetric in the group whatever the tables),
+    or one or two random terms, (anti)symmetric only through the tables.  One
+    variable "a" may sit outside the group; a tripled coefficient breaks the
+    law's symmetry in a third of the cases."""
+    rng = random.Random(seed)
+    dim = rng.choice([2] if dom is QT else [2, 3, 3])
+    ops = {"mul": _signed_tensor(rng, dom, dim, 2, rng.choice([1, -1]), 0.7),
+           "t": _signed_tensor(rng, dom, dim, 3, rng.choice([1, -1]), 0.7)}
+    A = Algebra("signed", dim, ops, dom)
+    group = [f"x{j}" for j in range(1, rng.randint(2, 3) + 1)]
+    leaves = group + (["a"] if rng.random() < 0.4 else [])
+    variables = tuple(sorted(leaves))
+    kind = rng.choice([1, -1])
+    # summed over the group's orders, or symmetric only through the tables
+    # (in characteristic 2 a sum over the orders vanishes at repeated indices)
+    summed = rng.random() < 0.6
+    orders = list(itertools.permutations(range(len(group)))) if summed else [range(len(group))]
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        tree = _linear_tree(rng, leaves)
+        c = _odd_scalar(rng, dom)
+        for perm in orders:
+            inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(len(group)), 2))
+            names = {group[i]: group[p] for i, p in enumerate(perm)}
+            terms.append((c * kind ** inversions, _rename(tree, names)))
+    if rng.random() < 1 / 3:
+        i = rng.randrange(len(terms))
+        terms[i] = (terms[i][0] * 3, terms[i][1])
+    n = dim
+    return A, terms, variables, {"<D>": (n, lambda r, a: r * n + a)}
+
+
+def _linear_tree(rng, leaves):
+    """A random term over the given leaves, each used once, with D applied
+    to one leaf or to the whole product."""
+    parts = [("v", v) for v in leaves]
+    rng.shuffle(parts)
+    unknown_at = rng.randrange(len(parts) + 1)
+    if unknown_at < len(parts):
+        parts[unknown_at] = ("<D>", (parts[unknown_at],))
+    while len(parts) > 1:
+        arity = 3 if len(parts) >= 3 and rng.random() < 0.4 else 2
+        i = rng.randrange(len(parts) - arity + 1)
+        parts[i:i + arity] = [("t" if arity == 3 else "mul", tuple(parts[i:i + arity]))]
+    return parts[0] if unknown_at < len(leaves) else ("<D>", (parts[0],))
+
+
+def _rename(term, names):
+    if term[0] == "v":
+        return ("v", names.get(term[1], term[1]))
+    return (term[0], tuple(_rename(c, names) for c in term[1]))
+
+
+def _orbit_rows(A, terms, variables, unknowns):
+    """The rows of ``law_rows`` keyed as in ``linear_conditions``, and the
+    runs they were built from."""
+    seen = []
+
+    def tuples(dim, k, prove):
+        seen.append(prove())
+        return identities._representatives(dim, seen[0])
+    rows, _ = identities._conditions(A, terms, variables, unknowns, tuples)
+    rows = dict(rows)
+    return rows, seen[0]
+
+
+def _law_rows_vs_every_tuple(A, terms, variables, unknowns):
+    """(keyed orbit rows, runs, every row): the orbit rows are the rows of
+    every tuple at their keys, scaled alike, and have the same kernel."""
+    rows, scale = law_rows(A, terms, variables, unknowns)
+    every, every_scale = linear_conditions(A, terms, variables, unknowns)
+    keyed, runs = _orbit_rows(A, terms, variables, unknowns)
+    assert scale == every_scale and rows == list(keyed.values())
+    assert all(every[key] == row for key, row in keyed.items())
+    ncols = A.dim ** 2
+    assert kernel(rows, ncols, A.dom) == kernel(list(every.values()), ncols, A.dom)
+    return keyed, runs, every
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, GF(7), GF(2), QT]), st.integers(0, 2**32))
+def test_orbit_rows_have_the_kernel_of_every_row(dom, seed):
+    _law_rows_vs_every_tuple(*_signed_law(seed, dom))
+
+
+def test_signed_laws_reach_both_kinds_of_orbit():
+    """The seeded signed laws drop rows at symmetric and at antisymmetric
+    runs, over GF(2) too, and keep every row where no symmetry is proven."""
+    seen = {"symmetric": 0, "antisymmetric": 0, "gf2": 0, "kept": 0}
+    for seed in range(100):
+        for dom in (QQ, GF(2)):
+            keyed, runs, every = _law_rows_vs_every_tuple(*_signed_law(seed, dom))
+            dropped = len(keyed) < len(every)
+            seen["symmetric"] += dropped and any(r > 1 and k > 0 for r, k in runs)
+            seen["antisymmetric"] += dropped and any(r > 1 and k < 0 for r, k in runs)
+            seen["gf2"] += dropped and dom is not QQ
+            seen["kept"] += all(r == 1 for r, _ in runs) and len(every) > 0
+    assert min(seen.values()) >= 10, seen
+
+
+def _commuting_reference(A):
+    """``commuting_map_space`` before ``law_rows``: every row built, then
+    the rows of ordered pairs i <= j kept by hand."""
+    n = A.dim
+    terms = [(1, ("mul", (("<D>", (("v", "x0"),)), ("v", "x1")))),
+             (1, ("mul", (("<D>", (("v", "x1"),)), ("v", "x0"))))]
+    conds, _ = linear_conditions(minus_algebra(A), terms, ("x0", "x1"),
+                                 {"<D>": (n, lambda r, a: r * n + a)})
+    rows = [row for ((i, j), _), row in conds.items() if i <= j]
+    return kernel(rows, n * n, A.dom)
+
+
+def _transposed_law(L):
+    """The law of ``transposed_compatible_space``: (terms, variables,
+    unknowns, number of columns)."""
+    n = L.dim
+    op = "bracket" if "bracket" in L.ops else L.op_names()[0]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    pidx = {p: a for a, p in enumerate(pairs)}
+    dot = {"<dot>": (n, lambda r, i, j: pidx[(i, j) if i <= j else (j, i)] * n + r)}
+    x, y, z = ("v", "x"), ("v", "y"), ("v", "z")
+    terms = [(2, ("<dot>", (z, (op, (x, y))))),
+             (-1, (op, (("<dot>", (z, x)), y))),
+             (-1, (op, (x, ("<dot>", (z, y)))))]
+    return terms, ("x", "y", "z"), dot, len(pairs) * n
+
+
+def _transposed_reference(L):
+    """The space S of ``transposed_compatible_space`` before ``law_rows``:
+    every row built, then the rows of x <= y kept by hand."""
+    terms, variables, dot, ncols = _transposed_law(L)
+    conds, _ = linear_conditions(L, terms, variables, dot)
+    rows = [row for ((i, j, _), _), row in conds.items() if i <= j]
+    return kernel(rows, ncols, L.dom)
+
+
+def _over(A, dom):
+    return Algebra(A.name, A.dim, {k: t.map_domain(dom, dom.coerce) for k, t in A.ops.items()},
+                   dom)
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(7)])
+@pytest.mark.parametrize("name,params", [("sl2", None), ("heis3", None), ("matrix", {"n": 2}),
+                                         ("matrix", {"n": 3}), ("matrix", {"n": 4}),
+                                         ("quaternions", None), ("octonions", None)])
+def test_orbit_spaces_match_the_hand_filtered_rows(name, params, dom):
+    """Commuting maps and transposed-compatible products (on the
+    commutator algebra where A is not Lie) equal the spaces of the
+    hand-filtered rows they replaced.  Over GF(7) the products are compared
+    as the kernel of their law's rows: the obstruction polynomials of
+    ``transposed_compatible_space`` have rational coefficients only."""
+    A = _over(catalog_get(name, params), dom)
+    assert commuting_map_space(A).subspace == _commuting_reference(A)
+    L = A if name in ("sl2", "heis3") else minus_algebra(A)
+    if name == "octonions":   # its commutator algebra is Malcev, not Lie
+        with pytest.raises(DomainError):
+            transposed_compatible_space(L)
+    elif dom is QQ:
+        n = L.dim
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        vectors = [[S.table.get(p, {}).get(k, 0) for p in pairs for k in range(n)]
+                   for S in transposed_compatible_space(L)["basis"]]
+        assert vectors == _transposed_reference(L).basis
+    else:
+        terms, variables, dot, ncols = _transposed_law(L)
+        rows, _ = law_rows(L, terms, variables, dot)
+        assert kernel(rows, ncols, dom) == _transposed_reference(L)
+
+
+def test_der_of_filippov_d6_is_built_at_six_tuples():
+    """Der of the 5-Lie algebra D(6) takes its rows at the 6 strictly
+    increasing basis tuples (6^5 = 7,776 before) and is so(6)."""
+    A = catalog_get("D", {"dim": 6})
+    n, m = A.dim, A.op(A.op_names()[0]).arity
+    opn = A.op_names()[0]
+    xs = tuple(f"x{i}" for i in range(m))
+    product = (opn, tuple(("v", v) for v in xs))
+    terms = [(1, ("<D>", (product,)))]
+    terms += [(-1, (opn, tuple(("<D>", (("v", v),)) if v == w else ("v", v) for v in xs)))
+              for w in xs]
+    keyed, runs = _orbit_rows(A, terms, xs, {"<D>": (n, lambda r, a: r * n + a)})
+    assert runs == [(5, -1)]
+    assert len({combo for combo, _ in keyed}) <= 6
+    assert derivation_space(A).dim == 15
+
+
+def test_centroid_slot_laws_put_the_other_slots_in_one_run(monkeypatch):
+    """Each slot law of ``centroid`` lists its slot's variable first, so on
+    the skew ternary D(4) the other two form one antisymmetric run: the
+    middle slot's law too, whose skew pair (x0, x2) is not adjacent in
+    slot order."""
+    seen = []
+    representatives = identities._representatives
+
+    def record(dim, runs):
+        seen.append(runs)
+        return representatives(dim, runs)
+    monkeypatch.setattr(identities, "_representatives", record)
+    assert centroid(catalog_get("D", {"dim": 4})).dim == 1
+    assert seen == [[(1, 1), (2, -1)]] * 3

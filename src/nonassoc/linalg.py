@@ -5,14 +5,18 @@ Everything is computed exactly.  The one shortcut is
 ``nullspace_sparse_q``: each distinct integer row is eliminated once modulo
 the 61-bit prime 2^61 - 1, later 61-bit primes eliminate only the rows that
 gave its pivots, and the kernels are combined by CRT and lifted by rational
-reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982).  A prime that
-gives a lower rank or later pivot columns than another is unlucky (the rank
-mod p of any rows is at most their rank over Q), and the lifted kernel is
-verified exactly against every row before it is returned, so no prime can
-make it wrong.  ``nullspace_sparse_mod`` is the same sparse elimination over GF(p)
-itself, where it is exact.  ``generic_rank`` decides a rank over Q(x)
-between two exact bounds: the rank at integer points and a polynomial basis
-of the left kernel.
+reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982).  Each prime
+reads its kernel off one elimination that pivots every row on its highest
+column.  A prime that gives a lower rank or lower pivot columns than
+another is unlucky (the rank mod p of any rows is at most their rank over
+Q), and the lifted kernel is verified exactly against every row before it
+is returned, so no prime can make it wrong.  ``rank_of_rows`` gives an
+exact rank from the rank mod 2^61 - 1 when that meets a proven upper bound,
+and else from the smaller of the right and the left kernel.
+``nullspace_sparse_mod`` is the same sparse elimination over GF(p) itself,
+where it is exact.  ``generic_rank`` decides a rank over Q(x) between two
+exact bounds: the rank at integer points and a polynomial basis of the left
+kernel.
 """
 
 from __future__ import annotations
@@ -341,14 +345,15 @@ def _prime(i):
 
 
 def _rref_mod(introws, p):
-    """Reduced row echelon form mod p of sparse integer rows, and the rows
-    that gave its pivots.
+    """Reduced row echelon form mod p of sparse integer rows, pivoting each
+    row on its highest column, and the rows that gave its pivots.
 
     Returns ({pivot column: row dict with 1 at the pivot}, [input rows]),
-    all entries in [1, p).  Each pivot is the lowest column of its row and
-    occurs in no other row, so this is the unique RREF of the row space mod
-    p, whatever the row order; short rows go first because that keeps the
-    fill-in low.  The input rows that gave pivots span that row space.
+    all entries in [1, p).  Each pivot is the highest column of its row and
+    occurs in no other row, so this is the unique such RREF of the row
+    space mod p, whatever the row order; short rows go first because that
+    keeps the fill-in low.  The input rows that gave pivots span that row
+    space.
     """
     red = {}
     pivot_rows = []
@@ -383,7 +388,7 @@ def _rref_mod(introws, p):
                     del row[j]
         if not row:
             continue
-        c = min(row)
+        c = max(row)
         inv = pow(row[c], -1, p)
         new = {j: v * inv % p for j, v in row.items()}
         for pc in holders.pop(c, ()):
@@ -422,36 +427,37 @@ def _rat_reconstruct(a, m, bound):
     return Fraction(r1, s1)
 
 
-def _kernel_rref_mod(red, ncols, p):
-    """The canonical basis mod p of the kernel of an RREF mod p, as
-    {pivot column: row}: the RREF of the basis with one vector per free
-    column f (1 at f, minus the row entries at f at the pivot columns)."""
-    at_free = {}   # free column -> {pivot column: residue}
-    for c, row in red.items():
-        for f, v in row.items():
+def _modular_kernel(rows, p):
+    """(shape, pivot rows, RREF) of integer rows mod p from one elimination
+    (``_rref_mod``), which pivots each row on its highest column.  Every
+    entry of the RREF's row c lies left of c, so the vectors e_f - sum_c
+    R[c][f] e_c, one per free column f, are the kernel in canonical form
+    (``_free_columns``).  The shape (-rank, the pivot columns negated from
+    the highest down) is least at the primes where the RREF reduces from
+    that over Q."""
+    red, pivot_rows = _rref_mod(rows, p)
+    return (-len(red), [-c for c in sorted(red, reverse=True)]), pivot_rows, red
+
+
+def _free_columns(red, ncols):
+    """{free column f: {pivot column c: R[c][f]}} of an RREF R with
+    highest-column pivots, f and c increasing: the kernel vector of f is
+    e_f - sum_c R[c][f] e_c, with f its lowest column."""
+    at = {f: {} for f in range(ncols) if f not in red}
+    for c in sorted(red):
+        for f, v in red[c].items():
             if f != c:
-                at_free.setdefault(f, {})[c] = -v % p
-    return _rref_mod([{f: 1, **at_free.get(f, {})} for f in range(ncols) if f not in red], p)[0]
+                at[f][c] = v
+    return at
 
 
-def _modular_kernel(introws, ncols, p):
-    """(shape, pivot rows, kernel RREF) of integer rows mod p.  The shape
-    (-rank, pivot columns, kernel pivot columns) is least at the primes
-    where the RREFs of the rows and of their kernel reduce from those over
-    Q; the pivot rows and the kernel RREF are as ``_rref_mod`` and
-    ``_kernel_rref_mod`` give them."""
-    red, pivot_rows = _rref_mod(introws, p)
-    kred = _kernel_rref_mod(red, ncols, p)
-    return (-len(red), sorted(red), sorted(kred)), pivot_rows, kred
-
-
-def _crt(kred, m, kq, q):
-    """Kernel RREF entries mod m*q from those mod m (kred) and mod q (kq),
-    two RREFs with the same pivot columns."""
+def _crt(red, m, rq, q):
+    """RREF entries mod m*q from those mod m (red) and mod q (rq), two
+    RREFs with the same pivot columns."""
     u = pow(m, -1, q)
     out = {}
-    for c, row in kred.items():
-        qrow = kq[c]
+    for c, row in red.items():
+        qrow = rq[c]
         new = {j: a + m * ((qrow.get(j, 0) - a) * u % q) for j, a in row.items()}
         for j, b in qrow.items():
             if j not in new:
@@ -460,18 +466,19 @@ def _crt(kred, m, kq, q):
     return out
 
 
-def _lift_kernel(kred, m):
-    """A kernel RREF mod m lifted to Q by rational reconstruction, as sparse
-    rows {column: Fraction}; None if an entry does not lift."""
+def _lift_kernel(red, ncols, m):
+    """The kernel of an RREF mod m with highest-column pivots, lifted to Q
+    by rational reconstruction, as sparse rows {column: Fraction}; None if
+    an entry does not lift."""
     bound = isqrt(m // 2)
     cand = []
-    for c in sorted(kred):
-        v = {}
-        for j, a in kred[c].items():
-            lifted = _rat_reconstruct(a, m, bound)
+    for f, col in _free_columns(red, ncols).items():
+        v = {f: Fraction(1)}
+        for c, a in col.items():
+            lifted = _rat_reconstruct(-a, m, bound)
             if lifted is None:
                 return None
-            v[j] = lifted
+            v[c] = lifted
         cand.append(v)
     return cand
 
@@ -480,9 +487,15 @@ def nullspace_sparse_mod(sparse_rows, ncols, dom):
     """Canonical RREF basis of the nullspace over dom = GF(p) of sparse rows
     with integer entries (residues or any representatives); exact, as the
     elimination runs mod p itself."""
-    p = dom.p
-    kred = _kernel_rref_mod(_rref_mod(sparse_rows, p)[0], ncols, p)
-    return [[dom.from_int(kred[c].get(j, 0)) for j in range(ncols)] for c in sorted(kred)]
+    zero, one = dom.zero(), dom.one()
+    basis = []
+    for f, col in _free_columns(_rref_mod(sparse_rows, dom.p)[0], ncols).items():
+        v = [zero] * ncols
+        v[f] = one
+        for c, a in col.items():
+            v[c] = dom.from_int(-a)
+        basis.append(v)
+    return basis
 
 
 def nullspace_sparse_q(sparse_rows, ncols):
@@ -490,63 +503,74 @@ def nullspace_sparse_q(sparse_rows, ncols):
     canonical RREF basis in sparse rows {column: Fraction}.
 
     The rows are made integers and each distinct row is kept once.  All of
-    them are eliminated modulo the first prime p_0 = 2^61 - 1, which gives
-    r pivots and the r rows that gave them; each later 61-bit prime
-    eliminates only those r rows.  The kernel RREFs of the primes of one
-    shape (see ``_modular_kernel``) are combined by CRT, and after each
-    prime the combination is lifted to Q by rational reconstruction (Wang,
-    Guy & Davenport, SIGSAM Bull. 1982) and checked exactly against every
-    distinct row, so against every row.
+    them are eliminated modulo the first prime p_0 = 2^61 - 1, each row
+    pivoting on its highest column, which gives r pivots and the r rows
+    that gave them; each later 61-bit prime makes the same one elimination
+    of those r rows alone.  The kernel is read off each such RREF, with no
+    elimination of its own (see ``_modular_kernel``).  The RREFs of the
+    primes of one shape are combined by CRT, and after each prime the
+    kernel of the combination is lifted to Q by rational reconstruction
+    (Wang, Guy & Davenport, SIGSAM Bull. 1982) and checked exactly against
+    every distinct row, so against every row.
 
     Soundness: the rank mod any prime of any subset of the rows is at most
-    rank_Q.  A candidate that passes the check has ncols - r vectors in
-    reduced echelon shape (each has a 1 at its own pivot and 0 at the
+    its rank over Q, and at equal rank each highest-column pivot mod p sits
+    no higher than its counterpart over Q (a minor nonzero mod p is nonzero
+    over Q).  A candidate that passes the check has ncols - r vectors in
+    reduced echelon shape (each has a 1 at its own free column and 0 at the
     others), so they are independent and dim ker >= ncols - r >= ncols -
     rank_Q = dim ker: the candidate is the kernel in canonical form,
     whichever primes produced it.
 
     Lucky primes: a new prime whose shape is larger (a lower rank, or the
-    same rank with lexicographically later pivots) is unlucky and skipped.
-    One whose shape is smaller shows that the earlier primes were unlucky:
-    all rows are eliminated again at it and its pivot rows replace the r
-    rows.  A lift that fails the check is tested against the r rows alone.
-    If it annihilates them, the same argument makes it their kernel over Q,
-    so they have rank r and span less than all rows: rank_Q > r, every
-    prime of the current shape is unlucky for the rows, and all rows are
-    eliminated at fresh primes until one shows a smaller shape.  Otherwise
-    the modulus is still too small and the next prime is combined.
+    same rank with lower pivots, compared from the top down) is unlucky and
+    skipped.  One whose shape is smaller shows that the earlier primes were
+    unlucky: all rows are eliminated again at it and its pivot rows replace
+    the r rows.  A lift that fails the check is tested against the r rows
+    alone.  If it annihilates them, the same argument makes it their kernel
+    over Q, so they have rank r and span less than all rows: rank_Q > r,
+    every prime of the current shape is unlucky for the rows, and all rows
+    are eliminated at fresh primes until one shows a smaller shape.
+    Otherwise the modulus is still too small and the next prime is
+    combined.
 
     Termination: a restart takes a strictly smaller shape, the shape of
     all rows at some prime, and there are finitely many of those.  Between
-    restarts, all but finitely many primes reduce the RREFs of the r rows
-    and of their kernel from those over Q; if those are not of the current
-    shape, such a prime restarts, and if they are, the primes of that shape
-    are exactly those, so the combined residues agree with the kernel of
-    the r rows over Q.  Once sqrt(M/2) exceeds the Hadamard bound of the
-    rows for the product M of the combined primes, every entry (a ratio of
-    minors) lifts, and the lift is that kernel: it passes the check, or it
-    annihilates the r rows and the next smaller shape is sought.
+    restarts, all but finitely many primes divide no pivot minor of the r
+    rows, and there the rank and the pivots are those over Q and the RREF is
+    the reduction of the RREF over Q; if that is not of the current shape,
+    such a prime restarts, and if it is, the primes of that shape are
+    exactly those, so the combined residues agree with the RREF of the r
+    rows over Q.  Once sqrt(M/2) exceeds the Hadamard bound of the rows for
+    the product M of the combined primes, every entry (a ratio of minors)
+    lifts, and the lift is the kernel of the r rows: it passes the check, or
+    it annihilates the r rows and the next smaller shape is sought.
     """
     introws = _distinct_int_rows(sparse_rows)
     if ncols == 0:
         return []
-    m = _prime(0)
-    shape, pivot_rows, kred = _modular_kernel(introws, ncols, m)
+    return _crt_kernel(introws, ncols, _modular_kernel(introws, _prime(0)))
+
+
+def _crt_kernel(introws, ncols, first):
+    """``nullspace_sparse_q`` of distinct integer rows from the
+    ``_modular_kernel`` of all of them at the first prime."""
+    (shape, pivot_rows, red), m = first, _prime(0)
     i = 0
     while True:
-        cand = _lift_kernel(kred, m)
+        cand = _lift_kernel(red, ncols, m)
         if cand is not None and _verify_nullspace(introws, cand):
             return cand
         spans_less = cand is not None and _verify_nullspace(pivot_rows, cand)
         i += 1
         p = _prime(i)
-        new = _modular_kernel(introws if spans_less else pivot_rows, ncols, p)
+        new = _modular_kernel(introws if spans_less else pivot_rows, p)
         if new[0] < shape:
             if not spans_less:
-                new = _modular_kernel(introws, ncols, p)
-            (shape, pivot_rows, kred), m = new, p
+                new = _modular_kernel(introws, p)
+            (shape, pivot_rows, red), m = new, p
         elif new[0] == shape and not spans_less:
-            kred, m = _crt(kred, m, new[2], p), m * p
+            red, m = _crt(red, m, new[2], p), m * p
 
 
 def _dense(sparse_rows, ncols, dom):
@@ -589,6 +613,44 @@ def kernel(rows, ncols, dom=QQ):
     else:
         basis = nullspace(_dense(rows, ncols, dom), ncols, dom)
     return Subspace._canonical(basis, ncols, dom)
+
+
+def rank_of_rows(rows, ncols, dom=QQ, bound=None):
+    """The exact rank of sparse rows in ``kernel``'s form.
+
+    Over Q the rows are made distinct integer rows, and their rank r mod
+    p_0 = 2^61 - 1 is a lower bound: a minor nonzero mod p_0 is nonzero
+    over Q.  When r equals the least of the number of distinct rows, ncols
+    and ``bound`` (an upper bound on the rank that the caller has proven),
+    r is the rank.  Otherwise the rank is read off the smaller of the two
+    kernels, each from the verified ``nullspace_sparse_q``: ncols minus the
+    dimension of the right kernel (ncols - r vectors at p_0), whose
+    elimination at p_0 is the one just made, or the number of distinct rows
+    minus the dimension of the left kernel (rows - r vectors at p_0), the
+    kernel of the transposed rows.  A rank above ``bound`` proves the
+    bound wrong and raises ``ValueError``.  Over GF(p) one elimination
+    mod p gives the rank; other domains (Q(t)) take the dense ``rank``.
+    """
+    if isinstance(dom, PrimeField):
+        r = len(_rref_mod(rows, dom.p)[0])
+    elif not isinstance(dom, RationalDomain):
+        r = rank(_dense(rows, ncols, dom), dom)
+    else:
+        introws = _distinct_int_rows(rows)
+        first = _modular_kernel(introws, _prime(0))
+        r = -first[0][0]
+        if r < min(len(introws), ncols, len(introws) if bound is None else bound):
+            if ncols <= len(introws):
+                r = ncols - len(_crt_kernel(introws, ncols, first))
+            else:
+                transposed = [{} for _ in range(ncols)]
+                for i, row in enumerate(introws):
+                    for j, a in row.items():
+                        transposed[j][i] = a
+                r = len(introws) - len(nullspace_sparse_q(transposed, len(introws)))
+    if bound is not None and r > bound:
+        raise ValueError(f"rank {r} above the bound {bound}")
+    return r
 
 
 def _verify_nullspace(introws, cand):
@@ -680,6 +742,8 @@ def _integer_entries(mat):
     if not (mat and mat[0] and all(len(row) == len(mat[0]) for row in mat)
             and all(isinstance(p, Poly) for row in mat for p in row)):
         raise DomainError("generic_rank needs a nonempty rectangular matrix of Poly entries")
+    if not all(type(c) in (int, Fraction) for row in mat for p in row for c in p.terms.values()):
+        raise DomainError("generic_rank requires Q: Poly entries with rational coefficients")
     nvars = {p.n for row in mat for p in row}
     degrees = {sum(ex) for row in mat for p in row for ex in p.terms}
     if len(nvars) > 1 or len(degrees) > 1:

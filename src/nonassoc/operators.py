@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .identities import law_rows, linear_conditions  # noqa: F401  (re-exported)
 from .linalg import (Subspace, generic_rank, kernel, linear_pencil, mat_mul,
-                     mat_sub, mat_vec, seeded_points, sparse_rows)
+                     mat_sub, mat_vec, rank_of_rows, seeded_points, sparse_rows)
 from .scalars import QQ, DomainError
 from .structure import multiplication_operator
 from .varieties import check_variety, minus_algebra
@@ -89,7 +89,7 @@ class TupleOperatorSpace:
         n2 = self.ambient_dim ** 2
         rows = sparse_rows([v[slot * n2:(slot + 1) * n2] for v in self.subspace.basis],
                            self.dom)
-        return n2 - kernel(rows, n2, self.dom).dim
+        return rank_of_rows(rows, n2, self.dom)
 
     def projection_space(self, slot):
         n2 = self.ambient_dim ** 2
@@ -207,12 +207,38 @@ def generalized_derivation_space(A, mode="full", op=None):
         # the semisimple part lives in the derived subalgebra of the tuple
         # Lie algebra; its slot projections carry the sl_{n+1} copies
         comms = _tuple_commutators(space)
-        space.meta["derived_dim"] = nslots * n2 - kernel(comms, nslots * n2, dom).dim
+        derived = _derived_dim(space, comms)
+        space.meta["derived_dim"] = derived
+        # a projection does not raise the rank
         space.meta["derived_projection_dims"] = [
-            n2 - kernel([{j - s * n2: c for j, c in row.items() if s * n2 <= j < (s + 1) * n2}
-                         for row in comms], n2, dom).dim
+            rank_of_rows([{j - s * n2: c for j, c in row.items() if s * n2 <= j < (s + 1) * n2}
+                          for row in comms], n2, dom, bound=derived)
             for s in range(nslots)]
     return space
+
+
+def _derived_dim(space, comms):
+    """The dimension of the span of the commutators ``comms`` of the basis
+    tuples of the (m+1)-ary derivations L, from their entries at the pivot
+    columns of L's canonical basis: dim L columns instead of (m+1)n^2.
+
+    [D, E] lies in L.  A tuple D = (D_0, .., D_m) is in L when D_m mu(x) =
+    sum_i mu(.., D_i x_i, ..) for all x = (x_0, .., x_{m-1}) (slot i of the
+    product carries D_i).  Applying this to E_m mu(x) = sum_i mu(.., E_i
+    x_i, ..) gives D_m E_m mu(x) = sum_i mu(.., D_i E_i x_i, ..) plus the
+    cross terms sum_{i != j} mu(.., E_i x_i, .., D_j x_j, ..), which are
+    symmetric in D and E; so they cancel in D_m E_m mu - E_m D_m mu =
+    sum_i mu(.., [D_i, E_i] x_i, ..), and [D, E] is in L (Leger & Luks,
+    J. Algebra 228, 2000).  A vector of L is the combination of the
+    canonical basis with its own entries at the pivot columns as weights,
+    so restricting L to those columns is injective, and the rank of the
+    commutators there is the rank of the commutators.
+    """
+    pivots = {}
+    for v in space.subspace.basis:
+        pivots[next(j for j, x in enumerate(v) if not space.dom.is_zero(x))] = len(pivots)
+    return rank_of_rows([{pivots[j]: c for j, c in row.items() if j in pivots} for row in comms],
+                        space.dim, space.dom)
 
 
 def _tuple_commutators(space):

@@ -178,6 +178,8 @@ def _associativity_obstructions(basis_tensors, n):
     associator of that generic product over Q[c] at basis triples."""
     if not basis_tensors:
         return []
+    if basis_tensors[0].dom is not QQ:
+        raise DomainError("the associativity obstructions of transposed structures require Q")
     ring = PolyRing(len(basis_tensors))
     table = {}
     for c, S in zip(ring.gens(), basis_tensors):

@@ -88,6 +88,7 @@ def _bad_doc(**changes):
 
 
 _EYE3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+_HEIS3_GF7 = dict(algebra_to_json(catalog_get("heis3")), field="GF(7)")
 
 
 @pytest.mark.parametrize("doc, argv", [
@@ -146,6 +147,10 @@ _EYE3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     (None, ["poisson", "tps-space", "{sl2}", "--op", "nosuch"]),
     (None, ["catalog", "get", "NF", "-p", "n=3", "-p", "nn=4"]),
     (None, ["catalog", "get", "sl2", "-p", "n=5"]),
+    # routes that answer over Q only: the certified generic rank of the
+    # invertibility test, the associativity obstructions over Q[c]
+    (_HEIS3_GF7, ["der", "leibniz", "{file}", "--k", "2"]),
+    (_HEIS3_GF7, ["poisson", "tps-space", "{file}"]),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, doc, argv):
     path = tmp_path / "in.json"

@@ -282,22 +282,23 @@ def test_fast_nullspace_over_gf():
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Records, per prime the modular solver tries, the prime and the number
-    of rows it eliminates, and counts dense fallbacks; a solver still
-    running after 100 primes fails the test instead of running on."""
+    """Records, per elimination mod p the modular solver makes, the prime
+    and the number of rows it eliminates, and counts dense fallbacks; a
+    solver still running after 100 eliminations fails the test instead of
+    running on."""
     calls = {"eliminations": [], "dense": 0}
-    modular_kernel, dense = linalg._modular_kernel, linalg.nullspace
+    rref_mod, dense = linalg._rref_mod, linalg.nullspace
 
-    def recording_modular_kernel(rows, ncols, p):
+    def recording_rref_mod(rows, p):
         calls["eliminations"].append((p, len(rows)))
         assert len(calls["eliminations"]) <= 100, "no verified kernel after 100 primes"
-        return modular_kernel(rows, ncols, p)
+        return rref_mod(rows, p)
 
     def recording_nullspace(*args, **kwargs):
         calls["dense"] += 1
         return dense(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_modular_kernel", recording_modular_kernel)
+    monkeypatch.setattr(linalg, "_rref_mod", recording_rref_mod)
     monkeypatch.setattr(linalg, "nullspace", recording_nullspace)
     return calls
 
@@ -306,10 +307,10 @@ _P0 = 2 ** 61 - 1
 
 
 def test_unlucky_prime_is_rejected(solver_calls):
-    """Mod 2^61 - 1 the row reads x1 = 0, a wrong pivot: exact verification
-    rejects that candidate, and the next prime, whose pivot column is
-    earlier, replaces it."""
-    assert nullspace_sparse_q([{0: _P0, 1: 1}], 2) == [{0: Fraction(1), 1: Fraction(-_P0)}]
+    """Mod 2^61 - 1 the row reads x0 = 0, a wrong (lower) pivot: exact
+    verification rejects that candidate, and the next prime, whose pivot
+    column is higher, replaces it."""
+    assert nullspace_sparse_q([{1: _P0, 0: 1}], 2) == [{0: Fraction(1), 1: Fraction(-1, _P0)}]
     primes = [p for p, _ in solver_calls["eliminations"]]
     assert primes[0] == _P0 and len(primes) > 1
     assert solver_calls["dense"] == 0
@@ -317,10 +318,10 @@ def test_unlucky_prime_is_rejected(solver_calls):
 
 def test_better_prime_replaces_the_pivot_rows(solver_calls):
     """With a doubled copy of the row, the first prime keeps one pivot row.
-    The second prime finds an earlier pivot in it, so all rows are
+    The second prime finds a higher pivot in it, so all rows are
     eliminated again there, and later primes take its one pivot row."""
-    assert nullspace_sparse_q([{0: _P0, 1: 1}, {0: 2 * _P0, 1: 2}], 2) == \
-        [{0: Fraction(1), 1: Fraction(-_P0)}]
+    assert nullspace_sparse_q([{1: _P0, 0: 1}, {1: 2 * _P0, 0: 2}], 2) == \
+        [{0: Fraction(1), 1: Fraction(-1, _P0)}]
     p1 = linalg._prime(1)
     elims = solver_calls["eliminations"]
     assert elims[:3] == [(_P0, 2), (p1, 1), (p1, 2)] and all(n == 1 for _, n in elims[3:])
@@ -397,8 +398,9 @@ def test_later_prime_with_a_rank_drop_is_skipped(solver_calls):
 
 def test_prime_dividing_a_kernel_denominator_is_skipped(solver_calls):
     """The kernel (1, 1/p_1) has no reduction mod the second prime p_1,
-    whose kernel RREF has its pivot at column 1 though the row's pivot is
-    right: that prime is skipped, and the others lift 1/p_1."""
+    which divides the row's entry at its highest column, so its pivot
+    there is at column 0: that prime is skipped, and the others lift
+    1/p_1."""
     p1 = linalg._prime(1)
     assert nullspace_sparse_q([{0: 1, 1: -p1}], 2) == [{0: Fraction(1), 1: Fraction(1, p1)}]
     assert solver_calls["eliminations"] == [(linalg._prime(i), 1) for i in range(4)]
@@ -480,6 +482,75 @@ def test_modular_rows_match_dense_nullspace_over_gf(p, system):
         for j, v in row.items():
             r[j] = F.from_int(v)
     assert kernel(rows, ncols, F).basis == nullspace(dense, ncols, F)
+
+
+# ---------------------------------------------------------------------------
+# certified rank of sparse rows
+# ---------------------------------------------------------------------------
+
+_RANK_DOMAINS = {"Q": QQ, "GF(5)": GF(5), "GF(7)": GF(7)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_RANK_DOMAINS)), _SYSTEMS,
+       st.lists(st.tuples(st.integers(0, 10), _SCALES), max_size=8),
+       st.integers(0, 3), st.one_of(st.none(), st.integers(0, 2)),
+       st.randoms(use_true_random=False))
+def test_rank_of_rows_matches_dense_rank(which, system, spec, zeros, extra, rng):
+    """``rank_of_rows`` equals the dense ``rank`` over Q and GF(p) with
+    duplicated, scaled and zero rows, with no bound, a met bound (extra 0)
+    and a bound above the rank; tall and wide systems take the right and
+    the left kernel."""
+    dom = _RANK_DOMAINS[which]
+    ncols, raw = system
+    if dom is QQ:
+        rows = [{j: Fraction(a, e + 1) * 7 ** e for j, (a, e) in row.items()} for row in raw]
+        rows = _copies(rows, spec)
+    else:
+        rows = _copies([{j: a * 7 ** e for j, (a, e) in row.items()} for row in raw],
+                       [(i, s) for i, s in spec if isinstance(s, int)])
+    rows += [{} for _ in range(zeros)] + [{j: 0 for j in range(ncols)} for _ in range(zeros // 2)]
+    rng.shuffle(rows)
+    dense = [[dom.coerce(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    want = rank(dense, dom)
+    bound = None if extra is None else want + extra
+    assert linalg.rank_of_rows(rows, ncols, dom, bound) == want
+
+
+_P0_ROWS = [{0: 1, 1: 1}, {0: 1, 1: 1 + _P0}]   # rank 2 over Q, 1 mod 2^61 - 1
+
+
+@pytest.mark.parametrize("rows, ncols, bound, want, side", [
+    (_P0_ROWS + [{0: 2, 1: 2}], 2, None, 2, "right"),
+    (_P0_ROWS, 4, None, 2, "left"),
+    (_P0_ROWS, 3, 2, 2, "left"),
+    ([{0: 1, 1: 2}, {0: 2, 1: 4}, {2: 1}], 3, 2, 2, None),
+    ([{0: 1, 1: 2}, {0: 2, 1: 4}, {2: 1}], 3, None, 2, "right"),
+    ([{0: 1, 1: 2, 3: 1}, {2: 1}], 4, None, 2, None),
+])
+def test_rank_of_rows_takes_the_smaller_verified_kernel(monkeypatch, rows, ncols, bound, want,
+                                                         side):
+    """A rank mod 2^61 - 1 below the least of the distinct rows, the columns
+    and the bound is checked through the smaller kernel: the right kernel
+    (continued from the first elimination) when there are no more columns
+    than distinct rows, else the left kernel of the transposed rows.  The
+    modular rank is taken as it is only when it meets that least value."""
+    sides = []
+    crt_kernel, nullspace_q = linalg._crt_kernel, linalg.nullspace_sparse_q
+    monkeypatch.setattr(linalg, "_crt_kernel",
+                        lambda rows, n, first: sides.append("right") or crt_kernel(rows, n, first))
+    monkeypatch.setattr(linalg, "nullspace_sparse_q",
+                        lambda r, n: sides.append("left") or nullspace_q(r, n))
+    assert linalg.rank_of_rows(rows, ncols, QQ, bound) == want
+    assert sides[:1] == ([side] if side else [])   # the left kernel lifts like any other
+
+
+def test_rank_above_the_bound_is_refused():
+    """A rank mod p above the caller's bound proves the bound wrong."""
+    with pytest.raises(ValueError):
+        linalg.rank_of_rows([{0: 1}, {1: 1}], 2, QQ, bound=1)
+    with pytest.raises(ValueError):
+        linalg.rank_of_rows([{0: 1}, {1: 1}], 2, GF(7), bound=1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from nonassoc.catalog import catalog_get
-from nonassoc.linalg import Subspace, identity_matrix, is_invertible, mat_mul
+from nonassoc.linalg import (Subspace, identity_matrix, is_invertible, kernel, mat_mul,
+                             sparse_rows)
 from nonassoc.operators import (MAX_LEIBNIZ_ORDER, centroid, commuting_map_space,
                                 derivation_space, generalized_derivation_space,
                                 leibniz_derivation_space,
@@ -12,7 +13,7 @@ from nonassoc.operators import (MAX_LEIBNIZ_ORDER, centroid, commuting_map_space
                                 local_derivation_test, multiplication_operator,
                                 peirce_decompose)
 from nonassoc.scalars import QQ, DomainError
-from nonassoc.structure import change_basis
+from nonassoc.structure import algebra_from_json, algebra_to_json, change_basis
 
 
 def _antisym_space(n):
@@ -110,6 +111,79 @@ def test_generalized_derivations_d4():
     assert g.meta["projection_dims"] == [16, 16, 16, 16]
     assert g.meta["derived_dim"] == 15
     assert g.meta["derived_projection_dims"] == [15, 15, 15, 15]
+
+
+def _seeded_rebase(A, seed=1):
+    rng = random.Random(seed)
+    while True:
+        P = [[Fraction(rng.randint(-9, 9)) for _ in range(A.dim)] for _ in range(A.dim)]
+        if is_invertible(P):
+            return change_basis(A, P)
+
+
+def _gf7(A):
+    return algebra_from_json(dict(algebra_to_json(A), field="GF(7)"))
+
+
+_SMALL = [("sl2", {}), ("heis3", {}), ("matrix", {"n": 2}), ("quaternions", {}), ("D2", {}),
+          ("D", {"dim": 4})]
+_GENDER_CASES = ([(catalog_get(*a), f"{a[0]}") for a in _SMALL]
+                 + [(_seeded_rebase(catalog_get(*a)), f"{a[0]} rebased") for a in _SMALL]
+                 + [(_gf7(catalog_get(*a)), f"{a[0]} over GF(7)") for a in _SMALL])
+
+
+def _slot_commutator(space, a, b):
+    """The slotwise commutator [a, b] of two flattened tuples of matrices."""
+    n, dom = space.ambient_dim, space.dom
+    n2 = n * n
+    out = []
+    for s in range(space.tuple_len):
+        x = [a[s * n2 + r * n:s * n2 + (r + 1) * n] for r in range(n)]
+        y = [b[s * n2 + r * n:s * n2 + (r + 1) * n] for r in range(n)]
+        xy, yx = mat_mul(x, y, dom), mat_mul(y, x, dom)
+        out += [u - v for ru, rv in zip(xy, yx) for u, v in zip(ru, rv)]
+    return out
+
+
+def _full_kernel_meta(space):
+    """Reference: the projection and derived meta as kernels of the full
+    coordinates, each rank an ambient dimension minus a kernel dimension."""
+    n2, dom, slots = space.ambient_dim ** 2, space.dom, space.tuple_len
+    basis = space.subspace.basis
+    comms = sparse_rows([_slot_commutator(space, a, b)
+                         for i, a in enumerate(basis) for b in basis[i + 1:]], dom)
+
+    def slot_rank(rows, s):
+        return n2 - kernel([{j - s * n2: c for j, c in row.items() if s * n2 <= j < (s + 1) * n2}
+                            for row in rows], n2, dom).dim
+
+    meta = {"projection_dims": [slot_rank(sparse_rows(basis, dom), s) for s in range(slots)]}
+    if space.tuple_len > 2:
+        meta["derived_dim"] = slots * n2 - kernel(comms, slots * n2, dom).dim
+        meta["derived_projection_dims"] = [slot_rank(comms, s) for s in range(slots)]
+    return meta
+
+
+@pytest.mark.parametrize("A, label", _GENDER_CASES, ids=[c[1] for c in _GENDER_CASES])
+def test_commutators_of_generalized_derivations_lie_in_the_space(A, label):
+    """The (m+1)-ary derivations are a Lie algebra under the slotwise
+    commutator, the premise of reading the derived meta at the pivot
+    columns: every commutator of two basis tuples lies in the space."""
+    g = generalized_derivation_space(A, "full")
+    basis = g.subspace.basis
+    for i, a in enumerate(basis):
+        for b in basis[i + 1:]:
+            assert g.subspace.contains_vector(_slot_commutator(g, a, b)), label
+
+
+@pytest.mark.parametrize("A, label", _GENDER_CASES, ids=[c[1] for c in _GENDER_CASES])
+def test_meta_matches_the_full_kernel_route(A, label):
+    """Ranks read off the smaller certified side, and the derived meta from
+    the pivot columns, equal the kernels of the full coordinates."""
+    for mode in ("full", "quasi"):
+        space = generalized_derivation_space(A, mode)
+        want = _full_kernel_meta(space)
+        assert {k: space.meta[k] for k in want} == want, (label, mode)
 
 
 def test_quasi_derivations_report():

@@ -14,14 +14,14 @@ arity, has its arguments keyed in sorted order, so x*y and y*x are one node
 (with sign -1 on a skew table, folded into the term's coefficient).  A
 subterm missing some of the k variables is cached per basis tuple of its
 own variables (at most #nodes x dim^(k-1) entries, freed with the loop), so
-only the products holding every variable are formed per tuple.  Over Q the
-loop runs in Python ints: tables and unary maps are scaled by the lcm of
-their denominators and terms weighted to match, so each total is one fixed
-multiple of the exact value.  The compiled DAG also proves which runs of
-adjacent variables the law is symmetric or antisymmetric in
-(``_symmetric_runs``), such as the copies of a polarized variable or the
-arguments of a Lie or n-Lie bracket; permuting such a run maps the law's
-value to +-1 times itself.  Four entry points drive the loop:
+only the products holding every variable are formed per tuple.  Over Q and
+over Q[c] the loop runs in Python ints: tables and unary maps are scaled by
+the lcm of their (coefficients') denominators and terms weighted to match,
+so each total is one fixed multiple of the exact value.  The compiled DAG
+also proves which runs of adjacent variables the law is symmetric or
+antisymmetric in (``_symmetric_runs``), such as the copies of a polarized
+variable or the arguments of a Lie or n-Lie bracket; permuting such a run
+maps the law's value to +-1 times itself.  Four entry points drive the loop:
 
 * ``check_identity`` takes the first tuple with a nonzero total; it checks
   every law the library checks on basis tuples (varieties, the
@@ -514,14 +514,24 @@ def _scan_domain(dom):
     Q, vec itself when it has none), ``one`` the scan form of 1 and
     ``exact(c, scale)`` the domain element that the scan form ``c`` of a
     value scaled by ``scale`` stands for.  Over Q values are scaled to
-    Python ints; over GF(p) they are ints reduced mod p by ``prune``; other
-    domains keep their own elements.  Outside Q every factor is 1.
+    Python ints; over Q[c] (``PolyRing``) to ``Poly``s of Python-int
+    coefficients, scaled by the lcm of every coefficient's denominator, so
+    the scan multiplies and adds ints there too; over GF(p) they are ints
+    reduced mod p by ``prune``; other domains keep their own elements.
+    Outside Q and Q[c] every factor is 1.
     """
     if isinstance(dom, RationalDomain):
         return (lambda cs: math.lcm(*{c.denominator for c in cs}),
                 lambda c, m: c.numerator * (m // c.denominator),
                 lambda vec: vec if all(vec.values()) else {k: c for k, c in vec.items() if c},
                 1, Fraction)
+    if isinstance(dom, PolyRing):
+        n = dom.n
+        return (lambda cs: math.lcm(*{c.denominator for p in cs for c in p.terms.values()}),
+                lambda p, m: Poly(n, {e: c.numerator * (m // c.denominator)
+                                      for e, c in p.terms.items()}),
+                lambda vec: {k: p for k, p in vec.items() if p}, Poly(n, {(0,) * n: 1}),
+                lambda p, scale: Poly(n, {e: Fraction(c, scale) for e, c in p.terms.items()}))
     if isinstance(dom, PrimeField):
         p = dom.p
         return (lambda cs: 1, lambda c, m: dom.coerce(c).v,
@@ -628,12 +638,13 @@ def _compile(A, terms, variables, tables):
     value is its exact value times its weight, the product of the factors
     in its subterm.  Each coefficient is divided by its term's weight and
     the quotients cleared of denominators by ``scale``, so the scan-form sum
-    is ``scale`` times the exact sum (scale 1 outside Q).  Returns (nodes,
-    specs, top_coef, scale, prove): ``specs[nid]`` is (add, data, finish,
-    child ids, cache, key).  ``add(data, args, out, coef, one)`` adds coef
-    times the node's value at its children's values ``args`` to ``out``
-    (``structure.add_products`` with data the table; None for a variable)
-    and ``finish`` turns a fresh sum into the stored value (``prune``).
+    is ``scale`` times the exact sum (scale 1 outside Q and Q[c]).  Returns
+    (nodes, specs, top_coef, scale, prove): ``specs[nid]`` is (add, data,
+    finish, child ids, cache, key).  ``add(data, args, out, coef, one)``
+    adds coef times the node's value at its children's values ``args`` to
+    ``out`` (``structure.add_products`` with data the table; None for a
+    variable) and ``finish`` turns a fresh sum into the stored value
+    (``prune``).
     ``cache`` is None for an operation node holding every variable, else a
     dict keyed by ``key(combo)``, the basis indices at its variables.
     ``top_coef`` maps term nodes to their nonzero coefficients, and
@@ -651,7 +662,7 @@ def _compile(A, terms, variables, tables):
         for k in kids:
             w *= weights[k]
         weights.append(w)
-    coeffs = [dom.coerce(c) if weights[nid] == 1 else dom.coerce(c) / weights[nid]
+    coeffs = [dom.coerce(c) if weights[nid] == 1 else dom.coerce(c) * Fraction(1, weights[nid])
               for c, nid, _ in tops]
     scale = lcm(coeffs)
     top_coef = {}

@@ -653,6 +653,18 @@ def rank_of_rows(rows, ncols, dom=QQ, bound=None):
     return r
 
 
+def kernel_contains(rows, vectors, dom=QQ):
+    """Whether every dense vector lies in the kernel of sparse rows in
+    ``kernel``'s form.  Over Q the vectors are checked against the distinct
+    integer rows in integers (``_verify_nullspace``), with no Fraction
+    arithmetic; elsewhere each row is summed against each vector in dom."""
+    if isinstance(dom, RationalDomain):
+        return _verify_nullspace(_distinct_int_rows(rows),
+                                 [{j: c for j, c in enumerate(v) if c} for v in vectors])
+    return all(dom.is_zero(sum((dom.coerce(a) * v[j] for j, a in row.items()), dom.zero()))
+               for row in rows for v in vectors)
+
+
 def _verify_nullspace(introws, cand):
     """Whether every sparse candidate vector annihilates every integer row."""
     at_col = {}   # column -> [(candidate index, scaled integer entry)]

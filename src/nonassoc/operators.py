@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .identities import law_rows, linear_conditions  # noqa: F401  (re-exported)
-from .linalg import (Subspace, generic_rank, kernel, linear_pencil, mat_mul,
+from .linalg import (Subspace, generic_rank, kernel, kernel_contains, linear_pencil, mat_mul,
                      mat_sub, mat_vec, rank_of_rows, seeded_points, sparse_rows)
 from .scalars import QQ, DomainError
 from .structure import multiplication_operator
@@ -193,7 +193,8 @@ def generalized_derivation_space(A, mode="full", op=None):
             v = list(phi) + [dom.from_int(m) * c for c in phi]
             trivial_vecs.append(v)
     trivial = Subspace(trivial_vecs, nslots * n2, dom)
-    contained = all(space.subspace.contains_vector(v) for v in trivial.basis)
+    # the space is exactly the kernel of rows
+    contained = kernel_contains(rows, trivial.basis, dom)
     space.meta.update({
         "trivial_dim": trivial.dim,
         "trivial_contained": contained,

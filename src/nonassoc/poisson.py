@@ -188,14 +188,16 @@ def _associativity_obstructions(basis_tensors, n):
             for k, v in row.items():
                 dst[k] = dst.get(k, ring.zero()) + c * v
     generic = Algebra("generic", n, {"mul": StructureTensor(n, 2, table, ring)}, ring)
-    out, seen, monomials = [], set(), {}
+    out, seen, shared = [], set(), {}
     for row in law_table(generic, parse_identity("(x*y)*z - x*(y*z)"), {"*": "mul"}).values():
         for r in sorted(row):
             key = tuple(sorted(row[r].terms.items()))
             if key not in seen:
                 seen.add(key)
                 # the kept polynomials share one exponent tuple per monomial
-                out.append(Poly(ring.n, {monomials.setdefault(e, e): c for e, c in key}))
+                # and one coefficient object per value
+                out.append(Poly(ring.n, {shared.setdefault(e, e): shared.setdefault(c, c)
+                                         for e, c in key}))
     return out
 
 

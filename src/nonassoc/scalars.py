@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 
 class DomainError(ValueError):
@@ -559,7 +560,11 @@ QT = RatFuncField()
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Multivariate polynomial over Q; terms maps exponent tuples to Fraction."""
+    """Multivariate polynomial over Q; terms maps exponent tuples to nonzero
+    coefficients, ints or Fractions.  Sums and products of int-coefficient
+    polynomials stay int (the integer scan form of ``identities``), and a
+    Fraction and the int of equal value are one coefficient, so such
+    polynomials compare, hash and print alike."""
 
     __slots__ = ("n", "terms")
 
@@ -591,7 +596,7 @@ class Poly:
             return o
         out = dict(self.terms)
         for e, c in o.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -615,12 +620,8 @@ class Poly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.n, out)
 
     __rmul__ = __mul__
@@ -661,7 +662,7 @@ class Poly:
             qe = tuple(a - b for a, b in zip(re_, le))
             if any(q < 0 for q in qe):
                 raise DomainError("inexact polynomial division")
-            qc = rc / lc
+            qc = Fraction(rc) / lc
             out[qe] = out.get(qe, Fraction(0)) + qc
             rem = rem - Poly(self.n, {qe: qc}) * o
         return Poly(self.n, out)

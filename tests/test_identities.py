@@ -840,6 +840,74 @@ def test_law_table_cases_reach_every_node_kind(dom):
     assert nonzero >= 30 and unary >= 10 and ternary >= 10
 
 
+_GENERIC_RING = PolyRing(3)
+_GENERIC_LAWS = ["(x*y)*z - x*(y*z)", "(x*y)*x - x*(y*x)", "2/3 x*y - 2/3 y*x",
+                 "1/2 (x*y)*z + 3/4 z*(y*x) - 5 (z*x)*y"]
+
+
+def _generic_case(seed):
+    """A product over Q[c0, c1, c2] like the generic product of the
+    transposed-Poisson obstructions: each entry is a linear form in the c_a
+    with coefficients of denominators 1 to 6, plus a constant, so the scan
+    form is scaled by several denominators and unscaled at the end.  Half
+    the tables are commutative; on those the flexible law and x*y - y*x
+    cancel at every tuple, and the other laws cancel monomials."""
+    rng = random.Random(seed)
+    dim = rng.choice([1, 2, 2, 3])
+    commutative = rng.random() < 0.5
+    gens = _GENERIC_RING.gens()
+    table = {}
+    for args in itertools.product(range(dim), repeat=2):
+        if commutative and args[0] > args[1] or rng.random() < 0.4:
+            continue
+        row = {}
+        for k in rng.sample(range(dim), rng.randint(1, dim)):
+            row[k] = sum((Fraction(rng.randint(-6, 6), rng.randint(1, 6)) * g
+                          for g in rng.sample(gens, rng.randint(1, 3))),
+                         _GENERIC_RING.from_int(rng.randint(-1, 1)))
+        table[args] = row
+        if commutative:
+            table[args[::-1]] = row
+    A = Algebra("generic", dim, {"mul": StructureTensor(dim, 2, table, _GENERIC_RING)},
+                _GENERIC_RING)
+    return A, parse_identity(rng.choice(_GENERIC_LAWS))
+
+
+def _assert_generic_law_table(A, law):
+    got = law_table(A, law, {"*": "mul"})
+    want = _law_table_by_tuples(A, law, {"*": "mul"})
+    assert list(got) == list(want)
+    assert got == want
+    assert [[str(p) for p in row.values()] for row in got.values()] == \
+        [[str(p) for p in row.values()] for row in want.values()]
+    assert all(type(c) is Fraction for row in got.values() for p in row.values()
+               for c in p.terms.values())
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_law_table_over_q_c_matches_per_tuple_evaluation(seed):
+    """The integer scan form over Q[c] against eval_identity_sparse in
+    Fraction-coefficient polynomials at every tuple."""
+    _assert_generic_law_table(*_generic_case(seed))
+
+
+def test_law_table_over_q_c_cases_cancel_and_scale():
+    """The seeded cases reach nonzero tables, tables that cancel to nothing
+    on a nonzero product, and tables with denominators, which the scan form
+    scales away."""
+    nonzero = cancelled = scaled = 0
+    for seed in range(60):
+        A, law = _generic_case(seed)
+        got = _assert_generic_law_table(A, law)
+        nonzero += bool(got)
+        cancelled += not got and not A.op("mul").is_zero()
+        scaled += any(c.denominator > 1 for row in A.op("mul").table.values()
+                      for p in row.values() for c in p.terms.values())
+    assert nonzero >= 20 and cancelled >= 5 and scaled >= 20
+
+
 def test_law_table_divides_by_the_scale():
     """Denominators in the table, the unary map and the coefficients: the
     values come back exact, not scaled."""

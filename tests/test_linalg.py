@@ -113,6 +113,25 @@ def test_kernel_matches_dense_nullspace(which, system):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(_DOMAINS)), _SYSTEMS,
+       st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6), max_size=4),
+       st.booleans())
+def test_kernel_contains_matches_subspace_membership(which, system, weights, stray):
+    """``kernel_contains`` is membership in the ``kernel`` subspace, for
+    combinations of its basis and, with ``stray``, a vector of all ones."""
+    dom = _DOMAINS[which]
+    ncols, spec = system
+    rows = [{j: _entry(dom, a, e) for j, (a, e) in row.items()} for row in spec]
+    space = kernel(rows, ncols, dom)
+    vectors = [[sum((dom.from_int(w) * b[j] for w, b in zip(ws, space.basis)), dom.zero())
+                for j in range(ncols)] for ws in weights]
+    if stray:
+        vectors.append([dom.one()] * ncols)
+    assert linalg.kernel_contains(rows, vectors, dom) is \
+        all(space.contains_vector(v) for v in vectors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_DOMAINS)), _SYSTEMS,
        st.lists(st.tuples(st.booleans(), st.lists(st.integers(-3, 3), min_size=8, max_size=8)),
                 min_size=1, max_size=3))
 def test_solve_matches_dense_solve(which, system, rhs_specs):

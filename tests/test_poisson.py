@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,15 +6,17 @@ from fractions import Fraction
 import pytest
 
 from nonassoc.catalog import catalog_get
-from nonassoc.identities import linear_conditions
+from nonassoc.cli import run
+from nonassoc.identities import law_table, linear_conditions, parse_identity
 from nonassoc.poisson import (CustomaryIdentity, check_poisson_family,
                               customary_check, derived_map_d,
                               half_derivation_link_test,
                               poisson_pair_from_parts,
                               transposed_compatible_space)
 from nonassoc.scalars import QQ, DomainError, Poly, PolyRing
-from nonassoc.structure import Algebra, StructureTensor, change_basis
+from nonassoc.structure import Algebra, StructureTensor, change_basis, save_algebra
 from nonassoc.linalg import Subspace, is_invertible, kernel
+from nonassoc.varieties import check_variety, minus_algebra
 
 
 def _dim2_transposed():
@@ -171,6 +174,152 @@ def test_obstructions_match_the_looped_reference(name, seeds):
         res = transposed_compatible_space(B, op="mul")
         want = [str(p) for p in _looped_obstructions(res["basis"], 3)]
         assert want and [str(p) for p in res["obstructions"]] == want
+
+
+class _FractionPolyRing:
+    """Q[c] as a domain the identity scan does not know, so it keeps the
+    ring's Fraction-coefficient ``Poly`` values as they are: the route of
+    the obstructions before the scan had an integer form over Q[c]."""
+
+    def __init__(self, nvars):
+        self.ring = PolyRing(nvars)
+
+    def __getattr__(self, name):
+        return getattr(self.ring, name)
+
+
+def _fraction_route_obstructions(basis_tensors, n):
+    """Reference for the obstructions: the distinct nonzero associator
+    coordinates of the generic product, in table order, with the law table
+    taken in Fraction-coefficient ``Poly``s."""
+    if not basis_tensors:
+        return []
+    dom = _FractionPolyRing(len(basis_tensors))
+    table = {}
+    for c, S in zip(dom.gens(), basis_tensors):
+        for args, row in S.table.items():
+            dst = table.setdefault(args, {})
+            for k, v in row.items():
+                dst[k] = dst.get(k, dom.zero()) + c * v
+    generic = Algebra("generic", n, {"mul": StructureTensor(n, 2, table, dom)}, dom)
+    out, seen = [], set()
+    for row in law_table(generic, parse_identity("(x*y)*z - x*(y*z)"), {"*": "mul"}).values():
+        for r in sorted(row):
+            key = frozenset(row[r].terms.items())
+            if key not in seen:
+                seen.add(key)
+                out.append(row[r])
+    return out
+
+
+def _seeded_basis(n, seed):
+    """A seeded invertible basis change with entries in [-9, 9]."""
+    rng = random.Random(seed)
+    while not is_invertible(P := [[Fraction(rng.randint(-9, 9)) for _ in range(n)]
+                                  for _ in range(n)]):
+        pass
+    return P
+
+
+_LIE = [("sl2", None, ""), ("heis3", None, ""), ("abelian", {"n": 2}, ""),
+        ("abelian", {"n": 3}, ""), ("matrix", {"n": 2}, "-"), ("uppertri", {"n": 3}, "-")]
+
+
+@pytest.mark.parametrize("name,params,functor", _LIE)
+@pytest.mark.parametrize("rebased", [False, True])
+def test_obstructions_match_the_fraction_route(name, params, functor, rebased):
+    """Canonical and seeded rebased Lie algebras: the integer scan over Q[c]
+    gives the polynomials of the Fraction route, in its order, printed
+    alike, with Fraction coefficients."""
+    A = catalog_get(name, params)
+    if functor:
+        A = minus_algebra(A)
+    if rebased:
+        A = change_basis(A, _seeded_basis(A.dim, 1))
+    res = transposed_compatible_space(A)
+    want = _fraction_route_obstructions(res["basis"], A.dim)
+    got = res["obstructions"]
+    assert got == want
+    assert [str(p) for p in got] == [str(p) for p in want]
+    assert all(type(c) is Fraction for p in got for c in p.terms.values())
+    # sl2 has no compatible product and gl2 one line of associative ones
+    assert bool(got) is (name not in ("sl2", "matrix"))
+
+
+# sha256 of `poisson tps-space --json` stdout on heis3 rebased by
+# _seeded_basis(3, seed), recorded before the integer scan over Q[c]
+_TPS_JSON_SHA256 = {
+    1: "7715d5d6c4c996a3b4b684696471739c70819dace0505b6910291fad9bc94248",
+    2: "8fbaf15582a3b92cc3ac85a51bb0efaa74157115f3f2752841314889332c8b33",
+    3: "577fe9c200c9904f788fe0935aec3c47338c891ede30cee8ef3e086a062946a6",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_TPS_JSON_SHA256))
+def test_tps_space_json_is_unchanged_on_rebased_heis3(seed, tmp_path, capsys):
+    path = tmp_path / "heis3.json"
+    save_algebra(change_basis(catalog_get("heis3"), _seeded_basis(3, seed)), path)
+    assert run(["poisson", "tps-space", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _TPS_JSON_SHA256[seed]
+
+
+def _flat(S, n):
+    """A commutative product in the kernel layout of
+    ``transposed_compatible_space``: entry k of e_i e_j, pairs i <= j."""
+    return [S.basis_product((i, j)).get(k, Fraction(0))
+            for i in range(n) for j in range(i, n) for k in range(n)]
+
+
+def _product(basis_tensors, coords, n):
+    """sum_a coords[a] S_a as a table over Q."""
+    table = {}
+    for c, S in zip(coords, basis_tensors):
+        for args, row in S.table.items():
+            dst = table.setdefault(args, {})
+            for k, v in row.items():
+                dst[k] = dst.get(k, 0) + c * v
+    return StructureTensor(n, 2, table, QQ)
+
+
+def _associative(S, n):
+    return check_variety(Algebra("p", n, {"mul": S}, QQ), "associative")["holds"]
+
+
+def test_obstructions_vanish_exactly_at_the_associative_points_of_rebased_heis3():
+    """An oracle that uses no polynomial arithmetic: the products
+    sum_a c_a S_a on canonical heis3 that ``check_variety`` finds
+    associative, moved to a rebased basis, have coordinates where every
+    obstruction vanishes; at seeded integer points refuted there, some
+    obstruction does not."""
+    A = catalog_get("heis3")
+    P = _seeded_basis(3, 1)
+    B = change_basis(A, P)
+    canonical, res = transposed_compatible_space(A)["basis"], transposed_compatible_space(B)
+    n, s = A.dim, res["dim"]
+    flats = [_flat(S, n) for S in res["basis"]]
+    space = Subspace(flats, len(flats[0]))
+    assert space.basis == flats   # coordinates are taken in res["basis"]
+    moved = 0
+    for support in itertools.combinations(range(s), 2):
+        for values in itertools.product((1, -1, 2), repeat=2):
+            c = [0] * s
+            for a, v in zip(support, values):
+                c[a] = v
+            S = _product(canonical, c, n)
+            if _associative(S, n):
+                image = change_basis(Algebra("p", n, {"mul": S}, QQ), P).op()
+                coords = space.coordinates(_flat(image, n))
+                assert all(p.eval(coords) == 0 for p in res["obstructions"])
+                moved += 1
+    rng = random.Random(5)
+    refuted = 0
+    for _ in range(40):
+        c = [Fraction(rng.randint(-3, 3)) for _ in range(s)]
+        vanish = all(p.eval(c) == 0 for p in res["obstructions"])
+        assert vanish is _associative(_product(res["basis"], c, n), n)
+        refuted += not vanish
+    assert moved >= 20 and refuted >= 20
 
 
 def test_transposed_space_2dim_lie():

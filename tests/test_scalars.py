@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from nonassoc.scalars import (GF, MAX_POWER_DEGREE, QQ, QT, DomainError, PolyRing,
+from nonassoc.scalars import (GF, MAX_POWER_DEGREE, QQ, QT, DomainError, Poly, PolyRing,
                               RatFunc, _is_prime, parse_ratfunc)
 
 
@@ -135,3 +135,22 @@ def test_poly_degree_and_zero():
     assert (x * y * z).degree() == 3
     assert R.zero().degree() == -1
     assert not (x - x)
+
+
+def test_poly_int_and_fraction_coefficients_are_one_value():
+    """The integer scan form of the identity scan builds int-coefficient
+    polynomials: they equal, hash and print as their Fraction twins, their
+    arithmetic stays int, and a product drops the terms that cancel."""
+    as_int = Poly(2, {(1, 0): 3, (0, 2): -1, (0, 0): 1})
+    as_frac = Poly(2, {e: Fraction(c) for e, c in as_int.terms.items()})
+    assert as_int == as_frac and hash(as_int) == hash(as_frac)
+    assert repr(as_int) == repr(as_frac) == "-1*x1^2 + 3*x0 + 1"
+    for p in (as_int * as_int, as_int + as_int, as_int - as_int * as_int):
+        assert all(type(c) is int for c in p.terms.values())
+    assert as_int * as_int == as_frac * as_frac
+    assert (as_int - as_int).terms == {}
+    x, y = Poly(2, {(1, 0): 1}), Poly(2, {(0, 1): 1})
+    assert ((x + y) * (x - y)).terms == {(2, 0): 1, (0, 2): -1}
+    assert (as_int * (x - x)).terms == {}
+    quotient = (as_int * 4).divexact(as_int)
+    assert quotient == 4 and all(type(c) is Fraction for c in quotient.terms.values())

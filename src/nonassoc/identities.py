@@ -21,29 +21,34 @@ so each total is one fixed multiple of the exact value.  The compiled DAG
 also proves which runs of adjacent variables the law is symmetric or
 antisymmetric in (``_symmetric_runs``), such as the copies of a polarized
 variable or the arguments of a Lie or n-Lie bracket; permuting such a run
-maps the law's value to +-1 times itself.  Four entry points drive the loop:
+maps the law's value to +-1 times itself.  Two drivers run the loop, and
+each differs between its two entry points only in the basis tuples it is
+given.  ``_values`` yields the exact nonzero values of a law:
 
-* ``check_identity`` takes the first tuple with a nonzero total; it checks
-  every law the library checks on basis tuples (varieties, the
-  Poisson-type axioms with D(a) = {a,1} as the unary map D, customary
-  identities, higher derivations, the hom-Leibniz automorphism condition).
-  It visits one tuple per orbit of the proven runs (``_scan``): C(n+2, 3)·n
-  tuples instead of n^4 for Jordan, and only strictly increasing ones on
-  an antisymmetric run;
-* ``law_rows`` plugs in linear forms for an unknown map and turns a law
-  linear in it into integer rows of a linear system at one tuple per
-  orbit, with the kernel of the rows at every tuple: every operator space,
-  the cocycle, transposed-product and annihilator systems;
-* ``linear_conditions`` gives the same rows at every tuple, keyed by tuple
-  and coordinate, for the systems ``linalg.solve`` solves against
-  right-hand sides built elsewhere (Kantor's K and double brackets);
-* ``law_table`` divides by the multiple and returns the exact table of a
-  multilinear law: ``structure.change_basis``, the Kantor product, the
-  plus/minus functors, ``M7`` and the transposed-Poisson obstructions.
+* ``check_identity`` takes the first tuple with a nonzero value, and that
+  value is the witness defect; it checks every law the library checks on
+  basis tuples (varieties, the Poisson-type axioms with D(a) = {a,1} as the
+  unary map D, customary identities, higher derivations, the hom-Leibniz
+  automorphism condition).  It visits one tuple per orbit of the proven
+  runs: C(n+2, 3)·n tuples instead of n^4 for Jordan, and only strictly
+  increasing ones on an antisymmetric run;
+* ``law_table`` returns the exact table of a multilinear law at every
+  tuple: ``structure.change_basis``, the Kantor product, the plus/minus
+  functors, ``M7`` and the transposed-Poisson obstructions.
+
+``_conditions`` plugs in linear forms for an unknown map and turns a law
+linear in it into rows of a linear system:
+
+* ``law_rows`` gives integer rows at one tuple per orbit, with the kernel
+  of the rows at every tuple: every operator space, the cocycle,
+  transposed-product and annihilator systems;
+* ``linear_conditions`` gives the rows at every tuple, keyed by tuple and
+  coordinate, for the systems ``linalg.solve`` solves against right-hand
+  sides built elsewhere (Kantor's K and double brackets).
 
 ``eval_term_sparse`` and ``eval_identity_sparse`` are the reference
-evaluator.  They serve only the witness defect of ``check_identity``,
-``symbolic_check`` (the slow oracle for laws without unary maps) and tests.
+evaluator.  They serve only ``symbolic_check`` (the slow oracle for laws
+without unary maps) and tests.
 """
 
 from __future__ import annotations
@@ -107,12 +112,7 @@ class Identity:
             keyed[k] = t
             merged[k] = merged.get(k, Fraction(0)) + Fraction(c)
         self.terms = [(c, keyed[k]) for k, c in sorted(merged.items()) if c != 0]
-        degs = {}
-        for _, t in self.terms:
-            for v, d in term_vars(t).items():
-                degs[v] = max(degs.get(v, 0), d)
-        self.variables = tuple(sorted(degs))
-        self.degrees = degs
+        self.variables = tuple(sorted({v for _, t in self.terms for v in term_vars(t)}))
         self._validate()
 
     def _validate(self):
@@ -481,27 +481,28 @@ def check_identity(A, identity, opmap=None, unary_maps=None):
 
     Returns (holds, witness); witness is None or a dict with the violating
     basis tuple (the first in lexicographic order), the variable order, and
-    the nonzero defect vector computed by ``eval_identity_sparse``.  The
-    scan itself runs on the compiled form of each component (``_scan``).
+    the nonzero defect vector, the exact value of the law there (``_values``).
+
+    Only the tuples of ``_representatives`` are visited, in lexicographic
+    order, and the answer is that of the scan of every tuple.  Let t be the
+    first failing tuple of that full scan.  Permuting a run of
+    ``_symmetric_runs`` multiplies the law by +-1, so the failing tuples
+    are closed under sorting t on a run; the sorted tuple is
+    lexicographically at most t, and equal only when t is already sorted.
+    So t is non-decreasing on every run.  On an antisymmetric run t repeats
+    no index: swapping two equal indices would give L(t) = -L(t), so
+    L(t) = 0 outside characteristic 2, where alone such runs are proven.
+    So t is visited, and it is the first failing tuple visited here.
     """
     opmap = _bind(A, identity, opmap, unary_maps)
     dom = A.dom
     for lin in polarize(identity, char=dom.char or 0):
-        combo = _scan(A, lin, opmap, unary_maps)
-        if combo is None:
-            continue
-        vs = lin.variables
-        one = dom.one()
-        assignment = {v: {i: one} for v, i in zip(vs, combo)}
-        defect = eval_identity_sparse(A, lin, assignment, opmap, unary_maps)
-        if not defect:
-            raise AssertionError(f"compiled scan and eval_identity_sparse "
-                                 f"disagree at {combo}")
-        vec = [dom.zero()] * A.dim
-        for k, c in defect.items():
-            vec[k] = c
-        return False, {"variables": list(vs), "tuple": list(combo),
-                       "defect": vec}
+        for combo, value in _values(A, lin, opmap, unary_maps, _orbit_tuples):
+            vec = [dom.zero()] * A.dim
+            for k, c in value.items():
+                vec[k] = c
+            return False, {"variables": list(lin.variables), "tuple": list(combo),
+                           "defect": vec}
     return True, None
 
 
@@ -751,15 +752,6 @@ def _totals(A, combos, nodes, specs, top_coef, merge=_merge_vector):
         yield combo, total
 
 
-def _compile_law(A, identity, opmap, unary_maps):
-    """(prune, exact, compiled law): ``_compile`` of an identity on A with
-    its operations bound by opmap and unary_maps."""
-    lcm, convert, prune, _, exact = _scan_domain(A.dom)
-    tables = {sym: _scan_table(A, sym, opmap, unary_maps, lcm, convert)
-              for sym in identity.used_symbols()}
-    return prune, exact, _compile(A, identity.terms, identity.variables, tables)
-
-
 def _symmetric_runs(nodes, ids, marks, top_coef, k, prune):
     """The runs of adjacent variable positions that the law is proven
     symmetric or antisymmetric in, covering positions 0..k-1 in order, as
@@ -814,27 +806,31 @@ def _representatives(dim, runs):
             range(dim), length) for length, kind in runs]))
 
 
-def _scan(A, lin, opmap, unary_maps):
-    """First basis tuple (lexicographic) where the multilinear identity lin
-    fails, or None.  Over Q the defect is computed in Python ints, a
-    nonzero multiple of the exact one.
+def _every_tuple(dim, k, prove):
+    """Every basis tuple, in ``itertools.product`` order: the ``tuples`` of
+    ``law_table`` and ``linear_conditions``."""
+    return itertools.product(range(dim), repeat=k)
 
-    Only the tuples of ``_representatives`` are visited, in lexicographic
-    order, and the answer is that of the scan of every tuple.  Let t be the
-    first failing tuple of that full scan.  Permuting a run of
-    ``_symmetric_runs`` multiplies the law by +-1, so the failing tuples
-    are closed under sorting t on a run; the sorted tuple is
-    lexicographically at most t, and equal only when t is already sorted.
-    So t is non-decreasing on every run.  On an antisymmetric run t repeats
-    no index: swapping two equal indices would give L(t) = -L(t), so
-    L(t) = 0 outside characteristic 2, where alone such runs are proven.
-    So t is visited, and it is the first failing tuple visited here.
-    """
-    prune, _, (nodes, specs, top_coef, _, prove) = _compile_law(A, lin, opmap, unary_maps)
-    for combo, total in _totals(A, _representatives(A.dim, prove()), nodes, specs, top_coef):
-        if prune(total):
-            return combo
-    return None
+
+def _orbit_tuples(dim, k, prove):
+    """One basis tuple per orbit of the proven runs: the ``tuples`` of
+    ``check_identity`` and ``law_rows``."""
+    return _representatives(dim, prove())
+
+
+def _values(A, identity, opmap, unary_maps, tuples):
+    """Yield (basis tuple, exact nonzero value {coordinate: value}) of the
+    law identity at the basis tuples ``tuples(dim, number of variables,
+    prove)`` where it is nonzero, in their order; ``prove`` is from
+    ``_compile``, and opmap and unary_maps bind the law's symbols."""
+    lcm, convert, prune, _, exact = _scan_domain(A.dom)
+    tables = {sym: _scan_table(A, sym, opmap, unary_maps, lcm, convert)
+              for sym in identity.used_symbols()}
+    nodes, specs, top_coef, scale, prove = _compile(A, identity.terms, identity.variables, tables)
+    for combo, total in _totals(A, tuples(A.dim, len(identity.variables), prove), nodes, specs,
+                                top_coef):
+        if row := prune(total):
+            yield combo, {i: exact(c, scale) for i, c in row.items()}
 
 
 def law_table(A, identity, opmap, unary_maps=None):
@@ -847,12 +843,7 @@ def law_table(A, identity, opmap, unary_maps=None):
     ``check_identity``.
     """
     opmap = _bind(A, identity, opmap, unary_maps)
-    prune, exact, (nodes, specs, top_coef, scale, _) = _compile_law(A, identity, opmap,
-                                                                    unary_maps)
-    combos = itertools.product(range(A.dim), repeat=len(identity.variables))
-    return {combo: {i: exact(c, scale) for i, c in row.items()}
-            for combo, total in _totals(A, combos, nodes, specs, top_coef)
-            if (row := prune(total))}
+    return dict(_values(A, identity, opmap, unary_maps, _every_tuple))
 
 
 def linear_conditions(A, terms, variables, unknowns):
@@ -893,8 +884,7 @@ def linear_conditions(A, terms, variables, unknowns):
     unknown's form, D(x) say, is built once per x): at most #nodes x
     dim^(k-1) entries for k variables, freed on return.
     """
-    rows, scale = _conditions(A, terms, variables, unknowns,
-                              lambda dim, k, prove: itertools.product(range(dim), repeat=k))
+    rows, scale = _conditions(A, terms, variables, unknowns, _every_tuple)
     return dict(rows), scale
 
 
@@ -912,8 +902,7 @@ def law_rows(A, terms, variables, unknowns):
     Filippov's 8-dimensional 7-Lie algebra takes its rows at the 8 strictly
     increasing tuples instead of 8^7.
     """
-    rows, scale = _conditions(A, terms, variables, unknowns,
-                              lambda dim, k, prove: _representatives(dim, prove()))
+    rows, scale = _conditions(A, terms, variables, unknowns, _orbit_tuples)
     return [row for _, row in rows], scale
 
 

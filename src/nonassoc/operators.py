@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .identities import law_rows, linear_conditions  # noqa: F401  (re-exported)
+from .identities import law_rows
 from .linalg import (Subspace, generic_rank, kernel, kernel_contains, linear_pencil, mat_mul,
                      mat_sub, mat_vec, rank_of_rows, seeded_points, sparse_rows)
 from .scalars import QQ, DomainError

@@ -276,13 +276,19 @@ def _pdivmod(a, b):
     return _pnorm(q), _pnorm(r)
 
 
+def _monic(a):
+    lead = a[-1]
+    return a if lead == 1 else tuple(c / lead for c in a)
+
+
 def _pgcd(a, b):
+    """The monic gcd of a and b (() when both are zero).  Each remainder is
+    made monic before the next division: on raw remainders the
+    coefficients of Euclid's sequence over Q grow exponentially."""
     while b:
+        b = _monic(b)
         a, b = b, _pdivmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)
-    return a
+    return _monic(a) if a else a
 
 
 class RatFunc:
@@ -695,7 +701,10 @@ class Poly:
 class PolyRing:
     """Domain wrapper for Poly values in a fixed number of variables.
 
-    Not a field: generic row reduction over it is done fraction-free.
+    Not a field, and no row reduction runs over it: it carries evaluation
+    (``identities.symbolic_check``, the ``law_table`` of a generic product)
+    and matrix products.  ``linalg.generic_rank`` takes a matrix of Polys
+    and reduces only at rational points and on coefficient systems over Q.
     """
 
     char = 0

@@ -1,6 +1,9 @@
 import contextlib
+import hashlib
 import io
+import itertools
 import json
+import random
 import subprocess
 import sys
 import time
@@ -210,6 +213,85 @@ def test_huge_ratfunc_power_in_a_certificate_exits_2_at_once(tmp_path):
     with contextlib.redirect_stderr(io.StringIO()):
         assert run(argv) == 2
     assert time.perf_counter() - start < 1
+
+
+def test_sum_of_negative_powers_in_a_certificate_answers_in_time(tmp_path):
+    """A 21-character entry whose reduction runs Euclid on two degree-100
+    polynomials: with monic remainders ``degen verify`` answers in about a
+    second (about a minute when the remainders' coefficients grew)."""
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps([["(t+1)^-100+(t+2)^-100"]]))
+    ab1 = _write(tmp_path, "abelian", {"n": 1})
+    argv = ["degen", "verify", "--from", ab1, "--to", ab1, "--cert", str(cert)]
+    proc = subprocess.run([sys.executable, "-m", "nonassoc.cli"] + argv,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
+def _refuted_gf7_doc(name, op, entry, value, params=None):
+    """The GF(7) file of a catalog algebra with the first output coordinate
+    of one table entry set to value."""
+    doc = algebra_to_json(catalog_get(name, params))
+    doc["field"] = "GF(7)"
+    doc["ops"][op]["table"][entry]["out"][0][1] = value
+    return doc
+
+
+def _gf7_pair_doc(seed, dim):
+    """A unital GF(7) product e_i e_j = e_{i+j} with a seeded antisymmetric
+    bracket: its generalized Poisson axioms fail at a basis tuple."""
+    rng = random.Random(seed)
+    mul = [{"args": [i, j], "out": [[i + j, "1"]]}
+           for i in range(dim) for j in range(dim) if i + j < dim]
+    bracket = []
+    for i, j in itertools.combinations(range(dim), 2):
+        out = {k: v for k in range(dim) if rng.random() < 0.5 and (v := rng.randint(-3, 3))}
+        if out:
+            bracket.append({"args": [i, j], "out": [[k, str(v)] for k, v in out.items()]})
+            bracket.append({"args": [j, i], "out": [[k, str(-v)] for k, v in out.items()]})
+    return {"name": f"pair{seed}", "field": "GF(7)", "dim": dim, "unit": 0,
+            "ops": [{"name": "mul", "arity": 2, "table": mul},
+                    {"name": "bracket", "arity": 2, "table": bracket}]}
+
+
+_GF7_DOCS = {
+    "sl2": lambda: _refuted_gf7_doc("sl2", 0, 0, "3"),
+    "m2": lambda: _refuted_gf7_doc("matrix", 0, 2, "5", {"n": 2}),
+    "octonions": lambda: _refuted_gf7_doc("octonions", 0, 5, "2"),
+    "pair0": lambda: _gf7_pair_doc(0, 3),
+    "pair1": lambda: _gf7_pair_doc(1, 4),
+}
+
+# sha256 of the stdout of each command on the refuted GF(7) files above,
+# recorded while check_identity still took its witness defect from
+# eval_identity_sparse; every command exits 1 with a defect
+_GF7_WITNESS_SHA256 = {
+    ("identity", "eval", "sl2", "--identity", "x*(y*z) + y*(z*x) + z*(x*y)"):
+        "b40b47bf25c5d6ea9b293a4b887c47c70e893dd6b7a48dd33871a0b672256e4d",
+    ("variety", "check", "sl2", "--variety", "malcev"):
+        "b22432b307b346f9fd43ac2e76724ab6a350fe370bcd025c123bebec3bf3c570",
+    ("identity", "eval", "m2", "--identity", "((x*x)*y)*x - (x*x)*(y*x)"):
+        "0cefe53bb52f01583030f8dd2632c2987290f02a0320cec2f52141b30ad1d9e3",
+    ("variety", "check", "m2", "--variety", "alternative"):
+        "851b1e0be3b2e4bf9b0824df7197581e99b261b021c0409c92a3be50ee3d9e5f",
+    ("variety", "check", "octonions", "--variety", "alternative"):
+        "5c355182931e4d8a8fbba08131968430e891325359cbd3ac4dda0f61cae0fa3c",
+    ("poisson", "check", "pair0", "--kind", "generalized"):
+        "4b6e722cb632dcf435436c90c84f4f84740d912d67deb695765043f9010a26bb",
+    ("poisson", "check", "pair1", "--kind", "generalized"):
+        "e06d5878a79b5146c838bd4c181e1af66574c7d17a116fa5d502d0c660b8de47",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_GF7_WITNESS_SHA256), ids=" ".join)
+def test_gf7_witness_json_is_unchanged(argv, tmp_path, capsys):
+    path = tmp_path / f"{argv[2]}.json"
+    path.write_text(json.dumps(_GF7_DOCS[argv[2]]()))
+    assert run([*argv[:2], str(path), *argv[3:], "--json"]) == 1
+    out = capsys.readouterr().out
+    assert '"defect"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == _GF7_WITNESS_SHA256[argv]
+
 
 def test_json_flag_after_subcommand(tmp_path, capsys):
     sl2 = _write(tmp_path, "sl2")

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from nonassoc import identities
 from nonassoc.catalog import catalog_get
 from nonassoc.identities import (MAX_POLARIZATION_COPIES, Identity, ParseError, _bind,
-                                 _compile_law, check_identity, parse_identity,
+                                 check_identity, parse_identity,
                                  polarize, symbolic_check, eval_identity_sparse,
                                  default_opmap, law_table)
 from nonassoc.scalars import GF, QQ, QT, DomainError, Fp, Poly, PolyRing, RatFunc
 from nonassoc.structure import Algebra, StructureTensor
-from nonassoc.varieties import BINARY_VARIETIES, plus_algebra, variety_identities
+from nonassoc.incidence import HigherDerivationSeq, higher_derivation_check
+from nonassoc.poisson import CustomaryIdentity, check_poisson_family, customary_check
+from nonassoc.varieties import BINARY_VARIETIES, check_variety, plus_algebra, variety_identities
 from test_linear_conditions import _odd_scalar, _signed_tensor
 
 
@@ -427,7 +429,7 @@ def _random_case(seed, dom):
 
 
 @settings(max_examples=250, deadline=None)
-@given(st.sampled_from([QQ, GF(7), QT]), st.integers(0, 2**32))
+@given(st.sampled_from([QQ, GF(7), QT, PolyRing(2)]), st.integers(0, 2**32))
 def test_compiled_scan_matches_per_tuple_scan(dom, seed):
     A, ident, maps = _random_case(seed, dom)
     opmap = {"*": "mul", "[]": "t"}
@@ -527,12 +529,22 @@ def _symmetric_case(seed, dom):
     return A, Identity(terms, {"*": 2, "D": 1}), maps, kind
 
 
+def _compiled_law(A, lin, opmap, maps):
+    """(nodes, specs, top_coef, scale, prove): the compiled DAG of lin on A
+    with its symbols bound by opmap and maps, as ``identities._values``
+    builds it."""
+    lcm, convert, *_ = identities._scan_domain(A.dom)
+    tables = {sym: identities._scan_table(A, sym, opmap, maps, lcm, convert)
+              for sym in lin.used_symbols()}
+    return identities._compile(A, lin.terms, lin.variables, tables)
+
+
 def _run_kinds(A, ident, maps):
     """The (length, kind) runs of ``_symmetric_runs`` of ident's one
     polarized component."""
     lin, = polarize(ident)
     opmap = _bind(A, lin, {"*": "mul"}, maps)
-    return _compile_law(A, lin, opmap, maps)[2][4]()
+    return _compiled_law(A, lin, opmap, maps)[4]()
 
 
 def _runs(A, ident, maps):
@@ -583,7 +595,7 @@ def test_symmetric_runs_of_the_polarized_laws():
     assert _runs(B, parse_identity("(x1*x2)*(x3*x4)"), None) == [1, 1, 1, 1]
     assert _runs(B, parse_identity("x1*(x2*y) + x2*(y*x1)"), None) == [1, 1, 1]
     lin, = polarize(jordan)
-    sizes = [len(_compile_law(C, lin, {"*": "mul"}, None)[2][0]) for C in (A, B)]
+    sizes = [len(_compiled_law(C, lin, {"*": "mul"}, None)[0]) for C in (A, B)]
     assert sizes[0] < sizes[1]
 
 
@@ -675,7 +687,7 @@ def test_signed_cases_cover_runs_witnesses_and_merges():
                 continue
             lin, = polarize(ident)
             opmap = _bind(A, lin, _OPMAP, maps)
-            nodes, _, top_coef, _, prove = _compile_law(A, lin, opmap, maps)[2]
+            nodes, _, top_coef, _, prove = _compiled_law(A, lin, opmap, maps)
             runs = prove()
             g = sum(v.startswith("x") for v in lin.variables)
             start = lin.variables.index("x1")
@@ -707,15 +719,15 @@ def test_near_antisymmetric_table_is_not_marked():
     near = Algebra("near", 3, {"mul": StructureTensor(3, 2, table, QQ)}, QQ)
     skew = parse_identity("x1*x2 + x2*x1")
     jacobi = parse_identity("x*(y*z) + y*(z*x) + z*(x*y)")
-    nodes, _, top_coef, _, prove = _compile_law(sl2, skew, {"*": "mul"}, None)[2]
+    nodes, _, top_coef, _, prove = _compiled_law(sl2, skew, {"*": "mul"}, None)
     assert len(nodes) == 3 and top_coef == {} and prove() == [(2, 1)]
     assert check_identity(sl2, skew) == (True, None)
-    nodes, _, top_coef, _, prove = _compile_law(near, skew, {"*": "mul"}, None)[2]
+    nodes, _, top_coef, _, prove = _compiled_law(near, skew, {"*": "mul"}, None)
     assert len(nodes) == 4 and len(top_coef) == 2 and prove() == [(2, 1)]
     assert _run_kinds(sl2, jacobi, None) == [(3, -1)]
     assert all(k > 0 for _, k in _run_kinds(near, jacobi, None))
     # z*x is keyed as x*z (with sign -1) on sl2 only
-    kids = {C.name: [k for sym, k, _ in _compile_law(C, jacobi, {"*": "mul"}, None)[2][0] if sym]
+    kids = {C.name: [k for sym, k, _ in _compiled_law(C, jacobi, {"*": "mul"}, None)[0] if sym]
             for C in (sl2, near)}
     assert all(list(k) == sorted(k) for k in kids["sl2"])
     assert any(list(k) != sorted(k) for k in kids["near"])
@@ -766,6 +778,79 @@ def test_scan_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# witnesses without the reference evaluator
+# ---------------------------------------------------------------------------
+
+def _over(A, dom, scaled):
+    """A with its entries in dom, every entry of the operation named n
+    multiplied by ``scaled[n]`` when it is given."""
+    return Algebra(A.name, A.dim,
+                   {n: T.map_domain(dom, lambda c, s=scaled.get(n, dom.one()): dom.coerce(c) * s)
+                    for n, T in A.ops.items()}, dom, unit=A.unit)
+
+
+def _unital_pair(seed, dom, t):
+    """The unital algebra e_i e_j = e_{i+j} (zero from index dim on) with a
+    seeded antisymmetric bracket times t: the preconditions of a
+    generalized Poisson pair hold, with D(a) = {a,1} nonzero, and its
+    axioms may fail."""
+    rng = random.Random(seed)
+    dim = 3 + seed % 2
+    mul = {(i, j): {i + j: dom.one()} for i in range(dim) for j in range(dim) if i + j < dim}
+    bracket = {}
+    for i, j in itertools.combinations(range(dim), 2):
+        row = {k: dom.from_int(c) * t for k in range(dim) if (c := rng.randint(-3, 3))}
+        if row:
+            bracket[(i, j)] = row
+            bracket[(j, i)] = {k: -c for k, c in row.items()}
+    return Algebra(f"pair{seed}", dim, {"mul": StructureTensor(dim, 2, mul, dom),
+                                       "bracket": StructureTensor(dim, 2, bracket, dom)},
+                   dom, unit=0)
+
+
+def _refuting_checks(dom):
+    """Library checks whose laws fail on basis tuples over dom, each a
+    callable: varieties, the generalized Poisson axioms (unary D),
+    customary identities, a higher derivation and hom-Leibniz-3.  Over Q(t)
+    the operations carry a factor t."""
+    t = RatFunc.t_power(1) if dom is QT else dom.one()
+    sl2 = _over(catalog_get("sl2"), dom, {"mul": t})
+    m2 = _over(catalog_get("matrix", {"n": 2}), dom, {"mul": t})
+    gp2 = _over(catalog_get("gp2"), dom, {"bracket": t})
+    d4 = _over(catalog_get("D", {"dim": 4}), dom, {"mul": t})
+    ut2 = _over(catalog_get("uppertri", {"n": 2}), dom, {})
+    perm = [[dom.zero()] * 4 for _ in range(4)]
+    perm[1][0] = perm[2][1] = perm[0][2] = perm[3][3] = dom.one()
+    e11 = [[t if i == j == 0 else dom.zero() for j in range(3)] for i in range(3)]
+    seq = HigherDerivationSeq(ut2, [[[dom.one() if i == j else dom.zero() for j in range(3)]
+                                     for i in range(3)], e11, [[dom.zero()] * 3] * 3])
+    return ([lambda v=v: check_variety(sl2, v) for v in ("associative", "jordan", "alternative")]
+            + [lambda v=v: check_variety(m2, v) for v in ("lie", "jordan", "malcev")]
+            + [lambda s=s: check_poisson_family(_unital_pair(s, dom, t), "generalized")
+               for s in range(4)]
+            + [lambda m=m, terms=terms: customary_check(gp2, CustomaryIdentity(m, terms))
+               for m, terms in [(1, [(1, [], [1])]),
+                                (4, [(2, [], [3]), (1, [], []), (1, [(4, 2)], [3, 1])])]]
+            + [lambda: higher_derivation_check(ut2, seq),
+               lambda: check_variety(d4, "hom-leibniz-3", phi=perm)])
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(7), QT], ids=lambda d: d.name)
+def test_refuting_checks_never_call_the_reference_evaluator(dom, monkeypatch):
+    """Every witness, defect included, comes from the compiled scan: with
+    the reference evaluator raising, the refuting checks answer as before."""
+    want = [check() for check in _refuting_checks(dom)]
+    assert not any(r["holds"] if isinstance(r, dict) else r[0] for r in want)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reference evaluator called")
+
+    monkeypatch.setattr(identities, "eval_identity_sparse", refuse)
+    monkeypatch.setattr(identities, "eval_term_sparse", refuse)
+    assert [check() for check in _refuting_checks(dom)] == want
 
 
 def test_parse_leaves_no_reference_cycles():

@@ -6,13 +6,12 @@ import pytest
 
 from nonassoc import kantor
 from nonassoc.catalog import catalog_get
-from nonassoc.identities import Identity, eval_identity_sparse
+from nonassoc.identities import Identity, eval_identity_sparse, linear_conditions
 from nonassoc.kantor import (U2_E_TABLE, alpha_index, associated_product_check, build_U,
                              conservativity_test, jacobi_element_space,
                              kantor_product, kantor_square, quasi_unit_space,
                              u2_e_basis, u2_subalgebra)
 from nonassoc.linalg import Subspace, is_invertible, mat_vec, nullspace
-from nonassoc.operators import linear_conditions
 from nonassoc.scalars import GF, QQ, DomainError
 from nonassoc.structure import Algebra, StructureTensor, change_basis
 from nonassoc.varieties import check_variety

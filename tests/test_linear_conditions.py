@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 
 from nonassoc import identities, kantor
 from nonassoc.catalog import catalog_get
-from nonassoc.identities import check_identity, law_rows, parse_identity
+from nonassoc.identities import check_identity, law_rows, linear_conditions, parse_identity
 from nonassoc.linalg import is_invertible, kernel
-from nonassoc.operators import (centroid, commuting_map_space,
-                                derivation_space, linear_conditions)
+from nonassoc.operators import centroid, commuting_map_space, derivation_space
 from nonassoc.poisson import transposed_compatible_space
 from nonassoc.scalars import GF, QQ, QT, DomainError, PrimeField, RatFunc
 from nonassoc.structure import Algebra, StructureTensor, change_basis

@@ -1,9 +1,13 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nonassoc import scalars
 from nonassoc.scalars import (GF, MAX_POWER_DEGREE, QQ, QT, DomainError, Poly, PolyRing,
-                              RatFunc, _is_prime, parse_ratfunc)
+                              RatFunc, _is_prime, _pdivmod, _pgcd, _pmul, _pnorm, parse_ratfunc)
 
 
 def test_gf_arithmetic():
@@ -75,6 +79,34 @@ def test_ratfunc_powers_equal_their_products():
     assert parse_ratfunc("(2/t)^-3") == one / ((2 / t) * (2 / t) * (2 / t))
     assert parse_ratfunc("(t^2+1)^0") == one
     assert parse_ratfunc(f"t^{MAX_POWER_DEGREE}") == RatFunc.t_power(MAX_POWER_DEGREE)
+
+
+def _raw_euclid_pgcd(a, b):
+    """Reference: ``_pgcd`` before its remainders were made monic."""
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    if a:
+        lead = a[-1]
+        a = tuple(c / lead for c in a)
+    return a
+
+
+_SMALL_POLYS = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                        max_size=5).map(_pnorm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SMALL_POLYS, _SMALL_POLYS, _SMALL_POLYS)
+def test_monic_euclid_matches_raw_euclid(a, b, g):
+    """The gcd and every reduced RatFunc are those of Euclid on raw
+    remainders; the common factor g makes the gcd nontrivial often."""
+    a, b = _pmul(a, g), _pmul(b, g)
+    assert _pgcd(a, b) == _raw_euclid_pgcd(a, b)
+    if b:
+        got = RatFunc(a, b)
+        with mock.patch.object(scalars, "_pgcd", _raw_euclid_pgcd):
+            want = RatFunc(a, b)
+        assert (got.num, got.den) == (want.num, want.den)
 
 
 @pytest.mark.parametrize("text", [

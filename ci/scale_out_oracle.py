@@ -2,9 +2,12 @@
 tier-1 reaches.
 
 M_5(Q)^+ is Jordan and M_5(Q)^- is Lie: 25-dimensional scans of orbit
-representatives; Der M_6(Q) = sl_6 (35) and Der U(3) = 6 through the integer
-rows; the derived subalgebra of the 4-ary derivations of D(4) is sl_4 (15)
-in every slot; the sigma/Poisson biconditional holds over GF(5) on all 87
+representatives; Der M_6(Q) = sl_6 (35), Der U(3) = 6 and Der U(4) = 12
+through the integer rows (the U(4) value recorded from this library, not
+published); the table of U(4) built from the linear rows equals the one of
+a Kantor product per basis pair for u = v_1 (4096 products); the derived
+subalgebra of the 4-ary derivations of D(4) is sl_4 (15) in every slot; the
+sigma/Poisson biconditional holds over GF(5) on all 87
 posets with 5^s <= 4,000,000 (s strict pairs) and over GF(7) on all 77 with
 7^s <= 4,000,000; LDer_2(M7) holds no invertible map (certified generic
 rank < 7); the local derivations of a seeded rebased M_3(Q) are its 8
@@ -43,7 +46,8 @@ from fractions import Fraction
 from nonassoc.catalog import catalog_get
 from nonassoc.incidence import all_posets_up_to, crown_poset, exhaustive_sigma_equiv
 from nonassoc.invariants import standard_embedding, structure_report
-from nonassoc.kantor import build_U, conservativity_test, jacobi_element_space, quasi_unit_space
+from nonassoc.kantor import (alpha_index, build_U, conservativity_test, jacobi_element_space,
+                             kantor_product, quasi_unit_space)
 from nonassoc.linalg import Subspace, inverse, is_invertible
 from nonassoc.operators import (commuting_map_space, derivation_space,
                                 generalized_derivation_space, leibniz_derivation_space,
@@ -81,6 +85,18 @@ def generic(basis, c):
     return Algebra("p", 6, {"mul": StructureTensor(6, 2, table)})
 
 
+def per_pair_U(n):
+    """The table of U(n) for u = v_1 from one Kantor product per basis pair."""
+    basis = [StructureTensor(n, 2, {(i, j): {k: Fraction(1)}})
+             for i in range(n) for j in range(n) for k in range(n)]
+    table = {}
+    for a, b in itertools.product(range(n ** 3), repeat=2):
+        prod = kantor_product(basis[a], basis[b], 0)
+        table[(a, b)] = {alpha_index(i + 1, j + 1, k + 1, n): c
+                         for (i, j), row in prod.table.items() for k, c in row.items()}
+    return StructureTensor(n ** 3, 2, table)
+
+
 def conditions():
     """(name, value got, value wanted) of every condition."""
     m5 = catalog_get("matrix", {"n": 5})
@@ -91,6 +107,7 @@ def conditions():
     P = seeded_basis(9)
     loc = local_derivation_generic_space(change_basis(catalog_get("matrix", {"n": 3}), P))
     U3 = build_U(3)
+    U4 = build_U(4)
     cons = conservativity_test(U3)
     quasi, quasi_particular = quasi_unit_space(U3)
     rebased = {name: change_basis(catalog_get(name), seeded_basis(8))
@@ -116,6 +133,8 @@ def conditions():
     yield "M_5^- is Lie", check_variety(minus_algebra(m5), "lie")["holds"], True
     yield "dim Der M_6", derivation_space(catalog_get("matrix", {"n": 6})).dim, 35
     yield "dim Der U(3)", derivation_space(U3).dim, 6
+    yield "dim Der U(4)", derivation_space(U4).dim, 12
+    yield "U(4) equals its per-pair Kantor products", U4.op().table == per_pair_U(4).table, True
     yield "derived dim of GDer D(4)", meta["derived_dim"], 15
     yield "derived projection dims of GDer D(4)", meta["derived_projection_dims"], [15] * 4
     yield "posets with 5^s <= 4,000,000", len(gf5), 87

@@ -394,7 +394,8 @@ def all_posets_up_to(nmax):
 
     Every poset is isomorphic to one whose strict order is contained in the
     natural order on 0..n-1, so candidates are transitive subsets of the
-    upper triangle, deduplicated by canonical permutation form.
+    upper triangle, deduplicated by canonical permutation form: the least
+    relabelled relation over ``_class_relabellings``.
     """
     out = []
     for n in range(1, nmax + 1):
@@ -414,7 +415,7 @@ def all_posets_up_to(nmax):
                 continue
             canon = min(
                 tuple(sorted((p[a], p[b]) for (a, b) in rel))
-                for p in itertools.permutations(range(n)))
+                for p in _class_relabellings(n, rel))
             if canon in seen:
                 continue
             seen.add(canon)
@@ -424,6 +425,21 @@ def all_posets_up_to(nmax):
                     covers.append([str(a), str(b)])
             out.append(Poset([str(i) for i in range(n)], covers))
     return out
+
+
+def _class_relabellings(n, rel):
+    """The relabellings p of 0..n-1 that send each (in-degree, out-degree)
+    class of the strict order ``rel`` onto one block of consecutive labels,
+    the blocks in sorted class order.  An isomorphism preserves the classes
+    and their sizes, so the set of relations these relabellings give, and
+    its least element, depends only on the isomorphism class."""
+    degree = [(sum(b == e for _, b in rel), sum(a == e for a, _ in rel)) for e in range(n)]
+    blocks = [[e for e in range(n) if degree[e] == d] for d in sorted(set(degree))]
+    for order in itertools.product(*map(itertools.permutations, blocks)):
+        p = [0] * n
+        for label, e in enumerate(itertools.chain(*order)):
+            p[e] = label
+        yield p
 
 
 # ---------------------------------------------------------------------------

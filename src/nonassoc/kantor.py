@@ -16,12 +16,15 @@ from .scalars import QQ, DomainError
 from .structure import Algebra, StructureTensor, change_basis, multiplication_operator
 
 
-# [[A,B]](x,y) = L(B(x,y)) - B(Lx, y) - B(x, Ly) with the unary map L = A(u, .)
-_KANTOR_LAW = Identity(
-    [(1, ("L", (("*", (("v", "x"), ("v", "y"))),))),
-     (-1, ("*", (("L", (("v", "x"),)), ("v", "y")))),
-     (-1, ("*", (("v", "x"), ("L", (("v", "y"),)))))],
-    {"*": 2, "L": 1})
+def _kantor_terms(b):
+    """[[A,B]](x,y) = L(B(x,y)) - B(Lx, y) - B(x, Ly) with the unary map
+    L = A(u, .) and B the operation symbol ``b``."""
+    x, y = ("v", "x"), ("v", "y")
+    return [(1, ("L", ((b, (x, y)),))), (-1, (b, (("L", (x,)), y))),
+            (-1, (b, (x, ("L", (y,)))))]
+
+
+_KANTOR_LAW = Identity(_kantor_terms("*"), {"*": 2, "L": 1})
 
 
 def kantor_product(A, B, u):
@@ -34,6 +37,8 @@ def kantor_product(A, B, u):
         raise DomainError("Kantor product needs binary multiplications")
     if A.dim != B.dim:
         raise DomainError("dimension mismatch")
+    if A.dom != B.dom:
+        raise DomainError("domain mismatch")
     dom = A.dom
     n = A.dim
     if isinstance(u, int):
@@ -57,31 +62,47 @@ def alpha_index(i, j, k, n):
     return ((i - 1) * n + (j - 1)) * n + (k - 1)
 
 
+def _kantor_rows(A, u):
+    """[[A,B]] w.r.t. u as exact rows linear in B: {((x, y), r): {b: c}},
+    [[A,B]](e_x, e_y)_r being the sum of c times B's U(n)-coordinate b
+    (``alpha_index``).  A is a binary StructureTensor, u a basis index or
+    a vector."""
+    n = A.dim
+    M = multiplication_operator(Algebra("A", n, {"A": A}, A.dom), (u,), "A", slot=1)
+    L = StructureTensor(n, 1, {(j,): {k: M[k][j] for k in range(n)} for j in range(n)}, A.dom)
+    unknown = (n, lambda r, x, y: alpha_index(x + 1, y + 1, r + 1, n))
+    return _exact_rows(*linear_conditions(Algebra("L", n, {"L": L}, A.dom), _kantor_terms("<B>"),
+                                          ("x", "y"), {"<B>": unknown}))
+
+
 def build_U(n, u_index=0):
     """The conservative algebra U(n) of all multiplications on V_n.
 
     Basis alpha_{i,j}^k ordered by (i,j,k); the product of two basis
     multiplications is their Kantor product w.r.t. u = v_{u_index}.
+
+    The Kantor product [[A,B]] is linear in B, so one ``linear_conditions``
+    call in the unknown B (``_kantor_rows``) gives the product of A with
+    every basis multiplication: n^2 row builds for the whole table instead
+    of n^6 law tables.  Only the left factors alpha_{i,j}^k with i = u
+    need one: alpha_{i,j}^k(u, .) is zero for i != u, so L = A(u, .) and
+    every product with such a left factor vanish.
     """
     if n < 1:
         raise DomainError("n must be positive")
     if not 0 <= u_index < n:
         raise DomainError("invalid u_index")
-    dom = QQ
-    dim = n ** 3
-    basis_tensors = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                basis_tensors.append(StructureTensor(
-                    n, 2, {(i - 1, j - 1): {k - 1: Fraction(1)}}, dom))
     table = {}
-    for a in range(dim):
-        for b in range(dim):
-            prod = kantor_product(basis_tensors[a], basis_tensors[b], u_index)
-            table[(a, b)] = {alpha_index(i + 1, j + 1, k + 1, n): c
-                             for (i, j), row in prod.table.items() for k, c in row.items()}
-    A = Algebra(f"U({n})", dim, {"mul": StructureTensor(dim, 2, table, dom)}, dom)
+    for j in range(n):
+        for k in range(n):
+            alpha = StructureTensor(n, 2, {(u_index, j): {k: Fraction(1)}}, QQ)
+            products = {}
+            for ((x, y), r), row in _kantor_rows(alpha, u_index).items():
+                for b, c in row.items():
+                    products.setdefault(b, {})[alpha_index(x + 1, y + 1, r + 1, n)] = c
+            a = alpha_index(u_index + 1, j + 1, k + 1, n)
+            table.update(((a, b), products[b]) for b in sorted(products))
+    A = Algebra(f"U({n})", n ** 3, {"mul": StructureTensor(n ** 3, 2, table, QQ)}, QQ)
     A.meta_u_index = u_index
     return A
 

@@ -154,6 +154,9 @@ _HEIS3_GF7 = dict(algebra_to_json(catalog_get("heis3")), field="GF(7)")
     # invertibility test, the associativity obstructions over Q[c]
     (_HEIS3_GF7, ["der", "leibniz", "{file}", "--k", "2"]),
     (_HEIS3_GF7, ["poisson", "tps-space", "{file}"]),
+    # a Kantor product of a Q and a GF(7) multiplication, in both orders
+    (_HEIS3_GF7, ["kantor", "product", "--a", "{sl2}", "--b", "{file}"]),
+    (_HEIS3_GF7, ["kantor", "product", "--a", "{file}", "--b", "{sl2}"]),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, doc, argv):
     path = tmp_path / "in.json"

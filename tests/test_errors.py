@@ -8,7 +8,7 @@ from nonassoc.catalog import catalog_get
 from nonassoc.deform import Cocycle, central_extension, cocycle_space, degeneration_verify
 from nonassoc.incidence import HigherDerivationSeq, Poset, SigmaMap, chain_poset
 from nonassoc.kantor import kantor_product
-from nonassoc.scalars import QQ, DomainError
+from nonassoc.scalars import GF, QQ, DomainError
 from nonassoc.structure import StructureTensor
 
 
@@ -19,6 +19,15 @@ def test_kantor_dim_mismatch_and_zero_u():
         kantor_product(a, b, 0)
     with pytest.raises(DomainError):
         kantor_product(a, a, [Fraction(0), Fraction(0)])
+
+
+def test_kantor_domain_mismatch():
+    """A over Q and B over GF(7), in either order, on a common space."""
+    a = catalog_get("sl2").op("mul")
+    b = a.map_domain(GF(7), GF(7).coerce)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(DomainError, match="domain mismatch"):
+            kantor_product(x, y, 0)
 
 
 def test_degeneration_dim_mismatch():

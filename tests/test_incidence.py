@@ -204,6 +204,32 @@ def test_poset_enumeration_counts():
     assert counts == {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
 
 
+def _all_posets_by_every_relabelling(nmax):
+    """all_posets_up_to before the degree classes: each candidate's form is
+    the least relabelled relation over all n! relabellings."""
+    out = []
+    for n in range(1, nmax + 1):
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        seen = set()
+        for bits in range(1 << len(upper)):
+            rel = {upper[k] for k in range(len(upper)) if bits >> k & 1}
+            if any(b == c and (a, d) not in rel for (a, b) in rel for (c, d) in rel):
+                continue
+            canon = min(tuple(sorted((p[a], p[b]) for (a, b) in rel))
+                        for p in itertools.permutations(range(n)))
+            if canon not in seen:
+                seen.add(canon)
+                out.append((n, rel))
+    return out
+
+
+def test_poset_enumeration_matches_every_relabelling():
+    """The same posets in the same order for n <= 6 (405 posets)."""
+    got = [(P.n, {(int(a), int(b)) for a, b in P.strict_pairs()}) for P in all_posets_up_to(6)]
+    assert len(got) == 405
+    assert got == _all_posets_by_every_relabelling(6)
+
+
 def test_sweep_rejects_char_two():
     with pytest.raises(DomainError):
         exhaustive_sigma_equiv(chain_poset(3), 2)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonassoc import kantor
 from nonassoc.catalog import catalog_get
@@ -562,3 +564,54 @@ def test_build_u_matches_dense_round_trip(n):
             if row:
                 table[(a, b)] = row
     assert build_U(n).op("mul").table == table
+
+
+def _per_pair_build_U(n, u_index):
+    """build_U before the linear rows: one ``kantor_product`` per basis pair."""
+    basis = [StructureTensor(n, 2, {(i, j): {k: Fraction(1)}}, QQ)
+             for i in range(n) for j in range(n) for k in range(n)]
+    table = {}
+    for a in range(n ** 3):
+        for b in range(n ** 3):
+            prod = kantor_product(basis[a], basis[b], u_index)
+            table[(a, b)] = {alpha_index(i + 1, j + 1, k + 1, n): c
+                             for (i, j), row in prod.table.items() for k, c in row.items()}
+    return StructureTensor(n ** 3, 2, table, QQ)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_build_u_matches_the_per_pair_route_in_key_order(n):
+    """Every u: the same products, keys (a, b) ascending and each row's
+    alpha-coordinates ascending, exact Fractions."""
+    for u in range(n):
+        U = build_U(n, u)
+        got, want = U.op("mul").table, _per_pair_build_U(n, u).table
+        assert [(k, list(row.items())) for k, row in got.items()] == \
+            [(k, list(row.items())) for k, row in want.items()]
+        assert all(type(c) is Fraction for row in got.values() for c in row.values())
+        assert (U.name, U.dim, U.meta_u_index) == (f"U({n})", n ** 3, u)
+
+
+def _random_binary(rng, n, density):
+    return StructureTensor(n, 2, {
+        (i, j): {k: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for k in range(n)}
+        for i in range(n) for j in range(n) if rng.random() < density}, QQ)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([0.3, 0.7, 1.0]), st.booleans(),
+       st.integers(0, 2**32))
+def test_kantor_rows_contract_to_the_kantor_product(n, density, dense_u, seed):
+    """The rows linear in B, contracted with B's U(n)-coordinates, are
+    [[A,B]] for rational A and B and a basis or (scaled) vector u."""
+    rng = random.Random(seed)
+    A, B = _random_binary(rng, n, density), _random_binary(rng, n, density)
+    u = rng.randrange(n)
+    if dense_u:
+        u = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        u[rng.randrange(n)] = Fraction(rng.randint(1, 3), rng.randint(2, 4))
+    vec = _vector_from_tensor(B, n, QQ)
+    table = {}
+    for ((x, y), r), row in kantor._kantor_rows(A, u).items():
+        table.setdefault((x, y), {})[r] = sum(c * vec[b] for b, c in row.items())
+    assert StructureTensor(n, 2, table, QQ) == kantor_product(A, B, u)

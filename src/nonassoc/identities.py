@@ -21,20 +21,27 @@ so each total is one fixed multiple of the exact value.  The compiled DAG
 also proves which runs of adjacent variables the law is symmetric or
 antisymmetric in (``_symmetric_runs``), such as the copies of a polarized
 variable or the arguments of a Lie or n-Lie bracket; permuting such a run
-maps the law's value to +-1 times itself.  Two drivers run the loop, and
-each differs between its two entry points only in the basis tuples it is
-given.  ``_values`` yields the exact nonzero values of a law:
+maps the law's value to +-1 times itself.
 
-* ``check_identity`` takes the first tuple with a nonzero value, and that
-  value is the witness defect; it checks every law the library checks on
-  basis tuples (varieties, the Poisson-type axioms with D(a) = {a,1} as the
+A node's value is a sparse vector {coordinate: value}, or a linear form
+{coordinate: {column: coefficient}} when it holds the generic element of
+``check_identity`` or an unknown map of ``_conditions``; the entry points
+differ in that and in the basis tuples the loop is given:
+
+* ``check_identity`` compiles each polarized component with its last
+  variable generic, X = sum_c X_c e_c, and scans only the first k-1
+  positions: column c of the law's form at a prefix p is its value at the
+  tuple (p, c).  The first tuple with a nonzero value is the witness, and
+  that value its defect.  It checks every law the library checks on basis
+  tuples (varieties, the Poisson-type axioms with D(a) = {a,1} as the
   unary map D, customary identities, higher derivations, the hom-Leibniz
-  automorphism condition).  It visits one tuple per orbit of the proven
-  runs: C(n+2, 3)·n tuples instead of n^4 for Jordan, and only strictly
-  increasing ones on an antisymmetric run;
+  automorphism condition), at one tuple per orbit of the proven runs:
+  C(n+2, 3)·n tuples instead of n^4 for Jordan, in C(n+2, 3) prefixes, and
+  only strictly increasing ones on an antisymmetric run;
 * ``law_table`` returns the exact table of a multilinear law at every
-  tuple: ``structure.change_basis``, the Kantor product, the plus/minus
-  functors, ``M7`` and the transposed-Poisson obstructions.
+  tuple, from vectors only: ``structure.change_basis``, the Kantor
+  product, the plus/minus functors, ``M7`` and the transposed-Poisson
+  obstructions.
 
 ``_conditions`` plugs in linear forms for an unknown map and turns a law
 linear in it into rows of a linear system:
@@ -481,7 +488,13 @@ def check_identity(A, identity, opmap=None, unary_maps=None):
 
     Returns (holds, witness); witness is None or a dict with the violating
     basis tuple (the first in lexicographic order), the variable order, and
-    the nonzero defect vector, the exact value of the law there (``_values``).
+    the nonzero defect vector, the exact value of the law there.
+
+    Each polarized component is multilinear.  It is compiled with its last
+    variable as the generic element X = sum_c X_c e_c (``_compile`` with
+    ``generic``), so its value at a prefix p, basis indices at the first
+    k-1 positions, is a linear form whose column c is its value at the
+    tuple (p, c).  A component without terms holds.
 
     Only the tuples of ``_representatives`` are visited, in lexicographic
     order, and the answer is that of the scan of every tuple.  Let t be the
@@ -492,18 +505,59 @@ def check_identity(A, identity, opmap=None, unary_maps=None):
     So t is non-decreasing on every run.  On an antisymmetric run t repeats
     no index: swapping two equal indices would give L(t) = -L(t), so
     L(t) = 0 outside characteristic 2, where alone such runs are proven.
-    So t is visited, and it is the first failing tuple visited here.
+    So t is a representative.
+
+    The representatives are the tuples (p, c) with p in ``_prefixes`` and c
+    a column of X at p.  When the last position ends a run of length 1, p
+    is a representative of the other runs and c any index.  When it ends a
+    run of length 2 or more, the run's only condition on its last index c,
+    given the index i before it at position k-2, is c >= i (symmetric) or
+    c > i (antisymmetric); X takes exactly those columns, and p ranges over
+    the representatives of the runs with the last one shortened by one.  A
+    prefix with i = dim-1 admits no c on an antisymmetric run, so it is
+    left out.  Lexicographic order on (p, c) is prefix-major, so the first
+    representative with a nonzero value is the least column c with a
+    nonzero entry in the first prefix's form that has one: it is t, and its
+    defect is column c of that form made exact.
     """
     opmap = _bind(A, identity, opmap, unary_maps)
     dom = A.dom
+    lcm, convert, prune, _, exact = _scan_domain(dom)
     for lin in polarize(identity, char=dom.char or 0):
-        for combo, value in _values(A, lin, opmap, unary_maps, _orbit_tuples):
-            vec = [dom.zero()] * A.dim
-            for k, c in value.items():
-                vec[k] = c
-            return False, {"variables": list(lin.variables), "tuple": list(combo),
-                           "defect": vec}
+        _, specs, top_coef, scale, prove = _compile(
+            A, lin.terms, lin.variables, _scan_tables(A, lin, opmap, unary_maps, lcm, convert),
+            generic=True)
+        if not top_coef:
+            continue
+        for prefix, total in _totals(A, _prefixes(A.dim, prove()), specs, top_coef, _merge_form):
+            # a falsy scan-form value is zero; prune decides the others (over
+            # GF(p) they may be multiples of p)
+            if any(map(any, map(dict.values, total.values()))) and (
+                    rows := {r: row for r, form in total.items() if (row := prune(form))}):
+                c = min(min(row) for row in rows.values())
+                vec = [dom.zero()] * A.dim
+                for r, row in rows.items():
+                    if c in row:
+                        vec[r] = exact(row[c], scale)
+                return False, {"variables": list(lin.variables), "tuple": [*prefix, c],
+                               "defect": vec}
     return True, None
+
+
+def _prefixes(dim, runs):
+    """The basis tuples of the first k-1 positions that ``check_identity``
+    scans with the last variable generic: the ``_representatives`` of the
+    runs with the last run one shorter.  A prefix whose last index is dim-1
+    is left out when the last run is antisymmetric of length 2 or more:
+    the generic variable then takes only larger indices, and there are
+    none."""
+    length, kind = runs[-1]
+    head = _representatives(dim, runs[:-1])
+    if length == 1:
+        return head
+    tail = (itertools.combinations(range(dim - 1), length - 1) if kind < 0
+            else itertools.combinations_with_replacement(range(dim), length - 1))
+    return (h + t for h, t in itertools.product(head, tail))
 
 
 def _scan_domain(dom):
@@ -626,7 +680,7 @@ def _marks(tables, prune):
     return marks
 
 
-def _compile(A, terms, variables, tables):
+def _compile(A, terms, variables, tables, generic=False):
     """Compile (coefficient, term) pairs into one DAG of distinct subterms.
 
     ``tables`` maps each operation symbol to (scan-form table, factor) from
@@ -646,10 +700,20 @@ def _compile(A, terms, variables, tables):
     ``out`` (``structure.add_products`` with data the table; None for a
     variable) and ``finish`` turns a fresh sum into the stored value
     (``prune``).
-    ``cache`` is None for an operation node holding every variable, else a
-    dict keyed by ``key(combo)``, the basis indices at its variables.
-    ``top_coef`` maps term nodes to their nonzero coefficients, and
-    ``prove()`` returns the law's ``_symmetric_runs``.
+    ``cache`` is None for an operation node holding every scanned variable,
+    else a dict keyed by ``key(combo)``, the basis indices at the scanned
+    variables it depends on.  ``top_coef`` maps term nodes to their nonzero
+    coefficients, and ``prove()`` returns the law's ``_symmetric_runs``.
+
+    With ``generic`` the law, which must be multilinear, is compiled for
+    ``check_identity``: the last of its k variables is the generic element
+    and only the first k-1 are scanned.  The runs are proven here, since
+    they bound the generic element's columns: when the last run has length
+    2 or more, X at the index i of position k-2 holds the columns c >= i
+    (symmetric) or c > i (antisymmetric), so the variable at position k-2
+    is its child and it, with every node above it, is cached per i.  A node
+    holding X has a linear form as value (``_add_generic``,
+    ``_add_linear``, kept with its zeros), every other node a vector.
     """
     dom = A.dom
     lcm, convert, prune, one, _ = _scan_domain(dom)
@@ -672,15 +736,38 @@ def _compile(A, terms, variables, tables):
         top_coef[nid] = c if nid not in top_coef else top_coef[nid] + c
     top_coef = prune(top_coef)
     k = len(variables)
+    prove = functools.partial(_symmetric_runs, nodes, ids, marks, top_coef, k, prune)
+    width, gen, lead = k, None, None
+    if generic:
+        runs = prove()
+        prove = lambda: runs
+        width, gen = k - 1, (k - 1,)
+        length, kind = runs[-1] if runs else (1, 1)
+        if length > 1:
+            lead = ids[(None, k - 2)]
     units = {i: {i: one} for i in range(A.dim)}
-    specs = []
+    specs, linear = [], []
     for sym, kids, pos in nodes:
-        full = sym is not None and len(pos) == k
-        add = (add_products, tables[sym][0], prune) if sym in tables else (None, None, None)
-        specs.append(add + (kids, None if full else units if sym is None else {},
+        linear.append(pos == gen if sym is None else any(linear[c] for c in kids))
+        if linear[-1]:
+            # scanned positions: not the generic one, but the one before it
+            # when that bounds the form's columns
+            pos = pos[:-1]
+            if lead is not None and pos[-1:] != (k - 2,):
+                pos += (k - 2,)
+            if sym is None:
+                add = (_add_generic, (A.dim, kind), _as_is, () if lead is None else (lead,))
+            else:
+                add = (_add_linear, (tables[sym][0], [linear[c] for c in kids].index(True)),
+                       _as_is, kids)
+        elif sym in tables:
+            add = (add_products, tables[sym][0], prune, kids)
+        else:
+            add = (None, None, None, kids)
+        full = sym is not None and len(pos) == width
+        specs.append(add + (None if full else units if sym is None and not linear[-1] else {},
                             operator.itemgetter(*pos) if pos else operator.itemgetter(slice(0))))
-    return nodes, specs, top_coef, scale, functools.partial(
-        _symmetric_runs, nodes, ids, marks, top_coef, k, prune)
+    return nodes, specs, top_coef, scale, prove
 
 
 def _value(nid, combo, specs, vals, one):
@@ -705,21 +792,22 @@ def _merge_vector(total, value, coef):
         total[i] = coef * c if prev is None else prev + coef * c
 
 
-def _totals(A, combos, nodes, specs, top_coef, merge=_merge_vector):
+def _totals(A, combos, specs, top_coef, merge=_merge_vector):
     """Yield (basis tuple, total) at each basis tuple of ``combos``, in the
-    caller's order; total is the scan-form sum of coef times term value, a
-    fresh dict that may hold zero entries.
+    caller's order; total is the scan-form sum of coef times term value (a
+    vector, or a linear form), a fresh dict that may hold zero entries.
 
     The one loop over a compiled law (``_compile``).  Only the nodes holding
-    every variable are formed per tuple (12 products instead of 36 for the
-    polarized Jordan identity); the others are cached by the basis indices
-    at their own variables, so in any tuple order, at most #nodes x
-    dim^(k-1) entries for k variables, freed when the generator is.  A term
-    no other node uses is added to the total as it is formed; every other
-    term's value is looked up and added by ``merge(total, value, coef)``.
+    every scanned variable are formed per tuple (12 products instead of 36
+    for the polarized Jordan identity); the others are cached by the basis
+    indices at the scanned variables they depend on, so in any tuple order,
+    at most #nodes x dim^(k-1) entries for k scanned variables, freed when
+    the generator is.  A term no other node uses is added to the total as
+    it is formed; every other term's value is looked up and added by
+    ``merge(total, value, coef)``.
     """
     one = _scan_domain(A.dom)[3]
-    inner = {c for node in nodes for c in node[1]}
+    inner = {c for spec in specs for c in spec[3]}
     steps, looked_up = [], []
     for nid, (add, data, finish, kids, cache, _) in enumerate(specs):
         coef = top_coef.get(nid)
@@ -730,7 +818,7 @@ def _totals(A, combos, nodes, specs, top_coef, merge=_merge_vector):
                           coef if fused else None))
         if coef is not None and not fused:
             looked_up.append((nid, coef))
-    vals = [None] * len(nodes)
+    vals = [None] * len(specs)
     for combo in combos:
         total = {}
         for nid, add, data, finish, kids, coef in steps:
@@ -807,30 +895,22 @@ def _representatives(dim, runs):
 
 
 def _every_tuple(dim, k, prove):
-    """Every basis tuple, in ``itertools.product`` order: the ``tuples`` of
+    """Every basis tuple, in ``itertools.product`` order: the tuples of
     ``law_table`` and ``linear_conditions``."""
     return itertools.product(range(dim), repeat=k)
 
 
 def _orbit_tuples(dim, k, prove):
     """One basis tuple per orbit of the proven runs: the ``tuples`` of
-    ``check_identity`` and ``law_rows``."""
+    ``law_rows``."""
     return _representatives(dim, prove())
 
 
-def _values(A, identity, opmap, unary_maps, tuples):
-    """Yield (basis tuple, exact nonzero value {coordinate: value}) of the
-    law identity at the basis tuples ``tuples(dim, number of variables,
-    prove)`` where it is nonzero, in their order; ``prove`` is from
-    ``_compile``, and opmap and unary_maps bind the law's symbols."""
-    lcm, convert, prune, _, exact = _scan_domain(A.dom)
-    tables = {sym: _scan_table(A, sym, opmap, unary_maps, lcm, convert)
-              for sym in identity.used_symbols()}
-    nodes, specs, top_coef, scale, prove = _compile(A, identity.terms, identity.variables, tables)
-    for combo, total in _totals(A, tuples(A.dim, len(identity.variables), prove), nodes, specs,
-                                top_coef):
-        if row := prune(total):
-            yield combo, {i: exact(c, scale) for i, c in row.items()}
+def _scan_tables(A, identity, opmap, unary_maps, lcm, convert):
+    """{symbol: (scan-form table, factor)} for each symbol of identity,
+    bound by opmap and unary_maps (``_scan_table``)."""
+    return {sym: _scan_table(A, sym, opmap, unary_maps, lcm, convert)
+            for sym in identity.used_symbols()}
 
 
 def law_table(A, identity, opmap, unary_maps=None):
@@ -843,7 +923,14 @@ def law_table(A, identity, opmap, unary_maps=None):
     ``check_identity``.
     """
     opmap = _bind(A, identity, opmap, unary_maps)
-    return dict(_values(A, identity, opmap, unary_maps, _every_tuple))
+    lcm, convert, prune, _, exact = _scan_domain(A.dom)
+    _, specs, top_coef, scale, prove = _compile(
+        A, identity.terms, identity.variables,
+        _scan_tables(A, identity, opmap, unary_maps, lcm, convert))
+    tuples = _every_tuple(A.dim, len(identity.variables), prove)
+    return {combo: {i: exact(c, scale) for i, c in row.items()}
+            for combo, total in _totals(A, tuples, specs, top_coef)
+            if (row := prune(total))}
 
 
 def linear_conditions(A, terms, variables, unknowns):
@@ -933,8 +1020,8 @@ def _conditions(A, terms, variables, unknowns, tuples):
             specs[nid] = (_add_product, (indexes[(sym, s)], s), _as_is) + specs[nid][3:]
 
     def keyed_rows():
-        for combo, total in _totals(A, tuples(A.dim, len(variables), prove), nodes, specs,
-                                    top_coef, _merge_form):
+        for combo, total in _totals(A, tuples(A.dim, len(variables), prove), specs, top_coef,
+                                    _merge_form):
             for r in sorted(total):
                 row = prune(total[r])
                 if row:
@@ -983,12 +1070,76 @@ def _add_product(data, args, out, coef, one):
                         tgt[j] = tgt.get(j, 0) + f * x
 
 
+def _add_generic(data, args, out, coef, one):
+    """Add coef times the generic element to the form ``out``: column c for
+    each index c it takes, all of them or, given the index i before it
+    (``args``), those from i on (kind 1) or after i (kind -1)."""
+    dim, kind = data
+    start = next(iter(args[0])) + (kind < 0) if args else 0
+    for c in range(start, dim):
+        tgt = out.setdefault(c, {})
+        prev = tgt.get(c)
+        tgt[c] = coef if prev is None else prev + coef
+
+
+def _add_linear(data, args, out, coef, one):
+    """Add coef times an operation at one linear form (slot s) and constant
+    vectors (the other slots) to the form ``out``.  Each product is looked
+    up in the scan table itself: a per-law index of the table costs more
+    than the scan on a large n-ary table.  A binary operation, the hot
+    case, has a loop of its own whose keys are built from one index: a
+    shared loop, or a call per product, made the Malcev check of the
+    octonions' commutator algebra 7-16% slower (in-process, 2-vCPU x86)."""
+    table, s = data
+    form = args[s]
+    if not form:
+        return
+    if len(args) == 2:
+        for i, y in args[1 - s].items():
+            f0 = coef * y
+            for a, fa in form.items():
+                row = table.get((i, a) if s else (a, i))
+                if row is not None:
+                    for r, c in row.items():
+                        f = f0 * c
+                        tgt = out.get(r)
+                        if tgt is None:
+                            out[r] = {j: f * x for j, x in fa.items()}
+                        else:
+                            for j, x in fa.items():
+                                prev = tgt.get(j)
+                                tgt[j] = f * x if prev is None else prev + f * x
+        return
+    others = args[:s] + args[s + 1:]
+    for idx in itertools.product(*others):
+        f0 = coef
+        for v, i in zip(others, idx):
+            f0 = f0 * v[i]
+        head, tail = idx[:s], idx[s:]
+        for a, fa in form.items():
+            row = table.get(head + (a,) + tail)
+            if row is not None:
+                for r, c in row.items():
+                    f = f0 * c
+                    tgt = out.get(r)
+                    if tgt is None:
+                        out[r] = {j: f * x for j, x in fa.items()}
+                    else:
+                        for j, x in fa.items():
+                            prev = tgt.get(j)
+                            tgt[j] = f * x if prev is None else prev + f * x
+
+
 def _merge_form(total, form, coef):
     """Add coef times the linear form ``form`` to ``total``."""
     for r, row in form.items():
-        tgt = total.setdefault(r, {})
-        for j, x in row.items():
-            tgt[j] = tgt.get(j, 0) + coef * x
+        tgt = total.get(r)
+        if tgt is None:
+            total[r] = {j: coef * x for j, x in row.items()}
+        else:
+            for j, x in row.items():
+                prev = tgt.get(j)
+                tgt[j] = coef * x if prev is None else prev + coef * x
 
 
 def symbolic_check(A, identity, opmap=None):

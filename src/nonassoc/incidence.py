@@ -82,21 +82,20 @@ class Poset:
         return out
 
     def maximal_chains(self):
-        """All maximal chains, as tuples of element indices."""
-        minimal = [i for i in range(self.n)
-                   if not any(j != i and self.leq[j][i] for j in range(self.n))]
+        """All maximal chains, as tuples of element indices: depth first from
+        each minimal element in index order, the covers of each element in
+        index order.  The walk keeps its own stack, so it leaves no
+        reference cycle behind."""
+        covers = [self.covers_of(i) for i in range(self.n)]
+        stack = [(i,) for i in reversed(range(self.n))
+                 if not any(j != i and self.leq[j][i] for j in range(self.n))]
         chains = []
-
-        def extend(chain):
-            nxt = self.covers_of(chain[-1])
-            if not nxt:
-                chains.append(tuple(chain))
-                return
-            for j in nxt:
-                extend(chain + [j])
-
-        for i in minimal:
-            extend([i])
+        while stack:
+            chain = stack.pop()
+            if covers[chain[-1]]:
+                stack.extend(chain + (j,) for j in reversed(covers[chain[-1]]))
+            else:
+                chains.append(chain)
         return chains
 
     @staticmethod

@@ -767,6 +767,195 @@ def test_integer_scan_weights_terms_with_different_scales():
         assert got == _per_tuple_check(A, ident, {"*": "mul"}, {"D": D})
 
 
+# ---------------------------------------------------------------------------
+# the generic last variable: one linear form per prefix tuple
+# ---------------------------------------------------------------------------
+
+_LAST_DOMAINS = [QQ, GF(7), GF(2), QT, PolyRing(2)]
+
+
+def _last_scalar(rng, dom):
+    """A random scalar with an odd denominator (so that it exists in GF(2));
+    over Q(t) and Q[c] sometimes a nonconstant one."""
+    c = _odd_scalar(rng, dom)
+    if isinstance(dom, PolyRing):
+        return c * rng.choice([1, dom.gens()[0], dom.gens()[1] + 1])
+    return c
+
+
+def _one_orbit_tensor(dom, dim, support, kind, row):
+    """The table that is ``row`` at the index tuple ``support``, copied to
+    its permutations with the sign kind ** inversions, and zero elsewhere:
+    exactly symmetric (kind 1) or antisymmetric (kind -1)."""
+    arity = len(support)
+    table = {}
+    for perm in itertools.permutations(range(arity)):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(arity), 2))
+        table[tuple(support[p] for p in perm)] = {k: dom.coerce(kind ** inversions) * c
+                                                  for k, c in row.items()}
+    return StructureTensor(dim, arity, table, dom)
+
+
+def _last_run_case(seed, dom):
+    """A multilinear law whose last variables z1..zL are a run it is proven
+    symmetric (L = 2, 3) or antisymmetric (L = 2, 3, 4) in, before which sit
+    up to two variables a, b, with a binary mul, an L-ary bracket [] and
+    maybe a unary map D.  The law is a random tree summed over the orders
+    of the z with the sign kind ** inversions (L <= 3), or a random tree
+    holding the bracket [z1, ..., zL] of an exactly (anti)symmetric table,
+    or both.  The plant "repeated" makes the bracket nonzero only at
+    (i, ..., i) on a symmetric run, so that the law fails only where the run
+    repeats an index; "edge" makes it nonzero only at the permutations of
+    one sorted tuple (..., dim-2, dim-1), so that the law fails only at
+    prefixes ending at dim-2, on an antisymmetric run the last that the
+    prefixes keep."""
+    rng = random.Random(seed)
+    kind = rng.choice([1, -1])
+    length = rng.choice([2, 3] if kind > 0 else [2, 3, 4])
+    dim = max(length, rng.choice([2, 2, 3]))
+    plant = rng.choice(["none", "none", "repeated" if kind > 0 else "edge", "edge"])
+    unary = rng.random() < 0.35
+    maps = None
+    if unary:
+        maps = {"D": [[_last_scalar(rng, dom) if rng.random() < 0.5 else dom.zero()
+                       for _ in range(dim)] for _ in range(dim)]}
+    row = {k: _last_scalar(rng, dom) for k in rng.sample(range(dim), rng.randint(1, dim))}
+    if plant == "repeated":
+        bracket = _one_orbit_tensor(dom, dim, (rng.randrange(dim),) * length, 1, row)
+    elif plant == "edge":
+        support = ((dim - 2,) * (length - 1) + (dim - 1,) if kind > 0
+                   else tuple(range(dim - length, dim)))
+        bracket = _one_orbit_tensor(dom, dim, support, kind, row)
+    else:
+        bracket = _signed_tensor(rng, dom, dim, length, kind, 0.6)
+    density = rng.choice([0.4, 0.8])
+    mul = StructureTensor(dim, 2, {
+        args: {k: _last_scalar(rng, dom) for k in rng.sample(range(dim), rng.randint(1, dim))}
+        for args in itertools.product(range(dim), repeat=2) if rng.random() < density}, dom)
+    A = Algebra("last", dim, {"mul": mul, "t": bracket}, dom)
+    group = [f"z{j}" for j in range(1, length + 1)]
+    others = [v for v in ("a", "b") if rng.random() < (0.5 if length < 4 else 0.25)]
+    terms = []
+    if plant == "none" and length <= 3 and rng.random() < 0.6:
+        tree = _random_tree(rng, others + group, False, unary)
+        c = Fraction(rng.choice(["1", "-1", "2", "-1/3", "3/5"]))
+        for perm in itertools.permutations(range(length)):
+            inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(length), 2))
+            terms.append((c * kind ** inversions,
+                          _rename(tree, {group[i]: group[p] for i, p in enumerate(perm)})))
+    if not terms or rng.random() < 0.5:
+        bracket_term = ("[]", tuple(("v", z) for z in group))
+        if unary and rng.random() < 0.3:
+            bracket_term = ("D", (bracket_term,))
+        tree = _random_tree(rng, others + ["g"], False, unary)
+        terms.append((Fraction(rng.choice(["1", "-1", "3/5"])),
+                      _substitute(tree, "g", bracket_term)))
+    return A, Identity(terms, {"*": 2, "[]": length, "D": 1}), maps, kind, plant
+
+
+def _substitute(term, name, sub):
+    if term[0] == "v":
+        return sub if term[1] == name else term
+    return (term[0], tuple(_substitute(c, name, sub) for c in term[1]))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(_LAST_DOMAINS), st.integers(0, 2**32))
+def test_generic_last_variable_matches_per_tuple_scan(dom, seed):
+    """With the last variable generic, the verdict, the first witness tuple
+    and its defect are those of the scan of every tuple, on laws whose last
+    run is symmetric or antisymmetric, with failures planted where only the
+    bounds of the generic element's columns and of the prefixes reach."""
+    A, ident, maps, _, _ = _last_run_case(seed, dom)
+    assert (check_identity(A, ident, opmap=_OPMAP, unary_maps=maps)
+            == _per_tuple_check(A, ident, _OPMAP, maps))
+
+
+def test_generic_last_variable_cases_cover_runs_and_plants():
+    """The seeded cases prove symmetric last runs of length 2 and 3 and
+    antisymmetric ones of length 2 to 4, with unary maps, and fail first at
+    a repeated index of a symmetric last run, at a prefix ending at dim-2
+    before the last index dim-1 (on antisymmetric last runs too), and
+    elsewhere; the witnesses equal those of the scan of every tuple."""
+    seen = {"holds": 0, "unary": 0, "repeated": 0, "edge": 0, "antisymmetric edge": 0}
+    runs_seen = set()
+    for seed in range(160):
+        dom = _LAST_DOMAINS[seed % 3]   # Q, GF(7) and GF(2)
+        A, ident, maps, kind, plant = _last_run_case(seed, dom)
+        got = check_identity(A, ident, opmap=_OPMAP, unary_maps=maps)
+        assert got == _per_tuple_check(A, ident, _OPMAP, maps), seed
+        lin, = polarize(ident)
+        runs = _compiled_law(A, lin, _bind(A, lin, _OPMAP, maps), maps)[4]()
+        length, run_kind = runs[-1]
+        runs_seen.add((length, run_kind))
+        holds, wit = got
+        seen["holds"] += holds
+        seen["unary"] += maps is not None
+        if wit:
+            last = wit["tuple"][-length:]
+            seen["repeated"] += plant == "repeated" and len(set(last)) < length
+            edge = plant == "edge" and last[-2:] == [A.dim - 2, A.dim - 1]
+            seen["edge"] += edge
+            seen["antisymmetric edge"] += edge and run_kind < 0
+    assert {(2, 1), (3, 1), (2, -1), (3, -1), (4, -1)} <= runs_seen, runs_seen
+    assert min(seen.values()) >= 8, seen
+
+
+@pytest.mark.parametrize("dom", _LAST_DOMAINS, ids=lambda d: d.name)
+def test_law_without_variables_holds(dom):
+    """x = x polarizes to one component with no terms and no variables,
+    which holds on every domain."""
+    A = _over(catalog_get("sl2"), dom, {})
+    assert check_identity(A, parse_identity("x=x")) == (True, None)
+    assert check_identity(A, parse_identity("x*y = x*y")) == (True, None)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("runs", [[(1, 1)], [(2, 1)], [(3, -1)], [(2, 1), (1, 1), (1, 1)],
+                                  [(1, 1), (3, 1)], [(3, -1), (2, -1)], [(2, -1), (4, -1)]])
+def test_prefixes_and_generic_columns_are_the_representatives(dim, runs):
+    """Each prefix of ``_prefixes`` followed by each column the generic
+    element takes after its last index is one orbit representative, and in
+    that order they are all of them, in lexicographic order."""
+    length, kind = runs[-1]
+    visited = []
+    for prefix in identities._prefixes(dim, runs):
+        out = {}
+        identities._add_generic((dim, kind), [{prefix[-1]: 1}] if length > 1 else [], out, 1, 1)
+        visited += [prefix + (c,) for c in out]
+    assert visited == list(identities._representatives(dim, runs))
+
+
+@pytest.mark.parametrize("algebra, law, reps", [
+    (catalog_get("sl2"), "x*(y*z) + y*(z*x) + z*(x*y)", 1),
+    # Jordan with the copies of z last: runs (1, 3) on M_2^+, 4 * C(4+2, 3)
+    (plus_algebra(catalog_get("matrix", {"n": 2})), "((z*z)*a)*z - (z*z)*(a*z)", 80),
+    (catalog_get("D", {"dim": 4}), "[[x0,x1,x2],y1,y2] - [[x0,y1,y2],x1,x2]"
+     " - [x0,[x1,y1,y2],x2] - [x0,x1,[x2,y1,y2]]", 4 * 6),
+])
+def test_generic_scan_computes_one_value_per_representative(monkeypatch, algebra, law, reps):
+    """On laws that hold, the scan computes one value per orbit
+    representative: the number of prefixes times the generic element's
+    columns at each is 1 for sl2's Jacobi identity (not the 9 of every
+    column at every prefix), dim * C(dim+2, 3) for Jordan and C(4, 3) * C(4, 2)
+    for the 3-Lie law of D(4)."""
+    columns, prefixes = {}, []
+    add_generic, make_prefixes = identities._add_generic, identities._prefixes
+
+    def recording_generic(data, args, out, coef, one):
+        add_generic(data, args, out, coef, one)
+        columns[next(iter(args[0])) if args else None] = len(out)
+
+    def recording_prefixes(dim, runs):
+        prefixes.extend(make_prefixes(dim, runs))
+        return prefixes
+
+    monkeypatch.setattr(identities, "_add_generic", recording_generic)
+    monkeypatch.setattr(identities, "_prefixes", recording_prefixes)
+    assert check_identity(algebra, parse_identity(law)) == (True, None)
+    assert sum(columns[None] if None in columns else columns[p[-1]] for p in prefixes) == reps
+
+
 def test_scan_leaves_no_reference_cycles():
     """The scan's caches are freed by reference counting when it returns."""
     A = plus_algebra(catalog_get("matrix", {"n": 2}))

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -34,6 +35,46 @@ def test_poset_closure_and_chains():
     cr = crown_poset()
     chains = cr.maximal_chains()
     assert len(chains) == 4 and all(len(c) == 2 for c in chains)
+
+
+def _recursive_maximal_chains(P):
+    """Poset.maximal_chains as a recursive closure, the reference for the
+    chain order."""
+    minimal = [i for i in range(P.n) if not any(j != i and P.leq[j][i] for j in range(P.n))]
+    chains = []
+
+    def extend(chain):
+        nxt = P.covers_of(chain[-1])
+        if not nxt:
+            chains.append(tuple(chain))
+            return
+        for j in nxt:
+            extend(chain + [j])
+
+    for i in minimal:
+        extend([i])
+    return chains
+
+
+def test_maximal_chains_keep_the_recursive_order():
+    posets = all_posets_up_to(5) + [crown_poset(), chain_poset(4), antichain_poset(3)]
+    assert len(posets) == 87 + 3
+    for P in posets:
+        assert P.maximal_chains() == _recursive_maximal_chains(P), P.elements
+
+
+def test_sweep_leaves_no_reference_cycles():
+    """The chain walk of every sweep and chain-constancy check is freed by
+    reference counting, so a sweep leaves nothing for the cyclic garbage
+    collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for P in (crown_poset(), chain_poset(3), all_posets_up_to(4)[-1]):
+            exhaustive_sigma_equiv(P, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_incidence_matches_uppertri():

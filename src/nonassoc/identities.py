@@ -9,24 +9,29 @@ zero (or larger than the degree).
 
 Every value of a law at basis tuples comes from one loop, ``_totals``: the
 law is compiled once (``_compile``) into a DAG of its distinct subterms.
-An operation whose table is exactly symmetric or antisymmetric, of any
-arity, has its arguments keyed in sorted order, so x*y and y*x are one node
-(with sign -1 on a skew table, folded into the term's coefficient).  A
-subterm missing some of the k variables is cached per basis tuple of its
-own variables (at most #nodes x dim^(k-1) entries, freed with the loop), so
-only the products holding every variable are formed per tuple.  Over Q and
-over Q[c] the loop runs in Python ints: tables and unary maps are scaled by
-the lcm of their (coefficients') denominators and terms weighted to match,
-so each total is one fixed multiple of the exact value.  The compiled DAG
-also proves which runs of adjacent variables the law is symmetric or
-antisymmetric in (``_symmetric_runs``), such as the copies of a polarized
-variable or the arguments of a Lie or n-Lie bracket; permuting such a run
-maps the law's value to +-1 times itself.
+Each operation is read through its scan form (``_scan_forms``), built once
+per scan domain and held on its ``StructureTensor``, so that every law over
+one tensor, such as each of the C(n, 2) + 1 laws of an n-Lie check, shares
+it: the table scaled to Python ints over Q and Q[c] (terms are weighted to
+match, so each total is one fixed multiple of the exact value), the
+table's symmetry mark and its slot indexes.  An operation marked
+symmetric or antisymmetric, of any arity, has its arguments keyed in
+sorted order, so x*y and y*x are one node (with sign -1 on a skew table,
+folded into the term's coefficient).  A subterm missing some of the k
+variables is cached per basis tuple of its own variables (at most #nodes x
+dim^(k-1) entries, freed with the loop), so only the products holding
+every variable are formed per tuple.  The DAG also proves which runs of
+adjacent variables the law is symmetric or antisymmetric in
+(``_symmetric_runs``), such as the copies of a polarized variable or the
+arguments of a Lie or n-Lie bracket; permuting such a run maps the law's
+value to +-1 times itself.
 
 A node's value is a sparse vector {coordinate: value}, or a linear form
 {coordinate: {column: coefficient}} when it holds the generic element of
-``check_identity`` or an unknown map of ``_conditions``; the entry points
-differ in that and in the basis tuples the loop is given:
+``check_identity`` or an unknown of ``_conditions``.  ``_compile`` decides
+which in its one pass, and one kernel, ``_add_linear``, multiplies an
+operation by a form.  The entry points differ in that and in the basis
+tuples the loop is given:
 
 * ``check_identity`` compiles each polarized component with its last
   variable generic, X = sum_c X_c e_c, and scans only the first k-1
@@ -43,8 +48,8 @@ differ in that and in the basis tuples the loop is given:
   product, the plus/minus functors, ``M7`` and the transposed-Poisson
   obstructions.
 
-``_conditions`` plugs in linear forms for an unknown map and turns a law
-linear in it into rows of a linear system:
+``_conditions`` plugs in linear forms for unknown maps and turns a law
+linear in them into rows of a linear system:
 
 * ``law_rows`` gives integer rows at one tuple per orbit, with the kernel
   of the rows at every tuple: every operator space, the cocycle,
@@ -522,10 +527,10 @@ def check_identity(A, identity, opmap=None, unary_maps=None):
     """
     opmap = _bind(A, identity, opmap, unary_maps)
     dom = A.dom
-    lcm, convert, prune, _, exact = _scan_domain(dom)
+    _, _, prune, _, exact = _scan_domain(dom)
     for lin in polarize(identity, char=dom.char or 0):
         _, specs, top_coef, scale, prove = _compile(
-            A, lin.terms, lin.variables, _scan_tables(A, lin, opmap, unary_maps, lcm, convert),
+            A, lin.terms, lin.variables, _scan_forms(A, lin.used_symbols(), opmap, unary_maps),
             generic=True)
         if not top_coef:
             continue
@@ -597,26 +602,65 @@ def _scan_domain(dom):
             dom.one(), lambda c, scale: c)
 
 
-def _scan_table(A, sym, opmap, unary_maps, lcm, convert):
-    """(table, factor): the operation or unary map bound to sym in scan form,
-    scaled by factor.  A unary map becomes the arity-1 table of its columns."""
-    if unary_maps and sym in unary_maps:
-        mat = unary_maps[sym]
-        table = {(j,): {i: mat[i][j] for i in range(A.dim)
-                        if not A.dom.is_zero(mat[i][j])}
-                 for j in range(A.dim)}
-    else:
-        table = A.op(opmap[sym]).table
+def _scan_forms(A, symbols, opmap, unary_maps=None):
+    """{symbol: scan form} for each of symbols, bound by opmap and unary_maps.
+
+    A scan form is (table, factor, mark, indexes): the table in scan form
+    scaled by factor, its ``_mark`` and the slot indexes built so far
+    (``_index``).  It depends only on the table and on A's scan domain (its
+    type, characteristic and Q[c] variable count, not the tensor's domain),
+    so an operation's is built once per scan domain and held on its tensor
+    (``StructureTensor.scan_forms``): no table is written after it is built.
+    A unary map's, of the arity-1 table of its columns, is built per call.
+    """
+    dom = A.dom
+    key = (type(dom), dom.char, getattr(dom, "n", None))
+    forms = {}
+    for sym in symbols:
+        if unary_maps and sym in unary_maps:
+            mat = unary_maps[sym]
+            forms[sym] = _scan_form({(j,): {i: mat[i][j] for i in range(A.dim)
+                                            if not dom.is_zero(mat[i][j])}
+                                     for j in range(A.dim)}, dom)
+            continue
+        tensor = A.op(opmap[sym])
+        form = tensor.scan_forms.get(key)
+        if form is None:
+            form = tensor.scan_forms[key] = _scan_form(tensor.table, dom)
+        forms[sym] = form
+    return forms
+
+
+def _scan_form(table, dom):
+    """The scan form (table, factor, mark, indexes) of a table over dom,
+    with no index built yet."""
+    lcm, convert, prune, _, _ = _scan_domain(dom)
     m = lcm([c for row in table.values() for c in row.values()])
-    return {args: {k: convert(c, m) for k, c in row.items()}
-            for args, row in table.items() if row}, m
+    table = {args: {k: convert(c, m) for k, c in row.items()}
+             for args, row in table.items() if row}
+    return table, m, _mark(table, prune), {}
+
+
+def _index(form, s):
+    """(index, s, sign): a scan form's products by slot s, {arguments other
+    than slot s: {slot-s argument: output row}}, times sign.  Moving slot s
+    of a marked table to the front multiplies a product by mark**s, so slot
+    0's index serves every slot of it.  Built on first use, kept on the form."""
+    mark = form[2]
+    slot = 0 if mark else s
+    index = form[3].get(slot)
+    if index is None:
+        index = form[3][slot] = {}
+        for args, row in form[0].items():
+            index.setdefault(args[:slot] + args[slot + 1:], {})[args[slot]] = row
+    return index, s, -1 if mark == -1 and s % 2 else 1
 
 
 def _node_key(sym, ids, signs, marks):
     """(key, sign) of a node of operation sym over children with node ids
     ``ids`` times ``signs``: the subterm is sign times the node keyed (sym,
     child ids).  The sign is the product of the children's signs; when sym
-    is marked (``_marks``) the child ids are sorted, and for an
+    is marked (``_mark``) the child ids are sorted, and for an
     antisymmetric sym the sign also takes the sorting permutation's sign
     (the parity of its inversions)."""
     sign = math.prod(signs)
@@ -656,54 +700,56 @@ def _compile_term(term, nodes, ids, positions, marks):
     return nid, sign
 
 
-def _marks(tables, prune):
-    """{symbol: 1 or -1} for the operations of two or more arguments whose
-    scan-form table is symmetric (1) or antisymmetric (-1): every adjacent
-    transposition of the arguments maps every entry to itself, or to its
-    negation.  Each entry is checked, up to the first mismatch.  Symmetry is
-    tried first, so in characteristic 2, where -c = c, an antisymmetric
-    table is symmetric."""
-    marks = {}
-    for sym, (table, _) in tables.items():
-        arity = len(next(iter(table), ()))
-        if arity < 2:
-            continue
-        swaps = [operator.itemgetter(*range(i), i + 1, i, *range(i + 2, arity))
-                 for i in range(arity - 1)]
-        for sign in (1, -1):
-            if all(table.get(swap(args)) == image
-                   for args, row in table.items()
-                   for image in (row if sign > 0 else prune({k: -c for k, c in row.items()}),)
-                   for swap in swaps):
-                marks[sym] = sign
-                break
-    return marks
+def _mark(table, prune):
+    """1 or -1 when the operation of two or more arguments with this
+    scan-form table is symmetric (1) or antisymmetric (-1), else None: every
+    adjacent transposition of the arguments maps every entry to itself, or
+    to its negation.  Each entry is checked, up to the first mismatch.
+    Symmetry is tried first, so in characteristic 2, where -c = c, an
+    antisymmetric table is symmetric."""
+    arity = len(next(iter(table), ()))
+    if arity < 2:
+        return None
+    swaps = [operator.itemgetter(*range(i), i + 1, i, *range(i + 2, arity))
+             for i in range(arity - 1)]
+    for sign in (1, -1):
+        if all(table.get(swap(args)) == image
+               for args, row in table.items()
+               for image in (row if sign > 0 else prune({k: -c for k, c in row.items()}),)
+               for swap in swaps):
+            return sign
+    return None
 
 
-def _compile(A, terms, variables, tables, generic=False):
+def _compile(A, terms, variables, forms, unknowns=(), generic=False):
     """Compile (coefficient, term) pairs into one DAG of distinct subterms.
 
-    ``tables`` maps each operation symbol to (scan-form table, factor) from
-    ``_scan_table``; other symbols (unknowns of ``linear_conditions``) have
-    factor 1.  An operation whose table is exactly symmetric or
-    antisymmetric (``_marks``), of any arity, has its arguments keyed in
-    sorted order: its products in any order are one node, and the sign of
-    each term's node folds into the term's coefficient.  Terms that cancel
-    so are dropped, and a law left with no terms holds.  A node's scan-form
-    value is its exact value times its weight, the product of the factors
-    in its subterm.  Each coefficient is divided by its term's weight and
-    the quotients cleared of denominators by ``scale``, so the scan-form sum
-    is ``scale`` times the exact sum (scale 1 outside Q and Q[c]).  Returns
+    ``forms`` maps each operation symbol to its scan form (``_scan_forms``);
+    the symbols of ``unknowns``, as in ``linear_conditions``, have factor 1.
+    An operation whose table is exactly symmetric or antisymmetric
+    (``_mark``), of any arity, has its arguments keyed in sorted order: its
+    products in any order are one node, and the sign of each term's node
+    folds into the term's coefficient.  Terms that cancel so are dropped,
+    and a law left with no terms holds.  A node's scan-form value is its
+    exact value times its weight, the product of the factors in its
+    subterm.  Each coefficient is divided by its term's weight and the
+    quotients cleared of denominators by ``scale``, so the scan-form sum is
+    ``scale`` times the exact sum (scale 1 outside Q and Q[c]).  Returns
     (nodes, specs, top_coef, scale, prove): ``specs[nid]`` is (add, data,
     finish, child ids, cache, key).  ``add(data, args, out, coef, one)``
     adds coef times the node's value at its children's values ``args`` to
-    ``out`` (``structure.add_products`` with data the table; None for a
-    variable) and ``finish`` turns a fresh sum into the stored value
-    (``prune``).
-    ``cache`` is None for an operation node holding every scanned variable,
-    else a dict keyed by ``key(combo)``, the basis indices at the scanned
-    variables it depends on.  ``top_coef`` maps term nodes to their nonzero
-    coefficients, and ``prove()`` returns the law's ``_symmetric_runs``.
+    ``out`` (None for a variable) and ``finish`` turns a fresh sum into the
+    stored value.  ``cache`` is None for an operation node holding every
+    scanned variable, else a dict keyed by ``key(combo)``, the basis indices
+    at the scanned variables it depends on.  ``top_coef`` maps term nodes to
+    their nonzero coefficients, and ``prove()`` returns the law's
+    ``_symmetric_runs``.
+
+    A node holding an unknown, or with ``generic`` the generic element, has
+    a linear form as value, kept with its zeros: the unknown's from
+    ``_add_unknown``, the generic element's from ``_add_generic`` and an
+    operation's over a form from ``_add_linear``.  Every other node has a
+    sparse vector, from ``structure.add_products`` (pruned).
 
     With ``generic`` the law, which must be multilinear, is compiled for
     ``check_identity``: the last of its k variables is the generic element
@@ -711,19 +757,17 @@ def _compile(A, terms, variables, tables, generic=False):
     they bound the generic element's columns: when the last run has length
     2 or more, X at the index i of position k-2 holds the columns c >= i
     (symmetric) or c > i (antisymmetric), so the variable at position k-2
-    is its child and it, with every node above it, is cached per i.  A node
-    holding X has a linear form as value (``_add_generic``,
-    ``_add_linear``, kept with its zeros), every other node a vector.
+    is its child and it, with every node above it, is cached per i.
     """
     dom = A.dom
     lcm, convert, prune, one, _ = _scan_domain(dom)
     positions = {v: p for p, v in enumerate(variables)}
-    marks = _marks(tables, prune)
+    marks = {sym: form[2] for sym, form in forms.items() if form[2] is not None}
     nodes, ids = [], {}
     tops = [(c, *_compile_term(t, nodes, ids, positions, marks)) for c, t in terms]
     weights = []
     for sym, kids, _ in nodes:
-        w = tables[sym][1] if sym in tables else 1
+        w = forms[sym][1] if sym in forms else 1
         for k in kids:
             w *= weights[k]
         weights.append(w)
@@ -748,22 +792,24 @@ def _compile(A, terms, variables, tables, generic=False):
     units = {i: {i: one} for i in range(A.dim)}
     specs, linear = [], []
     for sym, kids, pos in nodes:
-        linear.append(pos == gen if sym is None else any(linear[c] for c in kids))
-        if linear[-1]:
+        linear.append(pos == gen if sym is None
+                      else sym in unknowns or any(linear[c] for c in kids))
+        if generic and linear[-1]:
             # scanned positions: not the generic one, but the one before it
             # when that bounds the form's columns
             pos = pos[:-1]
             if lead is not None and pos[-1:] != (k - 2,):
                 pos += (k - 2,)
-            if sym is None:
-                add = (_add_generic, (A.dim, kind), _as_is, () if lead is None else (lead,))
-            else:
-                add = (_add_linear, (tables[sym][0], [linear[c] for c in kids].index(True)),
-                       _as_is, kids)
-        elif sym in tables:
-            add = (add_products, tables[sym][0], prune, kids)
+        if sym in unknowns:
+            add = (_add_unknown, unknowns[sym], _as_is, kids)
+        elif not linear[-1]:
+            add = (None, None, None, kids) if sym is None else (add_products, forms[sym][0],
+                                                                prune, kids)
+        elif sym is None:
+            add = (_add_generic, (A.dim, kind), _as_is, () if lead is None else (lead,))
         else:
-            add = (None, None, None, kids)
+            s = [linear[c] for c in kids].index(True)
+            add = (_add_linear, _index(forms[sym], s), _as_is, kids)
         full = sym is not None and len(pos) == width
         specs.append(add + (None if full else units if sym is None and not linear[-1] else {},
                             operator.itemgetter(*pos) if pos else operator.itemgetter(slice(0))))
@@ -906,13 +952,6 @@ def _orbit_tuples(dim, k, prove):
     return _representatives(dim, prove())
 
 
-def _scan_tables(A, identity, opmap, unary_maps, lcm, convert):
-    """{symbol: (scan-form table, factor)} for each symbol of identity,
-    bound by opmap and unary_maps (``_scan_table``)."""
-    return {sym: _scan_table(A, sym, opmap, unary_maps, lcm, convert)
-            for sym in identity.used_symbols()}
-
-
 def law_table(A, identity, opmap, unary_maps=None):
     """The exact nonzero values of a law at the basis tuples of its
     variables (sorted by name): {basis tuple: {coordinate: value}}.
@@ -923,10 +962,10 @@ def law_table(A, identity, opmap, unary_maps=None):
     ``check_identity``.
     """
     opmap = _bind(A, identity, opmap, unary_maps)
-    lcm, convert, prune, _, exact = _scan_domain(A.dom)
+    _, _, prune, _, exact = _scan_domain(A.dom)
     _, specs, top_coef, scale, prove = _compile(
         A, identity.terms, identity.variables,
-        _scan_tables(A, identity, opmap, unary_maps, lcm, convert))
+        _scan_forms(A, identity.used_symbols(), opmap, unary_maps))
     tuples = _every_tuple(A.dim, len(identity.variables), prove)
     return {combo: {i: exact(c, scale) for i, c in row.items()}
             for combo, total in _totals(A, tuples, specs, top_coef)
@@ -998,26 +1037,12 @@ def _conditions(A, terms, variables, unknowns, tuples):
     coordinate), row) of ``linear_conditions`` at the basis tuples
     ``tuples(dim, number of variables, prove)``, with ``prove`` from
     ``_compile``, and their scale."""
-    lcm, convert, prune, _, _ = _scan_domain(A.dom)
+    prune = _scan_domain(A.dom)[2]
     if any(sum(sym in unknowns for sym, _ in _op_nodes(t)) != 1 for _, t in terms):
         raise DomainError("every term needs exactly one unknown")
     syms = {sym for _, t in terms for sym, _ in _op_nodes(t)} - set(unknowns)
-    tables = {sym: _scan_table(A, sym, {sym: sym}, None, lcm, convert) for sym in syms}
-    nodes, specs, top_coef, scale, prove = _compile(A, terms, variables, tables)
-
-    linear, indexes = [], {}
-    for nid, (sym, kids, _) in enumerate(nodes):
-        linear.append(sym in unknowns or any(linear[k] for k in kids))
-        if sym in unknowns:
-            specs[nid] = (_add_unknown, unknowns[sym], _as_is) + specs[nid][3:]
-        elif linear[nid]:
-            s = next(i for i, k in enumerate(kids) if linear[k])
-            if (sym, s) not in indexes:
-                # (arguments other than slot s) -> [(slot-s argument, output row)]
-                index = indexes[(sym, s)] = {}
-                for idx, row in tables[sym][0].items():
-                    index.setdefault(idx[:s] + idx[s + 1:], []).append((idx[s], row))
-            specs[nid] = (_add_product, (indexes[(sym, s)], s), _as_is) + specs[nid][3:]
+    _, specs, top_coef, scale, prove = _compile(
+        A, terms, variables, _scan_forms(A, syms, dict(zip(syms, syms))), unknowns)
 
     def keyed_rows():
         for combo, total in _totals(A, tuples(A.dim, len(variables), prove), specs, top_coef,
@@ -1050,26 +1075,6 @@ def _add_unknown(data, args, out, coef, one):
             tgt[j] = tgt.get(j, 0) + f
 
 
-def _add_product(data, args, out, coef, one):
-    """Add coef times an operation at one linear form (slot s) and constant
-    vectors (the other slots) to the form ``out``."""
-    index, s = data
-    form = args[s]
-    others = args[:s] + args[s + 1:]
-    for idx in itertools.product(*others):
-        f0 = coef
-        for v, i in zip(others, idx):
-            f0 = f0 * v[i]
-        for a, row in index.get(idx, ()):
-            fa = form.get(a)
-            if fa:
-                for r, c in row.items():
-                    f = f0 * c
-                    tgt = out.setdefault(r, {})
-                    for j, x in fa.items():
-                        tgt[j] = tgt.get(j, 0) + f * x
-
-
 def _add_generic(data, args, out, coef, one):
     """Add coef times the generic element to the form ``out``: column c for
     each index c it takes, all of them or, given the index i before it
@@ -1084,50 +1089,32 @@ def _add_generic(data, args, out, coef, one):
 
 def _add_linear(data, args, out, coef, one):
     """Add coef times an operation at one linear form (slot s) and constant
-    vectors (the other slots) to the form ``out``.  Each product is looked
-    up in the scan table itself: a per-law index of the table costs more
-    than the scan on a large n-ary table.  A binary operation, the hot
-    case, has a loop of its own whose keys are built from one index: a
-    shared loop, or a call per product, made the Malcev check of the
-    octonions' commutator algebra 7-16% slower (in-process, 2-vCPU x86)."""
-    table, s = data
+    vectors (the other slots) to the form ``out``: for each basis tuple of
+    the supports of the constant vectors, each product the slot's index
+    (``_index``, with its sign) holds there is taken with the form's row at
+    its slot-s argument."""
+    index, s, sign = data
+    if not all(args):
+        return
     form = args[s]
-    if not form:
-        return
-    if len(args) == 2:
-        for i, y in args[1 - s].items():
-            f0 = coef * y
-            for a, fa in form.items():
-                row = table.get((i, a) if s else (a, i))
-                if row is not None:
-                    for r, c in row.items():
-                        f = f0 * c
-                        tgt = out.get(r)
-                        if tgt is None:
-                            out[r] = {j: f * x for j, x in fa.items()}
-                        else:
-                            for j, x in fa.items():
-                                prev = tgt.get(j)
-                                tgt[j] = f * x if prev is None else prev + f * x
-        return
+    if sign < 0:
+        coef = -coef
     others = args[:s] + args[s + 1:]
     for idx in itertools.product(*others):
+        products = index.get(idx)
+        if products is None:
+            continue
         f0 = coef
         for v, i in zip(others, idx):
             f0 = f0 * v[i]
-        head, tail = idx[:s], idx[s:]
-        for a, fa in form.items():
-            row = table.get(head + (a,) + tail)
-            if row is not None:
+        for a, row in products.items():
+            fa = form.get(a)
+            if fa is not None:
                 for r, c in row.items():
                     f = f0 * c
-                    tgt = out.get(r)
-                    if tgt is None:
-                        out[r] = {j: f * x for j, x in fa.items()}
-                    else:
-                        for j, x in fa.items():
-                            prev = tgt.get(j)
-                            tgt[j] = f * x if prev is None else prev + f * x
+                    tgt = out.setdefault(r, {})
+                    for j, x in fa.items():
+                        tgt[j] = tgt.get(j, 0) + f * x
 
 
 def _merge_form(total, form, coef):

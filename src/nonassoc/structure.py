@@ -68,6 +68,9 @@ class StructureTensor:
             if cleaned:
                 tab[args] = cleaned
         self.table = tab
+        # the identity scan's forms of the table, one per scan domain, filled
+        # and read by ``identities`` alone: the table is never written again
+        self.scan_forms = {}
 
     def basis_product(self, args):
         """Sparse product of basis vectors, as {index: coeff}."""

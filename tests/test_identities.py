@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonassoc import identities
-from nonassoc.catalog import catalog_get
+from nonassoc.catalog import CATALOG_NAMES, catalog_get
 from nonassoc.identities import (MAX_POLARIZATION_COPIES, Identity, ParseError, _bind,
                                  check_identity, parse_identity,
                                  polarize, symbolic_check, eval_identity_sparse,
@@ -531,12 +531,9 @@ def _symmetric_case(seed, dom):
 
 def _compiled_law(A, lin, opmap, maps):
     """(nodes, specs, top_coef, scale, prove): the compiled DAG of lin on A
-    with its symbols bound by opmap and maps, as ``identities._values``
-    builds it."""
-    lcm, convert, *_ = identities._scan_domain(A.dom)
-    tables = {sym: identities._scan_table(A, sym, opmap, maps, lcm, convert)
-              for sym in lin.used_symbols()}
-    return identities._compile(A, lin.terms, lin.variables, tables)
+    with its symbols bound by opmap and maps, as ``law_table`` builds it."""
+    return identities._compile(A, lin.terms, lin.variables,
+                               identities._scan_forms(A, lin.used_symbols(), opmap, maps))
 
 
 def _run_kinds(A, ident, maps):
@@ -1195,3 +1192,229 @@ def test_law_table_divides_by_the_scale():
     assert law_table(A, law, {"*": "mul"}, {"D": D}) == {
         (0, 1): {1: Fraction(3, 8) - Fraction(1, 5)},
         (1, 1): {0: Fraction(3, 4) * third * Fraction(2, 5) - third}}
+
+
+# ---------------------------------------------------------------------------
+# one linear-form kernel, and the scan forms held on the tensors
+# ---------------------------------------------------------------------------
+
+def _add_product(data, args, out, coef, one):
+    """Add coef times an operation at one linear form (slot s) and constant
+    vectors (the other slots) to the form ``out``."""
+    index, s = data
+    form = args[s]
+    others = args[:s] + args[s + 1:]
+    for idx in itertools.product(*others):
+        f0 = coef
+        for v, i in zip(others, idx):
+            f0 = f0 * v[i]
+        for a, row in index.get(idx, ()):
+            fa = form.get(a)
+            if fa:
+                for r, c in row.items():
+                    f = f0 * c
+                    tgt = out.setdefault(r, {})
+                    for j, x in fa.items():
+                        tgt[j] = tgt.get(j, 0) + f * x
+
+
+def _add_linear_lookup(data, args, out, coef, one):
+    """Add coef times an operation at one linear form (slot s) and constant
+    vectors (the other slots) to the form ``out``.  Each product is looked
+    up in the scan table itself: a per-law index of the table costs more
+    than the scan on a large n-ary table.  A binary operation, the hot
+    case, has a loop of its own whose keys are built from one index: a
+    shared loop, or a call per product, made the Malcev check of the
+    octonions' commutator algebra 7-16% slower (in-process, 2-vCPU x86)."""
+    table, s = data
+    form = args[s]
+    if not form:
+        return
+    if len(args) == 2:
+        for i, y in args[1 - s].items():
+            f0 = coef * y
+            for a, fa in form.items():
+                row = table.get((i, a) if s else (a, i))
+                if row is not None:
+                    for r, c in row.items():
+                        f = f0 * c
+                        tgt = out.get(r)
+                        if tgt is None:
+                            out[r] = {j: f * x for j, x in fa.items()}
+                        else:
+                            for j, x in fa.items():
+                                prev = tgt.get(j)
+                                tgt[j] = f * x if prev is None else prev + f * x
+        return
+    others = args[:s] + args[s + 1:]
+    for idx in itertools.product(*others):
+        f0 = coef
+        for v, i in zip(others, idx):
+            f0 = f0 * v[i]
+        head, tail = idx[:s], idx[s:]
+        for a, fa in form.items():
+            row = table.get(head + (a,) + tail)
+            if row is not None:
+                for r, c in row.items():
+                    f = f0 * c
+                    tgt = out.get(r)
+                    if tgt is None:
+                        out[r] = {j: f * x for j, x in fa.items()}
+                    else:
+                        for j, x in fa.items():
+                            prev = tgt.get(j)
+                            tgt[j] = f * x if prev is None else prev + f * x
+
+
+def _scan_scalar(rng, dom):
+    """A random scan-form value, maybe zero: an int over Q, a residue over
+    GF(7), a Poly of int coefficients over Q[c]."""
+    if isinstance(dom, PolyRing):
+        return Poly(dom.n, {(a, b): rng.randint(-3, 3) for a in range(2) for b in range(2)
+                            if rng.random() < 0.5})
+    return rng.randrange(dom.p) if dom.char else rng.randint(-4, 4)
+
+
+def _pruned_form(form, prune):
+    return {r: row for r, f in form.items() if (row := prune(f))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, GF(7), PolyRing(2)]), st.sampled_from([2, 3]),
+       st.integers(0, 2**32))
+def test_indexed_kernel_matches_the_replaced_kernels(dom, arity, seed):
+    """``_add_linear`` over the slot indexes of one scan form gives the
+    pruned forms of the per-call index kernel and of the direct-lookup
+    kernel it replaced, on random binary and ternary tables, forms and
+    vectors, in every slot in turn.  A third of the tables are symmetric
+    and a third antisymmetric, marked so, whose slots share one index."""
+    rng = random.Random(seed)
+    _, _, prune, one, _ = identities._scan_domain(dom)
+    dim = rng.randint(1, 4)
+    mark = rng.choice([None, 1, -1])
+
+    def scalars(support):
+        return {i: _scan_scalar(rng, dom) for i in support}
+
+    def sample():
+        return rng.sample(range(dim), rng.randint(0, dim))
+
+    def signed(row, sign):
+        return row if sign > 0 else {k: -c % dom.p if dom.char else -c for k, c in row.items()}
+
+    table = {}
+    base = (itertools.product(range(dim), repeat=arity) if mark is None
+            else itertools.combinations(range(dim), arity) if mark < 0
+            else itertools.combinations_with_replacement(range(dim), arity))
+    for args in base:
+        if rng.random() < 0.6:
+            row = scalars(rng.sample(range(dim), rng.randint(1, dim)))
+            for perm in itertools.permutations(range(arity)) if mark else [range(arity)]:
+                inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(arity), 2))
+                table[tuple(args[p] for p in perm)] = signed(row, (mark or 1) ** inversions)
+    form = (table, 1, mark, {})
+    for s in range(arity):
+        args = [prune(scalars(sample())) for _ in range(arity)]
+        args[s] = {r: scalars(sample()) for r in sample()}
+        coef = _scan_scalar(rng, dom) or one
+        index = {}
+        for idx, row in table.items():
+            index.setdefault(idx[:s] + idx[s + 1:], []).append((idx[s], row))
+        new, indexed, looked_up = {}, {}, {}
+        identities._add_linear(identities._index(form, s), args, new, coef, one)
+        _add_product((index, s), args, indexed, coef, one)
+        _add_linear_lookup((table, s), args, looked_up, coef, one)
+        assert (_pruned_form(new, prune) == _pruned_form(indexed, prune)
+                == _pruned_form(looked_up, prune))
+
+
+_FORM_DOMAINS = [QQ, GF(2), GF(7), QT]
+_CATALOG_PARAMS = {"abelian": {"n": 2}, "NF": {"n": 3}, "filiform1p": {"n": 4},
+                   "R": {"seq": (2, 1)}, "matrix": {"n": 2}, "uppertri": {"n": 2},
+                   "ternaryJordan": {"n": 3}, "A_n": {"n": 3}, "D": {"dim": 5},
+                   "A_alpha": {"alpha": 2}, "zinbiel-free1": {"n": 3}}
+
+
+def _form_of(A, op):
+    return identities._scan_forms(A, [op], {op: op})[op]
+
+
+def test_cached_scan_forms_equal_fresh_ones_on_every_catalog_operation():
+    """Every catalog operation holds one scan form per scan domain, with
+    every slot indexed: the rational tensor one each over Q, GF(2), GF(7)
+    and Q(t), its copy over Q[c] (whose scan takes polynomial entries) one
+    over Q[c].  Each equals (table, factor, mark and indexes) the form of a
+    fresh copy of its tensor scanned over that domain alone."""
+    checked = set()
+    ring = PolyRing(2)
+    for name in CATALOG_NAMES:
+        A = catalog_get(name, _CATALOG_PARAMS.get(name, {}))
+        for op, tensor in A.ops.items():
+            over = []
+            for dom in _FORM_DOMAINS:
+                try:
+                    for row in tensor.table.values():
+                        for c in row.values():
+                            dom.coerce(c)
+                except DomainError:   # a denominator divisible by the characteristic
+                    continue
+                over.append(Algebra(A.name, A.dim, {op: tensor}, dom))
+            polys = tensor.map_domain(ring, lambda c: Poly.const(ring.n, c))
+            over.append(Algebra(A.name, A.dim, {op: polys}, ring))
+            for B in over:
+                form = _form_of(B, op)
+                for s in range(tensor.arity):
+                    identities._index(form, s)
+            assert len(tensor.scan_forms) == len(over) - 1 and len(polys.scan_forms) == 1
+            for B in over:
+                cached = _form_of(B, op)
+                T = B.op(op)
+                fresh = StructureTensor(A.dim, T.arity, T.table, T.dom)
+                want = _form_of(Algebra(A.name, A.dim, {op: fresh}, B.dom), op)
+                for s in range(tensor.arity):
+                    identities._index(want, s)
+                assert cached == want, (name, op, B.dom.name)
+                assert _form_of(B, op) is cached
+                checked.add((name, op, B.dom.name))
+    assert len(checked) >= 5 * len(CATALOG_NAMES) - 10, len(checked)
+    assert {dom for _, _, dom in checked} == {dom.name for dom in _FORM_DOMAINS + [ring]}
+
+
+@pytest.mark.parametrize("order", [[QQ, GF(2)], [GF(2), QQ]], ids=["Q first", "GF(2) first"])
+def test_one_tensor_checked_over_q_and_over_gf2(order):
+    """sl2's bracket, one tensor in an algebra over Q and in one over GF(2),
+    in either order: the bracket is antisymmetric (mark -1) over Q and
+    symmetric (mark 1) over GF(2), where it is commutative, and every
+    verdict and witness equals that of a fresh tensor."""
+    laws = [parse_identity(law) for law in (
+        "x*y - y*x", "x*y + y*x", "x*(y*z) + y*(z*x) + z*(x*y)", "(x*y)*z - x*(y*z)",
+        "x*y", "((x*y)*z)*w - (x*y)*(z*w)")]
+    bracket = catalog_get("sl2").op()
+    for dom in order:
+        shared = Algebra("sl2", 3, {"mul": bracket}, dom)
+        fresh = Algebra("sl2", 3, {"mul": StructureTensor(3, 2, bracket.table, QQ)}, dom)
+        verdicts = [check_identity(shared, law) for law in laws]
+        assert verdicts == [check_identity(fresh, law) for law in laws]
+        assert verdicts[0][0] == (dom is not QQ) and verdicts[1][0] and verdicts[2][0]
+        assert _form_of(shared, "mul")[2] == (-1 if dom is QQ else 1)
+    assert len(bracket.scan_forms) == 2
+
+
+def test_a_pair_keeps_one_mark_per_operation():
+    """The commutative product of a Poisson-type pair is marked 1 and its
+    antisymmetric bracket -1, and laws mixing them (the Leibniz rule,
+    commutativity of each) give the verdicts and witnesses of the scan of
+    every tuple, twice on the same tensors."""
+    laws = [parse_identity(law) for law in (
+        "[x, y*z] - [x, y]*z - y*[x, z]", "x*y - y*x", "[x, y] - [y, x]", "[x, y] + [y, x]",
+        "[x*y, z] - [y*x, z]", "[x, y]*z - [y, x]*z")]
+    opmap = {"*": "mul", "[]": "bracket"}
+    marks = set()
+    for seed in range(6):
+        pair = _unital_pair(seed, QQ, QQ.one())
+        for _ in range(2):
+            for law in laws:
+                assert (check_identity(pair, law, opmap=opmap)
+                        == _per_tuple_check(pair, law, opmap)), (seed, law)
+        marks.add((_form_of(pair, "mul")[2], _form_of(pair, "bracket")[2]))
+    assert marks == {(1, -1)}

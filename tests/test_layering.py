@@ -5,6 +5,10 @@ module level.  Only two imports sit inside functions, each breaking a real
 import cycle: ``identities`` imports ``structure``, whose ``change_basis``
 is a law table, and ``operators`` imports ``varieties``, whose nary-Jordan
 check needs ``derivation_space``.
+
+The identity scan holds each tensor's scan form on the tensor, which is
+exact only while no table is written after ``StructureTensor.__init__``;
+that too is read from the source.
 """
 
 import ast
@@ -68,3 +72,67 @@ def test_each_primitive_has_one_owner():
     # their users import them from the owner, so the names resolve there too
     assert kantor.linear_conditions is identities.linear_conditions
     assert operators.multiplication_operator is structure.multiplication_operator
+
+
+# dict methods that change the dict they are called on
+MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
+
+
+def _is_table(node):
+    """Whether node is a ``.table`` attribute or a subscript chain on one
+    (``x.table``, ``x.table[k]``, ``x.table[k][j]``)."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "table"
+
+
+def _table_writes(node, scope=()):
+    """(qualified name of the enclosing class or function, line) of every
+    statement or call under node that assigns or deletes a ``.table``,
+    assigns into it, or calls a mutating method on it or on a row of it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        targets = []
+        if isinstance(child, (ast.Assign, ast.Delete)):
+            targets = list(child.targets)
+        elif isinstance(child, (ast.AugAssign, ast.AnnAssign, ast.For, ast.AsyncFor)):
+            targets = [child.target]
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets += target.elts
+            elif isinstance(target, ast.Starred):
+                targets.append(target.value)
+            elif _is_table(target):
+                yield ".".join(scope), child.lineno
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr in MUTATORS and _is_table(child.func.value)):
+            yield ".".join(scope), child.lineno
+        yield from _table_writes(child, inner)
+
+
+def test_tables_are_written_only_by_the_tensor_constructor():
+    writes = [(path.stem, where) for path in sorted(SRC.glob("*.py"))
+              for where, _ in _table_writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert writes == [("structure", "StructureTensor.__init__")]
+
+
+def test_the_table_guard_sees_each_kind_of_write():
+    source = """
+def f(t, u):
+    t.table = {}
+    t.table[0] = {}
+    t.table[0][1] = 2
+    t.table |= {}
+    del t.table[0]
+    a, t.table = 1, {}
+    t.table.update({})
+    t.table[0].pop(1)
+    u.table.get(0)
+    x = t.table
+"""
+    writes = list(_table_writes(ast.parse(source)))
+    assert [line for _, line in writes] == [3, 4, 5, 6, 7, 8, 9, 10]
+    assert {where for where, _ in writes} == {"f"}

@@ -40,7 +40,10 @@ basis tuples; the commuting maps of M_6(Q) are x -> cx + f(x)1 (1 + 36 =
 seeded P, keep their dim 7, and every associativity obstruction vanishes at
 the 27 products sum_a c_a S_a (two c_a in {1, -1, 2}, the rest 0) that
 check_variety finds associative in the canonical basis, moved by P and read
-in the rebased basis (900 obstructions over Q[c]).
+in the rebased basis (900 obstructions over Q[c]); every catalog algebra
+checked against every binary variety gives equal reports with the law
+caches emptied before each check (cold) and with them full (warm), in one
+process.
 
 Every condition is evaluated; each failing one is printed by name with the
 value it got, and the exit status is 1 if any failed.  Run from the
@@ -54,7 +57,8 @@ import random
 import sys
 from fractions import Fraction
 
-from nonassoc.catalog import catalog_get
+from nonassoc import identities
+from nonassoc.catalog import CATALOG_NAMES, catalog_get
 from nonassoc.incidence import all_posets_up_to, crown_poset, exhaustive_sigma_equiv
 from nonassoc.invariants import standard_embedding, structure_report
 from nonassoc.kantor import (alpha_index, build_U, conservativity_test, jacobi_element_space,
@@ -64,8 +68,15 @@ from nonassoc.operators import (commuting_map_space, derivation_space,
                                 generalized_derivation_space, leibniz_derivation_space,
                                 local_derivation_generic_space)
 from nonassoc.poisson import transposed_compatible_space
+from nonassoc.scalars import DomainError
 from nonassoc.structure import Algebra, StructureTensor, change_basis
-from nonassoc.varieties import check_variety, minus_algebra, plus_algebra
+from nonassoc.varieties import BINARY_VARIETIES, check_variety, minus_algebra, plus_algebra
+
+# parameters for the catalog entries that need them
+CATALOG_PARAMS = {"abelian": {"n": 2}, "NF": {"n": 3}, "filiform1p": {"n": 4},
+                  "matrix": {"n": 2}, "uppertri": {"n": 2}, "ternaryJordan": {"n": 3},
+                  "A_n": {"n": 3}, "D": {"dim": 5}, "A_alpha": {"alpha": 2},
+                  "zinbiel-free1": {"n": 3}, "R": {"seq": (2, 1)}}
 
 
 def seeded_basis(n):
@@ -106,6 +117,28 @@ def per_pair_U(n):
         table[(a, b)] = {alpha_index(i + 1, j + 1, k + 1, n): c
                          for (i, j), row in prod.table.items() for k, c in row.items()}
     return StructureTensor(n ** 3, 2, table)
+
+
+def variety_report(A, name):
+    try:
+        return check_variety(A, name)
+    except DomainError as exc:
+        return repr(exc)
+
+
+def cold_and_warm_differences():
+    """(catalog name, variety) of each binary variety check of a catalog
+    algebra whose report with the law caches emptied first differs from its
+    report with them full."""
+    algebras = [(name, catalog_get(name, CATALOG_PARAMS.get(name, {}))) for name in CATALOG_NAMES]
+    checks = [(name, A, variety) for name, A in algebras for variety in sorted(BINARY_VARIETIES)]
+    cold = []
+    for _, A, variety in checks:
+        identities._polarized.cache_clear()
+        identities._law.cache_clear()
+        cold.append(variety_report(A, variety))
+    return [(name, variety) for (name, A, variety), report in zip(checks, cold)
+            if variety_report(A, variety) != report]
 
 
 def conditions():
@@ -194,6 +227,7 @@ def conditions():
     yield "associativity obstructions", len(tps["obstructions"]), 900
     yield "obstructions nonzero at a moved associative product", \
         sum(p.eval(c) != 0 for c in moved for p in tps["obstructions"]), 0
+    yield "catalog variety reports that differ cold and warm", cold_and_warm_differences(), []
 
 
 def main():

@@ -8,7 +8,13 @@ scanned over basis tuples; this is exact over domains of characteristic
 zero (or larger than the degree).
 
 Every value of a law at basis tuples comes from one loop, ``_totals``: the
-law is compiled once (``_compile``) into a DAG of its distinct subterms.
+law is compiled (``_compile``) into a DAG of its distinct subterms.  Each
+law is compiled once per mark pattern and scan domain; each table's scan
+form once per tensor.  The part of a compiled law that reads no table (its
+DAG, each term's node and sign, its proven runs) is cached by content
+(``_law``), as are the polarized components of each identity
+(``_polarized``); both caches are bounded and hold no algebra, tensor or
+scan form, so only weights, scale and fresh caches are built per call.
 Each operation is read through its scan form (``_scan_forms``), built once
 per scan domain and held on its ``StructureTensor``, so that every law over
 one tensor, such as each of the C(n, 2) + 1 laws of an n-Lie check, shares
@@ -28,7 +34,7 @@ value to +-1 times itself.
 
 A node's value is a sparse vector {coordinate: value}, or a linear form
 {coordinate: {column: coefficient}} when it holds the generic element of
-``check_identity`` or an unknown of ``_conditions``.  ``_compile`` decides
+``check_identity`` or an unknown of ``_conditions``.  ``_law`` decides
 which in its one pass, and one kernel, ``_add_linear``, multiplies an
 operation by a form.  The entry points differ in that and in the basis
 tuples the loop is given:
@@ -360,16 +366,38 @@ def polarize(identity, char=0):
     modified.  An identity needing more than ``MAX_POLARIZATION_COPIES``
     copies (the sum over its terms of the product of d! over the degrees d
     of its variables) raises ``DomainError`` before any copy is built.
+
+    The components are built once per identity content and characteristic
+    (``_polarized``); each call returns fresh copies of them.
     """
+    out = []
+    for lin, _ in _polarized(*_identity_key(identity), char):
+        lin = copy.copy(lin)
+        lin.terms, lin.signature = list(lin.terms), dict(lin.signature)
+        out.append(lin)
+    return out
+
+
+def _identity_key(identity):
+    """(terms, signature): an identity's content, hashable."""
+    return tuple(identity.terms), tuple(sorted(identity.signature.items()))
+
+
+@functools.lru_cache(maxsize=256)
+def _polarized(terms, signature, char):
+    """The components of ``polarize`` for the identity of these terms and
+    signature (``_identity_key``) over characteristic char, cached by
+    content, each as (component, its operation symbols).  The components
+    are never handed out, so they are never changed."""
+    identity = Identity(terms, dict(signature))
     groups = {}
     for c, t in identity.terms:
         prof = _term_degree_profile(t, identity.variables)
         groups.setdefault(prof, []).append((c, t))
     multilinear = identity.is_multilinear()
     if multilinear and len(groups) <= 1:
-        lin = copy.copy(identity)
-        lin.restitution_scale = Fraction(1)
-        return [lin]
+        identity.restitution_scale = Fraction(1)
+        return ((identity, tuple(identity.used_symbols())),)
     total_degree = max((sum(term_vars(t).values()) for _, t in identity.terms),
                        default=0)
     if char and char <= total_degree and not multilinear:
@@ -402,8 +430,8 @@ def polarize(identity, char=0):
         if comp.is_trivial():
             continue
         comp.restitution_scale = scale
-        out.append(comp)
-    return out
+        out.append((comp, tuple(comp.used_symbols())))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +556,9 @@ def check_identity(A, identity, opmap=None, unary_maps=None):
     opmap = _bind(A, identity, opmap, unary_maps)
     dom = A.dom
     _, _, prune, _, exact = _scan_domain(dom)
-    for lin in polarize(identity, char=dom.char or 0):
+    for lin, symbols in _polarized(*_identity_key(identity), dom.char or 0):
         _, specs, top_coef, scale, prove = _compile(
-            A, lin.terms, lin.variables, _scan_forms(A, lin.used_symbols(), opmap, unary_maps),
-            generic=True)
+            A, lin.terms, lin.variables, _scan_forms(A, symbols, opmap, unary_maps), generic=True)
         if not top_coef:
             continue
         for prefix, total in _totals(A, _prefixes(A.dim, prove()), specs, top_coef, _merge_form):
@@ -614,13 +641,13 @@ def _scan_forms(A, symbols, opmap, unary_maps=None):
     A unary map's, of the arity-1 table of its columns, is built per call.
     """
     dom = A.dom
-    key = (type(dom), dom.char, getattr(dom, "n", None))
+    key = _domain_key(dom)
     forms = {}
     for sym in symbols:
         if unary_maps and sym in unary_maps:
             mat = unary_maps[sym]
-            forms[sym] = _scan_form({(j,): {i: mat[i][j] for i in range(A.dim)
-                                            if not dom.is_zero(mat[i][j])}
+            forms[sym] = _scan_form({(j,): {i: c for i in range(A.dim)
+                                            if not dom.is_zero(c := dom.coerce(mat[i][j]))}
                                      for j in range(A.dim)}, dom)
             continue
         tensor = A.op(opmap[sym])
@@ -633,11 +660,14 @@ def _scan_forms(A, symbols, opmap, unary_maps=None):
 
 def _scan_form(table, dom):
     """The scan form (table, factor, mark, indexes) of a table over dom,
-    with no index built yet."""
+    with no index built yet.  Each entry is first coerced into dom, so a
+    tensor over another domain (Q entries in an algebra over Q[c], say) is
+    scanned as the algebra's."""
     lcm, convert, prune, _, _ = _scan_domain(dom)
-    m = lcm([c for row in table.values() for c in row.values()])
-    table = {args: {k: convert(c, m) for k, c in row.items()}
+    table = {args: {k: dom.coerce(c) for k, c in row.items()}
              for args, row in table.items() if row}
+    m = lcm([c for row in table.values() for c in row.values()])
+    table = {args: {k: convert(c, m) for k, c in row.items()} for args, row in table.items()}
     return table, m, _mark(table, prune), {}
 
 
@@ -753,18 +783,21 @@ def _compile(A, terms, variables, forms, unknowns=(), generic=False):
 
     With ``generic`` the law, which must be multilinear, is compiled for
     ``check_identity``: the last of its k variables is the generic element
-    and only the first k-1 are scanned.  The runs are proven here, since
-    they bound the generic element's columns: when the last run has length
-    2 or more, X at the index i of position k-2 holds the columns c >= i
+    and only the first k-1 are scanned.  When the last run has length 2 or
+    more, X at the index i of position k-2 holds the columns c >= i
     (symmetric) or c > i (antisymmetric), so the variable at position k-2
     is its child and it, with every node above it, is cached per i.
+
+    Everything but the tables is the law's (``_law``), compiled once per
+    law, mark pattern and scan domain; only the weights, ``scale``,
+    ``top_coef`` and the specs with fresh caches are built here.
     """
     dom = A.dom
     lcm, convert, prune, one, _ = _scan_domain(dom)
-    positions = {v: p for p, v in enumerate(variables)}
-    marks = {sym: form[2] for sym, form in forms.items() if form[2] is not None}
-    nodes, ids = [], {}
-    tops = [(c, *_compile_term(t, nodes, ids, positions, marks)) for c, t in terms]
+    nodes, tops, runs, plan = _law(
+        tuple(terms), tuple(variables), tuple(sorted(unknowns)), generic,
+        tuple(sorted((sym, form[2]) for sym, form in forms.items() if form[2] is not None)),
+        _domain_key(dom))
     weights = []
     for sym, kids, _ in nodes:
         w = forms[sym][1] if sym in forms else 1
@@ -772,25 +805,83 @@ def _compile(A, terms, variables, forms, unknowns=(), generic=False):
             w *= weights[k]
         weights.append(w)
     coeffs = [dom.coerce(c) if weights[nid] == 1 else dom.coerce(c) * Fraction(1, weights[nid])
-              for c, nid, _ in tops]
+              for (c, _), (nid, _) in zip(terms, tops)]
     scale = lcm(coeffs)
     top_coef = {}
-    for c, (_, nid, sign) in zip(coeffs, tops):
+    for c, (nid, sign) in zip(coeffs, tops):
         c = convert(c, scale) if sign > 0 else -convert(c, scale)
         top_coef[nid] = c if nid not in top_coef else top_coef[nid] + c
     top_coef = prune(top_coef)
+    units = {i: {i: one} for i in range(A.dim)}
+    specs = []
+    for how, sym, data, kids, cached, key in plan:
+        if how == "unknown":
+            add = (_add_unknown, unknowns[sym], _as_is)
+        elif how == "vector":
+            add = (add_products, forms[sym][0], prune)
+        elif how == "generic":
+            add = (_add_generic, (A.dim, data), _as_is)
+        elif how == "linear":
+            add = (_add_linear, _index(forms[sym], data), _as_is)
+        else:
+            add = (None, None, None)
+        specs.append(add + (kids, None if cached is None else units if cached == "units" else {},
+                            key))
+    return nodes, specs, top_coef, scale, lambda: list(runs)
+
+
+class _DomainKey(tuple):
+    """A scan-domain key, (type, characteristic, Q[c] variable count): all
+    of a domain that a scan form or a compiled law depends on.  It hashes
+    and compares as that tuple and carries, as ``dom``, the domain it was
+    taken from, for ``_law`` to compute in."""
+
+
+def _domain_key(dom):
+    key = _DomainKey((type(dom), dom.char, getattr(dom, "n", None)))
+    key.dom = dom
+    return key
+
+
+@functools.lru_cache(maxsize=512)
+def _law(terms, variables, unknowns, generic, marks, domain):
+    """The part of ``_compile`` that does not read the tables, cached by
+    content: the law's terms, variables, unknown symbols and ``generic``
+    flag, the marks (``_mark``) of its marked symbols as sorted (symbol,
+    mark) pairs and the scan-domain key (``_domain_key``).  Returns (nodes,
+    tops, runs, plan): the DAG of ``_compile_term``, each term's (node id,
+    sign), the law's ``_symmetric_runs`` and per node (how, symbol, data,
+    child ids, cache, key), from which ``_compile`` builds its spec.  how is
+    "variable", "vector", "unknown", "generic" (data: the last run's kind)
+    or "linear" (data: the slot holding a form); cache is None (computed
+    per tuple), "units" (a basis vector) or "cached" (a fresh dict).  None
+    of it holds a table or a domain element of the call.
+
+    The runs are proven on the coefficients as they are, each term's summed
+    with its sign into its node and zeros dropped in the domain, not on the
+    weighted ones of ``_compile``: a swap of variables maps each node to
+    one of the same operations, so of the same weight, and the weighted
+    coefficients of two such nodes are equal, or opposite, exactly when
+    these are."""
+    dom = domain.dom
+    prune = lambda vec: {k: c for k, c in vec.items() if not dom.is_zero(c)}
+    positions = {v: p for p, v in enumerate(variables)}
+    marks = dict(marks)
+    nodes, ids = [], {}
+    tops = tuple(_compile_term(t, nodes, ids, positions, marks) for _, t in terms)
+    signed = {}
+    for (c, _), (nid, sign) in zip(terms, tops):
+        c = dom.coerce(c) if sign > 0 else -dom.coerce(c)
+        signed[nid] = c if nid not in signed else signed[nid] + c
     k = len(variables)
-    prove = functools.partial(_symmetric_runs, nodes, ids, marks, top_coef, k, prune)
+    runs = tuple(_symmetric_runs(nodes, ids, marks, prune(signed), k, prune))
     width, gen, lead = k, None, None
     if generic:
-        runs = prove()
-        prove = lambda: runs
         width, gen = k - 1, (k - 1,)
-        length, kind = runs[-1] if runs else (1, 1)
+        length, last = runs[-1] if runs else (1, 1)
         if length > 1:
             lead = ids[(None, k - 2)]
-    units = {i: {i: one} for i in range(A.dim)}
-    specs, linear = [], []
+    plan, linear = [], []
     for sym, kids, pos in nodes:
         linear.append(pos == gen if sym is None
                       else sym in unknowns or any(linear[c] for c in kids))
@@ -800,20 +891,20 @@ def _compile(A, terms, variables, forms, unknowns=(), generic=False):
             pos = pos[:-1]
             if lead is not None and pos[-1:] != (k - 2,):
                 pos += (k - 2,)
+        data = None
         if sym in unknowns:
-            add = (_add_unknown, unknowns[sym], _as_is, kids)
+            how = "unknown"
         elif not linear[-1]:
-            add = (None, None, None, kids) if sym is None else (add_products, forms[sym][0],
-                                                                prune, kids)
+            how = "variable" if sym is None else "vector"
         elif sym is None:
-            add = (_add_generic, (A.dim, kind), _as_is, () if lead is None else (lead,))
+            how, data, kids = "generic", last, () if lead is None else (lead,)
         else:
-            s = [linear[c] for c in kids].index(True)
-            add = (_add_linear, _index(forms[sym], s), _as_is, kids)
-        full = sym is not None and len(pos) == width
-        specs.append(add + (None if full else units if sym is None and not linear[-1] else {},
-                            operator.itemgetter(*pos) if pos else operator.itemgetter(slice(0))))
-    return nodes, specs, top_coef, scale, prove
+            how, data = "linear", [linear[c] for c in kids].index(True)
+        cache = (None if sym is not None and len(pos) == width
+                 else "units" if how == "variable" else "cached")
+        plan.append((how, sym, data, kids, cache,
+                     operator.itemgetter(*pos) if pos else operator.itemgetter(slice(0))))
+    return tuple(nodes), tops, runs, tuple(plan)
 
 
 def _value(nid, combo, specs, vals, one):

@@ -43,7 +43,11 @@ check_variety finds associative in the canonical basis, moved by P and read
 in the rebased basis (900 obstructions over Q[c]); every catalog algebra
 checked against every binary variety gives equal reports with the law
 caches emptied before each check (cold) and with them full (warm), in one
-process.
+process; the inner higher derivation of order 4 of M_4(Q) for the r
+sequence of random.Random(1) with entries in [-2, 2] passes the higher
+derivation check, its maps d_0..d_4 bound as arity-1 operations (16 x 16,
+beyond tier-1's sizes; 0.02 s for both checks on that host), and with
+d_2[0][1] raised by 1 it fails first at n = 2.
 
 Every condition is evaluated; each failing one is printed by name with the
 value it got, and the exit status is 1 if any failed.  Run from the
@@ -59,7 +63,8 @@ from fractions import Fraction
 
 from nonassoc import identities
 from nonassoc.catalog import CATALOG_NAMES, catalog_get
-from nonassoc.incidence import all_posets_up_to, crown_poset, exhaustive_sigma_equiv
+from nonassoc.incidence import (HigherDerivationSeq, all_posets_up_to, crown_poset,
+                                exhaustive_sigma_equiv, hd_inner, higher_derivation_check)
 from nonassoc.invariants import standard_embedding, structure_report
 from nonassoc.kantor import (alpha_index, build_U, conservativity_test, jacobi_element_space,
                              kantor_product, quasi_unit_space)
@@ -139,6 +144,19 @@ def cold_and_warm_differences():
         cold.append(variety_report(A, variety))
     return [(name, variety) for (name, A, variety), report in zip(checks, cold)
             if variety_report(A, variety) != report]
+
+
+def inner_higher_derivation_checks():
+    """``higher_derivation_check`` of the inner higher derivation of order 4
+    of M_4(Q) for the r sequence of random.Random(1) with entries in
+    [-2, 2], and of the same sequence with d_2[0][1] raised by 1."""
+    M4 = catalog_get("matrix", {"n": 4})
+    rng = random.Random(1)
+    seq = hd_inner(M4, [[Fraction(rng.randint(-2, 2)) for _ in range(M4.dim)] for _ in range(4)], 4)
+    bumped = [[list(row) for row in m] for m in seq.mats]
+    bumped[2][0][1] += 1
+    return (higher_derivation_check(M4, seq),
+            higher_derivation_check(M4, HigherDerivationSeq(M4, bumped)))
 
 
 def conditions():
@@ -228,6 +246,10 @@ def conditions():
     yield "obstructions nonzero at a moved associative product", \
         sum(p.eval(c) != 0 for c in moved for p in tps["obstructions"]), 0
     yield "catalog variety reports that differ cold and warm", cold_and_warm_differences(), []
+    inner, bumped = inner_higher_derivation_checks()
+    yield "the inner higher derivation of order 4 of M_4 holds", inner, (True, None)
+    yield "with d_2[0][1] raised by 1 it fails first at n", \
+        (bumped[0], (bumped[1] or {}).get("n")), (False, 2)
 
 
 def main():

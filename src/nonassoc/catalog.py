@@ -331,7 +331,7 @@ def _ternary_jordan_entry(params):
         if not (isinstance(form, list) and len(form) == n
                 and all(isinstance(row, list) and len(row) == n for row in form)):
             raise DomainError(f"ternaryJordan form must be an {n} x {n} matrix")
-        form = [[QQ.coerce(c) for c in row] for row in form]
+        form = [[QQ.parse(c) for c in row] for row in form]
         if any(form[a][b] != form[b][a] for a in range(n) for b in range(n)):
             raise DomainError("ternaryJordan requires a symmetric form")
     return _ternary_jordan(n, form)

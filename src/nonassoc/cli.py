@@ -108,7 +108,7 @@ def _matrix(doc, n):
     if not (isinstance(doc, list) and len(doc) == n
             and all(isinstance(row, list) and len(row) == n for row in doc)):
         raise DomainError(f"expected a {n} x {n} matrix")
-    return [[QQ.coerce(x) for x in row] for row in doc]
+    return [[QQ.parse(x) for x in row] for row in doc]
 
 
 def _matrices(doc, n):

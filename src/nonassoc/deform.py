@@ -25,7 +25,7 @@ def certificate_from_json(rows):
     need(isinstance(rows, list) and rows
          and all(isinstance(row, list) and len(row) == len(rows) for row in rows),
          "a certificate must be a nonempty square matrix")
-    return [[QT.coerce(x) for x in row] for row in rows]
+    return [[QT.parse(x) for x in row] for row in rows]
 
 
 def _to_qt(A):
@@ -188,7 +188,7 @@ def cocycle_space(A, variety, s=1, op=None):
         for lin in polarize(ident, char=dom.char or 0):
             terms = [(c, ("<theta>", tuple(in_A(ch) for ch in term[1])))
                      for c, term in lin.terms]
-            rows += law_rows(A, terms, lin.variables, theta)[0]
+            rows += law_rows(A, terms, lin.variables, theta)
     Z2 = kernel(rows, n * n, dom)
     # coboundaries: theta = f(xy) for the coordinate functionals f
     B2 = Subspace([[t.basis_product((i, j)).get(k, dom.zero())

@@ -7,14 +7,22 @@ Identities are split into multihomogeneous components and fully polarized
 scanned over basis tuples; this is exact over domains of characteristic
 zero (or larger than the degree).
 
+A law is evaluated on an algebra through one binding: ``opmap`` names, for
+each of its symbols, an operation of the algebra of that symbol's arity.  A
+linear map such as D(a) = {a,1}, a higher derivation d_i or Kantor's
+L = A(u, .) is an arity-1 operation (``structure.linear_map``), and a
+caller binding matrices puts them, with the products they meet, in a small
+algebra holding exactly the law's operations.
+
 Every value of a law at basis tuples comes from one loop, ``_totals``: the
 law is compiled (``_compile``) into a DAG of its distinct subterms.  Each
-law is compiled once per mark pattern and scan domain; each table's scan
-form once per tensor.  The part of a compiled law that reads no table (its
-DAG, each term's node and sign, its proven runs) is cached by content
+law is compiled once per mark pattern and characteristic; each table's
+scan form once per tensor.  The part of a compiled law that reads no table
+(its DAG, each term's node and sign, its proven runs) is cached by content
 (``_law``), as are the polarized components of each identity
-(``_polarized``); both caches are bounded and hold no algebra, tensor or
-scan form, so only weights, scale and fresh caches are built per call.
+(``_polarized``); both caches are bounded and hold no algebra, domain,
+tensor or scan form, so only weights, scale and fresh caches are built per
+call.
 Each operation is read through its scan form (``_scan_forms``), built once
 per scan domain and held on its ``StructureTensor``, so that every law over
 one tensor, such as each of the C(n, 2) + 1 laws of an n-Lie check, shares
@@ -46,7 +54,8 @@ tuples the loop is given:
   that value its defect.  It checks every law the library checks on basis
   tuples (varieties, the Poisson-type axioms with D(a) = {a,1} as the
   unary map D, customary identities, higher derivations, the hom-Leibniz
-  automorphism condition), at one tuple per orbit of the proven runs:
+  automorphism condition, each map an arity-1 operation), at one tuple
+  per orbit of the proven runs:
   C(n+2, 3)·n tuples instead of n^4 for Jordan, in C(n+2, 3) prefixes, and
   only strictly increasing ones on an antisymmetric run;
 * ``law_table`` returns the exact table of a multilinear law at every
@@ -60,13 +69,12 @@ linear in them into rows of a linear system:
 * ``law_rows`` gives integer rows at one tuple per orbit, with the kernel
   of the rows at every tuple: every operator space, the cocycle,
   transposed-product and annihilator systems;
-* ``linear_conditions`` gives the rows at every tuple, keyed by tuple and
-  coordinate, for the systems ``linalg.solve`` solves against right-hand
-  sides built elsewhere (Kantor's K and double brackets).
+* ``linear_conditions`` gives the exact rows at every tuple, keyed by tuple
+  and coordinate, for the systems ``linalg.solve`` solves against
+  right-hand sides built elsewhere (Kantor's K and double brackets).
 
 ``eval_term_sparse`` and ``eval_identity_sparse`` are the reference
-evaluator.  They serve only ``symbolic_check`` (the slow oracle for laws
-without unary maps) and tests.
+evaluator.  They serve only ``symbolic_check`` (the slow oracle) and tests.
 """
 
 from __future__ import annotations
@@ -456,42 +464,23 @@ def default_opmap(A, signature):
                 cands = [n for n in names if A.ops[n].arity == ar]
                 if cands:
                     opmap[sym] = cands[0]
-        # unary symbols must be supplied via unary_maps
+        # other symbols, unary ones among them, are bound by the caller
     return opmap
 
 
-def eval_term_sparse(A, term, assignment, opmap, unary_maps=None):
+def eval_term_sparse(A, term, assignment, opmap):
     """Evaluate a term; assignment maps variable -> sparse vector."""
     if term[0] == "v":
         return assignment[term[1]]
-    sym = term[0]
-    if unary_maps and sym in unary_maps:
-        mat = unary_maps[sym]
-        v = eval_term_sparse(A, term[1][0], assignment, opmap, unary_maps)
-        dom = A.dom
-        out = {}
-        for j, c in v.items():
-            for i in range(A.dim):
-                m = mat[i][j]
-                if dom.is_zero(m):
-                    continue
-                s = out.get(i, dom.zero()) + m * c
-                if dom.is_zero(s):
-                    out.pop(i, None)
-                else:
-                    out[i] = s
-        return out
-    tensor = A.op(opmap[sym])
-    children = [eval_term_sparse(A, c, assignment, opmap, unary_maps)
-                for c in term[1]]
-    return tensor.apply_sparse(children)
+    children = [eval_term_sparse(A, c, assignment, opmap) for c in term[1]]
+    return A.op(opmap[term[0]]).apply_sparse(children)
 
 
-def eval_identity_sparse(A, identity, assignment, opmap, unary_maps=None):
+def eval_identity_sparse(A, identity, assignment, opmap):
     dom = A.dom
     total = {}
     for c, t in identity.terms:
-        val = eval_term_sparse(A, t, assignment, opmap, unary_maps)
+        val = eval_term_sparse(A, t, assignment, opmap)
         for k, x in val.items():
             s = total.get(k, dom.zero()) + dom.coerce(c) * x
             if dom.is_zero(s):
@@ -501,14 +490,12 @@ def eval_identity_sparse(A, identity, assignment, opmap, unary_maps=None):
     return total
 
 
-def _bind(A, identity, opmap, unary_maps):
+def _bind(A, identity, opmap):
     """opmap (``default_opmap`` when None) after checking that it binds every
-    symbol of identity not in unary_maps to an operation of its arity."""
+    symbol of identity to an operation of its arity."""
     used = identity.used_symbols()
     opmap = opmap or default_opmap(A, used)
     for sym, ar in used.items():
-        if unary_maps and sym in unary_maps:
-            continue
         if sym not in opmap:
             raise DomainError(f"no operation bound for symbol {sym!r}")
         if A.ops[opmap[sym]].arity != ar:
@@ -516,7 +503,7 @@ def _bind(A, identity, opmap, unary_maps):
     return opmap
 
 
-def check_identity(A, identity, opmap=None, unary_maps=None):
+def check_identity(A, identity, opmap=None):
     """Exact identity check by polarization + basis-tuple scan.
 
     Returns (holds, witness); witness is None or a dict with the violating
@@ -553,15 +540,15 @@ def check_identity(A, identity, opmap=None, unary_maps=None):
     nonzero entry in the first prefix's form that has one: it is t, and its
     defect is column c of that form made exact.
     """
-    opmap = _bind(A, identity, opmap, unary_maps)
+    opmap = _bind(A, identity, opmap)
     dom = A.dom
     _, _, prune, _, exact = _scan_domain(dom)
     for lin, symbols in _polarized(*_identity_key(identity), dom.char or 0):
-        _, specs, top_coef, scale, prove = _compile(
-            A, lin.terms, lin.variables, _scan_forms(A, symbols, opmap, unary_maps), generic=True)
+        _, specs, top_coef, scale, runs = _compile(
+            A, lin.terms, lin.variables, _scan_forms(A, symbols, opmap), generic=True)
         if not top_coef:
             continue
-        for prefix, total in _totals(A, _prefixes(A.dim, prove()), specs, top_coef, _merge_form):
+        for prefix, total in _totals(A, _prefixes(A.dim, runs), specs, top_coef, _merge_form):
             # a falsy scan-form value is zero; prune decides the others (over
             # GF(p) they may be multiples of p)
             if any(map(any, map(dict.values, total.values()))) and (
@@ -595,8 +582,8 @@ def _prefixes(dim, runs):
 def _scan_domain(dom):
     """The per-domain part of the scan: (lcm, convert, prune, one, exact).
 
-    ``lcm(values)`` is the factor that makes a table, a unary map or a list
-    of coefficients integral, ``convert(c, m)`` the scan form of ``c`` times
+    ``lcm(values)`` is the factor that makes a table or a list of
+    coefficients integral, ``convert(c, m)`` the scan form of ``c`` times
     ``m``, ``prune(vec)`` the sparse vector without its zero entries (over
     Q, vec itself when it has none), ``one`` the scan form of 1 and
     ``exact(c, scale)`` the domain element that the scan form ``c`` of a
@@ -629,8 +616,8 @@ def _scan_domain(dom):
             dom.one(), lambda c, scale: c)
 
 
-def _scan_forms(A, symbols, opmap, unary_maps=None):
-    """{symbol: scan form} for each of symbols, bound by opmap and unary_maps.
+def _scan_forms(A, symbols, opmap):
+    """{symbol: scan form} for each of symbols, bound by opmap.
 
     A scan form is (table, factor, mark, indexes): the table in scan form
     scaled by factor, its ``_mark`` and the slot indexes built so far
@@ -638,18 +625,11 @@ def _scan_forms(A, symbols, opmap, unary_maps=None):
     type, characteristic and Q[c] variable count, not the tensor's domain),
     so an operation's is built once per scan domain and held on its tensor
     (``StructureTensor.scan_forms``): no table is written after it is built.
-    A unary map's, of the arity-1 table of its columns, is built per call.
     """
     dom = A.dom
-    key = _domain_key(dom)
+    key = (type(dom), dom.char, getattr(dom, "n", None))
     forms = {}
     for sym in symbols:
-        if unary_maps and sym in unary_maps:
-            mat = unary_maps[sym]
-            forms[sym] = _scan_form({(j,): {i: c for i in range(A.dim)
-                                            if not dom.is_zero(c := dom.coerce(mat[i][j]))}
-                                     for j in range(A.dim)}, dom)
-            continue
         tensor = A.op(opmap[sym])
         form = tensor.scan_forms.get(key)
         if form is None:
@@ -765,14 +745,14 @@ def _compile(A, terms, variables, forms, unknowns=(), generic=False):
     subterm.  Each coefficient is divided by its term's weight and the
     quotients cleared of denominators by ``scale``, so the scan-form sum is
     ``scale`` times the exact sum (scale 1 outside Q and Q[c]).  Returns
-    (nodes, specs, top_coef, scale, prove): ``specs[nid]`` is (add, data,
+    (nodes, specs, top_coef, scale, runs): ``specs[nid]`` is (add, data,
     finish, child ids, cache, key).  ``add(data, args, out, coef, one)``
     adds coef times the node's value at its children's values ``args`` to
     ``out`` (None for a variable) and ``finish`` turns a fresh sum into the
     stored value.  ``cache`` is None for an operation node holding every
     scanned variable, else a dict keyed by ``key(combo)``, the basis indices
     at the scanned variables it depends on.  ``top_coef`` maps term nodes to
-    their nonzero coefficients, and ``prove()`` returns the law's
+    their nonzero coefficients, and ``runs`` are the law's
     ``_symmetric_runs``.
 
     A node holding an unknown, or with ``generic`` the generic element, has
@@ -789,7 +769,7 @@ def _compile(A, terms, variables, forms, unknowns=(), generic=False):
     is its child and it, with every node above it, is cached per i.
 
     Everything but the tables is the law's (``_law``), compiled once per
-    law, mark pattern and scan domain; only the weights, ``scale``,
+    law, mark pattern and characteristic; only the weights, ``scale``,
     ``top_coef`` and the specs with fresh caches are built here.
     """
     dom = A.dom
@@ -797,7 +777,7 @@ def _compile(A, terms, variables, forms, unknowns=(), generic=False):
     nodes, tops, runs, plan = _law(
         tuple(terms), tuple(variables), tuple(sorted(unknowns)), generic,
         tuple(sorted((sym, form[2]) for sym, form in forms.items() if form[2] is not None)),
-        _domain_key(dom))
+        dom.char)
     weights = []
     for sym, kids, _ in nodes:
         w = forms[sym][1] if sym in forms else 1
@@ -827,28 +807,15 @@ def _compile(A, terms, variables, forms, unknowns=(), generic=False):
             add = (None, None, None)
         specs.append(add + (kids, None if cached is None else units if cached == "units" else {},
                             key))
-    return nodes, specs, top_coef, scale, lambda: list(runs)
-
-
-class _DomainKey(tuple):
-    """A scan-domain key, (type, characteristic, Q[c] variable count): all
-    of a domain that a scan form or a compiled law depends on.  It hashes
-    and compares as that tuple and carries, as ``dom``, the domain it was
-    taken from, for ``_law`` to compute in."""
-
-
-def _domain_key(dom):
-    key = _DomainKey((type(dom), dom.char, getattr(dom, "n", None)))
-    key.dom = dom
-    return key
+    return nodes, specs, top_coef, scale, runs
 
 
 @functools.lru_cache(maxsize=512)
-def _law(terms, variables, unknowns, generic, marks, domain):
+def _law(terms, variables, unknowns, generic, marks, char):
     """The part of ``_compile`` that does not read the tables, cached by
     content: the law's terms, variables, unknown symbols and ``generic``
     flag, the marks (``_mark``) of its marked symbols as sorted (symbol,
-    mark) pairs and the scan-domain key (``_domain_key``).  Returns (nodes,
+    mark) pairs and the characteristic of the domain.  Returns (nodes,
     tops, runs, plan): the DAG of ``_compile_term``, each term's (node id,
     sign), the law's ``_symmetric_runs`` and per node (how, symbol, data,
     child ids, cache, key), from which ``_compile`` builds its spec.  how is
@@ -858,20 +825,23 @@ def _law(terms, variables, unknowns, generic, marks, domain):
     of it holds a table or a domain element of the call.
 
     The runs are proven on the coefficients as they are, each term's summed
-    with its sign into its node and zeros dropped in the domain, not on the
-    weighted ones of ``_compile``: a swap of variables maps each node to
-    one of the same operations, so of the same weight, and the weighted
-    coefficients of two such nodes are equal, or opposite, exactly when
-    these are."""
-    dom = domain.dom
-    prune = lambda vec: {k: c for k, c in vec.items() if not dom.is_zero(c)}
+    with its sign into its node and zeros dropped, not on the weighted ones
+    of ``_compile``: a swap of variables maps each node to one of the same
+    operations, so of the same weight, and the weighted coefficients of two
+    such nodes are equal, or opposite, exactly when these are.  Only the
+    characteristic decides which coefficients are zero, equal or opposite,
+    so no domain is needed: over GF(char) they are reduced mod char, and in
+    characteristic 0 summed as they are (rationals, or elements of Q(t) or
+    Q[c], which hold Q)."""
+    reduce = PrimeField(char).coerce if char else (lambda c: c)
+    prune = lambda vec: {k: c for k, c in vec.items() if c}
     positions = {v: p for p, v in enumerate(variables)}
     marks = dict(marks)
     nodes, ids = [], {}
     tops = tuple(_compile_term(t, nodes, ids, positions, marks) for _, t in terms)
     signed = {}
     for (c, _), (nid, sign) in zip(terms, tops):
-        c = dom.coerce(c) if sign > 0 else -dom.coerce(c)
+        c = reduce(c) if sign > 0 else -reduce(c)
         signed[nid] = c if nid not in signed else signed[nid] + c
     k = len(variables)
     runs = tuple(_symmetric_runs(nodes, ids, marks, prune(signed), k, prune))
@@ -1031,43 +1001,29 @@ def _representatives(dim, runs):
             range(dim), length) for length, kind in runs]))
 
 
-def _every_tuple(dim, k, prove):
-    """Every basis tuple, in ``itertools.product`` order: the tuples of
-    ``law_table`` and ``linear_conditions``."""
-    return itertools.product(range(dim), repeat=k)
-
-
-def _orbit_tuples(dim, k, prove):
-    """One basis tuple per orbit of the proven runs: the ``tuples`` of
-    ``law_rows``."""
-    return _representatives(dim, prove())
-
-
-def law_table(A, identity, opmap, unary_maps=None):
+def law_table(A, identity, opmap):
     """The exact nonzero values of a law at the basis tuples of its
     variables (sorted by name): {basis tuple: {coordinate: value}}.
 
     The identity is evaluated as it is, without polarization, so this is
     the table of a multilinear map such as a product built from A's
-    operations; opmap and unary_maps bind its symbols as in
-    ``check_identity``.
+    operations; opmap binds its symbols as in ``check_identity``.
     """
-    opmap = _bind(A, identity, opmap, unary_maps)
+    opmap = _bind(A, identity, opmap)
     _, _, prune, _, exact = _scan_domain(A.dom)
-    _, specs, top_coef, scale, prove = _compile(
-        A, identity.terms, identity.variables,
-        _scan_forms(A, identity.used_symbols(), opmap, unary_maps))
-    tuples = _every_tuple(A.dim, len(identity.variables), prove)
+    _, specs, top_coef, scale, _ = _compile(
+        A, identity.terms, identity.variables, _scan_forms(A, identity.used_symbols(), opmap))
+    tuples = itertools.product(range(A.dim), repeat=len(identity.variables))
     return {combo: {i: exact(c, scale) for i, c in row.items()}
             for combo, total in _totals(A, tuples, specs, top_coef)
             if (row := prune(total))}
 
 
 def linear_conditions(A, terms, variables, unknowns):
-    """(rows, scale): the rows of a law linear in its unknowns at every basis
-    tuple, keyed by tuple and coordinate, and the factor they carry.  This
-    is the form ``linalg.solve`` needs, whose right-hand sides are built
-    elsewhere with the same keys; a kernel needs only ``law_rows``.
+    """The exact rows of a law linear in its unknowns at every basis tuple,
+    keyed by tuple and coordinate.  This is the form ``linalg.solve`` needs,
+    whose right-hand sides are built elsewhere with the same keys; a kernel
+    needs only ``law_rows``.
 
     * ``terms`` is a list of (coefficient, term) pairs in the term format
       above: ("v", name) or (symbol, (child, ...)).  A symbol is either a
@@ -1081,17 +1037,12 @@ def linear_conditions(A, terms, variables, unknowns):
       bilinear form theta is binary into F (output dimension 1), an unknown
       element c is nullary.
     * The law is evaluated at every basis tuple of ``variables`` (in
-      ``itertools.product`` order).  The result is (rows, scale): rows maps
-      (basis tuple, output coordinate) to a sparse row {column:
-      coefficient}; zero rows are left out, and keys run tuple-major,
-      coordinate-ascending.
-    * Over Q the coefficients are Python ints: every row is one positive
-      ``scale`` per call times the exact row (``scale`` clears the
-      denominators of the tables and of the term coefficients).  Over GF(p)
-      they are residues in [1, p), over other domains elements of the
-      domain, and ``scale`` is 1.  ``linalg.kernel``, the one solver entry
-      point, takes the rows as they are; a consumer needing exact values
-      divides by its own call's scale.
+      ``itertools.product`` order).  The result maps (basis tuple, output
+      coordinate) to a sparse row {column: coefficient}; zero rows are left
+      out, and keys run tuple-major, coordinate-ascending.
+    * The rows are those of ``_conditions`` divided by its scale: over Q
+      Fractions, or Python ints when the scale is 1; over GF(p) residues in
+      [1, p); over other domains elements of the domain.
 
     The terms are compiled into one DAG of distinct subterms (``_compile``)
     and evaluated by ``_totals``.  A subterm without the unknown has a
@@ -1101,43 +1052,52 @@ def linear_conditions(A, terms, variables, unknowns):
     unknown's form, D(x) say, is built once per x): at most #nodes x
     dim^(k-1) entries for k variables, freed on return.
     """
-    rows, scale = _conditions(A, terms, variables, unknowns, _every_tuple)
-    return dict(rows), scale
+    rows, scale = _conditions(A, terms, variables, unknowns, every=True)
+    if scale == 1:
+        return dict(rows)
+    exact = _scan_domain(A.dom)[4]
+    return {key: {j: exact(c, scale) for j, c in row.items()} for key, row in rows}
 
 
 def law_rows(A, terms, variables, unknowns):
-    """(rows, scale): a list of rows of a law linear in its unknowns whose
-    kernel is that of ``linear_conditions``, and the factor they carry.
+    """A list of rows of a law linear in its unknowns whose kernel is that
+    of ``linear_conditions``.
 
-    The arguments, the rows and the scale are as in ``linear_conditions``,
-    but the law is evaluated only at one basis tuple per orbit of the
-    variable permutations it is proven symmetric or antisymmetric under
-    (``_representatives`` of its ``_symmetric_runs``; rows in the order of
-    those tuples, coordinate-ascending).  The row at a permuted tuple is
-    +-1 times a kept row, and a tuple repeating an index in an
-    antisymmetric run has zero rows, so the kernel is unchanged: Der of
-    Filippov's 8-dimensional 7-Lie algebra takes its rows at the 8 strictly
-    increasing tuples instead of 8^7.
+    The arguments are as in ``linear_conditions`` and the rows those of
+    ``_conditions``: over Q Python ints, one positive scale per call times
+    the exact rows, which ``linalg.kernel``, the one solver entry point,
+    takes as they are.  The law is evaluated only at one basis tuple per
+    orbit of the variable permutations it is proven symmetric or
+    antisymmetric under (``_representatives`` of its ``_symmetric_runs``;
+    rows in the order of those tuples, coordinate-ascending).  The row at a
+    permuted tuple is +-1 times a kept row, and a tuple repeating an index
+    in an antisymmetric run has zero rows, so the kernel is unchanged: Der
+    of Filippov's 8-dimensional 7-Lie algebra takes its rows at the 8
+    strictly increasing tuples instead of 8^7.
     """
-    rows, scale = _conditions(A, terms, variables, unknowns, _orbit_tuples)
-    return [row for _, row in rows], scale
+    return [row for _, row in _conditions(A, terms, variables, unknowns, every=False)[0]]
 
 
-def _conditions(A, terms, variables, unknowns, tuples):
+def _conditions(A, terms, variables, unknowns, every):
     """(rows, scale): a generator of the keyed rows ((basis tuple,
-    coordinate), row) of ``linear_conditions`` at the basis tuples
-    ``tuples(dim, number of variables, prove)``, with ``prove`` from
-    ``_compile``, and their scale."""
+    coordinate), row) of ``linear_conditions`` times scale, at every basis
+    tuple or, unless ``every``, at one per orbit of the law's proven runs,
+    and their scale.  Over Q the rows are Python ints and ``scale`` is the
+    one positive factor that clears the denominators of the tables and of
+    the term coefficients; over GF(p) they are residues in [1, p), over
+    other domains elements of the domain, and ``scale`` is 1 outside Q and
+    Q[c]."""
     prune = _scan_domain(A.dom)[2]
     if any(sum(sym in unknowns for sym, _ in _op_nodes(t)) != 1 for _, t in terms):
         raise DomainError("every term needs exactly one unknown")
     syms = {sym for _, t in terms for sym, _ in _op_nodes(t)} - set(unknowns)
-    _, specs, top_coef, scale, prove = _compile(
+    _, specs, top_coef, scale, runs = _compile(
         A, terms, variables, _scan_forms(A, syms, dict(zip(syms, syms))), unknowns)
+    tuples = (itertools.product(range(A.dim), repeat=len(variables)) if every
+              else _representatives(A.dim, runs))
 
     def keyed_rows():
-        for combo, total in _totals(A, tuples(A.dim, len(variables), prove), specs, top_coef,
-                                    _merge_form):
+        for combo, total in _totals(A, tuples, specs, top_coef, _merge_form):
             for r in sorted(total):
                 row = prune(total[r])
                 if row:
@@ -1222,7 +1182,8 @@ def _merge_form(total, form, coef):
 
 def symbolic_check(A, identity, opmap=None):
     """Oracle: evaluate at generic symbolic elements; True iff all
-    coordinate polynomials vanish.  Exact but exponentially slower."""
+    coordinate polynomials vanish.  Exact but exponentially slower.  A
+    linear map of the law is an arity-1 operation of A like any other."""
     opmap = opmap or default_opmap(A, identity.used_symbols())
     vs = identity.variables
     ring = PolyRing(len(vs) * A.dim)

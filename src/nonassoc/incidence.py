@@ -17,8 +17,8 @@ from .identities import Identity, check_identity
 from .linalg import identity_matrix, kernel, mat_eq, mat_mul
 from .poisson import check_poisson_family
 from .scalars import GF, QQ, DomainError
-from .structure import (Algebra, StructureTensor, check_keys, is_int, multiplication_operator,
-                        need)
+from .structure import (Algebra, StructureTensor, check_keys, is_int, linear_map,
+                        multiplication_operator, need)
 
 
 class Poset:
@@ -484,11 +484,10 @@ def _hd_law(n):
 
 def higher_derivation_check(A, seq, op="mul"):
     """d_n(rs) = sum_{i+j=n} d_i(r) d_j(s) for 1 <= n <= N on basis pairs."""
-    A.op(op)  # DomainError when A lacks the operation
-    maps = {f"d{i}": m for i, m in enumerate(seq.mats)}
+    ops = {"*": A.op(op), **{f"d{i}": linear_map(m, A.dom) for i, m in enumerate(seq.mats)}}
+    laws = Algebra(A.name, A.dim, ops, A.dom)
     for n in range(1, seq.order + 1):
-        ok, wit = check_identity(A, _hd_law(n), opmap={"*": op},
-                                 unary_maps=maps)
+        ok, wit = check_identity(laws, _hd_law(n), dict(zip(ops, ops)))
         if not ok:
             return False, {"n": n, "pair": tuple(wit["tuple"])}
     return True, None

@@ -26,19 +26,7 @@ EXTRA_SAMPLES = 40   # random candidates for the witness of characteristic_seque
 def _product_subspace(A, U, W, op=None):
     """span{ u w : u in U, w in W } for subspaces given by basis rows."""
     t = A.op(op)
-    dom = A.dom
-    vecs = []
-    for u in U:
-        su = {i: c for i, c in enumerate(u) if not dom.is_zero(c)}
-        for w in W:
-            sw = {i: c for i, c in enumerate(w) if not dom.is_zero(c)}
-            out = t.apply_sparse([su, sw])
-            if out:
-                v = [dom.zero()] * A.dim
-                for k, c in out.items():
-                    v[k] = c
-                vecs.append(v)
-    return Subspace(vecs, A.dim, dom)
+    return Subspace([t.apply([u, w]) for u in U for w in W], A.dim, A.dom)
 
 
 def _element_laws_kernel(A, laws):
@@ -47,7 +35,7 @@ def _element_laws_kernel(A, laws):
     n = A.dim
     rows = []
     for terms in laws:
-        rows += law_rows(A, terms, ("x",), {"<z>": (n, lambda r: r)})[0]
+        rows += law_rows(A, terms, ("x",), {"<z>": (n, lambda r: r)})
     return kernel(rows, n, A.dom)
 
 
@@ -164,14 +152,7 @@ def verify_grading(A, grading, op=None, modulus=None):
         target_deg = sum(combo) % modulus if modulus else sum(combo)
         target = parts.get(target_deg, Subspace([], A.dim, dom))
         for bases in itertools.product(*[parts[d].basis for d in combo]):
-            svecs = [{i: c for i, c in enumerate(v) if not dom.is_zero(c)}
-                     for v in bases]
-            out = t.apply_sparse(svecs)
-            if not out:
-                continue
-            v = [dom.zero()] * A.dim
-            for k, c in out.items():
-                v[k] = c
+            v = t.apply(bases)
             if not target.contains_vector(v):
                 return False, {"degrees": list(combo), "product": v}
     return True, None

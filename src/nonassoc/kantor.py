@@ -13,7 +13,7 @@ from fractions import Fraction
 from .identities import Identity, law_table, linear_conditions
 from .linalg import Subspace, inverse, kernel, solve
 from .scalars import QQ, DomainError
-from .structure import Algebra, StructureTensor, change_basis, multiplication_operator
+from .structure import Algebra, StructureTensor, change_basis, linear_map, multiplication_operator
 
 
 def _kantor_terms(b):
@@ -24,7 +24,7 @@ def _kantor_terms(b):
             (-1, (b, (x, ("L", (y,)))))]
 
 
-_KANTOR_LAW = Identity(_kantor_terms("*"), {"*": 2, "L": 1})
+_KANTOR_LAW = Identity(_kantor_terms("B"), {"B": 2, "L": 1})
 
 
 def kantor_product(A, B, u):
@@ -48,9 +48,8 @@ def kantor_product(A, B, u):
         raise DomainError(f"u has {len(u)} coordinates, the space has dimension {n}")
     elif all(dom.is_zero(dom.coerce(c)) for c in u):
         raise DomainError("u must be nonzero")
-    pair = Algebra("kantor", n, {"A": A, "B": B}, dom)
-    L = multiplication_operator(pair, (u,), "A", slot=1)
-    return StructureTensor(n, 2, law_table(pair, _KANTOR_LAW, {"*": "B"}, {"L": L}), dom)
+    law = Algebra("kantor", n, {"B": B, "L": _left_map(A, u)}, dom)
+    return StructureTensor(n, 2, law_table(law, _KANTOR_LAW, {"B": "B", "L": "L"}), dom)
 
 
 def kantor_square(A, u):
@@ -62,17 +61,22 @@ def alpha_index(i, j, k, n):
     return ((i - 1) * n + (j - 1)) * n + (k - 1)
 
 
+def _left_map(A, u):
+    """L = A(u, .) as an arity-1 operation; A is a binary StructureTensor, u
+    a basis index or a vector."""
+    M = multiplication_operator(Algebra("A", A.dim, {"A": A}, A.dom), (u,), "A", slot=1)
+    return linear_map(M, A.dom)
+
+
 def _kantor_rows(A, u):
     """[[A,B]] w.r.t. u as exact rows linear in B: {((x, y), r): {b: c}},
     [[A,B]](e_x, e_y)_r being the sum of c times B's U(n)-coordinate b
     (``alpha_index``).  A is a binary StructureTensor, u a basis index or
     a vector."""
     n = A.dim
-    M = multiplication_operator(Algebra("A", n, {"A": A}, A.dom), (u,), "A", slot=1)
-    L = StructureTensor(n, 1, {(j,): {k: M[k][j] for k in range(n)} for j in range(n)}, A.dom)
     unknown = (n, lambda r, x, y: alpha_index(x + 1, y + 1, r + 1, n))
-    return _exact_rows(*linear_conditions(Algebra("L", n, {"L": L}, A.dom), _kantor_terms("<B>"),
-                                          ("x", "y"), {"<B>": unknown}))
+    return linear_conditions(Algebra("L", n, {"L": _left_map(A, u)}, A.dom), _kantor_terms("<B>"),
+                             ("x", "y"), {"<B>": unknown})
 
 
 def build_U(n, u_index=0):
@@ -226,7 +230,7 @@ def _k_rows(A, op=None):
     {((x, y), r): {k: [L_{e_k}, M](e_x, e_y)_r}}."""
     opn = op or A.op_names()[0]
     terms = _bracket_terms(opn, ("<c>", ()), ("v", "x"), ("v", "y"))
-    return _exact_rows(*linear_conditions(A, terms, ("x", "y"), {"<c>": (A.dim, lambda r: r)}))
+    return linear_conditions(A, terms, ("x", "y"), {"<c>": (A.dim, lambda r: r)})
 
 
 def _double_brackets(A, op=None):
@@ -242,20 +246,12 @@ def _double_brackets(A, op=None):
     terms = [(-c, (opn, (a, t))) for c, t in _bracket_terms(opn, b, x, y)]
     terms += [(c, t) for c, t in _bracket_terms(opn, b, (opn, (a, x)), y)
               + _bracket_terms(opn, b, x, (opn, (a, y)))]
-    rows = _exact_rows(*linear_conditions(A, terms, ("b", "x", "y"), {"<a>": (n, lambda r: r)}))
+    rows = linear_conditions(A, terms, ("b", "x", "y"), {"<a>": (n, lambda r: r)})
     rhs = {(i, j): {} for i in range(n) for j in range(n)}
     for ((j, xi, yi), r), row in rows.items():
         for i, v in row.items():
             rhs[(i, j)][((xi, yi), r)] = v
     return rhs
-
-
-def _exact_rows(rows, scale):
-    """The rows of ``linear_conditions`` divided by their own scale (over Q;
-    elsewhere the scale is 1 and the rows are exact as they are)."""
-    if scale == 1:
-        return rows
-    return {key: {j: Fraction(v, scale) for j, v in row.items()} for key, row in rows.items()}
 
 
 def _conservativity(A, op=None):

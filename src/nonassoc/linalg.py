@@ -153,13 +153,12 @@ def solve(rows, rhss, ncols, dom=QQ):
 
     M is given by sparse rows {key: {column: coefficient}} (a key without a
     row is a zero row), each b by {key: value}; entries are anything
-    ``dom.coerce`` takes, so ``linear_conditions`` rows of scale 1 (or
-    divided by their scale) enter as they are.  M is factorised once,
-    exactly: its pivot columns P (those of its RREF), r rows I independent
-    on P, and the inverse of M[I, P].  The answer for b is x with
-    x[P] = M[I, P]^-1 b[I] and zeros at the free columns, the solution the
-    RREF of [M | b] gives, or None when M x = b fails at some row (checked
-    exactly, over the columns of M in the support of x).
+    ``dom.coerce`` takes, such as those of ``linear_conditions``.  M is
+    factorised once, exactly: its pivot columns P (those of its RREF), r
+    rows I independent on P, and the inverse of M[I, P].  The answer for b
+    is x with x[P] = M[I, P]^-1 b[I] and zeros at the free columns, the
+    solution the RREF of [M | b] gives, or None when M x = b fails at some
+    row (checked exactly, over the columns of M in the support of x).
     """
     zero, is_zero, coerce = dom.zero(), dom.is_zero, dom.coerce
     mat = {key: {j: c for j, v in row.items() if not is_zero(c := coerce(v))}

@@ -132,7 +132,7 @@ def derivation_space(A, delta=1, op=None):
     n = A.dim
     terms = [(1, ("<D>", (_product(opn, m),)))]
     terms += [(-delta, _product(opn, m, s)) for s in range(m)]
-    rows, _ = law_rows(A, terms, _variables(m), {"<D>": (n, _map_columns(n))})
+    rows = law_rows(A, terms, _variables(m), {"<D>": (n, _map_columns(n))})
     tag = "der" if delta == dom.one() else f"delta-der({delta})"
     return OperatorSpace(n, kernel(rows, n * n, dom), tag)
 
@@ -148,7 +148,7 @@ def centroid(A, op=None):
         # slot s's variable first, so that the others form one run of
         # variables the law may be (anti)symmetric in
         variables = (f"x{s}",) + tuple(v for v in _variables(m) if v != f"x{s}")
-        rows += law_rows(A, terms, variables, {"<D>": (n, _map_columns(n))})[0]
+        rows += law_rows(A, terms, variables, {"<D>": (n, _map_columns(n))})
     return OperatorSpace(n, kernel(rows, n * n, A.dom), "centroid")
 
 
@@ -169,7 +169,7 @@ def generalized_derivation_space(A, mode="full", op=None):
     terms = [(1, _product(opn, m, s, f"<D{s if mode == 'full' else 0}>"))
              for s in range(m)]
     terms.append((-1, (f"<D{nslots - 1}>", (_product(opn, m),))))
-    rows, _ = law_rows(A, terms, _variables(m), unknowns)
+    rows = law_rows(A, terms, _variables(m), unknowns)
     tag = f"{m + 1}-ary-der" if mode == "full" else "qder"
     space = TupleOperatorSpace(n, nslots, kernel(rows, nslots * n2, dom), tag)
 
@@ -419,7 +419,7 @@ def leibniz_derivation_space(A, k, arrangement="all", op=None):
     for br in brs:
         terms = [(1, ("<D>", (tree(br, None),)))]
         terms += [(-1, tree(br, s)) for s in range(k)]
-        rows += law_rows(A, terms, _variables(k), {"<D>": (n, _map_columns(n))})[0]
+        rows += law_rows(A, terms, _variables(k), {"<D>": (n, _map_columns(n))})
     space = OperatorSpace(n, kernel(rows, n * n, A.dom), f"leibder({k},{arrangement})")
     space.meta["invertible_exists"], space.meta["invertible_witness"] = \
         _generic_invertibility(space)
@@ -455,8 +455,7 @@ def commuting_map_space(A, op=None):
     n = A.dim
     # the law in the commutator algebra: [D(x0), x1] + [D(x1), x0]
     terms = [(1, _product("mul", 2, 0)), (1, ("mul", (("<D>", (("v", "x1"),)), ("v", "x0"))))]
-    rows, _ = law_rows(minus_algebra(A, op), terms, _variables(2),
-                       {"<D>": (n, _map_columns(n))})
+    rows = law_rows(minus_algebra(A, op), terms, _variables(2), {"<D>": (n, _map_columns(n))})
     return OperatorSpace(n, kernel(rows, n * n, dom), "commuting")
 
 

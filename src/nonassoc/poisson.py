@@ -13,8 +13,8 @@ from .identities import Identity, check_identity, law_rows, law_table, parse_ide
 from .linalg import kernel
 from .operators import derivation_space
 from .scalars import QQ, DomainError, Poly, PolyRing
-from .structure import (Algebra, StructureTensor, check_keys, is_int, multiplication_operator,
-                        need)
+from .structure import (Algebra, StructureTensor, check_keys, is_int, linear_map,
+                        multiplication_operator, need)
 from .varieties import check_variety
 
 _AXIOMS = {
@@ -42,6 +42,13 @@ def derived_map_d(P):
     if P.unit is None:
         return [[P.dom.zero()] * P.dim for _ in range(P.dim)]
     return multiplication_operator(P, (P.unit,), op="bracket")
+
+
+def _with_d(P):
+    """(algebra, opmap): P's mul, bracket and D(a) = {a, 1} as the
+    operations *, [] and D of one algebra, bound to the laws' symbols."""
+    ops = {"*": P.ops["mul"], "[]": P.ops["bracket"], "D": linear_map(derived_map_d(P), P.dom)}
+    return Algebra(P.name, P.dim, ops, P.dom), dict(zip(ops, ops))
 
 
 def _sparse_defect(dom, vec):
@@ -85,10 +92,9 @@ def check_poisson_family(P, kind):
         return report
 
     if kind == "generalized":
-        D = derived_map_d(P)
+        laws, opmap = _with_d(P)
         for name in ("leibniz-with-D", "jacobi-with-D"):
-            ok, wit = check_identity(P, parse_identity(_AXIOMS[name]),
-                                     opmap=_OPMAP, unary_maps={"D": D})
+            ok, wit = check_identity(laws, parse_identity(_AXIOMS[name]), opmap)
             if wit is not None:
                 wit = {"tuple": wit["tuple"],
                        "defect": _sparse_defect(P.dom, wit["defect"])}
@@ -159,7 +165,7 @@ def transposed_compatible_space(L, op=None):
     terms = [(2, ("<dot>", (z, (op, (x, y))))),
              (-1, (op, (("<dot>", (z, x)), y))),
              (-1, (op, (x, ("<dot>", (z, y)))))]
-    rows, _ = law_rows(L, terms, ("x", "y", "z"), dot)
+    rows = law_rows(L, terms, ("x", "y", "z"), dot)
     basis_tensors = []
     for v in kernel(rows, nunk, dom).basis:
         table = {}
@@ -247,7 +253,7 @@ class CustomaryIdentity:
                  f"{where}: pairs must be [[i, j], ...]")
             need(isinstance(dargs, list) and all(map(is_int, dargs)),
                  f"{where}: D must be a list of variable indices")
-            terms.append((QQ.coerce(t.get("c", 1)), pairs, dargs))
+            terms.append((QQ.parse(t.get("c", 1)), pairs, dargs))
         return CustomaryIdentity(doc["m"], terms)
 
     def as_identity(self):
@@ -287,8 +293,8 @@ def customary_check(P, g):
     rep = check_poisson_family(P, kind)
     if not rep["holds"]:
         raise DomainError(f"customary check requires a {kind} pair")
-    ok, wit = check_identity(P, g.as_identity(), opmap=_OPMAP,
-                             unary_maps={"D": derived_map_d(P)})
+    laws, opmap = _with_d(P)
+    ok, wit = check_identity(laws, g.as_identity(), opmap)
     if ok:
         return True, None
     tup = [0] * g.m

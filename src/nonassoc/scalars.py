@@ -21,6 +21,14 @@ class DomainError(ValueError):
     pass
 
 
+def _parse(dom, x):
+    """``dom.coerce`` for a value read from JSON, where true and false are
+    booleans, not the numbers 1 and 0: every domain's ``parse``."""
+    if isinstance(x, bool):
+        raise DomainError(f"{str(x).lower()} is not a scalar of {dom.name}")
+    return dom.coerce(x)
+
+
 # ---------------------------------------------------------------------------
 # rationals
 # ---------------------------------------------------------------------------
@@ -56,7 +64,7 @@ class RationalDomain:
     def to_str(self, x):
         return str(x)
 
-    parse = coerce
+    parse = _parse
 
     def __repr__(self):
         return "QQ"
@@ -210,7 +218,7 @@ class PrimeField:
     def to_str(self, x):
         return str(x.v)
 
-    parse = coerce
+    parse = _parse
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -552,7 +560,7 @@ class RatFuncField:
     def to_str(self, x):
         return repr(x)
 
-    parse = coerce
+    parse = _parse
 
     def __repr__(self):
         return "QT"

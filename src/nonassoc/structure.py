@@ -213,6 +213,15 @@ def multiplication_operator(A, fixed, op=None, slot=0):
     return M
 
 
+def linear_map(M, dom):
+    """The n x n matrix M as an arity-1 StructureTensor over dom, each entry
+    coerced into dom: the row of the argument (j,) is column j of M, so the
+    tensor maps v to M v.  This is how a law binds a linear map, such as
+    D(a) = {a,1} or Kantor's L = A(u, .): as an operation."""
+    n = len(M)
+    return StructureTensor(n, 1, {(j,): {i: M[i][j] for i in range(n)} for j in range(n)}, dom)
+
+
 def change_basis(A, P):
     """Group action (P * mu)(x1,...,xm) = P mu(P^-1 x1, ..., P^-1 xm).
 
@@ -225,14 +234,15 @@ def change_basis(A, P):
     P = [[dom.coerce(x) for x in row] for row in P]
     if len(P) != A.dim or any(len(r) != A.dim for r in P):
         raise DomainError("basis-change matrix has wrong shape")
-    maps = {"P": P, "Q": inverse(P, dom)}
+    maps = {"P": linear_map(P, dom), "Q": linear_map(inverse(P, dom), dom)}
     new_ops = {}
     for name, t in A.ops.items():
         # zero-padded names sort in slot order
         xs = tuple(("Q", (("v", f"x{i:0{len(str(t.arity - 1))}d}"),)) for i in range(t.arity))
         law = Identity([(1, ("P", (("mu", xs),)))], {"mu": t.arity, "P": 1, "Q": 1})
-        new_ops[name] = StructureTensor(A.dim, t.arity,
-                                        law_table(A, law, {"mu": name}, maps), dom)
+        ops = {"mu": t, **maps}
+        new_ops[name] = StructureTensor(A.dim, t.arity, law_table(
+            Algebra(A.name, A.dim, ops, dom), law, dict(zip(ops, ops))), dom)
     unit = _transported_index(A, P, A.unit)
     u = _transported_index(A, P, A.u)
     return Algebra(A.name, A.dim, new_ops, dom, unit=unit, u=u, form=None)

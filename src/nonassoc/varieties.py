@@ -17,7 +17,7 @@ from .identities import Identity, check_identity, law_table, parse_identity
 from .kantor import conservativity_test
 from .linalg import is_invertible, mat_mul, mat_sub
 from .scalars import DomainError
-from .structure import Algebra, StructureTensor, multiplication_operator
+from .structure import Algebra, StructureTensor, linear_map, multiplication_operator
 
 # identity texts for the binary varieties (meaning: each expression = 0)
 BINARY_VARIETIES = {
@@ -261,12 +261,12 @@ def check_variety(A, name, op=None, phi=None):
             report["preconditions"].append("automorphism phi required")
             report["holds"] = False
             return report
-        if not _is_automorphism(A, phi, op):
+        laws = _automorphism(A, phi, op)
+        if laws is None:
             report["preconditions"].append("phi is not an algebra automorphism")
             report["holds"] = False
             return report
-        ident = hom_leibniz3_identity()
-        ok, wit = check_identity(A, ident, opmap=opmap, unary_maps={"phi": phi})
+        ok, wit = check_identity(laws, hom_leibniz3_identity(), _PHI_OPMAP)
         report["holds"] = ok
         if not ok:
             report["failures"].append(wit)
@@ -275,12 +275,18 @@ def check_variety(A, name, op=None, phi=None):
     raise DomainError(f"unknown variety {name!r}")
 
 
-def _is_automorphism(A, phi, op=None):
+_PHI_OPMAP = {"[]": "[]", "phi": "phi"}
+
+
+def _automorphism(A, phi, op=None):
+    """A's operation op and the matrix phi as the operations [] and phi of
+    one algebra (bound by ``_PHI_OPMAP``), or None when phi is not an
+    automorphism of op."""
     if not is_invertible(phi, A.dom):
-        return False
-    xs = tuple(("v", f"x{i}") for i in range(A.op(op).arity))
+        return None
+    laws = Algebra(A.name, A.dim, {"[]": A.op(op), "phi": linear_map(phi, A.dom)}, A.dom)
+    xs = tuple(("v", f"x{i}") for i in range(laws.op("[]").arity))
     law = Identity([(1, ("phi", (("[]", xs),))),
                     (-1, ("[]", tuple(("phi", (x,)) for x in xs)))],
                    {"[]": len(xs), "phi": 1})
-    return check_identity(A, law, opmap={"[]": op or A.op_names()[0]},
-                          unary_maps={"phi": phi})[0]
+    return laws if check_identity(laws, law, _PHI_OPMAP)[0] else None

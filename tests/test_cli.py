@@ -157,6 +157,26 @@ _HEIS3_GF7 = dict(algebra_to_json(catalog_get("heis3")), field="GF(7)")
     # a Kantor product of a Q and a GF(7) multiplication, in both orders
     (_HEIS3_GF7, ["kantor", "product", "--a", "{sl2}", "--b", "{file}"]),
     (_HEIS3_GF7, ["kantor", "product", "--a", "{file}", "--b", "{sl2}"]),
+    # a JSON boolean is no scalar, in every reader of scalars: read as 1, the
+    # first algebra is commutative
+    (dict(_GOOD_DOC, dim=1, ops=[{"name": "mul", "arity": 2,
+                                  "table": [{"args": [0, 0], "out": [[0, True]]}]}]),
+     ["variety", "check", "{file}", "--variety", "commutative"]),
+    (_bad_doc(out=[[0, False]]), ["variety", "check", "{file}", "--variety", "lie"]),
+    (dict(_GOOD_DOC, form=[[True, "0"], ["0", "1"]]),
+     ["variety", "check", "{file}", "--variety", "lie"]),
+    ({"1<2": True}, ["incidence", "poisson-equiv", "--poset", "{poset}", "--sigma", "{file}"]),
+    ([[True, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+     ["der", "local", "{sl2}", "--phi", "{file}"]),
+    ([[["0", True, "0"], ["-1", "0", "0"], ["0", "0", "0"]]],
+     ["ext", "build", "--algebra", "{sl2}", "--theta", "{file}"]),
+    ([_EYE3, [["0", "0", "0"], ["0", False, "0"], ["0", "0", "0"]]],
+     ["incidence", "hd-check", "--algebra", "{sl2}", "--sequence", "{file}"]),
+    ([["t", "0", "0"], ["0", True, "0"], ["0", "0", "t"]],
+     ["degen", "verify", "--from", "{sl2}", "--to", "{sl2}", "--cert", "{file}"]),
+    ({"m": 2, "terms": [{"c": True, "pairs": [[1, 2]]}]},
+     ["poisson", "customary", "{tp4}", "--g", "{file}"]),
+    (None, ["catalog", "get", "ternaryJordan", "-p", "n=2", "-p", "form=[[true,0],[0,1]]"]),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, doc, argv):
     path = tmp_path / "in.json"

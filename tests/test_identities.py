@@ -14,11 +14,12 @@ from nonassoc.identities import (MAX_POLARIZATION_COPIES, Identity, ParseError, 
                                  polarize, symbolic_check, eval_identity_sparse,
                                  default_opmap, law_table)
 from nonassoc.scalars import GF, QQ, QT, DomainError, Fp, Poly, PolyRing, RatFunc
-from nonassoc.structure import Algebra, StructureTensor
+from nonassoc.structure import Algebra, StructureTensor, linear_map
 from nonassoc.incidence import HigherDerivationSeq, higher_derivation_check
+from nonassoc.operators import derivation_space
 from nonassoc.poisson import CustomaryIdentity, check_poisson_family, customary_check
 from nonassoc.varieties import BINARY_VARIETIES, check_variety, plus_algebra, variety_identities
-from test_linear_conditions import _odd_scalar, _signed_tensor
+from test_linear_conditions import _odd_scalar, _signed_tensor, bind_maps
 
 
 def test_parse_basic():
@@ -288,16 +289,78 @@ def test_restitution_scale_law():
 # symbolic_check
 # ---------------------------------------------------------------------------
 
+def _eval_term_matrix(A, term, assignment, opmap, unary_maps=None):
+    """``identities.eval_term_sparse`` as it was when a law could bind a
+    symbol to a dense matrix (``unary_maps``) as well as to an operation:
+    the reference for the binding of every map as an arity-1 operation."""
+    if term[0] == "v":
+        return assignment[term[1]]
+    sym = term[0]
+    if unary_maps and sym in unary_maps:
+        mat = unary_maps[sym]
+        v = _eval_term_matrix(A, term[1][0], assignment, opmap, unary_maps)
+        dom = A.dom
+        out = {}
+        for j, c in v.items():
+            for i in range(A.dim):
+                m = mat[i][j]
+                if dom.is_zero(m):
+                    continue
+                s = out.get(i, dom.zero()) + m * c
+                if dom.is_zero(s):
+                    out.pop(i, None)
+                else:
+                    out[i] = s
+        return out
+    tensor = A.op(opmap[sym])
+    children = [_eval_term_matrix(A, c, assignment, opmap, unary_maps)
+                for c in term[1]]
+    return tensor.apply_sparse(children)
+
+
+def _eval_identity_matrix(A, identity, assignment, opmap, unary_maps=None):
+    """``identities.eval_identity_sparse`` with ``unary_maps``, as it was."""
+    dom = A.dom
+    total = {}
+    for c, t in identity.terms:
+        val = _eval_term_matrix(A, t, assignment, opmap, unary_maps)
+        for k, x in val.items():
+            s = total.get(k, dom.zero()) + dom.coerce(c) * x
+            if dom.is_zero(s):
+                total.pop(k, None)
+            else:
+                total[k] = s
+    return total
+
+
+def _bound(A, opmap, maps):
+    """(algebra, opmap) binding the matrices of maps as arity-1 operations
+    (``bind_maps``); A and opmap themselves when there are none."""
+    return bind_maps(A, opmap, maps) if maps else (A, opmap)
+
+
+def _check(A, identity, opmap, maps):
+    """``check_identity`` with the matrices of maps bound as operations."""
+    B, opmap = _bound(A, opmap, maps)
+    return check_identity(B, identity, opmap)
+
+
+def _table(A, identity, opmap, maps):
+    """``law_table`` with the matrices of maps bound as operations."""
+    B, opmap = _bound(A, opmap, maps)
+    return law_table(B, identity, opmap)
+
+
 def _per_tuple_check(A, identity, opmap, unary_maps=None):
     """check_identity before the compiled scan: every term re-evaluated from
-    scratch by eval_identity_sparse at every basis tuple."""
+    scratch at every basis tuple by the matrix path (``_eval_identity_matrix``)."""
     dom = A.dom
     for lin in polarize(identity, char=dom.char or 0):
         vs = lin.variables
         one = dom.one()
         for combo in itertools.product(range(A.dim), repeat=len(vs)):
             assignment = {v: {i: one} for v, i in zip(vs, combo)}
-            defect = eval_identity_sparse(A, lin, assignment, opmap, unary_maps)
+            defect = _eval_identity_matrix(A, lin, assignment, opmap, unary_maps)
             if defect:
                 vec = [dom.zero()] * A.dim
                 for k, c in defect.items():
@@ -433,7 +496,7 @@ def _random_case(seed, dom):
 def test_compiled_scan_matches_per_tuple_scan(dom, seed):
     A, ident, maps = _random_case(seed, dom)
     opmap = {"*": "mul", "[]": "t"}
-    assert (check_identity(A, ident, opmap=opmap, unary_maps=maps)
+    assert (_check(A, ident, opmap, maps)
             == _per_tuple_check(A, ident, opmap, maps))
 
 
@@ -443,8 +506,7 @@ def test_compiled_scan_cases_cover_both_verdicts():
     verdicts, late = set(), 0
     for seed in range(120):
         A, ident, maps = _random_case(seed, QQ)
-        holds, wit = check_identity(A, ident, opmap={"*": "mul", "[]": "t"},
-                                    unary_maps=maps)
+        holds, wit = _check(A, ident, {"*": "mul", "[]": "t"}, maps)
         verdicts.add(holds)
         late += bool(wit and any(wit["tuple"]))
     assert verdicts == {True, False} and late >= 10
@@ -530,18 +592,20 @@ def _symmetric_case(seed, dom):
 
 
 def _compiled_law(A, lin, opmap, maps):
-    """(nodes, specs, top_coef, scale, prove): the compiled DAG of lin on A
-    with its symbols bound by opmap and maps, as ``law_table`` builds it."""
-    return identities._compile(A, lin.terms, lin.variables,
-                               identities._scan_forms(A, lin.used_symbols(), opmap, maps))
+    """(nodes, specs, top_coef, scale, runs): the compiled DAG of lin on A
+    with its symbols bound by opmap and maps (``_bound``), as ``law_table``
+    builds it."""
+    B, opmap = _bound(A, opmap, maps)
+    opmap = _bind(B, lin, opmap)
+    return identities._compile(B, lin.terms, lin.variables,
+                               identities._scan_forms(B, lin.used_symbols(), opmap))
 
 
 def _run_kinds(A, ident, maps):
     """The (length, kind) runs of ``_symmetric_runs`` of ident's one
     polarized component."""
     lin, = polarize(ident)
-    opmap = _bind(A, lin, {"*": "mul"}, maps)
-    return _compiled_law(A, lin, opmap, maps)[4]()
+    return list(_compiled_law(A, lin, {"*": "mul"}, maps)[4])
 
 
 def _runs(A, ident, maps):
@@ -555,7 +619,7 @@ def test_representative_scan_matches_per_tuple_scan(dom, seed):
     witness of the scan of every tuple, on laws that are symmetric in a copy
     group and on near-symmetric ones the proof must reject."""
     A, ident, maps, _ = _symmetric_case(seed, dom)
-    assert (check_identity(A, ident, opmap={"*": "mul"}, unary_maps=maps)
+    assert (_check(A, ident, {"*": "mul"}, maps)
             == _per_tuple_check(A, ident, {"*": "mul"}, maps))
 
 
@@ -567,7 +631,7 @@ def test_representative_scan_cases_cover_runs_and_verdicts():
     for seed in range(150):
         A, ident, maps, kind = _symmetric_case(seed, QQ)
         runs = _runs(A, ident, maps)
-        holds, wit = check_identity(A, ident, opmap={"*": "mul"}, unary_maps=maps)
+        holds, wit = _check(A, ident, {"*": "mul"}, maps)
         seen["run"] += max(runs) > 1
         seen["holds"] += holds
         seen["late"] += bool(wit and wit["tuple"][0])
@@ -665,9 +729,9 @@ def test_signed_scan_matches_per_tuple_scan(dom, seed):
     group, the verdict and first witness of ``check_identity`` are those of
     the scan of every tuple, and ``law_table`` is the law at every tuple."""
     A, ident, maps, _ = _signed_case(seed, dom)
-    assert (check_identity(A, ident, opmap=_OPMAP, unary_maps=maps)
+    assert (_check(A, ident, _OPMAP, maps)
             == _per_tuple_check(A, ident, _OPMAP, maps))
-    assert law_table(A, ident, _OPMAP, maps) == _law_table_by_tuples(A, ident, _OPMAP, maps)
+    assert _table(A, ident, _OPMAP, maps) == _law_table_by_tuples(A, ident, _OPMAP, maps)
 
 
 def test_signed_cases_cover_runs_witnesses_and_merges():
@@ -683,12 +747,10 @@ def test_signed_cases_cover_runs_witnesses_and_merges():
             if ident.is_trivial():   # a swapped product cancelled every term
                 continue
             lin, = polarize(ident)
-            opmap = _bind(A, lin, _OPMAP, maps)
-            nodes, _, top_coef, _, prove = _compiled_law(A, lin, opmap, maps)
-            runs = prove()
+            nodes, _, top_coef, _, runs = _compiled_law(A, lin, _OPMAP, maps)
             g = sum(v.startswith("x") for v in lin.variables)
             start = lin.variables.index("x1")
-            holds, wit = check_identity(A, ident, opmap=_OPMAP, unary_maps=maps)
+            holds, wit = _check(A, ident, _OPMAP, maps)
             seen["symmetric"] += any(r > 1 and k > 0 for r, k in runs)
             seen["antisymmetric"] += any(r > 1 and k < 0 for r, k in runs)
             assert dom is QQ or all(k > 0 for _, k in runs)
@@ -716,11 +778,11 @@ def test_near_antisymmetric_table_is_not_marked():
     near = Algebra("near", 3, {"mul": StructureTensor(3, 2, table, QQ)}, QQ)
     skew = parse_identity("x1*x2 + x2*x1")
     jacobi = parse_identity("x*(y*z) + y*(z*x) + z*(x*y)")
-    nodes, _, top_coef, _, prove = _compiled_law(sl2, skew, {"*": "mul"}, None)
-    assert len(nodes) == 3 and top_coef == {} and prove() == [(2, 1)]
+    nodes, _, top_coef, _, runs = _compiled_law(sl2, skew, {"*": "mul"}, None)
+    assert len(nodes) == 3 and top_coef == {} and runs == ((2, 1),)
     assert check_identity(sl2, skew) == (True, None)
-    nodes, _, top_coef, _, prove = _compiled_law(near, skew, {"*": "mul"}, None)
-    assert len(nodes) == 4 and len(top_coef) == 2 and prove() == [(2, 1)]
+    nodes, _, top_coef, _, runs = _compiled_law(near, skew, {"*": "mul"}, None)
+    assert len(nodes) == 4 and len(top_coef) == 2 and runs == ((2, 1),)
     assert _run_kinds(sl2, jacobi, None) == [(3, -1)]
     assert all(k > 0 for _, k in _run_kinds(near, jacobi, None))
     # z*x is keyed as x*z (with sign -1) on sl2 only
@@ -760,7 +822,7 @@ def test_integer_scan_weights_terms_with_different_scales():
                   [(1, ("*", (("D", (x,)), ("D", (y,))))),
                    (Fraction(-1, 3), ("D", (("*", (x, y)),)))]):
         ident = Identity(terms, sig)
-        got = check_identity(A, ident, opmap={"*": "mul"}, unary_maps={"D": D})
+        got = _check(A, ident, {"*": "mul"}, {"D": D})
         assert got == _per_tuple_check(A, ident, {"*": "mul"}, {"D": D})
 
 
@@ -864,7 +926,7 @@ def test_generic_last_variable_matches_per_tuple_scan(dom, seed):
     run is symmetric or antisymmetric, with failures planted where only the
     bounds of the generic element's columns and of the prefixes reach."""
     A, ident, maps, _, _ = _last_run_case(seed, dom)
-    assert (check_identity(A, ident, opmap=_OPMAP, unary_maps=maps)
+    assert (_check(A, ident, _OPMAP, maps)
             == _per_tuple_check(A, ident, _OPMAP, maps))
 
 
@@ -879,10 +941,10 @@ def test_generic_last_variable_cases_cover_runs_and_plants():
     for seed in range(160):
         dom = _LAST_DOMAINS[seed % 3]   # Q, GF(7) and GF(2)
         A, ident, maps, kind, plant = _last_run_case(seed, dom)
-        got = check_identity(A, ident, opmap=_OPMAP, unary_maps=maps)
+        got = _check(A, ident, _OPMAP, maps)
         assert got == _per_tuple_check(A, ident, _OPMAP, maps), seed
         lin, = polarize(ident)
-        runs = _compiled_law(A, lin, _bind(A, lin, _OPMAP, maps), maps)[4]()
+        runs = _compiled_law(A, lin, _OPMAP, maps)[4]
         length, run_kind = runs[-1]
         runs_seen.add((length, run_kind))
         holds, wit = got
@@ -1067,14 +1129,14 @@ _ELEMENT_TYPES = {QQ: Fraction, GF(5): Fp, QT: RatFunc}
 
 
 def _law_table_by_tuples(A, identity, opmap, unary_maps=None):
-    """Reference for law_table: the law evaluated from scratch by
-    eval_identity_sparse at every basis tuple of its variables."""
+    """Reference for law_table: the law evaluated from scratch by the matrix
+    path (``_eval_identity_matrix``) at every basis tuple of its variables."""
     one = A.dom.one()
     vs = identity.variables
     out = {}
     for combo in itertools.product(range(A.dim), repeat=len(vs)):
-        val = eval_identity_sparse(A, identity, {v: {i: one} for v, i in zip(vs, combo)},
-                                   opmap, unary_maps)
+        val = _eval_identity_matrix(A, identity, {v: {i: one} for v, i in zip(vs, combo)},
+                                    opmap, unary_maps)
         if val:
             out[combo] = val
     return out
@@ -1082,7 +1144,7 @@ def _law_table_by_tuples(A, identity, opmap, unary_maps=None):
 
 def _assert_law_table(A, identity, maps):
     opmap = {"*": "mul", "[]": "t"}
-    got = law_table(A, identity, opmap, maps)
+    got = _table(A, identity, opmap, maps)
     want = _law_table_by_tuples(A, identity, opmap, maps)
     assert list(got) == list(want)
     assert got == want
@@ -1159,7 +1221,7 @@ def _assert_generic_law_table(A, law):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32))
 def test_law_table_over_q_c_matches_per_tuple_evaluation(seed):
-    """The integer scan form over Q[c] against eval_identity_sparse in
+    """The integer scan form over Q[c] against the per-tuple evaluation in
     Fraction-coefficient polynomials at every tuple."""
     _assert_generic_law_table(*_generic_case(seed))
 
@@ -1189,7 +1251,7 @@ def test_law_table_divides_by_the_scale():
     law = Identity([(Fraction(3, 4), ("D", (("*", (x, y)),))), (-1, ("*", (("D", (x,)), y)))],
                    {"*": 2, "D": 1})
     D = [[Fraction(2, 5), 0], [0, 1]]
-    assert law_table(A, law, {"*": "mul"}, {"D": D}) == {
+    assert _table(A, law, {"*": "mul"}, {"D": D}) == {
         (0, 1): {1: Fraction(3, 8) - Fraction(1, 5)},
         (1, 1): {0: Fraction(3, 4) * third * Fraction(2, 5) - third}}
 
@@ -1418,3 +1480,129 @@ def test_a_pair_keeps_one_mark_per_operation():
                         == _per_tuple_check(pair, law, opmap)), (seed, law)
         marks.add((_form_of(pair, "mul")[2], _form_of(pair, "bracket")[2]))
     assert marks == {(1, -1)}
+
+
+# ---------------------------------------------------------------------------
+# one binding: a linear map is an arity-1 operation
+# ---------------------------------------------------------------------------
+
+_BINDING_DOMAINS = [QQ, GF(2), GF(7), QT, PolyRing(2)]
+
+
+def _binding_scalar(rng, dom):
+    """``_scalar``, with odd denominators only over GF(2)."""
+    return _odd_scalar(rng, dom) if dom.char == 2 else _scalar(rng, dom)
+
+
+def _with_e(rng, term):
+    """term with each D renamed E at random."""
+    if term[0] == "v":
+        return term
+    sym = "E" if term[0] == "D" and rng.random() < 0.5 else term[0]
+    return (sym, tuple(_with_e(rng, c) for c in term[1]))
+
+
+def _map_case(seed, dom):
+    """A random binary mul over dom and two matrices D and E (entries in dom,
+    some zero, with denominators outside GF(2)), and a law of up to three
+    ``_random_tree`` terms holding D or E, over one to three variables that
+    may repeat, with ``_COEFFS`` coefficients (odd denominators over GF(2))."""
+    rng = random.Random(seed)
+    dim = rng.choice([1, 2, 2, 3])
+    table = {args: {k: _binding_scalar(rng, dom) for k in rng.sample(range(dim), rng.randint(1, dim))}
+             for args in itertools.product(range(dim), repeat=2) if rng.random() < 0.5}
+    A = Algebra("maps", dim, {"mul": StructureTensor(dim, 2, table, dom)}, dom)
+    maps = {sym: [[_binding_scalar(rng, dom) if rng.random() < 0.6 else dom.zero()
+                   for _ in range(dim)] for _ in range(dim)] for sym in "DE"}
+    coeffs = [c for c in _COEFFS if dom.char != 2 or Fraction(c).denominator % 2]
+    leaves = [rng.choice("xyz"[:rng.randint(1, 3)]) for _ in range(rng.randint(1, 3))]
+    terms = []
+    while not terms or not any(sym in ("D", "E") for _, t in terms
+                               for sym, _ in identities._op_nodes(t)):
+        terms = [(Fraction(rng.choice(coeffs)), _with_e(rng, _random_tree(rng, leaves, False, True)))
+                 for _ in range(rng.randint(1, 3))]
+    return A, Identity(terms, {"*": 2, "D": 1, "E": 1}), maps
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as exc:   # polarization in too small a characteristic
+        return "DomainError", str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(_BINDING_DOMAINS), st.integers(0, 2**32))
+def test_maps_bound_as_operations_match_the_matrix_path(dom, seed):
+    """Each matrix bound as an arity-1 operation (``bind_maps``) gives the
+    verdict, witness tuple and defect of ``check_identity`` and the
+    ``law_table`` of the matrix path it replaced (``_eval_term_matrix``,
+    at every basis tuple)."""
+    A, ident, maps = _map_case(seed, dom)
+    opmap = {"*": "mul"}
+    assert (_outcome(_check, A, ident, opmap, maps)
+            == _outcome(_per_tuple_check, A, ident, opmap, maps))
+    assert _table(A, ident, opmap, maps) == _law_table_by_tuples(A, ident, opmap, maps)
+
+
+def test_map_cases_reach_both_verdicts_and_both_maps():
+    """The seeded map cases hold and fail over every domain, use D and E in
+    one law, and fail at tuples past the first."""
+    seen = set()
+    for seed in range(200):
+        dom = _BINDING_DOMAINS[seed % len(_BINDING_DOMAINS)]
+        A, ident, maps = _map_case(seed, dom)
+        holds, wit = _outcome(_check, A, ident, {"*": "mul"}, maps)
+        if holds in (True, False):
+            seen.add((dom.name, holds))
+            seen.add(("late", bool(wit and any(wit["tuple"]))))
+        seen.add(("both", {"D", "E"} <= set(ident.used_symbols())))
+    assert {(dom.name, v) for dom in _BINDING_DOMAINS for v in (True, False)} <= seen
+    assert {("late", True), ("both", True)} <= seen
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(7), QT, PolyRing(2)], ids=lambda d: d.name)
+def test_linear_map_applies_its_matrix(dom):
+    """The arity-1 tensor of a matrix of rationals maps v to M v in dom,
+    with every entry coerced into dom; M is not symmetric."""
+    rng = random.Random(3)
+    for n in (1, 2, 3):
+        M = [[Fraction(rng.choice(_COEFFS)) if rng.random() < 0.7 else Fraction(0)
+              for _ in range(n)] for _ in range(n)]
+        if n > 1:
+            M[0][1], M[1][0] = Fraction(2), Fraction(-1, 3)
+        T = linear_map(M, dom)
+        assert (T.dim, T.arity, T.dom) == (n, 1, dom)
+        assert all(c == dom.coerce(c) and type(c) is type(dom.one())
+                   for row in T.table.values() for c in row.values())
+        for _ in range(5):
+            v = [_scalar(rng, dom) for _ in range(n)]
+            want = [sum((dom.coerce(M[i][j]) * v[j] for j in range(n)), dom.zero())
+                    for i in range(n)]
+            assert T.apply([v]) == want
+
+
+def test_symbolic_check_binds_maps_as_operations():
+    """``symbolic_check`` has no code for unary maps: with D bound as an
+    arity-1 operation it agrees with ``check_identity`` on the derivation
+    law, for each derivation of sl2 (holds) and for D = 1 (fails)."""
+    A = catalog_get("sl2")
+    law = parse_identity("D(x*y) - D(x)*y - x*D(y)")
+    one = [[QQ.one() if i == j else QQ.zero() for j in range(3)] for i in range(3)]
+    for M, holds in [(M, True) for M in derivation_space(A).matrices()] + [(one, False)]:
+        B, opmap = bind_maps(A, {"*": "mul"}, {"D": M})
+        assert symbolic_check(B, law, opmap) is holds
+        assert check_identity(B, law, opmap)[0] is holds
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_symbolic_check_matches_the_scan_with_maps(seed):
+    """Random laws with D on random algebras, D bound as an operation:
+    ``symbolic_check`` and ``check_identity`` agree."""
+    rng = random.Random(seed)
+    A, ident, maps = _map_case(rng.randrange(2**32), QQ)
+    while A.dim ** len(ident.variables) > 27:
+        A, ident, maps = _map_case(rng.randrange(2**32), QQ)
+    B, opmap = bind_maps(A, {"*": "mul"}, maps)
+    assert check_identity(B, ident, opmap)[0] == symbolic_check(B, ident, opmap)

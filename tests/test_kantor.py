@@ -447,9 +447,8 @@ def _dense_kantor(A):
     pairs = list(itertools.product(range(n), repeat=2))
 
     def exact(terms, variables):
-        rows, scale = linear_conditions(A, terms, variables, {"<a>": (n, lambda r: r)})
-        return {key: {j: dom.coerce(Fraction(v, scale) if dom is QQ else v) for j, v in row.items()}
-                for key, row in rows.items()}
+        rows = linear_conditions(A, terms, variables, {"<a>": (n, lambda r: r)})
+        return {key: {j: dom.coerce(v) for j, v in row.items()} for key, row in rows.items()}
 
     # K[(x,y,r), k] = [L_{e_k}, M](e_x, e_y)_r
     opn = A.op_names()[0]

@@ -1,8 +1,8 @@
 """The linear-condition builder behind every operator space.
 
 Each basis map the solvers return is checked against its defining law with
-``check_identity(..., unary_maps={"D": M})``, an evaluator that shares no
-code with ``linear_conditions``.  The dimensions were recorded from the
+``check_identity``, the map bound as an arity-1 operation (``bind_maps``):
+an evaluator that shares no code with ``linear_conditions``.  The dimensions were recorded from the
 hand-written row loops the builder replaced.
 """
 
@@ -22,7 +22,7 @@ from nonassoc.linalg import is_invertible, kernel
 from nonassoc.operators import centroid, commuting_map_space, derivation_space
 from nonassoc.poisson import transposed_compatible_space
 from nonassoc.scalars import GF, QQ, QT, DomainError, PrimeField, RatFunc
-from nonassoc.structure import Algebra, StructureTensor, change_basis
+from nonassoc.structure import Algebra, StructureTensor, change_basis, linear_map
 from nonassoc.varieties import minus_algebra
 
 ALGEBRAS = [("sl2", None), ("heis3", None), ("NF", {"n": 3}),
@@ -39,6 +39,16 @@ LAWS = {
     "centroid": ["D(x*y) - D(x)*y", "D(x*y) - x*D(y)"],
     "commuting": ["D(x)*x - x*D(x)"],
 }
+
+
+def bind_maps(A, opmap, maps):
+    """(algebra, opmap): the operations of A that opmap names (those A has)
+    and each matrix of maps as an arity-1 operation (``linear_map``), in one
+    algebra keyed by the law's symbols, and the opmap binding each symbol to
+    its own."""
+    ops = {sym: A.ops[name] for sym, name in opmap.items() if name in A.ops}
+    ops.update((sym, linear_map(M, A.dom)) for sym, M in maps.items())
+    return Algebra(A.name, A.dim, ops, A.dom), dict(zip(ops, ops))
 
 
 def _rebased(A, seed):
@@ -64,8 +74,9 @@ def test_every_basis_map_satisfies_its_law(name, params, seed):
     for kind, space in spaces.items():
         laws = [parse_identity(text) for text in LAWS[kind]]
         for M in space.matrices():
+            bound, opmap = bind_maps(A, {"*": "mul"}, {"D": M})
             for law in laws:
-                holds, witness = check_identity(A, law, unary_maps={"D": M})
+                holds, witness = check_identity(bound, law, opmap)
                 assert holds, (name, seed, kind, witness)
 
 
@@ -76,9 +87,8 @@ def test_rows_are_keyed_tuple_major_coordinate_ascending():
     terms = [(1, ("<D>", (("mul", (x, y)),))),
              (-1, ("mul", (("<D>", (x,)), y))),
              (-1, ("mul", (x, ("<D>", (y,)))))]
-    rows, scale = linear_conditions(A, terms, ("x", "y"),
-                                    {"<D>": (n, lambda r, a: r * n + a)})
-    assert scale == 1
+    rows = linear_conditions(A, terms, ("x", "y"), {"<D>": (n, lambda r, a: r * n + a)})
+    assert all(type(c) is int for row in rows.values() for c in row.values())
     keys = list(rows)
     assert keys == sorted(keys)
     assert all(rows.values())
@@ -203,10 +213,13 @@ def _closure_linear_conditions(A, terms, variables, unknowns):
 
 
 def _assert_scaled_rows(A, terms, variables, unknowns):
-    """The compiled rows are scale times the closure builder's rows, with
-    the same keys in the same order; over Q and GF(p) they are ints."""
+    """The compiled rows (``_conditions``) are scale times the closure
+    builder's rows, with the same keys in the same order; over Q and GF(p)
+    they are ints.  ``linear_conditions`` divides them by the scale: over
+    Q it gives the closure builder's rows, elsewhere the compiled ones."""
     dom = A.dom
-    rows, scale = linear_conditions(A, terms, variables, unknowns)
+    rows, scale = identities._conditions(A, terms, variables, unknowns, every=True)
+    rows = dict(rows)
     old = _closure_linear_conditions(A, terms, variables, unknowns)
     assert list(rows) == list(old)
     if dom is QQ:
@@ -221,7 +234,7 @@ def _assert_scaled_rows(A, terms, variables, unknowns):
     if dom is QQ or isinstance(dom, PrimeField):
         assert all(type(c) is int for row in rows.values() for c in row.values())
     assert rows == want
-    return rows, scale
+    assert linear_conditions(A, terms, variables, unknowns) == (old if dom is QQ else want)
 
 
 _COEFFS = ["1", "-1", "2", "1/2", "-1/3", "3/2", "5/4"]
@@ -313,7 +326,7 @@ def test_random_laws_cover_the_builder():
     seen = set()
     for seed in range(200):
         A, terms, variables, unknowns = _random_law(seed, QQ)
-        _, scale = linear_conditions(A, terms, variables, unknowns)
+        _, scale = identities._conditions(A, terms, variables, unknowns, every=True)
         seen.add(f"scale>1:{scale > 1}")
         seen.add(f"unknowns:{len(unknowns)}")
         for _, t in terms:
@@ -376,13 +389,12 @@ def _kantor_results(A):
 @pytest.mark.parametrize("which", ["U2"] + [f"seed{s}" for s in range(20)])
 def test_kantor_matrices_match_the_closure_builder(which, monkeypatch):
     """K's sparse rows, the double brackets and the conservativity verdict
-    from the integer rows (each divided by its own scale) equal those of the
-    closure builder: on U(2), and on random algebras with denominators,
+    from the compiled rows (each divided by its own scale) equal those of
+    the closure builder: on U(2), and on random algebras with denominators,
     where K and the double brackets carry different scales."""
     A = kantor.build_U(2) if which == "U2" else _random_kantor_algebra(int(which[4:]))
     got = _kantor_results(A)
-    monkeypatch.setattr(kantor, "linear_conditions",
-                        lambda *args: (_closure_linear_conditions(*args), 1))
+    monkeypatch.setattr(kantor, "linear_conditions", _closure_linear_conditions)
     assert got == _kantor_results(A)
 
 
@@ -487,26 +499,26 @@ def _rename(term, names):
 def _orbit_rows(A, terms, variables, unknowns):
     """The rows of ``law_rows`` keyed as in ``linear_conditions``, and the
     runs they were built from."""
-    seen = []
-
-    def tuples(dim, k, prove):
-        seen.append(prove())
-        return identities._representatives(dim, seen[0])
-    rows, _ = identities._conditions(A, terms, variables, unknowns, tuples)
-    rows = dict(rows)
-    return rows, seen[0]
+    rows, _ = identities._conditions(A, terms, variables, unknowns, every=False)
+    syms = {sym for _, t in terms for sym, _ in identities._op_nodes(t)} - set(unknowns)
+    forms = identities._scan_forms(A, syms, dict(zip(syms, syms)))
+    return dict(rows), identities._compile(A, terms, variables, forms, unknowns)[4]
 
 
 def _law_rows_vs_every_tuple(A, terms, variables, unknowns):
     """(keyed orbit rows, runs, every row): the orbit rows are the rows of
-    every tuple at their keys, scaled alike, and have the same kernel."""
-    rows, scale = law_rows(A, terms, variables, unknowns)
-    every, every_scale = linear_conditions(A, terms, variables, unknowns)
+    every tuple at their keys, scaled alike, and have the kernel of the
+    exact rows of ``linear_conditions``."""
+    rows = law_rows(A, terms, variables, unknowns)
+    every, _ = identities._conditions(A, terms, variables, unknowns, every=True)
+    every = dict(every)
     keyed, runs = _orbit_rows(A, terms, variables, unknowns)
-    assert scale == every_scale and rows == list(keyed.values())
+    assert rows == list(keyed.values())
     assert all(every[key] == row for key, row in keyed.items())
+    exact = linear_conditions(A, terms, variables, unknowns)
+    assert list(exact) == list(every)
     ncols = A.dim ** 2
-    assert kernel(rows, ncols, A.dom) == kernel(list(every.values()), ncols, A.dom)
+    assert kernel(rows, ncols, A.dom) == kernel(list(exact.values()), ncols, A.dom)
     return keyed, runs, every
 
 
@@ -537,8 +549,8 @@ def _commuting_reference(A):
     n = A.dim
     terms = [(1, ("mul", (("<D>", (("v", "x0"),)), ("v", "x1")))),
              (1, ("mul", (("<D>", (("v", "x1"),)), ("v", "x0"))))]
-    conds, _ = linear_conditions(minus_algebra(A), terms, ("x0", "x1"),
-                                 {"<D>": (n, lambda r, a: r * n + a)})
+    conds = linear_conditions(minus_algebra(A), terms, ("x0", "x1"),
+                              {"<D>": (n, lambda r, a: r * n + a)})
     rows = [row for ((i, j), _), row in conds.items() if i <= j]
     return kernel(rows, n * n, A.dom)
 
@@ -562,7 +574,7 @@ def _transposed_reference(L):
     """The space S of ``transposed_compatible_space`` before ``law_rows``:
     every row built, then the rows of x <= y kept by hand."""
     terms, variables, dot, ncols = _transposed_law(L)
-    conds, _ = linear_conditions(L, terms, variables, dot)
+    conds = linear_conditions(L, terms, variables, dot)
     rows = [row for ((i, j, _), _), row in conds.items() if i <= j]
     return kernel(rows, ncols, L.dom)
 
@@ -596,7 +608,7 @@ def test_orbit_spaces_match_the_hand_filtered_rows(name, params, dom):
         assert vectors == _transposed_reference(L).basis
     else:
         terms, variables, dot, ncols = _transposed_law(L)
-        rows, _ = law_rows(L, terms, variables, dot)
+        rows = law_rows(L, terms, variables, dot)
         assert kernel(rows, ncols, dom) == _transposed_reference(L)
 
 
@@ -612,7 +624,7 @@ def test_der_of_filippov_d6_is_built_at_six_tuples():
     terms += [(-1, (opn, tuple(("<D>", (("v", v),)) if v == w else ("v", v) for v in xs)))
               for w in xs]
     keyed, runs = _orbit_rows(A, terms, xs, {"<D>": (n, lambda r, a: r * n + a)})
-    assert runs == [(5, -1)]
+    assert runs == ((5, -1),)
     assert len({combo for combo, _ in keyed}) <= 6
     assert derivation_space(A).dim == 15
 
@@ -630,4 +642,4 @@ def test_centroid_slot_laws_put_the_other_slots_in_one_run(monkeypatch):
         return representatives(dim, runs)
     monkeypatch.setattr(identities, "_representatives", record)
     assert centroid(catalog_get("D", {"dim": 4})).dim == 1
-    assert seen == [[(1, 1), (2, -1)]] * 3
+    assert seen == [((1, 1), (2, -1))] * 3

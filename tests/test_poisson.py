@@ -606,7 +606,7 @@ def _compatible_basis_reference(L, op):
     terms = [(2, ("<dot>", (z, (op, (x, y))))),
              (-1, (op, (("<dot>", (z, x)), y))),
              (-1, (op, (x, ("<dot>", (z, y)))))]
-    conds, _ = linear_conditions(L, terms, ("x", "y", "z"), dot)
+    conds = linear_conditions(L, terms, ("x", "y", "z"), dot)
     rows = [row for ((i, j, _), _), row in conds.items() if i <= j]
     tables = []
     for v in kernel(rows, len(pairs) * n, L.dom).basis:

@@ -28,9 +28,12 @@ quasi-unit and Jacobi element spaces; the ternary M8 and D3, rebased by a
 seeded P, come back equal under P^-1; rebased by that P, the 4-ary
 derivations of D3, the octonions and M8 keep their dims 31, 30 and 24, and
 Der of rebased D3 is 21: every kernel there lifts only after several CRT
-primes; their slot projection dims, derived dim and derived projection dims
-are basis invariants and equal those in the canonical basis (ranks certified
-through the smaller kernel after a rebasing); the standard embedding of M8
+primes; their slot projection dims, derived dim and derived projection dims,
+trivial dim, quotient dim and trivial_contained are basis invariants and
+equal those in the canonical basis (ranks certified through the smaller
+kernel after a rebasing), and all three contain their trivial tuples, a
+check made against the rows that gave the pivots at a later prime than the
+first; the standard embedding of M8
 has dim 36 with L of dim 28 and a Z/2 grading (values recorded from this
 library before its table was rebuilt from multiplication_operator, not
 published; tier-1 embeds only dims <= 4); Der of Filippov's n-Lie algebras
@@ -177,7 +180,8 @@ def conditions():
     gder = {name: generalized_derivation_space(B, "full") for name, B in rebased.items()}
     canonical_meta = {name: generalized_derivation_space(catalog_get(name), "full").meta
                       for name in rebased}
-    invariants = ("projection_dims", "derived_dim", "derived_projection_dims")
+    invariants = ("projection_dims", "derived_dim", "derived_projection_dims", "trivial_dim",
+                  "quotient_dim", "trivial_contained")
     emb = standard_embedding(catalog_get("M8"))
     ut3 = minus_algebra(catalog_get("uppertri", {"n": 3}))
     P6 = seeded_basis(6)
@@ -229,6 +233,8 @@ def conditions():
     yield "GDer invariants that differ from the canonical basis", \
         [(name, k) for name, g in gder.items() for k in invariants
          if g.meta[k] != canonical_meta[name][k]], []
+    yield "rebased GDer that do not contain their trivial tuples", \
+        [name for name, g in gder.items() if not g.meta["trivial_contained"]], []
     yield "dim Der of rebased D3", derivation_space(rebased["D3"]).dim, 21
     yield "dim of the standard embedding of M8", emb.dim, 36
     yield "dim of its L", emb.l_dim, 28

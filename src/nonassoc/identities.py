@@ -447,7 +447,10 @@ def _polarized(terms, signature, char):
 # ---------------------------------------------------------------------------
 
 def default_opmap(A, signature):
-    """Map DSL operation symbols to the algebra's named operations."""
+    """Map DSL operation symbols to the algebra's named operations: ``*`` to
+    ``mul`` or the first binary operation, ``[]`` to ``bracket`` or the
+    first operation of its arity, and any other symbol, such as a unary D,
+    to the operation of that name when its arity matches."""
     opmap = {}
     names = A.op_names()
     for sym, ar in signature.items():
@@ -464,7 +467,8 @@ def default_opmap(A, signature):
                 cands = [n for n in names if A.ops[n].arity == ar]
                 if cands:
                     opmap[sym] = cands[0]
-        # other symbols, unary ones among them, are bound by the caller
+        elif sym in A.ops and A.ops[sym].arity == ar:
+            opmap[sym] = sym
     return opmap
 
 
@@ -886,8 +890,10 @@ def _value(nid, combo, specs, vals, one):
     k = key(combo)
     v = cache.get(k)
     if v is None:
+        args = [_value(c, combo, specs, vals, one) for c in kids]
         out = {}
-        add(data, [_value(c, combo, specs, vals, one) for c in kids], out, one, one)
+        if all(args):
+            add(data, args, out, one, one)
         v = cache[k] = finish(out)
     return v
 
@@ -911,7 +917,8 @@ def _totals(A, combos, specs, top_coef, merge=_merge_vector):
     at most #nodes x dim^(k-1) entries for k scanned variables, freed when
     the generator is.  A term no other node uses is added to the total as
     it is formed; every other term's value is looked up and added by
-    ``merge(total, value, coef)``.
+    ``merge(total, value, coef)``.  A node with an empty (zero) argument
+    has the value {} and its ``add`` is not called.
     """
     one = _scan_domain(A.dom)[3]
     inner = {c for spec in specs for c in spec[3]}
@@ -936,7 +943,10 @@ def _totals(A, combos, specs, top_coef, merge=_merge_vector):
                 else:
                     v = cache.get(key(combo))
                     args.append(_value(c, combo, specs, vals, one) if v is None else v)
-            if coef is None:
+            if not all(args):
+                if coef is None:
+                    vals[nid] = {}
+            elif coef is None:
                 out = {}
                 add(data, args, out, one, one)
                 vals[nid] = finish(out)
@@ -1143,21 +1153,26 @@ def _add_linear(data, args, out, coef, one):
     vectors (the other slots) to the form ``out``: for each basis tuple of
     the supports of the constant vectors, each product the slot's index
     (``_index``, with its sign) holds there is taken with the form's row at
-    its slot-s argument."""
+    its slot-s argument.  A binary operation reads its one constant vector
+    directly."""
     index, s, sign = data
-    if not all(args):
-        return
     form = args[s]
     if sign < 0:
         coef = -coef
-    others = args[:s] + args[s + 1:]
-    for idx in itertools.product(*others):
-        products = index.get(idx)
-        if products is None:
-            continue
-        f0 = coef
-        for v, i in zip(others, idx):
-            f0 = f0 * v[i]
+    if len(args) == 2:
+        weighted = [(products, coef * c) for i, c in args[1 - s].items()
+                    if (products := index.get((i,))) is not None]
+    else:
+        others = args[:s] + args[s + 1:]
+        weighted = []
+        for idx in itertools.product(*others):
+            products = index.get(idx)
+            if products is not None:
+                f0 = coef
+                for v, i in zip(others, idx):
+                    f0 = f0 * v[i]
+                weighted.append((products, f0))
+    for products, f0 in weighted:
         for a, row in products.items():
             fa = form.get(a)
             if fa is not None:

@@ -1,8 +1,14 @@
 """Exact linear algebra kernel.
 
 Matrices are plain lists of rows over a scalar domain (see ``scalars``).
-Everything is computed exactly.  The one shortcut is
-``nullspace_sparse_q``: each distinct integer row is eliminated once modulo
+Everything is computed exactly.  Over Q, one pass over the rows
+(``_distinct_int_rows``) makes them integers, drops zero entries, keeps
+each column that a single-entry row forces to zero as the one row {j: 1},
+removing it from every other row until no new single-entry row appears,
+and keeps each remaining row once: the same row space, so the same kernel
+and rank, and a forced column is the pivot of its own row, so the
+canonical basis is unchanged.  The one shortcut is
+``nullspace_sparse_q``: each of those rows is eliminated once modulo
 the 61-bit prime 2^61 - 1, later 61-bit primes eliminate only the rows that
 gave its pivots, and the kernels are combined by CRT and lifted by rational
 reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982).  Each prime
@@ -10,9 +16,12 @@ reads its kernel off one elimination that pivots every row on its highest
 column.  A prime that gives a lower rank or lower pivot columns than
 another is unlucky (the rank mod p of any rows is at most their rank over
 Q), and the lifted kernel is verified exactly against every row before it
-is returned, so no prime can make it wrong.  ``rank_of_rows`` gives an
-exact rank from the rank mod 2^61 - 1 when that meets a proven upper bound,
-and else from the smaller of the right and the left kernel.
+is returned, so no prime can make it wrong.  The rows that gave the
+final pivots span the row space and come back with the kernel, so a
+membership test (``kernel_contains``) can use them alone.
+``rank_of_rows`` gives an exact rank from the rank mod 2^61 - 1 when that
+meets a proven upper bound, and else from the smaller of the right and the
+left kernel.
 ``nullspace_sparse_mod`` is the same sparse elimination over GF(p) itself,
 where it is exact.  ``generic_rank`` decides a rank over Q(x) between two
 exact bounds: the rank at integer points and a polynomial basis of the left
@@ -308,27 +317,72 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 def _distinct_int_rows(sparse_rows):
-    """The distinct nonzero rows as integer rows, in first-seen order.  Rows
-    of ints (those of ``identities.law_rows``) are taken as they
-    are; when any entry is a Fraction, each row is scaled by its lcm of
-    denominators.  Two rows are one when their {column: entry} items are."""
+    """Integer rows with the same row space as ``sparse_rows``, reduced in
+    one pass: the forced-column step of structured Gaussian elimination
+    (LaMacchia & Odlyzko, CRYPTO '90) and deduplication.
+
+    Rows of ints (those of ``identities.law_rows``) are taken as they are;
+    when any entry is a Fraction, each row is scaled by its lcm of
+    denominators.  Zero entries are dropped.  A nonzero single-entry row
+    forces its column j to zero in every kernel vector: it is kept once, as
+    {j: 1}, and column j is removed from every other row, which may leave a
+    new single-entry row; this repeats until none appears, and a row left
+    empty is dropped.  Each step subtracts a multiple of some {j: 1} from a
+    row or scales a row by a nonzero integer, so the row space is the same
+    and the kernel too.  The rows with two or more entries are kept once
+    each, in first-seen order (two rows are one when their {column: entry}
+    items are), after the forced ones in increasing column order.
+
+    A forced column j is the pivot of {j: 1} and occurs in no other row, so
+    the highest-column pivots of ``_rref_mod`` and the canonical kernel are
+    those of the rows as given.
+    """
     if Fraction in set(map(type, chain.from_iterable(map(dict.values, sparse_rows)))):
         scaled = []
         for row in sparse_rows:
             m = lcm(*(Fraction(c).denominator for c in row.values()))
-            scaled.append({j: int(c * m) for j, c in row.items() if c})
+            scaled.append({j: int(c * m) for j, c in row.items()})
         sparse_rows = scaled
+    forced, rows = set(), []
+    for row in sparse_rows:
+        if 0 in row.values():
+            row = {j: c for j, c in row.items() if c}
+        if len(row) == 1:
+            forced.update(row)
+        elif row:
+            rows.append(row)
+    new = set(forced)
+    while new:
+        # only rows holding a column forced in the last round change
+        pending, rows, touched, new = rows, [], new, set()
+        for row in pending:
+            if not touched.isdisjoint(row):
+                row = {j: c for j, c in row.items() if j not in forced}
+                if len(row) < 2:
+                    new.update(row)
+                    forced.update(row)
+                    continue
+            rows.append(row)
     # hash of a row's items -> the distinct rows with that hash (hashes, not
     # frozensets of the items, keep the transient small)
     seen = {}
-    out = []
-    for row in sparse_rows:
-        if row:
-            same = seen.setdefault(hash(frozenset(row.items())), [])
-            if row not in same:
-                same.append(row)
-                out.append(row)
+    out = [{j: 1} for j in sorted(forced)]
+    for row in rows:
+        same = seen.setdefault(hash(frozenset(row.items())), [])
+        if row not in same:
+            same.append(row)
+            out.append(row)
     return out
+
+
+class _Basis(list):
+    """A canonical kernel basis that also holds ``rows``: rows whose kernel
+    it is, independent over the field (those that gave the pivots of the
+    last elimination)."""
+
+    def __init__(self, basis, rows):
+        super().__init__(basis)
+        self.rows = rows
 
 
 @cache
@@ -485,23 +539,30 @@ def _lift_kernel(red, ncols, m):
 def nullspace_sparse_mod(sparse_rows, ncols, dom):
     """Canonical RREF basis of the nullspace over dom = GF(p) of sparse rows
     with integer entries (residues or any representatives); exact, as the
-    elimination runs mod p itself."""
+    elimination runs mod p itself.  Its ``rows`` are the rows that gave the
+    pivots: independent mod p, rank many, so they span the row space."""
     zero, one = dom.zero(), dom.one()
+    red, pivot_rows = _rref_mod(sparse_rows, dom.p)
     basis = []
-    for f, col in _free_columns(_rref_mod(sparse_rows, dom.p)[0], ncols).items():
+    for f, col in _free_columns(red, ncols).items():
         v = [zero] * ncols
         v[f] = one
         for c, a in col.items():
             v[c] = dom.from_int(-a)
         basis.append(v)
-    return basis
+    return _Basis(basis, pivot_rows)
 
 
 def nullspace_sparse_q(sparse_rows, ncols):
     """Exact rational nullspace of a sparse integer/rational system, as the
     canonical RREF basis in sparse rows {column: Fraction}.
 
-    The rows are made integers and each distinct row is kept once.  All of
+    The rows go through ``_distinct_int_rows``: they are made integers,
+    zero entries dropped, each column that a single-entry row forces to
+    zero kept as the one row {j: 1} and removed from every other row, and
+    each distinct row kept once; these rows have the same row space, and
+    a forced column is the pivot of its own row, never a free column, so
+    the canonical kernel is that of the rows as given.  All of
     them are eliminated modulo the first prime p_0 = 2^61 - 1, each row
     pivoting on its highest column, which gives r pivots and the r rows
     that gave them; each later 61-bit prime makes the same one elimination
@@ -544,22 +605,29 @@ def nullspace_sparse_q(sparse_rows, ncols):
     the product M of the combined primes, every entry (a ratio of minors)
     lifts, and the lift is the kernel of the r rows: it passes the check, or
     it annihilates the r rows and the next smaller shape is sought.
+
+    The basis returned also holds, as ``rows``, the r integer rows that gave
+    the pivots of the shape it was lifted at.  They are independent mod p,
+    so over Q, and the verified kernel has ncols - r vectors, so they span
+    the row space: its membership test (``kernel_contains``) needs only
+    them.
     """
     introws = _distinct_int_rows(sparse_rows)
     if ncols == 0:
-        return []
-    return _crt_kernel(introws, ncols, _modular_kernel(introws, _prime(0)))
+        return _Basis([], [])
+    return _Basis(*_crt_kernel(introws, ncols, _modular_kernel(introws, _prime(0))))
 
 
 def _crt_kernel(introws, ncols, first):
     """``nullspace_sparse_q`` of distinct integer rows from the
-    ``_modular_kernel`` of all of them at the first prime."""
+    ``_modular_kernel`` of all of them at the first prime: (canonical basis,
+    the rows that gave its pivots)."""
     (shape, pivot_rows, red), m = first, _prime(0)
     i = 0
     while True:
         cand = _lift_kernel(red, ncols, m)
         if cand is not None and _verify_nullspace(introws, cand):
-            return cand
+            return cand, pivot_rows
         spans_less = cand is not None and _verify_nullspace(pivot_rows, cand)
         i += 1
         p = _prime(i)
@@ -604,20 +672,32 @@ def kernel(rows, ncols, dom=QQ):
     library's homogeneous solvers.  Over Q the rows go to
     ``nullspace_sparse_q``, over GF(p) to ``nullspace_sparse_mod``, over any
     other domain (Q(t)) to the dense ``nullspace``."""
+    return kernel_and_rows(rows, ncols, dom)[0]
+
+
+def kernel_and_rows(rows, ncols, dom=QQ):
+    """(``kernel`` of rows, rows with that kernel): over Q and GF(p) the
+    independent rows that gave the pivots of the elimination, which span
+    the row space, else the rows as given.  ``kernel_contains`` is fastest
+    on the fewest rows; the subspace does not hold them, so a space kept
+    for long keeps no rows alive."""
     if isinstance(dom, RationalDomain):
         zero = Fraction(0)
-        basis = [[v.get(j, zero) for j in range(ncols)] for v in nullspace_sparse_q(rows, ncols)]
+        found = nullspace_sparse_q(rows, ncols)
+        basis, rows = [[v.get(j, zero) for j in range(ncols)] for v in found], found.rows
     elif isinstance(dom, PrimeField):
-        basis = nullspace_sparse_mod(rows, ncols, dom)
+        found = nullspace_sparse_mod(rows, ncols, dom)
+        basis, rows = list(found), found.rows
     else:
         basis = nullspace(_dense(rows, ncols, dom), ncols, dom)
-    return Subspace._canonical(basis, ncols, dom)
+    return Subspace._canonical(basis, ncols, dom), rows
 
 
 def rank_of_rows(rows, ncols, dom=QQ, bound=None):
     """The exact rank of sparse rows in ``kernel``'s form.
 
-    Over Q the rows are made distinct integer rows, and their rank r mod
+    Over Q the rows are made distinct integer rows, with forced columns
+    dropped (``_distinct_int_rows``: the same row space), and their rank r mod
     p_0 = 2^61 - 1 is a lower bound: a minor nonzero mod p_0 is nonzero
     over Q.  When r equals the least of the number of distinct rows, ncols
     and ``bound`` (an upper bound on the rank that the caller has proven),
@@ -640,7 +720,7 @@ def rank_of_rows(rows, ncols, dom=QQ, bound=None):
         r = -first[0][0]
         if r < min(len(introws), ncols, len(introws) if bound is None else bound):
             if ncols <= len(introws):
-                r = ncols - len(_crt_kernel(introws, ncols, first))
+                r = ncols - len(_crt_kernel(introws, ncols, first)[0])
             else:
                 transposed = [{} for _ in range(ncols)]
                 for i, row in enumerate(introws):
@@ -654,9 +734,12 @@ def rank_of_rows(rows, ncols, dom=QQ, bound=None):
 
 def kernel_contains(rows, vectors, dom=QQ):
     """Whether every dense vector lies in the kernel of sparse rows in
-    ``kernel``'s form.  Over Q the vectors are checked against the distinct
-    integer rows in integers (``_verify_nullspace``), with no Fraction
-    arithmetic; elsewhere each row is summed against each vector in dom."""
+    ``kernel``'s form.  Over Q the vectors are checked in integers
+    (``_verify_nullspace``), with no Fraction arithmetic, against the rows
+    of ``_distinct_int_rows``: the same row space, with each forced column
+    one row {j: 1}, so a vector is checked once at it.  Elsewhere each row
+    is summed against each vector in dom.  Any rows with the kernel will
+    do, such as those of ``kernel_and_rows``: the fewer, the faster."""
     if isinstance(dom, RationalDomain):
         return _verify_nullspace(_distinct_int_rows(rows),
                                  [{j: c for j, c in enumerate(v) if c} for v in vectors])

@@ -14,8 +14,9 @@ import random
 from fractions import Fraction
 
 from .identities import law_rows
-from .linalg import (Subspace, generic_rank, kernel, kernel_contains, linear_pencil, mat_mul,
-                     mat_sub, mat_vec, rank_of_rows, seeded_points, sparse_rows)
+from .linalg import (Subspace, generic_rank, kernel, kernel_and_rows, kernel_contains,
+                     linear_pencil, mat_mul, mat_sub, mat_vec, rank_of_rows, seeded_points,
+                     sparse_rows)
 from .scalars import QQ, DomainError
 from .structure import multiplication_operator
 from .varieties import check_variety, minus_algebra
@@ -171,7 +172,8 @@ def generalized_derivation_space(A, mode="full", op=None):
     terms.append((-1, (f"<D{nslots - 1}>", (_product(opn, m),))))
     rows = law_rows(A, terms, _variables(m), unknowns)
     tag = f"{m + 1}-ary-der" if mode == "full" else "qder"
-    space = TupleOperatorSpace(n, nslots, kernel(rows, nslots * n2, dom), tag)
+    ker, pivot_rows = kernel_and_rows(rows, nslots * n2, dom)
+    space = TupleOperatorSpace(n, nslots, ker, tag)
 
     der = derivation_space(A, delta=1, op=op)
     cen = centroid(A, op=op)
@@ -193,8 +195,9 @@ def generalized_derivation_space(A, mode="full", op=None):
             v = list(phi) + [dom.from_int(m) * c for c in phi]
             trivial_vecs.append(v)
     trivial = Subspace(trivial_vecs, nslots * n2, dom)
-    # the space is exactly the kernel of rows
-    contained = kernel_contains(rows, trivial.basis, dom)
+    # the space is exactly the kernel of rows, and of the rows that gave
+    # its pivots, which span theirs
+    contained = kernel_contains(pivot_rows, trivial.basis, dom)
     space.meta.update({
         "trivial_dim": trivial.dim,
         "trivial_contained": contained,

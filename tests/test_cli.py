@@ -196,6 +196,48 @@ def test_bad_input_exits_2_without_traceback(tmp_path, doc, argv):
     assert proc.stderr.startswith("error: ")
 
 
+def _heisenberg_with_map(diagonal, arity=1):
+    """The file of e0 e1 = e2 = -e1 e0 with an operation D of the given
+    arity: D = diag(diagonal) when unary, else D(e0, .., e0) = e0."""
+    table = ([{"args": [i], "out": [[i, str(c)]]} for i, c in enumerate(diagonal) if c]
+             if arity == 1 else [{"args": [0] * arity, "out": [[0, "1"]]}])
+    return {"name": "heisD", "field": "Q", "dim": 3, "ops": [
+        {"name": "mul", "arity": 2, "table": [{"args": [0, 1], "out": [[2, "1"]]},
+                                              {"args": [1, 0], "out": [[2, "-1"]]}]},
+        {"name": "D", "arity": arity, "table": table}]}
+
+
+_DERIVATION_LAW = "D(x*y) - D(x)*y - x*D(y)"
+
+
+@pytest.mark.parametrize("diagonal, code", [((1, 0, 1), 0), ((2, 0, 1), 1)])
+def test_identity_eval_binds_a_unary_operation_of_the_file(tmp_path, diagonal, code):
+    """A law's unary symbol D binds to the file's operation named D:
+    diag(1, 0, 1) is a derivation of the Heisenberg product, and with
+    D(e0) = 2 e0 the law fails, with a witness."""
+    path = tmp_path / "heis.json"
+    path.write_text(json.dumps(_heisenberg_with_map(diagonal)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = run(["identity", "eval", str(path), "--identity", _DERIVATION_LAW, "--json"])
+    report = json.loads(out.getvalue())
+    assert got == code and report["holds"] is (code == 0)
+    assert (report["witness"] is None) is (code == 0)
+
+
+@pytest.mark.parametrize("law, arity", [("E(x*y) - E(x)*y - x*E(y)", 1),
+                                        (_DERIVATION_LAW, 2),
+                                        ("D(x, y) - D(y, x)", 1)])
+def test_identity_eval_refuses_an_unbound_symbol(tmp_path, law, arity):
+    """A symbol naming no operation of the file, or one of another arity,
+    is still refused with exit 2 and no traceback."""
+    path = tmp_path / "heis.json"
+    path.write_text(json.dumps(_heisenberg_with_map((1, 0, 1), arity)))
+    code, err = _run_contained(["identity", "eval", str(path), "--identity", law])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("k, codes", [(61, (0, 1)), (89, (2,))])
 def test_large_prime_fields(tmp_path, k, codes):
     """An algebra over GF(2^61 - 1) gets its answer within seconds; over

@@ -575,6 +575,132 @@ def test_rank_above_the_bound_is_refused():
 
 
 # ---------------------------------------------------------------------------
+# forced columns and the pivot rows handed back with a kernel
+# ---------------------------------------------------------------------------
+
+_FORCED_ENTRY = st.one_of(st.integers(-3, 3), st.sampled_from([_P0, -2 * _P0, Fraction(3, 4)]))
+
+
+@st.composite
+def _forced_systems(draw):
+    """(ncols, rows) with planted single-entry rows (one of them maybe a
+    multiple of 2^61 - 1, zero mod p_0 but forced over Q, or a lone zero
+    entry, which forces nothing), chains c_0, c_1, .. whose column c_i is
+    forced only once c_{i-1} is dropped, rows with explicit zero entries,
+    and random rows, shuffled."""
+    ncols = draw(st.integers(1, 7))
+    cols = st.integers(0, ncols - 1)
+    nonzero = _FORCED_ENTRY.filter(bool)
+    rows = draw(st.lists(st.dictionaries(cols, _FORCED_ENTRY), max_size=ncols + 1))
+    rows += [{j: c} for j, c in draw(st.lists(st.tuples(cols, _FORCED_ENTRY), max_size=2))]
+    for _ in range(draw(st.integers(0, 2))):
+        chain = draw(st.lists(cols, min_size=1, max_size=4, unique=True))
+        rows.append({chain[0]: draw(nonzero)})
+        for a, b in zip(chain, chain[1:]):
+            rows.append({a: draw(nonzero), b: draw(nonzero)})
+        if draw(st.booleans()):
+            rows.append({chain[-1]: draw(nonzero), draw(cols): draw(nonzero)})
+    return ncols, draw(st.permutations(rows))
+
+
+def _dense_rows(rows, ncols):
+    return [[QQ.coerce(row.get(j, 0)) for j in range(ncols)] for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forced_systems(), st.lists(st.lists(st.integers(-3, 3), min_size=7, max_size=7),
+                                   max_size=3), st.booleans())
+def test_forced_columns_keep_kernel_rank_and_membership(system, weights, stray):
+    """``kernel``, ``rank_of_rows`` and ``kernel_contains`` over Q equal
+    the dense nullspace, rank and membership on systems whose columns are
+    forced by single-entry rows, directly or along a chain.  The rows
+    handed back with the kernel are ncols - dim of them, have the same
+    kernel, and answer membership as all the rows do."""
+    ncols, rows = system
+    dense = _dense_rows(rows, ncols)
+    want = nullspace(dense, ncols, QQ)
+    space, pivot_rows = linalg.kernel_and_rows(rows, ncols)
+    assert space.basis == want
+    assert linalg.rank_of_rows(rows, ncols) == rank(dense, QQ)
+    assert len(pivot_rows) == ncols - space.dim
+    assert kernel(pivot_rows, ncols) == space
+    vectors = [[sum((Fraction(w) * b[j] for w, b in zip(ws, want)), Fraction(0))
+                for j in range(ncols)] for ws in weights]
+    if stray:
+        vectors.append([Fraction(1)] * ncols)
+    inside = all(space.contains_vector(v) for v in vectors)
+    assert linalg.kernel_contains(rows, vectors) is inside
+    assert linalg.kernel_contains(pivot_rows, vectors) is inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forced_systems())
+def test_forced_columns_are_dropped_to_a_fixpoint(system):
+    """``_distinct_int_rows`` gives integer rows with the row space of the
+    input: each forced column once as {j: 1}, first and in increasing
+    order, then distinct rows of two or more nonzero entries holding no
+    forced column (so no single-entry row is left to force another)."""
+    ncols, rows = system
+    out = linalg._distinct_int_rows(rows)
+    forced = [next(iter(row)) for row in out if len(row) == 1]
+    assert out[:len(forced)] == [{j: 1} for j in sorted(forced)]
+    rest = out[len(forced):]
+    assert all(len(row) >= 2 and all(type(c) is int and c for c in row.values())
+               and not set(forced) & row.keys() for row in rest)
+    assert len({frozenset(row.items()) for row in rest}) == len(rest)
+    given_rank = rank(_dense_rows(rows, ncols), QQ)
+    assert rank(_dense_rows(out, ncols), QQ) == given_rank
+    assert rank(_dense_rows(rows + out, ncols), QQ) == given_rank
+
+
+def test_a_chain_of_forced_columns_is_followed_to_its_end():
+    """Column 0 is forced at once, column 1 once column 0 is dropped and
+    column 2 once column 1 is: three rounds.  A lone zero entry forces
+    nothing, and a single entry of 2^61 - 1, zero mod p_0, forces its
+    column over Q."""
+    rows = [{2: 5, 1: -1}, {3: 1, 4: 1, 2: 7}, {0: 3}, {0: 1, 1: 2}, {4: 0}, {0: 4, 1: 1},
+            {5: _P0}, {5: 1, 6: 1}]
+    assert linalg._distinct_int_rows(rows) == [{0: 1}, {1: 1}, {2: 1}, {5: 1}, {6: 1},
+                                               {3: 1, 4: 1}]
+    assert kernel(rows, 7).basis == nullspace(_dense_rows(rows, 7), 7, QQ)
+
+
+@pytest.mark.parametrize("rows, ncols, outside", [
+    (_P0_ROWS, 3, [1, -1, 0]),
+    (_P0_ROWS + [{2: 1, 3: 1}], 4, [1, -1, 0, 0]),
+    (_P0_ROWS + [{2: 3}], 4, [1, -1, 0, 0]),
+])
+def test_pivot_rows_come_from_the_prime_the_kernel_lifted_at(solver_calls, rows, ncols,
+                                                              outside):
+    """When the first prime is unlucky and a later one replaces its pivot
+    rows, the rows handed back are the later prime's: they have the kernel
+    of all the rows, and a vector that the first prime's pivot rows
+    annihilate but the rows do not is found outside."""
+    outside = [Fraction(x) for x in outside]
+    space, pivot_rows = linalg.kernel_and_rows(rows, ncols)
+    assert len({p for p, _ in solver_calls["eliminations"]}) > 1
+    assert space.basis == nullspace(_dense_rows(rows, ncols), ncols, QQ)
+    assert len(pivot_rows) == ncols - space.dim
+    assert not space.contains_vector(outside)
+    assert linalg.kernel_contains(pivot_rows, [outside]) is False
+    first = linalg._modular_kernel(linalg._distinct_int_rows(rows), _P0)[1]
+    assert linalg.kernel_contains(first, [outside]) is True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([5, 7]), _forced_systems())
+def test_pivot_rows_over_gf_span_the_rows(p, system):
+    """Over GF(p) the rows handed back are the rows that gave the pivots:
+    rank many, with the kernel of all the rows."""
+    ncols, rows = system
+    F = GF(p)
+    rows = [{j: c for j, c in row.items() if type(c) is int} for row in rows]
+    space, pivot_rows = linalg.kernel_and_rows(rows, ncols, F)
+    assert len(pivot_rows) == ncols - space.dim
+    assert kernel(pivot_rows, ncols, F) == space
+
+
+# ---------------------------------------------------------------------------
 # generic rank over Q(x) against the fraction-free Bareiss references it
 # replaced in the library
 # ---------------------------------------------------------------------------

@@ -890,10 +890,8 @@ def _value(nid, combo, specs, vals, one):
     k = key(combo)
     v = cache.get(k)
     if v is None:
-        args = [_value(c, combo, specs, vals, one) for c in kids]
         out = {}
-        if all(args):
-            add(data, args, out, one, one)
+        add(data, [_value(c, combo, specs, vals, one) for c in kids], out, one, one)
         v = cache[k] = finish(out)
     return v
 
@@ -917,8 +915,7 @@ def _totals(A, combos, specs, top_coef, merge=_merge_vector):
     at most #nodes x dim^(k-1) entries for k scanned variables, freed when
     the generator is.  A term no other node uses is added to the total as
     it is formed; every other term's value is looked up and added by
-    ``merge(total, value, coef)``.  A node with an empty (zero) argument
-    has the value {} and its ``add`` is not called.
+    ``merge(total, value, coef)``.
     """
     one = _scan_domain(A.dom)[3]
     inner = {c for spec in specs for c in spec[3]}
@@ -943,10 +940,7 @@ def _totals(A, combos, specs, top_coef, merge=_merge_vector):
                 else:
                     v = cache.get(key(combo))
                     args.append(_value(c, combo, specs, vals, one) if v is None else v)
-            if not all(args):
-                if coef is None:
-                    vals[nid] = {}
-            elif coef is None:
+            if coef is None:
                 out = {}
                 add(data, args, out, one, one)
                 vals[nid] = finish(out)
@@ -1153,26 +1147,21 @@ def _add_linear(data, args, out, coef, one):
     vectors (the other slots) to the form ``out``: for each basis tuple of
     the supports of the constant vectors, each product the slot's index
     (``_index``, with its sign) holds there is taken with the form's row at
-    its slot-s argument.  A binary operation reads its one constant vector
-    directly."""
+    its slot-s argument."""
     index, s, sign = data
+    if not all(args):
+        return
     form = args[s]
     if sign < 0:
         coef = -coef
-    if len(args) == 2:
-        weighted = [(products, coef * c) for i, c in args[1 - s].items()
-                    if (products := index.get((i,))) is not None]
-    else:
-        others = args[:s] + args[s + 1:]
-        weighted = []
-        for idx in itertools.product(*others):
-            products = index.get(idx)
-            if products is not None:
-                f0 = coef
-                for v, i in zip(others, idx):
-                    f0 = f0 * v[i]
-                weighted.append((products, f0))
-    for products, f0 in weighted:
+    others = args[:s] + args[s + 1:]
+    for idx in itertools.product(*others):
+        products = index.get(idx)
+        if products is None:
+            continue
+        f0 = coef
+        for v, i in zip(others, idx):
+            f0 = f0 * v[i]
         for a, row in products.items():
             fa = form.get(a)
             if fa is not None:

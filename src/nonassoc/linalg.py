@@ -17,8 +17,9 @@ column.  A prime that gives a lower rank or lower pivot columns than
 another is unlucky (the rank mod p of any rows is at most their rank over
 Q), and the lifted kernel is verified exactly against every row before it
 is returned, so no prime can make it wrong.  The rows that gave the
-final pivots span the row space and come back with the kernel, so a
-membership test (``kernel_contains``) can use them alone.
+final pivots span the row space and come back with the kernel
+(``kernel_and_rows``), so a membership test (``kernel_contains``) can use
+them alone.
 ``rank_of_rows`` gives an exact rank from the rank mod 2^61 - 1 when that
 meets a proven upper bound, and else from the smaller of the right and the
 left kernel.
@@ -375,16 +376,6 @@ def _distinct_int_rows(sparse_rows):
     return out
 
 
-class _Basis(list):
-    """A canonical kernel basis that also holds ``rows``: rows whose kernel
-    it is, independent over the field (those that gave the pivots of the
-    last elimination)."""
-
-    def __init__(self, basis, rows):
-        super().__init__(basis)
-        self.rows = rows
-
-
 @cache
 def _prime(i):
     """The i-th of the moduli 2^61 - 1 = p_0 > p_1 > p_2 > ... of
@@ -539,8 +530,8 @@ def _lift_kernel(red, ncols, m):
 def nullspace_sparse_mod(sparse_rows, ncols, dom):
     """Canonical RREF basis of the nullspace over dom = GF(p) of sparse rows
     with integer entries (residues or any representatives); exact, as the
-    elimination runs mod p itself.  Its ``rows`` are the rows that gave the
-    pivots: independent mod p, rank many, so they span the row space."""
+    elimination runs mod p itself; with it, the rows that gave the pivots:
+    independent mod p, rank many, so they span the row space."""
     zero, one = dom.zero(), dom.one()
     red, pivot_rows = _rref_mod(sparse_rows, dom.p)
     basis = []
@@ -550,7 +541,7 @@ def nullspace_sparse_mod(sparse_rows, ncols, dom):
         for c, a in col.items():
             v[c] = dom.from_int(-a)
         basis.append(v)
-    return _Basis(basis, pivot_rows)
+    return basis, pivot_rows
 
 
 def nullspace_sparse_q(sparse_rows, ncols):
@@ -606,16 +597,15 @@ def nullspace_sparse_q(sparse_rows, ncols):
     lifts, and the lift is the kernel of the r rows: it passes the check, or
     it annihilates the r rows and the next smaller shape is sought.
 
-    The basis returned also holds, as ``rows``, the r integer rows that gave
-    the pivots of the shape it was lifted at.  They are independent mod p,
-    so over Q, and the verified kernel has ncols - r vectors, so they span
-    the row space: its membership test (``kernel_contains``) needs only
-    them.
+    The r integer rows that gave the pivots of the shape the kernel lifted
+    at are independent mod p, so over Q, and the verified kernel has
+    ncols - r vectors, so they span the row space; ``kernel_and_rows``
+    hands them back with the kernel.
     """
     introws = _distinct_int_rows(sparse_rows)
     if ncols == 0:
-        return _Basis([], [])
-    return _Basis(*_crt_kernel(introws, ncols, _modular_kernel(introws, _prime(0))))
+        return []
+    return _crt_kernel(introws, ncols, _modular_kernel(introws, _prime(0)))[0]
 
 
 def _crt_kernel(introws, ncols, first):
@@ -672,24 +662,34 @@ def kernel(rows, ncols, dom=QQ):
     library's homogeneous solvers.  Over Q the rows go to
     ``nullspace_sparse_q``, over GF(p) to ``nullspace_sparse_mod``, over any
     other domain (Q(t)) to the dense ``nullspace``."""
-    return kernel_and_rows(rows, ncols, dom)[0]
+    if isinstance(dom, RationalDomain):
+        zero = Fraction(0)
+        basis = [[v.get(j, zero) for j in range(ncols)] for v in nullspace_sparse_q(rows, ncols)]
+    elif isinstance(dom, PrimeField):
+        basis = nullspace_sparse_mod(rows, ncols, dom)[0]
+    else:
+        basis = nullspace(_dense(rows, ncols, dom), ncols, dom)
+    return Subspace._canonical(basis, ncols, dom)
 
 
 def kernel_and_rows(rows, ncols, dom=QQ):
     """(``kernel`` of rows, rows with that kernel): over Q and GF(p) the
     independent rows that gave the pivots of the elimination, which span
-    the row space, else the rows as given.  ``kernel_contains`` is fastest
-    on the fewest rows; the subspace does not hold them, so a space kept
-    for long keeps no rows alive."""
-    if isinstance(dom, RationalDomain):
+    the row space (over Q from ``nullspace_sparse_q``'s own steps), else
+    the rows as given.  ``kernel_contains`` is fastest on the fewest rows;
+    the subspace does not hold them, so a space kept for long keeps no
+    rows alive.  ``kernel`` does not call it, so that every ``kernel``
+    over Q goes through ``nullspace_sparse_q`` by name, where
+    ``perfbench`` traces it."""
+    if isinstance(dom, RationalDomain) and ncols:
+        introws = _distinct_int_rows(rows)
+        found, rows = _crt_kernel(introws, ncols, _modular_kernel(introws, _prime(0)))
         zero = Fraction(0)
-        found = nullspace_sparse_q(rows, ncols)
-        basis, rows = [[v.get(j, zero) for j in range(ncols)] for v in found], found.rows
+        basis = [[v.get(j, zero) for j in range(ncols)] for v in found]
     elif isinstance(dom, PrimeField):
-        found = nullspace_sparse_mod(rows, ncols, dom)
-        basis, rows = list(found), found.rows
+        basis, rows = nullspace_sparse_mod(rows, ncols, dom)
     else:
-        basis = nullspace(_dense(rows, ncols, dom), ncols, dom)
+        return kernel(rows, ncols, dom), rows
     return Subspace._canonical(basis, ncols, dom), rows
 
 

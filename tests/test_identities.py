@@ -1337,25 +1337,6 @@ def _scan_scalar(rng, dom):
     return rng.randrange(dom.p) if dom.char else rng.randint(-4, 4)
 
 
-def _random_scan_table(rng, dom, dim, arity, mark):
-    """A random scan-form table, symmetric (mark 1) or antisymmetric (mark
-    -1) entry by entry when marked so."""
-    def signed(row, sign):
-        return row if sign > 0 else {k: -c % dom.p if dom.char else -c for k, c in row.items()}
-
-    table = {}
-    base = (itertools.product(range(dim), repeat=arity) if mark is None
-            else itertools.combinations(range(dim), arity) if mark < 0
-            else itertools.combinations_with_replacement(range(dim), arity))
-    for args in base:
-        if rng.random() < 0.6:
-            row = {i: _scan_scalar(rng, dom) for i in rng.sample(range(dim), rng.randint(1, dim))}
-            for perm in itertools.permutations(range(arity)) if mark else [range(arity)]:
-                inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(arity), 2))
-                table[tuple(args[p] for p in perm)] = signed(row, (mark or 1) ** inversions)
-    return table
-
-
 def _pruned_form(form, prune):
     return {r: row for r, f in form.items() if (row := prune(f))}
 
@@ -1380,7 +1361,19 @@ def test_indexed_kernel_matches_the_replaced_kernels(dom, arity, seed):
     def sample():
         return rng.sample(range(dim), rng.randint(0, dim))
 
-    table = _random_scan_table(rng, dom, dim, arity, mark)
+    def signed(row, sign):
+        return row if sign > 0 else {k: -c % dom.p if dom.char else -c for k, c in row.items()}
+
+    table = {}
+    base = (itertools.product(range(dim), repeat=arity) if mark is None
+            else itertools.combinations(range(dim), arity) if mark < 0
+            else itertools.combinations_with_replacement(range(dim), arity))
+    for args in base:
+        if rng.random() < 0.6:
+            row = scalars(rng.sample(range(dim), rng.randint(1, dim)))
+            for perm in itertools.permutations(range(arity)) if mark else [range(arity)]:
+                inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(arity), 2))
+                table[tuple(args[p] for p in perm)] = signed(row, (mark or 1) ** inversions)
     form = (table, 1, mark, {})
     for s in range(arity):
         args = [prune(scalars(sample())) for _ in range(arity)]
@@ -1395,68 +1388,6 @@ def test_indexed_kernel_matches_the_replaced_kernels(dom, arity, seed):
         _add_linear_lookup((table, s), args, looked_up, coef, one)
         assert (_pruned_form(new, prune) == _pruned_form(indexed, prune)
                 == _pruned_form(looked_up, prune))
-
-
-def _add_linear_sliced(data, args, out, coef, one):
-    """Reference: ``identities._add_linear`` before binary operations had a
-    loop of their own and callers skipped empty arguments: every arity
-    slices the other arguments and runs ``itertools.product`` over them."""
-    index, s, sign = data
-    if not all(args):
-        return
-    form = args[s]
-    if sign < 0:
-        coef = -coef
-    others = args[:s] + args[s + 1:]
-    for idx in itertools.product(*others):
-        products = index.get(idx)
-        if products is None:
-            continue
-        f0 = coef
-        for v, i in zip(others, idx):
-            f0 = f0 * v[i]
-        for a, row in products.items():
-            fa = form.get(a)
-            if fa is not None:
-                for r, c in row.items():
-                    f = f0 * c
-                    tgt = out.setdefault(r, {})
-                    for j, x in fa.items():
-                        tgt[j] = tgt.get(j, 0) + f * x
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([QQ, GF(7), PolyRing(2)]), st.sampled_from([1, 2, 3]),
-       st.integers(0, 2**32))
-def test_add_linear_matches_the_sliced_kernel(dom, arity, seed):
-    """``_add_linear`` adds exactly what the sliced kernel it replaced adds,
-    entry by entry and zeros included, to a form that already holds
-    entries: on random unary, binary and ternary tables (a third symmetric,
-    a third antisymmetric), in every slot, with empty and nonempty forms
-    and vectors."""
-    rng = random.Random(seed)
-    _, _, prune, one, _ = identities._scan_domain(dom)
-    dim = rng.randint(1, 4)
-    mark = rng.choice([None, 1, -1]) if arity > 1 else None
-
-    def scalars(support):
-        return {i: _scan_scalar(rng, dom) for i in support}
-
-    def sample():
-        return rng.sample(range(dim), rng.randint(0, dim))
-
-    table = _random_scan_table(rng, dom, dim, arity, mark)
-    form = (table, 1, mark, {})
-    for s in range(arity):
-        args = [prune(scalars(sample())) for _ in range(arity)]
-        args[s] = {r: scalars(sample()) for r in sample()}
-        coef = _scan_scalar(rng, dom) or one
-        start = {r: scalars(sample()) for r in sample()}
-        new, old = {r: dict(f) for r, f in start.items()}, {r: dict(f) for r, f in start.items()}
-        data = identities._index(form, s)
-        identities._add_linear(data, args, new, coef, one)
-        _add_linear_sliced(data, args, old, coef, one)
-        assert new == old
 
 
 _FORM_DOMAINS = [QQ, GF(2), GF(7), QT]

@@ -50,7 +50,13 @@ process; the inner higher derivation of order 4 of M_4(Q) for the r
 sequence of random.Random(1) with entries in [-2, 2] passes the higher
 derivation check, its maps d_0..d_4 bound as arity-1 operations (16 x 16,
 beyond tier-1's sizes; 0.02 s for both checks on that host), and with
-d_2[0][1] raised by 1 it fails first at n = 2.
+d_2[0][1] raised by 1 it fails first at n = 2; ternaryJordan(7) and
+ternaryJordan(8) are n-ary Jordan, each one scan of the law "[R_x, R_y] is
+a derivation" (0.5-1.5 s each on that host); a seeded random totally
+commutative ternary algebra of dim 4 is not, and its first failing pair of
+basis tuples, left (0, 0) and right (1, 2), was recorded at the commit
+before that law, from the loop of multiplication-operator commutators
+tested against the derivation space.
 
 Every condition is evaluated; each failing one is printed by name with the
 value it got, and the exit status is 1 if any failed.  Run from the
@@ -162,6 +168,19 @@ def inner_higher_derivation_checks():
             higher_derivation_check(M4, HigherDerivationSeq(M4, bumped)))
 
 
+def seeded_totally_commutative(dim, arity):
+    """The operation taking each multiset of basis indices, with probability
+    1/5, to a row of entries in [-2, 2] (else to 0), in every order; drawn
+    from random.Random(1)."""
+    rng = random.Random(1)
+    table = {}
+    for idx in itertools.combinations_with_replacement(range(dim), arity):
+        row = {k: Fraction(rng.randint(-2, 2)) for k in range(dim)} if rng.random() < 0.2 else {}
+        for perm in itertools.permutations(idx):
+            table[perm] = row
+    return Algebra("tc", dim, {"mul": StructureTensor(dim, arity, table)})
+
+
 def conditions():
     """(name, value got, value wanted) of every condition."""
     m5 = catalog_get("matrix", {"n": 5})
@@ -256,6 +275,12 @@ def conditions():
     yield "the inner higher derivation of order 4 of M_4 holds", inner, (True, None)
     yield "with d_2[0][1] raised by 1 it fails first at n", \
         (bumped[0], (bumped[1] or {}).get("n")), (False, 2)
+    yield "ternaryJordan(7) and (8) are n-ary Jordan", \
+        [check_variety(catalog_get("ternaryJordan", {"n": n}), "nary-jordan")["holds"]
+         for n in (7, 8)], [True, True]
+    yield "the first failing pair of a seeded totally commutative ternary algebra", \
+        check_variety(seeded_totally_commutative(4, 3), "nary-jordan")["failures"], \
+        [{"left_tuple": [0, 0], "right_tuple": [1, 2]}]
 
 
 def main():

@@ -207,7 +207,7 @@ def cmd_der(args):
         if args.local_generic:
             space = local_derivation_generic_space(A, op=op)
         else:
-            space = derivation_space(A, delta=Fraction(args.delta), op=op)
+            space = derivation_space(A, delta=QQ.parse(args.delta), op=op)
         _emit(args, {"command": "der space", "algebra": A.name,
                      "dim": space.dim, "tag": space.tag, "space": space},
               [f"{space.tag} of {A.name}: dim {space.dim}"])

@@ -28,12 +28,6 @@ def certificate_from_json(rows):
     return [[QT.parse(x) for x in row] for row in rows]
 
 
-def _to_qt(A):
-    return Algebra(A.name, A.dim,
-                   {name: t.map_domain(QT, lambda c: RatFunc.const(c))
-                    for name, t in A.ops.items()}, QT)
-
-
 def degeneration_verify(A, B, g):
     """Check a degeneration certificate A -> B.
 
@@ -46,7 +40,7 @@ def degeneration_verify(A, B, g):
     g = [[QT.coerce(x) for x in row] for row in g]
     if not is_invertible(g, QT):
         raise DomainError("certificate matrix is singular over Q(t)")
-    transformed = change_basis(_to_qt(A), g).ops
+    transformed = change_basis(A.map_domain(QT, RatFunc.const), g).ops
     limit_exists = not any(c.has_pole_at_zero() for t in transformed.values()
                            for row in t.table.values() for c in row.values())
     limit = None
@@ -158,8 +152,10 @@ def cocycle_space(A, variety, s=1, op=None):
     """Z2/B2/H2 for the given variety (a LINEAR condition since V kills A_theta).
 
     Z2 is returned per extension coordinate (the s-fold space is the s-th
-    power); B2 is spanned by the coboundaries f(xy).
+    power); B2 is spanned by the coboundaries f(xy).  s must be at least 1.
     """
+    if s < 1:
+        raise DomainError(f"the extension dimension s must be at least 1, not {s}")
     variety_n = VARIETY_ALIASES.get(variety, variety)
     if variety_n not in BINARY_VARIETIES:
         raise DomainError(f"unknown variety {variety!r}")

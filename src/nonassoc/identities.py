@@ -14,6 +14,11 @@ L = A(u, .) is an arity-1 operation (``structure.linear_map``), and a
 caller binding matrices puts them, with the products they meet, in a small
 algebra holding exactly the law's operations.
 
+The module imports nothing from ``structure``, which imports it: it owns
+``add_products``, the product kernel that ``StructureTensor.apply_sparse``
+shares, and builds no algebra of its own (``symbolic_check`` lifts one with
+``Algebra.map_domain``).
+
 Every value of a law at basis tuples comes from one loop, ``_totals``: the
 law is compiled (``_compile``) into a DAG of its distinct subterms.  Each
 law is compiled once per mark pattern and characteristic; each table's
@@ -88,7 +93,6 @@ import re
 from fractions import Fraction
 
 from .scalars import DomainError, Poly, PolyRing, PrimeField, RationalDomain
-from .structure import Algebra, add_products
 
 
 class ParseError(ValueError):
@@ -502,7 +506,7 @@ def _bind(A, identity, opmap):
     for sym, ar in used.items():
         if sym not in opmap:
             raise DomainError(f"no operation bound for symbol {sym!r}")
-        if A.ops[opmap[sym]].arity != ar:
+        if A.op(opmap[sym]).arity != ar:
             raise DomainError(f"arity mismatch binding {sym!r} to {opmap[sym]!r}")
     return opmap
 
@@ -763,7 +767,7 @@ def _compile(A, terms, variables, forms, unknowns=(), generic=False):
     a linear form as value, kept with its zeros: the unknown's from
     ``_add_unknown``, the generic element's from ``_add_generic`` and an
     operation's over a form from ``_add_linear``.  Every other node has a
-    sparse vector, from ``structure.add_products`` (pruned).
+    sparse vector, from ``add_products`` (pruned).
 
     With ``generic`` the law, which must be multilinear, is compiled for
     ``check_identity``: the last of its k variables is the generic element
@@ -1142,6 +1146,31 @@ def _add_generic(data, args, out, coef, one):
         tgt[c] = coef if prev is None else prev + coef
 
 
+def add_products(table, svecs, out, coef, one):
+    """Add coef * T(svecs) to the sparse vector ``out``, T given by ``table``.
+
+    The support-product loop: one pass over the product of the input
+    supports, each index tuple looked up in the table; multiplications by
+    ``one`` are skipped.  Entries of ``out`` may cancel to zero.  Both
+    ``StructureTensor.apply_sparse`` and the compiled identity scan (which
+    calls it on integer tables) evaluate products here.
+    """
+    for idx in itertools.product(*svecs):
+        row = table.get(idx)
+        if row is None:
+            continue
+        c = coef
+        for v, i in zip(svecs, idx):
+            x = v[i]
+            if x != one:
+                c = x if c is one else c * x
+        for k, x in row.items():
+            if c is not one:
+                x = c * x
+            prev = out.get(k)
+            out[k] = x if prev is None else prev + x
+
+
 def _add_linear(data, args, out, coef, one):
     """Add coef times an operation at one linear form (slot s) and constant
     vectors (the other slots) to the form ``out``: for each basis tuple of
@@ -1192,10 +1221,7 @@ def symbolic_check(A, identity, opmap=None):
     vs = identity.variables
     ring = PolyRing(len(vs) * A.dim)
     gens = ring.gens()
-    symA = Algebra(A.name, A.dim,
-                   {name: t.map_domain(ring, lambda c: Poly.const(ring.n, c))
-                    for name, t in A.ops.items()},
-                   ring, unit=A.unit, u=A.u)
+    symA = A.map_domain(ring, lambda c: Poly.const(ring.n, c))
     assignment = {}
     for a, v in enumerate(vs):
         assignment[v] = {i: gens[a * A.dim + i] for i in range(A.dim)}

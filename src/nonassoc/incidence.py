@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .identities import Identity, check_identity
+from .identities import check_identity, parse_identity
 from .linalg import identity_matrix, kernel, mat_eq, mat_mul
 from .poisson import check_poisson_family
 from .scalars import GF, QQ, DomainError
@@ -474,12 +474,9 @@ def hd_identity(A, N):
 
 
 def _hd_law(n):
-    """d_n(xy) - sum_{i+j=n} d_i(x) d_j(y) as an Identity in d0..dn."""
-    x, y = ("v", "x"), ("v", "y")
-    terms = [(1, (f"d{n}", (("*", (x, y)),)))]
-    terms += [(-1, ("*", ((f"d{i}", (x,)), (f"d{n - i}", (y,)))))
-              for i in range(n + 1)]
-    return Identity(terms, {"*": 2, **{f"d{i}": 1 for i in range(n + 1)}})
+    """d_n(xy) - sum_{i+j=n} d_i(x) d_j(y) as an identity in d0..dn."""
+    return parse_identity(f"d{n}(x*y) - "
+                          + " - ".join(f"d{i}(x)*d{n - i}(y)" for i in range(n + 1)))
 
 
 def higher_derivation_check(A, seq, op="mul"):

@@ -8,36 +8,11 @@ and every function here is pure.
 
 from __future__ import annotations
 
-import itertools
 import json
 
+from .identities import Identity, add_products, law_table
 from .linalg import inverse
 from .scalars import QQ, DomainError, domain_from_name
-
-
-def add_products(table, svecs, out, coef, one):
-    """Add coef * T(svecs) to the sparse vector ``out``, T given by ``table``.
-
-    The support-product loop: one pass over the product of the input
-    supports, each index tuple looked up in the table; multiplications by
-    ``one`` are skipped.  Entries of ``out`` may cancel to zero.  Both
-    ``apply_sparse`` and the compiled identity scan (which calls it on
-    integer tables) evaluate products here.
-    """
-    for idx in itertools.product(*svecs):
-        row = table.get(idx)
-        if row is None:
-            continue
-        c = coef
-        for v, i in zip(svecs, idx):
-            x = v[i]
-            if x != one:
-                c = x if c is one else c * x
-        for k, x in row.items():
-            if c is not one:
-                x = c * x
-            prev = out.get(k)
-            out[k] = x if prev is None else prev + x
 
 
 class StructureTensor:
@@ -167,6 +142,13 @@ class Algebra:
         self.u = u
         self.form = form
 
+    def map_domain(self, dom, convert):
+        """This algebra over dom, each structure constant converted by
+        ``convert``; the unit and u are kept, the form is not."""
+        return Algebra(self.name, self.dim,
+                       {name: t.map_domain(dom, convert) for name, t in self.ops.items()},
+                       dom, unit=self.unit, u=self.u)
+
     def op(self, name=None):
         if name is None:
             return next(iter(self.ops.values()))
@@ -229,7 +211,6 @@ def change_basis(A, P):
     table is the law table (``identities.law_table``) of
     P(mu(Q x0, ..., Q x_{m-1})) with Q = P^-1.
     """
-    from .identities import Identity, law_table   # cycle: identities imports this module
     dom = A.dom
     P = [[dom.coerce(x) for x in row] for row in P]
     if len(P) != A.dim or any(len(r) != A.dim for r in P):

@@ -177,6 +177,13 @@ _HEIS3_GF7 = dict(algebra_to_json(catalog_get("heis3")), field="GF(7)")
     ({"m": 2, "terms": [{"c": True, "pairs": [[1, 2]]}]},
      ["poisson", "customary", "{tp4}", "--g", "{file}"]),
     (None, ["catalog", "get", "ternaryJordan", "-p", "n=2", "-p", "form=[[true,0],[0,1]]"]),
+    # a scale that is no rational number, an absent operation bound to *
+    (None, ["der", "space", "{sl2}", "--delta", "abc"]),
+    (None, ["der", "space", "{sl2}", "--delta", "1/0"]),
+    (None, ["identity", "eval", "{sl2}", "--identity", "x*y", "--op", "nosuch"]),
+    # an extension by fewer than one dimension
+    (None, ["ext", "cocycles", "--algebra", "{sl2}", "--variety", "lie", "--s", "0"]),
+    (None, ["ext", "cocycles", "--algebra", "{sl2}", "--variety", "lie", "--s", "-2"]),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, doc, argv):
     path = tmp_path / "in.json"

@@ -9,7 +9,7 @@ from nonassoc.deform import (Cocycle, central_extension, certificate_from_json,
                              degeneration_obstruction, degeneration_verify,
                              invariant_profile)
 from nonassoc.identities import check_identity, parse_identity
-from nonassoc.scalars import GF, DomainError, RatFunc
+from nonassoc.scalars import GF, QT, DomainError, RatFunc
 from nonassoc.structure import Algebra, change_basis
 from nonassoc.varieties import check_variety
 
@@ -33,6 +33,19 @@ def test_diag_t_t3_certificate():
     g = certificate_from_json([["t", "0"], ["0", "t^3"]])
     rep = degeneration_verify(nf2, zero, g)
     assert rep["limit_exists"] and rep["equals_B"]
+
+
+def test_degeneration_verify_lifts_through_map_domain():
+    """The transported tables are change_basis of A lifted to Q(t) operation
+    by operation, as before Algebra.map_domain."""
+    for name, cert in (("NF", [["t^-1", "0", "0"], ["1", "t", "0"], ["0", "0", "t^2"]]),
+                       ("heis3", [["t", "0", "0"], ["0", "t", "1"], ["0", "0", "t^2"]])):
+        A = catalog_get(name, {"n": 3} if name == "NF" else {})
+        g = certificate_from_json(cert)
+        lifted = Algebra(A.name, A.dim, {n: t.map_domain(QT, lambda c: RatFunc.const(c))
+                                         for n, t in A.ops.items()}, QT)
+        rep = degeneration_verify(A, catalog_get("abelian", {"n": 3}), g)
+        assert rep["transformed"] == change_basis(lifted, g).ops
 
 
 def test_improper_certificate_homogeneity():

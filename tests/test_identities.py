@@ -98,6 +98,29 @@ def test_multilinear_identity_is_split_by_variable_set():
         False, {"variables": ["x"], "tuple": [0], "defect": [Fraction(-1)]})
 
 
+def _symbolic_by_hand(A, identity, opmap):
+    """symbolic_check with A lifted to Q[generic coordinates] operation by
+    operation, as before Algebra.map_domain."""
+    ring = PolyRing(len(identity.variables) * A.dim)
+    gens = ring.gens()
+    symA = Algebra(A.name, A.dim, {name: t.map_domain(ring, lambda c: Poly.const(ring.n, c))
+                                   for name, t in A.ops.items()}, ring, unit=A.unit, u=A.u)
+    assignment = {v: {i: gens[a * A.dim + i] for i in range(A.dim)}
+                  for a, v in enumerate(identity.variables)}
+    return not eval_identity_sparse(symA, identity, assignment, opmap)
+
+
+def test_symbolic_check_lifts_through_map_domain():
+    for name, params in (("sl2", {}), ("heis3", {}), ("NF", {"n": 3}), ("gp2", {})):
+        A = catalog_get(name, params)
+        for op in A.op_names():
+            for text in ("x*y - y*x", "x*x", "(x*y)*z - x*(y*z)", "(x*y)*z + (y*z)*x + (z*x)*y"):
+                ident, opmap = parse_identity(text), {"*": op}
+                got = symbolic_check(A, ident, opmap)
+                assert got == _symbolic_by_hand(A, ident, opmap), (name, op, text)
+                assert got == check_identity(A, ident, opmap)[0], (name, op, text)
+
+
 def test_polarize_jordan_shape():
     jordan = parse_identity("((x*x)*y)*x - (x*x)*(y*x)")
     out = polarize(jordan)

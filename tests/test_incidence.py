@@ -17,6 +17,7 @@ from nonassoc.incidence import (HigherDerivationSeq, Poset, SigmaMap,
                                 incidence_unit_vector,
                                 poisson_sigma_equiv_test, sigma_bracket,
                                 sigma_tilde, check_higher_transitive)
+from nonassoc.identities import Identity
 from nonassoc.linalg import identity_matrix, mat_eq, mat_mul
 from nonassoc.operators import derivation_space
 from nonassoc.scalars import GF, QQ, DomainError
@@ -545,6 +546,20 @@ def test_hd_group_axioms_random():
         sum1 = [[x + y for x, y in zip(r1, r2)]
                 for r1, r2 in zip(d1.mats[1], d2.mats[1])]
         assert mat_eq(hd_compose(d1, d2).mats[1], sum1, QQ)
+
+
+def _tupled_hd_law(n):
+    """incidence._hd_law before it was DSL text."""
+    x, y = ("v", "x"), ("v", "y")
+    terms = [(1, (f"d{n}", (("*", (x, y)),)))]
+    terms += [(-1, ("*", ((f"d{i}", (x,)), (f"d{n - i}", (y,))))) for i in range(n + 1)]
+    return Identity(terms, {"*": 2, **{f"d{i}": 1 for i in range(n + 1)}})
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_hd_law_is_the_former_term_tuple(n):
+    new, old = incidence._hd_law(n), _tupled_hd_law(n)
+    assert (new.terms, new.variables, new.signature) == (old.terms, old.variables, old.signature)
 
 
 def test_hd_check_rejects_non_derivation():

@@ -1,10 +1,11 @@
 """The import layering of the library, read from its source.
 
 Each primitive has one owner module, and the modules import each other at
-module level.  Only two imports sit inside functions, each breaking a real
-import cycle: ``identities`` imports ``structure``, whose ``change_basis``
-is a law table, and ``operators`` imports ``varieties``, whose nary-Jordan
-check needs ``derivation_space``.
+module level only: no import sits inside a function.  ``identities``, the
+law engine, imports nothing from ``structure``, which imports it for
+``change_basis`` (a law table), and ``varieties`` states every law as DSL
+text for the engine, the nary-Jordan law included, so it needs no operator
+space.
 
 The identity scan holds each tensor's scan form on the tensor, which is
 exact only while no table is written after ``StructureTensor.__init__``;
@@ -20,7 +21,7 @@ from nonassoc import identities, kantor, operators, structure
 SRC = pathlib.Path(nonassoc.__file__).parent
 
 # (module, top-level function) of each import that breaks a cycle
-DEFERRED = {("structure", "change_basis"), ("varieties", "check_variety")}
+DEFERRED = set()
 # (importing module, imported module, name) of each private name shared
 PRIVATE = {("linalg", "scalars", "_is_prime")}
 
@@ -58,6 +59,21 @@ def test_no_private_name_is_imported_across_modules():
     assert private == PRIVATE
 
 
+def _imported(module):
+    """(imported module, name) of each ``from .module import name`` of module."""
+    return {(node.module, alias.name) for _, node in _library()[module]
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+
+
+def test_the_law_engine_imports_nothing_from_structure():
+    assert not any(module == "structure" for module, _ in _imported("identities"))
+
+
+def test_varieties_checks_every_law_with_the_engine():
+    names = {name for _, name in _imported("varieties")}
+    assert not names & {"derivation_space", "multiplication_operator", "mat_mul", "mat_sub"}
+
+
 def test_kantor_invariants_and_incidence_do_not_import_operators():
     library = _library()
     for module in ("kantor", "invariants", "incidence"):
@@ -68,10 +84,12 @@ def test_kantor_invariants_and_incidence_do_not_import_operators():
 
 def test_each_primitive_has_one_owner():
     assert identities.linear_conditions.__module__ == "nonassoc.identities"
+    assert identities.add_products.__module__ == "nonassoc.identities"
     assert structure.multiplication_operator.__module__ == "nonassoc.structure"
     # their users import them from the owner, so the names resolve there too
     assert kantor.linear_conditions is identities.linear_conditions
     assert operators.multiplication_operator is structure.multiplication_operator
+    assert structure.add_products is identities.add_products
 
 
 # dict methods that change the dict they are called on

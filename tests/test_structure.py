@@ -180,6 +180,20 @@ def test_change_basis_matches_dense_reference_over_each_domain(dom, dim, arity, 
     _assert_same_algebra(change_basis(A, P), _dense_change_basis(A, P))
 
 
+def test_algebra_map_domain_converts_each_operation_and_keeps_unit_and_u():
+    """Algebra.map_domain is StructureTensor.map_domain on each operation,
+    with the name, unit and u kept; the form is not carried over."""
+    tp4 = catalog_get("tp4")
+    A = Algebra(tp4.name, tp4.dim, tp4.ops, QQ, unit=1, u=2,
+                form=[[Fraction(int(i == j)) for j in range(4)] for i in range(4)])
+    for dom, convert in ((GF(5), GF(5).coerce), (QT, RatFunc.const)):
+        B = A.map_domain(dom, convert)
+        assert (B.name, B.dim, B.dom, B.unit, B.u, B.form) == (A.name, 4, dom, 1, 2, None)
+        assert B.op_names() == A.op_names()
+        for name, t in A.ops.items():
+            assert B.op(name).dom is dom and B.op(name) == t.map_domain(dom, convert)
+
+
 def test_json_round_trip_exact():
     for name, params in [("sl2", {}), ("NF", {"n": 4}), ("tp4", {}),
                          ("M8", {}), ("octonions", {})]:

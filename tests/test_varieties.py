@@ -1,13 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonassoc.catalog import catalog_get, octonions
-from nonassoc.linalg import identity_matrix
+from nonassoc.identities import Identity
+from nonassoc.linalg import identity_matrix, mat_mul, mat_sub
+from nonassoc.operators import derivation_space
 from nonassoc.scalars import GF, QQ, QT, DomainError, RatFunc
-from nonassoc.structure import Algebra, StructureTensor
-from nonassoc.varieties import (check_variety, list_varieties, minus_algebra,
+from nonassoc.structure import Algebra, StructureTensor, multiplication_operator
+from nonassoc.varieties import (automorphism_identity, check_variety, filippov_identity,
+                                hom_leibniz3_identity, list_varieties, minus_algebra,
+                                nary_alternating_identities, nary_commutative_identities,
                                 plus_algebra)
 
 # catalog instances used for the containment web
@@ -230,3 +237,131 @@ def test_functors_match_the_looped_reference(label, A):
 
 def test_m7_matches_the_looped_reference():
     assert catalog_get("M7").op().table == _looped_m7()
+
+
+# ---------------------------------------------------------------------------
+# the n-ary laws as DSL text against their former term tuples, and the
+# n-ary Jordan law against the former loop over multiplication operators
+# ---------------------------------------------------------------------------
+
+def _v(names):
+    return tuple(("v", v) for v in names)
+
+
+def _tupled_alternating(m):
+    out = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            names, fresh = [], 0
+            for s in range(m):
+                if s == a or s == b:
+                    names.append("x")
+                else:
+                    names.append(f"y{fresh}")
+                    fresh += 1
+            out.append(Identity([(1, ("[]", _v(names)))], {"[]": m}))
+    return out
+
+
+def _tupled_commutative(m):
+    out = []
+    base = [f"x{i}" for i in range(m)]
+    for a in range(m - 1):
+        sw = list(base)
+        sw[a], sw[a + 1] = sw[a + 1], sw[a]
+        out.append(Identity([(1, ("[]", _v(base))), (-1, ("[]", _v(sw)))], {"[]": m}))
+    return out
+
+
+def _tupled_filippov(m):
+    xs = [f"x{i}" for i in range(m)]
+    ys = [f"y{i}" for i in range(1, m)]
+    terms = [(1, ("[]", (("[]", _v(xs)),) + _v(ys)))]
+    for i in range(m):
+        repl = ("[]", (("v", xs[i]),) + _v(ys))
+        terms.append((-1, ("[]", tuple(repl if j == i else ("v", xs[j]) for j in range(m)))))
+    return Identity(terms, {"[]": m})
+
+
+def _tupled_hom_leibniz3():
+    def P(v):
+        return ("phi", (("v", v),))
+
+    def V(v):
+        return ("v", v)
+
+    lhs = ("[]", (P("x1"), P("x2"), ("[]", (V("y1"), V("y2"), V("y3")))))
+    r1 = ("[]", (("[]", (V("x1"), V("x2"), V("y1"))), P("y2"), P("y3")))
+    r2 = ("[]", (P("y1"), ("[]", (V("x1"), V("x2"), V("y2"))), P("y3")))
+    r3 = ("[]", (P("y1"), P("y2"), ("[]", (V("x1"), V("x2"), V("y3")))))
+    return Identity([(1, lhs), (-1, r1), (-1, r2), (-1, r3)], {"[]": 3, "phi": 1})
+
+
+def _tupled_automorphism(m):
+    xs = _v(f"x{i}" for i in range(m))
+    return Identity([(1, ("phi", (("[]", xs),))), (-1, ("[]", tuple(("phi", (x,)) for x in xs)))],
+                    {"[]": m, "phi": 1})
+
+
+def _content(idents):
+    return [(ident.terms, ident.variables) for ident in idents]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_nary_laws_are_the_former_term_tuples(m):
+    assert _content(nary_alternating_identities(m)) == _content(_tupled_alternating(m))
+    assert _content(nary_commutative_identities(m)) == _content(_tupled_commutative(m))
+    assert _content([filippov_identity(m)]) == _content([_tupled_filippov(m)])
+    assert _content([automorphism_identity(m)]) == _content([_tupled_automorphism(m)])
+    assert _content([hom_leibniz3_identity()]) == _content([_tupled_hom_leibniz3()])
+
+
+def _looped_nary_jordan(A):
+    """check_variety(A, "nary-jordan") on a totally commutative A before the
+    law: [R_x, R_y] tested against the derivation space for every pair of
+    basis tuples x, y, R_u the multiplication operator w -> [w, u]."""
+    m = A.op().arity
+    der = derivation_space(A, delta=1, op=A.op_names()[0])
+    report = {"variety": "nary-jordan", "holds": True, "failures": [], "preconditions": []}
+    for left in itertools.product(range(A.dim), repeat=m - 1):
+        R1 = multiplication_operator(A, left)
+        for right in itertools.product(range(A.dim), repeat=m - 1):
+            R2 = multiplication_operator(A, right)
+            comm = mat_sub(mat_mul(R1, R2, A.dom), mat_mul(R2, R1, A.dom))
+            if not der.contains_matrix(comm):
+                report["failures"].append({"left_tuple": list(left), "right_tuple": list(right)})
+                report["holds"] = False
+                return report
+    return report
+
+
+def _totally_commutative(rows, arity, dim, dom=QQ):
+    """The algebra whose operation takes each multiset of basis indices
+    (a sorted key of ``rows``) to its row, in every order."""
+    table = {perm: row for idx, row in rows.items() for perm in itertools.permutations(idx)}
+    return Algebra("tc", dim, {"mul": StructureTensor(dim, arity, table, dom)}, dom)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_nary_jordan_matches_the_looped_reference(data):
+    """Random totally commutative tables: arity 2-4, dims 2-3, over Q,
+    GF(2), GF(3) and GF(7); the whole report is the reference's."""
+    dom = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(7)]))
+    arity = data.draw(st.integers(2, 4))
+    dim = data.draw(st.integers(2, 3))
+    row = st.dictionaries(st.integers(0, dim - 1), st.integers(-2, 2), max_size=dim)
+    rows = {idx: data.draw(row)
+            for idx in itertools.combinations_with_replacement(range(dim), arity)}
+    A = _totally_commutative(rows, arity, dim, dom)
+    assert check_variety(A, "nary-jordan") == _looped_nary_jordan(A)
+
+
+def test_a_commutative_ternary_algebra_that_is_not_nary_jordan():
+    """[e0,e0,e0] = e1 and [e0,e0,e1] = e0: [R_(0,0), R_(0,1)] is the first
+    pair of basis tuples whose commutator is no derivation."""
+    A = _totally_commutative({(0, 0, 0): {1: 1}, (0, 0, 1): {0: 1}}, 3, 2)
+    rep = check_variety(A, "nary-jordan")
+    assert rep == {"variety": "nary-jordan", "holds": False, "preconditions": [],
+                   "failures": [{"left_tuple": [0, 0], "right_tuple": [0, 1]}]}
+    assert rep == _looped_nary_jordan(A)

@@ -86,34 +86,8 @@ def _m7():
     return Algebra("M7", 7, {"mul": StructureTensor(7, 2, table, QQ)}, QQ)
 
 
-def _m8():
-    # ternary Malcev algebra on the octonions:
-    # [x,y,z] = (x y*) z - <y,z> x + <x,z> y - <x,y> z, <e_i,e_j> = delta_ij
-    o = octonions()
-    t = o.op("mul")
-    table = {}
-    for i in range(8):
-        for j in range(8):
-            cs, mid = _cd_conj_sign(j), None
-            s1, mid = cd_basis_mul(i, j, 8)
-            s1 *= cs
-            for k in range(8):
-                row = {}
-                s2, out = cd_basis_mul(mid, k, 8)
-                row[out] = row.get(out, Fraction(0)) + s1 * s2
-                if j == k:
-                    row[i] = row.get(i, Fraction(0)) - 1
-                if i == k:
-                    row[j] = row.get(j, Fraction(0)) + 1
-                if i == j:
-                    row[k] = row.get(k, Fraction(0)) - 1
-                table[(i, j, k)] = row
-    form = [[Fraction(1 if a == b else 0) for b in range(8)] for a in range(8)]
-    return Algebra("M8", 8, {"mul": StructureTensor(8, 3, table, QQ)}, QQ, form=form)
-
-
-def _ternary_cd(name, dim):
-    # [[x,y,z]] = (x y*) z on the generalized quaternions / octonions
+def _cd_triple_table(dim):
+    # (x y*) z on the Cayley-Dickson basis: generalized quaternions/octonions
     table = {}
     for i in range(dim):
         for j in range(dim):
@@ -122,7 +96,27 @@ def _ternary_cd(name, dim):
             for k in range(dim):
                 s2, out = cd_basis_mul(mid, k, dim)
                 table[(i, j, k)] = {out: Fraction(s1 * s2)}
-    return Algebra(name, dim, {"mul": StructureTensor(dim, 3, table, QQ)}, QQ)
+    return table
+
+
+def _m8():
+    # ternary Malcev algebra on the octonions:
+    # [x,y,z] = (x y*) z - <y,z> x + <x,z> y - <x,y> z, <e_i,e_j> = delta_ij
+    table = _cd_triple_table(8)
+    for (i, j, k), row in table.items():
+        if j == k:
+            row[i] = row.get(i, 0) - 1
+        if i == k:
+            row[j] = row.get(j, 0) + 1
+        if i == j:
+            row[k] = row.get(k, 0) - 1
+    form = [[Fraction(1 if a == b else 0) for b in range(8)] for a in range(8)]
+    return Algebra("M8", 8, {"mul": StructureTensor(8, 3, table, QQ)}, QQ, form=form)
+
+
+def _ternary_cd(name, dim):
+    # [[x,y,z]] = (x y*) z on the generalized quaternions / octonions
+    return Algebra(name, dim, {"mul": StructureTensor(dim, 3, _cd_triple_table(dim), QQ)}, QQ)
 
 
 def _ternary_jordan(n, form):

@@ -18,7 +18,7 @@ from .catalog import CATALOG_NAMES, catalog_get
 from .deform import (Cocycle, central_extension, certificate_from_json,
                      cocycle_space, degeneration_obstruction,
                      degeneration_verify)
-from .identities import ParseError, check_identity, parse_identity
+from .identities import ParseError, check_identity, default_opmap, parse_identity
 from .incidence import (HigherDerivationSeq, Poset, SigmaMap,
                         exhaustive_sigma_equiv, hd_compose,
                         higher_derivation_check, incidence_algebra,
@@ -191,7 +191,8 @@ def cmd_identity(args):
     ident = parse_identity(args.identity)
     opmap = None
     if args.op:
-        opmap = {"*": args.op}
+        A.op(args.op)   # refused when the file has no such operation, used by the law or not
+        opmap = {**default_opmap(A, ident.used_symbols()), "*": args.op}
     ok, wit = check_identity(A, ident, opmap=opmap)
     _emit(args, {"command": "identity eval", "algebra": A.name,
                  "identity": args.identity, "holds": ok, "witness": wit},
@@ -205,9 +206,12 @@ def cmd_der(args):
     op = args.op or A.op_names()[0]
     if args.der_action == "space":
         if args.local_generic:
+            if args.delta is not None:
+                raise UsageError("--delta does not apply to --local-generic")
             space = local_derivation_generic_space(A, op=op)
         else:
-            space = derivation_space(A, delta=QQ.parse(args.delta), op=op)
+            delta = QQ.parse("1" if args.delta is None else args.delta)
+            space = derivation_space(A, delta=delta, op=op)
         _emit(args, {"command": "der space", "algebra": A.name,
                      "dim": space.dim, "tag": space.tag, "space": space},
               [f"{space.tag} of {A.name}: dim {space.dim}"])
@@ -439,7 +443,7 @@ def build_parser():
     ds = d.add_subparsers(dest="der_action", required=True)
     dsp = leaf(ds, "space")
     dsp.add_argument("algebra")
-    dsp.add_argument("--delta", default="1")
+    dsp.add_argument("--delta", help="the scale delta of delta-derivations (default 1)")
     dsp.add_argument("--op")
     dsp.add_argument("--local-generic", action="store_true")
     dl = leaf(ds, "local")

@@ -123,29 +123,22 @@ def _op_nodes(term):
             yield from _op_nodes(c)
 
 
-def term_key(term):
-    if term[0] == "v":
-        return ("v", term[1])
-    return (term[0], tuple(term_key(c) for c in term[1]))
-
-
 class Identity:
-    """A finite rational combination of terms, meaning "= 0"."""
+    """A finite rational combination of terms, meaning "= 0".  ``symbols``
+    maps each operation symbol its terms use to its arity."""
 
     def __init__(self, terms, signature):
         # terms: iterable of (Fraction coeff, term); signature: opsym -> arity
         self.signature = dict(signature)
         merged = {}
-        keyed = {}
         for c, t in terms:
-            k = term_key(t)
-            keyed[k] = t
-            merged[k] = merged.get(k, Fraction(0)) + Fraction(c)
-        self.terms = [(c, keyed[k]) for k, c in sorted(merged.items()) if c != 0]
+            merged[t] = merged.get(t, Fraction(0)) + Fraction(c)
+        self.terms = [(c, t) for t, c in sorted(merged.items()) if c != 0]
         self.variables = tuple(sorted({v for _, t in self.terms for v in term_vars(t)}))
         self._validate()
 
     def _validate(self):
+        self.symbols = {}
         for _, t in self.terms:
             for sym, n in _op_nodes(t):
                 ar = self.signature.get(sym)
@@ -153,9 +146,10 @@ class Identity:
                     raise ParseError(f"unknown operation {sym!r}")
                 if n != ar:
                     raise ParseError(f"operation {sym!r} expects {ar} arguments")
+                self.symbols[sym] = n
 
     def used_symbols(self):
-        return {sym: n for _, t in self.terms for sym, n in _op_nodes(t)}
+        return dict(self.symbols)
 
     def is_multilinear(self):
         for _, t in self.terms:
@@ -383,9 +377,10 @@ def polarize(identity, char=0):
     (``_polarized``); each call returns fresh copies of them.
     """
     out = []
-    for lin, _ in _polarized(*_identity_key(identity), char):
+    for lin in _polarized(*_identity_key(identity), char):
         lin = copy.copy(lin)
-        lin.terms, lin.signature = list(lin.terms), dict(lin.signature)
+        lin.terms, lin.signature, lin.symbols = (
+            list(lin.terms), dict(lin.signature), dict(lin.symbols))
         out.append(lin)
     return out
 
@@ -399,8 +394,8 @@ def _identity_key(identity):
 def _polarized(terms, signature, char):
     """The components of ``polarize`` for the identity of these terms and
     signature (``_identity_key``) over characteristic char, cached by
-    content, each as (component, its operation symbols).  The components
-    are never handed out, so they are never changed."""
+    content.  The components are never handed out, so they are never
+    changed."""
     identity = Identity(terms, dict(signature))
     groups = {}
     for c, t in identity.terms:
@@ -409,7 +404,7 @@ def _polarized(terms, signature, char):
     multilinear = identity.is_multilinear()
     if multilinear and len(groups) <= 1:
         identity.restitution_scale = Fraction(1)
-        return ((identity, tuple(identity.used_symbols())),)
+        return (identity,)
     total_degree = max((sum(term_vars(t).values()) for _, t in identity.terms),
                        default=0)
     if char and char <= total_degree and not multilinear:
@@ -442,7 +437,7 @@ def _polarized(terms, signature, char):
         if comp.is_trivial():
             continue
         comp.restitution_scale = scale
-        out.append((comp, tuple(comp.used_symbols())))
+        out.append(comp)
     return tuple(out)
 
 
@@ -501,9 +496,8 @@ def eval_identity_sparse(A, identity, assignment, opmap):
 def _bind(A, identity, opmap):
     """opmap (``default_opmap`` when None) after checking that it binds every
     symbol of identity to an operation of its arity."""
-    used = identity.used_symbols()
-    opmap = opmap or default_opmap(A, used)
-    for sym, ar in used.items():
+    opmap = opmap or default_opmap(A, identity.symbols)
+    for sym, ar in identity.symbols.items():
         if sym not in opmap:
             raise DomainError(f"no operation bound for symbol {sym!r}")
         if A.op(opmap[sym]).arity != ar:
@@ -551,9 +545,9 @@ def check_identity(A, identity, opmap=None):
     opmap = _bind(A, identity, opmap)
     dom = A.dom
     _, _, prune, _, exact = _scan_domain(dom)
-    for lin, symbols in _polarized(*_identity_key(identity), dom.char or 0):
+    for lin in _polarized(*_identity_key(identity), dom.char or 0):
         _, specs, top_coef, scale, runs = _compile(
-            A, lin.terms, lin.variables, _scan_forms(A, symbols, opmap), generic=True)
+            A, lin.terms, lin.variables, _scan_forms(A, lin.symbols, opmap), generic=True)
         if not top_coef:
             continue
         for prefix, total in _totals(A, _prefixes(A.dim, runs), specs, top_coef, _merge_form):
@@ -1020,7 +1014,7 @@ def law_table(A, identity, opmap):
     opmap = _bind(A, identity, opmap)
     _, _, prune, _, exact = _scan_domain(A.dom)
     _, specs, top_coef, scale, _ = _compile(
-        A, identity.terms, identity.variables, _scan_forms(A, identity.used_symbols(), opmap))
+        A, identity.terms, identity.variables, _scan_forms(A, identity.symbols, opmap))
     tuples = itertools.product(range(A.dim), repeat=len(identity.variables))
     return {combo: {i: exact(c, scale) for i, c in row.items()}
             for combo, total in _totals(A, tuples, specs, top_coef)

@@ -228,19 +228,22 @@ def sigma_bracket(P, sigma, dom=QQ):
     return StructureTensor(len(P.pairs()), 2, table, dom)
 
 
+def _chain_pairs(P):
+    """(chain, its first strict pair, pair) for each strict pair after the
+    first of each maximal chain, as element lists and pairs, in order."""
+    for chain in P.maximal_chains():
+        elems = [P.elements[i] for i in chain]
+        pairs = [(elems[a], elems[b]) for a in range(len(elems)) for b in range(a + 1, len(elems))]
+        for q in pairs[1:]:
+            yield elems, pairs[0], q
+
+
 def chain_constant_check(P, sigma):
     """sigma constant on chains?  Checked on maximal chains (sufficient)."""
-    for chain in P.maximal_chains():
-        vals = []
-        elems = [P.elements[i] for i in chain]
-        for a in range(len(elems)):
-            for b in range(a + 1, len(elems)):
-                vals.append(((elems[a], elems[b]),
-                             sigma.values[(elems[a], elems[b])]))
-        for (p, v) in vals[1:]:
-            if not sigma.dom.is_zero(v - vals[0][1]):
-                return False, {"chain": elems, "pair": p,
-                               "expected": vals[0][1], "got": v}
+    for elems, first, q in _chain_pairs(P):
+        expected, got = sigma.values[first], sigma.values[q]
+        if not sigma.dom.is_zero(got - expected):
+            return False, {"chain": elems, "pair": q, "expected": expected, "got": got}
     return True, None
 
 
@@ -361,12 +364,7 @@ def exhaustive_sigma_equiv(P, p=3):
     linear, quadratic = _leibniz_jacobi_forms(P)
     leibniz = kernel(linear, s, dom)
     sidx = {q: a for a, q in enumerate(strict)}
-    equal = []
-    for chain in P.maximal_chains():
-        elems = [P.elements[i] for i in chain]
-        cpairs = [sidx[(elems[a], elems[b])]
-                  for a in range(len(elems)) for b in range(a + 1, len(elems))]
-        equal += [{cpairs[0]: 1, other: -1} for other in cpairs[1:]]
+    equal = [{sidx[first]: 1, sidx[q]: -1} for _, first, q in _chain_pairs(P)]
     chains = kernel(equal, s, dom)
     report = {"poset": P.to_json(), "p": p, "total": p ** s,
               "chain_constant_count": p ** chains.dim,
@@ -490,33 +488,30 @@ def higher_derivation_check(A, seq, op="mul"):
     return True, None
 
 
+def _series_term(a, b, n, start, dom):
+    """sum_{i=start..n} a_i o b_{n-i} for sequences of square matrices."""
+    dim = len(a[0])
+    acc = [[dom.zero()] * dim for _ in range(dim)]
+    for i in range(start, n + 1):
+        prod = mat_mul(a[i], b[n - i], dom)
+        acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, prod)]
+    return acc
+
+
 def hd_compose(d1, d2):
     """(d' * d'')_n = sum_{i+j=n} d'_i o d''_j."""
     if d1.order != d2.order:
         raise DomainError("truncation orders differ")
-    A = d1.A
-    dom = A.dom
-    out = []
-    for n in range(d1.order + 1):
-        acc = [[dom.zero()] * A.dim for _ in range(A.dim)]
-        for i in range(n + 1):
-            prod = mat_mul(d1.mats[i], d2.mats[n - i], dom)
-            acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, prod)]
-        out.append(acc)
-    return HigherDerivationSeq(A, out)
+    return HigherDerivationSeq(d1.A, [_series_term(d1.mats, d2.mats, n, 0, d1.A.dom)
+                                      for n in range(d1.order + 1)])
 
 
 def hd_inverse(d):
     """The *-inverse, solved recursively from lower terms."""
     A = d.A
-    dom = A.dom
-    inv = [identity_matrix(A.dim, dom)]
+    inv = [identity_matrix(A.dim, A.dom)]
     for n in range(1, d.order + 1):
-        acc = [[dom.zero()] * A.dim for _ in range(A.dim)]
-        for i in range(1, n + 1):
-            prod = mat_mul(d.mats[i], inv[n - i], dom)
-            acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, prod)]
-        inv.append([[-x for x in row] for row in acc])
+        inv.append([[-x for x in row] for row in _series_term(d.mats, inv, n, 1, A.dom)])
     return HigherDerivationSeq(A, inv)
 
 

@@ -546,7 +546,8 @@ def nullspace_sparse_mod(sparse_rows, ncols, dom):
 
 def nullspace_sparse_q(sparse_rows, ncols):
     """Exact rational nullspace of a sparse integer/rational system, as the
-    canonical RREF basis in sparse rows {column: Fraction}.
+    canonical RREF basis in sparse rows {column: Fraction}, with the
+    independent integer rows that gave its pivots: (basis, rows).
 
     The rows go through ``_distinct_int_rows``: they are made integers,
     zero entries dropped, each column that a single-entry row forces to
@@ -599,13 +600,13 @@ def nullspace_sparse_q(sparse_rows, ncols):
 
     The r integer rows that gave the pivots of the shape the kernel lifted
     at are independent mod p, so over Q, and the verified kernel has
-    ncols - r vectors, so they span the row space; ``kernel_and_rows``
-    hands them back with the kernel.
+    ncols - r vectors, so they span the row space; they are returned with
+    the kernel.
     """
     introws = _distinct_int_rows(sparse_rows)
     if ncols == 0:
-        return []
-    return _crt_kernel(introws, ncols, _modular_kernel(introws, _prime(0)))[0]
+        return [], []
+    return _crt_kernel(introws, ncols, _modular_kernel(introws, _prime(0)))
 
 
 def _crt_kernel(introws, ncols, first):
@@ -659,37 +660,26 @@ def sparse_rows(vectors, dom=QQ):
 def kernel(rows, ncols, dom=QQ):
     """The kernel of sparse rows in ``identities.law_rows`` form, as
     a ``Subspace`` holding the canonical basis: the one entry point of the
-    library's homogeneous solvers.  Over Q the rows go to
-    ``nullspace_sparse_q``, over GF(p) to ``nullspace_sparse_mod``, over any
-    other domain (Q(t)) to the dense ``nullspace``."""
-    if isinstance(dom, RationalDomain):
-        zero = Fraction(0)
-        basis = [[v.get(j, zero) for j in range(ncols)] for v in nullspace_sparse_q(rows, ncols)]
-    elif isinstance(dom, PrimeField):
-        basis = nullspace_sparse_mod(rows, ncols, dom)[0]
-    else:
-        basis = nullspace(_dense(rows, ncols, dom), ncols, dom)
-    return Subspace._canonical(basis, ncols, dom)
+    library's homogeneous solvers (the first half of ``kernel_and_rows``)."""
+    return kernel_and_rows(rows, ncols, dom)[0]
 
 
 def kernel_and_rows(rows, ncols, dom=QQ):
-    """(``kernel`` of rows, rows with that kernel): over Q and GF(p) the
-    independent rows that gave the pivots of the elimination, which span
-    the row space (over Q from ``nullspace_sparse_q``'s own steps), else
-    the rows as given.  ``kernel_contains`` is fastest on the fewest rows;
-    the subspace does not hold them, so a space kept for long keeps no
-    rows alive.  ``kernel`` does not call it, so that every ``kernel``
-    over Q goes through ``nullspace_sparse_q`` by name, where
-    ``perfbench`` traces it."""
-    if isinstance(dom, RationalDomain) and ncols:
-        introws = _distinct_int_rows(rows)
-        found, rows = _crt_kernel(introws, ncols, _modular_kernel(introws, _prime(0)))
+    """(``kernel`` of rows, rows with that kernel).  Over Q the rows go to
+    ``nullspace_sparse_q``, over GF(p) to ``nullspace_sparse_mod``, and both
+    hand back the independent rows that gave the pivots of the elimination,
+    which span the row space; over any other domain (Q(t)) the rows go to
+    the dense ``nullspace`` and come back as given.  ``kernel_contains`` is
+    fastest on the fewest rows; the subspace does not hold them, so a space
+    kept for long keeps no rows alive."""
+    if isinstance(dom, RationalDomain):
+        found, rows = nullspace_sparse_q(rows, ncols)
         zero = Fraction(0)
         basis = [[v.get(j, zero) for j in range(ncols)] for v in found]
     elif isinstance(dom, PrimeField):
         basis, rows = nullspace_sparse_mod(rows, ncols, dom)
     else:
-        return kernel(rows, ncols, dom), rows
+        basis = nullspace(_dense(rows, ncols, dom), ncols, dom)
     return Subspace._canonical(basis, ncols, dom), rows
 
 
@@ -726,7 +716,7 @@ def rank_of_rows(rows, ncols, dom=QQ, bound=None):
                 for i, row in enumerate(introws):
                     for j, a in row.items():
                         transposed[j][i] = a
-                r = len(introws) - len(nullspace_sparse_q(transposed, len(introws)))
+                r = len(introws) - len(nullspace_sparse_q(transposed, len(introws))[0])
     if bound is not None and r > bound:
         raise ValueError(f"rank {r} above the bound {bound}")
     return r
@@ -890,7 +880,7 @@ def _left_kernel_of_degree(ent, nvars, d):
                 for mi, m in enumerate(monos):
                     eqs.setdefault((j, tuple(map(add, m, ex))), {})[i * nm + mi] = c
     basis = []
-    for v in nullspace_sparse_q(list(eqs.values()), len(ent) * nm):
+    for v in nullspace_sparse_q(list(eqs.values()), len(ent) * nm)[0]:
         w = [{} for _ in ent]
         for k, c in v.items():
             w[k // nm][monos[k % nm]] = c

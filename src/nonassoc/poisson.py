@@ -258,27 +258,18 @@ class CustomaryIdentity:
 
     def as_identity(self):
         """The expansion as an Identity in x1..xm, zero-padded so that sorted
-        order is numeric order; the factors of a term multiply left-nested."""
+        order is numeric order; the factors of a term multiply left-nested,
+        <x,y> as [x,y] - D(x)*y + x*D(y)."""
         width = len(str(self.m))
-        var = [None] + [("v", f"x{k:0{width}d}") for k in range(1, self.m + 1)]
-
-        def angle(p, q):
-            x, y = var[p], var[q]
-            return [(1, ("[]", (x, y))), (-1, ("*", (("D", (x,)), y))),
-                    (1, ("*", (x, ("D", (y,)))))]
-
-        terms = []
+        var = [None] + [f"x{k:0{width}d}" for k in range(1, self.m + 1)]
+        text = ""
         for coeff, pairs, dargs in self.terms:
-            factors = [angle(p, q) for p, q in pairs]
-            factors += [[(1, ("D", (var[q],)))] for q in dargs]
-            if not factors:
-                continue
-            acc = factors[0]
-            for f in factors[1:]:
-                acc = [(c1 * c2, ("*", (t1, t2)))
-                       for c1, t1 in acc for c2, t2 in f]
-            terms += [(coeff * c, t) for c, t in acc]
-        return Identity(terms, {"*": 2, "[]": 2, "D": 1})
+            factors = [f"([{var[p]}, {var[q]}] - D({var[p]})*{var[q]} + {var[p]}*D({var[q]}))"
+                       for p, q in pairs] + [f"D({var[q]})" for q in dargs]
+            if factors:
+                text += f" {'-' if coeff < 0 else '+'} {abs(coeff)}*{'*'.join(factors)}"
+        signature = {"*": 2, "[]": 2, "D": 1}
+        return parse_identity(text, signature) if text else Identity([], signature)
 
 
 def customary_check(P, g):

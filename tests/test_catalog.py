@@ -211,7 +211,9 @@ def _ternary_jordan_table_reference(n, form):
 
 
 def test_m8_and_ternary_jordan_match_reference():
-    assert catalog_get("M8").op().table == _m8_table_reference()
+    M8 = catalog_get("M8")
+    assert M8.op().table == _m8_table_reference()
+    assert M8.form == [[Fraction(int(a == b)) for b in range(8)] for a in range(8)]
     rng = random.Random(4)
     form = [[0] * 4 for _ in range(4)]
     for a in range(4):

@@ -184,6 +184,8 @@ _HEIS3_GF7 = dict(algebra_to_json(catalog_get("heis3")), field="GF(7)")
     # an extension by fewer than one dimension
     (None, ["ext", "cocycles", "--algebra", "{sl2}", "--variety", "lie", "--s", "0"]),
     (None, ["ext", "cocycles", "--algebra", "{sl2}", "--variety", "lie", "--s", "-2"]),
+    # a scale that the local-derivation space does not take
+    (None, ["der", "space", "{sl2}", "--delta", "1/2", "--local-generic"]),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, doc, argv):
     path = tmp_path / "in.json"
@@ -243,6 +245,24 @@ def test_identity_eval_refuses_an_unbound_symbol(tmp_path, law, arity):
     code, err = _run_contained(["identity", "eval", str(path), "--identity", law])
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_identity_eval_op_binds_star_on_top_of_the_defaults(tmp_path):
+    """``--op mul`` binds * and keeps the default binding of []: on tp4 the
+    --json report of [x,y]*z with it equals the one without it, and an --op
+    naming no operation is still refused with exit 2, also by a law
+    without *."""
+    tp4 = _write(tmp_path, "tp4")
+    argv = ["identity", "eval", tp4, "--identity", "[x,y]*z", "--json"]
+    outs = []
+    for extra in ([], ["--op", "mul"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            outs.append((run(argv + extra), out.getvalue()))
+    assert outs[0] == outs[1] and outs[0][0] in (0, 1)
+    for law in ("[x,y]*z", "[x,y]"):
+        code, err = _run_contained(["identity", "eval", tp4, "--identity", law, "--op", "nosuch"])
+        assert code == 2 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("k, codes", [(61, (0, 1)), (89, (2,))])

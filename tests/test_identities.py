@@ -178,6 +178,55 @@ def test_polarize_with_copy_named_variables_matches_symbolic_check(seed):
     assert check_identity(A, ident)[0] == symbolic_check(A, ident)
 
 
+def _term_key(term):
+    """Reference: a term in tuple form, the key ``Identity`` merged terms by
+    before it keyed them by the terms themselves."""
+    if term[0] == "v":
+        return ("v", term[1])
+    return (term[0], tuple(_term_key(c) for c in term[1]))
+
+
+def _reference_identity(terms):
+    """(terms, variables, symbols) of an identity with terms merged under
+    ``_term_key`` and the symbols walked on demand from the merged terms."""
+    merged, keyed = {}, {}
+    for c, t in terms:
+        k = _term_key(t)
+        keyed[k] = t
+        merged[k] = merged.get(k, Fraction(0)) + Fraction(c)
+    out = [(c, keyed[k]) for k, c in sorted(merged.items()) if c != 0]
+    names, symbols = set(), {}
+
+    def walk(t):
+        if t[0] == "v":
+            names.add(t[1])
+            return
+        symbols[t[0]] = len(t[1])
+        for ch in t[1]:
+            walk(ch)
+
+    for _, t in out:
+        walk(t)
+    return out, tuple(sorted(names)), symbols
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_identity_terms_and_symbols_match_the_term_key_reference(seed):
+    """Random terms drawn from a small pool, so that equal terms merge and
+    some cancel: ``Identity`` keeps the reference's terms, variables and
+    symbols, and ``used_symbols`` hands out a copy of ``symbols``."""
+    rng = random.Random(seed)
+    leaves = ["x", "y", "z", "w"][:rng.randint(1, 4)]
+    pool = [_random_tree(rng, [rng.choice(leaves) for _ in range(rng.randint(1, 4))],
+                         rng.random() < 0.5, rng.random() < 0.5) for _ in range(3)]
+    terms = [(Fraction(rng.choice(_COEFFS)), rng.choice(pool)) for _ in range(rng.randint(0, 6))]
+    ident = Identity(terms, {"*": 2, "[]": 3, "D": 1})
+    assert (ident.terms, ident.variables, ident.symbols) == _reference_identity(terms)
+    used = ident.used_symbols()
+    assert used == ident.symbols and used is not ident.symbols
+
+
 def test_polarize_char_guard():
     jordan = parse_identity("((x*x)*y)*x - (x*x)*(y*x)")
     with pytest.raises(DomainError):

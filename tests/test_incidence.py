@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonassoc import incidence
 from nonassoc.catalog import catalog_get
@@ -18,7 +20,7 @@ from nonassoc.incidence import (HigherDerivationSeq, Poset, SigmaMap,
                                 poisson_sigma_equiv_test, sigma_bracket,
                                 sigma_tilde, check_higher_transitive)
 from nonassoc.identities import Identity
-from nonassoc.linalg import identity_matrix, mat_eq, mat_mul
+from nonassoc.linalg import identity_matrix, kernel, mat_eq, mat_mul
 from nonassoc.operators import derivation_space
 from nonassoc.scalars import GF, QQ, DomainError
 from nonassoc.varieties import check_variety, minus_algebra
@@ -713,3 +715,111 @@ def test_sigma_bracket_matches_reference(dom):
             sigma = SigmaMap(P, {q: rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)])
                                  for q in P.strict_pairs()}, dom)
             assert sigma_bracket(P, sigma, dom).table == _sigma_bracket_reference(P, sigma, dom)
+
+
+# ---------------------------------------------------------------------------
+# the series products and the chain-pair walk against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def _hd_compose_reference(d1, d2):
+    """hd_compose with its own accumulator loop."""
+    A = d1.A
+    dom = A.dom
+    out = []
+    for n in range(d1.order + 1):
+        acc = [[dom.zero()] * A.dim for _ in range(A.dim)]
+        for i in range(n + 1):
+            prod = mat_mul(d1.mats[i], d2.mats[n - i], dom)
+            acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, prod)]
+        out.append(acc)
+    return out
+
+
+def _hd_inverse_reference(d):
+    """hd_inverse with its own accumulator loop."""
+    A = d.A
+    dom = A.dom
+    inv = [identity_matrix(A.dim, dom)]
+    for n in range(1, d.order + 1):
+        acc = [[dom.zero()] * A.dim for _ in range(A.dim)]
+        for i in range(1, n + 1):
+            prod = mat_mul(d.mats[i], inv[n - i], dom)
+            acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, prod)]
+        inv.append([[-x for x in row] for row in acc])
+    return inv
+
+
+def _random_sequence(A, rng, order):
+    """d_0 = id and order random matrices with small entries (no higher
+    derivation in general: the series products do not need one)."""
+    dom = A.dom
+    mats = [identity_matrix(A.dim, dom)]
+    mats += [[[dom.coerce(rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)]) if dom is QQ
+                          else rng.randint(0, 6)) for _ in range(A.dim)]
+              for _ in range(A.dim)] for _ in range(order)]
+    return HigherDerivationSeq(A, mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(2, 3), st.integers(0, 4),
+       st.integers(0, 2**32))
+def test_series_products_match_the_accumulator_loops(dom, dim, order, seed):
+    """``hd_compose`` and ``hd_inverse`` equal the loops they replaced, on
+    random sequences of dim 2-3 and order <= 4 over Q and GF(7)."""
+    rng = random.Random(seed)
+    A = incidence_algebra(antichain_poset(dim), dom)
+    d1, d2 = _random_sequence(A, rng, order), _random_sequence(A, rng, order)
+    assert hd_compose(d1, d2).mats == _hd_compose_reference(d1, d2)
+    assert hd_inverse(d1).mats == _hd_inverse_reference(d1)
+
+
+def _chain_constant_reference(P, sigma):
+    """chain_constant_check with its own loop over the pairs of each chain."""
+    for chain in P.maximal_chains():
+        vals = []
+        elems = [P.elements[i] for i in chain]
+        for a in range(len(elems)):
+            for b in range(a + 1, len(elems)):
+                vals.append(((elems[a], elems[b]), sigma.values[(elems[a], elems[b])]))
+        for (p, v) in vals[1:]:
+            if not sigma.dom.is_zero(v - vals[0][1]):
+                return False, {"chain": elems, "pair": p, "expected": vals[0][1], "got": v}
+    return True, None
+
+
+def _chain_rows_reference(P):
+    """The chain-constancy rows of the sweep with their own loop."""
+    sidx = {q: a for a, q in enumerate(P.strict_pairs())}
+    equal = []
+    for chain in P.maximal_chains():
+        elems = [P.elements[i] for i in chain]
+        cpairs = [sidx[(elems[a], elems[b])]
+                  for a in range(len(elems)) for b in range(a + 1, len(elems))]
+        equal += [{cpairs[0]: 1, other: -1} for other in cpairs[1:]]
+    return equal
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32))
+def test_chain_pair_walk_matches_the_chain_loops(seed):
+    """On every poset with at most 4 elements ``chain_constant_check``
+    gives the verdict and witness of the former loop, on sigmas that are
+    mostly constant, so both verdicts and witnesses at each pair occur."""
+    rng = random.Random(seed)
+    g3 = GF(3)
+    for P in all_posets_up_to(4):
+        for _ in range(2):
+            sigma = SigmaMap(P, {q: rng.choice([1, 1, 1, 2]) for q in P.strict_pairs()}, g3)
+            assert chain_constant_check(P, sigma) == _chain_constant_reference(P, sigma)
+
+
+def test_sweep_chain_rows_and_counts_match_the_chain_loop():
+    """On every poset with at most 4 elements the chain walk gives the
+    former chain rows in order, and the sweep the count of their kernel."""
+    for P in all_posets_up_to(4):
+        strict = P.strict_pairs()
+        equal = [{strict.index(first): 1, strict.index(q): -1}
+                 for _, first, q in incidence._chain_pairs(P)]
+        assert equal == _chain_rows_reference(P)
+        want = 3 ** kernel(_chain_rows_reference(P), len(strict), GF(3)).dim
+        assert exhaustive_sigma_equiv(P, 3)["chain_constant_count"] == want

@@ -239,6 +239,25 @@ def test_caches_keep_no_algebra_alive():
     assert [ref() for ref in refs] == [None, None]
 
 
+def test_editing_a_polarize_copy_leaves_the_cached_component_alone():
+    """``polarize`` hands out copies: a caller that rewrites a copy's
+    symbols, terms and signature reaches neither the cached component nor
+    a later check."""
+    A = catalog_get("sl2")
+    law = parse_identity("(x*y)*x - x*(y*x)")
+    _clear()
+    want = check_identity(A, law)
+    for lin in identities.polarize(law):
+        lin.symbols["*"] = 3
+        lin.symbols["E"] = 1
+        lin.terms.clear()
+        lin.signature.clear()
+    cached = identities._polarized(*identities._identity_key(law), 0)
+    assert [lin.symbols for lin in cached] == [{"*": 2}] * len(cached)
+    assert all(lin.terms and lin.signature == {"*": 2} for lin in cached)
+    assert check_identity(A, law) == want
+
+
 def test_law_caches_are_bounded():
     """More distinct laws than the cache holds leave it full, not larger."""
     A = catalog_get("sl2")

@@ -154,3 +154,10 @@ def f(t, u):
     writes = list(_table_writes(ast.parse(source)))
     assert [line for _, line in writes] == [3, 4, 5, 6, 7, 8, 9, 10]
     assert {where for where, _ in writes} == {"f"}
+
+
+def test_no_library_module_mentions_the_benchmark_tracer():
+    """The library is not shaped by ``perfbench``: no module names it, so no
+    call path exists only for the tracer to see."""
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "perfbench" in path.read_text(encoding="utf-8")] == []

@@ -13,7 +13,8 @@ from nonassoc.linalg import (Subspace, generic_rank, inverse, is_invertible, ker
                              linear_pencil, mat_mul, nullspace, nullspace_sparse_q,
                              rank, rref, seeded_points, solve)
 from nonassoc.operators import derivation_space
-from nonassoc.scalars import GF, QQ, QT, DomainError, Poly, PolyRing, RatFunc
+from nonassoc.scalars import (GF, QQ, QT, DomainError, Poly, PolyRing, PrimeField, RatFunc,
+                               RationalDomain)
 from nonassoc.structure import change_basis
 from test_linear_conditions import bind_maps
 
@@ -110,6 +111,33 @@ def test_kernel_matches_dense_nullspace(which, system):
     got = kernel(rows, ncols, dom)
     assert got == Subspace(nullspace(dense, ncols, dom), ncols, dom)
     assert got.basis == nullspace(dense, ncols, dom)
+
+
+def _reference_kernel(rows, ncols, dom):
+    """Reference: ``kernel`` with its own dispatch on the domain, as it was
+    before it became the first half of ``kernel_and_rows``."""
+    if isinstance(dom, RationalDomain):
+        zero = Fraction(0)
+        basis = [[v.get(j, zero) for j in range(ncols)]
+                 for v in nullspace_sparse_q(rows, ncols)[0]]
+    elif isinstance(dom, PrimeField):
+        basis = linalg.nullspace_sparse_mod(rows, ncols, dom)[0]
+    else:
+        basis = nullspace(linalg._dense(rows, ncols, dom), ncols, dom)
+    return Subspace._canonical(basis, ncols, dom)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["QQ", "GF7", "QT"]), _SYSTEMS)
+def test_kernel_is_the_first_half_of_kernel_and_rows(which, system):
+    """``kernel``, ``kernel_and_rows(...)[0]`` and the reference dispatch
+    give the same canonical basis over Q, GF(7) and Q(t)."""
+    dom = _DOMAINS[which]
+    ncols, spec = system
+    rows = [{j: _entry(dom, a, e) for j, (a, e) in row.items()} for row in spec]
+    want = _reference_kernel(rows, ncols, dom).basis
+    assert kernel(rows, ncols, dom).basis == want
+    assert linalg.kernel_and_rows(rows, ncols, dom)[0].basis == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -269,7 +297,7 @@ def test_fast_nullspace_matches_dense():
         ncols = rng.randint(1, 12)
         nrows = rng.randint(0, 18)
         rows = _random_sparse_system(rng, nrows, ncols)
-        fast = nullspace_sparse_q(rows, ncols)
+        fast = nullspace_sparse_q(rows, ncols)[0]
         slow = nullspace(_dense(rows, ncols), ncols, QQ)
         assert fast == _sparse(slow), f"trial {trial}"
 
@@ -279,7 +307,7 @@ def test_fast_nullspace_huge_coefficients():
     must still come out exactly."""
     big = 2 ** 45
     rows = [{0: big, 1: -1}, {1: big + 1, 2: -1}]
-    fast = nullspace_sparse_q(rows, 3)
+    fast = nullspace_sparse_q(rows, 3)[0]
     assert len(fast) == 1
     v = fast[0]
     assert v[1] == big * v[0] and v[2] == (big + 1) * v[1]
@@ -287,7 +315,7 @@ def test_fast_nullspace_huge_coefficients():
 
 def test_fast_nullspace_rational_entries():
     rows = [{0: Fraction(1, 7), 1: Fraction(3, 5)}]
-    fast = nullspace_sparse_q(rows, 2)
+    fast = nullspace_sparse_q(rows, 2)[0]
     assert len(fast) == 1
     v = fast[0]
     assert v[0] * Fraction(1, 7) + v[1] * Fraction(3, 5) == 0
@@ -330,7 +358,7 @@ def test_unlucky_prime_is_rejected(solver_calls):
     """Mod 2^61 - 1 the row reads x0 = 0, a wrong (lower) pivot: exact
     verification rejects that candidate, and the next prime, whose pivot
     column is higher, replaces it."""
-    assert nullspace_sparse_q([{1: _P0, 0: 1}], 2) == [{0: Fraction(1), 1: Fraction(-1, _P0)}]
+    assert nullspace_sparse_q([{1: _P0, 0: 1}], 2)[0] == [{0: Fraction(1), 1: Fraction(-1, _P0)}]
     primes = [p for p, _ in solver_calls["eliminations"]]
     assert primes[0] == _P0 and len(primes) > 1
     assert solver_calls["dense"] == 0
@@ -340,7 +368,7 @@ def test_better_prime_replaces_the_pivot_rows(solver_calls):
     """With a doubled copy of the row, the first prime keeps one pivot row.
     The second prime finds a higher pivot in it, so all rows are
     eliminated again there, and later primes take its one pivot row."""
-    assert nullspace_sparse_q([{1: _P0, 0: 1}, {1: 2 * _P0, 0: 2}], 2) == \
+    assert nullspace_sparse_q([{1: _P0, 0: 1}, {1: 2 * _P0, 0: 2}], 2)[0] == \
         [{0: Fraction(1), 1: Fraction(-1, _P0)}]
     p1 = linalg._prime(1)
     elims = solver_calls["eliminations"]
@@ -360,7 +388,7 @@ def test_large_kernel_entries_lift_by_crt(solver_calls):
     eliminates only the two rows that gave its pivots."""
     rows = _BIG_ROWS + [dict(_BIG_ROWS[1]), {0: -3 * _BIG_B, 1: 3 * _BIG_C},
                         {0: _BIG_B, 1: 1 - _BIG_C, 2: -1}]
-    assert nullspace_sparse_q(rows, 3) == _BIG_KERNEL
+    assert nullspace_sparse_q(rows, 3)[0] == _BIG_KERNEL
     elims = solver_calls["eliminations"]
     assert len({p for p, _ in elims}) >= 3
     assert elims[0] == (_P0, 4) and all(n == 2 for _, n in elims[1:])
@@ -373,7 +401,7 @@ def test_entries_above_2_to_the_600(solver_calls):
     b, c = 3 ** 400 + 2, 2 ** 640 + 1
     assert b > 2 ** 600
     rows = [{0: b, 1: -c}, {0: 2 * b, 1: -2 * c}]
-    assert nullspace_sparse_q(rows, 2) == [{0: Fraction(1), 1: Fraction(b, c)}]
+    assert nullspace_sparse_q(rows, 2)[0] == [{0: Fraction(1), 1: Fraction(b, c)}]
     elims = solver_calls["eliminations"]
     assert len(elims) >= 20 and elims[0] == (_P0, 2)
     assert all(n == 1 for _, n in elims[1:])
@@ -385,7 +413,7 @@ def test_first_prime_that_divides_a_pivot_forces_a_restart(solver_calls):
     annihilates that row but not the other; all rows are then eliminated
     again at the next prime, which sees rank 2."""
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + _P0}]
-    assert nullspace_sparse_q(rows, 3) == [{2: Fraction(1)}]
+    assert nullspace_sparse_q(rows, 3)[0] == [{2: Fraction(1)}]
     assert solver_calls["eliminations"] == [(_P0, 2), (linalg._prime(1), 2)]
 
 
@@ -401,7 +429,7 @@ def test_prime_that_divides_a_whole_pivot_row_is_not_combined(solver_calls, k):
     b0, b1 = (q + _P0 * ((1 - q) * pow(_P0, -1, q) % q),
               q + _P0 * ((2 - q) * pow(_P0, -1, q) % q))
     assert (b0 - q) % _P0 == (b1 - q) % _P0 == 0 and (b0 % q, b1 % q) == (1, 2)
-    assert nullspace_sparse_q([{0: q, 1: q}, {0: b0, 1: b1}], 3) == [{2: Fraction(1)}]
+    assert nullspace_sparse_q([{0: q, 1: q}, {0: b0, 1: b1}], 3)[0] == [{2: Fraction(1)}]
     full = [(linalg._prime(i), 2) for i in range(3)]
     assert solver_calls["eliminations"] == (full if k == 1 else full[:2])
 
@@ -412,7 +440,7 @@ def test_later_prime_with_a_rank_drop_is_skipped(solver_calls):
     third and fourth primes."""
     p1 = linalg._prime(1)
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + p1}, {2: _BIG_B, 3: -_BIG_C}]
-    assert nullspace_sparse_q(rows, 4) == [{2: Fraction(1), 3: Fraction(_BIG_B, _BIG_C)}]
+    assert nullspace_sparse_q(rows, 4)[0] == [{2: Fraction(1), 3: Fraction(_BIG_B, _BIG_C)}]
     assert solver_calls["eliminations"] == [(linalg._prime(i), 3) for i in range(4)]
 
 
@@ -422,13 +450,13 @@ def test_prime_dividing_a_kernel_denominator_is_skipped(solver_calls):
     there is at column 0: that prime is skipped, and the others lift
     1/p_1."""
     p1 = linalg._prime(1)
-    assert nullspace_sparse_q([{0: 1, 1: -p1}], 2) == [{0: Fraction(1), 1: Fraction(1, p1)}]
+    assert nullspace_sparse_q([{0: 1, 1: -p1}], 2)[0] == [{0: Fraction(1), 1: Fraction(1, p1)}]
     assert solver_calls["eliminations"] == [(linalg._prime(i), 1) for i in range(4)]
 
 
 def test_dedup_keeps_rows_that_differ_in_one_value():
     """Rows with the same columns and different values are two rows."""
-    assert nullspace_sparse_q([{0: 1, 1: 1}, {0: 1, 1: 2}, {0: 1, 1: 1}], 3) == [{2: Fraction(1)}]
+    assert nullspace_sparse_q([{0: 1, 1: 1}, {0: 1, 1: 2}, {0: 1, 1: 1}], 3)[0] == [{2: Fraction(1)}]
 
 
 def _copies(rows, spec):
@@ -450,7 +478,7 @@ def test_kernel_of_repeated_rows_matches_dense(system, spec, rng):
     rows = _copies([{j: Fraction(a, e + 1) * 7 ** e for j, (a, e) in row.items()} for row in raw],
                    spec)
     rng.shuffle(rows)
-    assert nullspace_sparse_q(rows, ncols) == _sparse(nullspace(_dense(rows, ncols), ncols, QQ))
+    assert nullspace_sparse_q(rows, ncols)[0] == _sparse(nullspace(_dense(rows, ncols), ncols, QQ))
 
 
 _ENTRY = st.integers(-2 ** 40, 2 ** 40)
@@ -465,7 +493,7 @@ _ENTRY = st.integers(-2 ** 40, 2 ** 40)
         max_size=ncols + 2))))
 def test_modular_nullspace_matches_dense(system):
     ncols, rows = system
-    assert nullspace_sparse_q(rows, ncols) == _sparse(nullspace(_dense(rows, ncols), ncols, QQ))
+    assert nullspace_sparse_q(rows, ncols)[0] == _sparse(nullspace(_dense(rows, ncols), ncols, QQ))
 
 
 def test_derivations_of_rebased_m3(solver_calls):

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonassoc.catalog import catalog_get
 from nonassoc.cli import run
-from nonassoc.identities import law_table, linear_conditions, parse_identity
+from nonassoc.identities import Identity, law_table, linear_conditions, parse_identity
 from nonassoc.poisson import (CustomaryIdentity, check_poisson_family,
                               customary_check, derived_map_d,
                               half_derivation_link_test,
@@ -555,6 +557,68 @@ def test_customary_with_d_factor():
     # and <x,y> = {x,y} - (D(x)y - x D(y)) vanishes identically on gp2
     g2 = CustomaryIdentity(2, [(1, [(1, 2)], [])])
     assert customary_check(P, g2)[0]
+
+
+def _as_identity_reference(g):
+    """CustomaryIdentity.as_identity with products of sums expanded by hand."""
+    width = len(str(g.m))
+    var = [None] + [("v", f"x{k:0{width}d}") for k in range(1, g.m + 1)]
+
+    def angle(p, q):
+        x, y = var[p], var[q]
+        return [(1, ("[]", (x, y))), (-1, ("*", (("D", (x,)), y))),
+                (1, ("*", (x, ("D", (y,)))))]
+
+    terms = []
+    for coeff, pairs, dargs in g.terms:
+        factors = [angle(p, q) for p, q in pairs]
+        factors += [[(1, ("D", (var[q],)))] for q in dargs]
+        if not factors:
+            continue
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = [(c1 * c2, ("*", (t1, t2))) for c1, t1 in acc for c2, t2 in f]
+        terms += [(coeff * c, t) for c, t in acc]
+    return Identity(terms, {"*": 2, "[]": 2, "D": 1})
+
+
+def _random_customary(rng, m):
+    """Up to four terms on m variables with zero, negative and fractional
+    coefficients, some of them without factors."""
+    terms = []
+    for _ in range(rng.randint(0, 4)):
+        free = rng.sample(range(1, m + 1), rng.randint(0, m))
+        npairs = rng.randint(0, len(free) // 2)
+        pairs = [(free[2 * a], free[2 * a + 1]) for a in range(npairs)]
+        dargs = free[2 * npairs:][:rng.randint(0, 2)]
+        terms.append((rng.choice([0, 1, -1, 2, Fraction(-3, 2), Fraction(1, 3)]), pairs, dargs))
+    return CustomaryIdentity(m, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32))
+def test_customary_text_matches_the_hand_expansion(m, seed):
+    """``as_identity`` parses DSL text; its terms, variables and signature
+    equal those of the hand expansion it replaced."""
+    g = _random_customary(random.Random(seed), m)
+    got, want = g.as_identity(), _as_identity_reference(g)
+    assert (got.terms, got.variables, got.signature) == (want.terms, want.variables,
+                                                         want.signature)
+
+
+def test_customary_cases_cover_the_text_edge_cases():
+    """The random identities above include ones with no factor at all (the
+    trivial identity), zero and negative coefficients, and up to three
+    angle brackets in one term."""
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = _random_customary(rng, rng.randint(1, 7))
+        seen.add(("trivial", g.as_identity().is_trivial()))
+        for c, pairs, dargs in g.terms:
+            seen |= {("zero", c == 0), ("negative", c < 0), ("pairs", len(pairs))}
+    assert {("trivial", True), ("trivial", False), ("zero", True), ("negative", True),
+            ("pairs", 3)} <= seen
 
 
 def _heis3_plus_line():

@@ -1075,36 +1075,55 @@ def law_rows(A, terms, variables, unknowns):
     permuted tuple is +-1 times a kept row, and a tuple repeating an index
     in an antisymmetric run has zero rows, so the kernel is unchanged: Der
     of Filippov's 8-dimensional 7-Lie algebra takes its rows at the 8
-    strictly increasing tuples instead of 8^7.
+    strictly increasing tuples instead of 8^7.  A single-entry row that
+    has come before is left out: a repeated row adds nothing to the row
+    space over any domain (Der M_6 has 16,266 single-entry rows, 1,806 of
+    them distinct, of 19,296).
     """
-    return [row for _, row in _conditions(A, terms, variables, unknowns, every=False)[0]]
+    return _conditions(A, terms, variables, unknowns, every=False)[0]
 
 
 def _conditions(A, terms, variables, unknowns, every):
-    """(rows, scale): a generator of the keyed rows ((basis tuple,
-    coordinate), row) of ``linear_conditions`` times scale, at every basis
-    tuple or, unless ``every``, at one per orbit of the law's proven runs,
-    and their scale.  Over Q the rows are Python ints and ``scale`` is the
-    one positive factor that clears the denominators of the tables and of
-    the term coefficients; over GF(p) they are residues in [1, p), over
-    other domains elements of the domain, and ``scale`` is 1 outside Q and
+    """(rows, scale): with ``every``, a generator of the keyed rows ((basis
+    tuple, coordinate), row) of ``linear_conditions`` times scale, at every
+    basis tuple; else the list of the rows of ``law_rows`` times scale, at
+    one basis tuple per orbit of the law's proven runs, each single-entry
+    row once.  Over Q the rows are Python ints and ``scale`` is the one
+    positive factor that clears the denominators of the tables and of the
+    term coefficients; over GF(p) they are residues in [1, p), over other
+    domains elements of the domain, and ``scale`` is 1 outside Q and
     Q[c]."""
     prune = _scan_domain(A.dom)[2]
-    if any(sum(sym in unknowns for sym, _ in _op_nodes(t)) != 1 for _, t in terms):
-        raise DomainError("every term needs exactly one unknown")
-    syms = {sym for _, t in terms for sym, _ in _op_nodes(t)} - set(unknowns)
+    syms = set()
+    for _, t in terms:
+        found = [sym for sym, _ in _op_nodes(t)]
+        if sum(sym in unknowns for sym in found) != 1:
+            raise DomainError("every term needs exactly one unknown")
+        syms.update(found)
+    syms -= set(unknowns)
     _, specs, top_coef, scale, runs = _compile(
         A, terms, variables, _scan_forms(A, syms, dict(zip(syms, syms))), unknowns)
-    tuples = (itertools.product(range(A.dim), repeat=len(variables)) if every
-              else _representatives(A.dim, runs))
-
-    def keyed_rows():
-        for combo, total in _totals(A, tuples, specs, top_coef, _merge_form):
-            for r in sorted(total):
-                row = prune(total[r])
-                if row:
-                    yield (combo, r), row
-    return keyed_rows(), scale
+    if every:
+        def keyed_rows():
+            for combo, total in _totals(A, itertools.product(range(A.dim), repeat=len(variables)),
+                                        specs, top_coef, _merge_form):
+                for r in sorted(total):
+                    row = prune(total[r])
+                    if row:
+                        yield (combo, r), row
+        return keyed_rows(), scale
+    rows, singles = [], set()
+    for _, total in _totals(A, _representatives(A.dim, runs), specs, top_coef, _merge_form):
+        for r in sorted(total):
+            row = prune(total[r])
+            if len(row) == 1:
+                [single] = row.items()
+                if single in singles:
+                    continue
+                singles.add(single)
+            if row:
+                rows.append(row)
+    return rows, scale
 
 
 def _as_is(form):

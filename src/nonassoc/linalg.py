@@ -8,8 +8,10 @@ removing it from every other row until no new single-entry row appears,
 and keeps each remaining row once: the same row space, so the same kernel
 and rank, and a forced column is the pivot of its own row, so the
 canonical basis is unchanged.  The one shortcut is
-``nullspace_sparse_q``: each of those rows is eliminated once modulo
-the 61-bit prime 2^61 - 1, later 61-bit primes eliminate only the rows that
+``nullspace_sparse_q``: those rows are eliminated once modulo the
+61-bit prime 2^61 - 1, up to a certified stop where the kernel read off the
+rows reduced so far checks exactly against all of them (a norm bound
+proves the reduced ones), later 61-bit primes eliminate only the rows that
 gave its pivots, and the kernels are combined by CRT and lifted by rational
 reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982).  Each prime
 reads its kernel off one elimination that pivots every row on its highest
@@ -388,21 +390,42 @@ def _prime(i):
     return p
 
 
-def _rref_mod(introws, p):
+_CHECK_AFTER = 8   # rows past twice the last new pivot before a stop is tried
+
+
+def _rref_mod(introws, p, ncols=None):
     """Reduced row echelon form mod p of sparse integer rows, pivoting each
     row on its highest column, and the rows that gave its pivots.
 
-    Returns ({pivot column: row dict with 1 at the pivot}, [input rows]),
-    all entries in [1, p).  Each pivot is the highest column of its row and
-    occurs in no other row, so this is the unique such RREF of the row
-    space mod p, whatever the row order; short rows go first because that
-    keeps the fill-in low.  The input rows that gave pivots span that row
-    space.
+    Returns ({pivot column: row dict with 1 at the pivot}, [input rows],
+    the number of rows reduced, kernel), all entries in [1, p).  Each pivot
+    is the highest column of its row and occurs in no other row, so this is
+    the unique such RREF of the row space mod p, whatever the row order;
+    short rows go first because that keeps the fill-in low.  The input rows
+    that gave pivots span that row space.
+
+    Without ``ncols`` every row is reduced and the kernel is None.  With it
+    the elimination stops early in two cases, each of which leaves the RREF
+    and the pivot rows of the full elimination, and hands back the kernel
+    over Q of every row in ``nullspace_sparse_q``'s form:
+
+    * at ncols pivots: the kernel is [] (rank ncols mod p, so over Q);
+    * at a certified stop (see ``nullspace_sparse_q``): after a row that
+      reduced to zero, with i its index in the sorted order, i at least
+      twice the index of the later of the last new pivot and the last
+      failed stop, plus ``_CHECK_AFTER``, and some row still unreduced, the
+      kernel of the RREF lifted to Q (``_lift_kernel``) is checked exactly
+      against the rows not reduced and, by ``_certified``, against those
+      reduced.  A failed lift or check goes on eliminating; the back-off
+      makes at most log2 of the number of rows failed checks.
+    Otherwise the kernel is None.
     """
     red = {}
     pivot_rows = []
     holders = {}   # non-pivot column -> pivot columns whose rows hold it
-    for introw in sorted(introws, key=len):
+    rows = sorted(introws, key=len)
+    n, last = len(rows), 0   # last: the index of the last new pivot or failed stop
+    for i, introw in enumerate(rows):
         row = {}
         for j, v in introw.items():
             v %= p
@@ -431,6 +454,11 @@ def _rref_mod(introws, p):
                 else:
                     del row[j]
         if not row:
+            if i >= 2 * last + _CHECK_AFTER and i + 1 < n and ncols is not None:
+                cand = _lift_kernel(red, ncols, p)
+                if cand is not None and _certified(rows[i + 1:], rows[:i + 1], cand, p):
+                    return red, pivot_rows, i + 1, cand
+                last = i
             continue
         c = max(row)
         inv = pow(row[c], -1, p)
@@ -450,10 +478,13 @@ def _rref_mod(introws, p):
                     holders[j].discard(pc)
         red[c] = new
         pivot_rows.append(introw)
+        if len(red) == ncols:
+            return red, pivot_rows, i + 1, []
+        last = i
         for j in new:
             if j != c:
                 holders.setdefault(j, set()).add(c)
-    return red, pivot_rows
+    return red, pivot_rows, n, None
 
 
 def _rat_reconstruct(a, m, bound):
@@ -471,16 +502,17 @@ def _rat_reconstruct(a, m, bound):
     return Fraction(r1, s1)
 
 
-def _modular_kernel(rows, p):
-    """(shape, pivot rows, RREF) of integer rows mod p from one elimination
-    (``_rref_mod``), which pivots each row on its highest column.  Every
-    entry of the RREF's row c lies left of c, so the vectors e_f - sum_c
-    R[c][f] e_c, one per free column f, are the kernel in canonical form
-    (``_free_columns``).  The shape (-rank, the pivot columns negated from
-    the highest down) is least at the primes where the RREF reduces from
-    that over Q."""
-    red, pivot_rows = _rref_mod(rows, p)
-    return (-len(red), [-c for c in sorted(red, reverse=True)]), pivot_rows, red
+def _modular_kernel(rows, p, ncols=None):
+    """(shape, pivot rows, RREF, kernel) of integer rows mod p from one
+    elimination (``_rref_mod``, which stops early only given ``ncols``, and
+    then may hand back the kernel over Q), pivoting each row on its highest
+    column.  Every entry of the RREF's row c lies left of c, so the vectors
+    e_f - sum_c R[c][f] e_c, one per free column f, are the kernel in
+    canonical form (``_free_columns``).  The shape (-rank, the pivot columns
+    negated from the highest down) is least at the primes where the RREF
+    reduces from that over Q."""
+    red, pivot_rows, _, kernel = _rref_mod(rows, p, ncols)
+    return (-len(red), [-c for c in sorted(red, reverse=True)]), pivot_rows, red, kernel
 
 
 def _free_columns(red, ncols):
@@ -533,7 +565,7 @@ def nullspace_sparse_mod(sparse_rows, ncols, dom):
     elimination runs mod p itself; with it, the rows that gave the pivots:
     independent mod p, rank many, so they span the row space."""
     zero, one = dom.zero(), dom.one()
-    red, pivot_rows = _rref_mod(sparse_rows, dom.p)
+    red, pivot_rows, _, _ = _rref_mod(sparse_rows, dom.p)
     basis = []
     for f, col in _free_columns(red, ncols).items():
         v = [zero] * ncols
@@ -554,16 +586,20 @@ def nullspace_sparse_q(sparse_rows, ncols):
     zero kept as the one row {j: 1} and removed from every other row, and
     each distinct row kept once; these rows have the same row space, and
     a forced column is the pivot of its own row, never a free column, so
-    the canonical kernel is that of the rows as given.  All of
-    them are eliminated modulo the first prime p_0 = 2^61 - 1, each row
-    pivoting on its highest column, which gives r pivots and the r rows
-    that gave them; each later 61-bit prime makes the same one elimination
-    of those r rows alone.  The kernel is read off each such RREF, with no
-    elimination of its own (see ``_modular_kernel``).  The RREFs of the
-    primes of one shape are combined by CRT, and after each prime the
-    kernel of the combination is lifted to Q by rational reconstruction
-    (Wang, Guy & Davenport, SIGSAM Bull. 1982) and checked exactly against
-    every distinct row, so against every row.
+    the canonical kernel is that of the rows as given.  They are
+    eliminated modulo the first prime p_0 = 2^61 - 1, shortest first, each
+    row pivoting on its highest column, until the RREF holds ncols pivots,
+    a certified stop (below) or the last row, which gives r pivots and the
+    r rows that gave them; each later 61-bit prime makes the same one
+    elimination of those r rows alone.  The kernel is read off each such
+    RREF, with no elimination of its own (see ``_modular_kernel``).  The
+    RREFs of the primes of one shape are combined by CRT, and after each
+    prime the kernel of the combination is lifted to Q by rational
+    reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 1982) and checked
+    exactly against every distinct row, so against every row: each row is
+    either reduced mod p_0 or dot-checked, never both, while the candidate
+    comes from the elimination at p_0 alone (``_certified``); after CRT or
+    a restart, every row is dot-checked.
 
     Soundness: the rank mod any prime of any subset of the rows is at most
     its rank over Q, and at equal rank each highest-column pivot mod p sits
@@ -573,6 +609,20 @@ def nullspace_sparse_q(sparse_rows, ncols):
     others), so they are independent and dim ker >= ncols - r >= ncols -
     rank_Q = dim ker: the candidate is the kernel in canonical form,
     whichever primes produced it.
+
+    Certified stop (the certify-instead-of-recompute step of Mulders &
+    Storjohann, J. Symb. Comput. 37, 2004): after some rows S of all rows
+    are reduced mod p_0 (``_rref_mod`` says when a stop is tried), the
+    kernel of their RREF is lifted; if the lift, cand, checks exactly
+    against every row, the elimination ends there.  A row of S is proven by
+    the bound ||row||_1 ||w||_inf < p_0, with w the candidate vector
+    scaled to integers: row . w is 0 mod p_0, and smaller than p_0 in size.
+    Then cand lies in ker_Q(all), which lies in ker_Q(S), and dim ker_Q(S)
+    = ncols - rank_Q(S) <= ncols - rank_p(S) = |cand|: the three are equal,
+    and cand is the kernel.  So rank_p(all) <= rank_Q(all) = rank_p(S):
+    every later row would reduce to zero, and the full elimination gives
+    the same RREF and pivot rows.  At ncols pivots, rank_p(S) = ncols and
+    the same holds with the kernel zero.
 
     Lucky primes: a new prime whose shape is larger (a lower rank, or the
     same rank with lower pivots, compared from the top down) is unlucky and
@@ -606,18 +656,24 @@ def nullspace_sparse_q(sparse_rows, ncols):
     introws = _distinct_int_rows(sparse_rows)
     if ncols == 0:
         return [], []
-    return _crt_kernel(introws, ncols, _modular_kernel(introws, _prime(0)))
+    return _crt_kernel(introws, ncols, _modular_kernel(introws, _prime(0), ncols))
 
 
 def _crt_kernel(introws, ncols, first):
     """``nullspace_sparse_q`` of distinct integer rows from the
-    ``_modular_kernel`` of all of them at the first prime: (canonical basis,
-    the rows that gave its pivots)."""
-    (shape, pivot_rows, red), m = first, _prime(0)
+    ``_modular_kernel`` of all of them at the first prime, given ncols:
+    (canonical basis, the rows that gave its pivots).  A kernel that the
+    first elimination handed back is the answer.  Else that elimination
+    reduced every row, and its candidate is checked by ``_certified``; every
+    later one, after CRT or a restart, by dot products with every row."""
+    (shape, pivot_rows, red, cand), m = first, _prime(0)
+    if cand is not None:
+        return cand, pivot_rows
     i = 0
     while True:
         cand = _lift_kernel(red, ncols, m)
-        if cand is not None and _verify_nullspace(introws, cand):
+        if cand is not None and (_certified((), introws, cand, m) if i == 0
+                                 else _verify_nullspace(introws, cand)):
             return cand, pivot_rows
         spans_less = cand is not None and _verify_nullspace(pivot_rows, cand)
         i += 1
@@ -626,7 +682,7 @@ def _crt_kernel(introws, ncols, first):
         if new[0] < shape:
             if not spans_less:
                 new = _modular_kernel(introws, p)
-            (shape, pivot_rows, red), m = new, p
+            (shape, pivot_rows, red, _), m = new, p
         elif new[0] == shape and not spans_less:
             red, m = _crt(red, m, new[2], p), m * p
 
@@ -691,12 +747,14 @@ def rank_of_rows(rows, ncols, dom=QQ, bound=None):
     p_0 = 2^61 - 1 is a lower bound: a minor nonzero mod p_0 is nonzero
     over Q.  When r equals the least of the number of distinct rows, ncols
     and ``bound`` (an upper bound on the rank that the caller has proven),
-    r is the rank.  Otherwise the rank is read off the smaller of the two
-    kernels, each from the verified ``nullspace_sparse_q``: ncols minus the
-    dimension of the right kernel (ncols - r vectors at p_0), whose
-    elimination at p_0 is the one just made, or the number of distinct rows
-    minus the dimension of the left kernel (rows - r vectors at p_0), the
-    kernel of the transposed rows.  A rank above ``bound`` proves the
+    r is the rank; so it is when that elimination stopped with the kernel
+    over Q (``_rref_mod`` given ncols, which never stops at ``bound``: a
+    bound is checked, not trusted).  Otherwise the rank is read off the
+    smaller of the two kernels, each from the verified
+    ``nullspace_sparse_q``: ncols minus the dimension of the right kernel
+    (ncols - r vectors at p_0), whose elimination at p_0 is the one just
+    made, or the number of distinct rows minus the dimension of the left
+    kernel (rows - r vectors at p_0), the kernel of the transposed rows.  A rank above ``bound`` proves the
     bound wrong and raises ``ValueError``.  Over GF(p) one elimination
     mod p gives the rank; other domains (Q(t)) take the dense ``rank``.
     """
@@ -706,9 +764,10 @@ def rank_of_rows(rows, ncols, dom=QQ, bound=None):
         r = rank(_dense(rows, ncols, dom), dom)
     else:
         introws = _distinct_int_rows(rows)
-        first = _modular_kernel(introws, _prime(0))
+        first = _modular_kernel(introws, _prime(0), ncols)
         r = -first[0][0]
-        if r < min(len(introws), ncols, len(introws) if bound is None else bound):
+        if first[3] is None and r < min(len(introws), ncols,
+                                        len(introws) if bound is None else bound):
             if ncols <= len(introws):
                 r = ncols - len(_crt_kernel(introws, ncols, first)[0])
             else:
@@ -739,13 +798,44 @@ def kernel_contains(rows, vectors, dom=QQ):
 
 def _verify_nullspace(introws, cand):
     """Whether every sparse candidate vector annihilates every integer row."""
-    at_col = {}   # column -> [(candidate index, scaled integer entry)]
-    for i, v in enumerate(cand):
-        denom = 1
-        for c in v.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        for j, c in v.items():
-            at_col.setdefault(j, []).append((i, c.numerator * (denom // c.denominator)))
+    return _annihilates(introws, _scaled(cand))
+
+
+def _scaled(cand):
+    """Each sparse rational vector times the lcm of its denominators."""
+    out = []
+    for v in cand:
+        denom = lcm(*(c.denominator for c in v.values()))
+        out.append({j: c.numerator * (denom // c.denominator) for j, c in v.items()})
+    return out
+
+
+def _certified(unreduced, reduced, cand, p):
+    """Whether the kernel ``cand`` lifted from the RREF mod p of the integer
+    rows ``reduced`` annihilates them and the rows ``unreduced`` over Q.
+
+    The unreduced rows are checked first, by dot products.  Each vector of
+    cand, scaled to an integer vector w (``_scaled``: its denominators, at
+    most sqrt(p/2), are prime to p), is w mod p up to a unit, so row . w is
+    0 mod p for every reduced row.  If ||row||_1 ||w||_inf < p, then
+    |row . w| < p and row . w = 0.  Only the vectors for which this bound
+    fails at the largest ||row||_1 of the reduced rows are dot-checked
+    against them."""
+    scaled = _scaled(cand)
+    if not _annihilates(unreduced, scaled):
+        return False
+    norm = max((sum(map(abs, row.values())) for row in reduced), default=0)
+    return _annihilates(reduced, [w for w in scaled if norm * max(map(abs, w.values())) >= p])
+
+
+def _annihilates(introws, vectors):
+    """Whether every sparse integer vector annihilates every integer row."""
+    if not vectors:
+        return True
+    at_col = {}   # column -> [(vector index, entry)]
+    for i, w in enumerate(vectors):
+        for j, x in w.items():
+            at_col.setdefault(j, []).append((i, x))
     for row in introws:
         sums = {}
         for j, a in row.items():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -331,16 +332,19 @@ def test_fast_nullspace_over_gf():
 @pytest.fixture
 def solver_calls(monkeypatch):
     """Records, per elimination mod p the modular solver makes, the prime
-    and the number of rows it eliminates, and counts dense fallbacks; a
-    solver still running after 100 eliminations fails the test instead of
-    running on."""
-    calls = {"eliminations": [], "dense": 0}
+    and the number of rows it is given ("eliminations") and the number it
+    reduced before it ended or stopped ("reduced"), and counts dense
+    fallbacks; a solver still running after 100 eliminations fails the test
+    instead of running on."""
+    calls = {"eliminations": [], "reduced": [], "dense": 0}
     rref_mod, dense = linalg._rref_mod, linalg.nullspace
 
-    def recording_rref_mod(rows, p):
+    def recording_rref_mod(rows, p, ncols=None):
         calls["eliminations"].append((p, len(rows)))
         assert len(calls["eliminations"]) <= 100, "no verified kernel after 100 primes"
-        return rref_mod(rows, p)
+        out = rref_mod(rows, p, ncols)
+        calls["reduced"].append(out[2])
+        return out
 
     def recording_nullspace(*args, **kwargs):
         calls["dense"] += 1
@@ -726,6 +730,261 @@ def test_pivot_rows_over_gf_span_the_rows(p, system):
     space, pivot_rows = linalg.kernel_and_rows(rows, ncols, F)
     assert len(pivot_rows) == ncols - space.dim
     assert kernel(pivot_rows, ncols, F) == space
+
+
+# ---------------------------------------------------------------------------
+# the stops of the first elimination against the full elimination, as the
+# solver made it before the stops (verbatim reference copies)
+# ---------------------------------------------------------------------------
+
+def _reference_rref_mod(introws, p):
+    """``_rref_mod`` before the stops, verbatim: every row reduced."""
+    red = {}
+    pivot_rows = []
+    holders = {}   # non-pivot column -> pivot columns whose rows hold it
+    for introw in sorted(introws, key=len):
+        row = {}
+        for j, v in introw.items():
+            v %= p
+            if v:
+                row[j] = v
+        # pivot rows hold no other pivot column, so one pass reduces the row;
+        # past three pivot rows, keeping the entries unreduced (zeros too)
+        # and reducing each mod p once at the end costs less than after
+        # every update
+        pivots = [c for c in row if c in red]
+        defer = len(pivots) > 3
+        for c in pivots:
+            f = row.pop(c)
+            for j, v in red[c].items():
+                if j != c:
+                    x = row.get(j, 0) - f * v
+                    if defer or (x := x % p):
+                        row[j] = x
+                    else:
+                        del row[j]
+        if defer:
+            for j, v in list(row.items()):
+                v %= p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        if not row:
+            continue
+        c = max(row)
+        inv = pow(row[c], -1, p)
+        new = {j: v * inv % p for j, v in row.items()}
+        for pc in holders.pop(c, ()):
+            prow = red[pc]
+            f = prow.pop(c)
+            for j, v in new.items():
+                if j == c:
+                    continue
+                x = (prow.get(j, 0) - f * v) % p
+                if x:
+                    prow[j] = x
+                    holders.setdefault(j, set()).add(pc)
+                else:
+                    del prow[j]
+                    holders[j].discard(pc)
+        red[c] = new
+        pivot_rows.append(introw)
+        for j in new:
+            if j != c:
+                holders.setdefault(j, set()).add(c)
+    return red, pivot_rows
+
+
+def _reference_modular_kernel(rows, p):
+    """``_modular_kernel`` before the stops, verbatim but for the names."""
+    red, pivot_rows = _reference_rref_mod(rows, p)
+    return (-len(red), [-c for c in sorted(red, reverse=True)]), pivot_rows, red
+
+
+def _reference_crt_kernel(introws, ncols, first):
+    """``_crt_kernel`` before the stops, verbatim but for the names: every
+    candidate dot-checked against every row."""
+    (shape, pivot_rows, red), m = first, linalg._prime(0)
+    i = 0
+    while True:
+        cand = linalg._lift_kernel(red, ncols, m)
+        if cand is not None and _reference_verify_nullspace(introws, cand):
+            return cand, pivot_rows
+        spans_less = cand is not None and _reference_verify_nullspace(pivot_rows, cand)
+        i += 1
+        p = linalg._prime(i)
+        new = _reference_modular_kernel(introws if spans_less else pivot_rows, p)
+        if new[0] < shape:
+            if not spans_less:
+                new = _reference_modular_kernel(introws, p)
+            (shape, pivot_rows, red), m = new, p
+        elif new[0] == shape and not spans_less:
+            red, m = linalg._crt(red, m, new[2], p), m * p
+
+
+def _reference_verify_nullspace(introws, cand):
+    """``_verify_nullspace`` before the norm bound, verbatim."""
+    at_col = {}   # column -> [(candidate index, scaled integer entry)]
+    for i, v in enumerate(cand):
+        denom = 1
+        for c in v.values():
+            denom = denom * c.denominator // gcd(denom, c.denominator)
+        for j, c in v.items():
+            at_col.setdefault(j, []).append((i, c.numerator * (denom // c.denominator)))
+    for row in introws:
+        sums = {}
+        for j, a in row.items():
+            for i, x in at_col.get(j, ()):
+                sums[i] = sums.get(i, 0) + a * x
+        if any(sums.values()):
+            return False
+    return True
+
+
+def _reference_nullspace_sparse_q(sparse_rows, ncols):
+    """``nullspace_sparse_q`` before the stops, verbatim but for the names."""
+    introws = linalg._distinct_int_rows(sparse_rows)
+    if ncols == 0:
+        return [], []
+    return _reference_crt_kernel(introws, ncols,
+                                 _reference_modular_kernel(introws, linalg._prime(0)))
+
+
+def _redundant_system(rng):
+    """(ncols, rows): integer combinations of one to four base rows, or of
+    ncols + 1 (a zero kernel, mostly), with the base rows among them,
+    shuffled: most rows are redundant.  The base entries are small, above
+    2^40 (the norm bound fails) or above 2^64 (the kernel lifts only at a
+    later prime)."""
+    ncols = rng.randint(2, 9)
+    size = rng.choice([9, 9, 2 ** 44, 2 ** 70])
+    nbase = ncols + 1 if rng.random() < 0.25 else rng.randint(1, 4)
+    base = [{j: rng.randint(-size, size) for j in rng.sample(range(ncols), rng.randint(1, ncols))}
+            for _ in range(nbase)]
+    rows = list(base)
+    for _ in range(rng.randint(0, 60)):
+        row = {}
+        for _ in range(rng.randint(1, 2)):
+            b, k = rng.randrange(nbase), rng.randint(-3, 3)
+            for j, c in base[b].items():
+                row[j] = row.get(j, 0) + k * c
+        rows.append(row)
+    rng.shuffle(rows)
+    return ncols, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_stopped_elimination_matches_the_full_one(rng):
+    """Whether the first elimination stops certified, at ncols pivots or
+    not at all, the canonical basis and the pivot rows of
+    ``nullspace_sparse_q`` and the RREF and pivot rows mod p_0 are those of
+    the full elimination."""
+    ncols, rows = _redundant_system(rng)
+    want = _reference_nullspace_sparse_q(rows, ncols)
+    assert nullspace_sparse_q(rows, ncols) == want
+    introws = linalg._distinct_int_rows(rows)
+    red, pivot_rows, reduced, found = linalg._rref_mod(introws, _P0, ncols)
+    assert (red, pivot_rows) == _reference_rref_mod(introws, _P0)
+    assert found == want[0] if found is not None else reduced == len(introws)
+
+
+def test_redundant_systems_reach_every_stop(solver_calls):
+    """The systems of the differential above stop certified, stop at ncols
+    pivots, run to the end, fail the norm bound and lift at later primes,
+    each in some of 200 seeds."""
+    seen = dict.fromkeys(["certified", "full rank", "to the end", "bound fails", "later"], 0)
+    certified = linalg._certified
+
+    def recording_certified(unreduced, reduced, cand, p):
+        norm = max((sum(map(abs, row.values())) for row in reduced), default=0)
+        seen["bound fails"] += any(norm * max(map(abs, w.values())) >= p
+                                   for w in linalg._scaled(cand))
+        return certified(unreduced, reduced, cand, p)
+
+    for seed in range(200):
+        ncols, rows = _redundant_system(random.Random(seed))
+        solver_calls["eliminations"].clear()
+        solver_calls["reduced"].clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_certified", recording_certified)
+            found = nullspace_sparse_q(rows, ncols)[0]
+        n, reduced = solver_calls["eliminations"][0][1], solver_calls["reduced"][0]
+        seen["to the end" if reduced == n else "full rank" if not found else "certified"] += 1
+        seen["later"] += len(solver_calls["eliminations"]) > 1
+    assert min(seen.values()) >= 10, seen
+
+
+_LINE = [{0: k, 1: k} for k in range(1, 21)]   # twenty rows of rank 1
+
+
+def test_a_redundant_system_stops_before_its_last_row(solver_calls, monkeypatch):
+    """Twenty multiples of (1, 1, 0): the only pivot comes from row 0, so a
+    stop is tried after row 8.  The kernel lifted there is dot-checked
+    against the 11 rows not reduced and proven on the 9 reduced ones by the
+    norm bound alone.  With five rows no stop is tried, and the bound
+    proves the kernel on all of them."""
+    checked = []
+    annihilates = linalg._annihilates
+    monkeypatch.setattr(linalg, "_annihilates", lambda rows, vectors: checked.append(
+        (len(rows), len(vectors))) or annihilates(rows, vectors))
+    kernel_of_line = [{0: Fraction(1), 1: Fraction(-1)}, {2: Fraction(1)}]
+    assert nullspace_sparse_q(_LINE, 3) == (kernel_of_line, [{0: 1, 1: 1}])
+    assert solver_calls["eliminations"] == [(_P0, 20)] and solver_calls["reduced"] == [9]
+    assert checked == [(11, 2), (9, 0)]
+    checked.clear()
+    assert nullspace_sparse_q(_LINE[:5], 3)[0] == kernel_of_line
+    assert solver_calls["reduced"][1:] == [5] and checked == [(0, 2), (5, 0)]
+    assert _reference_nullspace_sparse_q(_LINE, 3) == (kernel_of_line, [{0: 1, 1: 1}])
+
+
+def test_a_system_whose_last_row_raises_the_rank_does_not_stop(solver_calls):
+    """The same twenty rows and (1, 2, 3), the longest, so the last row:
+    the stop tried after row 8 fails at it, the next would come after row
+    24, and every row is reduced."""
+    rows = _LINE + [{0: 1, 1: 2, 2: 3}]
+    assert nullspace_sparse_q(rows, 3) == _reference_nullspace_sparse_q(rows, 3) == \
+        ([{0: Fraction(1), 1: Fraction(-1), 2: Fraction(1, 3)}], [{0: 1, 1: 1}, {0: 1, 1: 2, 2: 3}])
+    assert solver_calls["eliminations"] == [(_P0, 21)] and solver_calls["reduced"] == [21]
+
+
+_B, _C = 3 ** 26, 5 ** 17   # b/c does not lift mod p_0, and lifts mod p_0 p_1
+
+
+def test_a_failing_lift_never_stops(solver_calls):
+    """Twenty multiples of (b, -c): the kernel (1, b/c) does not lift mod
+    p_0, so no stop is made and every row is reduced there; the next prime
+    eliminates the one pivot row, and the kernel lifts from the two."""
+    assert linalg._lift_kernel(_reference_rref_mod([{0: _B, 1: -_C}], _P0)[0], 2, _P0) is None
+    rows = [{0: k * _B, 1: -k * _C} for k in range(1, 21)]
+    assert nullspace_sparse_q(rows, 2) == _reference_nullspace_sparse_q(rows, 2) == \
+        ([{0: Fraction(1), 1: Fraction(_B, _C)}], [{0: _B, 1: -_C}])
+    assert solver_calls["eliminations"] == [(_P0, 20), (linalg._prime(1), 1)]
+    assert solver_calls["reduced"] == [20, 1]
+
+
+def test_the_norm_bound_is_strict_and_sums_the_row(solver_calls):
+    """Mod p_0 the row (a, b), a = (p_0 + 1)/2 and b = (p_0 - 1)/2, is
+    a(x_0 - x_1), whose kernel (1, 1) lifts.  Each entry is below p_0, but
+    ||row||_1 = p_0, so the bound proves nothing; the dot product a + b =
+    p_0 refutes the lift, and later primes give (1, -a/b)."""
+    a, b = (_P0 + 1) // 2, (_P0 - 1) // 2
+    assert nullspace_sparse_q([{0: a, 1: b}], 2)[0] == [{0: Fraction(1), 1: Fraction(-a, b)}]
+    assert len(solver_calls["eliminations"]) > 1
+
+
+def test_a_candidate_after_crt_is_dot_checked_against_every_row(solver_calls):
+    """Mod p_0 the second row equals the first, and the kernel of (b, -c)
+    lifts only from two primes.  The candidate combined by CRT annihilates
+    the two pivot rows but not the second row, which no bound mod p_0 p_1
+    covers: it is dot-checked and rejected, and all rows are eliminated
+    again at the third prime, whose rank is 3."""
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + _P0}, {2: _B, 3: -_C}]
+    assert nullspace_sparse_q(rows, 4) == _reference_nullspace_sparse_q(rows, 4)
+    assert nullspace_sparse_q(rows, 4)[0] == [{2: Fraction(1), 3: Fraction(_B, _C)}]
+    assert solver_calls["eliminations"][:4] == [(_P0, 3), (linalg._prime(1), 2),
+                                                (linalg._prime(2), 3), (linalg._prime(3), 3)]
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,9 @@ def test_every_term_needs_exactly_one_unknown():
     with pytest.raises(DomainError):
         linear_conditions(A, [(1, ("mul", (("<D>", (x,)), ("<D>", (y,)))))],
                           ("x", "y"), unknowns)
+    for terms in ([(1, ("mul", (x, y)))], [(1, ("mul", (("<D>", (x,)), ("<D>", (y,)))))]):
+        with pytest.raises(DomainError, match="every term needs exactly one unknown"):
+            law_rows(A, terms, ("x", "y"), unknowns)
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +499,52 @@ def _rename(term, names):
     return (term[0], tuple(_rename(c, names) for c in term[1]))
 
 
+def _reference_conditions(A, terms, variables, unknowns, every):
+    """``identities._conditions`` as it was when ``law_rows`` kept every
+    row, verbatim but for the module prefix: keyed rows at every tuple or
+    at one per orbit."""
+    prune = identities._scan_domain(A.dom)[2]
+    if any(sum(sym in unknowns for sym, _ in identities._op_nodes(t)) != 1 for _, t in terms):
+        raise DomainError("every term needs exactly one unknown")
+    syms = {sym for _, t in terms for sym, _ in identities._op_nodes(t)} - set(unknowns)
+    _, specs, top_coef, scale, runs = identities._compile(
+        A, terms, variables, identities._scan_forms(A, syms, dict(zip(syms, syms))), unknowns)
+    tuples = (itertools.product(range(A.dim), repeat=len(variables)) if every
+              else identities._representatives(A.dim, runs))
+
+    def keyed_rows():
+        for combo, total in identities._totals(A, tuples, specs, top_coef,
+                                               identities._merge_form):
+            for r in sorted(total):
+                row = prune(total[r])
+                if row:
+                    yield (combo, r), row
+    return keyed_rows(), scale
+
+
+def _reference_law_rows(A, terms, variables, unknowns):
+    """``law_rows`` as it was when it kept every row, verbatim."""
+    return [row for _, row in _reference_conditions(A, terms, variables, unknowns, every=False)[0]]
+
+
+def _singles_once(rows):
+    """rows with each single-entry row after its first occurrence left
+    out, the others in order."""
+    out, seen = [], []
+    for row in rows:
+        if len(row) == 1:
+            if row in seen:
+                continue
+            seen.append(row)
+        out.append(row)
+    return out
+
+
 def _orbit_rows(A, terms, variables, unknowns):
-    """The rows of ``law_rows`` keyed as in ``linear_conditions``, and the
-    runs they were built from."""
-    rows, _ = identities._conditions(A, terms, variables, unknowns, every=False)
+    """The rows of ``law_rows`` before repeated single-entry rows were left
+    out, keyed as in ``linear_conditions``, and the runs they were built
+    from."""
+    rows, _ = _reference_conditions(A, terms, variables, unknowns, every=False)
     syms = {sym for _, t in terms for sym, _ in identities._op_nodes(t)} - set(unknowns)
     forms = identities._scan_forms(A, syms, dict(zip(syms, syms)))
     return dict(rows), identities._compile(A, terms, variables, forms, unknowns)[4]
@@ -508,12 +553,13 @@ def _orbit_rows(A, terms, variables, unknowns):
 def _law_rows_vs_every_tuple(A, terms, variables, unknowns):
     """(keyed orbit rows, runs, every row): the orbit rows are the rows of
     every tuple at their keys, scaled alike, and have the kernel of the
-    exact rows of ``linear_conditions``."""
+    exact rows of ``linear_conditions``; ``law_rows`` are the orbit rows in
+    order, each single-entry row once."""
     rows = law_rows(A, terms, variables, unknowns)
     every, _ = identities._conditions(A, terms, variables, unknowns, every=True)
     every = dict(every)
     keyed, runs = _orbit_rows(A, terms, variables, unknowns)
-    assert rows == list(keyed.values())
+    assert rows == _singles_once(list(keyed.values()))
     assert all(every[key] == row for key, row in keyed.items())
     exact = linear_conditions(A, terms, variables, unknowns)
     assert list(exact) == list(every)
@@ -541,6 +587,25 @@ def test_signed_laws_reach_both_kinds_of_orbit():
             seen["gf2"] += dropped and dom is not QQ
             seen["kept"] += all(r == 1 for r, _ in runs) and len(every) > 0
     assert min(seen.values()) >= 10, seen
+
+
+def test_law_rows_hand_each_single_entry_row_over_once():
+    """Der of M_3: the orbit rows repeat single-entry rows many times;
+    ``law_rows`` keeps the first of each, the other rows in order, and the
+    kernel is Der M_3 (dimension 8)."""
+    A = catalog_get("matrix", {"n": 3})
+    n = A.dim
+    x, y = ("v", "x"), ("v", "y")
+    terms = [(1, ("<D>", (("mul", (x, y)),))),
+             (-1, ("mul", (("<D>", (x,)), y))),
+             (-1, ("mul", (x, ("<D>", (y,)))))]
+    unknowns = {"<D>": (n, lambda r, a: r * n + a)}
+    before = _reference_law_rows(A, terms, ("x", "y"), unknowns)
+    rows = law_rows(A, terms, ("x", "y"), unknowns)
+    singles = [tuple(row.items()) for row in rows if len(row) == 1]
+    assert len(set(singles)) == len(singles) < sum(len(row) == 1 for row in before)
+    assert rows == _singles_once(before)
+    assert kernel(rows, n * n) == kernel(before, n * n) and kernel(rows, n * n).dim == 8
 
 
 def _commuting_reference(A):

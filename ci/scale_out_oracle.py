@@ -56,7 +56,13 @@ a derivation" (0.5-1.5 s each on that host); a seeded random totally
 commutative ternary algebra of dim 4 is not, and its first failing pair of
 basis tuples, left (0, 0) and right (1, 2), was recorded at the commit
 before that law, from the loop of multiplication-operator commutators
-tested against the derivation space.
+tested against the derivation space; the central extensions of NF(6)
+rebased by a seeded P (dim 7 or 8, beyond tier-1's sizes), by each of the
+6 canonical basis vectors of its Leibniz Z2, by the sum of the basis of
+B2 and by the first and last Z2 vectors as two slots, report
+annihilator_component_trivial and ann_dim (True, 1) six times, then
+(False, 2) and (True, 2) (recorded from this library at the commit before
+that check was read off one span, with Subspace.intersect).
 
 Every condition is evaluated; each failing one is printed by name with the
 value it got, and the exit status is 1 if any failed.  Run from the
@@ -72,6 +78,7 @@ from fractions import Fraction
 
 from nonassoc import identities
 from nonassoc.catalog import CATALOG_NAMES, catalog_get
+from nonassoc.deform import Cocycle, central_extension, cocycle_space
 from nonassoc.incidence import (HigherDerivationSeq, all_posets_up_to, crown_poset,
                                 exhaustive_sigma_equiv, hd_inner, higher_derivation_check)
 from nonassoc.invariants import standard_embedding, structure_report
@@ -181,6 +188,24 @@ def seeded_totally_commutative(dim, arity):
     return Algebra("tc", dim, {"mul": StructureTensor(dim, arity, table)})
 
 
+def rebased_nf6_extensions():
+    """(annihilator_component_trivial, ann_dim) of the central extensions of
+    NF(6) rebased by ``seeded_basis(6)``: by each canonical basis vector of
+    its Leibniz Z2, by the sum of the basis of B2 (a coboundary, so split),
+    and by the first and last Z2 vectors as two slots."""
+    B = change_basis(catalog_get("NF", {"n": 6}), seeded_basis(6))
+    res = cocycle_space(B, "leibniz")
+    z2 = res["Z2"].basis
+
+    def form(v):
+        return [v[i * 6:(i + 1) * 6] for i in range(6)]
+
+    thetas = [[form(z)] for z in z2] + [[form([sum(c) for c in zip(*res["B2"].basis)])],
+                                        [form(z2[0]), form(z2[-1])]]
+    reports = [central_extension(B, Cocycle(theta))[1] for theta in thetas]
+    return [(rep["annihilator_component_trivial"], rep["ann_dim"]) for rep in reports]
+
+
 def conditions():
     """(name, value got, value wanted) of every condition."""
     m5 = catalog_get("matrix", {"n": 5})
@@ -281,6 +306,8 @@ def conditions():
     yield "the first failing pair of a seeded totally commutative ternary algebra", \
         check_variety(seeded_totally_commutative(4, 3), "nary-jordan")["failures"], \
         [{"left_tuple": [0, 0], "right_tuple": [1, 2]}]
+    yield "annihilator components of the central extensions of rebased NF(6)", \
+        rebased_nf6_extensions(), [(True, 1)] * 6 + [(False, 2), (True, 2)]
 
 
 def main():

@@ -23,8 +23,7 @@ from .incidence import (HigherDerivationSeq, Poset, SigmaMap,
                         exhaustive_sigma_equiv, hd_compose,
                         higher_derivation_check, incidence_algebra,
                         poisson_sigma_equiv_test)
-from .kantor import (conservativity_test, jacobi_element_space,
-                     kantor_product, quasi_unit_space, u2_e_basis)
+from .kantor import conservativity_test, kantor_product, quasi_unit_space, u2_e_basis
 from .linalg import Subspace
 from .operators import (OperatorSpace, derivation_space,
                         generalized_derivation_space,
@@ -272,7 +271,7 @@ def cmd_conservative(args):
                  "homogeneous_value_space_dim": rep.homogeneous.dim,
                  "associated_product": rep.particular,
                  "quasi_unit_space_dim": qspace.dim,
-                 "jacobi_element_space": jacobi_element_space(A, op=args.op)},
+                 "jacobi_element_space": rep.homogeneous},
           [f"{A.name}: conservative = {rep.feasible}, terminal = {rep.terminal}"])
     return _verdict_exit(rep.feasible)
 

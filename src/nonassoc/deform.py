@@ -140,10 +140,11 @@ def central_extension(A, theta, op=None):
     product = StructureTensor(n + s, 2, t.table, dom).add(StructureTensor(n + s, 2, cocycle, dom))
     ext = Algebra(f"{A.name}+F^{s}", n + s, {opn: product}, dom)
     ann = annihilator_subspace(ext, "two_sided", op=opn)
-    meet_a = ann.intersect(Subspace([ext.basis_vector(a) for a in range(n)], n + s, dom))
+    # Ann meets A = span(e_0..e_{n-1}) in 0 iff dim(Ann + A) = dim Ann + n
+    ann_plus_a = Subspace(ann.basis + [ext.basis_vector(a) for a in range(n)], n + s, dom)
     report = {"V_in_annihilator": all(ann.contains_vector(ext.basis_vector(n + a))
                                       for a in range(s)),
-              "annihilator_component_trivial": meet_a.dim == 0,
+              "annihilator_component_trivial": ann_plus_a.dim == ann.dim + n,
               "ann_dim": ann.dim}
     return ext, report
 

@@ -39,16 +39,12 @@ class Poset:
                 raise DomainError(f"cover ({a!r},{b!r}) uses unknown elements")
             cov.add((self.index[a], self.index[b]))
             leq[self.index[a]][self.index[b]] = True
-        changed = True
-        while changed:
-            changed = False
+        # Warshall: after round k, i <= j whenever a chain of covers from i
+        # to j has all its inner elements among 0..k
+        for k in range(n):
             for i in range(n):
-                for j in range(n):
-                    if leq[i][j]:
-                        for k in range(n):
-                            if leq[j][k] and not leq[i][k]:
-                                leq[i][k] = True
-                                changed = True
+                if leq[i][k]:
+                    leq[i] = [a or b for a, b in zip(leq[i], leq[k])]
         for i in range(n):
             for j in range(n):
                 if i != j and leq[i][j] and leq[j][i]:

@@ -23,12 +23,6 @@ SAMPLE_SEED = 20240803
 EXTRA_SAMPLES = 40   # random candidates for the witness of characteristic_sequence
 
 
-def _product_subspace(A, U, W, op=None):
-    """span{ u w : u in U, w in W } for subspaces given by basis rows."""
-    t = A.op(op)
-    return Subspace([t.apply([u, w]) for u in U for w in W], A.dim, A.dom)
-
-
 def _element_laws_kernel(A, laws):
     """{z in A : each law, linear in the unknown element <z>, vanishes at
     every basis vector x}."""
@@ -61,20 +55,18 @@ def commutative_center_subspace(A, op=None):
 def _powers(A, op):
     """The power filtration [A, A^2, ...], ending at zero when A is
     nilpotent."""
-    if A.op(op).arity != 2:
+    t = A.op(op)
+    if t.arity != 2:
         raise DomainError("structure_report needs a binary operation")
-    dom = A.dom
     n = A.dim
-    powers = [Subspace([A.basis_vector(i) for i in range(n)], n, dom)]
-    # A^k = sum_{i+j=k} A^i A^j; the sequence is weakly decreasing, but a
-    # single plateau is not provably stationary, so stop only at zero, at a
-    # three-step plateau of equal subspaces, or at a generous depth cap
+    powers = [Subspace([A.basis_vector(i) for i in range(n)], n, A.dom)]
+    # A^k = sum_{i+j=k} A^i A^j, the span of all those products at once; the
+    # sequence is weakly decreasing, but a single plateau is not provably
+    # stationary, so stop only at zero, at a three-step plateau of equal
+    # subspaces, or at a generous depth cap
     for k in range(2, 4 * n + 5):
-        acc = Subspace([], n, dom)
-        for i in range(1, k):
-            part = _product_subspace(A, powers[i - 1].basis,
-                                     powers[k - i - 1].basis, op)
-            acc = acc.sum(part)
+        acc = Subspace([t.apply([u, w]) for i in range(1, k) for u in powers[i - 1].basis
+                        for w in powers[k - i - 1].basis], n, A.dom)
         powers.append(acc)
         if acc.dim == 0:
             break
@@ -96,9 +88,11 @@ def structure_report(A, op=None, grading=None, grading_modulus=None):
     nilpotent = power_dims[-1] == 0
     nilpotency_index = len(power_dims) if nilpotent else None
 
+    t = A.op(op)
     derived = [full]
     for _ in range(2 * n + 2):
-        nxt = _product_subspace(A, derived[-1].basis, derived[-1].basis, op)
+        nxt = Subspace([t.apply([u, w]) for u in derived[-1].basis for w in derived[-1].basis],
+                       n, A.dom)
         derived.append(nxt)
         if nxt.dim == 0 or nxt.dim == derived[-2].dim:
             break
@@ -137,15 +131,11 @@ def verify_grading(A, grading, op=None, modulus=None):
     """
     t = A.op(op)
     dom = A.dom
-    parts = {}
+    vectors = {}
     for deg, sub in grading:
-        if modulus:
-            deg %= modulus
-        parts[deg] = parts.get(deg, Subspace([], A.dim, dom)).sum(sub)
-    total = Subspace([], A.dim, dom)
-    for sub in parts.values():
-        total = total.sum(sub)
-    if total.dim != A.dim:
+        vectors.setdefault(deg % modulus if modulus else deg, []).extend(sub.basis)
+    parts = {deg: Subspace(vecs, A.dim, dom) for deg, vecs in vectors.items()}
+    if Subspace([v for _, sub in grading for v in sub.basis], A.dim, dom).dim != A.dim:
         return False, {"reason": "parts do not span"}
     degs = sorted(parts)
     for combo in itertools.product(degs, repeat=t.arity):

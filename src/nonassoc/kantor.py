@@ -272,12 +272,16 @@ def conservativity_test(A, op=None):
     null(K).  terminal reports whether * = 2/3 xy + 1/3 yx works, in the
     pairing [L_a,[L_b,.]] = -[L_{M*(b,a)},.]: the orientation under which
     the published terminal algebras W2 and S2 (and the printed degree-4
-    terminal identity) come out terminal.
+    terminal identity) come out terminal.  That product is undefined in
+    characteristic 3, where the test is refused before any system is built.
     """
     t = A.op(op)
     if t.arity != 2:
         raise DomainError("conservativity needs a binary operation")
     dom = A.dom
+    if dom.char == 3:
+        raise DomainError("the terminal test's product 2/3 xy + 1/3 yx is undefined "
+                          "in characteristic 3")
     n = A.dim
     null, answers = _conservativity(A, op)
     particular = None

@@ -293,24 +293,6 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient_dim, len(self.basis)))
 
-    def sum(self, other):
-        return Subspace(self.basis + other.basis, self.ambient_dim, self.dom)
-
-    def intersect(self, other):
-        dom = self.dom
-        ka, kb = len(self.basis), len(other.basis)
-        # solve u^T A = v^T B; columns of the stacked system are coordinates
-        rows = [[self.basis[i][j] for i in range(ka)] + [-other.basis[i][j] for i in range(kb)]
-                for j in range(self.ambient_dim)]
-        vecs = []
-        for w in kernel(sparse_rows(rows, dom), ka + kb, dom).basis:
-            v = [dom.zero()] * self.ambient_dim
-            for i in range(ka):
-                if not dom.is_zero(w[i]):
-                    v = [x + w[i] * y for x, y in zip(v, self.basis[i])]
-            vecs.append(v)
-        return Subspace(vecs, self.ambient_dim, dom)
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
@@ -341,11 +323,7 @@ def _distinct_int_rows(sparse_rows):
     those of the rows as given.
     """
     if Fraction in set(map(type, chain.from_iterable(map(dict.values, sparse_rows)))):
-        scaled = []
-        for row in sparse_rows:
-            m = lcm(*(Fraction(c).denominator for c in row.values()))
-            scaled.append({j: int(c * m) for j, c in row.items()})
-        sparse_rows = scaled
+        sparse_rows = list(map(_integral, sparse_rows))
     forced, rows = set(), []
     for row in sparse_rows:
         if 0 in row.values():
@@ -703,11 +681,7 @@ def sparse_rows(vectors, dom=QQ):
     the span of its vector: over Q scaled to integers by the lcm of its
     denominators, over GF(p) as residues, elsewhere as they are."""
     if isinstance(dom, RationalDomain):
-        out = []
-        for v in vectors:
-            m = lcm(*(c.denominator for c in v))
-            out.append({j: c.numerator * (m // c.denominator) for j, c in enumerate(v) if c})
-        return out
+        return [_integral({j: c for j, c in enumerate(v) if c}) for v in vectors]
     if isinstance(dom, PrimeField):
         return [{j: c.v for j, c in enumerate(v) if c.v} for v in vectors]
     return [{j: c for j, c in enumerate(v) if not dom.is_zero(c)} for v in vectors]
@@ -796,18 +770,16 @@ def kernel_contains(rows, vectors, dom=QQ):
                for row in rows for v in vectors)
 
 
+def _integral(row):
+    """A sparse row of ints and Fractions times the lcm of its denominators:
+    the integer row with its span."""
+    m = lcm(*(c.denominator for c in row.values()))
+    return {j: c.numerator * (m // c.denominator) for j, c in row.items()}
+
+
 def _verify_nullspace(introws, cand):
     """Whether every sparse candidate vector annihilates every integer row."""
-    return _annihilates(introws, _scaled(cand))
-
-
-def _scaled(cand):
-    """Each sparse rational vector times the lcm of its denominators."""
-    out = []
-    for v in cand:
-        denom = lcm(*(c.denominator for c in v.values()))
-        out.append({j: c.numerator * (denom // c.denominator) for j, c in v.items()})
-    return out
+    return _annihilates(introws, list(map(_integral, cand)))
 
 
 def _certified(unreduced, reduced, cand, p):
@@ -815,13 +787,13 @@ def _certified(unreduced, reduced, cand, p):
     rows ``reduced`` annihilates them and the rows ``unreduced`` over Q.
 
     The unreduced rows are checked first, by dot products.  Each vector of
-    cand, scaled to an integer vector w (``_scaled``: its denominators, at
+    cand, scaled to an integer vector w (``_integral``: its denominators, at
     most sqrt(p/2), are prime to p), is w mod p up to a unit, so row . w is
     0 mod p for every reduced row.  If ||row||_1 ||w||_inf < p, then
     |row . w| < p and row . w = 0.  Only the vectors for which this bound
     fails at the largest ||row||_1 of the reduced rows are dot-checked
     against them."""
-    scaled = _scaled(cand)
+    scaled = list(map(_integral, cand))
     if not _annihilates(unreduced, scaled):
         return False
     norm = max((sum(map(abs, row.values())) for row in reduced), default=0)
@@ -948,13 +920,10 @@ def _values(polys, x):
 
 def _independent_at(cand, x):
     """The vectors of cand, in order, that raise the rank of the ones kept
-    before them when evaluated at x."""
-    keep, span = [], Subspace([], len(cand[0]) if cand else 0)
-    for w, v in zip(cand, _values([[p.terms for p in w] for w in cand], x)):
-        if not span.contains_vector(v):
-            keep.append(w)
-            span = Subspace(span.basis + [v], len(v))
-    return keep
+    before them when evaluated at x: those at the pivot columns of the RREF
+    of their values at x, taken as columns."""
+    values = _values([[p.terms for p in w] for w in cand], x)
+    return [cand[k] for k in rref(list(zip(*values)))[1]]
 
 
 def _left_kernel_of_degree(ent, nvars, d):

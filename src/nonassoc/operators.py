@@ -205,8 +205,7 @@ def generalized_derivation_space(A, mode="full", op=None):
         "projection_dims": [space.projection_dim(s) for s in range(nslots)],
     })
     if mode == "quasi":
-        space.meta["QDer_KS_dim"] = space.projection_dim(0)
-        space.meta["QDer_LL_dim"] = space.projection_dim(1)
+        space.meta["QDer_KS_dim"], space.meta["QDer_LL_dim"] = space.meta["projection_dims"]
     if mode == "full" and space.dim <= 40:
         # the semisimple part lives in the derived subalgebra of the tuple
         # Lie algebra; its slot projections carry the sl_{n+1} copies

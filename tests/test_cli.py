@@ -604,6 +604,19 @@ def test_poisson_customary_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["conservative", "{file}"], ["--json", "conservative", "{file}"],
+                                  ["variety", "check", "{file}", "--variety", "terminal"]])
+def test_terminal_product_is_refused_in_characteristic_3(tmp_path, capsys, argv):
+    """Over GF(3) the terminal test's product 2/3 xy + 1/3 yx is undefined:
+    the request exits 2, names that product and characteristic 3 on
+    stderr, and prints nothing on stdout."""
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(dict(algebra_to_json(catalog_get("sl2")), field="GF(3)")))
+    assert run([a.format(file=path) for a in argv]) == 2
+    assert capsys.readouterr() == ("", "error: the terminal test's product 2/3 xy + 1/3 yx is "
+                                       "undefined in characteristic 3\n")
+
+
 def test_kantor_u_out_of_range_exits_2(tmp_path, capsys):
     """--u must be a basis index of the algebra: 7 and -1 on a
     2-dimensional algebra are input errors, not an empty table."""

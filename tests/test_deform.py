@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonassoc.catalog import catalog_get
 from nonassoc.deform import (Cocycle, central_extension, certificate_from_json,
@@ -9,9 +12,12 @@ from nonassoc.deform import (Cocycle, central_extension, certificate_from_json,
                              degeneration_obstruction, degeneration_verify,
                              invariant_profile)
 from nonassoc.identities import check_identity, parse_identity
-from nonassoc.scalars import GF, QT, DomainError, RatFunc
-from nonassoc.structure import Algebra, change_basis
+from nonassoc.invariants import annihilator_subspace
+from nonassoc.linalg import Subspace
+from nonassoc.scalars import GF, QQ, QT, DomainError, RatFunc
+from nonassoc.structure import Algebra, StructureTensor, change_basis
 from nonassoc.varieties import check_variety
+from test_linalg import reference_intersect
 
 
 def _tinv_eye(n):
@@ -302,3 +308,33 @@ def test_central_extension_table_matches_reference(name, params, p):
                           for _ in range(A.dim)] for _ in range(s)], A.dom)
         ext, _ = central_extension(A, theta)
         assert ext.op().table == _extension_table_reference(A, theta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.data())
+def test_annihilator_component_matches_the_reference_intersection(dom, data):
+    """Random sparse algebras of dim 1-4 over Q and GF(7), in which a
+    random set of basis vectors multiplies to zero (so lies in Ann(A)),
+    and random forms theta with s = 1 or 2 slots, vanishing on those
+    vectors at times: the extension reports a trivial annihilator component
+    exactly when the reference intersection of Ann(A_theta) with the copy
+    of A is 0."""
+    n, s = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 2))
+    dead = data.draw(st.sets(st.integers(0, n - 1)))
+    spare = data.draw(st.booleans())
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    table = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        row = {k: Fraction(c) for k in range(n)
+               if {i, j}.isdisjoint(dead) and (c := data.draw(entry))}
+        if row:
+            table[(i, j)] = row
+    A = Algebra("random", n, {"mul": StructureTensor(n, 2, table, QQ).map_domain(dom, dom.coerce)},
+                dom)
+    theta = Cocycle([[[data.draw(entry) if not spare or {i, j}.isdisjoint(dead) else 0
+                       for j in range(n)] for i in range(n)] for _ in range(s)], dom)
+    ext, rep = central_extension(A, theta)
+    ann = annihilator_subspace(ext, "two_sided")
+    meet = reference_intersect(ann, Subspace([ext.basis_vector(a) for a in range(n)], n + s, dom))
+    assert rep["annihilator_component_trivial"] == (meet.dim == 0)
+    assert rep["ann_dim"] == ann.dim

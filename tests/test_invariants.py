@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonassoc import invariants
 from nonassoc.catalog import catalog_get
@@ -10,7 +13,7 @@ from nonassoc.invariants import (characteristic_sequence,
                                  standard_embedding, structure_report,
                                  verify_grading)
 from nonassoc.linalg import Subspace, is_invertible, mat_mul, mat_sub
-from nonassoc.scalars import QQ, DomainError
+from nonassoc.scalars import GF, QQ, DomainError
 from nonassoc.structure import Algebra, StructureTensor, change_basis, multiplication_operator
 
 
@@ -254,3 +257,85 @@ def test_characteristic_sequence_is_certified_in_any_dimension(monkeypatch):
     assert res["sequence"] == [4, 4]
     M = multiplication_operator(A, (res["witness"],))
     assert invariants._jordan_type_nilpotent(M, QQ, 8) == (4, 4)
+
+
+def _reference_powers(A, op=None):
+    """Reference: ``_powers`` as it was, A^k summed one product space
+    A^i A^{k-i} at a time."""
+    t = A.op(op)
+    dom, n = A.dom, A.dim
+    powers = [Subspace([A.basis_vector(i) for i in range(n)], n, dom)]
+    for k in range(2, 4 * n + 5):
+        acc = Subspace([], n, dom)
+        for i in range(1, k):
+            part = Subspace([t.apply([u, w]) for u in powers[i - 1].basis
+                             for w in powers[k - i - 1].basis], n, dom)
+            acc = Subspace(acc.basis + part.basis, n, dom)
+        powers.append(acc)
+        if acc.dim == 0:
+            break
+        if len(powers) >= 3 and powers[-1] == powers[-2] == powers[-3]:
+            break
+    return powers
+
+
+def _reference_verify_grading(A, grading, op=None, modulus=None):
+    """Reference: ``verify_grading`` as it was, each part and the total
+    summed one subspace at a time."""
+    t = A.op(op)
+    dom = A.dom
+    parts = {}
+    for deg, sub in grading:
+        if modulus:
+            deg %= modulus
+        part = parts.get(deg, Subspace([], A.dim, dom))
+        parts[deg] = Subspace(part.basis + sub.basis, A.dim, dom)
+    total = Subspace([], A.dim, dom)
+    for sub in parts.values():
+        total = Subspace(total.basis + sub.basis, A.dim, dom)
+    if total.dim != A.dim:
+        return False, {"reason": "parts do not span"}
+    degs = sorted(parts)
+    for combo in itertools.product(degs, repeat=t.arity):
+        target_deg = sum(combo) % modulus if modulus else sum(combo)
+        target = parts.get(target_deg, Subspace([], A.dim, dom))
+        for bases in itertools.product(*[parts[d].basis for d in combo]):
+            v = t.apply(bases)
+            if not target.contains_vector(v):
+                return False, {"degrees": list(combo), "product": v}
+    return True, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.data())
+def test_powers_and_grading_match_the_sum_loops(dom, data):
+    """Random algebras of dim 1-4 over Q and GF(7), some nilpotent
+    (products only into higher basis indices) and some graded by the
+    degrees of their basis vectors (over Z or Z/m), with one part per kept
+    basis vector, degrees repeating, shifted by multiples of m, and a
+    vector dropped at times: the power filtration and the grading verdict
+    and witness are those of the sum loops."""
+    n = data.draw(st.integers(1, 4))
+    deg = [data.draw(st.integers(0, 2)) for _ in range(n)]
+    modulus = data.draw(st.sampled_from([None, 2, 3]))
+    graded, nilpotent = data.draw(st.booleans()), data.draw(st.booleans())
+
+    def reduced(d):
+        return d % modulus if modulus else d
+
+    table = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        row = {k: Fraction(c) for k in range(n)
+               if (not nilpotent or k > max(i, j))
+               and (not graded or reduced(deg[k]) == reduced(deg[i] + deg[j]))
+               and (c := data.draw(st.integers(-2, 2)))}
+        if row:
+            table[(i, j)] = row
+    A = Algebra("random", n, {"mul": StructureTensor(n, 2, table, QQ).map_domain(dom, dom.coerce)},
+                dom)
+    assert invariants._powers(A, None) == _reference_powers(A)
+    kept = [i for i in range(n) if not data.draw(st.integers(0, 9)) == 0]
+    grading = [(deg[i] + (modulus or 0) * data.draw(st.integers(0, 1)),
+                Subspace([A.basis_vector(i)], n, dom)) for i in kept]
+    assert verify_grading(A, grading, modulus=modulus) == \
+        _reference_verify_grading(A, grading, modulus=modulus)

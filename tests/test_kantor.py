@@ -614,3 +614,17 @@ def test_kantor_rows_contract_to_the_kantor_product(n, density, dense_u, seed):
     for ((x, y), r), row in kantor._kantor_rows(A, u).items():
         table.setdefault((x, y), {})[r] = sum(c * vec[b] for b, c in row.items())
     assert StructureTensor(n, 2, table, QQ) == kantor_product(A, B, u)
+
+
+def test_conservativity_refuses_characteristic_3_before_solving(monkeypatch):
+    """The product 2/3 xy + 1/3 yx of the terminal test has no meaning over
+    GF(3): the test refuses before it builds or solves any system."""
+    t = catalog_get("sl2").op("mul").map_domain(GF(3), GF(3).coerce)
+    A = Algebra("sl2", 3, {"mul": t}, GF(3))
+
+    def unreached(*args):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(kantor, "_conservativity", unreached)
+    with pytest.raises(DomainError, match=r"2/3 xy \+ 1/3 yx is undefined in characteristic 3"):
+        conservativity_test(A)

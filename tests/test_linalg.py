@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -223,11 +223,46 @@ def test_subspace_ops():
     e3 = [Fraction(0), Fraction(0), Fraction(1)]
     a = Subspace([e1, e2], 3)
     b = Subspace([e2, e3], 3)
-    assert a.intersect(b).dim == 1
-    assert a.intersect(b).contains_vector(e2)
-    assert a.sum(b).dim == 3
+    total = Subspace(a.basis + b.basis, 3)
+    assert total.dim == 3
+    # dim(a meet b) = dim a + dim b - dim(a + b)
+    assert a.dim + b.dim - total.dim == 1
+    assert a.contains_vector(e2) and b.contains_vector(e2)
     assert a.contains(Subspace([e1], 3))
     assert not a.contains_vector(e3)
+
+
+def reference_intersect(a, b):
+    """Reference: ``Subspace.intersect`` as it was, from the kernel of the
+    stacked system u^T A = v^T B."""
+    dom = a.dom
+    ka, kb = len(a.basis), len(b.basis)
+    rows = [[a.basis[i][j] for i in range(ka)] + [-b.basis[i][j] for i in range(kb)]
+            for j in range(a.ambient_dim)]
+    vecs = []
+    for w in kernel(linalg.sparse_rows(rows, dom), ka + kb, dom).basis:
+        v = [dom.zero()] * a.ambient_dim
+        for i in range(ka):
+            if not dom.is_zero(w[i]):
+                v = [x + w[i] * y for x, y in zip(v, a.basis[i])]
+        vecs.append(v)
+    return Subspace(vecs, a.ambient_dim, dom)
+
+
+_SPANNING = st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), _SPANNING, _SPANNING, _SPANNING)
+def test_one_span_gives_the_dimension_of_the_intersection(dom, shared, left, right):
+    """Two subspaces with a shared part: the sum built as one span has the
+    dimension dim a + dim b - dim(a meet b) of the reference intersection,
+    and that intersection lies in both."""
+    vecs = [[[dom.from_int(c) for c in v] for v in part] for part in (shared, left, right)]
+    a, b = Subspace(vecs[0] + vecs[1], 4, dom), Subspace(vecs[0] + vecs[2], 4, dom)
+    meet = reference_intersect(a, b)
+    assert Subspace(a.basis + b.basis, 4, dom).dim == a.dim + b.dim - meet.dim
+    assert a.contains(meet) and b.contains(meet)
 
 
 def _dense_coordinates(space, v):
@@ -900,7 +935,7 @@ def test_redundant_systems_reach_every_stop(solver_calls):
     def recording_certified(unreduced, reduced, cand, p):
         norm = max((sum(map(abs, row.values())) for row in reduced), default=0)
         seen["bound fails"] += any(norm * max(map(abs, w.values())) >= p
-                                   for w in linalg._scaled(cand))
+                                   for w in map(linalg._integral, cand))
         return certified(unreduced, reduced, cand, p)
 
     for seed in range(200):
@@ -1129,3 +1164,92 @@ def test_generic_rank_rejects_other_input():
 def test_generic_rank_needs_enough_points():
     with pytest.raises(DomainError):
         generic_rank(_band(2, 3), [[Fraction(0), Fraction(0)]] * 3)
+
+
+def _reference_independent_at(cand, x):
+    """Reference: ``_independent_at`` as it was, one membership test and
+    one ``Subspace`` per candidate."""
+    keep, span = [], Subspace([], len(cand[0]) if cand else 0)
+    for w, v in zip(cand, linalg._values([[p.terms for p in w] for w in cand], x)):
+        if not span.contains_vector(v):
+            keep.append(w)
+            span = Subspace(span.basis + [v], len(v))
+    return keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_independent_at_matches_the_incremental_loop(data):
+    """Candidates of 1-4 linear forms in 2 or 3 variables, some of them
+    sums of earlier ones, at integer points that may make them dependent:
+    the same vectors, the same objects, are kept."""
+    s, length = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 4))
+    cand = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        if cand and data.draw(st.booleans()):
+            u, v = data.draw(st.sampled_from(cand)), data.draw(st.sampled_from(cand))
+            cand.append([p + q for p, q in zip(u, v)])
+        else:
+            cand.append([Poly(s, {tuple(int(i == k) for i in range(s)): c
+                                  for k, c in enumerate(data.draw(st.lists(
+                                      st.integers(-2, 2), min_size=s, max_size=s))) if c})
+                         for _ in range(length)])
+    x = [Fraction(data.draw(st.integers(-2, 2))) for _ in range(s)]
+    assert list(map(id, linalg._independent_at(cand, x))) == \
+        list(map(id, _reference_independent_at(cand, x)))
+
+
+def _reference_sparse_rows_scaling(v):
+    """Reference: ``sparse_rows``' scaling over Q as it was, of a dense vector."""
+    m = lcm(*(c.denominator for c in v))
+    return {j: c.numerator * (m // c.denominator) for j, c in enumerate(v) if c}
+
+
+def _reference_distinct_scaling(row):
+    """Reference: ``_distinct_int_rows``' scaling as it was."""
+    m = lcm(*(Fraction(c).denominator for c in row.values()))
+    return {j: int(c * m) for j, c in row.items()}
+
+
+def _reference_scaled(v):
+    """Reference: ``_scaled`` as it was, of one sparse rational vector."""
+    denom = lcm(*(c.denominator for c in v.values()))
+    return {j: c.numerator * (denom // c.denominator) for j, c in v.items()}
+
+
+_ENTRY = st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                   st.fractions(max_denominator=2 ** 40).filter(lambda c: abs(c) < 2 ** 70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTRY, max_size=8))
+def test_integral_gives_the_vectors_of_the_three_scalings(entries):
+    """Rows of ints and Fractions, zeros among them: ``_integral`` gives
+    exactly the integer rows (ints, keys in the same order) of the three
+    scalings it replaced, and ``sparse_rows`` over Q gives the old one's."""
+    row = dict(enumerate(entries))
+    want = _reference_distinct_scaling(row)
+    got = linalg._integral(row)
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is int for c in got.values())
+    nonzero = {j: Fraction(c) for j, c in row.items() if c}
+    assert list(linalg._integral(nonzero).items()) == list(_reference_scaled(nonzero).items())
+    dense = [Fraction(c) for c in entries]
+    assert linalg.sparse_rows([dense], QQ) == [_reference_sparse_rows_scaling(dense)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.lists(st.lists(_ENTRY, min_size=3, max_size=3),
+                                              max_size=5))
+def test_scaled_rows_keep_kernel_and_distinct_rows(dom, vectors):
+    """Dense vectors over Q and GF(7) through ``sparse_rows``: over Q the
+    rows ``_distinct_int_rows`` makes of the Fraction rows are those of the
+    old scaling, and over both domains the kernel is the dense one (over
+    GF(7) of the numerators)."""
+    dense = [[dom.coerce(c if dom is QQ else Fraction(c).numerator) for c in v] for v in vectors]
+    rows = linalg.sparse_rows(dense, dom)
+    if dom is QQ:
+        fractional = [{j: c for j, c in enumerate(v)} for v in dense]
+        old = [_reference_distinct_scaling(r) for r in fractional]
+        assert linalg._distinct_int_rows(fractional) == linalg._distinct_int_rows(old)
+    assert kernel(rows, 3, dom) == Subspace(nullspace(dense, 3, dom), 3, dom)

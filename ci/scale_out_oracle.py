@@ -33,7 +33,9 @@ trivial dim, quotient dim and trivial_contained are basis invariants and
 equal those in the canonical basis (ranks certified through the smaller
 kernel after a rebasing), and all three contain their trivial tuples, a
 check made against the rows that gave the pivots at a later prime than the
-first; the standard embedding of M8
+first; the Der and the centroid each of them reads off those rows, its
+slot blocks folded, equal derivation_space and centroid of the rebased
+algebra; the standard embedding of M8
 has dim 36 with L of dim 28 and a Z/2 grading (values recorded from this
 library before its table was rebuilt from multiplication_operator, not
 published; tier-1 embeds only dims <= 4); Der of Filippov's n-Lie algebras
@@ -76,7 +78,7 @@ import random
 import sys
 from fractions import Fraction
 
-from nonassoc import identities
+from nonassoc import identities, operators
 from nonassoc.catalog import CATALOG_NAMES, catalog_get
 from nonassoc.deform import Cocycle, central_extension, cocycle_space
 from nonassoc.incidence import (HigherDerivationSeq, all_posets_up_to, crown_poset,
@@ -85,7 +87,7 @@ from nonassoc.invariants import standard_embedding, structure_report
 from nonassoc.kantor import (alpha_index, build_U, conservativity_test, jacobi_element_space,
                              kantor_product, quasi_unit_space)
 from nonassoc.linalg import Subspace, inverse, is_invertible
-from nonassoc.operators import (commuting_map_space, derivation_space,
+from nonassoc.operators import (centroid, commuting_map_space, derivation_space,
                                 generalized_derivation_space, leibniz_derivation_space,
                                 local_derivation_generic_space)
 from nonassoc.poisson import transposed_compatible_space
@@ -138,6 +140,19 @@ def per_pair_U(n):
         table[(a, b)] = {alpha_index(i + 1, j + 1, k + 1, n): c
                          for (i, j), row in prod.table.items() for k, c in row.items()}
     return StructureTensor(n ** 3, 2, table)
+
+
+def generalized_parts(B):
+    """The 4-ary derivations of B and the (Der, centroid) that
+    ``generalized_derivation_space`` reads off the rows of its kernel, as
+    ``operators._trivial_parts`` returns them."""
+    parts = []
+    trivial_parts = operators._trivial_parts
+    operators._trivial_parts = lambda *args: parts.append(trivial_parts(*args)) or parts[-1]
+    try:
+        return generalized_derivation_space(B, "full"), parts[0]
+    finally:
+        operators._trivial_parts = trivial_parts
 
 
 def variety_report(A, name):
@@ -221,7 +236,9 @@ def conditions():
     quasi, quasi_particular = quasi_unit_space(U3)
     rebased = {name: change_basis(catalog_get(name), seeded_basis(8))
                for name in ("D3", "octonions", "M8")}
-    gder = {name: generalized_derivation_space(B, "full") for name, B in rebased.items()}
+    gder, gder_parts = {}, {}
+    for name, B in rebased.items():
+        gder[name], gder_parts[name] = generalized_parts(B)
     canonical_meta = {name: generalized_derivation_space(catalog_get(name), "full").meta
                       for name in rebased}
     invariants = ("projection_dims", "derived_dim", "derived_projection_dims", "trivial_dim",
@@ -279,6 +296,12 @@ def conditions():
          if g.meta[k] != canonical_meta[name][k]], []
     yield "rebased GDer that do not contain their trivial tuples", \
         [name for name, g in gder.items() if not g.meta["trivial_contained"]], []
+    yield "rebased GDer whose Der is not derivation_space", \
+        [name for name, (der, _) in gder_parts.items()
+         if der.subspace != derivation_space(rebased[name]).subspace], []
+    yield "rebased GDer whose centroid is not centroid", \
+        [name for name, (_, cen) in gder_parts.items()
+         if cen.subspace != centroid(rebased[name]).subspace], []
     yield "dim Der of rebased D3", derivation_space(rebased["D3"]).dim, 21
     yield "dim of the standard embedding of M8", emb.dim, 36
     yield "dim of its L", emb.l_dim, 28

@@ -23,7 +23,7 @@ from .incidence import (HigherDerivationSeq, Poset, SigmaMap,
                         exhaustive_sigma_equiv, hd_compose,
                         higher_derivation_check, incidence_algebra,
                         poisson_sigma_equiv_test)
-from .kantor import conservativity_test, kantor_product, quasi_unit_space, u2_e_basis
+from .kantor import conservativity_test, kantor_product, u2_e_basis
 from .linalg import Subspace
 from .operators import (OperatorSpace, derivation_space,
                         generalized_derivation_space,
@@ -265,12 +265,12 @@ def cmd_kantor(args):
 def cmd_conservative(args):
     A = _load(args.algebra)
     rep = conservativity_test(A, op=args.op)
-    qspace, qpart = quasi_unit_space(A, op=args.op)
     _emit(args, {"command": "conservative", "algebra": A.name,
                  "feasible": rep.feasible, "terminal": rep.terminal,
                  "homogeneous_value_space_dim": rep.homogeneous.dim,
                  "associated_product": rep.particular,
-                 "quasi_unit_space_dim": qspace.dim,
+                 # the quasi-units differ by the kernel of K, the value space
+                 "quasi_unit_space_dim": 0 if rep.quasi_unit is None else rep.homogeneous.dim,
                  "jacobi_element_space": rep.homogeneous},
           [f"{A.name}: conservative = {rep.feasible}, terminal = {rep.terminal}"])
     return _verdict_exit(rep.feasible)

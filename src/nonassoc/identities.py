@@ -45,12 +45,17 @@ adjacent variables the law is symmetric or antisymmetric in
 arguments of a Lie or n-Lie bracket; permuting such a run maps the law's
 value to +-1 times itself.
 
-A node's value is a sparse vector {coordinate: value}, or a linear form
-{coordinate: {column: coefficient}} when it holds the generic element of
-``check_identity`` or an unknown of ``_conditions``.  ``_law`` decides
-which in its one pass, and one kernel, ``_add_linear``, multiplies an
-operation by a form.  The entry points differ in that and in the basis
-tuples the loop is given:
+A node's value is one of three kinds: a sparse vector {coordinate:
+value}; a linear form {coordinate: {column: coefficient}} when it holds the
+generic element of ``check_identity`` (column c: generic column c) or an
+unknown of ``_conditions`` (column j: the unknown's column j); or, when it
+holds both, as in ``law_rows``, a form whose column j * dim + c pairs
+unknown column j with generic column c.  ``_law`` decides which in its one
+pass.  One kernel, ``_add_linear``, multiplies an operation by a form of
+any kind (it never reads a column); an unknown over a generic form
+(``_add_unknown_generic``) and an operation at a generic form and an
+unknown's form (``_add_outer``) make the paired columns.  The entry points
+differ in that and in the basis tuples the loop is given:
 
 * ``check_identity`` compiles each polarized component with its last
   variable generic, X = sum_c X_c e_c, and scans only the first k-1
@@ -73,7 +78,10 @@ linear in them into rows of a linear system:
 
 * ``law_rows`` gives integer rows at one tuple per orbit, with the kernel
   of the rows at every tuple: every operator space, the cocycle,
-  transposed-product and annihilator systems;
+  transposed-product and annihilator systems.  It compiles the law with
+  its last variable generic, as ``check_identity`` does, scans one prefix
+  per orbit and splits each prefix's paired form into the rows of its
+  tuples, so each term must hold the last variable exactly once;
 * ``linear_conditions`` gives the exact rows at every tuple, keyed by tuple
   and coordinate, for the systems ``linalg.solve`` solves against
   right-hand sides built elsewhere (Kantor's K and double brackets).
@@ -763,12 +771,17 @@ def _compile(A, terms, variables, forms, unknowns=(), generic=False):
     operation's over a form from ``_add_linear``.  Every other node has a
     sparse vector, from ``add_products`` (pruned).
 
-    With ``generic`` the law, which must be multilinear, is compiled for
-    ``check_identity``: the last of its k variables is the generic element
-    and only the first k-1 are scanned.  When the last run has length 2 or
+    With ``generic`` the law, which must hold its last variable once in
+    every term, is compiled for ``check_identity`` or, with unknowns, for
+    ``law_rows``: the last of its k variables is the generic element and
+    only the first k-1 are scanned.  When the last run has length 2 or
     more, X at the index i of position k-2 holds the columns c >= i
     (symmetric) or c > i (antisymmetric), so the variable at position k-2
-    is its child and it, with every node above it, is cached per i.
+    is its child and it, with every node above it, is cached per i.  A node
+    holding X and an unknown has a form of paired columns, from
+    ``_add_unknown_generic`` (an unknown over X), ``_add_outer`` (an
+    operation at X's form and the unknown's) or ``_add_linear`` over such a
+    form.
 
     Everything but the tables is the law's (``_law``), compiled once per
     law, mark pattern and characteristic; only the weights, ``scale``,
@@ -799,6 +812,10 @@ def _compile(A, terms, variables, forms, unknowns=(), generic=False):
     for how, sym, data, kids, cached, key in plan:
         if how == "unknown":
             add = (_add_unknown, unknowns[sym], _as_is)
+        elif how == "unknown-generic":
+            add = (_add_unknown_generic, (*unknowns[sym], data, A.dim, {}), _as_is)
+        elif how == "outer":
+            add = (_add_outer, _index(forms[sym], data[0]) + (data[1], A.dim), _as_is)
         elif how == "vector":
             add = (add_products, forms[sym][0], prune)
         elif how == "generic":
@@ -823,8 +840,11 @@ def _law(terms, variables, unknowns, generic, marks, char):
     child ids, cache, key), from which ``_compile`` builds its spec.  how is
     "variable", "vector", "unknown", "generic" (data: the last run's kind)
     or "linear" (data: the slot holding a form); cache is None (computed
-    per tuple), "units" (a basis vector) or "cached" (a fresh dict).  None
-    of it holds a table or a domain element of the call.
+    per tuple), "units" (a basis vector) or "cached" (a fresh dict).  With
+    unknowns and ``generic``, how may also be "unknown-generic" (data: the
+    argument holding X) or "outer" (data: the slots of the unknown's form
+    and of X's form).  None of it holds a table or a domain element of the
+    call.
 
     The runs are proven on the coefficients as they are, each term's summed
     with its sign into its node and zeros dropped, not on the weighted ones
@@ -853,25 +873,32 @@ def _law(terms, variables, unknowns, generic, marks, char):
         length, last = runs[-1] if runs else (1, 1)
         if length > 1:
             lead = ids[(None, k - 2)]
-    plan, linear = [], []
+    plan, with_x, with_u = [], [], []   # per node: holds the generic element, an unknown
     for sym, kids, pos in nodes:
-        linear.append(pos == gen if sym is None
-                      else sym in unknowns or any(linear[c] for c in kids))
-        if generic and linear[-1]:
+        with_x.append(pos == gen if sym is None else any(with_x[c] for c in kids))
+        with_u.append(sym in unknowns or any(with_u[c] for c in kids))
+        if with_x[-1]:
             # scanned positions: not the generic one, but the one before it
             # when that bounds the form's columns
             pos = pos[:-1]
             if lead is not None and pos[-1:] != (k - 2,):
                 pos += (k - 2,)
+        forms = [with_x[c] or with_u[c] for c in kids]
         data = None
         if sym in unknowns:
             how = "unknown"
-        elif not linear[-1]:
+            if with_x[-1]:
+                how, data = "unknown-generic", forms.index(True)
+        elif not (with_x[-1] or with_u[-1]):
             how = "variable" if sym is None else "vector"
         elif sym is None:
             how, data, kids = "generic", last, () if lead is None else (lead,)
+        elif forms.count(True) == 1:
+            how, data = "linear", forms.index(True)
         else:
-            how, data = "linear", [linear[c] for c in kids].index(True)
+            # the generic element and the unknown in two slots
+            how, data = "outer", ([with_u[c] for c in kids].index(True),
+                                  [with_x[c] for c in kids].index(True))
         cache = (None if sym is not None and len(pos) == width
                  else "units" if how == "variable" else "cached")
         plan.append((how, sym, data, kids, cache,
@@ -1079,6 +1106,15 @@ def law_rows(A, terms, variables, unknowns):
     has come before is left out: a repeated row adds nothing to the row
     space over any domain (Der M_6 has 16,266 single-entry rows, 1,806 of
     them distinct, of 19,296).
+
+    The last variable is generic, as in ``check_identity``: X = sum_c X_c
+    e_c, restricted to the columns its run allows, so the loop visits one
+    prefix of the other variables per orbit (36 for Der M_6, not 1,296
+    tuples), and the row at the tuple (prefix, c) is read off the columns
+    of the law's form that pair the unknown's columns with c.  So every term
+    must hold the last variable exactly once, else ``DomainError`` (after
+    the check that it holds exactly one unknown); every law of the library
+    is multilinear.
     """
     return _conditions(A, terms, variables, unknowns, every=False)[0]
 
@@ -1088,7 +1124,10 @@ def _conditions(A, terms, variables, unknowns, every):
     tuple, coordinate), row) of ``linear_conditions`` times scale, at every
     basis tuple; else the list of the rows of ``law_rows`` times scale, at
     one basis tuple per orbit of the law's proven runs, each single-entry
-    row once.  Over Q the rows are Python ints and ``scale`` is the one
+    row once: the law is compiled with its last variable generic, and the
+    form at each prefix is split into the rows at the tuples (prefix, c),
+    c ascending and then the coordinate, the order of ``_representatives``.
+    Over Q the rows are Python ints and ``scale`` is the one
     positive factor that clears the denominators of the tables and of the
     term coefficients; over GF(p) they are residues in [1, p), over other
     domains elements of the domain, and ``scale`` is 1 outside Q and
@@ -1101,8 +1140,11 @@ def _conditions(A, terms, variables, unknowns, every):
             raise DomainError("every term needs exactly one unknown")
         syms.update(found)
     syms -= set(unknowns)
+    if not every and not all(variables and term_vars(t).get(variables[-1]) == 1 for _, t in terms):
+        raise DomainError("law_rows needs the last variable in every term exactly once")
     _, specs, top_coef, scale, runs = _compile(
-        A, terms, variables, _scan_forms(A, syms, dict(zip(syms, syms))), unknowns)
+        A, terms, variables, _scan_forms(A, syms, dict(zip(syms, syms))), unknowns,
+        generic=not every)
     if every:
         def keyed_rows():
             for combo, total in _totals(A, itertools.product(range(A.dim), repeat=len(variables)),
@@ -1112,16 +1154,34 @@ def _conditions(A, terms, variables, unknowns, every):
                     if row:
                         yield (combo, r), row
         return keyed_rows(), scale
+    dim = A.dim
+    # the prefixes of the representatives, each once: the tuples of
+    # ``_prefixes``, read off the tuples whose rows they give
+    prefixes = (p for p, _ in itertools.groupby(_representatives(dim, runs),
+                                                operator.itemgetter(slice(-1))))
     rows, singles = [], set()
-    for _, total in _totals(A, _representatives(A.dim, runs), specs, top_coef, _merge_form):
+    for _, total in _totals(A, prefixes, specs, top_coef, _merge_form):
+        # the rows at the tuples (prefix, c): c ascending, then r ascending
+        # (a row of one entry is held as its (column, value) pair until a
+        # second entry comes)
+        at = [{} for _ in range(dim)]
         for r in sorted(total):
-            row = prune(total[r])
-            if len(row) == 1:
-                [single] = row.items()
-                if single in singles:
-                    continue
-                singles.add(single)
-            if row:
+            for key, x in prune(total[r]).items():
+                split = at[key % dim]
+                row = split.get(r)
+                if row is None:
+                    split[r] = (key // dim, x)
+                elif type(row) is tuple:
+                    split[r] = {row[0]: row[1], key // dim: x}
+                else:
+                    row[key // dim] = x
+        for split in at:
+            for row in split.values():
+                if type(row) is tuple:
+                    if row in singles:
+                        continue
+                    singles.add(row)
+                    row = {row[0]: row[1]}
                 rows.append(row)
     return rows, scale
 
@@ -1145,6 +1205,31 @@ def _add_unknown(data, args, out, coef, one):
             tgt = out.setdefault(r, {})
             j = col(r, *idx)
             tgt[j] = tgt.get(j, 0) + f
+
+
+def _add_unknown_generic(data, args, out, coef, one):
+    """Add coef times the form of an unknown whose argument at slot s holds
+    the generic element (the others constant) to the form ``out``: the
+    column of unknown column j and generic column c is j * dim + c.
+    ``shifts`` keeps, per index tuple of the arguments, the unknown's
+    columns times dim at each coordinate (a dict of the compiled law,
+    fresh per call)."""
+    rows, col, s, dim, shifts = data
+    for idx in itertools.product(*args):
+        f = coef
+        for t, (v, i) in enumerate(zip(args, idx)):
+            if t != s:
+                f = f * v[i]
+        at = args[s][idx[s]].items()
+        bases = shifts.get(idx)
+        if bases is None:
+            bases = shifts[idx] = [col(r, *idx) * dim for r in range(rows)]
+        for r, base in enumerate(bases):
+            tgt = out.get(r)
+            if tgt is None:
+                tgt = out[r] = {}
+            for c, x in at:
+                tgt[base + c] = tgt.get(base + c, 0) + f * x
 
 
 def _add_generic(data, args, out, coef, one):
@@ -1212,6 +1297,45 @@ def _add_linear(data, args, out, coef, one):
                     tgt = out.setdefault(r, {})
                     for j, x in fa.items():
                         tgt[j] = tgt.get(j, 0) + f * x
+
+
+def _add_outer(data, args, out, coef, one):
+    """Add coef times an operation at an unknown's form (slot s), a form of
+    the generic element (slot t) and constant vectors to the form ``out``:
+    ``_add_linear`` at slot s, with the generic form's row at its argument
+    taken like a constant's entry, and each pair of an unknown column j and
+    a generic column c keyed j * dim + c."""
+    index, s, sign, t, dim = data
+    if not all(args):
+        return
+    form = args[s]
+    if sign < 0:
+        coef = -coef
+    others = args[:s] + args[s + 1:]
+    t -= t > s
+    consts = others[:t] + others[t + 1:]
+    for idx in itertools.product(*consts):
+        f0 = coef
+        for v, i in zip(consts, idx):
+            f0 = f0 * v[i]
+        head, tail = idx[:t], idx[t:]
+        for b, at in others[t].items():
+            products = index.get(head + (b,) + tail)
+            if products is None:
+                continue
+            for c, y in at.items():
+                fc = f0 * y
+                for a, row in products.items():
+                    fa = form.get(a)
+                    if fa is not None:
+                        for j, x in fa.items():
+                            key, f = j * dim + c, fc * x
+                            for r, z in row.items():
+                                tgt = out.get(r)
+                                if tgt is None:
+                                    out[r] = {key: f * z}
+                                else:
+                                    tgt[key] = tgt.get(key, 0) + f * z
 
 
 def _merge_form(total, form, coef):

@@ -213,6 +213,7 @@ class ConservativityReport:
         self.particular = particular          # StructureTensor or None
         self.homogeneous = homogeneous        # Subspace of admissible values
         self.terminal = terminal
+        self.quasi_unit = None                # a solution of K e = -vec(M), or None
 
     def __repr__(self):
         return (f"ConservativityReport(feasible={self.feasible}, "
@@ -256,11 +257,12 @@ def _double_brackets(A, op=None):
 
 def _conservativity(A, op=None):
     """(null(K), {(a, b): particular solution of K s = -[L_a,[L_b,M]], or
-    None}), with K factorised once by ``linalg.solve`` for all pairs."""
+    None}, a quasi-unit or None), with K built once and factorised once by
+    ``linalg.solve`` for all pairs and for K e = -vec(M)."""
     K = _k_rows(A, op)
     rhs = _double_brackets(A, op)
-    return (kernel(list(K.values()), A.dim, A.dom),
-            dict(zip(rhs, solve(K, rhs.values(), A.dim, A.dom))))
+    *answers, unit = solve(K, [*rhs.values(), _quasi_target(A, op)], A.dim, A.dom)
+    return kernel(list(K.values()), A.dim, A.dom), dict(zip(rhs, answers)), unit
 
 
 def conservativity_test(A, op=None):
@@ -274,6 +276,9 @@ def conservativity_test(A, op=None):
     the published terminal algebras W2 and S2 (and the printed degree-4
     terminal identity) come out terminal.  That product is undefined in
     characteristic 3, where the test is refused before any system is built.
+    ``quasi_unit`` is the particular quasi-unit of ``quasi_unit_space``,
+    from the same K: when it is not None, the quasi-unit space is
+    ``homogeneous``.
     """
     t = A.op(op)
     if t.arity != 2:
@@ -283,15 +288,17 @@ def conservativity_test(A, op=None):
         raise DomainError("the terminal test's product 2/3 xy + 1/3 yx is undefined "
                           "in characteristic 3")
     n = A.dim
-    null, answers = _conservativity(A, op)
+    null, answers, unit = _conservativity(A, op)
     particular = None
     if None not in answers.values():
         particular = StructureTensor(n, 2, {ab: dict(enumerate(s)) for ab, s in answers.items()},
                                      dom)
     swapped = StructureTensor(n, 2, {(j, i): row for (i, j), row in t.table.items()}, dom)
     star = t.scale(Fraction(2, 3)).add(swapped.scale(Fraction(1, 3)))
-    return ConservativityReport(particular is not None, particular, null,
-                                _solves_conservativity(A, null, answers, star))
+    rep = ConservativityReport(particular is not None, particular, null,
+                               _solves_conservativity(A, null, answers, star))
+    rep.quasi_unit = unit
+    return rep
 
 
 def associated_product_check(A, star, op=None):
@@ -301,7 +308,7 @@ def associated_product_check(A, star, op=None):
     and -B(u, A(x,y)) on U(2)): the products as printed satisfy
     [L_a,[L_b,M]] = -[L_{star(b,a)},M].
     """
-    return _solves_conservativity(A, *_conservativity(A, op), star)
+    return _solves_conservativity(A, *_conservativity(A, op)[:2], star)
 
 
 def _solves_conservativity(A, null, answers, star):
@@ -322,17 +329,21 @@ def _solves_conservativity(A, null, answers, star):
 # quasi-units and Jacobi elements (even case)
 # ---------------------------------------------------------------------------
 
+def _quasi_target(A, op=None):
+    """-vec(M) in the keys of ``_k_rows``: e is a quasi-unit iff [L_e, M] =
+    -M, i.e. K e = -vec(M)."""
+    return {((x, y), r): -c for (x, y), row in A.op(op).table.items() for r, c in row.items()}
+
+
 def quasi_unit_space(A, op=None):
-    """Solutions of e(xy) = (ex)y + x(ey) - xy, linear in e."""
-    t = A.op(op)
-    if t.arity != 2:
+    """Solutions of e(xy) = (ex)y + x(ey) - xy, linear in e: (the space of
+    differences, a particular quasi-unit), or (the zero space, None)."""
+    if A.op(op).arity != 2:
         raise DomainError("quasi-units need a binary operation")
     dom = A.dom
     n = A.dim
     K = _k_rows(A, op)
-    # e is a quasi-unit iff [L_e, M] = -M, i.e. K e = -vec(M)
-    target = {((x, y), r): -c for (x, y), row in t.table.items() for r, c in row.items()}
-    sol = solve(K, [target], n, dom)[0]
+    sol = solve(K, [_quasi_target(A, op)], n, dom)[0]
     if sol is None:
         return Subspace([], n, dom), None
     return kernel(list(K.values()), n, dom), sol

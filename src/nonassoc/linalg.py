@@ -238,7 +238,11 @@ class Subspace:
     """Linear subspace of F^n held in canonical reduced echelon form.
 
     Equal subspaces compare equal no matter which spanning set built them.
+    A sparse basis handed over by ``_canonical`` is kept so, and its dense
+    rows are built on the first use of ``basis``.
     """
+
+    _sparse = None   # the canonical basis as sparse rows {column: entry}, if kept so
 
     def __init__(self, vectors, ambient_dim, dom=QQ):
         self.dom = dom
@@ -248,18 +252,39 @@ class Subspace:
 
     @classmethod
     def _canonical(cls, basis, ambient_dim, dom):
-        """The subspace of a basis already in canonical form (no rref)."""
+        """The subspace of a basis already in canonical form (no rref), as
+        dense rows or as sparse rows {column: entry}.  Sparse rows are kept
+        while at most one entry in eight is nonzero, where they take less
+        memory than dense rows (a list slot holds 8 bytes, a dict entry
+        several times that); denser ones are made dense at once."""
         space = cls.__new__(cls)
-        space.dom, space.ambient_dim, space.basis = dom, ambient_dim, basis
+        space.dom, space.ambient_dim = dom, ambient_dim
+        if not (basis and isinstance(basis[0], dict)):
+            space.basis = basis
+        elif 8 * sum(map(len, basis)) <= len(basis) * ambient_dim:
+            space._sparse = basis
+        else:
+            space.basis = _dense(basis, ambient_dim, dom)
         return space
+
+    @cached_property
+    def basis(self):
+        """The canonical basis as dense rows, built from the sparse rows,
+        which are then let go."""
+        basis = _dense(self._sparse, self.ambient_dim, self.dom)
+        self._sparse = None
+        return basis
 
     @property
     def dim(self):
-        return len(self.basis)
+        basis = self.__dict__.get("basis")
+        return len(self._sparse if basis is None else basis)
 
     @cached_property
     def _supports(self):
         """Each basis row with its nonzero columns, the lowest first."""
+        if "basis" not in self.__dict__:
+            return [(row, sorted(row)) for row in self._sparse]
         is_zero = self.dom.is_zero
         return [(row, [j for j, x in enumerate(row) if not is_zero(x)]) for row in self.basis]
 
@@ -286,12 +311,11 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.ambient_dim == other.ambient_dim
-                and len(self.basis) == len(other.basis)
+        return (self.ambient_dim == other.ambient_dim and self.dim == other.dim
                 and mat_eq(self.basis, other.basis, self.dom))
 
     def __hash__(self):
-        return hash((self.ambient_dim, len(self.basis)))
+        return hash((self.ambient_dim, self.dim))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -701,11 +725,10 @@ def kernel_and_rows(rows, ncols, dom=QQ):
     which span the row space; over any other domain (Q(t)) the rows go to
     the dense ``nullspace`` and come back as given.  ``kernel_contains`` is
     fastest on the fewest rows; the subspace does not hold them, so a space
-    kept for long keeps no rows alive."""
+    kept for long keeps no rows alive.  Over Q the subspace is handed the
+    sparse canonical basis (``Subspace._canonical``)."""
     if isinstance(dom, RationalDomain):
-        found, rows = nullspace_sparse_q(rows, ncols)
-        zero = Fraction(0)
-        basis = [[v.get(j, zero) for j in range(ncols)] for v in found]
+        basis, rows = nullspace_sparse_q(rows, ncols)
     elif isinstance(dom, PrimeField):
         basis, rows = nullspace_sparse_mod(rows, ncols, dom)
     else:

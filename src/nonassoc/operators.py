@@ -175,8 +175,7 @@ def generalized_derivation_space(A, mode="full", op=None):
     ker, pivot_rows = kernel_and_rows(rows, nslots * n2, dom)
     space = TupleOperatorSpace(n, nslots, ker, tag)
 
-    der = derivation_space(A, delta=1, op=op)
-    cen = centroid(A, op=op)
+    der, cen = _trivial_parts(A, pivot_rows, mode, op)
     trivial_vecs = []
     if mode == "full":
         for d in der.subspace.basis:
@@ -218,6 +217,34 @@ def generalized_derivation_space(A, mode="full", op=None):
                           for row in comms], n2, dom, bound=derived)
             for s in range(nslots)]
     return space
+
+
+def _trivial_parts(A, rows, mode, op=None):
+    """(Der, centroid) of A, read off rows whose kernel is the space of
+    generalized derivations (Leger & Luks, J. Algebra 228, 2000: both embed
+    in it).  D is a derivation when (D, .., D) lies in the space, and phi
+    is in the centroid when every (0, .., phi at slot s, .., 0, phi) does,
+    so Der is the kernel of the rows with all slot blocks folded together,
+    and the centroid the one kernel of the rows with block s folded with
+    the last, for each slot s.  In quasi mode the centroid is ``centroid``
+    itself."""
+    n, dom = A.dim, A.dom
+    n2, m = n * n, A.op(op).arity
+    der = kernel([_fold(row, n2, range(m + 1)) for row in rows], n2, dom)
+    if mode != "full":
+        return OperatorSpace(n, der, "der"), centroid(A, op=op)
+    cen = kernel([_fold(row, n2, (s, m)) for s in range(m) for row in rows], n2, dom)
+    return OperatorSpace(n, der, "der"), OperatorSpace(n, cen, "centroid")
+
+
+def _fold(row, n2, slots):
+    """A sparse row over tuples of n x n matrices as a row over one matrix:
+    the entries of the slot blocks in ``slots`` added together."""
+    out = {}
+    for j, c in row.items():
+        if j // n2 in slots:
+            out[j % n2] = out.get(j % n2, 0) + c
+    return out
 
 
 def _derived_dim(space, comms):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nonassoc import kantor
 from nonassoc.catalog import CATALOG_NAMES, catalog_get
 from nonassoc.cli import run
 from nonassoc.deform import certificate_from_json
@@ -615,6 +616,30 @@ def test_terminal_product_is_refused_in_characteristic_3(tmp_path, capsys, argv)
     assert run([a.format(file=path) for a in argv]) == 2
     assert capsys.readouterr() == ("", "error: the terminal test's product 2/3 xy + 1/3 yx is "
                                        "undefined in characteristic 3\n")
+
+
+@pytest.mark.parametrize("name,params", [("quaternions", {}), ("sl2", {}), ("NF", {"n": 3}),
+                                         ("abelian", {"n": 2}), ("U2e", {})])
+def test_conservative_builds_k_once_and_takes_one_kernel(tmp_path, capsys, monkeypatch, name,
+                                                          params):
+    """``conservative`` builds Kantor's K once and takes at most one kernel
+    per request, and reports the quasi-unit space that ``quasi_unit_space``
+    computes on its own: the value space when a quasi-unit exists, else 0."""
+    path = _write(tmp_path, name, params)
+    calls = {"_k_rows": 0, "kernel": 0}
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            calls[f.__name__] += 1
+            return f(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(kantor, "_k_rows", counted(kantor._k_rows))
+    monkeypatch.setattr(kantor, "kernel", counted(kantor.kernel))
+    assert run(["--json", "conservative", path]) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    assert calls == {"_k_rows": 1, "kernel": 1}
+    monkeypatch.undo()
+    assert doc["quasi_unit_space_dim"] == kantor.quasi_unit_space(catalog_get(name, params))[0].dim
 
 
 def test_kantor_u_out_of_range_exits_2(tmp_path, capsys):

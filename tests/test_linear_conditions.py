@@ -608,6 +608,130 @@ def test_law_rows_hand_each_single_entry_row_over_once():
     assert kernel(rows, n * n) == kernel(before, n * n) and kernel(rows, n * n).dim == 8
 
 
+def _unknowns(n):
+    """The unknowns of ``_unknown_law``: a nullary element <c>, a unary map
+    <D>, a binary map <B> into the field and a symmetric binary map <S>
+    into A (one column per unordered pair of arguments)."""
+    pairs = {p: k for k, p in enumerate(itertools.combinations_with_replacement(range(n), 2))}
+    return {"<c>": (n, lambda r: r),
+            "<D>": (n, lambda r, a: r * n + a),
+            "<B>": (1, lambda r, a, b: a * n + b),
+            "<S>": (n, lambda r, a, b: pairs[min(a, b), max(a, b)] * n + r)}
+
+
+def _unknown_tree(rng, leaves, unknown):
+    """A random term over the given leaves, each used once, holding the
+    unknown once: <c> as an argument of a product, <D> around a leaf or a
+    product, <B> and <S> joining two subterms."""
+    parts = [("v", v) for v in leaves]
+    rng.shuffle(parts)
+    if unknown == "<c>":
+        parts.insert(rng.randrange(len(parts) + 1), ("<c>", ()))
+    elif unknown == "<D>" and rng.random() < 0.5:
+        i = rng.randrange(len(parts))
+        parts[i] = ("<D>", (parts[i],))
+    wrap = unknown == "<D>" and all(p[0] != "<D>" for p in parts)
+    join = unknown in ("<B>", "<S>")
+    while len(parts) > 1 or wrap:
+        if wrap and (len(parts) == 1 or rng.random() < 0.4):
+            i = rng.randrange(len(parts))
+            parts[i], wrap = ("<D>", (parts[i],)), False
+        elif join and (len(parts) == 2 or rng.random() < 0.4):
+            i = rng.randrange(len(parts) - 1)
+            parts[i:i + 2], join = [(unknown, tuple(parts[i:i + 2]))], False
+        else:
+            arity = 3 if len(parts) >= 3 + join and rng.random() < 0.3 else 2
+            i = rng.randrange(len(parts) - arity + 1)
+            parts[i:i + arity] = [("t" if arity == 3 else "mul", tuple(parts[i:i + arity]))]
+    return parts[0]
+
+
+def _unknown_law(seed, dom):
+    """A law linear in one of the unknowns of ``_unknowns``, each term
+    multilinear, on an algebra whose mul and t are exactly symmetric or
+    antisymmetric: as in ``_signed_law``, summed over the orders of a group
+    of variables with the sign kind ** inversions, or not, so that its last
+    run is symmetric, antisymmetric or of length 1."""
+    rng = random.Random(seed)
+    dim = rng.choice([2] if dom is QT else [2, 3])
+    ops = {"mul": _signed_tensor(rng, dom, dim, 2, rng.choice([1, -1]), 0.7),
+           "t": _signed_tensor(rng, dom, dim, 3, rng.choice([1, -1]), 0.7)}
+    A = Algebra("unknowns", dim, ops, dom)
+    group = [f"x{j}" for j in range(1, rng.randint(2, 3) + 1)]
+    leaves = (["a"] if rng.random() < 0.4 else []) + group
+    kind = rng.choice([1, -1])
+    orders = (list(itertools.permutations(range(len(group)))) if rng.random() < 0.6
+              else [range(len(group))])
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        tree = _unknown_tree(rng, leaves, rng.choice(["<c>", "<D>", "<D>", "<B>", "<S>"]))
+        c = _odd_scalar(rng, dom)
+        for perm in orders:
+            inversions = sum(perm[a] > perm[b]
+                             for a, b in itertools.combinations(range(len(group)), 2))
+            terms.append((c * kind ** inversions,
+                          _rename(tree, {group[i]: group[p] for i, p in enumerate(perm)})))
+    return A, terms, tuple(sorted(leaves)), _unknowns(dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, GF(7), GF(2), QT]), st.integers(0, 2**32))
+def test_law_rows_equal_the_rows_of_every_orbit_tuple(dom, seed):
+    """``law_rows``, which scans one prefix per orbit with the last variable
+    generic, returns the list of the per-tuple scan, ``_reference_conditions``
+    at every orbit representative with each single-entry row once: the same
+    rows in the same order, for nullary, unary, binary and symmetric binary
+    unknowns, an unknown over the generic element, and the generic element
+    and an unknown in one product."""
+    A, terms, variables, unknowns = _unknown_law(seed, dom)
+    try:
+        want = _singles_once(_reference_law_rows(A, terms, variables, unknowns))
+    except DomainError:
+        with pytest.raises(DomainError):
+            law_rows(A, terms, variables, unknowns)
+        return
+    assert law_rows(A, terms, variables, unknowns) == want
+
+
+def test_unknown_laws_reach_every_case():
+    """The laws of ``_unknown_law`` reach each unknown, an unknown over the
+    generic element, the generic element and an unknown in one product, and
+    last runs of each kind, with rows."""
+    seen = {"<c>": 0, "<D>": 0, "<B>": 0, "<S>": 0, "unknown over X": 0, "X and unknown": 0,
+            "symmetric": 0, "antisymmetric": 0, "single": 0}
+    for seed in range(200):
+        A, terms, variables, unknowns = _unknown_law(seed, QQ)
+        if not law_rows(A, terms, variables, unknowns):
+            continue
+        for sym in unknowns:
+            seen[sym] += any(s == sym for _, t in terms for s, _ in identities._op_nodes(t))
+        syms = {s for _, t in terms for s, _ in identities._op_nodes(t)} - set(unknowns)
+        _, specs, _, _, runs = identities._compile(
+            A, terms, variables, identities._scan_forms(A, syms, dict(zip(syms, syms))),
+            unknowns, generic=True)
+        adds = {spec[0] for spec in specs}
+        seen["unknown over X"] += identities._add_unknown_generic in adds
+        seen["X and unknown"] += identities._add_outer in adds
+        length, kind = runs[-1]
+        seen["single" if length == 1 else "symmetric" if kind > 0 else "antisymmetric"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_law_rows_refuse_a_last_variable_not_in_every_term_once():
+    """``law_rows`` takes its last variable generic, so each term must hold
+    it exactly once; the one-unknown check comes first, with its message."""
+    A = catalog_get("sl2")
+    x, y = ("v", "x"), ("v", "y")
+    unknowns = {"<D>": (3, lambda r, a: r * 3 + a)}
+    once = (-1, ("mul", (x, ("<D>", (y,)))))
+    for bad in [(1, ("<D>", (x,))), (1, ("mul", (("<D>", (y,)), y)))]:
+        with pytest.raises(DomainError, match="last variable in every term exactly once"):
+            law_rows(A, [once, bad], ("x", "y"), unknowns)
+        assert linear_conditions(A, [once, bad], ("x", "y"), unknowns) is not None
+    with pytest.raises(DomainError, match="^every term needs exactly one unknown$"):
+        law_rows(A, [once, (1, ("mul", (x, x)))], ("x", "y"), unknowns)
+
+
 def _commuting_reference(A):
     """``commuting_map_space`` before ``law_rows``: every row built, then
     the rows of ordered pairs i <= j kept by hand."""

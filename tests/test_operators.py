@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nonassoc import operators
 from nonassoc.catalog import catalog_get
 from nonassoc.linalg import (Subspace, identity_matrix, is_invertible, kernel, mat_mul,
                              sparse_rows)
@@ -12,8 +13,8 @@ from nonassoc.operators import (MAX_LEIBNIZ_ORDER, centroid, commuting_map_space
                                 local_derivation_generic_space,
                                 local_derivation_test, multiplication_operator,
                                 peirce_decompose)
-from nonassoc.scalars import QQ, DomainError
-from nonassoc.structure import algebra_from_json, algebra_to_json, change_basis
+from nonassoc.scalars import QQ, QT, DomainError, RatFunc
+from nonassoc.structure import Algebra, algebra_from_json, algebra_to_json, change_basis
 
 
 def _antisym_space(n):
@@ -184,6 +185,31 @@ def test_meta_matches_the_full_kernel_route(A, label):
         space = generalized_derivation_space(A, mode)
         want = _full_kernel_meta(space)
         assert {k: space.meta[k] for k in want} == want, (label, mode)
+
+
+def _over_qt(A):
+    """A with its tables read over Q(t), each product times 1 + t."""
+    return Algebra(A.name, A.dim, {k: t.map_domain(QT, lambda c: QT.coerce(c) * (RatFunc.t_power(1) + 1))
+                                   for k, t in A.ops.items()}, QT)
+
+
+@pytest.mark.parametrize("A, label", _GENDER_CASES + [(_over_qt(catalog_get("sl2")), "sl2 over Q(t)"),
+                                                      (_over_qt(catalog_get("heis3")), "heis3 over Q(t)")],
+                         ids=[c[1] for c in _GENDER_CASES] + ["sl2 over Q(t)", "heis3 over Q(t)"])
+def test_generalized_der_and_centroid_are_those_of_the_algebra(A, label, monkeypatch):
+    """The derivations and the centroid that ``generalized_derivation_space``
+    reads off the rows of its own kernel, with the slot blocks folded
+    (``_trivial_parts``), are ``derivation_space`` and ``centroid``, in both
+    modes (the quasi mode takes its centroid from ``centroid`` itself)."""
+    der, cen = derivation_space(A).subspace, centroid(A).subspace
+    parts = []
+    trivial_parts = operators._trivial_parts
+    monkeypatch.setattr(operators, "_trivial_parts",
+                        lambda *args: parts.append(trivial_parts(*args)) or parts[-1])
+    for mode in ("full", "quasi"):
+        generalized_derivation_space(A, mode)
+        got = parts.pop()
+        assert (got[0].subspace, got[1].subspace) == (der, cen), (label, mode)
 
 
 def test_quasi_derivations_report():

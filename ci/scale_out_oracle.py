@@ -45,7 +45,10 @@ basis tuples; the commuting maps of M_6(Q) are x -> cx + f(x)1 (1 + 36 =
 seeded P, keep their dim 7, and every associativity obstruction vanishes at
 the 27 products sum_a c_a S_a (two c_a in {1, -1, 2}, the rest 0) that
 check_variety finds associative in the canonical basis, moved by P and read
-in the rebased basis (900 obstructions over Q[c]); every catalog algebra
+in the rebased basis (900 obstructions over Q[c]); the obstructions of
+abelian(4) (192 polynomials in 40 variables, the widest packed monomial
+keys) and of heis3 rebased by a seeded P print as recorded with
+tuple-keyed monomials (sha256 of the lines); every catalog algebra
 checked against every binary variety gives equal reports with the law
 caches emptied before each check (cold) and with them full (warm), in one
 process; the inner higher derivation of order 4 of M_4(Q) for the r
@@ -73,6 +76,7 @@ repository root:
     PYTHONPATH=src timeout 300 python3 ci/scale_out_oracle.py
 """
 
+import hashlib
 import itertools
 import random
 import sys
@@ -128,6 +132,13 @@ def generic(basis, c):
             for k, v in row.items():
                 dst[k] = dst.get(k, 0) + ca * v
     return Algebra("p", 6, {"mul": StructureTensor(6, 2, table)})
+
+
+def obstruction_digest(A):
+    """sha256 of the associativity obstructions of the products compatible
+    with A, printed one per line."""
+    text = "\n".join(map(str, transposed_compatible_space(A)["obstructions"]))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def per_pair_U(n):
@@ -318,6 +329,11 @@ def conditions():
     yield "associativity obstructions", len(tps["obstructions"]), 900
     yield "obstructions nonzero at a moved associative product", \
         sum(p.eval(c) != 0 for c in moved for p in tps["obstructions"]), 0
+    yield "sha256 of the obstructions of abelian(4) and rebased heis3", \
+        [obstruction_digest(A) for A in (catalog_get("abelian", {"n": 4}),
+                                         change_basis(catalog_get("heis3"), seeded_basis(3)))], \
+        ["f94a41f5c837d6ded6300485858320abc7c92a73d6ca58a3d246bf38b3e70790",
+         "d830cb23e0d2021a9d525e616768baecd5e236b230f909183c26d23b7ae80d5f"]
     yield "catalog variety reports that differ cold and warm", cold_and_warm_differences(), []
     inner, bumped = inner_higher_derivation_checks()
     yield "the inner higher derivation of order 4 of M_4 holds", inner, (True, None)

@@ -193,10 +193,12 @@ def cmd_identity(args):
         A.op(args.op)   # refused when the file has no such operation, used by the law or not
         opmap = {**default_opmap(A, ident.used_symbols()), "*": args.op}
     ok, wit = check_identity(A, ident, opmap=opmap)
+    # the witness line is serialized only when the text is printed
+    lines = [] if args.json else (
+        [f"identity holds on {A.name}: {ok}"]
+        + ([f"  witness: {json.dumps(_jsonify(wit))}"] if wit else []))
     _emit(args, {"command": "identity eval", "algebra": A.name,
-                 "identity": args.identity, "holds": ok, "witness": wit},
-          [f"identity holds on {A.name}: {ok}"]
-          + ([f"  witness: {json.dumps(_jsonify(wit))}"] if wit else []))
+                 "identity": args.identity, "holds": ok, "witness": wit}, lines)
     return _verdict_exit(ok)
 
 

@@ -36,11 +36,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from math import gcd, isqrt, lcm, prod
-from operator import add
 
-from .scalars import QQ, DomainError, Poly, PrimeField, RationalDomain, _is_prime
+from .scalars import QQ, DomainError, Poly, PolyRing, PrimeField, RationalDomain, _is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +847,7 @@ def _annihilates(introws, vectors):
 def linear_pencil(mats):
     """The matrix sum_k x_k mats[k] over Q[x_0, ..., x_{s-1}], s = len(mats)."""
     s = len(mats)
-    units = [tuple(int(i == k) for i in range(s)) for k in range(s)]
+    units = list(map(PolyRing(s).var_key, range(s)))
     return [[Poly(s, {units[k]: M[i][j] for k, M in enumerate(mats)})
              for j in range(len(mats[0][0]))] for i in range(len(mats[0]))]
 
@@ -906,15 +905,16 @@ def generic_rank(mat, points, full_only=False):
 
 
 def _integer_entries(mat):
-    """(rows of {exponent: int}, variable count, degree e) of a matrix of
-    homogeneous Polys of one degree, scaled by a common denominator."""
+    """(rows of {monomial key: int}, variable count, degree e) of a matrix
+    of homogeneous Polys of one degree, scaled by a common denominator."""
     if not (mat and mat[0] and all(len(row) == len(mat[0]) for row in mat)
             and all(isinstance(p, Poly) for row in mat for p in row)):
         raise DomainError("generic_rank needs a nonempty rectangular matrix of Poly entries")
     if not all(type(c) in (int, Fraction) for row in mat for p in row for c in p.terms.values()):
         raise DomainError("generic_rank requires Q: Poly entries with rational coefficients")
     nvars = {p.n for row in mat for p in row}
-    degrees = {sum(ex) for row in mat for p in row for ex in p.terms}
+    ring = PolyRing(max(nvars))
+    degrees = {ring.key_degree(ex) for row in mat for p in row for ex in p.terms}
     if len(nvars) > 1 or len(degrees) > 1:
         raise DomainError("generic_rank needs homogeneous entries of one degree "
                           "in one set of variables")
@@ -924,7 +924,9 @@ def _integer_entries(mat):
 
 
 def _values(polys, x):
-    """Rows of the values at x of rows of polynomials {exponent: coefficient}."""
+    """Rows of the values at x of rows of polynomials {monomial key:
+    coefficient} in len(x) variables."""
+    ring = PolyRing(len(x))
     power = {}
     out = []
     for row in polys:
@@ -934,7 +936,7 @@ def _values(polys, x):
             for ex, c in p.items():
                 v = power.get(ex)
                 if v is None:
-                    v = power[ex] = prod(xi ** k for xi, k in zip(x, ex) if k)
+                    v = power[ex] = prod(xi ** k for xi, k in zip(x, ring.unpack(ex)) if k)
                 s += c * v
             vals.append(s)
         out.append(vals)
@@ -960,7 +962,7 @@ def _left_kernel_of_degree(ent, nvars, d):
         for j, p in enumerate(row):
             for ex, c in p.items():
                 for mi, m in enumerate(monos):
-                    eqs.setdefault((j, tuple(map(add, m, ex))), {})[i * nm + mi] = c
+                    eqs.setdefault((j, m + ex), {})[i * nm + mi] = c
     basis = []
     for v in nullspace_sparse_q(list(eqs.values()), len(ent) * nm)[0]:
         w = [{} for _ in ent]
@@ -971,9 +973,7 @@ def _left_kernel_of_degree(ent, nvars, d):
 
 
 def _monomials(n, deg):
-    """Exponent tuples of the monomials of degree deg in n variables, in
-    lexicographic order."""
-    if n == 0:
-        return [()] if deg == 0 else []
-    return [(k,) + rest for k in range(deg + 1) for rest in _monomials(n - 1, deg - k)]
-
+    """Keys of the monomials of degree deg in n variables, ascending: the
+    lexicographic order of their exponent tuples."""
+    units = map(PolyRing(n).var_key, range(n))
+    return sorted(map(sum, combinations_with_replacement(units, deg)))

@@ -17,7 +17,7 @@ from .identities import law_rows
 from .linalg import (Subspace, generic_rank, kernel, kernel_and_rows, kernel_contains,
                      linear_pencil, mat_mul, mat_sub, mat_vec, rank_of_rows, seeded_points,
                      sparse_rows)
-from .scalars import QQ, DomainError
+from .scalars import QQ, DomainError, PolyRing
 from .structure import multiplication_operator
 from .varieties import check_variety, minus_algebra
 
@@ -364,14 +364,14 @@ def local_derivation_generic_space(A, op=None, der=None):
     S = linear_pencil([[[D[i][j] for D in der_mats] for i in range(n)] for j in range(n)])
     r, _, left = generic_rank(S, seeded_points(SAMPLE_SEED + 1, n, 9))
     # membership conditions: w(x)^T (phi x) = 0 identically
+    x = list(map(PolyRing(n).var_key, range(n)))   # the keys of the x_j
     rows = {}
     for wi, w in enumerate(left):
         for i in range(n):
             for j in range(n):
                 # contribution of phi_{i,j} x_j to w(x)^T phi x
                 for e, c in w[i].terms.items():
-                    key = tuple(a + (1 if s == j else 0) for s, a in enumerate(e))
-                    row = rows.setdefault((wi, key), {})
+                    row = rows.setdefault((wi, e + x[j]), {})
                     unk = i * n + j
                     row[unk] = row.get(unk, Fraction(0)) + c
     return OperatorSpace(n, kernel(list(rows.values()), n * n), "locder-generic",

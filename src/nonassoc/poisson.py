@@ -187,23 +187,30 @@ def _associativity_obstructions(basis_tensors, n):
     if basis_tensors[0].dom is not QQ:
         raise DomainError("the associativity obstructions of transposed structures require Q")
     ring = PolyRing(len(basis_tensors))
-    table = {}
-    for c, S in zip(ring.gens(), basis_tensors):
+    s = ring.n
+    # entry (args, k) of sum_i c_i S_i: the linear form with coefficient
+    # S_i[args][k] at c_i, built in one dict
+    forms = {}
+    for i, S in enumerate(basis_tensors):
+        c = ring.var_key(i)
         for args, row in S.table.items():
-            dst = table.setdefault(args, {})
+            dst = forms.setdefault(args, {})
             for k, v in row.items():
-                dst[k] = dst.get(k, ring.zero()) + c * v
+                dst.setdefault(k, {})[c] = v
+    table = {args: {k: Poly(s, terms) for k, terms in row.items()}
+             for args, row in forms.items()}
     generic = Algebra("generic", n, {"mul": StructureTensor(n, 2, table, ring)}, ring)
     out, seen, shared = [], set(), {}
     for row in law_table(generic, parse_identity("(x*y)*z - x*(y*z)"), {"*": "mul"}).values():
         for r in sorted(row):
-            key = tuple(sorted(row[r].terms.items()))
+            terms = row[r].terms
+            key = tuple(sorted((e, c.numerator, c.denominator) for e, c in terms.items()))
             if key not in seen:
                 seen.add(key)
-                # the kept polynomials share one exponent tuple per monomial
-                # and one coefficient object per value
-                out.append(Poly(ring.n, {shared.setdefault(e, e): shared.setdefault(c, c)
-                                         for e, c in key}))
+                # the kept polynomials share one key object per monomial and
+                # one Fraction per coefficient value
+                out.append(Poly(s, {shared.setdefault(e, e): shared.setdefault((a, b), terms[e])
+                                    for e, a, b in key}))
     return out
 
 

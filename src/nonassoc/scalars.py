@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
 
 
 class DomainError(ValueError):
@@ -573,9 +572,34 @@ QT = RatFuncField()
 # multivariate polynomials over Q
 # ---------------------------------------------------------------------------
 
+# Monomials are packed into one int each (Monagan & Pearce, CASC 2007): n + 1
+# fields of _FIELD_BITS bits, the total degree in the highest, then the
+# exponents of x0, ..., x_{n-1}.  A stored field stays below its top bit, the
+# guard, so adding two keys adds them field by field and never carries, and
+# the numeric order of keys is the graded order (degree, then exponent
+# tuple) of their monomials.
+_FIELD_BITS = 16
+_GUARD = 1 << (_FIELD_BITS - 1)
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+
+
+def _unpack(n, key):
+    """The exponent tuple of the packed monomial key in n variables."""
+    return tuple((key >> (_FIELD_BITS * (n - 1 - i))) & _FIELD_MASK for i in range(n))
+
+
+def _var_key(n, i):
+    """The packed key of the variable x_i in n variables."""
+    return (1 << (_FIELD_BITS * n)) | (1 << (_FIELD_BITS * (n - 1 - i)))
+
+
 class Poly:
-    """Multivariate polynomial over Q; terms maps exponent tuples to nonzero
-    coefficients, ints or Fractions.  Sums and products of int-coefficient
+    """Multivariate polynomial over Q in n variables; terms maps packed
+    monomial keys (``PolyRing.pack``) to nonzero coefficients, ints or
+    Fractions.  A key is one int, so a product of monomials is one integer
+    addition.  Exponents and total degree go up to ``2**15 - 1``: a product
+    whose degree would pass that raises ``DomainError`` before any key
+    wraps into the next field.  Sums and products of int-coefficient
     polynomials stay int (the integer scan form of ``identities``), and a
     Fraction and the int of equal value are one coefficient, so such
     polynomials compare, hash and print alike."""
@@ -589,16 +613,16 @@ class Poly:
     @staticmethod
     def const(n, c):
         c = Fraction(c)
-        return Poly(n, {(0,) * n: c} if c else {})
+        return Poly(n, {0: c} if c else {})
 
     @staticmethod
     def var(n, i):
-        e = [0] * n
-        e[i] = 1
-        return Poly(n, {tuple(e): Fraction(1)})
+        return Poly(n, {_var_key(n, i): Fraction(1)})
 
     def _lift(self, other):
         if isinstance(other, Poly):
+            if other.n != self.n:
+                raise DomainError("variable count mismatch")
             return other
         if isinstance(other, (int, Fraction)):
             return Poly.const(self.n, other)
@@ -608,14 +632,14 @@ class Poly:
         o = self._lift(other)
         if o is NotImplemented:
             return o
-        out = dict(self.terms)
+        out = self.terms.copy()
         for e, c in o.terms.items():
             s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return Poly(self.n, out)
+                del out[e]
+        return _poly(self.n, out)
 
     __radd__ = __add__
 
@@ -631,17 +655,30 @@ class Poly:
         o = self._lift(other)
         if o is NotImplemented:
             return o
+        a, b = self.terms, o.terms
+        if not (a and b):
+            return _poly(self.n, {})
+        # the largest keys are the leading monomials, whose degrees add
+        if max(a) + max(b) >= _GUARD << (_FIELD_BITS * self.n):
+            raise DomainError(f"a product passes degree {_GUARD - 1}")
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial times a polynomial: distinct keys, no zero products,
+            # in the order of the other factor's terms as in the loop below
+            (e1, c1), = a.items()
+            return _poly(self.n, {e1 + e2: c1 * c2 for e2, c2 in b.items()})
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(map(add, e1, e2))
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return Poly(self.n, out)
+        return _poly(self.n, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Poly(self.n, {e: -c for e, c in self.terms.items()})
+        return _poly(self.n, {e: -c for e, c in self.terms.items()})
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -656,27 +693,33 @@ class Poly:
         return bool(self.terms)
 
     def degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self.terms) >> (_FIELD_BITS * self.n) if self.terms else -1
 
     def leading(self):
-        # deglex order, ties by exponent tuple
-        e = max(self.terms, key=lambda e: (sum(e), e))
-        return e, self.terms[e]
+        """(exponent tuple, coefficient) of the leading term in deglex
+        order, ties by exponent tuple: the largest key."""
+        e = max(self.terms)
+        return _unpack(self.n, e), self.terms[e]
 
     def divexact(self, other):
         """Exact division; raises if the division leaves a remainder."""
         o = self._lift(other)
         if not o.terms:
             raise ZeroDivisionError("polynomial division by zero")
+        # the guard bit of every field: with it set in a key, each field of
+        # the key minus a divisor keeps it exactly when it does not go below 0
+        guards = _GUARD * (((1 << (_FIELD_BITS * (self.n + 1))) - 1) // _FIELD_MASK)
         rem = Poly(self.n, dict(self.terms))
         out = {}
-        le, lc = o.leading()
+        le = max(o.terms)
+        lc = o.terms[le]
         while rem.terms:
-            re_, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re_, le))
-            if any(q < 0 for q in qe):
+            re_ = max(rem.terms)
+            qe = (re_ | guards) - le
+            if qe & guards != guards:
                 raise DomainError("inexact polynomial division")
-            qc = Fraction(rc) / lc
+            qe ^= guards
+            qc = Fraction(rem.terms[re_]) / lc
             out[qe] = out.get(qe, Fraction(0)) + qc
             rem = rem - Poly(self.n, {qe: qc}) * o
         return Poly(self.n, out)
@@ -685,7 +728,7 @@ class Poly:
         total = Fraction(0)
         for e, c in self.terms.items():
             v = c
-            for x, k in zip(point, e):
+            for x, k in zip(point, _unpack(self.n, e)):
                 for _ in range(k):
                     v *= x
             total += v
@@ -695,15 +738,22 @@ class Poly:
         if not self.terms:
             return "0"
         bits = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+        for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             mono = "*".join(f"x{i}^{k}" if k > 1 else f"x{i}"
-                            for i, k in enumerate(e) if k)
+                            for i, k in enumerate(_unpack(self.n, e)) if k)
             if mono:
                 bits.append(f"{c}*{mono}" if c != 1 else mono)
             else:
                 bits.append(str(c))
         return " + ".join(bits).replace("+ -", "- ")
+
+
+def _poly(n, terms):
+    """The Poly of terms, which has no zero coefficient, taken as it is."""
+    p = Poly.__new__(Poly)
+    p.n, p.terms = n, terms
+    return p
 
 
 class PolyRing:
@@ -713,6 +763,13 @@ class PolyRing:
     (``identities.symbolic_check``, the ``law_table`` of a generic product)
     and matrix products.  ``linalg.generic_rank`` takes a matrix of Polys
     and reduces only at rational points and on coefficient systems over Q.
+
+    A monomial is one packed int key, ``pack``ed from and ``unpack``ed to
+    its exponent tuple: n + 1 fields of 16 bits, the total degree in the
+    highest, then x0, ..., x_{n-1}, each field's top bit a guard that no
+    stored key sets.  So the total degree and every exponent are at most
+    ``2**15 - 1``; ``pack`` and ``Poly`` products past that raise
+    ``DomainError``.  Keys compare as their monomials do in deglex order.
     """
 
     char = 0
@@ -720,6 +777,28 @@ class PolyRing:
     def __init__(self, nvars):
         self.n = nvars
         self.name = f"Q[x0..x{nvars - 1}]"
+
+    def pack(self, exps):
+        """The key of the monomial with exponent tuple exps."""
+        if len(exps) != self.n or min(exps, default=0) < 0 or sum(exps) >= _GUARD:
+            raise DomainError(f"exponents {tuple(exps)} outside {self.name} "
+                              f"(total degree at most {_GUARD - 1})")
+        key = sum(exps)
+        for k in exps:
+            key = key << _FIELD_BITS | k
+        return key
+
+    def unpack(self, key):
+        """The exponent tuple of the monomial key."""
+        return _unpack(self.n, key)
+
+    def key_degree(self, key):
+        """The total degree of the monomial key."""
+        return key >> (_FIELD_BITS * self.n)
+
+    def var_key(self, i):
+        """The key of the variable x_i."""
+        return _var_key(self.n, i)
 
     def zero(self):
         return Poly(self.n, {})

@@ -1404,8 +1404,8 @@ def _scan_scalar(rng, dom):
     """A random scan-form value, maybe zero: an int over Q, a residue over
     GF(7), a Poly of int coefficients over Q[c]."""
     if isinstance(dom, PolyRing):
-        return Poly(dom.n, {(a, b): rng.randint(-3, 3) for a in range(2) for b in range(2)
-                            if rng.random() < 0.5})
+        return Poly(dom.n, {dom.pack((a, b)): rng.randint(-3, 3) for a in range(2)
+                            for b in range(2) if rng.random() < 0.5})
     return rng.randrange(dom.p) if dom.char else rng.randint(-4, 4)
 
 

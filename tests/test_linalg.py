@@ -13,7 +13,7 @@ from nonassoc.identities import check_identity, parse_identity
 from nonassoc.linalg import (Subspace, generic_rank, inverse, is_invertible, kernel,
                              linear_pencil, mat_mul, nullspace, nullspace_sparse_q,
                              rank, rref, seeded_points, solve)
-from nonassoc.operators import derivation_space
+from nonassoc.operators import SAMPLE_SEED, derivation_space
 from nonassoc.scalars import (GF, QQ, QT, DomainError, Poly, PolyRing, PrimeField, RatFunc,
                                RationalDomain)
 from nonassoc.structure import change_basis
@@ -1166,6 +1166,27 @@ def test_generic_rank_needs_enough_points():
         generic_rank(_band(2, 3), [[Fraction(0), Fraction(0)]] * 3)
 
 
+@pytest.mark.parametrize("name, params, rank_, point, degrees", [
+    ("matrix", {"n": 2}, 2, [-1, 7, 6, -4], [0, 1]),
+    ("matrix", {"n": 3}, 6, [-1, 7, 6, -4, 8, -5, -1, -2, -5], [0, 1, 2]),
+    ("U2e", None, 2, [-1, 7, 6, -4, 8, -5, -1, -2], [0, 0, 1, 1, 1, 1]),
+    ("M7", None, 6, [-1, 7, 6, -4, 8, -5, -1], [1]),
+    ("R", {"seq": [1]}, 3, [-1, 7, 6, -4, 8], [0, 0]),
+])
+def test_generic_rank_of_the_local_derivation_pencils(name, params, rank_, point, degrees):
+    """The rank, point and kernel degrees of ``generic_rank`` on the pencil
+    S_x of ``local_derivation_generic_space`` for its catalog cases, as
+    recorded with tuple-keyed monomials."""
+    A = catalog_get(name, params)
+    n = A.dim
+    der = derivation_space(A).matrices()
+    S = linear_pencil([[[D[i][j] for D in der] for i in range(n)] for j in range(n)])
+    r, x, left = generic_rank(S, seeded_points(SAMPLE_SEED + 1, n, 9))
+    assert (r, x, [max(p.degree() for p in w) for w in left]) == (rank_, point, degrees)
+    assert all(sum((w[i] * S[i][j] for i in range(n)), Poly(n)) == 0
+               for w in left for j in range(len(S[0])))
+
+
 def _reference_independent_at(cand, x):
     """Reference: ``_independent_at`` as it was, one membership test and
     one ``Subspace`` per candidate."""
@@ -1190,7 +1211,7 @@ def test_independent_at_matches_the_incremental_loop(data):
             u, v = data.draw(st.sampled_from(cand)), data.draw(st.sampled_from(cand))
             cand.append([p + q for p, q in zip(u, v)])
         else:
-            cand.append([Poly(s, {tuple(int(i == k) for i in range(s)): c
+            cand.append([Poly(s, {PolyRing(s).pack(tuple(int(i == k) for i in range(s))): c
                                   for k, c in enumerate(data.draw(st.lists(
                                       st.integers(-2, 2), min_size=s, max_size=s))) if c})
                          for _ in range(length)])

@@ -137,7 +137,7 @@ def _looped_obstructions(basis_tensors, n):
     if s == 0:
         return []
     ring = PolyRing(s)
-    exps = [[tuple((a == i) + (b == i) for i in range(s)) for b in range(s)]
+    exps = [[ring.pack(tuple((a == i) + (b == i) for i in range(s))) for b in range(s)]
             for a in range(s)]
     out = []
     seen = set()
@@ -176,6 +176,23 @@ def test_obstructions_match_the_looped_reference(name, seeds):
         res = transposed_compatible_space(B, op="mul")
         want = [str(p) for p in _looped_obstructions(res["basis"], 3)]
         assert want and [str(p) for p in res["obstructions"]] == want
+
+
+@pytest.mark.parametrize("name, params, seed, dim, count", [
+    ("abelian", {"n": 3}, None, 18, 54), ("abelian", {"n": 4}, None, 40, 192),
+    ("heis3", None, 1, 9, 54), ("heis3", None, 2, 9, 44), ("heis3", None, 3, 9, 54)])
+def test_obstructions_with_packed_monomials_match_the_looped_reference(name, params, seed,
+                                                                      dim, count):
+    """The obstructions, built from packed monomial keys in up to 40
+    variables, are the looped reference's polynomials string for string:
+    abelian(3) and abelian(4), and heis3 rebased by ``_seeded_basis``."""
+    A = catalog_get(name, params)
+    if seed is not None:
+        A = change_basis(A, _seeded_basis(3, seed))
+    res = transposed_compatible_space(A)
+    got = [str(p) for p in res["obstructions"]]
+    assert (res["dim"], len(got)) == (dim, count)
+    assert got == [str(p) for p in _looped_obstructions(res["basis"], A.dim)]
 
 
 class _FractionPolyRing:

@@ -784,11 +784,7 @@ def _compile(A, terms, variables, forms, unknowns=(), generic=False):
     holding X and an unknown has a form of paired columns, from
     ``_add_unknown_generic`` (an unknown over X), ``_add_outer`` (an
     operation at X's form and the unknown's) or ``_add_linear`` over such a
-    form.  An unknown over X whose subterm lacks position k-2, D(X) in the
-    commuting law say, is built once over a twin of its argument in which X
-    takes every column, and restricted to the columns of each i
-    (``_add_bound``): D(X) of ``M_5`` takes 625 entries, not the 8,125 of
-    building it anew for each i.
+    form.
 
     Everything but the tables is the law's (``_law``), compiled once per
     law, mark pattern and characteristic; only the weights, ``scale``,
@@ -827,8 +823,6 @@ def _compile(A, terms, variables, forms, unknowns=(), generic=False):
             add = (add_products, forms[sym][0], prune)
         elif how == "generic":
             add = (_add_generic, (A.dim, data), _as_is)
-        elif how == "bound":
-            add = (_add_bound, (A.dim, data), _as_is)
         elif how == "linear":
             add = (_add_linear, _index(forms[sym], data), _as_is)
         else:
@@ -851,12 +845,9 @@ def _law(terms, variables, unknowns, generic, marks, char):
     or "linear" (data: the slot holding a form); cache is None (computed
     per tuple), "units" (a basis vector) or "cached" (a fresh dict).  With
     unknowns and ``generic``, how may also be "unknown-generic" (data: the
-    argument holding X), "outer" (data: the slots of the unknown's form
-    and of X's form) or "bound" (data: the last run's kind), the
-    restriction of an unknown over X's unbounded twin at the index of
-    position k-2.  The returned nodes are those of the plan: the DAG's, with
-    the twins and restrictions added.  None of it holds a table or a domain
-    element of the call.
+    argument holding X) or "outer" (data: the slots of the unknown's form
+    and of X's form).  None of it holds a table or a domain element of the
+    call.
 
     The runs are proven on the coefficients as they are, each term's summed
     with its sign into its node and zeros dropped, not on the weighted ones
@@ -885,26 +876,11 @@ def _law(terms, variables, unknowns, generic, marks, char):
         length, last = runs[-1] if runs else (1, 1)
         if length > 1:
             lead = ids[(None, k - 2)]
-    dag, plan, full = [], [], {}
-    at = [None] * len(nodes)   # node nid's id in dag and plan
-    with_x, with_u = at[:], at[:]   # per node: holds the generic element, an unknown
-
-    def add(node, how, data, pos):
-        sym, kids = node[:2]
-        dag.append(node)
-        plan.append((how, sym, data, kids,
-                     None if sym is not None and len(pos) == width
-                     else "units" if how == "variable" else "cached",
-                     operator.itemgetter(*pos) if pos else operator.itemgetter(slice(0))))
-        return len(dag) - 1
-
-    # the variable at k-2 first, as X and its restrictions take it as a child
-    for nid in sorted(range(len(nodes)), key=lambda nid: nid != lead):
-        sym, kids, pos = nodes[nid]
-        with_x[nid] = pos == gen if sym is None else any(with_x[c] for c in kids)
-        with_u[nid] = sym in unknowns or any(with_u[c] for c in kids)
-        node = (sym, tuple(at[c] for c in kids), pos)
-        if with_x[nid]:
+    plan, with_x, with_u = [], [], []   # per node: holds the generic element, an unknown
+    for sym, kids, pos in nodes:
+        with_x.append(pos == gen if sym is None else any(with_x[c] for c in kids))
+        with_u.append(sym in unknowns or any(with_u[c] for c in kids))
+        if with_x[-1]:
             # scanned positions: not the generic one, but the one before it
             # when that bounds the form's columns
             pos = pos[:-1]
@@ -914,30 +890,23 @@ def _law(terms, variables, unknowns, generic, marks, char):
         data = None
         if sym in unknowns:
             how = "unknown"
-            if with_x[nid]:
+            if with_x[-1]:
                 how, data = "unknown-generic", forms.index(True)
-        elif not (with_x[nid] or with_u[nid]):
+        elif not (with_x[-1] or with_u[-1]):
             how = "variable" if sym is None else "vector"
         elif sym is None:
-            how, data = "generic", last
-            node = (sym, () if lead is None else (at[lead],), node[2])
+            how, data, kids = "generic", last, () if lead is None else (lead,)
         elif forms.count(True) == 1:
             how, data = "linear", forms.index(True)
         else:
             # the generic element and the unknown in two slots
             how, data = "outer", ([with_u[c] for c in kids].index(True),
                                   [with_x[c] for c in kids].index(True))
-        if unknowns and with_x[nid] and pos != node[2][:-1]:
-            # with unknowns, a node holding X and not k-2 also gets a twin
-            # with X at every column, built once per index tuple of its own
-            # positions; an unknown over X is its twin restricted at each i
-            full[nid] = add((sym, tuple(full.get(c, at[c]) for c in kids), node[2]),
-                            how, data, node[2][:-1])
-            if how == "unknown-generic":
-                at[nid] = add(("<bound>", (full[nid], at[lead]), node[2]), "bound", last, pos)
-                continue
-        at[nid] = add(node, how, data, pos)
-    return tuple(dag), tuple((at[nid], sign) for nid, sign in tops), runs, tuple(plan)
+        cache = (None if sym is not None and len(pos) == width
+                 else "units" if how == "variable" else "cached")
+        plan.append((how, sym, data, kids, cache,
+                     operator.itemgetter(*pos) if pos else operator.itemgetter(slice(0))))
+    return tuple(nodes), tops, runs, tuple(plan)
 
 
 def _value(nid, combo, specs, vals, one):
@@ -1276,23 +1245,6 @@ def _add_generic(data, args, out, coef, one):
         tgt = out.setdefault(c, {})
         prev = tgt.get(c)
         tgt[c] = coef if prev is None else prev + coef
-
-
-def _add_bound(data, args, out, coef, one):
-    """Add coef times the form args[0], which holds the generic element,
-    restricted to the generic columns c its last run allows at the index i
-    of position k-2 (``args[1]``), to the form ``out``: c >= i (kind 1) or
-    c > i (kind -1).  A column is c, or j * dim + c when it pairs unknown
-    column j with c."""
-    dim, kind = data
-    start = next(iter(args[1])) + (kind < 0)
-    for r, row in args[0].items():
-        kept = {key: x for key, x in row.items() if key % dim >= start}
-        if kept:
-            if coef is one and r not in out:
-                out[r] = kept
-            else:
-                _merge_form(out, {r: kept}, coef)
 
 
 def add_products(table, svecs, out, coef, one):

@@ -632,14 +632,14 @@ class Poly:
         o = self._lift(other)
         if o is NotImplemented:
             return o
-        out = self.terms.copy()
+        out = dict(self.terms)
         for e, c in o.terms.items():
             s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                del out[e]
-        return _poly(self.n, out)
+                out.pop(e, None)
+        return Poly(self.n, out)
 
     __radd__ = __add__
 
@@ -656,29 +656,20 @@ class Poly:
         if o is NotImplemented:
             return o
         a, b = self.terms, o.terms
-        if not (a and b):
-            return _poly(self.n, {})
         # the largest keys are the leading monomials, whose degrees add
-        if max(a) + max(b) >= _GUARD << (_FIELD_BITS * self.n):
+        if a and b and max(a) + max(b) >= _GUARD << (_FIELD_BITS * self.n):
             raise DomainError(f"a product passes degree {_GUARD - 1}")
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) == 1:
-            # a monomial times a polynomial: distinct keys, no zero products,
-            # in the order of the other factor's terms as in the loop below
-            (e1, c1), = a.items()
-            return _poly(self.n, {e1 + e2: c1 * c2 for e2, c2 in b.items()})
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return _poly(self.n, {e: c for e, c in out.items() if c})
+        return Poly(self.n, out)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return _poly(self.n, {e: -c for e, c in self.terms.items()})
+        return Poly(self.n, {e: -c for e, c in self.terms.items()})
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -747,13 +738,6 @@ class Poly:
             else:
                 bits.append(str(c))
         return " + ".join(bits).replace("+ -", "- ")
-
-
-def _poly(n, terms):
-    """The Poly of terms, which has no zero coefficient, taken as it is."""
-    p = Poly.__new__(Poly)
-    p.n, p.terms = n, terms
-    return p
 
 
 class PolyRing:

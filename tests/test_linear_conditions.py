@@ -695,11 +695,10 @@ def test_law_rows_equal_the_rows_of_every_orbit_tuple(dom, seed):
 
 def test_unknown_laws_reach_every_case():
     """The laws of ``_unknown_law`` reach each unknown, an unknown over the
-    generic element (also built once and restricted at each index before
-    X), the generic element and an unknown in one product, and last runs of
-    each kind, with rows."""
+    generic element, the generic element and an unknown in one product, and
+    last runs of each kind, with rows."""
     seen = {"<c>": 0, "<D>": 0, "<B>": 0, "<S>": 0, "unknown over X": 0, "X and unknown": 0,
-            "restricted unknown over X": 0, "symmetric": 0, "antisymmetric": 0, "single": 0}
+            "symmetric": 0, "antisymmetric": 0, "single": 0}
     for seed in range(200):
         A, terms, variables, unknowns = _unknown_law(seed, QQ)
         if not law_rows(A, terms, variables, unknowns):
@@ -713,7 +712,6 @@ def test_unknown_laws_reach_every_case():
         adds = {spec[0] for spec in specs}
         seen["unknown over X"] += identities._add_unknown_generic in adds
         seen["X and unknown"] += identities._add_outer in adds
-        seen["restricted unknown over X"] += identities._add_bound in adds
         length, kind = runs[-1]
         seen["single" if length == 1 else "symmetric" if kind > 0 else "antisymmetric"] += 1
     assert min(seen.values()) >= 10, seen

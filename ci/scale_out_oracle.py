@@ -20,12 +20,15 @@ a Kantor product per basis pair for u = v_1 (4096 products); the derived
 subalgebra of the 4-ary derivations of D(4) is sl_4 (15) in every slot; the
 sigma/Poisson biconditional holds over GF(5) on all 87
 posets with 5^s <= 4,000,000 (s strict pairs) and over GF(7) on all 77 with
-7^s <= 4,000,000; LDer_2(M7) holds no invertible map (certified generic
-rank < 7); the local derivations of a seeded rebased M_3(Q) are its 8
-derivations, with the generic rank certified; U(3) is conservative and not
-terminal, with a 24-dimensional value space, a quasi-unit and 24-dimensional
-quasi-unit and Jacobi element spaces; the ternary M8 and D3, rebased by a
-seeded P, come back equal under P^-1; rebased by that P, the 4-ary
+7^s <= 4,000,000; all_posets_up_to(6) gives 1, 2, 5, 16, 63 and 318
+posets of 1 to 6 points (OEIS A000112), and the biconditional holds over
+GF(3) on the 399 of those 405 with 3^s <= 4,000,000; LDer_2(M7) holds
+no invertible map (certified generic rank < 7); the local derivations of
+a seeded rebased M_3(Q) are its 8 derivations, with the generic rank
+certified; U(3) is conservative and not terminal, with a 24-dimensional
+value space, a quasi-unit and 24-dimensional quasi-unit and Jacobi
+element spaces; the ternary M8 and D3, rebased by a seeded P, come back
+equal under P^-1; rebased by that P, the 4-ary
 derivations of D3, the octonions and M8 keep their dims 31, 30 and 24, and
 Der of rebased D3 is 21: every kernel there lifts only after several CRT
 primes; their slot projection dims, derived dim and derived projection dims,
@@ -239,6 +242,8 @@ def conditions():
     posets = all_posets_up_to(5) + [crown_poset()]
     gf5 = [P for P in posets if 5 ** len(P.strict_pairs()) <= 4_000_000]
     gf7 = [P for P in posets if 7 ** len(P.strict_pairs()) <= 4_000_000]
+    six = all_posets_up_to(6)
+    gf3_six = [P for P in six if 3 ** len(P.strict_pairs()) <= 4_000_000]
     P = seeded_basis(9)
     loc = local_derivation_generic_space(change_basis(catalog_get("matrix", {"n": 3}), P))
     U3 = build_U(3)
@@ -288,6 +293,12 @@ def conditions():
     yield "posets with 7^s <= 4,000,000", len(gf7), 77
     yield "GF(7) posets where the sigma biconditional fails", \
         [P.elements for P in gf7 if not exhaustive_sigma_equiv(P, 7)["agree"]], []
+    yield "posets on at most 6 points, by size (OEIS A000112)", \
+        [sum(P.n == n for P in six) for n in range(1, 7)], [1, 2, 5, 16, 63, 318]
+    yield "posets on at most 6 points with 3^s <= 4,000,000, and those where the GF(3) " \
+        "sigma biconditional fails", \
+        (len(gf3_six), [P.to_json() for P in gf3_six
+                        if not exhaustive_sigma_equiv(P, 3)["agree"]]), (399, [])
     yield "LDer_2(M7) has an invertible map", \
         leibniz_derivation_space(catalog_get("M7"), 2).meta["invertible_exists"], False
     yield "dim of the local derivations of rebased M_3", loc.dim, 8

@@ -369,7 +369,8 @@ def polarize(identity, char=0):
     """Full multilinearization.
 
     Splits into multihomogeneous components, then linearizes each repeated
-    variable; valid over characteristic 0 or characteristic > total degree.
+    variable; valid over characteristic 0 or a characteristic above the
+    largest degree of one variable.
     The copies of x are x1, x2, ... unless the component being built already
     has a variable of such a name (``_copy_names``).  Each returned identity
     carries ``restitution_scale``: substituting the original variable back
@@ -413,11 +414,12 @@ def _polarized(terms, signature, char):
     if multilinear and len(groups) <= 1:
         identity.restitution_scale = Fraction(1)
         return (identity,)
-    total_degree = max((sum(term_vars(t).values()) for _, t in identity.terms),
-                       default=0)
-    if char and char <= total_degree and not multilinear:
+    # restitution divides by the product of d! over the degrees d of the
+    # variables, a unit exactly when the characteristic exceeds every d
+    top = max((d for prof in groups for d in prof), default=0)
+    if char and char <= top:
         raise DomainError(
-            f"polarization needs characteristic 0 or > {total_degree}, got {char}")
+            f"polarization needs characteristic 0 or > {top}, got {char}")
     copies = sum(math.prod(map(math.factorial, prof)) * len(terms)
                  for prof, terms in groups.items())
     if not multilinear and copies > MAX_POLARIZATION_COPIES:

@@ -274,16 +274,11 @@ def _by_factor(table, slot):
     return out
 
 
-def _rows_by_output(acc):
-    """Distinct rows {unknown: coefficient}, one per triple and output basis
-    index, from {triple: {(output, unknown): coefficient}}."""
-    found = set()
-    for terms in acc.values():
-        rows = {}
-        for (out, u), c in terms.items():
-            if c:
-                rows.setdefault(out, {})[u] = c
-        found.update(tuple(sorted(row.items())) for row in rows.values())
+def _distinct_rows(rows):
+    """The distinct nonzero rows of {key: {unknown: coefficient}}, each as
+    a dict without its zero coefficients."""
+    found = {tuple(sorted([uc for uc in row.items() if uc[1]]))
+             for row in rows.values() if any(row.values())}
     return [dict(r) for r in found]
 
 
@@ -292,7 +287,8 @@ def _leibniz_jacobi_forms(P):
 
     Returns (linear_rows, quadratic_rows): linear rows are {s: int} maps
     from the Leibniz rule B(f, gh) - B(f, g)h - gB(f, h), quadratic rows
-    {(s1, s2): int} from Jacobi, with s indexing strict pairs.  Only the
+    {(s1, s2): int} from Jacobi, with s indexing strict pairs, one row per
+    triple and output basis index, each distinct row once.  Only the
     triples with a nonzero term are visited: each term is a composable
     product or bracket entry followed by an entry of the adjacency list of
     its output.
@@ -300,28 +296,54 @@ def _leibniz_jacobi_forms(P):
     mul, br = _sigma_tables(P)
     mul_first, mul_second = _by_factor(mul, 0), _by_factor(mul, 1)
     br_first, br_second = _by_factor(br, 0), _by_factor(br, 1)
-
-    def add(acc, triple, key, c):
-        terms = acc.setdefault(triple, {})
-        terms[key] = terms.get(key, 0) + c
-
     leib = {}
     for (g, h), m in mul.items():
         for f, (out, s, sign) in br_second.get(m, ()):
-            add(leib, (f, g, h), (out, s), sign)          # B(f, gh)
+            row = leib.setdefault((f, g, h, out), {})    # B(f, gh)
+            row[s] = row.get(s, 0) + sign
     for (f, a), (m, s, sign) in br.items():
         for h, out in mul_first.get(m, ()):
-            add(leib, (f, a, h), (out, s), -sign)         # B(f, g)h, g = a
+            row = leib.setdefault((f, a, h, out), {})    # B(f, g)h, g = a
+            row[s] = row.get(s, 0) - sign
         for g, out in mul_second.get(m, ()):
-            add(leib, (f, g, a), (out, s), -sign)         # gB(f, h), h = a
+            row = leib.setdefault((f, g, a, out), {})    # gB(f, h), h = a
+            row[s] = row.get(s, 0) - sign
     # Jacobi sums over the rotations of a triple, so its row is kept under
     # the least rotation; B(f, f) = 0, so (f, f, f) has no term to count thrice
     jac = {}
     for (a, b), (m, s1, sign1) in br.items():
         for c, (out, s2, sign2) in br_first.get(m, ()):
-            add(jac, min((a, b, c), (b, c, a), (c, a, b)),
-                (out, (min(s1, s2), max(s1, s2))), sign1 * sign2)
-    return _rows_by_output(leib), _rows_by_output(jac)
+            row = jac.setdefault((min((a, b, c), (b, c, a), (c, a, b)), out), {})
+            ss = (s1, s2) if s1 <= s2 else (s2, s1)
+            row[ss] = row.get(ss, 0) + sign1 * sign2
+    return _distinct_rows(leib), _distinct_rows(jac)
+
+
+def _vanishes_on(rows, space):
+    """Does every quadratic row {(s1, s2): c} vanish on all of the GF(p)
+    ``Subspace`` space?  Decided on its canonical basis b_1..b_k: with the
+    polar form B_q(u, v) = q(u + v) - q(u) - q(v), in any characteristic
+    q(sum_i t_i b_i) = sum_i t_i^2 q(b_i) + sum_{i<j} t_i t_j B_q(b_i, b_j),
+    so q vanishes on the space exactly when every q(b_i) and every
+    B_q(b_i, b_j) is zero.  Each coordinate s is the linear form
+    sum_i b_i[s] t_i, and the product of two such forms gives those values
+    as the coefficients of t_i^2 and t_i t_j."""
+    p = space.dom.p
+    coordinate = [[] for _ in range(space.ambient_dim)]
+    for i, b in enumerate(space.basis):
+        for s, x in enumerate(b):
+            if x.v:
+                coordinate[s].append((i, x.v))
+    for row in rows:
+        coef = {}
+        for (s1, s2), c in row.items():
+            for i, x in coordinate[s1]:
+                for j, y in coordinate[s2]:
+                    ij = (i, j) if i <= j else (j, i)
+                    coef[ij] = coef.get(ij, 0) + c * x * y
+        if any(v % p for v in coef.values()):
+            return False
+    return True
 
 
 def _span_indices(space):
@@ -338,15 +360,18 @@ def _span_indices(space):
 def exhaustive_sigma_equiv(P, p=3):
     """Test the sigma/Poisson biconditional for every sigma over GF(p).
 
-    The sigmas satisfying Leibniz are the GF(p) kernel of the linear forms;
-    each of its vectors gets the quadratic Jacobi forms in Python ints.  The
-    chain-constant sigmas are the kernel of the equalities along maximal
-    chains.  Both kernels are exact (eliminated mod p), so no assignment
-    outside them is looked at.  Without Jacobi forms the Poisson sigmas are
-    the Leibniz kernel itself, so equal canonical bases settle agreement and
-    the counts are p^dim; the vectors are enumerated only when the kernels
-    differ or Jacobi forms must be evaluated.  Returns counts and the first
-    disagreement, in the order t = sum_k sigma_k p^k, if any.
+    The sigmas satisfying Leibniz are the GF(p) kernel L of the linear
+    forms, and the Poisson ones those of L on which every quadratic Jacobi
+    form vanishes.  The chain-constant sigmas are the kernel C of the
+    equalities along maximal chains.  Both kernels are exact (eliminated
+    mod p), so no assignment outside them is looked at.  When L = C as
+    canonical subspaces and every Jacobi form vanishes on L, decided on
+    L's basis (``_vanishes_on``), the two sets agree and the counts are
+    p^dim, with no vector enumerated.  Otherwise (L != C, or a Jacobi form
+    that does not vanish on L) the vectors of both kernels are enumerated
+    and each vector of L gets the Jacobi forms in Python ints.  Returns
+    counts and the first disagreement, in the order t = sum_k sigma_k p^k,
+    if any.
     """
     if p == 2:
         raise DomainError("the sweep needs an odd prime (alternating bracket)")
@@ -366,7 +391,7 @@ def exhaustive_sigma_equiv(P, p=3):
               "chain_constant_count": p ** chains.dim,
               "poisson_count": p ** leibniz.dim,
               "agree": True, "counterexample": None}
-    if not quadratic and leibniz == chains:
+    if leibniz == chains and _vanishes_on(quadratic, leibniz):
         return report
     quadratic = [[(s1, s2, c) for (s1, s2), c in row.items()]
                  for row in quadratic]

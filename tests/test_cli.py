@@ -618,6 +618,24 @@ def test_terminal_product_is_refused_in_characteristic_3(tmp_path, capsys, argv)
                                        "undefined in characteristic 3\n")
 
 
+@pytest.mark.parametrize("name,params,variety,code,out", [
+    ("heis3", {}, "malcev", 0, "heis3 in variety malcev: True\n"),
+    ("D", {"dim": 4}, "3-lie", 0, "D(4) in variety 3-lie: True\n"),
+    ("heis3", {}, "jordan", 2, "")])
+def test_gf3_polarizes_below_the_largest_degree_of_one_variable(tmp_path, capsys, name, params,
+                                                               variety, code, out):
+    """Over GF(3) Malcev (total degree 4) and 3-Lie (total degree 3) answer,
+    as each of their variables has degree at most 2; Jordan, with a variable
+    of degree 3, is refused."""
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(dict(algebra_to_json(catalog_get(name, params)), field="GF(3)")))
+    assert run(["variety", "check", str(path), "--variety", variety]) == code
+    got = capsys.readouterr()
+    assert got.out == out
+    assert got.err == ("" if code == 0 else "error: polarization needs characteristic 0 or > 3, "
+                                             "got 3\n")
+
+
 @pytest.mark.parametrize("name,params", [("quaternions", {}), ("sl2", {}), ("NF", {"n": 3}),
                                          ("abelian", {"n": 2}), ("U2e", {})])
 def test_conservative_builds_k_once_and_takes_one_kernel(tmp_path, capsys, monkeypatch, name,

@@ -12,7 +12,7 @@ from nonassoc.catalog import CATALOG_NAMES, catalog_get
 from nonassoc.identities import (MAX_POLARIZATION_COPIES, Identity, ParseError, _bind,
                                  check_identity, parse_identity,
                                  polarize, symbolic_check, eval_identity_sparse,
-                                 default_opmap, law_table)
+                                 default_opmap, law_table, term_vars)
 from nonassoc.scalars import GF, QQ, QT, DomainError, Fp, Poly, PolyRing, RatFunc
 from nonassoc.structure import Algebra, StructureTensor, linear_map
 from nonassoc.incidence import HigherDerivationSeq, higher_derivation_check
@@ -233,6 +233,92 @@ def test_polarize_char_guard():
         polarize(jordan, char=3)
     # multilinear identities pass through in any characteristic
     assert polarize(parse_identity("(x*y)*z - x*(y*z)"), char=3)
+
+
+_GF3 = GF(3)
+# laws whose variables each have degree at most 2 but whose total degree is
+# 3 or 4 (left and right alternativity, flexibility, Malcev), and two with a
+# variable of degree 3 (Jordan, and (x,x,x) times y)
+_DEGREE_LAWS = ["(x*x)*y - x*(x*y)", "(y*x)*x - y*(x*x)", "(x*y)*x - x*(y*x)",
+                "(x*x)*(y*y) - (x*y)*(x*y)", BINARY_VARIETIES["malcev"][1],
+                "((x*x)*y)*x - (x*x)*(y*x)", "((x*x)*x)*y - (x*(x*x))*y"]
+
+
+def _degree_case(seed):
+    """A random product on GF(3)^2, anticommutative half the time, and a
+    law from ``_DEGREE_LAWS`` or a random one whose terms are trees over
+    x, x, y or x, x, y, y."""
+    rng = random.Random(seed)
+    anti = rng.random() < 0.5
+    table = {}
+    for i, j in itertools.product(range(2), repeat=2):
+        if anti and i >= j:
+            continue
+        row = {k: _GF3.from_int(rng.randint(1, 2)) for k in range(2) if rng.random() < 0.6}
+        if row:
+            table[(i, j)] = row
+            if anti:
+                table[(j, i)] = {k: -c for k, c in row.items()}
+    A = Algebra("t", 2, {"mul": StructureTensor(2, 2, table, _GF3)}, _GF3)
+    if rng.random() < 0.5:
+        return A, parse_identity(rng.choice(_DEGREE_LAWS))
+    leaves = rng.choice([["x", "x", "y"], ["x", "x", "y", "y"]])
+    terms = [(Fraction(rng.choice([1, -1, 2])), _random_tree(rng, leaves, False, False))
+             for _ in range(rng.randint(1, 3))]
+    return A, Identity(terms, {"*": 2})
+
+
+def _vanishes_at_every_point(A, law):
+    """The law at every point of GF(p)^N, N = dim times the number of
+    variables: each variable any vector, not only a basis vector.  When
+    every variable has degree below p, each coordinate polynomial has degree
+    below p in each coordinate, so it is zero exactly when it vanishes at
+    every point."""
+    field = [A.dom.from_int(a) for a in range(A.dom.p)]
+    vectors = [{k: c for k, c in enumerate(v) if c}
+               for v in itertools.product(field, repeat=A.dim)]
+    return all(not eval_identity_sparse(A, law, dict(zip(law.variables, point)), {"*": "mul"})
+               for point in itertools.product(vectors, repeat=len(law.variables)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_polarization_guard_is_the_largest_degree_of_one_variable(seed):
+    """Over GF(3) a law is polarized whenever each variable has degree at
+    most 2, whatever its total degree, and the verdict is that of the
+    unpolarized law at every point; a witness names a polarized component
+    and a basis tuple where that component is nonzero.  A variable of
+    degree 3 is refused."""
+    A, law = _degree_case(seed)
+    top = max(d for _, t in law.terms for d in term_vars(t).values())
+    if top >= 3:
+        with pytest.raises(DomainError, match="> 3, got 3"):
+            check_identity(A, law, {"*": "mul"})
+        return
+    holds, wit = check_identity(A, law, {"*": "mul"})
+    assert holds == _vanishes_at_every_point(A, law)
+    if not holds:
+        one = _GF3.one()
+        defects = [eval_identity_sparse(A, lin, {v: {i: one} for v, i in
+                                                 zip(lin.variables, wit["tuple"])}, {"*": "mul"})
+                   for lin in polarize(law, char=3) if list(lin.variables) == wit["variables"]]
+        want = {k: c for k, c in enumerate(wit["defect"]) if c}
+        assert want and want in defects
+
+
+def test_polarization_guard_cases_reach_both_verdicts():
+    """The seeded cases of the guard test hold on nonzero tables, fail, and
+    are refused, and both verdicts come from laws of total degree 3 or 4."""
+    seen = set()
+    for seed in range(80):
+        A, law = _degree_case(seed)
+        try:
+            holds = check_identity(A, law, {"*": "mul"})[0]
+        except DomainError:
+            holds = None
+        total = max(sum(term_vars(t).values()) for _, t in law.terms)
+        seen.add((holds, A.op("mul").is_zero(), total >= 3))
+    assert {(True, False, True), (False, False, True), (None, False, True)} <= seen
 
 
 def test_polarization_copies_are_bounded_before_any_is_built(monkeypatch):
@@ -1283,8 +1369,10 @@ def _assert_generic_law_table(A, law):
     want = _law_table_by_tuples(A, law, {"*": "mul"})
     assert list(got) == list(want)
     assert got == want
-    assert [[str(p) for p in row.values()] for row in got.values()] == \
-        [[str(p) for p in row.values()] for row in want.values()]
+    # the exact strings of each coordinate; a row's key order is not part
+    # of the table (no caller reads it)
+    assert [{k: str(p) for k, p in row.items()} for row in got.values()] == \
+        [{k: str(p) for k, p in row.items()} for row in want.values()]
     assert all(type(c) is Fraction for row in got.values() for p in row.values()
                for c in p.terms.values())
     return got
@@ -1292,6 +1380,9 @@ def _assert_generic_law_table(A, law):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32))
+@example(9072)
+@example(10409)
+@example(18341)
 def test_law_table_over_q_c_matches_per_tuple_evaluation(seed):
     """The integer scan form over Q[c] against the per-tuple evaluation in
     Fraction-coefficient polynomials at every tuple."""

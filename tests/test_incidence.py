@@ -20,7 +20,7 @@ from nonassoc.incidence import (HigherDerivationSeq, Poset, SigmaMap,
                                 poisson_sigma_equiv_test, sigma_bracket,
                                 sigma_tilde, check_higher_transitive)
 from nonassoc.identities import Identity
-from nonassoc.linalg import identity_matrix, kernel, mat_eq, mat_mul
+from nonassoc.linalg import Subspace, identity_matrix, kernel, mat_eq, mat_mul
 from nonassoc.operators import derivation_space
 from nonassoc.scalars import GF, QQ, DomainError
 from nonassoc.varieties import check_variety, minus_algebra
@@ -460,8 +460,10 @@ def test_sweep_without_jacobi_rows_enumerates_nothing(monkeypatch):
     """On the 33 posets (of 88) with strict pairs but no Jacobi row, the
     Leibniz and chain-constant kernels are compared as canonical subspaces
     and the counts come back as p^dim without a vector being enumerated;
-    over GF(7) that includes the two height-one posets with s = 6."""
-    posets = [P for P in all_posets_up_to(5) + [crown_poset()]
+    over GF(7) that includes the two height-one posets with s = 6.  Over
+    GF(3) no poset of the 88 enumerates: the kernels agree on each, and
+    each Jacobi row is decided on the Leibniz kernel's basis."""
+    posets = [P for P in _POSETS
               if P.strict_pairs() and not incidence._leibniz_jacobi_forms(P)[1]]
     monkeypatch.setattr(incidence, "_span_indices", None)
     for P in posets:
@@ -470,24 +472,89 @@ def test_sweep_without_jacobi_rows_enumerates_nothing(monkeypatch):
                 rep = exhaustive_sigma_equiv(P, p)
                 assert rep["agree"] and rep["poisson_count"] == rep["chain_constant_count"]
     assert len(posets) == 33 and max(len(P.strict_pairs()) for P in posets) == 6
+    for P in _POSETS:
+        rep = exhaustive_sigma_equiv(P, 3)
+        assert rep["agree"] and rep["poisson_count"] == rep["chain_constant_count"], P
+
+
+def _span_decision(rows, space):
+    """Does every quadratic row vanish at every vector of the span?"""
+    p = space.dom.p
+    return all(sum(c * v[s1] * v[s2] for (s1, s2), c in row.items()) % p == 0
+               for v in incidence._span_indices(space).values() for row in rows)
+
+
+def _product_row(f, g):
+    """The quadratic row of the product of two linear forms (dense lists)."""
+    row = {}
+    for (a, x), (b, y) in itertools.product(enumerate(f), enumerate(g)):
+        if x and y:
+            key = (min(a, b), max(a, b))
+            row[key] = row.get(key, 0) + x * y
+    return row
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 2**32))
+def test_basis_decision_matches_the_span(p, seed):
+    """``_vanishes_on`` against every vector of the span, on subspaces of
+    dimension at most 4 and rows of three kinds: random monomials (in
+    either order), products of two random linear forms (zero on the space
+    exactly when one factor is, which leaves q(b_i) = 0 on many basis
+    vectors while a polar value B_q(b_i, b_j) is not), and products with a
+    factor that vanishes on the space."""
+    rng = random.Random(seed)
+    dom = GF(p)
+    n = rng.randint(1, 6)
+    space = Subspace([[dom.from_int(rng.randrange(p) if rng.random() < 0.7 else 0)
+                       for _ in range(n)] for _ in range(rng.randint(0, 4))], n, dom)
+    ann = kernel([{j: x.v for j, x in enumerate(b) if x.v} for b in space.basis], n, dom)
+
+    def form(vanishing):
+        """A random linear form, from the annihilator of the space if
+        vanishing (and the annihilator is not zero)."""
+        if vanishing and ann.dim:
+            v = [0] * n
+            for b in ann.basis:
+                c = rng.randrange(p)
+                v = [(x + c * y.v) % p for x, y in zip(v, b)]
+            return v
+        return [rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(n)]
+
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append({(rng.randrange(n), rng.randrange(n)): rng.randint(1, p - 1)
+                         for _ in range(rng.randint(1, 3))})
+        else:
+            rows.append(_product_row(form(False), form(kind == 2)))
+    assert incidence._vanishes_on(rows, space) == _span_decision(rows, space)
 
 
 def test_sweep_evaluates_jacobi_rows_when_the_kernels_agree(monkeypatch):
-    """An extra quadratic row sigma_0^2 = 0 on posets whose Leibniz and
-    chain-constant kernels agree: only the quadratic rows cut the Poisson
-    set there, so equal kernels alone must not settle the sweep."""
+    """An extra quadratic row on posets whose Leibniz and chain-constant
+    kernels agree: only the quadratic rows cut the Poisson set there, so
+    equal kernels alone must not settle the sweep.  sigma_0^2 = 0 is
+    nonzero at a basis vector; sigma_0 sigma_1 = 0, where the two pairs lie
+    on no common chain, is zero at each basis vector and not on their span,
+    so a polar value decides it."""
     real = incidence._leibniz_jacobi_forms
+    cases = [({(0, 0): 1}, (Poset(["a", "b"], [["a", "b"]]),
+                            Poset(["a", "b", "c"], [["a", "b"], ["a", "c"]]), chain_poset(3))),
+             ({(0, 1): 1}, (Poset(["a", "b", "c"], [["a", "b"], ["a", "c"]]),
+                            Poset(["a", "b", "c", "d"], [["a", "b"], ["c", "d"]]),
+                            Poset(["a", "b", "c", "d"], [["a", "b"], ["a", "c"], ["b", "d"]])))]
+    for row, posets in cases:
+        def extra(P, forms=real, row=row):
+            linear, quadratic = forms(P)
+            return linear, quadratic + [row]
 
-    def extra(P, forms=real):
-        linear, quadratic = forms(P)
-        return linear, quadratic + [{(0, 0): 1}]
-
-    monkeypatch.setattr(incidence, "_leibniz_jacobi_forms", extra)
-    for P in (Poset(["a", "b"], [["a", "b"]]),
-              Poset(["a", "b", "c"], [["a", "b"], ["a", "c"]]), chain_poset(3)):
-        got = exhaustive_sigma_equiv(P, 3)
-        assert got == _brute_force_sweep(P, 3, lambda P: extra(P, _reference_forms))
-        assert not got["agree"]
+        monkeypatch.setattr(incidence, "_leibniz_jacobi_forms", extra)
+        for P in posets:
+            got = exhaustive_sigma_equiv(P, 3)
+            assert got == _brute_force_sweep(P, 3, lambda P: extra(P, _reference_forms))
+            assert not got["agree"]
 
 
 def test_brute_force_matches_direct_route():

@@ -18,17 +18,19 @@ Der U(4) = 12 through the integer rows (the U(4) value recorded from this
 library, not published); the table of U(4) built from the linear rows equals the one of
 a Kantor product per basis pair for u = v_1 (4096 products); the derived
 subalgebra of the 4-ary derivations of D(4) is sl_4 (15) in every slot; the
-sigma/Poisson biconditional holds over GF(5) on all 87
-posets with 5^s <= 4,000,000 (s strict pairs) and over GF(7) on all 77 with
-7^s <= 4,000,000; all_posets_up_to(6) gives 1, 2, 5, 16, 63 and 318
-posets of 1 to 6 points (OEIS A000112), and the biconditional holds over
-GF(3) on the 399 of those 405 with 3^s <= 4,000,000; LDer_2(M7) holds
+sigma/Poisson biconditional holds over GF(5) and over GF(7) on the 88
+posets on at most 5 points and the crown, among them 1 and 11 with more
+than 4,000,000 sigmas (p^s, s strict pairs); all_posets_up_to(6) gives
+1, 2, 5, 16, 63 and 318 posets of 1 to 6 points (OEIS A000112), and the
+biconditional holds over GF(3) on all 405 of them; LDer_2(M7) holds
 no invertible map (certified generic rank < 7); the local derivations of
 a seeded rebased M_3(Q) are its 8 derivations, with the generic rank
 certified; U(3) is conservative and not terminal, with a 24-dimensional
 value space, a quasi-unit and 24-dimensional quasi-unit and Jacobi
-element spaces; the ternary M8 and D3, rebased by a seeded P, come back
-equal under P^-1; rebased by that P, the 4-ary
+element spaces, and its associated product and value space print as
+recorded at the commit before ``linalg.solve`` read them off one
+``kernel_and_rows`` (sha256 of the lines); the ternary M8 and D3, rebased
+by a seeded P, come back equal under P^-1; rebased by that P, the 4-ary
 derivations of D3, the octonions and M8 keep their dims 31, 30 and 24, and
 Der of rebased D3 is 21: every kernel there lifts only after several CRT
 primes; their slot projection dims, derived dim and derived projection dims,
@@ -144,6 +146,16 @@ def obstruction_digest(A):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def conservativity_digests(rep):
+    """sha256 of the associated product of a ``ConservativityReport``, one
+    line "a b: k c, ..." per basis pair of its table, and of its value
+    space's canonical basis, one row per line."""
+    table = "\n".join(f"{a} {b}: " + ", ".join(f"{k} {c}" for k, c in sorted(row.items()))
+                      for (a, b), row in sorted(rep.particular.table.items()))
+    basis = "\n".join(" ".join(map(str, row)) for row in rep.homogeneous.basis)
+    return [hashlib.sha256(text.encode()).hexdigest() for text in (table, basis)]
+
+
 def per_pair_U(n):
     """The table of U(n) for u = v_1 from one Kantor product per basis pair."""
     basis = [StructureTensor(n, 2, {(i, j): {k: Fraction(1)}})
@@ -240,10 +252,7 @@ def conditions():
     m5 = catalog_get("matrix", {"n": 5})
     meta = generalized_derivation_space(catalog_get("D", {"dim": 4}), "full").meta
     posets = all_posets_up_to(5) + [crown_poset()]
-    gf5 = [P for P in posets if 5 ** len(P.strict_pairs()) <= 4_000_000]
-    gf7 = [P for P in posets if 7 ** len(P.strict_pairs()) <= 4_000_000]
     six = all_posets_up_to(6)
-    gf3_six = [P for P in six if 3 ** len(P.strict_pairs()) <= 4_000_000]
     P = seeded_basis(9)
     loc = local_derivation_generic_space(change_basis(catalog_get("matrix", {"n": 3}), P))
     U3 = build_U(3)
@@ -287,18 +296,15 @@ def conditions():
     yield "U(4) equals its per-pair Kantor products", U4.op().table == per_pair_U(4).table, True
     yield "derived dim of GDer D(4)", meta["derived_dim"], 15
     yield "derived projection dims of GDer D(4)", meta["derived_projection_dims"], [15] * 4
-    yield "posets with 5^s <= 4,000,000", len(gf5), 87
+    yield "posets on at most 5 points, and the crown", len(posets), 88
     yield "GF(5) posets where the sigma biconditional fails", \
-        [P.elements for P in gf5 if not exhaustive_sigma_equiv(P, 5)["agree"]], []
-    yield "posets with 7^s <= 4,000,000", len(gf7), 77
+        [P.elements for P in posets if not exhaustive_sigma_equiv(P, 5)["agree"]], []
     yield "GF(7) posets where the sigma biconditional fails", \
-        [P.elements for P in gf7 if not exhaustive_sigma_equiv(P, 7)["agree"]], []
+        [P.elements for P in posets if not exhaustive_sigma_equiv(P, 7)["agree"]], []
     yield "posets on at most 6 points, by size (OEIS A000112)", \
         [sum(P.n == n for P in six) for n in range(1, 7)], [1, 2, 5, 16, 63, 318]
-    yield "posets on at most 6 points with 3^s <= 4,000,000, and those where the GF(3) " \
-        "sigma biconditional fails", \
-        (len(gf3_six), [P.to_json() for P in gf3_six
-                        if not exhaustive_sigma_equiv(P, 3)["agree"]]), (399, [])
+    yield "posets on at most 6 points where the GF(3) sigma biconditional fails", \
+        [P.to_json() for P in six if not exhaustive_sigma_equiv(P, 3)["agree"]], []
     yield "LDer_2(M7) has an invertible map", \
         leibniz_derivation_space(catalog_get("M7"), 2).meta["invertible_exists"], False
     yield "dim of the local derivations of rebased M_3", loc.dim, 8
@@ -306,6 +312,10 @@ def conditions():
     yield "U(3) is conservative", cons.feasible, True
     yield "U(3) is terminal", cons.terminal, False
     yield "dim of the U(3) value space", cons.homogeneous.dim, 24
+    yield "sha256 of the U(3) associated product and of its value space's basis", \
+        conservativity_digests(cons), \
+        ["a07f211d0e1b3bc0515a149796f80c59fa9e0edd02547e24443e78b3738eec65",
+         "42651f3d5a952ebf536d9974691c2b728e0d7587a4d1f67f20616ea0fe6d734d"]
     yield "dim of the U(3) quasi-unit space", quasi.dim, 24
     yield "U(3) has a quasi-unit", quasi_particular is not None, True
     yield "dim of the U(3) Jacobi element space", jacobi_element_space(U3).dim, 24

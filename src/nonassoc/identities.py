@@ -1160,12 +1160,8 @@ def _conditions(A, terms, variables, unknowns, every):
                         yield (combo, r), row
         return keyed_rows(), scale
     dim = A.dim
-    # the prefixes of the representatives, each once: the tuples of
-    # ``_prefixes``, read off the tuples whose rows they give
-    prefixes = (p for p, _ in itertools.groupby(_representatives(dim, runs),
-                                                operator.itemgetter(slice(-1))))
     rows, singles = [], set()
-    for _, total in _totals(A, prefixes, specs, top_coef, _merge_form):
+    for _, total in _totals(A, _prefixes(dim, runs), specs, top_coef, _merge_form):
         # the rows at the tuples (prefix, c): c ascending, then r ascending
         # (a row of one entry is held as its (column, value) pair until a
         # second entry comes)

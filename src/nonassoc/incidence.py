@@ -357,6 +357,9 @@ def _span_indices(space):
     return {sum(d * p ** k for k, d in enumerate(v)): v for v in vecs}
 
 
+_SWEEP_BOUND = 4_000_000   # vectors that ``exhaustive_sigma_equiv`` may enumerate
+
+
 def exhaustive_sigma_equiv(P, p=3):
     """Test the sigma/Poisson biconditional for every sigma over GF(p).
 
@@ -371,16 +374,14 @@ def exhaustive_sigma_equiv(P, p=3):
     that does not vanish on L) the vectors of both kernels are enumerated
     and each vector of L gets the Jacobi forms in Python ints.  Returns
     counts and the first disagreement, in the order t = sum_k sigma_k p^k,
-    if any.
+    if any.  The enumeration lists p^dim L + p^dim C vectors
+    (``_span_indices``) and is refused above ``_SWEEP_BOUND``; a sweep that
+    enumerates nothing has no bound.
     """
     if p == 2:
         raise DomainError("the sweep needs an odd prime (alternating bracket)")
     strict = P.strict_pairs()
     s = len(strict)
-    if p ** s > 4_000_000:
-        raise DomainError(
-            f"sweep size p^s = {p}^{s} exceeds the resource bound; "
-            "sample sigmas individually instead")
     dom = GF(p)
     linear, quadratic = _leibniz_jacobi_forms(P)
     leibniz = kernel(linear, s, dom)
@@ -393,6 +394,11 @@ def exhaustive_sigma_equiv(P, p=3):
               "agree": True, "counterexample": None}
     if leibniz == chains and _vanishes_on(quadratic, leibniz):
         return report
+    if p ** leibniz.dim + p ** chains.dim > _SWEEP_BOUND:
+        raise DomainError(
+            f"the sweep would enumerate p^dim L + p^dim C = {p}^{leibniz.dim} + "
+            f"{p}^{chains.dim} vectors, above the resource bound {_SWEEP_BOUND:,}; "
+            "sample sigmas individually instead")
     quadratic = [[(s1, s2, c) for (s1, s2), c in row.items()]
                  for row in quadratic]
     poisson = {t for t, v in _span_indices(leibniz).items()

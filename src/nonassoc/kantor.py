@@ -257,12 +257,12 @@ def _double_brackets(A, op=None):
 
 def _conservativity(A, op=None):
     """(null(K), {(a, b): particular solution of K s = -[L_a,[L_b,M]], or
-    None}, a quasi-unit or None), with K built once and factorised once by
-    ``linalg.solve`` for all pairs and for K e = -vec(M)."""
+    None}, a quasi-unit or None), with K built once: ``linalg.solve`` reads
+    all three off one elimination, for every pair and for K e = -vec(M)."""
     K = _k_rows(A, op)
     rhs = _double_brackets(A, op)
-    *answers, unit = solve(K, [*rhs.values(), _quasi_target(A, op)], A.dim, A.dom)
-    return kernel(list(K.values()), A.dim, A.dom), dict(zip(rhs, answers)), unit
+    null, (*answers, unit) = solve(K, [*rhs.values(), _quasi_target(A, op)], A.dim, A.dom)
+    return null, dict(zip(rhs, answers)), unit
 
 
 def conservativity_test(A, op=None):
@@ -342,11 +342,10 @@ def quasi_unit_space(A, op=None):
         raise DomainError("quasi-units need a binary operation")
     dom = A.dom
     n = A.dim
-    K = _k_rows(A, op)
-    sol = solve(K, [_quasi_target(A, op)], n, dom)[0]
+    null, [sol] = solve(_k_rows(A, op), [_quasi_target(A, op)], n, dom)
     if sol is None:
         return Subspace([], n, dom), None
-    return kernel(list(K.values()), n, dom), sol
+    return null, sol
 
 
 def jacobi_element_space(A, op=None):

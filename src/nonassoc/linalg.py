@@ -21,7 +21,9 @@ Q), and the lifted kernel is verified exactly against every row before it
 is returned, so no prime can make it wrong.  The rows that gave the
 final pivots span the row space and come back with the kernel
 (``kernel_and_rows``), so a membership test (``kernel_contains``) can use
-them alone.
+them alone.  ``solve`` has no elimination of its own: the solutions of
+M x = b_i and ker M are read off the ``kernel_and_rows`` of the
+augmented rows [-b_0 ... -b_{m-1} | M with its columns reversed].
 ``rank_of_rows`` gives an exact rank from the rank mod 2^61 - 1 when that
 meets a proven upper bound, and else from the smaller of the right and the
 left kernel.
@@ -160,56 +162,61 @@ def nullspace(rows, ncols, dom=QQ):
 
 
 def solve(rows, rhss, ncols, dom=QQ):
-    """Particular solutions of M x = b for many right-hand sides b.
+    """The affine solution spaces of M x = b for many right-hand sides b:
+    (ker M as a ``Subspace``, [a solution x_i of M x = b_i, or None]).
 
     M is given by sparse rows {key: {column: coefficient}} (a key without a
     row is a zero row), each b by {key: value}; entries are anything
-    ``dom.coerce`` takes, such as those of ``linear_conditions``.  M is
-    factorised once, exactly: its pivot columns P (those of its RREF), r
-    rows I independent on P, and the inverse of M[I, P].  The answer for b
-    is x with x[P] = M[I, P]^-1 b[I] and zeros at the free columns, the
-    solution the RREF of [M | b] gives, or None when M x = b fails at some
-    row (checked exactly, over the columns of M in the support of x).
+    ``dom.coerce`` takes, such as those of ``linear_conditions``.  Every
+    answer is read off one ``kernel_and_rows`` of the augmented system
+    [-b_0 ... -b_{m-1} | M'], M' being M with its columns reversed: column
+    i < m holds -b_i, column j of M sits at m + ncols - 1 - j, and a key
+    found only in some b_i is a row of right-hand-side entries alone.  Its
+    canonical kernel basis has one vector per free column f of the RREF R
+    with highest-column pivots, with 1 at f, its lowest column, and its
+    other entries at pivot columns above f.
+
+    A row of R whose pivot c is below m is zero on every column of M', so
+    it is y^T [-b_0 ... | M'] for some y with y^T M = 0, and its entry at
+    column i < m is -y^T b_i.  When b_i is consistent that entry is 0, so
+    column i is no pivot, and its vector has no other column below m: it
+    is e_i plus (0, y') with M' y' = b_i, read as x_i[j] = y'[m + ncols - 1
+    - j].  When column i is itself a pivot, y^T b_i != 0 and b_i is
+    inconsistent; a vector with first column i and a second column below
+    m is not a solution either, and x_i is None.  The highest-column
+    pivots of M' are the lowest-column pivots of M, so x_i is zero at the
+    free columns of the RREF of M: the solution the RREF of [M | b_i]
+    gives.  The vectors whose first column is m or more span ker M'; they
+    are reversed into ker M and put in canonical form again.  The kernel is
+    verified exactly by ``kernel_and_rows``, and so is every answer.
     """
-    zero, is_zero, coerce = dom.zero(), dom.is_zero, dom.coerce
-    mat = {key: {j: c for j, v in row.items() if not is_zero(c := coerce(v))}
+    coerce, is_zero, zero = dom.coerce, dom.is_zero, dom.zero()
+    m = len(rhss)
+    top = m + ncols - 1
+    # kernel_and_rows takes GF(p) rows as residues
+    entry = (lambda c: c.v) if isinstance(dom, PrimeField) else (lambda c: c)
+    aug = {key: {top - j: entry(c) for j, v in row.items() if not is_zero(c := coerce(v))}
            for key, row in rows.items()}
-    red, source = {}, {}   # pivot column -> reduced row / key of its row
-    cols = {}              # column -> [(key, entry)]
-    for key, row in mat.items():
-        for j, c in row.items():
-            cols.setdefault(j, []).append((key, c))
-        # reduce by the pivot rows, lowest column first: each keeps its
-        # pivot as its lowest column
-        row = dict(row)
-        while row and (c := min(row)) in red:
-            f = row[c] / red[c][c]
-            for j, v in red[c].items():
-                x = row.get(j, zero) - f * v
-                if is_zero(x):
-                    row.pop(j, None)
-                else:
-                    row[j] = x
-        if row:
-            red[c], source[c] = row, key
-    pivots = sorted(red)
-    inv = inverse([[mat[source[i]].get(j, zero) for j in pivots] for i in pivots], dom) \
-        if pivots else []
-    out = []
-    for b in rhss:
-        b = {key: c for key, v in b.items() if not is_zero(c := coerce(v))}
+    for i, b in enumerate(rhss):
+        for key, v in b.items():
+            if not is_zero(c := coerce(v)):
+                aug.setdefault(key, {})[i] = entry(-c)
+    space = kernel_and_rows(list(aug.values()), top + 1, dom)[0]
+
+    def unreversed(row, columns):
         x = [zero] * ncols
-        b_rows = [b.get(source[i], zero) for i in pivots]
-        for p, inv_row in zip(pivots, inv):
-            x[p] = sum((u * v for u, v in zip(inv_row, b_rows) if not is_zero(v)), zero)
-        mx = {}
-        for p in pivots:
-            if not is_zero(x[p]):
-                for key, c in cols[p]:
-                    mx[key] = mx.get(key, zero) + c * x[p]
-        ok = all(is_zero(mx.get(key, zero) - b.get(key, zero)) for key in mx.keys() | b.keys())
-        out.append(x if ok else None)
-    return out
+        for c in columns:
+            x[top - c] = row[c]
+        return x
+
+    null, solutions = [], [None] * m
+    for row, support in space._supports:
+        i = support[0]
+        if i >= m:
+            null.append(unreversed(row, support))
+        elif len(support) == 1 or support[1] >= m:
+            solutions[i] = unreversed(row, support[1:])
+    return Subspace(null, ncols, dom), solutions
 
 
 def inverse(mat, dom=QQ):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonassoc import kantor
+from nonassoc import kantor, linalg
 from nonassoc.catalog import CATALOG_NAMES, catalog_get
 from nonassoc.cli import run
 from nonassoc.deform import certificate_from_json
@@ -507,6 +507,22 @@ def test_incidence_cli(tmp_path, capsys):
     assert "0 is not prime" in out.err and "Traceback" not in out.err
 
 
+def test_exhaustive_gf7_answers_the_chain_on_five_points(tmp_path, capsys):
+    """The chain on 5 points has 7^10 sigmas over GF(7), more than the
+    sweep bound, but equal kernels of dimension 1 and no vector to
+    enumerate: the sweep answers (exit 0) instead of refusing (exit 2)."""
+    poset = tmp_path / "p.json"
+    poset.write_text(json.dumps({"elements": ["1", "2", "3", "4", "5"],
+                                 "covers": [["1", "2"], ["2", "3"], ["3", "4"], ["4", "5"]]}))
+    assert run(["--json", "incidence", "poisson-equiv", "--poset", str(poset),
+                "--exhaustive-gf", "7"]) == 0
+    out = capsys.readouterr()
+    doc = json.loads(out.out)
+    assert out.err == ""
+    assert (doc["agree"], doc["total"], doc["poisson_count"], doc["chain_constant_count"]) \
+        == (True, 7 ** 10, 7, 7)
+
+
 def test_ext_cli(tmp_path, capsys):
     ab2 = _write(tmp_path, "abelian", {"n": 2})
     assert run(["--json", "ext", "cocycles", "--algebra", ab2,
@@ -640,11 +656,12 @@ def test_gf3_polarizes_below_the_largest_degree_of_one_variable(tmp_path, capsys
                                          ("abelian", {"n": 2}), ("U2e", {})])
 def test_conservative_builds_k_once_and_takes_one_kernel(tmp_path, capsys, monkeypatch, name,
                                                           params):
-    """``conservative`` builds Kantor's K once and takes at most one kernel
-    per request, and reports the quasi-unit space that ``quasi_unit_space``
-    computes on its own: the value space when a quasi-unit exists, else 0."""
+    """``conservative`` builds Kantor's K once and makes one elimination
+    (``linalg.kernel_and_rows``) per request, and reports the quasi-unit
+    space that ``quasi_unit_space`` computes on its own: the value space
+    when a quasi-unit exists, else 0."""
     path = _write(tmp_path, name, params)
-    calls = {"_k_rows": 0, "kernel": 0}
+    calls = {"_k_rows": 0, "kernel_and_rows": 0}
 
     def counted(f):
         def wrapper(*args, **kwargs):
@@ -652,10 +669,10 @@ def test_conservative_builds_k_once_and_takes_one_kernel(tmp_path, capsys, monke
             return f(*args, **kwargs)
         return wrapper
     monkeypatch.setattr(kantor, "_k_rows", counted(kantor._k_rows))
-    monkeypatch.setattr(kantor, "kernel", counted(kantor.kernel))
+    monkeypatch.setattr(linalg, "kernel_and_rows", counted(linalg.kernel_and_rows))
     assert run(["--json", "conservative", path]) in (0, 1)
     doc = json.loads(capsys.readouterr().out)
-    assert calls == {"_k_rows": 1, "kernel": 1}
+    assert calls == {"_k_rows": 1, "kernel_and_rows": 1}
     monkeypatch.undo()
     assert doc["quasi_unit_space_dim"] == kantor.quasi_unit_space(catalog_get(name, params))[0].dim
 

@@ -319,9 +319,47 @@ def test_sweep_rejects_char_two():
         exhaustive_sigma_equiv(chain_poset(3), 2)
 
 
-def test_sweep_resource_bound():
-    with pytest.raises(DomainError):
-        exhaustive_sigma_equiv(chain_poset(7), 3)  # 3^21 assignments
+def test_sweep_resource_bound(monkeypatch):
+    """The bound counts the vectors an enumeration lists, p^dim L + p^dim C,
+    not the p^s sigmas: the chain on 7 points (3^21 sigmas) answers over
+    GF(3) with nothing enumerated.  With the basis decision patched to
+    fail, the sweep enumerates 3 + 3 vectors there, and refuses once the
+    bound is lowered below that; with the bound as it is, the height-one
+    poset K_{3,3} over GF(7) (7^9 + 7^9 vectors) is refused."""
+    rep = exhaustive_sigma_equiv(chain_poset(7), 3)
+    assert (rep["agree"], rep["total"], rep["poisson_count"], rep["chain_constant_count"]) \
+        == (True, 3 ** 21, 3, 3)
+    monkeypatch.setattr(incidence, "_vanishes_on", lambda rows, space: False)
+    monkeypatch.setattr(incidence, "_SWEEP_BOUND", 6)
+    assert exhaustive_sigma_equiv(chain_poset(7), 3) == rep
+    monkeypatch.setattr(incidence, "_SWEEP_BOUND", 5)
+    with pytest.raises(DomainError, match=r"^the sweep would enumerate p\^dim L \+ p\^dim C = "
+                                          r"3\^1 \+ 3\^1 vectors, above the resource bound 5;"):
+        exhaustive_sigma_equiv(chain_poset(7), 3)
+    monkeypatch.undo()
+    k33 = Poset(list("abcxyz"), [[low, up] for low in "abc" for up in "xyz"])
+    assert exhaustive_sigma_equiv(k33, 7)["agree"]
+    monkeypatch.setattr(incidence, "_vanishes_on", lambda rows, space: False)
+    with pytest.raises(DomainError, match=r"7\^9 \+ 7\^9 vectors, above the resource bound "
+                                          r"4,000,000;"):
+        exhaustive_sigma_equiv(k33, 7)
+
+
+def test_sweep_answers_past_p_to_the_s(monkeypatch):
+    """The 6 posets on 6 points with 3^s > 4,000,000 over GF(3), and the 11
+    of criterion 7's 88 with 7^s > 4,000,000 over GF(7), which the sweep
+    refused while it bounded p^s: each agrees, with nothing enumerated,
+    and both counts are p^dim of the chain-constant kernel."""
+    cases = [(P, 3) for P in all_posets_up_to(6) if 3 ** len(P.strict_pairs()) > 4_000_000]
+    cases += [(P, 7) for P in _POSETS if 7 ** len(P.strict_pairs()) > 4_000_000]
+    assert len(cases) == 6 + 11
+    monkeypatch.setattr(incidence, "_span_indices", None)
+    for P, p in cases:
+        strict = P.strict_pairs()
+        rep = exhaustive_sigma_equiv(P, p)
+        count = p ** kernel(_chain_rows_reference(P), len(strict), GF(p)).dim
+        assert (rep["agree"], rep["total"], rep["poisson_count"], rep["chain_constant_count"]) \
+            == (True, p ** len(strict), count, count), (P, p)
 
 
 def test_sweep_gf5():
@@ -468,9 +506,8 @@ def test_sweep_without_jacobi_rows_enumerates_nothing(monkeypatch):
     monkeypatch.setattr(incidence, "_span_indices", None)
     for P in posets:
         for p in (3, 7):
-            if p ** len(P.strict_pairs()) <= 4_000_000:
-                rep = exhaustive_sigma_equiv(P, p)
-                assert rep["agree"] and rep["poisson_count"] == rep["chain_constant_count"]
+            rep = exhaustive_sigma_equiv(P, p)
+            assert rep["agree"] and rep["poisson_count"] == rep["chain_constant_count"]
     assert len(posets) == 33 and max(len(P.strict_pairs()) for P in posets) == 6
     for P in _POSETS:
         rep = exhaustive_sigma_equiv(P, 3)

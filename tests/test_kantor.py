@@ -523,9 +523,9 @@ _KANTOR_CASES = (["U2", "U2e", "W2", "S2", "sl2", "NF3"]
 
 @pytest.mark.parametrize("name", _KANTOR_CASES)
 def test_conservativity_matches_the_dense_route(name):
-    """The factor-once sparse route gives the dense route's verdicts,
-    associated product, value space, terminal verdict, quasi-units and
-    Jacobi elements."""
+    """The sparse route (one ``linalg.solve``) gives the dense route's
+    verdicts, associated product, value space, terminal verdict,
+    quasi-units and Jacobi elements."""
     A = _kantor_case(name)
     report, quasi, jacobi = _dense_kantor(A)
     rep = conservativity_test(A)

@@ -46,12 +46,12 @@ def test_nullspace_forced():
 def test_solve_modes():
     # x0 + x1 = 3, x1 = 1: one solution and a zero kernel
     rows = {0: {0: Fraction(1), 1: Fraction(1)}, 1: {1: Fraction(1)}}
-    [x] = solve(rows, [{0: Fraction(3), 1: Fraction(1)}], 2)
+    null, [x] = solve(rows, [{0: Fraction(3), 1: Fraction(1)}], 2)
     assert x[0] + x[1] == 3 and x[1] == 1
-    assert kernel(list(rows.values()), 2).dim == 0
+    assert kernel(list(rows.values()), 2).dim == null.dim == 0
     # [0 1 | 1] and [0 0 | 1] (a zero row) are inconsistent
-    assert solve({0: {1: Fraction(0)}}, [{0: Fraction(1)}], 2) == [None]
-    assert solve({}, [{0: Fraction(1)}, {}], 2) == [None, [0, 0]]
+    assert solve({0: {1: Fraction(0)}}, [{0: Fraction(1)}], 2)[1] == [None]
+    assert solve({}, [{0: Fraction(1)}, {}], 2)[1] == [None, [0, 0]]
     # the rank is the column count less the kernel dimension
     assert 2 - kernel([{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}], 2).dim == 1
 
@@ -165,10 +165,10 @@ def test_kernel_contains_matches_subspace_membership(which, system, weights, str
        st.lists(st.tuples(st.booleans(), st.lists(st.integers(-3, 3), min_size=8, max_size=8)),
                 min_size=1, max_size=3))
 def test_solve_matches_dense_solve(which, system, rhs_specs):
-    """The factor-once ``solve`` gives, for every right-hand side, the
-    answer of the dense reference: None for an inconsistent system (also
-    one with a nonzero value at a zero row), else the same particular
-    solution.  Consistent right-hand sides are drawn as M y."""
+    """``solve`` gives, for every right-hand side, the answer of the dense
+    reference: None for an inconsistent system (also one with a nonzero
+    value at a zero row), else the same particular solution.  Consistent
+    right-hand sides are drawn as M y."""
     dom = _DOMAINS[which]
     ncols, spec = system
     rows = {i: {j: _entry(dom, a, e) for j, (a, e) in row.items()} for i, row in enumerate(spec)}
@@ -185,8 +185,113 @@ def test_solve_matches_dense_solve(which, system, rhs_specs):
         else:
             b = [dom.from_int(v) for v in ints[:nkeys]] + [dom.zero()] * (nkeys - len(ints))
         rhss.append(b)
-    got = solve(rows, [dict(enumerate(b)) for b in rhss], ncols, dom)
+    _, got = solve(rows, [dict(enumerate(b)) for b in rhss], ncols, dom)
     assert got == [_dense_solve(dense, b, dom) for b in rhss]
+
+
+def _factor_once_solve(rows, rhss, ncols, dom=QQ):
+    """Reference: ``solve`` as it was before it read its answers off
+    ``kernel_and_rows``, the particular solutions alone.
+
+    M is given by sparse rows {key: {column: coefficient}} (a key without a
+    row is a zero row), each b by {key: value}; entries are anything
+    ``dom.coerce`` takes, such as those of ``linear_conditions``.  M is
+    factorised once, exactly: its pivot columns P (those of its RREF), r
+    rows I independent on P, and the inverse of M[I, P].  The answer for b
+    is x with x[P] = M[I, P]^-1 b[I] and zeros at the free columns, the
+    solution the RREF of [M | b] gives, or None when M x = b fails at some
+    row (checked exactly, over the columns of M in the support of x).
+    """
+    zero, is_zero, coerce = dom.zero(), dom.is_zero, dom.coerce
+    mat = {key: {j: c for j, v in row.items() if not is_zero(c := coerce(v))}
+           for key, row in rows.items()}
+    red, source = {}, {}   # pivot column -> reduced row / key of its row
+    cols = {}              # column -> [(key, entry)]
+    for key, row in mat.items():
+        for j, c in row.items():
+            cols.setdefault(j, []).append((key, c))
+        # reduce by the pivot rows, lowest column first: each keeps its
+        # pivot as its lowest column
+        row = dict(row)
+        while row and (c := min(row)) in red:
+            f = row[c] / red[c][c]
+            for j, v in red[c].items():
+                x = row.get(j, zero) - f * v
+                if is_zero(x):
+                    row.pop(j, None)
+                else:
+                    row[j] = x
+        if row:
+            red[c], source[c] = row, key
+    pivots = sorted(red)
+    inv = inverse([[mat[source[i]].get(j, zero) for j in pivots] for i in pivots], dom) \
+        if pivots else []
+    out = []
+    for b in rhss:
+        b = {key: c for key, v in b.items() if not is_zero(c := coerce(v))}
+        x = [zero] * ncols
+        b_rows = [b.get(source[i], zero) for i in pivots]
+        for p, inv_row in zip(pivots, inv):
+            x[p] = sum((u * v for u, v in zip(inv_row, b_rows) if not is_zero(v)), zero)
+        mx = {}
+        for p in pivots:
+            if not is_zero(x[p]):
+                for key, c in cols[p]:
+                    mx[key] = mx.get(key, zero) + c * x[p]
+        ok = all(is_zero(mx.get(key, zero) - b.get(key, zero)) for key in mx.keys() | b.keys())
+        out.append(x if ok else None)
+    return out
+
+
+# a right-hand side: M y with a zero at one key without a row (True), or
+# drawn entries, zeros among them, at the keys of the rows and two more
+_RHS = st.tuples(st.booleans(), st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+                 st.dictionaries(st.integers(0, 9), st.tuples(st.integers(-2, 2),
+                                                              st.integers(0, 2))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_DOMAINS)), _SYSTEMS, st.lists(_RHS, max_size=4),
+       st.lists(st.integers(0, 7), max_size=3))
+def test_solve_matches_the_factor_once_solve(which, system, rhs_specs, repeats):
+    """``solve`` against the factor-once reference over Q, GF(5), GF(7) and
+    Q(t): the same answer for every right-hand side, repeated ones among
+    them (a repeated inconsistent b_i makes e_i - e_j a kernel vector of
+    the augmented system, which must give None for both), keys found only
+    in some b and zero entries; and the kernel is ``kernel`` of the rows,
+    in the same canonical basis."""
+    dom = _DOMAINS[which]
+    ncols, spec = system
+    rows = {i: {j: _entry(dom, a, e) for j, (a, e) in row.items()} for i, row in enumerate(spec)}
+    rhss = []
+    for image, ys, drawn in rhs_specs:
+        if image:
+            y = [dom.from_int(v) for v in ys[:ncols]]
+            b = {i: sum((dom.coerce(c) * y[j] for j, c in row.items()), dom.zero())
+                 for i, row in rows.items()}
+            b[len(rows)] = dom.zero()
+        else:
+            b = {k: _entry(dom, a, e) for k, (a, e) in drawn.items() if k < len(rows) + 2}
+        rhss.append(b)
+    rhss += [dict(rhss[k]) for k in repeats if k < len(rhss)]
+    null, got = solve(rows, rhss, ncols, dom)
+    assert got == _factor_once_solve(rows, rhss, ncols, dom)
+    want = kernel(list(rows.values()), ncols, dom)
+    assert null == want and null.basis == want.basis
+
+
+def test_solve_repeated_right_hand_sides():
+    """A right-hand side given twice: both inconsistent copies give None
+    (the augmented kernel vector e_0 - e_1 has two right-hand-side
+    columns), both consistent ones the same solution, over Q and GF(5)."""
+    for dom in (QQ, GF(5)):
+        rows = {0: {0: 1, 1: 1}, 1: {0: 2, 1: 2}, 2: {2: 1}}
+        bad, good = {0: 1, 1: 1}, {0: 1, 1: 2, 2: 3, 3: 0}
+        null, got = solve(rows, [bad, good, bad, good], 3, dom)
+        one, zero, three = dom.one(), dom.zero(), dom.from_int(3)
+        assert got == [None, [one, zero, three], None, [one, zero, three]] \
+            == _factor_once_solve(rows, [bad, good, bad, good], 3, dom)
+        assert null.basis == [[one, -one, zero]]
 
 
 def test_inverse_and_singular():

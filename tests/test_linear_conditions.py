@@ -824,11 +824,11 @@ def test_centroid_slot_laws_put_the_other_slots_in_one_run(monkeypatch):
     middle slot's law too, whose skew pair (x0, x2) is not adjacent in
     slot order."""
     seen = []
-    representatives = identities._representatives
+    prefixes = identities._prefixes
 
     def record(dim, runs):
         seen.append(runs)
-        return representatives(dim, runs)
-    monkeypatch.setattr(identities, "_representatives", record)
+        return prefixes(dim, runs)
+    monkeypatch.setattr(identities, "_prefixes", record)
     assert centroid(catalog_get("D", {"dim": 4})).dim == 1
     assert seen == [((1, 1), (2, -1))] * 3

@@ -365,7 +365,7 @@ def test_transposed_space_2dim_lie():
     from nonassoc.linalg import solve
     cols = [flat(b) for b in res["basis"]]
     rows = {i: {a: col[i] for a, col in enumerate(cols)} for i in range(8)}
-    [coords] = solve(rows, [dict(enumerate(flat(mul)))], len(cols), QQ)
+    _, [coords] = solve(rows, [dict(enumerate(flat(mul)))], len(cols), QQ)
     assert coords is not None
     for p in res["obstructions"]:
         assert p.eval(coords) == 0
